@@ -5,13 +5,19 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test quick bench-smoke serve-smoke
+.PHONY: test quick oracle-full bench-smoke serve-smoke bench-e2e bench-e2e-smoke
 
 test:
 	$(PYTEST) -x -q
 
 quick:
 	$(PYTEST) -x -q -m "not slow"
+
+# Planner vs. the per-hint-set reference search on every JOB/Stack/DSB query
+# of <= 8 tables x all 49 hint sets (tier-1 rotates a window of hint sets over
+# the larger queries; this is the full cross product, a few minutes).
+oracle-full:
+	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_db_optimizer.py -k test_benchmark_workloads
 
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_surrogate_hotpath.py --smoke
@@ -27,3 +33,13 @@ bench-smoke:
 
 serve-smoke:
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke
+
+# The end-to-end benchmark of BENCHMARK.json (benchmarks/e2e/README.md): four
+# workloads, end-to-end metrics plus the per-layer ledger, judged against the
+# committed baseline.  run.py puts src/ on sys.path itself.
+bench-e2e:
+	mkdir -p out
+	python3 benchmarks/e2e/run.py --json out/e2e.json && python3 benchmarks/e2e/compare.py benchmarks/e2e/baseline.json out/e2e.json
+
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke

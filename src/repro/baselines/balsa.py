@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.initialization import bao_hint_set_plans
 from repro.core.protocol import (
     BudgetSpec,
     ExecutionOutcome,
@@ -42,7 +43,6 @@ from repro.db.query import Query
 from repro.nn.layers import Sequential, mlp
 from repro.nn.losses import mse
 from repro.nn.optim import Adam
-from repro.plans.hints import bao_hint_sets
 from repro.plans.jointree import JOIN_OPS, JoinTree
 from repro.plans.sampling import random_join_tree
 
@@ -107,9 +107,9 @@ class BalsaState(OptimizerState):
     across scheduling modes matters.
     """
 
-    hint_sets: list = field(default_factory=list)
+    #: The distinct Bao hint-set plans, in hint-set order (the seeds).
+    hint_plans: list = field(default_factory=list)
     next_hint: int = 0
-    seen_hint_plans: set = field(default_factory=set)
     features: list = field(default_factory=list)
     targets: list = field(default_factory=list)
     #: plan canonical -> training label (the plan cache; duplicates are free).
@@ -159,7 +159,7 @@ class BalsaOptimizer:
             query=query,
             result=OptimizationResult(query_name=query.name, technique="Balsa"),
             budget=budget,
-            hint_sets=list(bao_hint_sets()),
+            hint_plans=[plan for _, plan in bao_hint_set_plans(self.database, query)],
             step_cap=max_executions * 10,
         )
 
@@ -175,13 +175,9 @@ class BalsaOptimizer:
         state.require_idle()
         config, query = self.config, state.query
         # Seed with the Bao hint-set plans (training examples include the Bao optimum).
-        while state.next_hint < len(state.hint_sets):
-            hint_set = state.hint_sets[state.next_hint]
+        if state.next_hint < len(state.hint_plans):
+            plan = state.hint_plans[state.next_hint]
             state.next_hint += 1
-            plan = self.database.plan(query, hint_set)
-            if plan.canonical() in state.seen_hint_plans:
-                continue
-            state.seen_hint_plans.add(plan.canonical())
             return state.park(
                 PlanProposal(plan=plan, timeout=self._timeout(state), source="init:bao", query=query)
             )

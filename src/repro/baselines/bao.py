@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+from repro.core.initialization import bao_hint_set_plans
 from repro.core.protocol import (
     BudgetSpec,
     ExecutionOutcome,
@@ -49,11 +50,11 @@ class BaoOutcome:
 
 @dataclass
 class BaoState(OptimizerState):
-    """Resumable Bao state: remaining hint sets and the incumbent."""
+    """Resumable Bao state: remaining hint-set plans and the incumbent."""
 
-    hint_sets: list = field(default_factory=list)
+    #: The distinct hint-set plans as ``(hint set, plan)``, in hint-set order.
+    plans: list = field(default_factory=list)
     next_hint: int = 0
-    seen: set = field(default_factory=set)
     best_latency: float | None = None
     best_hint_set: HintSet | None = None
     best_plan: JoinTree | None = None
@@ -84,35 +85,30 @@ class BaoOptimizer:
             query=query,
             result=OptimizationResult(query_name=query.name, technique="Bao"),
             budget=budget,
-            hint_sets=list(bao_hint_sets()),
+            plans=bao_hint_set_plans(self.database, query),
         )
 
     def suggest(self, state: BaoState) -> PlanProposal | None:
         """Propose the next novel hint-set plan, or ``None`` when drained."""
         state.require_idle()
-        while state.next_hint < len(state.hint_sets):
-            hint_set = state.hint_sets[state.next_hint]
-            state.next_hint += 1
-            plan = self.database.plan(state.query, hint_set)
-            key = plan.canonical()
-            if key in state.seen:
-                continue
-            state.seen.add(key)
-            timeout = (
-                self.initial_timeout
-                if state.best_latency is None
-                else state.best_latency * self.timeout_multiplier
+        if state.next_hint == len(state.plans):
+            return None
+        hint_set, plan = state.plans[state.next_hint]
+        state.next_hint += 1
+        timeout = (
+            self.initial_timeout
+            if state.best_latency is None
+            else state.best_latency * self.timeout_multiplier
+        )
+        return state.park(
+            PlanProposal(
+                plan=plan,
+                timeout=timeout,
+                source="bao",
+                query=state.query,
+                metadata={"hint_set": hint_set},
             )
-            return state.park(
-                PlanProposal(
-                    plan=plan,
-                    timeout=timeout,
-                    source="bao",
-                    query=state.query,
-                    metadata={"hint_set": hint_set},
-                )
-            )
-        return None
+        )
 
     def observe(self, state: BaoState, outcome: ExecutionOutcome) -> None:
         proposal, record = state.resolve(outcome)

@@ -126,10 +126,7 @@ class LimeQOOptimizer:
             results={query.name: OptimizationResult(query.name, "LimeQO") for query in queries},
             budget=budget if budget is not None else BudgetSpec(max_executions=None),
             matrix=LimeQOState(queries=list(queries), hint_sets=hint_sets),
-            plans=[
-                [self.database.plan(query, hint_set) for hint_set in hint_sets]
-                for query in queries
-            ],
+            plans=[self.database.plan_hint_sets(query, hint_sets) for query in queries],
             best=[None] * len(queries),
         )
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.db.engine import Database
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
-from repro.plans.hints import bao_hint_sets
+from repro.plans.hints import HintSet, bao_hint_sets
 from repro.plans.jointree import JoinTree
 from repro.plans.sampling import random_join_tree
 
@@ -31,18 +31,22 @@ class PlanGenerator(Protocol):
         ...
 
 
+def bao_hint_set_plans(database: Database, query: Query) -> list[tuple[HintSet, JoinTree]]:
+    """The distinct plans of the 49 Bao hint sets, in hint-set order.
+
+    A plan reached by several hint sets appears once, with the first of them.
+    All 49 are planned in one pass over the query (``Database.plan_hint_sets``).
+    """
+    hint_sets = bao_hint_sets()
+    distinct: dict[str, tuple[HintSet, JoinTree]] = {}
+    for hint_set, plan in zip(hint_sets, database.plan_hint_sets(query, hint_sets)):
+        distinct.setdefault(plan.canonical(), (hint_set, plan))
+    return list(distinct.values())
+
+
 def bao_initialization(database: Database, query: Query) -> list[InitialPlan]:
     """The 49 hint-set plans (deduplicated), guaranteed to contain Bao's best plan."""
-    plans: list[InitialPlan] = []
-    seen: set[str] = set()
-    for hint_set in bao_hint_sets():
-        plan = database.plan(query, hint_set)
-        key = plan.canonical()
-        if key in seen:
-            continue
-        seen.add(key)
-        plans.append((plan, "init:bao"))
-    return plans
+    return [(plan, "init:bao") for _, plan in bao_hint_set_plans(database, query)]
 
 
 def default_initialization(database: Database, query: Query) -> list[InitialPlan]:

@@ -45,6 +45,7 @@ deprecation shims over them.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -282,6 +283,20 @@ class _ProposalLedger:
             raise OptimizationError(
                 f"no outstanding proposal {proposal_id!r} for {self._describe()}"
             ) from None
+
+    def __setstate__(self, state: dict) -> None:
+        """Refuse a pickle taken before this state class's fields changed.
+
+        A checkpoint written by an older layout would otherwise resume into
+        an ``AttributeError`` mid-run; raised as an unpickling error, the
+        checkpoint reader logs it and discards the file like a corrupt one.
+        """
+        missing = sorted({f.name for f in dataclasses.fields(self)} - state.keys())
+        if missing:
+            raise pickle.UnpicklingError(
+                f"pickled {type(self).__name__} predates its fields {missing}"
+            )
+        self.__dict__.update(state)
 
     def _validate_proposal(self, proposal: PlanProposal) -> None:
         pass

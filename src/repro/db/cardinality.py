@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.db.query import Query
+from repro.db.query import JoinPredicate, Query
 from repro.db.statistics import TableStats
 from repro.exceptions import QueryError
 
@@ -58,6 +58,14 @@ class CardinalityEstimator:
         return BaseEstimate(alias, float(table_stats.num_rows), selectivity)
 
     # ------------------------------------------------------------------ joins
+    def predicate_selectivity(self, query: Query, predicate: JoinPredicate) -> float:
+        """Selectivity of one equijoin predicate: ``1 / max(ndv_left, ndv_right)``."""
+        left_table = query.table_of(predicate.left_alias)
+        right_table = query.table_of(predicate.right_alias)
+        ndv_left = self.stats[left_table].column(predicate.left_column).num_distinct
+        ndv_right = self.stats[right_table].column(predicate.right_column).num_distinct
+        return 1.0 / max(ndv_left, ndv_right, 1)
+
     def join_selectivity(self, query: Query, left: set[str], right: set[str]) -> float:
         """Combined selectivity of all predicates connecting two alias sets.
 
@@ -65,11 +73,7 @@ class CardinalityEstimator:
         """
         selectivity = 1.0
         for predicate in query.predicates_between(left, right):
-            left_table = query.table_of(predicate.left_alias)
-            right_table = query.table_of(predicate.right_alias)
-            ndv_left = self.stats[left_table].column(predicate.left_column).num_distinct
-            ndv_right = self.stats[right_table].column(predicate.right_column).num_distinct
-            selectivity *= 1.0 / max(ndv_left, ndv_right, 1)
+            selectivity *= self.predicate_selectivity(query, predicate)
         return selectivity
 
     def estimate_subset(self, query: Query, aliases: frozenset[str]) -> float:
@@ -78,22 +82,23 @@ class CardinalityEstimator:
         Uses the textbook formula: product of filtered base cardinalities times
         the product of selectivities of every join predicate internal to the
         subset.  The result does not depend on join order, matching how a
-        System R optimizer costs intermediate results.
+        System R optimizer costs intermediate results.  The factors are
+        multiplied in query alias order, not set iteration order, so the last
+        ulp does not depend on ``PYTHONHASHSEED``.
         """
         if not aliases:
             raise QueryError("cannot estimate the cardinality of an empty alias set")
+        unknown = set(aliases) - set(query.aliases)
+        if unknown:
+            raise QueryError(f"query {query.name!r} has no aliases {sorted(unknown)}")
         rows = 1.0
-        for alias in aliases:
-            rows *= self.base_estimate(query, alias).rows
-        alias_set = set(aliases)
+        for alias in query.aliases:
+            if alias in aliases:
+                rows *= self.base_estimate(query, alias).rows
         for predicate in query.join_predicates:
             left, right = predicate.aliases()
-            if left in alias_set and right in alias_set:
-                left_table = query.table_of(left)
-                right_table = query.table_of(right)
-                ndv_left = self.stats[left_table].column(predicate.left_column).num_distinct
-                ndv_right = self.stats[right_table].column(predicate.right_column).num_distinct
-                rows *= 1.0 / max(ndv_left, ndv_right, 1)
+            if left in aliases and right in aliases:
+                rows *= self.predicate_selectivity(query, predicate)
         return max(rows, MIN_ROWS)
 
     def estimate_join(

@@ -12,6 +12,7 @@ four capabilities the paper's system model assumes of the DBMS:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -151,8 +152,12 @@ class Database:
     # ------------------------------------------------------------------ planning
     def plan(self, query: Query, hint_set: HintSet = DEFAULT_HINT_SET) -> JoinTree:
         """Default-optimizer plan for ``query`` under ``hint_set``."""
+        return self.plan_hint_sets(query, [hint_set])[0]
+
+    def plan_hint_sets(self, query: Query, hint_sets: Sequence[HintSet]) -> list[JoinTree]:
+        """Default-optimizer plans for ``query`` under each of ``hint_sets``, in one pass."""
         query.validate_against(self.schema)
-        return self.optimizer.plan(query, hint_set)
+        return self.optimizer.plan_hint_sets(query, hint_sets)
 
     def estimated_cost(self, query: Query, plan: JoinTree) -> float:
         """Planner cost estimate for an arbitrary plan (uses estimated cardinalities)."""

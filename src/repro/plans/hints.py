@@ -8,7 +8,14 @@ operator choices available during plan search.
 The paper's Bao baseline (and BayesQO's default initializer) exhausts **49**
 hint sets: every combination of a non-empty subset of the three join operators
 with a non-empty subset of the three scan methods (seq scan, index scan,
-index-only scan), 7 x 7 = 49.
+index-only scan), 7 x 7 = 49.  They are built once at import;
+:func:`bao_hint_sets` hands out a fresh list of the same (immutable) objects.
+
+The planner's cost model has one index-scan formula, so ``index`` and
+``index_only`` are indistinguishable to it: a hint set matters to
+``PlanOptimizer.plan_hint_sets`` only through its allowed join operators
+(7 classes) and through ``(allows_index_scan, allows_seq_scan)`` (3 classes),
+which makes 21 effective classes out of the 49.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ class HintSet:
         return op in self.join_ops
 
     def allows_index_scan(self) -> bool:
-        return bool({"index", "index_only"} & set(self.scan_methods))
+        return "index" in self.scan_methods or "index_only" in self.scan_methods
 
     def allows_seq_scan(self) -> bool:
         return "seq" in self.scan_methods
@@ -73,26 +80,31 @@ def _non_empty_subsets(items: Iterable) -> list[frozenset]:
     return [frozenset(subset) for subset in subsets]
 
 
+#: Built once at import; hint sets are immutable, so every caller shares them.
+_BAO_HINT_SETS: tuple[HintSet, ...] = tuple(
+    sorted(
+        (
+            HintSet(join_ops=joins, scan_methods=scans)
+            for joins in _non_empty_subsets(JOIN_OPS)
+            for scans in _non_empty_subsets(SCAN_METHODS)
+        ),
+        key=lambda hs: (-len(hs.join_ops), -len(hs.scan_methods), hs.name),
+    )
+)
+
+
 def bao_hint_sets() -> list[HintSet]:
     """The 49 hint sets used by Bao and by BayesQO's default initializer.
 
     The full hint set (everything enabled) is first, matching the convention
     that index 0 is the unhinted default plan.
     """
-    join_subsets = _non_empty_subsets(JOIN_OPS)
-    scan_subsets = _non_empty_subsets(SCAN_METHODS)
-    hint_sets = [
-        HintSet(join_ops=joins, scan_methods=scans)
-        for joins in join_subsets
-        for scans in scan_subsets
-    ]
-    hint_sets.sort(key=lambda hs: (-len(hs.join_ops), -len(hs.scan_methods), hs.name))
-    return hint_sets
+    return list(_BAO_HINT_SETS)
 
 
 def hint_set_by_name(name: str) -> HintSet:
     """Look up one of the Bao hint sets by its :attr:`HintSet.name`."""
-    for hint_set in bao_hint_sets():
+    for hint_set in _BAO_HINT_SETS:
         if hint_set.name == name:
             return hint_set
     raise PlanError(f"unknown hint set {name!r}")

@@ -81,8 +81,7 @@ def build_plan_corpus(
     rows: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
     for query in queries:
-        for hint_set in hint_sets:
-            plan = database.plan(query, hint_set)
+        for plan in database.plan_hint_sets(query, hint_sets):
             encoded = tuple(codec.encode_padded(plan, query, max_length))
             if encoded in seen:
                 continue
@@ -105,8 +104,7 @@ def corpus_from_workload_plans(
     rows: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
     for query in queries:
-        for hint_set in hint_sets:
-            plan = database.plan(query, hint_set)
+        for plan in database.plan_hint_sets(query, hint_sets):
             encoded = tuple(codec.encode_padded(plan, query, max_length))
             if encoded not in seen:
                 seen.add(encoded)

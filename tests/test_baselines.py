@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.reference_planner import ReferencePlanner
 from repro.baselines import (
     BalsaConfig,
     BalsaOptimizer,
@@ -14,6 +15,9 @@ from repro.baselines import (
     bao_best_latency,
     complete_matrix,
 )
+from repro.core.initialization import bao_initialization
+from repro.core.protocol import ExecutionOutcome
+from repro.plans.hints import bao_hint_sets
 
 
 class TestBao:
@@ -142,3 +146,70 @@ class TestLimeQO:
         bao_best = BaoOptimizer(tiny_database).optimize(tiny_query).best_latency
         results = LimeQOOptimizer(tiny_database).optimize_workload([tiny_query], max_executions=60)
         assert results[tiny_query.name].best_latency >= bao_best - 1e-9
+
+
+class TestHintSetPlansKeepTheLoopOrder:
+    """Every caller of ``plan_hint_sets`` proposes what its one-hint-set-at-a-time loop did."""
+
+    @pytest.fixture(scope="class")
+    def loop_plans(self, tiny_workload):
+        """Per query: the distinct ``(hint set, plan)`` pairs of the old loop, via the oracle."""
+        oracle = ReferencePlanner(tiny_workload.database.optimizer)
+        expected = {}
+        for query in tiny_workload.queries:
+            distinct, seen = [], set()
+            for hint_set in bao_hint_sets():
+                plan = oracle.plan(query, hint_set)
+                if plan.canonical() not in seen:
+                    seen.add(plan.canonical())
+                    distinct.append((hint_set, plan))
+            assert 1 < len(distinct) < 49
+            expected[query.name] = distinct
+        return expected
+
+    @staticmethod
+    def _drain(optimizer, database, state, count):
+        proposals = []
+        for _ in range(count):
+            proposal = optimizer.suggest(state)
+            proposals.append(proposal)
+            execution = database.execute(state.query, proposal.plan, timeout=proposal.timeout)
+            optimizer.observe(state, ExecutionOutcome.from_execution(execution, proposal.timeout))
+        return proposals
+
+    def test_bao_initialization(self, tiny_workload, loop_plans):
+        for query in tiny_workload.queries:
+            assert bao_initialization(tiny_workload.database, query) == [
+                (plan, "init:bao") for _, plan in loop_plans[query.name]
+            ]
+
+    def test_bao_optimizer(self, tiny_workload, loop_plans):
+        database = tiny_workload.database
+        optimizer = BaoOptimizer(database)
+        for query in tiny_workload.queries:
+            expected = loop_plans[query.name]
+            state = optimizer.start(query)
+            proposals = self._drain(optimizer, database, state, len(expected))
+            assert [(p.metadata["hint_set"], p.plan) for p in proposals] == expected
+            assert {p.source for p in proposals} == {"bao"}
+            assert optimizer.suggest(state) is None
+
+    def test_balsa_hint_seeds(self, tiny_workload, loop_plans):
+        database = tiny_workload.database
+        optimizer = BalsaOptimizer(database, BalsaConfig(seed=0))
+        for query in tiny_workload.queries:
+            expected = loop_plans[query.name]
+            state = optimizer.start(query)
+            proposals = self._drain(optimizer, database, state, len(expected) + 1)
+            assert [p.plan for p in proposals[:-1]] == [plan for _, plan in expected]
+            assert [p.source for p in proposals] == ["init:bao"] * len(expected) + ["balsa"]
+
+    def test_limeqo_start(self, tiny_workload):
+        database = tiny_workload.database
+        oracle = ReferencePlanner(database.optimizer)
+        state = LimeQOOptimizer(database).start_workload(tiny_workload.queries)
+        assert state.matrix.hint_sets == bao_hint_sets()
+        assert state.plans == [
+            [oracle.plan(query, hint_set) for hint_set in bao_hint_sets()]
+            for query in tiny_workload.queries
+        ]

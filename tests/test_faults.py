@@ -511,16 +511,25 @@ class TestCheckpointResume:
         assert entry.events == [("cpu", 1.5), ("__node__", 0.0)]
 
     def test_killed_session_resumes_bit_for_bit(self, tiny_workload, tmp_path):
+        self._kill_and_resume("random", tiny_workload, tmp_path)
+
+    def test_killed_bao_session_resumes_bit_for_bit(self, tiny_workload, tmp_path):
+        # Bao's state carries its hint-set plans (made in one planner pass at
+        # ``start``); the resumed run must neither re-plan nor re-order them.
+        self._kill_and_resume("bao", tiny_workload, tmp_path)
+
+    @staticmethod
+    def _kill_and_resume(technique, tiny_workload, tmp_path):
         budget = BudgetSpec(max_executions=6)
         path = str(tmp_path / "session.ckpt")
 
         # Reference: uninterrupted run, no checkpointing.
         with WorkloadSession(tiny_workload, budget=budget, seed=5) as session:
-            reference = signatures(session.run("random"))
+            reference = signatures(session.run(technique))
         total = sum(
             r.num_executions for r in WorkloadSession(
                 tiny_workload, budget=budget, seed=5
-            ).run("random").values()
+            ).run(technique).values()
         )
 
         # Killed run: the backend raises after 5 executions, checkpointing
@@ -531,7 +540,7 @@ class TestCheckpointResume:
             checkpoint_path=path, checkpoint_every=1,
         )
         with pytest.raises(_SessionKilled):
-            session.run("random")
+            session.run(technique)
         assert killer.executed == 5
 
         # Resume: a fresh session (fresh optimizer, fresh backend) picks up
@@ -541,7 +550,7 @@ class TestCheckpointResume:
             tiny_workload, budget=budget, seed=5, backend=resumed_backend,
             checkpoint_path=path, checkpoint_every=1,
         ) as session:
-            resumed = signatures(session.run("random"))
+            resumed = signatures(session.run(technique))
         assert resumed == reference  # bit-for-bit
         assert resumed_backend.executed == total - 5  # completed work not re-paid
         import os
@@ -751,6 +760,38 @@ class TestCheckpointDiscardLogging:
         assert str(path) in message
         assert f"{len(b'not a pickle at all')} bytes" in message
         assert "UnpicklingError" in message
+
+    def test_checkpoint_with_a_stale_state_layout_is_discarded(self, tiny_workload, tmp_path):
+        # A BaoState pickled before the hint-set plans moved into it (it held
+        # ``hint_sets``/``seen`` and re-planned on every suggest).
+        from repro.baselines import BaoOptimizer
+
+        query = tiny_workload.queries[0]
+        stale = BaoOptimizer(tiny_workload.database).start(query)
+        del stale.__dict__["plans"]
+        stale.__dict__.update(hint_sets=[], seen=set())
+        path = str(tmp_path / "session.ckpt")
+        names = [q.name for q in tiny_workload.queries]
+        CheckpointManager(path).save(
+            SessionCheckpoint(technique="bao", seed=5, query_names=names, state=stale)
+        )
+        records, handler, logger, previous = self._capture()
+        try:
+            assert CheckpointManager(path).load() is None
+            with WorkloadSession(
+                tiny_workload, budget=BudgetSpec(max_executions=6), seed=5,
+                checkpoint_path=path, checkpoint_every=1,
+            ) as session:
+                resumed = signatures(session.run("bao"))
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(previous)
+        messages = [r.getMessage() for r in records if r.levelname == "WARNING"]
+        assert messages and all("discarding corrupt artifact" in m for m in messages)
+        assert "BaoState predates its fields ['plans']" in messages[0]
+        # The session started over instead of resuming into an AttributeError.
+        with WorkloadSession(tiny_workload, budget=BudgetSpec(max_executions=6), seed=5) as session:
+            assert resumed == signatures(session.run("bao"))
 
     def test_cold_start_is_only_a_debug_line(self, tmp_path):
         from repro.harness.checkpoint import tolerant_pickle_load
