@@ -13,11 +13,13 @@ as ``bench_exec_backends``) twice with the same seed and budget:
 * **q=1 inline** — the sequential baseline (scheduler-thread executions),
 * **q=4 process** — ``ProcessPoolBackend`` workers, four plans in flight.
 
-Gates: the q=4 run must be at least ``REQUIRED_SPEEDUP`` faster (needs real
-parallel hardware — recorded as skipped below 2 effective CPUs), and its
+Gates: the q=4 run must be at least ``REQUIRED_SPEEDUP`` faster, and its
 final best latency must be within ``REGRET_TOLERANCE`` of the sequential
 run's (batching staleness may cost sample efficiency, but not more than
-10%).
+10%).  The speed-up gate needs a core per worker: with ``MAX_WORKERS`` = 4 on
+exactly 2 cores, 2.0x is the ceiling and the gate would pass or fail on
+noise, so it is recorded as skipped below ``MAX_WORKERS`` effective CPUs.
+The regret gate is unconditional.
 
 Run:  PYTHONPATH=src python benchmarks/bench_batch_ask.py [--smoke] [--json PATH]
 """
@@ -122,7 +124,7 @@ def run_benchmark(executions: int, burn_iterations: int, seed: int = 0) -> dict:
         "regret": (batch_best - inline_best) / inline_best,
         "required_speedup": REQUIRED_SPEEDUP,
         "regret_tolerance": REGRET_TOLERANCE,
-        "speedup_gate_enforced": cpus >= 2,
+        "speedup_gate_enforced": cpus >= MAX_WORKERS,
     }
 
 
@@ -169,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(
             f"  NOTE: speedup gate skipped — {report['effective_cpus']} effective CPU(s); "
-            "parallel speedup needs >= 2"
+            f"{REQUIRED_SPEEDUP}x over {MAX_WORKERS} workers needs >= {MAX_WORKERS}"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -14,18 +14,29 @@ rebuilt on every observation.  The lifecycle has two tiers:
    the current factorization — rather than re-running the full EM loop.
    Hyper-parameters are frozen during warm updates.
 
-2. **Full refits** (every ``refit_every``-th observation, on the first fit, on
-   ``fit(force=True)``, and always for the SVGP surrogate, which has no
-   incremental path).  A fresh surrogate is fitted from scratch: the unscaled
-   pairwise squared-distance matrix is computed once and cached, L-BFGS
-   re-optimizes the kernel hyper-parameters on analytic marginal-likelihood
-   gradients (re-scaling the cached distances instead of recomputing Gram
-   matrices), and the complete censored-EM loop re-imputes every censored
-   observation.
+2. **Full refits** (every ``refit_every``-th observation, on the first fit,
+   and always for the SVGP surrogate, which has no incremental path).  The
+   engine calls ``fit`` on the *live* surrogate.  What is kept: the exact GP's
+   hyper-parameters, so L-BFGS re-optimizes the kernel and the noise from the
+   previous optimum instead of from the defaults (a handful of likelihood
+   evaluations instead of the 40-iteration cap).  What is redone: the
+   unscaled pairwise squared-distance matrix (computed once per fit and
+   re-scaled, not recomputed, by each likelihood evaluation, which factorizes
+   once and takes value and analytic gradient from that one factorization),
+   the Cholesky factorization at the new optimum, and the complete
+   censored-EM loop that re-imputes every censored observation.  Only the
+   first fit builds a surrogate; the SVGP re-initializes everything in
+   ``fit`` and is unaffected.
 
-``refit_every`` therefore bounds hyper-parameter staleness: ``1`` recovers the
-old refit-from-scratch-per-observation behavior, larger values amortize the
-O(n^3) fit over cheap warm updates.  Fantasized conditioning (the
+   A warm start follows the likelihood mode it is in.  Where the marginal
+   likelihood of a heavily censored stream has two modes, it and a start from
+   the defaults can stop in different ones, either one the lower
+   (``tests/test_bo_gp.py`` pins both cases against the cold oracle in
+   ``tests/oracles/reference_gp.py``).
+
+``refit_every`` therefore bounds hyper-parameter staleness: ``1`` is a full
+refit per observation, larger values amortize the O(n^3) fit over cheap warm
+updates.  Fantasized conditioning (the
 uncertainty-timeout rule) never refits at all: ``fantasize``/``fantasize_batch``
 condition on hypothetical censored observations in closed form against the
 cached factorization, sharing one rank-1 extension across all probed levels.

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special, stats
 
+_LOG_SQRT_2PI = np.log(np.sqrt(2.0 * np.pi))
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -50,9 +52,10 @@ def truncated_normal_mean(mu: np.ndarray, sigma: np.ndarray, lower: np.ndarray) 
     """E[Y | Y >= lower] for Y ~ N(mu, sigma^2) (the EM imputation target)."""
     sigma = np.maximum(np.asarray(sigma, dtype=np.float64), 1e-9)
     alpha = (np.asarray(lower, dtype=np.float64) - mu) / sigma
-    # Hazard (inverse Mills ratio), computed stably through the log survival function.
+    # Hazard (inverse Mills ratio) pdf/sf, computed stably in log space:
+    # log pdf = -alpha^2/2 - log sqrt(2 pi), log sf = log_ndtr(-alpha).
     with np.errstate(invalid="ignore", over="ignore"):
-        hazard = np.exp(stats.norm.logpdf(alpha) - stats.norm.logsf(alpha))
+        hazard = np.exp(-(alpha**2) / 2.0 - _LOG_SQRT_2PI - special.log_ndtr(-alpha))
     # Far in the upper tail the ratio overflows; use the asymptotic hazard ~ alpha.
     asymptotic = np.maximum(alpha, 0.0) + 1.0 / np.maximum(np.abs(alpha), 1.0)
     hazard = np.where(np.isfinite(hazard), hazard, asymptotic)

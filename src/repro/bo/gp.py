@@ -28,6 +28,9 @@ from repro.exceptions import ModelError
 
 #: Jitter added to the noise variance to keep the covariance factorizable.
 _JITTER = 1e-8
+#: LAPACK Cholesky factorization and inverse-from-factor, fetched once (and
+#: here, not on the GP: surrogates ride inside pickled checkpoints).
+_POTRF, _POTRI = linalg.get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
 
 
 class ExactGP:
@@ -80,29 +83,46 @@ class ExactGP:
         kernel = self.kernel.with_params(lengthscale, outputscale)
         gram, grad_lengthscale = kernel.grad_from_sqdist(self._sqdist)
         n = len(self._y)
-        cov = gram + (noise + _JITTER) * np.eye(n)
-        try:
-            chol = linalg.cholesky(cov, lower=True)
-        except linalg.LinAlgError:
+        cov = gram.copy()
+        cov.flat[:: n + 1] += noise + _JITTER
+        # One factorization serves the value and the gradient.  ``cov`` is
+        # symmetric, so its transpose is the Fortran-ordered array LAPACK
+        # factorizes in place; ``potrf`` zeroes the other triangle.
+        chol, info = _POTRF(cov.T, lower=True, overwrite_a=True)
+        if info != 0:
             return 1e10, np.zeros(3)
-        alpha = linalg.cho_solve((chol, True), self._y)
+        alpha = linalg.cho_solve((chol, True), self._y, check_finite=False)
         value = float(
             0.5 * self._y @ alpha
-            + np.log(np.diag(chol)).sum()
+            + np.log(chol.diagonal()).sum()
             + 0.5 * n * np.log(2.0 * np.pi)
         )
-        # dNLL/dtheta = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta); the inverse is
-        # one extra cho_solve on the factorization we already have, which is far
-        # cheaper than the 2x3 extra factorizations finite differencing needs.
-        inner = linalg.cho_solve((chol, True), np.eye(n)) - np.outer(alpha, alpha)
+        # dNLL/dtheta = 0.5 (tr(K^-1 dK/dtheta) - alpha^T dK/dtheta alpha).
+        # ``potri`` turns the factor into the lower triangle of K^-1 (a third of
+        # the flops of solving against the identity) and leaves the zeroes
+        # above it, so for a symmetric dK the trace is twice the elementwise
+        # sum over the stored triangle minus the doubly counted diagonal.
+        inverse, _ = _POTRI(chol, lower=True, overwrite_c=True)
+        inverse_diag = inverse.diagonal()
+
+        def half_trace(derivative: np.ndarray) -> float:
+            # ``inverse.T`` is the C-ordered view ``vdot`` flattens without a copy.
+            trace = 2.0 * np.vdot(inverse.T, derivative) - inverse_diag @ derivative.diagonal()
+            return 0.5 * (trace - alpha @ derivative @ alpha)
+
         grad = np.array([
-            0.5 * np.sum(inner * grad_lengthscale),
-            0.5 * np.sum(inner * gram),  # dK/dlog outputscale == K
-            0.5 * noise * np.trace(inner),
+            half_trace(grad_lengthscale),
+            half_trace(gram),  # dK/dlog outputscale == K
+            0.5 * noise * (inverse_diag.sum() - alpha @ alpha),
         ])
         return value, grad
 
     def _optimize_hyperparameters(self) -> None:
+        """L-BFGS on the marginal likelihood, started at the current hyper-parameters.
+
+        On a fitted model those are the previous optimum, so a refit continues
+        from it instead of starting over from the defaults.
+        """
         initial = np.log([self.kernel.lengthscale, self.kernel.outputscale, self.noise])
         result = optimize.minimize(
             self._negative_log_marginal,

@@ -185,25 +185,26 @@ class BOEngine:
             return CensoredSVGP(config=self.config.svgp or SVGPConfig())
         return CensoredGP()
 
-    def fit(self, force: bool = False) -> None:
+    def fit(self) -> None:
         """Bring the surrogate up to date with all recorded observations.
 
         The surrogate is kept *warm* between iterations: new observations are
-        pushed into the fitted model with O(n^2) incremental updates, and a
-        full from-scratch refit (with hyper-parameter optimization and the
-        complete censored-EM loop) only happens every
-        ``config.refit_every`` observations, on the first fit, on ``force``,
-        or for surrogates without an incremental path (the SVGP).
+        pushed into the fitted model with O(n^2) incremental updates.  A full
+        refit (hyper-parameter optimization and the complete censored-EM
+        loop over all observations) happens on the first fit, every
+        ``config.refit_every`` observations, and always for surrogates
+        without an incremental path (the SVGP).  A full refit calls ``fit``
+        on the live surrogate, so a model that keeps its hyper-parameters
+        (the exact GPs) re-optimizes them from the previous optimum instead
+        of from the defaults.
         """
         if self.num_observations == 0:
             raise OptimizationError("cannot fit the surrogate with no observations")
         pending = self.num_observations - self._num_in_surrogate
-        if not force and self._surrogate is not None and pending == 0:
+        if self._surrogate is not None and pending == 0:
             return
         incremental = (
-            not force
-            and pending > 0
-            and self._surrogate is not None
+            self._surrogate is not None
             and isinstance(self._surrogate, IncrementalSurrogate)
             and self._observations_since_refit + pending < self.config.refit_every
         )
@@ -222,7 +223,9 @@ class BOEngine:
                 self._observations_since_refit += pending
             else:
                 x, y, censored = self.observations()
-                surrogate = self._build_surrogate()
+                surrogate = (
+                    self._surrogate if self._surrogate is not None else self._build_surrogate()
+                )
                 surrogate.fit(self._normalize(x), y, censored)
                 self._surrogate = surrogate
                 self._observations_since_refit = 0

@@ -28,10 +28,12 @@ class Surrogate(Protocol):
     """A probabilistic regression model over the normalized search cube.
 
     ``fit`` ingests the full observation set (with right-censoring flags);
-    ``predict`` returns marginal posterior mean/std; ``posterior_samples``
-    draws joint sample paths (Thompson sampling); ``fantasize`` conditions on
-    one hypothetical censored observation in closed form and predicts at the
-    query points.
+    ``fit`` on a fitted model re-optimises from its current hyper-parameters
+    (the engine refits the live model; a model with nothing worth keeping,
+    like the SVGP, simply re-initialises).  ``predict`` returns marginal
+    posterior mean/std; ``posterior_samples`` draws joint sample paths
+    (Thompson sampling); ``fantasize`` conditions on one hypothetical censored
+    observation in closed form and predicts at the query points.
     """
 
     def fit(self, x: np.ndarray, y: np.ndarray, censored: np.ndarray) -> "Surrogate": ...

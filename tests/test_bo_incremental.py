@@ -199,18 +199,51 @@ class TestWarmEngine:
         assert engine.surrogate is warm
         assert warm.num_observations == engine.num_observations
 
-    def test_refit_boundary_rebuilds_surrogate(self):
+    def test_refit_boundary_reoptimizes_and_reimputes(self):
+        """What a refit boundary must do, whichever object carries the model:
+        re-optimize the hyper-parameters the warm updates froze, absorb every
+        observation, restart the cadence and re-impute censored responses
+        with the full EM loop under the new hyper-parameters."""
         engine = self.make_engine(refit_every=3)
-        rng = np.random.default_rng(1)
-        for _ in range(4):
-            engine.add_observation(rng.random(3), float(rng.standard_normal()))
+        x, y, _ = make_dataset(1, n=7, dim=3)
+        y = y.copy()
+        y[4:] *= 4.0  # the later responses demand another output scale
+        censored = np.zeros(7, dtype=bool)
+        censored[5] = True
+
+        def hyperparameters():
+            gp = engine.surrogate.gp
+            return (gp.kernel.lengthscale, gp.kernel.outputscale, gp.noise)
+
+        for i in range(4):
+            engine.add_observation(x[i], float(y[i]))
         engine.fit()
-        first = engine.surrogate
-        for _ in range(3):
-            engine.add_observation(rng.random(3), float(rng.standard_normal()))
+        frozen = hyperparameters()
+        for i in (4, 5):
+            engine.add_observation(x[i], float(y[i]), censored=bool(censored[i]))
+            engine.fit()
+        assert hyperparameters() == frozen
+        assert engine._observations_since_refit == 2
+        one_step_imputation = engine.surrogate.gp._y_raw[5]
+
+        engine.add_observation(x[6], float(y[6]))
         engine.fit()
-        assert engine.surrogate is not first
-        assert engine.surrogate.num_observations == engine.num_observations
+        surrogate = engine.surrogate
+        assert not np.allclose(hyperparameters(), frozen, rtol=1e-3)
+        assert surrogate.num_observations == engine.num_observations == 7
+        assert surrogate.num_censored == 1
+        assert engine._observations_since_refit == 0
+        # Full EM at the re-optimized hyper-parameters, spelled out.
+        reference = ExactGP(kernel=surrogate.gp.kernel, noise=surrogate.gp.noise).fit(
+            x, y, optimize_hyperparameters=False
+        )
+        imputed = y.copy()
+        for _ in range(surrogate.em_iterations):
+            mean, std = reference.predict(x[censored])
+            imputed[censored] = truncated_normal_mean(mean, std, y[censored])
+            reference.update_targets(imputed)
+        assert np.allclose(surrogate.gp._y_raw, imputed, atol=ATOL)
+        assert abs(surrogate.gp._y_raw[5] - one_step_imputation) > 1e-3
 
     def test_warm_predictions_match_scratch(self):
         engine = self.make_engine(refit_every=100)
@@ -230,16 +263,6 @@ class TestWarmEngine:
         mean_s, std_s = scratch.predict(engine._normalize(query))
         assert np.allclose(mean_w, mean_s, atol=ATOL)
         assert np.allclose(std_w, std_s, atol=ATOL)
-
-    def test_force_refit_always_rebuilds(self):
-        engine = self.make_engine(refit_every=50)
-        rng = np.random.default_rng(2)
-        for _ in range(4):
-            engine.add_observation(rng.random(3), float(rng.standard_normal()))
-        engine.fit()
-        first = engine.surrogate
-        engine.fit(force=True)
-        assert engine.surrogate is not first
 
     def test_batched_fantasize_matches_sequential(self):
         engine = self.make_engine(refit_every=5)

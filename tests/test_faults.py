@@ -18,7 +18,7 @@ from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
-from repro.core.config import ExecutionServiceConfig
+from repro.core.config import BayesQOConfig, ExecutionServiceConfig
 from repro.core.protocol import BudgetSpec, ExecutionOutcome
 from repro.core.result import OptimizationResult
 from repro.db.plan_cache import ExecutionCache
@@ -518,41 +518,57 @@ class TestCheckpointResume:
         # ``start``); the resumed run must neither re-plan nor re-order them.
         self._kill_and_resume("bao", tiny_workload, tmp_path)
 
+    @pytest.mark.parametrize("kills_at", [5, 9])
+    def test_killed_bayesqo_session_resumes_bit_for_bit(
+        self, kills_at, tiny_workload, tiny_schema_model, tmp_path
+    ):
+        # A full refit continues from the surrogate's hyper-parameters, so the
+        # resumed trajectory depends on the ones the checkpoint pickled: one
+        # checkpoint mid-way between full refits (``refit_every=5``), one
+        # right before the second.
+        self._kill_and_resume(
+            "bayesqo", tiny_workload, tmp_path, kills_at=kills_at, max_executions=14,
+            schema_model=tiny_schema_model,
+            bayes_config=BayesQOConfig(max_executions=14, num_candidates=64, seed=5),
+        )
+
     @staticmethod
-    def _kill_and_resume(technique, tiny_workload, tmp_path):
-        budget = BudgetSpec(max_executions=6)
+    def _kill_and_resume(
+        technique, tiny_workload, tmp_path, kills_at=5, max_executions=6, **session_kwargs
+    ):
+        budget = BudgetSpec(max_executions=max_executions)
         path = str(tmp_path / "session.ckpt")
 
         # Reference: uninterrupted run, no checkpointing.
-        with WorkloadSession(tiny_workload, budget=budget, seed=5) as session:
+        with WorkloadSession(tiny_workload, budget=budget, seed=5, **session_kwargs) as session:
             reference = signatures(session.run(technique))
         total = sum(
             r.num_executions for r in WorkloadSession(
-                tiny_workload, budget=budget, seed=5
+                tiny_workload, budget=budget, seed=5, **session_kwargs
             ).run(technique).values()
         )
 
-        # Killed run: the backend raises after 5 executions, checkpointing
-        # after every observation.
-        killer = _KillAfter(tiny_workload.database, kills_at=5)
+        # Killed run: the backend raises after ``kills_at`` executions,
+        # checkpointing after every observation.
+        killer = _KillAfter(tiny_workload.database, kills_at=kills_at)
         session = WorkloadSession(
             tiny_workload, budget=budget, seed=5, backend=killer,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path, checkpoint_every=1, **session_kwargs,
         )
         with pytest.raises(_SessionKilled):
             session.run(technique)
-        assert killer.executed == 5
+        assert killer.executed == kills_at
 
         # Resume: a fresh session (fresh optimizer, fresh backend) picks up
         # the checkpoint and completes without redoing finished work.
         resumed_backend = _KillAfter(tiny_workload.database, kills_at=10**9)
         with WorkloadSession(
             tiny_workload, budget=budget, seed=5, backend=resumed_backend,
-            checkpoint_path=path, checkpoint_every=1,
+            checkpoint_path=path, checkpoint_every=1, **session_kwargs,
         ) as session:
             resumed = signatures(session.run(technique))
         assert resumed == reference  # bit-for-bit
-        assert resumed_backend.executed == total - 5  # completed work not re-paid
+        assert resumed_backend.executed == total - kills_at  # completed work not re-paid
         import os
         assert not os.path.exists(path)  # cleared on completion
 
