@@ -16,8 +16,11 @@ quick:
 # Planner vs. the per-hint-set reference search on every JOB/Stack/DSB query
 # of <= 8 tables x all 49 hint sets (tier-1 rotates a window of hint sets over
 # the larger queries; this is the full cross product, a few minutes).
+# Executor vs. the nested-loop reference on every <= 5-table JOB query x its
+# distinct Bao hint-set plans, plus 300 random small databases (~35 s).
 oracle-full:
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_db_optimizer.py -k test_benchmark_workloads
+	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_executor_oracle.py
 
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_surrogate_hotpath.py --smoke

@@ -33,6 +33,21 @@ pre-kernel reference implementations are kept verbatim (``use_kernels=False``)
 :mod:`repro.db.kernels` for the argument), which the property tests and the
 ``bench_exec_kernels`` gate verify.
 
+Joins materialize on read.  A join knows its output *count* from the match
+counts; the pair set keeps its right index unexpanded and the join records,
+per retained alias, which side of the pair set and which child positions it
+gathers from (:class:`_Positions`).  The arrays are written by the first
+``positions[alias]`` read — a parent's key lookup (``_values_for``), its
+residual filter, ``_scan_join_index``, the parent's own gather, or the
+subplan memo storing the intermediate — so a root join (nothing retained), a
+side no later predicate references and a join whose parent is censored on its
+pre-charge allocate nothing.  Charges cannot move: every charge, work-cap
+check, node count and event is issued from ``match.total`` / ``n_left *
+n_right`` before any pair is expanded, exactly where it was when outputs were
+written eagerly.  Both paths (``use_kernels`` on or off) share ``_execute_join``
+and so both defer.  A deferred intermediate is private to one execution; the
+memo materializes what it stores (see :meth:`ExecutionCache.put_subplan`).
+
 A batch of sibling plans for one query can be executed in one pass via
 :meth:`Executor.run_batch` (see :class:`BatchExecutor`): shared join subtrees
 — keyed by the same canonical subtree keys the subplan memo uses — execute
@@ -46,7 +61,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,6 +90,10 @@ from repro.utils.seeding import stable_digest
 #: "this plan would run for days").
 MAX_MATERIALIZED_ROWS = 15_000_000
 
+#: Row positions are ``intp`` (``flatnonzero``/``arange`` and gathers of them),
+#: so the size of a deferred gather is known before it is written.
+_POSITION_ITEMSIZE = np.dtype(np.intp).itemsize
+
 
 @dataclass
 class ExecutionResult:
@@ -101,6 +120,37 @@ class ExecutionResult:
 
 
 @dataclass
+class _Gather:
+    """One retained alias of a join output that nobody has read yet.
+
+    ``pairs_gather`` is the pair set's ``gather_left``/``gather_right``,
+    ``source`` the child's positions (possibly deferred themselves) and
+    ``nbytes`` the size the array will have, so the memo can account for —
+    and refuse — an intermediate without writing it.
+    """
+
+    pairs_gather: Callable[[np.ndarray], np.ndarray]
+    source: "dict[str, np.ndarray]"
+    nbytes: int
+
+
+class _Positions(dict):
+    """``alias -> row positions`` of a join output, gathered on first read.
+
+    Only ``positions[alias]`` forces a gather (and replaces the
+    :class:`_Gather` by its array); iteration and ``values()`` see the raw
+    entries, which lets :func:`~repro.db.plan_cache.intermediate_nbytes` size
+    an intermediate without materializing it.
+    """
+
+    def __getitem__(self, alias: str) -> np.ndarray:
+        value = super().__getitem__(alias)
+        if isinstance(value, _Gather):
+            value = self[alias] = value.pairs_gather(value.source[alias])
+        return value
+
+
+@dataclass
 class _Intermediate:
     """An intermediate result.
 
@@ -108,7 +158,9 @@ class _Intermediate:
     every intermediate row.  Aliases whose columns can no longer influence the
     rest of the plan (no pending join predicate references them) are pruned to
     keep memory proportional to the join columns still needed; ``covered``
-    remembers every alias the intermediate logically contains.
+    remembers every alias the intermediate logically contains.  A join's
+    output holds :class:`_Positions`: deferred while one execution owns the
+    intermediate, plain arrays once the subplan memo stores it.
 
     ``scan`` tags kernel-path base-table scans with ``(table, selection key)``
     so joins against them can reuse the relation's cached factorized join
@@ -456,18 +508,18 @@ class Executor:
         if predicates:
             pairs = self._match(query, left, right, predicates, state)
         else:
-            left_idx, right_idx = self._cross_join(n_left, n_right, state)
-            pairs = kernels.PairSet(len(left_idx), left_idx, right_idx)
+            pairs = self._cross_join(n_left, n_right, state)
         state.count_node()
         covered = left.covered | right.covered
         needed = self._needed_aliases(query, covered)
-        positions: dict[str, np.ndarray] = {}
-        for alias, pos in left.positions.items():
-            if alias in needed:
-                positions[alias] = pairs.gather_left(pos)
-        for alias, pos in right.positions.items():
-            if alias in needed:
-                positions[alias] = pairs.gather_right(pos)
+        # Record where each retained alias gathers from; whoever reads it
+        # first writes the array (see the module docstring).
+        nbytes = pairs.count * _POSITION_ITEMSIZE
+        positions = _Positions()
+        for side, pairs_gather in ((left, pairs.gather_left), (right, pairs.gather_right)):
+            for alias in side.positions:
+                if alias in needed:
+                    positions[alias] = _Gather(pairs_gather, side.positions, nbytes)
         return _Intermediate(positions, covered=covered, count=pairs.count)
 
     def _needed_aliases(self, query: Query, covered: set[str]) -> set[str]:
@@ -641,13 +693,11 @@ class Executor:
 
     def _cross_join(
         self, n_left: int, n_right: int, state: "_ExecutionState"
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> "kernels.PairSet":
         output = n_left * n_right
         self._check_materialization(output, state)
         state.charge("join", self.cost_params.output_row * output)
-        left_idx = np.repeat(np.arange(n_left), n_right)
-        right_idx = np.tile(np.arange(n_right), n_left)
-        return left_idx, right_idx
+        return kernels.PairSet(output, cross=(n_left, n_right))
 
     def _check_materialization(self, rows: int, state: "_ExecutionState") -> None:
         if rows <= MAX_MATERIALIZED_ROWS:
@@ -836,15 +886,3 @@ class _ExecutionState:
             if simulated > self.timeout:
                 return True
         return False
-
-
-# Re-exported kernel entry points: the matching math moved to
-# :mod:`repro.db.kernels`; these aliases keep existing imports working.
-_MatchCounts = kernels.MatchCounts
-_match_counts = kernels.match_counts
-_expand_matches = kernels.expand_matches
-
-
-def _hash_match(left_keys: np.ndarray, right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return index arrays (into left, into right) of every equal-key pair."""
-    return kernels.expand_matches(kernels.match_counts(left_keys, right_keys))

@@ -1,7 +1,9 @@
 """Pure columnar operators for the executor hot path.
 
-Everything in this module is a function (or an immutable index structure)
-over numpy arrays: no executor state, no charge accounting, no cache access.
+Everything in this module is a function (or an index structure) over numpy
+arrays: no executor state, no charge accounting, no cache access.  Only a
+:class:`PairSet` is written to after construction (its right index, on first
+read), and it is private to the join that built it.
 The executor composes these kernels into join execution; the split exists so
 the kernels can be property-tested for exact equivalence against the
 reference implementations (see ``tests/test_kernels_batch.py``) and reused
@@ -22,11 +24,14 @@ executor:
 * the fused residual filter ANDs per-predicate equality masks — boolean
   masking preserves order and equality tests are independent, so fusing is
   indistinguishable from filtering predicate by predicate.
+* a :class:`PairSet` expanded late yields the same index arrays and gathers
+  as one expanded at once — *when* a pair array is written is not observable.
 
 Because the executor's simulated charges depend only on match *counts*
-(which are order-independent) and the pair ordering is preserved anyway,
-swapping kernels in or out can never change a latency, a censoring decision
-or a charge-event stream.
+(which are order-independent and known before any expansion) and the pair
+ordering is preserved anyway, swapping kernels in or out — or reading a pair
+set late, or never — can never change a latency, a censoring decision or a
+charge-event stream.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "PairSet",
     "match_counts",
     "expand_matches",
-    "expand_matches_fast",
     "expand_pairs",
     "build_join_index",
     "probe_join_index",
@@ -97,7 +101,7 @@ def expand_matches(match: MatchCounts) -> tuple[np.ndarray, np.ndarray]:
 
     The *reference* expansion — the implementation the seed executor
     shipped, kept verbatim as the equivalence baseline for
-    :func:`expand_matches_fast` and the ``bench_exec_kernels`` gate.
+    :func:`expand_pairs` and the ``bench_exec_kernels`` gate.
     """
     if match.total == 0:
         return _EMPTY, _EMPTY
@@ -110,87 +114,61 @@ def expand_matches(match: MatchCounts) -> tuple[np.ndarray, np.ndarray]:
     return left_idx, right_idx
 
 
-def expand_matches_fast(match: MatchCounts) -> tuple[np.ndarray, np.ndarray]:
-    """Pair expansion with fewer passes; output identical to :func:`expand_matches`.
-
-    Two fast paths replace the reference's three ``np.repeat`` + two
-    ``np.arange`` passes:
-
-    * **unique-match** — when no probe row matches more than one build row
-      (every FK -> PK join, the common case), the pairs are just the
-      nonzero-count rows plus one gather: no repeats, no cumsum;
-    * **run concatenation** — otherwise the sorted-side positions are the
-      concatenation of the runs ``[lo_i, lo_i + counts_i)``, i.e. a single
-      cumulative sum over unit steps with a per-run jump scattered at each
-      run start.
-
-    Both produce the exact reference ordering: pairs grouped by left row, and
-    within one left row ordered by the build row's original position.
-    """
-    if match.total == 0:
-        return _EMPTY, _EMPTY
-    counts = match.counts
-    if int(counts.max()) <= 1:
-        if match.total == match.num_left:
-            # Every probe row matched exactly once: no gather of lo needed.
-            return np.arange(match.num_left), match.order[match.lo]
-        left_idx = np.nonzero(counts)[0]
-        return left_idx, match.order[match.lo[left_idx]]
-    nonzero = np.nonzero(counts)[0]
-    lo = match.lo[nonzero]
-    run_counts = counts[nonzero]
-    run_starts = np.cumsum(run_counts) - run_counts
-    steps = np.ones(match.total, dtype=np.int64)
-    steps[0] = lo[0]
-    if len(nonzero) > 1:
-        # Jump from the last position of run i-1 (lo[i-1] + counts[i-1] - 1)
-        # to the first of run i (lo[i]).
-        steps[run_starts[1:]] = lo[1:] - (lo[:-1] + run_counts[:-1]) + 1
-    right_idx = match.order[np.cumsum(steps)]
-    return np.repeat(nonzero, run_counts), right_idx
-
-
 @dataclass
 class PairSet:
     """The matched row pairs of one join, in reference order (left-major).
 
-    The left side may stay *factorized* — represented as the matching left
-    rows plus their per-row match counts instead of a materialized index
-    array — so left-side gathers run as a sequential ``np.repeat`` over the
-    gathered row values rather than a random fancy-index through an index
-    array that itself cost a pass to build (late materialization).
+    ``count`` comes from the match counts alone; index arrays are written
+    only when something reads them (late materialization), so a join whose
+    output nobody gathers from allocates nothing.  The left side may stay
+    *factorized* — matching left rows plus per-row match counts — so gathers
+    run as a sequential ``np.repeat`` over the gathered row values rather
+    than a random fancy-index through an index array.
 
-    Exactly one representation is active per side:
+    Exactly one representation is active per side.  Left:
 
     * ``left_idx is not None`` — materialized (the reference path, and the
       kernel path after residual filtering);
     * ``left_all`` — every left row matched exactly once, in order: the left
       index is the identity, gathers return the input array *unsliced*
       (safe: the executor never mutates position arrays);
+    * ``cross`` — a predicate-free ``(n_left, n_right)`` product: every left
+      row repeats ``n_right`` times, the right side is tiled ``n_left`` times;
     * otherwise ``left_rows`` (+ ``run_counts`` when rows match more than
       once) hold the factorized form.
 
+    Right: unexpanded (``match`` or ``cross`` is kept and :attr:`right_idx`
+    computed from it on first read) or materialized.  That read writes to the
+    pair set, so a pair set is private to the execution that built it.
+
     ``gather_left``/``gather_right`` produce bit-for-bit the arrays
-    ``values[left_idx]``/``values[right_idx]`` of the reference expansion.
+    ``values[left_idx]``/``values[right_idx]`` of the reference expansion,
+    whether or not ``right_idx`` was read first.
     """
 
     count: int
-    left_idx: np.ndarray | None
-    right_idx: np.ndarray
+    left_idx: np.ndarray | None = None
+    _right_idx: np.ndarray | None = None
     left_rows: np.ndarray | None = None
     run_counts: np.ndarray | None = None
     left_all: bool = False
+    match: MatchCounts | None = None
+    cross: tuple[int, int] | None = None
 
     def gather_left(self, values: np.ndarray) -> np.ndarray:
         if self.left_idx is not None:
             return values[self.left_idx]
         if self.left_all:
             return values
+        if self.cross is not None:
+            return np.repeat(values, self.cross[1])
         if self.run_counts is None:
             return values[self.left_rows]
         return np.repeat(values[self.left_rows], self.run_counts)
 
     def gather_right(self, values: np.ndarray) -> np.ndarray:
+        if self.cross is not None:
+            return np.tile(values, self.cross[0])
         return values[self.right_idx]
 
     def left_indices(self) -> np.ndarray:
@@ -199,36 +177,64 @@ class PairSet:
             return self.left_idx
         if self.left_all:
             return np.arange(self.count)
+        if self.cross is not None:
+            return np.repeat(np.arange(self.cross[0]), self.cross[1])
         if self.run_counts is None:
             return self.left_rows
         return np.repeat(self.left_rows, self.run_counts)
 
+    @property
+    def right_idx(self) -> np.ndarray:
+        """The right index array (identical to the reference's), built on first read."""
+        if self._right_idx is None:
+            self._right_idx = self._expand_right()
+        return self._right_idx
+
+    def _expand_right(self) -> np.ndarray:
+        if self.cross is not None:
+            return np.tile(np.arange(self.cross[1]), self.cross[0])
+        match = self.match
+        if self.left_all:
+            # Every probe row matched exactly once: no gather of lo needed.
+            return match.order[match.lo]
+        lo = match.lo[self.left_rows]
+        if self.run_counts is None:
+            return match.order[lo]
+        # Run concatenation: the sorted-side positions are the runs
+        # [lo_i, lo_i + counts_i) back to back, i.e. one cumulative sum over
+        # unit steps with a per-run jump scattered at each run start.
+        run_counts = self.run_counts
+        run_starts = np.cumsum(run_counts) - run_counts
+        steps = np.ones(self.count, dtype=np.int64)
+        steps[0] = lo[0]
+        if len(lo) > 1:
+            # Jump from the last position of run i-1 (lo[i-1] + counts[i-1] - 1)
+            # to the first of run i (lo[i]).
+            steps[run_starts[1:]] = lo[1:] - (lo[:-1] + run_counts[:-1]) + 1
+        return match.order[np.cumsum(steps)]
+
 
 def expand_pairs(match: MatchCounts) -> PairSet:
-    """Factorized pair expansion: materialize the right side only.
+    """Factorized pair expansion: pick each side's shape, write no pair array.
 
-    The right index is computed exactly as :func:`expand_matches_fast`; the
-    left side stays factorized inside the returned :class:`PairSet` so
-    downstream gathers skip the left index array entirely.
+    Three shapes replace the reference's three ``np.repeat`` + two
+    ``np.arange`` passes, all in the exact reference ordering (pairs grouped
+    by left row, within one left row by the build row's original position):
+    **identity** (every probe row matched exactly once), **unique-match** (no
+    probe row matches more than one build row — every FK -> PK join: the
+    nonzero-count rows plus one gather, no repeats, no cumsum) and **run
+    concatenation** (see :meth:`PairSet._expand_right`).  Only the O(left
+    rows) shape test runs here.
     """
     if match.total == 0:
         return PairSet(0, _EMPTY, _EMPTY)
     counts = match.counts
-    if int(counts.max()) <= 1:
-        if match.total == match.num_left:
-            return PairSet(match.total, None, match.order[match.lo], left_all=True)
-        left_rows = np.nonzero(counts)[0]
-        return PairSet(match.total, None, match.order[match.lo[left_rows]], left_rows=left_rows)
-    nonzero = np.nonzero(counts)[0]
-    lo = match.lo[nonzero]
-    run_counts = counts[nonzero]
-    run_starts = np.cumsum(run_counts) - run_counts
-    steps = np.ones(match.total, dtype=np.int64)
-    steps[0] = lo[0]
-    if len(nonzero) > 1:
-        steps[run_starts[1:]] = lo[1:] - (lo[:-1] + run_counts[:-1]) + 1
-    right_idx = match.order[np.cumsum(steps)]
-    return PairSet(match.total, None, right_idx, left_rows=nonzero, run_counts=run_counts)
+    unique = int(counts.max()) <= 1
+    if unique and match.total == match.num_left:
+        return PairSet(match.total, left_all=True, match=match)
+    left_rows = np.nonzero(counts)[0]
+    run_counts = None if unique else counts[left_rows]
+    return PairSet(match.total, left_rows=left_rows, run_counts=run_counts, match=match)
 
 
 @dataclass
@@ -238,9 +244,10 @@ class JoinIndex:
     Always carries the stable sort (``order`` + ``sorted_keys``); for
     integer keys over a small domain it additionally carries a dense
     direct-address table (``starts_table``/``counts_table`` indexed by
-    ``key - key_min``) so probes are O(1) array lookups instead of
+    ``key - key_min + 1``) so probes are O(1) array lookups instead of
     O(log n) binary searches — the vectorized analogue of a hash join
-    whose hash function is the identity.
+    whose hash function is the identity.  Slot 0 and the last slot are
+    zero-count sentinels: a probe clips out-of-domain keys onto them.
     """
 
     order: np.ndarray
@@ -265,7 +272,7 @@ def build_join_index(keys: np.ndarray) -> JoinIndex:
         key_min = int(sorted_keys[0])
         domain = int(sorted_keys[-1]) - key_min + 1
         if domain <= max(MAX_DIRECT_DOMAIN, 4 * len(sorted_keys)):
-            counts_table = np.bincount(sorted_keys - key_min, minlength=domain)
+            counts_table = np.bincount(sorted_keys - (key_min - 1), minlength=domain + 2)
             starts_table = np.concatenate(
                 ([0], np.cumsum(counts_table)[:-1])
             ).astype(np.int64)
@@ -288,11 +295,9 @@ def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:
                            counts=np.zeros(len(left_keys), dtype=np.int64),
                            total=0, num_left=len(left_keys))
     if index.starts_table is not None and np.issubdtype(left_keys.dtype, np.integer):
-        relative = left_keys - index.key_min
-        valid = (relative >= 0) & (relative < len(index.counts_table))
-        clipped = np.where(valid, relative, 0)
-        counts = np.where(valid, index.counts_table[clipped], 0)
-        lo = np.where(valid, index.starts_table[clipped], 0)
+        slots = left_keys - (index.key_min - 1)
+        counts = index.counts_table.take(slots, mode="clip")
+        lo = index.starts_table.take(slots, mode="clip")
     else:
         lo = np.searchsorted(index.sorted_keys, left_keys, side="left")
         hi = np.searchsorted(index.sorted_keys, left_keys, side="right")

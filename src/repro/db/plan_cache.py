@@ -81,7 +81,9 @@ class ExecutionCacheConfig:
     hundreds of MB that would evict dozens of small, frequently shared
     subtrees, cost allocator churn to retain, and rarely get reused (their
     *exact* revisits are already free through the outcome cache, which
-    stores only the charge log).
+    stores only the charge log).  Oversize is decided from the row count
+    before the position arrays are written, so an intermediate that is
+    stored events-only is never materialized for the memo's sake.
     """
 
     enabled: bool = True
@@ -233,7 +235,8 @@ class SubplanEntry:
 
 
 def intermediate_nbytes(intermediate: "_Intermediate") -> int:
-    """Memory charged for a cached intermediate: its retained position arrays."""
+    """Memory charged for a cached intermediate: its retained position arrays
+    (a still-deferred one reports the size its array will have)."""
     return sum(positions.nbytes for positions in intermediate.positions.values())
 
 
@@ -353,12 +356,11 @@ class ExecutionCache:
         accounting lives with the caller — see :meth:`count_subplan_hit` /
         :meth:`count_subplan_miss`.
         """
-        entry = self._subplans.get(key)
-        if entry is None:
-            return None
-        # Refresh recency: re-insertion moves the key to the dict's end.
-        del self._subplans[key]
-        self._subplans[key] = entry
+        # Refresh recency: re-insertion moves the key to the dict's end (one
+        # pop, so two threads sharing a Database cannot both delete the key).
+        entry = self._subplans.pop(key, None)
+        if entry is not None:
+            self._subplans[key] = entry
         return entry
 
     def count_subplan_hit(self) -> None:
@@ -376,6 +378,10 @@ class ExecutionCache:
             nbytes = _events_nbytes(events)
         else:
             stored = intermediate
+            # Deferred gathers end here: later executions (and threads)
+            # reach a memo entry, so it holds arrays nobody writes to again.
+            for alias in stored.positions:
+                stored.positions[alias]
             # The event log is charged too, so even zero-byte intermediates
             # (empty or fully pruned position sets) are never free.
             nbytes = array_bytes + _events_nbytes(events)

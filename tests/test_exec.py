@@ -238,6 +238,65 @@ class TestBackends:
 
 # ------------------------------------------------------- trace determinism
 @pytest.mark.slow
+class TestThreadsShareOneCachedDatabase:
+    def test_concurrent_overlapping_plans_match_sequential(self, tiny_database, tiny_query):
+        """Four threads over one cached database, plans that share subtrees.
+
+        A join output is deferred only while one execution owns it; the memo
+        hands out plain arrays.  If a deferred intermediate ever reached two
+        threads, one would read a half-written position set and a latency,
+        a censoring flag or a node count would differ from the sequential run.
+        """
+        import sys
+
+        from repro.plans.sampling import random_join_trees
+
+        plans = random_join_trees(tiny_query, 6, seed=3)
+        plans = plans + plans[:3] + [plan.with_operators(plan.operators()[::-1]) for plan in plans]
+        sequential_db = Database(
+            tiny_database.schema, tiny_database.relations, seed=7, exec_cache=False
+        )
+        latencies = [sequential_db.execute(tiny_query, plan, timeout=600.0).latency for plan in plans]
+        timeouts = [600.0 if i % 3 else latency * 0.6 for i, latency in enumerate(latencies)]
+        expected = [
+            ExecutionOutcome.from_execution(
+                sequential_db.execute(tiny_query, plan, timeout=timeout), timeout, proposal_id=i
+            )
+            for i, (plan, timeout) in enumerate(zip(plans, timeouts))
+        ]
+        assert any(outcome.timed_out for outcome in expected)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                database = Database(
+                    tiny_database.schema, tiny_database.relations, seed=7, exec_cache=True
+                )
+                backend = ThreadPoolBackend(database, max_workers=4)
+                try:
+                    futures = [
+                        backend.submit(ExecutionRequest(
+                            query=tiny_query, plan=plan, timeout=timeout, proposal_id=i
+                        ))
+                        for i, (plan, timeout) in enumerate(zip(plans, timeouts))
+                    ]
+                    outcomes = [future.result(timeout=60) for future in futures]
+                finally:
+                    backend.close()
+                for got, want in zip(outcomes, expected):
+                    assert (got.latency, got.timed_out, got.timeout, got.proposal_id) == (
+                        want.latency, want.timed_out, want.timeout, want.proposal_id
+                    )
+                cache = database.execution_cache
+                for key in cache.subplan_keys():
+                    stored = cache._subplans[key].intermediate
+                    assert stored is None or all(
+                        type(value) is np.ndarray for value in stored.positions.values()
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestProcessPoolDeterminism:
     def test_random_sequential_equals_process_pool(self, noisy_workload):
         budget = BudgetSpec(max_executions=6)

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.db.executor import MAX_MATERIALIZED_ROWS, _expand_matches, _hash_match, _match_counts
+from repro.db.executor import MAX_MATERIALIZED_ROWS
+from repro.db.kernels import expand_matches as _expand_matches, match_counts as _match_counts
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.exceptions import ExecutionError, PlanError
 from repro.plans.jointree import JoinOp, JoinTree
 from repro.plans.sampling import random_join_tree
+
+
+def _hash_match(left_keys, right_keys):
+    """Index arrays (into left, into right) of every equal-key pair."""
+    return _expand_matches(_match_counts(left_keys, right_keys))
 
 
 class TestHashMatch:
@@ -157,3 +163,95 @@ class TestNoise:
 
     def test_materialization_cap_is_large(self):
         assert MAX_MATERIALIZED_ROWS >= 1_000_000
+
+
+class TestMaterializeOnRead:
+    """Joins write an output array only when something reads it."""
+
+    @staticmethod
+    def _constant_key_database(rows: dict[str, int], exec_cache: bool = False):
+        """Tables whose ``k`` column is all zeros: ``a.k = b.k`` matches every pair."""
+        from repro.db.catalog import Column, Schema, Table
+        from repro.db.engine import Database
+        from repro.db.relation import Relation
+
+        tables = [Table(name, [Column("id"), Column("k")]) for name in rows]
+        relations = {
+            table.name: Relation(
+                table,
+                {"id": np.arange(rows[table.name]), "k": np.zeros(rows[table.name], dtype=np.int64)},
+            )
+            for table in tables
+        }
+        return Database(Schema("flat", tables), relations, exec_cache=exec_cache)
+
+    @staticmethod
+    def _peak_bytes(run) -> tuple[object, int]:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_root_join_counts_without_materializing(self):
+        database = self._constant_key_database({"a": 1500, "b": 1200})
+        query = Query(
+            "root",
+            [TableRef("a#1", "a"), TableRef("b#1", "b")],
+            [JoinPredicate("a#1", "k", "b#1", "k")],
+        )
+        plan = JoinTree.join(JoinTree.leaf("a#1"), JoinTree.leaf("b#1"), JoinOp.HASH)
+        result, peak = self._peak_bytes(lambda: database.execute(query, plan))
+        assert result.output_rows == 1500 * 1200 >= 10**6
+        # One int64 index over the output would already be 8 bytes per row.
+        assert peak < 8 * result.output_rows
+
+    def test_cross_join_under_a_censored_parent_is_never_written(self):
+        """``(a x b) |x| c`` with a timeout that falls inside the parent's
+        pre-charge: the 10^6-row product is charged, counted and dropped."""
+        sizes = {"a": 1000, "b": 1000, "c": 2}
+        query = Query(
+            "cross_then_censor",
+            [TableRef("a#1", "a"), TableRef("b#1", "b"), TableRef("c#1", "c")],
+            [JoinPredicate("a#1", "k", "c#1", "k")],
+        )
+        plan = JoinTree.join(
+            JoinTree.join(JoinTree.leaf("a#1"), JoinTree.leaf("b#1"), JoinOp.HASH),
+            JoinTree.leaf("c#1"),
+            JoinOp.NESTED_LOOP,
+        )
+        # The recorded charge log ends: ..., parent pre-charge, parent output, node.
+        recorder = self._constant_key_database(sizes, exec_cache=True)
+        recorder.execute(query, plan, timeout=None)
+        (_, events, *_), = recorder.execution_cache.export_outcomes()
+        assert [category for category, _ in events[-3:]] == ["join", "join", "__node__"]
+        before_parent = 0.0
+        for _, cost in events[:-3]:
+            before_parent += cost
+        database = self._constant_key_database(sizes)
+        result, peak = self._peak_bytes(
+            lambda: database.execute(query, plan, timeout=before_parent)
+        )
+        assert result.timed_out and result.nodes_executed == 4  # three scans + the product
+        assert peak < 8 * sizes["a"] * sizes["b"]
+
+    @pytest.mark.parametrize("predicates", [[JoinPredicate("a#1", "k", "b#1", "k")], []])
+    def test_work_cap_still_recorded_and_enforced(self, monkeypatch, predicates):
+        """A root join (equi or cross) past the cap is counted, not expanded —
+        and still leaves its cap event, censors under a timeout and raises without."""
+        import repro.db.executor as executor_module
+        from repro.db.plan_cache import CAP_EVENT
+
+        monkeypatch.setattr(executor_module, "MAX_MATERIALIZED_ROWS", 10_000)
+        database = self._constant_key_database({"a": 300, "b": 200}, exec_cache=True)
+        query = Query("cap", [TableRef("a#1", "a"), TableRef("b#1", "b")], predicates)
+        plan = JoinTree.join(JoinTree.leaf("a#1"), JoinTree.leaf("b#1"), JoinOp.HASH)
+        result = database.execute(query, plan, timeout=1e9)
+        assert result.timed_out and result.latency == 1e9 and result.output_rows is None
+        (_, events, completed, _, _, work_capped), = database.execution_cache.export_outcomes()
+        assert events[-1] == (CAP_EVENT, 300.0 * 200.0) and work_capped and not completed
+        with pytest.raises(ExecutionError):
+            database.execute(query, plan, timeout=None)

@@ -1,0 +1,208 @@
+"""The executor against an independent nested-loop oracle.
+
+``tests/oracles/reference_executor.py`` evaluates a plan with two ``for``
+loops over dict rows and prices the cardinalities it finds through
+``repro.db.cost``.  Since root joins only *count* their output (no array of
+that length is ever built), ``output_rows`` needs a witness that shares no
+code with the kernels: here every ``ExecutionResult`` field that depends on a
+cardinality — output rows, nodes executed, the charge total and breakdown, and
+the censoring decision on either side of every cumulative charge — must equal
+the oracle's, with the execution cache on and off, on the pre-kernel path and
+through ``run_batch``.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.db.catalog import Column, Index, Schema, Table, alias_name
+from repro.db.engine import Database
+from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
+from repro.db.relation import Relation
+from repro.plans.hints import bao_hint_sets
+from repro.plans.jointree import JOIN_OPS, JoinTree
+from repro.workloads import build_job_workload
+
+from oracles.reference_executor import (
+    OracleLimit,
+    charge_events,
+    cumulative_charges,
+    evaluate,
+    expected_result,
+)
+
+ORACLE_FULL = os.environ.get("REPRO_ORACLE_FULL") == "1"
+
+KEY_COLUMNS = ("id", "a", "b")
+
+
+def timeouts_around(points: list[float]) -> list[float | None]:
+    """No timeout, then one just below and one just above every cumulative charge."""
+    timeouts: list[float | None] = [None]
+    for point in points:
+        for timeout in (math.nextafter(point, -math.inf), math.nextafter(point, math.inf)):
+            if timeout > 0.0 and timeout not in timeouts:
+                timeouts.append(timeout)
+    return timeouts
+
+
+def assert_matches(result, expected, context) -> None:
+    assert result.latency == expected.latency, context  # same additions, same order
+    assert result.timed_out == expected.timed_out, context
+    assert result.output_rows == expected.output_rows, context
+    assert result.nodes_executed == expected.nodes_executed, context
+    assert result.breakdown == expected.breakdown, context
+
+
+def make_arms(database: Database) -> dict[str, Database]:
+    """The executor configurations under test, over one set of relations."""
+    schema, relations = database.schema, database.relations
+    return {
+        "cache on": Database(schema, relations, exec_cache=True),
+        "cache off": Database(schema, relations, exec_cache=False),
+        "reference path": Database(schema, relations, exec_cache=False, use_kernels=False),
+    }
+
+
+def check_against_oracle(
+    arms: dict[str, Database], query: Query, plan: JoinTree, max_pairs: int
+) -> None:
+    """Every arm of the executor reports what the oracle's cardinalities imply."""
+    database = arms["cache off"]
+    cards = evaluate(query, plan, database.relations, max_pairs=max_pairs)
+    events = charge_events(query, cards, database.schema, database.relations, database.cost_params)
+    timeouts = timeouts_around(cumulative_charges(events))
+    expected = [expected_result(events, cards[-1].output_rows, timeout) for timeout in timeouts]
+    for arm, db in arms.items():
+        for timeout, want in zip(timeouts, expected):
+            assert_matches(db.execute(query, plan, timeout=timeout), want, (arm, timeout))
+    batch = database.execute_batch(query, [plan] * len(timeouts), timeouts)
+    for timeout, got, want in zip(timeouts, batch, expected):
+        assert_matches(got, want, ("batch", timeout))
+
+
+# ------------------------------------------------------------------ random small databases
+@st.composite
+def small_cases(draw):
+    """A schema of <= 4 tables, <= 40 rows each, a query of <= 5 aliases and a join tree.
+
+    Key columns draw from small per-table domains (duplicates on both sides,
+    keys missing on either side); predicates may repeat an alias pair
+    (multi-predicate joins), close cycles, or leave the join graph
+    disconnected (predicate-free cross joins); aliases may repeat a table.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables, relations, indexes = [], {}, []
+    for number in range(draw(st.integers(1, 4))):
+        name = f"t{number}"
+        rows = draw(st.one_of(st.integers(0, 40), st.integers(20, 40)))
+        table = Table(name, [Column(column) for column in (*KEY_COLUMNS, "f")])
+        tables.append(table)
+        relations[name] = Relation(table, {
+            "id": rng.permutation(rows),
+            "a": rng.integers(0, draw(st.integers(1, 12)), size=rows),
+            "b": rng.integers(-2, draw(st.integers(1, 6)), size=rows),
+            "f": rng.integers(0, 10, size=rows),
+        })
+        indexes += [
+            Index(name, column) for column in (*KEY_COLUMNS, "f") if draw(st.booleans())
+        ]
+    schema = Schema("oracle", tables, indexes=indexes)
+
+    refs, ordinals = [], {}
+    for _ in range(draw(st.integers(2, 5))):
+        table = draw(st.sampled_from(tables)).name
+        ordinals[table] = ordinals.get(table, 0) + 1
+        refs.append(TableRef(alias_name(table, ordinals[table]), table))
+    aliases = [ref.alias for ref in refs]
+    # Most aliases join an earlier one; a few extra predicates repeat a pair
+    # or close a cycle; an alias left out makes some join a cross product.
+    pairs = [
+        (draw(st.integers(0, later - 1)), later)
+        for later in range(1, len(aliases))
+        if draw(st.integers(0, 5)) > 0
+    ]
+    pairs += draw(st.lists(
+        st.tuples(st.integers(0, len(aliases) - 1), st.integers(0, len(aliases) - 1))
+        .filter(lambda pair: pair[0] != pair[1]),
+        max_size=3,
+    ))
+    predicates = [
+        JoinPredicate(
+            aliases[left], draw(st.sampled_from(KEY_COLUMNS)),
+            aliases[right], draw(st.sampled_from(KEY_COLUMNS)),
+        )
+        for left, right in draw(st.permutations(pairs))
+    ]
+    filters = [
+        FilterPredicate(
+            draw(st.sampled_from(aliases)), draw(st.sampled_from(("f", "a"))), op,
+            draw(st.lists(st.integers(0, 9), max_size=4)) if op == "in" else draw(st.integers(0, 9)),
+        )
+        for op in draw(st.lists(st.sampled_from(("=", "!=", "<", "<=", ">", ">=", "in")), max_size=2))
+    ]
+    query = Query("oracle_q", refs, predicates, filters)
+
+    forest = [JoinTree.leaf(alias) for alias in draw(st.permutations(aliases))]
+    while len(forest) > 1:
+        right = forest.pop(draw(st.integers(0, len(forest) - 1)))
+        left = forest.pop(draw(st.integers(0, len(forest) - 1)))
+        forest.append(JoinTree.join(left, right, draw(st.sampled_from(JOIN_OPS))))
+    return Database(schema, relations), query, forest[0]
+
+
+@settings(
+    max_examples=300 if ORACLE_FULL else 60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_cases())
+def test_random_small_databases_match_nested_loop_oracle(case):
+    database, query, plan = case
+    try:
+        check_against_oracle(make_arms(database), query, plan, max_pairs=60_000)
+    except OracleLimit:
+        assume(False)
+
+
+# ------------------------------------------------------------------ JOB queries x Bao plans
+#: Small enough that a Python nested loop over every join of every plan below
+#: finishes in under a minute (``make oracle-full``).
+JOB_ORACLE_SCALE = 0.02
+
+
+@pytest.fixture(scope="module")
+def job_cases():
+    """Every <= 5-table JOB query with its distinct Bao hint-set plans."""
+    workload = build_job_workload(scale=JOB_ORACLE_SCALE, seed=0)
+    hint_sets = bao_hint_sets()
+    cases = []
+    for query in workload.queries:
+        if query.num_tables <= 5:
+            plans = {
+                plan.canonical(): plan
+                for plan in workload.database.plan_hint_sets(query, hint_sets)
+            }
+            cases.append((query, list(plans.values())))
+    return workload.database, cases
+
+
+@pytest.mark.slow
+def test_job_queries_match_nested_loop_oracle(job_cases):
+    """Tier-1 takes one plan of every query; ``REPRO_ORACLE_FULL=1`` all of them."""
+    database, cases = job_cases
+    assert cases
+    # One set of arms for the whole run: the cached arm meets every later plan
+    # of a query with the subplan memo its earlier plans filled.
+    arms = make_arms(database)
+    checked = 0
+    for query, plans in cases:
+        for plan in plans if ORACLE_FULL else plans[:1]:
+            check_against_oracle(arms, query, plan, max_pairs=5_000_000)
+            checked += 1
+    assert checked >= len(cases)

@@ -21,6 +21,7 @@ process-pool worker batch path.
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestKernelPrimitives:
         np.testing.assert_array_equal(via_index[1], direct[1])
 
     def test_expand_fast_equals_reference(self, rng):
-        """expand_matches_fast hits all three paths (unique-all, unique-sparse,
+        """expand_pairs hits all three shapes (unique-all, unique-sparse,
         run concatenation) and must reproduce the reference expansion exactly."""
         cases = []
         for _ in range(15):
@@ -160,7 +161,8 @@ class TestKernelPrimitives:
         for left, right in cases:
             match = kernels.match_counts(left, right)
             ref_l, ref_r = kernels.expand_matches(match)
-            fast_l, fast_r = kernels.expand_matches_fast(match)
+            pairs = kernels.expand_pairs(match)
+            fast_l, fast_r = pairs.left_indices(), pairs.right_idx
             np.testing.assert_array_equal(ref_l, fast_l)
             np.testing.assert_array_equal(ref_r, fast_r)
 
@@ -180,6 +182,53 @@ class TestKernelPrimitives:
             right_values = rng.integers(0, 1000, size=len(right))
             np.testing.assert_array_equal(pairs.gather_left(left_values), left_values[ref_l])
             np.testing.assert_array_equal(pairs.gather_right(right_values), right_values[ref_r])
+
+    def test_deferred_pairs_equal_reference_in_any_read_order(self, rng):
+        """Every shape of pair set (identity, unique-match, run concatenation,
+        empty, cross product) gathers and indexes bit for bit like the
+        reference expansion, whether ``right_idx`` is read before or after
+        the gathers — and reads nothing until then."""
+        perm = rng.permutation(80)
+        cases = [
+            (perm[:50], perm),  # identity: every probe row matches exactly once
+            (rng.integers(0, 200, size=120), rng.permutation(100)),  # unique-match
+            (rng.integers(0, 9, size=150), rng.integers(0, 9, size=90)),  # runs
+            (np.arange(5), np.arange(5) + 10),  # empty
+        ]
+        for _ in range(10):
+            domain = int(rng.integers(1, 40))
+            cases.append((
+                rng.integers(0, domain, size=int(rng.integers(0, 200))),
+                rng.integers(0, domain, size=int(rng.integers(0, 200))),
+            ))
+        built = []
+        for left, right in cases:
+            match = kernels.match_counts(left, right)
+            built.append((
+                partial(kernels.expand_pairs, match), kernels.expand_matches(match),
+                len(left), len(right),
+            ))
+        for n_left, n_right in [(7, 5), (1, 9), (6, 1), (0, 4), (3, 0)]:
+            reference = (np.repeat(np.arange(n_left), n_right), np.tile(np.arange(n_right), n_left))
+            built.append((
+                partial(kernels.PairSet, n_left * n_right, cross=(n_left, n_right)),
+                reference, n_left, n_right,
+            ))
+        for build, (ref_l, ref_r), n_left, n_right in built:
+            left_values = rng.integers(0, 1000, size=n_left)
+            right_values = rng.integers(0, 1000, size=n_right)
+            for index_first in (True, False):
+                pairs = build()
+                assert pairs.count == len(ref_l)
+                if pairs.count:
+                    assert pairs._right_idx is None  # nothing expanded yet
+                if index_first:
+                    np.testing.assert_array_equal(pairs.right_idx, ref_r)
+                np.testing.assert_array_equal(pairs.gather_left(left_values), left_values[ref_l])
+                np.testing.assert_array_equal(pairs.gather_right(right_values), right_values[ref_r])
+                np.testing.assert_array_equal(pairs.left_indices(), ref_l)
+                np.testing.assert_array_equal(pairs.right_idx, ref_r)
+                assert pairs.right_idx is pairs.right_idx  # expanded once
 
     def test_pair_order_is_left_major_right_stable(self):
         left = np.array([7, 7, 3])
@@ -312,6 +361,27 @@ class TestKernelExecutorEquivalence:
         for (rl, rr), (kl, kr) in zip(captured["ref"], captured["ker"]):
             np.testing.assert_array_equal(rl, kl)
             np.testing.assert_array_equal(rr, kr)
+
+
+    def test_unread_intermediate_reports_its_final_size(self, tiny_database, tiny_query):
+        """A join output is sized from its row count: ``intermediate_nbytes``
+        reads the same before any alias is gathered and after all are."""
+        from repro.db.executor import _ExecutionState, _Gather
+        from repro.db.plan_cache import intermediate_nbytes
+
+        database = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        plan = JoinTree.left_deep(["orders#1", "customer#1", "product#1", "shipment#1"])
+        executor = database.executor
+        state = _ExecutionState(timeout=None)
+        join = plan.left  # (orders x customer) x product: orders#1 still joins shipment#1
+        intermediate = executor._execute_node(tiny_query, join, state, None)
+        raw = list(intermediate.positions.values())
+        assert raw and all(isinstance(value, _Gather) for value in raw)  # nothing gathered
+        before = intermediate_nbytes(intermediate)
+        assert before == intermediate.count * 8 * len(raw) > 0
+        gathered = [intermediate.positions[alias] for alias in intermediate.positions]
+        assert all(type(value) is np.ndarray for value in intermediate.positions.values())
+        assert intermediate_nbytes(intermediate) == before == sum(a.nbytes for a in gathered)
 
 
 # ------------------------------------------------------------------ relation-side caches

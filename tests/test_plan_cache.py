@@ -330,6 +330,87 @@ class TestSubplanLRU:
         assert cache.num_subplans == 0 and cache.subplan_bytes == 0
 
 
+# --------------------------------------------------------------------- deferred intermediates
+class TestMemoHoldsPlainArrays:
+    """A join output is deferred only while one execution owns it: whatever
+    the memo stores is plain arrays, and what it refuses is never written."""
+
+    @staticmethod
+    def _deferred_join(tiny_database, tiny_query):
+        """An unread two-join intermediate and the events that produced it."""
+        from repro.db.executor import _ExecutionState
+        from repro.plans.jointree import JoinTree
+
+        database = _clone(tiny_database, exec_cache=False)
+        state = _ExecutionState(timeout=None, events=[])
+        subtree = JoinTree.left_deep(["orders#1", "customer#1", "product#1"])
+        intermediate = database.executor._execute_node(tiny_query, subtree, state, None)
+        return intermediate, state.events
+
+    def test_every_memoized_intermediate_is_materialized(self, tiny_database, tiny_query):
+        database = _clone(tiny_database, exec_cache=True)
+        for plan in random_join_trees(tiny_query, 12, seed=5):
+            database.execute(tiny_query, plan, timeout=300.0)
+        cache = database.execution_cache
+        stored = [cache._subplans[key].intermediate for key in cache.subplan_keys()]
+        joins = [inter for inter in stored if inter is not None and len(inter.covered) > 1]
+        assert joins and any(inter.positions for inter in joins)
+        for intermediate in joins:
+            for positions in intermediate.positions.values():
+                assert type(positions) is np.ndarray and len(positions) == intermediate.count
+
+    def test_put_materializes_what_it_stores(self, tiny_database, tiny_query):
+        from repro.db.plan_cache import intermediate_nbytes
+
+        intermediate, events = self._deferred_join(tiny_database, tiny_query)
+        array_bytes = intermediate_nbytes(intermediate)
+        assert array_bytes > 0
+        cache = ExecutionCache(ExecutionCacheConfig(max_entry_bytes=array_bytes))
+        cache.put_subplan(("q", "fits"), intermediate, events)
+        entry = cache.get_subplan(("q", "fits"))
+        assert entry.intermediate is intermediate
+        assert all(type(value) is np.ndarray for value in intermediate.positions.values())
+        assert cache.subplan_bytes == entry.nbytes > array_bytes  # arrays + event log
+
+    def test_oversized_entry_is_refused_before_it_is_written(self, tiny_database, tiny_query):
+        from repro.db.executor import _Gather
+        from repro.db.plan_cache import intermediate_nbytes
+
+        intermediate, events = self._deferred_join(tiny_database, tiny_query)
+        limit = intermediate_nbytes(intermediate) - 1
+        cache = ExecutionCache(ExecutionCacheConfig(max_entry_bytes=limit))
+        cache.put_subplan(("q", "big"), intermediate, events)
+        entry = cache.get_subplan(("q", "big"))
+        assert entry.intermediate is None and entry.events == events
+        assert all(isinstance(value, _Gather) for value in intermediate.positions.values())
+
+    @pytest.mark.slow
+    def test_smoke_stream_counters_repeat(self):
+        """The ``bench_plan_cache.py --smoke`` stream hits, misses and caches
+        exactly what it did when every join output was written eagerly."""
+        from benchmarks.bench_plan_cache import (
+            MIN_TABLES,
+            SMOKE_PROPOSALS,
+            SMOKE_QUERIES,
+            execute_stream,
+            trust_region_stream,
+        )
+        from repro.workloads import build_job_workload
+
+        workload = build_job_workload(scale=0.15, seed=0, num_queries=24)
+        database = workload.database
+        queries = [q for q in workload.queries if q.num_tables >= MIN_TABLES][:SMOKE_QUERIES]
+        for index, query in enumerate(queries):
+            proposals = trust_region_stream(query, database.plan(query), SMOKE_PROPOSALS, seed=index)
+            execute_stream(database, query, proposals)
+        cache = database.execution_cache
+        assert cache.counters.snapshot() == {
+            "outcome_hits": 67, "outcome_misses": 53,
+            "subplan_hits": 232, "subplan_misses": 181, "evictions": 0,
+        }
+        assert cache.subplan_bytes == 90_892_384  # the 90.9 MB the bench prints
+
+
 # --------------------------------------------------------------------- config plumbing
 class TestConfigPlumbing:
     def test_exec_config_validates_knobs(self):
