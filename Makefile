@@ -1,7 +1,10 @@
 # Developer loop shortcuts.  Tier-1 (`make test`) is what CI runs and what
 # the acceptance gate measures; `make quick` skips the @pytest.mark.slow
 # end-to-end tests (full optimization loops, process pools, model training)
-# for a tighter edit-test cycle.
+# for a tighter edit-test cycle.  The acquisition contract (no proposal is a
+# plan that ran, exhaustion ends a run, budget above the plan space is spent:
+# tests/test_core_bayesqo.py, tests/test_batch_ask.py) is not slow: `quick`
+# runs it.
 
 PYTEST = PYTHONPATH=src python -m pytest
 

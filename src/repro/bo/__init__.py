@@ -3,6 +3,17 @@
 Surrogate-state lifecycle
 -------------------------
 
+The surrogate holds **one point per evaluation**: an observation enters it
+when an evaluation that spent budget comes back, and in no other way.  In
+BayesQO's latent space many points decode to the same plan; a latent point
+that aliases a plan already executed teaches the surrogate *nothing* — its
+response is known and already in the model under the latent that ran, and
+feeding it again would only pile near-duplicate rows onto the kernel matrix
+(on the heaviest recorded stream 176 points carried ~40 distinct responses,
+and the marginal likelihood went bimodal).  So such a point is never
+observed: acquisition skips it (``admissible`` in :mod:`repro.bo.acquisition`)
+and proposes the best-ranked candidate that has not run.
+
 The surrogate inside :class:`BOEngine` is *persistent and warm*: it is not
 rebuilt on every observation.  The lifecycle has two tiers:
 
@@ -44,7 +55,6 @@ cached factorization, sharing one rank-1 extension across all probed levels.
 
 from repro.bo.acquisition import (
     Acquisition,
-    BatchAcquisition,
     BatchThompsonSampling,
     FantasizedThompson,
     expected_improvement,
@@ -68,7 +78,6 @@ from repro.bo.turbo import TrustRegion, global_candidates
 
 __all__ = [
     "Acquisition",
-    "BatchAcquisition",
     "BatchFantasizeSurrogate",
     "BatchThompsonSampling",
     "BOEngine",

@@ -19,6 +19,12 @@ contract:
   single proposals; :meth:`BOEngine.suggest_batch` picks ``q`` jointly
   informative candidates via fantasized constant-liar conditioning (or q
   independent posterior draws), never q argmins of the same posterior mean.
+
+Which points are worth evaluating is the driver's knowledge, not the
+engine's: the driver passes ``admissible(points) -> bool mask`` and every pick
+is the best-ranked pool candidate it accepts (BayesQO rejects latent points
+that decode to a plan already executed or in flight).  The engine holds one
+observation per evaluation; nothing else is ever fed to the surrogate.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bo.acquisition import (
-    BatchAcquisition,
+    Acquisition,
+    Admissible,
     BatchThompsonSampling,
     FantasizedThompson,
+    best_admissible,
 )
 from repro.bo.candidates import CandidateGenerator, GlobalCandidates, TrustRegionCandidates
 from repro.bo.gp import CensoredGP
@@ -83,6 +91,10 @@ class BOEngineConfig:
 class BOEngine:
     """Box-bounded minimization with censored observations."""
 
+    #: Candidate pools drawn so far (what the Figure-9 breakdown divides by).
+    #: A class-level default, so an engine pickled before PR 16 resumes at 0.
+    acquisition_rounds = 0
+
     def __init__(
         self,
         lower: np.ndarray,
@@ -102,7 +114,7 @@ class BOEngine:
         # the acquisition strategy is stateless.
         self._local_candidates: CandidateGenerator = TrustRegionCandidates(self.trust_region)
         self._global_candidates: CandidateGenerator = GlobalCandidates(self.dim)
-        self._acquisition: BatchAcquisition = (
+        self._acquisition: Acquisition = (
             FantasizedThompson(num_samples=self.config.thompson_samples)
             if self.config.batch_strategy == "fantasize"
             else BatchThompsonSampling(num_samples=self.config.thompson_samples)
@@ -133,16 +145,8 @@ class BOEngine:
     def _denormalize(self, x: np.ndarray) -> np.ndarray:
         return np.atleast_2d(x) * (self.upper - self.lower) + self.lower
 
-    def add_observation(
-        self, x: np.ndarray, value: float, censored: bool = False, update_trust_region: bool = True
-    ) -> None:
-        """Record one evaluated point; updates the trust region state.
-
-        Pass ``update_trust_region=False`` for replayed observations (e.g. a
-        duplicate plan whose cached latency is fed back to the surrogate): a
-        replay spent no budget and says nothing new about local progress, so it
-        must not count as a trust-region success or failure.
-        """
+    def add_observation(self, x: np.ndarray, value: float, censored: bool = False) -> None:
+        """Record one evaluated point; updates the trust region state."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape != self.lower.shape:
             raise OptimizationError(f"point has dimension {len(x)}, expected {self.dim}")
@@ -151,7 +155,7 @@ class BOEngine:
         self._y.append(float(value))
         self._censored.append(bool(censored))
         improved = (not censored) and (previous_best is None or value < previous_best)
-        if update_trust_region and len(self._y) > 1:
+        if len(self._y) > 1:
             self.trust_region.update(improved)
 
     @property
@@ -274,39 +278,63 @@ class BOEngine:
         return means[:, 0], stds[:, 0]
 
     # ------------------------------------------------------------------ acquisition
-    def _candidate_pool(self) -> np.ndarray:
-        """One acquisition round's candidate pool from the generation layer."""
-        center = self.best_point()
-        normalized = self._normalize(center)[0] if center is not None else None
-        # With everything censored so far there is no incumbent to perturb
-        # around; the trust-region generator falls back to global sampling.
-        generator = (
-            self._local_candidates if self.config.use_trust_region else self._global_candidates
-        )
-        return generator.generate(self.config.num_candidates, self.rng, center=normalized)
+    def _acquire(
+        self, generator: CandidateGenerator, center: np.ndarray | None, q: int,
+        admissible: Admissible | None,
+    ) -> list[np.ndarray]:
+        """One acquisition round: draw a pool, rank it, take up to ``q`` picks."""
+        self.acquisition_rounds += 1
+        with self.tracer.span("bo.acquisition", category="bo", q=q):
+            candidates = generator.generate(self.config.num_candidates, self.rng, center=center)
+            accepts = admissible and (  # the callback speaks raw-space points
+                lambda points: np.asarray(admissible(self._denormalize(points)), dtype=bool)
+            )
+            if self.num_observations:
+                indices = self._acquisition.select_batch(
+                    self.surrogate, candidates, self.rng, q, accepts
+                )
+            else:  # nothing to rank by: the pool is uniform and so is its order
+                indices, order = [], np.zeros(len(candidates))
+                masked = np.zeros(len(candidates), dtype=bool)
+                while len(indices) < q and (
+                    pick := best_admissible(order, masked, candidates, accepts)
+                ) is not None:
+                    indices.append(pick)
+        return [self._denormalize(candidates[index])[0] for index in indices]
 
-    def suggest(self) -> np.ndarray:
-        """Propose the next raw-space point to evaluate."""
-        return self.suggest_batch(1)[0]
+    def suggest(self, admissible: Admissible | None = None) -> np.ndarray | None:
+        """Propose the next raw-space point to evaluate (``None``: see
+        :meth:`suggest_batch`)."""
+        batch = self.suggest_batch(1, admissible)
+        return batch[0] if batch else None
 
-    def suggest_batch(self, q: int) -> list[np.ndarray]:
+    def suggest_batch(self, q: int, admissible: Admissible | None = None) -> list[np.ndarray]:
         """Propose up to ``q`` jointly informative raw-space points.
 
-        ``q = 1`` is bit-for-bit the classic single suggest: same candidate
-        pool, same Thompson draw, same RNG stream.  Larger ``q`` hands the
-        pool to the batch acquisition strategy, which spreads the picks
-        (fantasized constant-liar conditioning or independent posterior
-        draws) instead of returning q duplicates of the posterior argmin.
+        ``q = 1`` is the classic single suggest: one candidate pool, one
+        Thompson draw.  Larger ``q`` spreads the picks (fantasized
+        constant-liar conditioning or independent posterior draws) instead of
+        returning q duplicates of the posterior argmin.  Before the first
+        observation the pool is uniform over the box and so are the picks.
+
+        With ``admissible`` every pick is the best-ranked candidate of the
+        pool that the callback accepts.  When the trust-region pool runs out
+        of such candidates the missing picks are drawn once more from a
+        global pool; fewer than ``q`` points (none: the reachable space is
+        exhausted) come back only when that one runs out too.  So a proposal
+        costs at most two rounds — ``acquisition_rounds`` counts them — and
+        no call spins.
         """
         if q < 1:
             raise OptimizationError("batch size q must be at least 1")
-        if self.num_observations == 0:
-            return [self._denormalize(self.rng.random((1, self.dim)))[0] for _ in range(q)]
-        self.fit()
-        with self.tracer.span("bo.acquisition", category="bo", q=q):
-            candidates = self._candidate_pool()
-            if q == 1:
-                indices = [self._acquisition.select(self.surrogate, candidates, self.rng)]
-            else:
-                indices = self._acquisition.select_batch(self.surrogate, candidates, self.rng, q)
-        return [self._denormalize(candidates[index])[0] for index in indices]
+        if self.num_observations:
+            self.fit()
+        # With everything censored so far there is no incumbent to perturb
+        # around, and the first pool is already the global one.
+        center = self.best_point() if self.config.use_trust_region else None
+        if center is None:
+            return self._acquire(self._global_candidates, None, q, admissible)
+        points = self._acquire(self._local_candidates, self._normalize(center)[0], q, admissible)
+        if len(points) < q and admissible is not None:
+            points += self._acquire(self._global_candidates, None, q - len(points), admissible)
+        return points

@@ -6,10 +6,15 @@ The optimizer ties every substrate together.  It implements the ask/tell
 1. proposes initialization plans (Bao hint sets by default) for execution,
 2. embeds executed plans into the VAE latent space and feeds their (log)
    latencies — censored for timed-out plans — to the BO engine,
-3. repeatedly asks the engine for a new latent point, decodes it to a plan and
+3. repeatedly asks the engine for the best-ranked latent point of an
+   acquisition round whose decoded plan has neither run nor is in flight
+   (the engine walks its ranking, this module decodes and answers), and
    chooses a per-plan timeout with the uncertainty rule; the caller executes
-   the plan against the read snapshot and tells the outcome back,
-4. reports the full trace when the caller's budget is exhausted.
+   the plan against the read snapshot and tells the outcome back.  Every
+   proposal spends budget and every outcome is one surrogate observation,
+4. reports the full trace when the caller's budget is exhausted — or when no
+   candidate pool holds an unexecuted plan any more (``suggest`` returns
+   ``None``: the reachable plan space is exhausted).
 
 The loop itself is owned by the caller — usually a
 :class:`~repro.harness.runner.WorkloadSession` that interleaves many queries —
@@ -58,7 +63,13 @@ _MIN_LATENCY = 1e-6
 
 @dataclass
 class OverheadBreakdown:
-    """Wall-clock seconds spent in each part of the BO loop (Figure 9)."""
+    """Wall-clock seconds spent in each part of the BO loop (Figure 9).
+
+    ``iterations`` counts acquisition rounds — candidate pools drawn: one per
+    BO ask, two when the trust-region pool held no unexecuted plan and the
+    global pool was drawn after it.  A round yields one proposal at ``q = 1``
+    and up to ``q`` in a batched ask.
+    """
 
     surrogate_update: float = 0.0
     calculate_timeout: float = 0.0
@@ -134,9 +145,10 @@ def train_schema_model(
 class BayesQOState(OptimizerState):
     """Resumable BayesQO state: engine, timeout policy and execution caches.
 
-    ``iterations`` counts BO loop steps (including duplicate-plan replays that
-    consume no budget) against ``iteration_cap`` so a degenerate latent space
-    cannot spin forever.
+    The engine holds one observation per execution that reached the surrogate
+    (``executed`` additionally keeps censored ones dropped under
+    ``learn_from_timeouts=False``); nothing here counts loop steps, because
+    an ask is at most two acquisition rounds and cannot spin.
     """
 
     engine: BOEngine | None = None
@@ -146,12 +158,11 @@ class BayesQOState(OptimizerState):
     #: Best uncensored latency among initialization executions (drives the
     #: initialization-phase timeout rule).
     init_best: float | None = None
-    #: plan canonical -> (latency, censored, timeout) for duplicate replays.
+    #: plan canonical -> (latency, censored, timeout): the plans that ran, so
+    #: that no latent point decoding to one of them is proposed again.
     executed: dict = field(default_factory=dict)
     #: Uncensored latencies in observation order (for percentile timeouts).
     observed_latencies: list = field(default_factory=list)
-    iterations: int = 0
-    iteration_cap: int = 0
 
 
 class BayesQO:
@@ -262,7 +273,6 @@ class BayesQO:
             engine=engine,
             policy=policy,
             init_queue=deque(plans),
-            iteration_cap=budget.max_executions * 5,
         )
 
     def _next_init_proposal(self, state: BayesQOState) -> PlanProposal:
@@ -287,72 +297,77 @@ class BayesQO:
             )
         )
 
-    def _consider_candidate(
-        self, state: BayesQOState, candidate: np.ndarray, plan: JoinTree, in_flight: set
-    ) -> PlanProposal | None:
-        """One BO-loop step for a decoded candidate: replay, skip, or enqueue.
+    def _bo_proposals(self, state: BayesQOState, q: int) -> list[PlanProposal]:
+        """Up to ``q`` BO-phase proposals from one ask of the engine.
 
-        Duplicates of *executed* plans reuse the cached observation without
-        spending budget.  The replay must not touch the trust region — it is
-        not a fresh success or failure, and counting it as one would
-        spuriously shrink (or grow) the region; censored replays obey the
-        same learn_from_timeouts gate as fresh executions.  Plans already
-        *in flight* (batched ask) are skipped outright: there is nothing to
-        learn until their outcome lands.  Novel plans get a policy-chosen
-        timeout and are enqueued.  Shared by the single and batched ask.
+        The engine ranks a candidate pool and asks, best-ranked first, which
+        latent points it may return; a point is admissible when it decodes to
+        a plan that has neither been executed nor is in flight.  An aliasing
+        latent is skipped, not replayed — its outcome is known and already in
+        the surrogate under the latent that ran.  Fewer than ``q`` proposals
+        (none: ``suggest`` returns ``None``) mean no pool held another
+        unexecuted plan: the reachable plan space is exhausted.
         """
-        state.iterations += 1
-        self.overhead.iterations += 1
         engine, query = state.engine, state.query
-        key = plan.canonical()
-        if key in state.executed:
-            latency, censored, _ = state.executed[key]
-            if not censored or self.config.learn_from_timeouts:
-                self._observe(
-                    engine, query, plan, latency, censored, None, x=candidate,
-                    update_trust_region=False,
-                )
-            return None
-        if key in in_flight:
-            return None
-        best_latency = self._best_latency(state.result)
+        latent_space = self.schema_model.latent_space
+        taken = {proposal.plan.canonical() for proposal in state.outstanding.values()}
+        plans: list[JoinTree] = []
+        decode_seconds = 0.0
+
+        def admissible(points: np.ndarray) -> np.ndarray:
+            nonlocal decode_seconds
+            start = time.perf_counter()
+            decoded = latent_space.decode_vectors(points, query)
+            decode_seconds += time.perf_counter() - start
+            keys = [plan.canonical() for plan in decoded]
+            mask = np.array([key not in state.executed and key not in taken for key in keys])
+            if mask.any():  # the engine takes the first point accepted
+                first = int(mask.argmax())
+                taken.add(keys[first])
+                plans.append(decoded[first])
+            return mask
+
+        # A top-up ask may arrive before any init outcome was observed; the
+        # engine proposes uniform latent points until it has data, and
+        # fitting an empty surrogate would raise.
+        if engine.num_observations:
+            start = time.perf_counter()
+            engine.fit()
+            self.overhead.surrogate_update += time.perf_counter() - start
+
+        rounds = engine.acquisition_rounds
         start = time.perf_counter()
-        timeout = state.policy.select(engine, candidate, best_latency, state.observed_latencies)
-        self.overhead.calculate_timeout += time.perf_counter() - start
-        in_flight.add(key)
-        return state.enqueue(
-            PlanProposal(
-                plan=plan,
-                timeout=timeout,
-                source="bo",
-                query=query,
-                metadata={"latent": candidate},
+        candidates = engine.suggest_batch(q, admissible)
+        self.overhead.generate_candidates += time.perf_counter() - start - decode_seconds
+        self.overhead.vae_sampling += decode_seconds
+        self.overhead.iterations += engine.acquisition_rounds - rounds
+
+        best_latency = self._best_latency(state.result)
+        proposals = []
+        for candidate, plan in zip(candidates, plans, strict=True):
+            start = time.perf_counter()
+            timeout = state.policy.select(engine, candidate, best_latency, state.observed_latencies)
+            self.overhead.calculate_timeout += time.perf_counter() - start
+            proposals.append(
+                state.enqueue(
+                    PlanProposal(
+                        plan=plan,
+                        timeout=timeout,
+                        source="bo",
+                        query=query,
+                        metadata={"latent": candidate},
+                    )
+                )
             )
-        )
+        return proposals
 
     def suggest(self, state: BayesQOState) -> PlanProposal | None:
         """Propose the next plan: initialization plans first, then BO candidates."""
         state.require_idle()
         if state.init_queue:
             return self._next_init_proposal(state)
-        engine, query = state.engine, state.query
-        while state.iterations < state.iteration_cap:
-            start = time.perf_counter()
-            engine.fit()
-            self.overhead.surrogate_update += time.perf_counter() - start
-
-            start = time.perf_counter()
-            candidate = engine.suggest()
-            self.overhead.generate_candidates += time.perf_counter() - start
-
-            start = time.perf_counter()
-            plan = self.schema_model.latent_space.decode_vector(candidate, query)
-            self.overhead.vae_sampling += time.perf_counter() - start
-
-            proposal = self._consider_candidate(state, candidate, plan, set())
-            if proposal is not None:
-                return proposal
-        return None
+        proposals = self._bo_proposals(state, 1)
+        return proposals[0] if proposals else None
 
     def suggest_batch(self, state: BayesQOState, q: int) -> list[PlanProposal]:
         """Propose up to ``q`` plans to hold in flight for this query.
@@ -360,14 +375,13 @@ class BayesQO:
         The batched ask: initialization plans are issued first (a batch never
         mixes phases, so the engine only speaks once every init plan is at
         least in flight); afterwards the engine picks ``q`` jointly
-        informative latent candidates in one acquisition round
-        (:meth:`BOEngine.suggest_batch`) and the VAE decodes them in a single
-        vectorized pass.  Plans already executed are replayed from the cache
-        exactly as in :meth:`suggest`; plans already *in flight* are skipped
-        without burning budget.  ``q <= 1`` on an idle state delegates to
-        :meth:`suggest`, so single-proposal traces stay bit-for-bit
-        identical; a top-up ask (proposals already outstanding) always takes
-        the batch path, which does not require idleness.
+        informative latent candidates in one ask
+        (:meth:`BOEngine.suggest_batch`), each the best-ranked one whose plan
+        is neither executed, in flight nor already in the batch.  ``q <= 1``
+        on an idle state delegates to :meth:`suggest`, so single-proposal
+        traces stay bit-for-bit identical; a top-up ask (proposals already
+        outstanding) always takes the batch path, which does not require
+        idleness.
         """
         if q <= 1 and state.outstanding_count == 0:
             proposal = self.suggest(state)
@@ -377,34 +391,7 @@ class BayesQO:
             while state.init_queue and len(proposals) < q:
                 proposals.append(self._next_init_proposal(state))
             return proposals
-        engine, query = state.engine, state.query
-        in_flight = {proposal.plan.canonical() for proposal in state.outstanding.values()}
-        while len(proposals) < q and state.iterations < state.iteration_cap:
-            # A top-up ask may arrive before any init outcome was observed;
-            # the engine proposes random latent points until it has data, and
-            # fitting an empty surrogate would raise.
-            if engine.num_observations:
-                start = time.perf_counter()
-                engine.fit()
-                self.overhead.surrogate_update += time.perf_counter() - start
-
-            start = time.perf_counter()
-            candidates = engine.suggest_batch(q - len(proposals))
-            self.overhead.generate_candidates += time.perf_counter() - start
-
-            start = time.perf_counter()
-            plans = self.schema_model.latent_space.decode_vectors(
-                np.asarray(candidates), query
-            )
-            self.overhead.vae_sampling += time.perf_counter() - start
-
-            for candidate, plan in zip(candidates, plans):
-                if len(proposals) >= q or state.iterations >= state.iteration_cap:
-                    break
-                proposal = self._consider_candidate(state, candidate, plan, in_flight)
-                if proposal is not None:
-                    proposals.append(proposal)
-        return proposals
+        return self._bo_proposals(state, q)
 
     def observe(self, state: BayesQOState, outcome: ExecutionOutcome) -> None:
         """Record a pending proposal's outcome and update the surrogate.
@@ -517,13 +504,10 @@ class BayesQO:
         censored: bool,
         observed_latencies: list[float] | None,
         x: np.ndarray | None = None,
-        update_trust_region: bool = True,
     ) -> None:
         if x is None:
             x = self.schema_model.latent_space.embed_plan(plan, query)
-        engine.add_observation(
-            x, math.log(max(latency, _MIN_LATENCY)), censored, update_trust_region=update_trust_region
-        )
+        engine.add_observation(x, math.log(max(latency, _MIN_LATENCY)), censored)
         if observed_latencies is not None and not censored:
             observed_latencies.append(latency)
 

@@ -326,7 +326,7 @@ class OptimizerState(_ProposalLedger):
     outstanding: dict = field(default_factory=dict)
     proposal_counter: int = 0
     #: Set when the optimizer has nothing left to suggest (hint space drained,
-    #: iteration cap reached) independent of the budget.
+    #: reachable plan space exhausted) independent of the budget.
     exhausted: bool = False
 
     @property

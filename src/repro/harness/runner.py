@@ -759,13 +759,17 @@ class WorkloadSession:
                     proposals = suggest_proposals(optimizer, state, want)
                     if not proposals:
                         if want > 0:
-                            # Asked and got nothing: the technique is done
-                            # with this query regardless of budget.
+                            # Asked and got nothing: whatever the technique
+                            # can reach has been tried (BayesQO: no candidate
+                            # pool held an unexecuted plan), regardless of
+                            # budget.  Outcomes still in flight cannot undo
+                            # that — their plans stay masked once executed.
                             state.exhausted = True
                         if state.outstanding_count == 0:
                             results[state.query.name] = optimizer.finish(state)
                         # else: parked — it re-enters the ready list when one
-                        # of its outstanding outcomes lands.
+                        # of its outstanding outcomes lands, and finishes
+                        # with the last of them.
                         continue
                     requests = [
                         self._request(proposal, state.query) for proposal in proposals

@@ -69,12 +69,8 @@ class LatentSpace:
         )
         return self.embed_tokens(tokens)
 
-    def decode_vector(self, vector: np.ndarray, query: Query) -> JoinTree:
-        """Decode one latent vector to a valid join tree for ``query``."""
-        tokens = self.model.decode_tokens(np.atleast_2d(vector))[0]
-        return self.codec.decode([int(token) for token in tokens], query)
-
     def decode_vectors(self, vectors: np.ndarray, query: Query) -> list[JoinTree]:
+        """Decode latent vectors (one, or one per row) to valid join trees for ``query``."""
         tokens = self.model.decode_tokens(np.atleast_2d(vectors))
         return [self.codec.decode([int(t) for t in row], query) for row in tokens]
 

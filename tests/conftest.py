@@ -117,6 +117,20 @@ def tiny_three_table_query() -> Query:
 
 
 @pytest.fixture(scope="session")
+def tiny_two_table_query() -> Query:
+    """Six plans (two join orders x three operators): any budget outlasts it.
+    The filter keeps its executions apart from other tests' two-table joins
+    in the session database's execution cache."""
+    return Query(
+        name="tiny_q3",
+        table_refs=[TableRef("orders#1", "orders"), TableRef("product#1", "product")],
+        join_predicates=[JoinPredicate("orders#1", "product_id", "product#1", "id")],
+        filters=[FilterPredicate("product#1", "category", "=", 5)],
+        template="tiny_T3",
+    )
+
+
+@pytest.fixture(scope="session")
 def tiny_vocabulary(tiny_schema):
     return build_vocabulary(tiny_schema, max_aliases=2)
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import BalsaOptimizer, BaoOptimizer, LimeQOOptimizer, RandomSearch
+from repro.bo.acquisition import best_admissible, thompson_scores
 from repro.bo.loop import BOEngine, BOEngineConfig
 from repro.bo.svgp import SVGPConfig
 from repro.core import BayesQO, BayesQOConfig
@@ -33,6 +34,7 @@ from repro.core.protocol import (
     ExecutionOutcome,
     drive_state,
     issue_allowance,
+    suggest_proposals,
 )
 from repro.core.registry import get_technique, technique_names
 from repro.core.timeout import (
@@ -289,6 +291,85 @@ class TestOutOfOrderResolution:
         assert issue_allowance(state, 8) == 0
 
 
+# ------------------------------------------- no proposal is a plan that ran
+class TestNoDuplicateProposals:
+    @pytest.mark.parametrize("learn_from_timeouts", [True, False])
+    @pytest.mark.parametrize("q", [1, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_proposals_are_novel_and_the_surrogate_holds_one_point_per_outcome(
+        self, seed, q, learn_from_timeouts, tiny_workload, tiny_schema_model
+    ):
+        database = tiny_workload.database
+        for query in tiny_workload.queries:
+            optimizer = BayesQO(database, tiny_schema_model, config=BayesQOConfig(
+                max_executions=30, num_candidates=32, seed=seed,
+                learn_from_timeouts=learn_from_timeouts,
+            ))
+            state = optimizer.start(query)
+            while state.budget_left() or state.outstanding_count:
+                asked = suggest_proposals(optimizer, state, issue_allowance(state, q))
+                in_flight = [p.plan.canonical() for p in state.outstanding.values()]
+                assert len(set(in_flight)) == len(in_flight)
+                assert all(p.source != "bo" or p.plan.canonical() not in state.executed for p in asked)
+                if not in_flight:
+                    break
+                # Land the older half only: the next ask is a top-up beside
+                # proposals still in flight.
+                for proposal in list(state.outstanding.values())[: max(1, len(in_flight) // 2)]:
+                    execution = database.execute(query, proposal.plan, timeout=proposal.timeout)
+                    optimizer.observe(state, ExecutionOutcome.from_execution(
+                        execution, proposal.timeout, proposal_id=proposal.proposal_id
+                    ))
+            trace = state.result.trace
+            # Short of the budget only when an ask with nothing in flight
+            # came back empty: no pool held another unexecuted plan.
+            assert len(trace) == 30 or (not asked and state.budget_left())
+            bo_plans = [r.plan.canonical() for r in trace if r.source == "bo"]
+            assert len(set(bo_plans)) == len(bo_plans)
+            reached = sum(
+                1 for r in trace if r.source != "bo" or learn_from_timeouts or not r.censored
+            )
+            assert state.engine.num_observations == reached
+
+    def test_drive_state_batched_ends_an_exhausted_query_once(
+        self, tiny_workload, tiny_schema_model, tiny_two_table_query
+    ):
+        optimizer = BayesQO(tiny_workload.database, tiny_schema_model, config=BAYES_CONFIG)
+        state = optimizer.start(tiny_two_table_query, budget=BudgetSpec(max_executions=40))
+        drive_state(optimizer, tiny_workload.database, state, q=4)
+        plans = [record.plan.canonical() for record in state.result.trace]
+        assert state.exhausted and state.outstanding_count == 0
+        assert len(plans) == len(set(plans)) <= 6
+        assert optimizer.suggest_batch(state, 4) == []
+
+    def test_session_finishes_an_exhausted_query_once_after_its_outcomes_land(
+        self, tiny_workload, tiny_schema_model, tiny_two_table_query, monkeypatch
+    ):
+        """The top-up ask that comes back empty arrives while earlier
+        proposals are still in flight; the state is parked, not finished,
+        and finishes when the last of them lands."""
+        finished = []
+        finish = BayesQO.finish
+
+        def counted(self, state):
+            finished.append((state.query.name, state.outstanding_count))
+            return finish(self, state)
+
+        monkeypatch.setattr(BayesQO, "finish", counted)
+        single = type(tiny_workload)(
+            name=tiny_workload.name, database=tiny_workload.database,
+            queries=[tiny_two_table_query], max_aliases=tiny_workload.max_aliases,
+        )
+        with make_session(
+            single, tiny_schema_model, budget=BudgetSpec(max_executions=40),
+            max_workers=3, batch_size=4, interleave=True,
+        ) as session:
+            results = session.run("bayesqo")
+        assert finished == [("tiny_q3", 0)]
+        plans = [record.plan.canonical() for record in results["tiny_q3"].trace]
+        assert len(plans) == len(set(plans)) <= 6
+
+
 # ----------------------------------------------------- engine batch acquisition
 class TestEngineSuggestBatch:
     def make_engine(self, num_points: int = 12, **config) -> BOEngine:
@@ -313,6 +394,94 @@ class TestEngineSuggestBatch:
         right = self.make_engine(num_candidates=64)
         for _ in range(3):
             np.testing.assert_array_equal(left.suggest(), right.suggest_batch(1)[0])
+
+    @pytest.mark.parametrize("strategy", ["fantasize", "thompson"])
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_an_admissible_that_accepts_everything_changes_nothing(self, strategy, q):
+        left = self.make_engine(batch_strategy=strategy, num_candidates=64)
+        right = self.make_engine(batch_strategy=strategy, num_candidates=64)
+        for _ in range(3):
+            plain = left.suggest_batch(q)
+            masked = right.suggest_batch(q, lambda points: np.ones(len(points), dtype=bool))
+            np.testing.assert_array_equal(np.stack(plain), np.stack(masked))
+
+    @pytest.mark.parametrize("strategy", ["fantasize", "thompson"])
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_every_pick_is_admissible_and_asked_about_in_doubling_chunks(self, strategy, q):
+        engine = self.make_engine(batch_strategy=strategy, num_candidates=64)
+        asked = []
+
+        def admissible(points):
+            asked.append(len(points))
+            return points[:, 0] > points[:, 1]
+
+        batch = np.stack(engine.suggest_batch(q, admissible))
+        assert len(np.unique(batch, axis=0)) == q and (batch[:, 0] > batch[:, 1]).all()
+        # Every walk of the ranking starts over at one candidate.
+        assert asked[0] == 1 and all(b in (1, 2 * a) for a, b in zip(asked, asked[1:]))
+
+    @pytest.mark.parametrize("strategy", ["fantasize", "thompson"])
+    def test_a_single_pick_is_mask_then_argmin(self, strategy):
+        engine = self.make_engine(batch_strategy=strategy, num_candidates=64)
+        oracle = self.make_engine(batch_strategy=strategy, num_candidates=64)
+        admissible = lambda points: points[:, 0] > points[:, 1]  # noqa: E731
+        point = engine.suggest(admissible)
+        # The same RNG stream by hand: pool, one Thompson draw, mask, argmin.
+        pool = oracle._local_candidates.generate(
+            64, oracle.rng, center=oracle._normalize(oracle.best_point())[0]
+        )
+        scores = thompson_scores(oracle.surrogate, pool, oracle.rng)
+        scores[~admissible(oracle._denormalize(pool))] = np.inf
+        np.testing.assert_array_equal(point, oracle._denormalize(pool[np.argmin(scores)])[0])
+
+    def test_trust_region_pool_without_an_admissible_point_is_redrawn_globally(self):
+        engine = self.make_engine(num_candidates=64)
+        best = engine.best_point()
+        # The trust region (length 0.8) reaches 0.4 from the incumbent.
+        far = lambda points: np.abs(points[:, 0] - best[0]) > 0.41  # noqa: E731
+        rounds = engine.acquisition_rounds
+        point = engine.suggest(far)
+        assert far(point[None])[0]
+        assert engine.acquisition_rounds == rounds + 2
+        engine.suggest(lambda points: np.ones(len(points), dtype=bool))
+        assert engine.acquisition_rounds == rounds + 3
+
+    def test_nothing_admissible_ends_the_ask_after_two_rounds(self):
+        engine = self.make_engine(num_candidates=64)
+        calls = []
+
+        def nothing(points):
+            calls.append(len(points))
+            return np.zeros(len(points), dtype=bool)
+
+        rounds = engine.acquisition_rounds
+        assert engine.suggest(nothing) is None
+        assert engine.suggest_batch(4, nothing) == []
+        assert engine.acquisition_rounds == rounds + 4
+        # 64 candidates in chunks of 1, 2, 4, ...: seven calls per pool.
+        assert calls == [1, 2, 4, 8, 16, 32, 1] * 4
+        # Without a trust region there is no second pool to draw.
+        flat = self.make_engine(num_candidates=64, use_trust_region=False)
+        assert flat.suggest(nothing) is None and flat.acquisition_rounds == 1
+
+    def test_best_admissible_masks_what_it_rejected_and_what_it_picked(self):
+        scores = np.array([0.3, 0.1, 0.5, 0.2, 0.4])
+        points = np.arange(5.0)[:, None]
+        masked = np.zeros(5, dtype=bool)
+        asked = []
+
+        def odd(chunk):
+            asked.append(chunk[:, 0].tolist())
+            return chunk[:, 0] % 2 == 0
+
+        assert best_admissible(scores, masked, points, odd) == 0
+        # Ranking 1, 3, 0, 4, 2: asked [1], then [3, 0]; 4 and 2 never asked.
+        assert asked == [[1.0], [3.0, 0.0]]
+        assert masked.tolist() == [True, True, False, True, False]
+        assert best_admissible(scores, masked, points, odd) == 4
+        assert best_admissible(scores, masked, points, odd) == 2
+        assert best_admissible(scores, masked, points, odd) is None
+        assert best_admissible(scores, np.zeros(5, dtype=bool), points) == 1
 
     def test_suggest_batch_before_observations_is_random(self):
         engine = BOEngine(np.zeros(3), np.ones(3), seed=1)

@@ -6,8 +6,10 @@ refit, the rank-1 updates and the imputation against the dense reference in
 """
 
 import itertools
+import json
 import pickle
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,7 @@ from repro.bo.censored import (
 )
 from repro.bo.gp import CensoredGP, ExactGP
 from repro.bo.kernels import Kernel, Matern52Kernel, RBFKernel, pairwise_sqdist
-from repro.bo.loop import BOEngine
-from repro.core import BayesQO, BayesQOConfig, drive_query
+from repro.bo.loop import BOEngine, BOEngineConfig
 from repro.exceptions import ModelError
 
 
@@ -265,41 +266,38 @@ class TestLikelihoodObjectiveOracle:
         assert np.array_equal(clone.predict(x)[0], fitted.predict(x)[0])
 
 
-def _record_stream(workload, schema_model, query):
-    """The observations a BayesQO run fed its surrogate, in order.
+STREAMS = Path(__file__).parent / "data" / "replay_streams.npz"
 
-    The budget exceeds the query's plan space, so most BO iterations decode
-    to a plan already executed and replay its (mostly censored) outcome into
-    the surrogate under a new latent point: the ``opt_bo_bound`` regime.
+
+def _recorded_stream(name: str) -> BOEngine:
+    """A stream BayesQO fed its surrogate before PR 16, frozen at that commit.
+
+    Recorded on the two ``tiny_workload`` queries at a budget above their plan
+    space (B=35, 64 candidates, seed 0), when a BO iteration that decoded to
+    a plan already executed replayed its (mostly censored) outcome into the
+    surrogate under the new latent point.  The driver no longer produces
+    such streams; as a test bed for the surrogate they are as hard as ever.
     """
-    optimizer = BayesQO(
-        workload.database, schema_model,
-        config=BayesQOConfig(max_executions=35, num_candidates=64, seed=0),
-    )
-    engines = []
-    finish = optimizer.finish
-
-    def keep_engine(state):
-        engines.append(state.engine)
-        return finish(state)
-
-    optimizer.finish = keep_engine
-    result = drive_query(optimizer, workload.database, query)
-    # Most BO iterations spent no budget: they replayed an executed plan.
-    assert optimizer.overhead.iterations >= 4 * result.num_executions
-    return engines[0]
+    with np.load(STREAMS) as data:
+        engine = BOEngine(
+            data[f"{name}_lower"], data[f"{name}_upper"],
+            config=BOEngineConfig(**json.loads(str(data["engine_config"]))), seed=0,
+        )
+        for x, y, censored in zip(data[f"{name}_x"], data[f"{name}_y"], data[f"{name}_censored"]):
+            engine.add_observation(x, y, censored)
+    return engine
 
 
 @pytest.fixture(scope="module")
-def replay_stream(tiny_workload, tiny_schema_model):
+def replay_stream():
     """The four-table query's stream: one likelihood mode from start to end."""
-    return _record_stream(tiny_workload, tiny_schema_model, tiny_workload.queries[0])
+    return _recorded_stream("replay")
 
 
 @pytest.fixture(scope="module")
-def bimodal_stream(tiny_workload, tiny_schema_model):
+def bimodal_stream():
     """The three-table query's stream: two likelihood modes while n < 40."""
-    return _record_stream(tiny_workload, tiny_schema_model, tiny_workload.queries[1])
+    return _recorded_stream("bimodal")
 
 
 def _replay(recorded: BOEngine):
@@ -309,7 +307,7 @@ def _replay(recorded: BOEngine):
     xs, ys, censored = recorded.observations()
     engine = BOEngine(recorded.lower, recorded.upper, config=recorded.config, seed=0)
     for count, (x, y, flag) in enumerate(zip(xs, ys, censored), start=1):
-        engine.add_observation(x, y, flag, update_trust_region=False)
+        engine.add_observation(x, y, flag)
         if count < 5:  # the initialization plans arrive before the first fit
             continue
         before = engine._surrogate and (engine._surrogate.gp.kernel, engine._surrogate.gp.noise)

@@ -276,29 +276,3 @@ class TestWarmEngine:
             mean, std = engine.fantasize_censored(candidate, float(level))
             assert means[i] == pytest.approx(mean, abs=ATOL)
             assert stds[i] == pytest.approx(std, abs=ATOL)
-
-    def test_replay_does_not_update_trust_region(self):
-        """Satellite regression: replayed observations must leave the trust
-        region untouched (a cached replay is not a fresh failure/success)."""
-        engine = self.make_engine(refit_every=5)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            engine.add_observation(rng.random(3), 1.0)
-        before = (
-            engine.trust_region.length,
-            engine.trust_region.success_count,
-            engine.trust_region.failure_count,
-            len(engine.trust_region.history),
-        )
-        engine.add_observation(rng.random(3), 5.0, update_trust_region=False)
-        after = (
-            engine.trust_region.length,
-            engine.trust_region.success_count,
-            engine.trust_region.failure_count,
-            len(engine.trust_region.history),
-        )
-        assert before == after
-        assert engine.num_observations == 6
-        # The default path still updates the region.
-        engine.add_observation(rng.random(3), 5.0)
-        assert len(engine.trust_region.history) == before[3] + 1

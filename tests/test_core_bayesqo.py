@@ -1,10 +1,20 @@
 """Integration tests for the BayesQO optimizer on the tiny database."""
 
+import json
+import time
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.core import BayesQO, BayesQOConfig, reoptimize
+from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, reoptimize
 from repro.core.cache import PlanCache
+from repro.core.optimizer import train_schema_model
+from repro.core.protocol import drive_state
 from repro.exceptions import OptimizationError
+
+#: What the parent of PR 16 did on these fixtures (``comment`` inside).
+PARENT = json.loads((Path(__file__).parent / "data" / "parent_pr15.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +119,92 @@ class TestConfigVariants:
         optimizer = BayesQO(tiny_database, tiny_schema_model, config=config)
         result = optimizer.optimize(tiny_three_table_query)
         assert result.num_executions >= 1
+
+
+# ------------------------------------------------- every BO proposal is a plan that has not run
+def _optimize(database, schema_model, query, **config):
+    """One q=1 run at the recording set-up of ``parent_pr15.json``."""
+    config = {"max_executions": 35, "num_candidates": 64, "seed": 0, **config}
+    optimizer = BayesQO(database, schema_model, config=BayesQOConfig(**config))
+    state = optimizer.start(query)
+    drive_state(optimizer, database, state)
+    return optimizer, state
+
+
+@pytest.fixture(scope="module")
+def job_small_schema_model(job_workload_small):
+    config = VAETrainingConfig(
+        latent_dim=8, embed_dim=8, hidden_dim=48, training_steps=120, corpus_queries=24, seed=3
+    )
+    return train_schema_model(
+        job_workload_small.database, job_workload_small.queries, config,
+        max_aliases=job_workload_small.max_aliases,
+    )
+
+
+class TestProposalsSpendBudget:
+    @pytest.mark.parametrize("name", ["tiny_q1", "tiny_q2"])
+    def test_budget_above_the_comfortable_plan_space_is_spent(
+        self, name, tiny_workload, tiny_schema_model
+    ):
+        """The parent stranded 12 and 18 of these 35 executions: it met its
+        ``5 * B`` iteration cap replaying plans that had already run."""
+        parent = PARENT["budget_35_seed_0"][name]
+        assert (parent["executions"], parent["iterations"]) in {(23, 175), (17, 175)}
+        optimizer, state = _optimize(
+            tiny_workload.database, tiny_schema_model, tiny_workload.query(name)
+        )
+        assert state.result.num_executions == 35
+        assert not state.exhausted
+        assert optimizer.overhead.iterations <= 2 * state.result.num_executions
+        assert state.result.best_latency <= parent["best_latency"] * (1 + 1e-9)
+
+    @pytest.mark.parametrize("name", ["JOB_2a", "JOB_3c", "JOB_4b"])
+    def test_best_latency_at_equal_budget_is_no_worse_than_the_parents(
+        self, name, job_workload_small, job_small_schema_model
+    ):
+        parent = PARENT["budget_35_seed_0"][name]
+        optimizer, state = _optimize(
+            job_workload_small.database, job_small_schema_model, job_workload_small.query(name)
+        )
+        assert state.result.num_executions == 35 >= parent["executions"]
+        assert optimizer.overhead.iterations <= 2 * state.result.num_executions
+        assert state.result.best_latency <= parent["best_latency"] * (1 + 1e-9)
+
+    @pytest.mark.parametrize("key", sorted(PARENT["never_aliasing_traces"]))
+    def test_where_the_parent_never_met_a_duplicate_the_trace_is_the_parents(
+        self, key, tiny_workload, tiny_schema_model
+    ):
+        """Rank-ordered masking is "mask, then argmin": with nothing to mask
+        the pick, the RNG stream and so the whole trace are the old loop's."""
+        recorded = PARENT["never_aliasing_traces"][key]
+        optimizer, state = _optimize(
+            tiny_workload.database, tiny_schema_model, tiny_workload.query(key.split("/")[0]),
+            max_executions=recorded["max_executions"], seed=recorded["seed"],
+        )
+        trace = state.result.trace_signature()
+        assert len(trace) == len(recorded["trace"])
+        for (plan, latency, censored, timeout, source), theirs in zip(trace, recorded["trace"]):
+            assert [plan, censored, source] == [theirs[0], theirs[2], theirs[4]]
+            assert [latency, timeout] == pytest.approx([theirs[1], theirs[3]], rel=1e-9)
+        # One pool per BO execution, each candidate decoded was the top one.
+        assert optimizer.overhead.iterations == state.result.sources()["bo"]
+
+    def test_reachable_plan_space_smaller_than_the_budget_ends_the_run(
+        self, tiny_database, tiny_schema_model, tiny_two_table_query
+    ):
+        query = tiny_two_table_query
+        start = time.perf_counter()
+        optimizer, state = _optimize(tiny_database, tiny_schema_model, query, max_executions=40)
+        assert time.perf_counter() - start < 1.0
+        # Two join orders x three join operators, each executed exactly once.
+        plans = [record.plan.canonical() for record in state.result.trace]
+        assert len(plans) == len(set(plans)) == len(state.executed) <= 6
+        assert state.exhausted and state.budget.remaining_executions(state.result) > 0
+        assert optimizer.suggest(state) is None
+        # Exhaustion is a statement about what the latent space decodes to.
+        latent_space = tiny_schema_model.latent_space
+        sample = latent_space.random_vectors(512, np.random.default_rng(0))
+        assert {p.canonical() for p in latent_space.decode_vectors(sample, query)} <= set(plans)
+        # The asks that found nothing drew a trust-region and a global pool.
+        assert optimizer.overhead.iterations <= 2 * (len(plans) + 2)

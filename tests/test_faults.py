@@ -809,6 +809,43 @@ class TestCheckpointDiscardLogging:
         with WorkloadSession(tiny_workload, budget=BudgetSpec(max_executions=6), seed=5) as session:
             assert resumed == signatures(session.run("bao"))
 
+    def test_bayesqo_state_pickled_before_pr16_resumes(
+        self, tiny_workload, tiny_schema_model, tmp_path
+    ):
+        # Before PR 16 a BayesQOState counted loop steps against a cap
+        # (``iterations``/``iteration_cap``) and its engine did not count
+        # acquisition rounds.  Extra fields are not a stale layout: the
+        # checkpoint resumes, silently, and never into an AttributeError.
+        kwargs = dict(
+            budget=BudgetSpec(max_executions=14), seed=5, schema_model=tiny_schema_model,
+            bayes_config=BayesQOConfig(max_executions=14, num_candidates=64, seed=5),
+        )
+        path = str(tmp_path / "session.ckpt")
+        with WorkloadSession(tiny_workload, **kwargs) as session:
+            reference = signatures(session.run("bayesqo"))
+        killed = WorkloadSession(
+            tiny_workload, backend=_KillAfter(tiny_workload.database, kills_at=9),
+            checkpoint_path=path, checkpoint_every=1, **kwargs,
+        )
+        with pytest.raises(_SessionKilled):
+            killed.run("bayesqo")
+        checkpoint = CheckpointManager(path).load()
+        assert checkpoint.state.engine.num_observations == 9
+        checkpoint.state.__dict__.update(iterations=4, iteration_cap=70)
+        checkpoint.state.engine.__dict__.pop("acquisition_rounds")
+        CheckpointManager(path).save(checkpoint)
+        records, handler, logger, previous = self._capture()
+        try:
+            with WorkloadSession(
+                tiny_workload, checkpoint_path=path, checkpoint_every=1, **kwargs
+            ) as session:
+                resumed = signatures(session.run("bayesqo"))
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(previous)
+        assert not [r.getMessage() for r in records if r.levelname == "WARNING"]
+        assert resumed == reference
+
     def test_cold_start_is_only_a_debug_line(self, tmp_path):
         from repro.harness.checkpoint import tolerant_pickle_load
 

@@ -137,7 +137,7 @@ class TestLatentSpace:
         plan = tiny_database.plan(tiny_query)
         vector = latent.embed_plan(plan, tiny_query)
         assert vector.shape == (latent.dim,)
-        decoded = latent.decode_vector(vector, tiny_query)
+        (decoded,) = latent.decode_vectors(vector, tiny_query)
         decoded.validate_for_query(tiny_query)
 
     def test_decode_random_vectors_always_valid(self, latent, tiny_query, rng):
