@@ -3,15 +3,18 @@
 The observability layer's contract is "free when off, cheap when on, and it
 never perturbs what it observes".  This benchmark drives the serve stream of
 ``bench_serve.py`` twice — once untraced, once through a live
-:class:`~repro.obs.Tracer` — and gates on:
+:class:`~repro.obs.Tracer` — and gates on what that contract means, each
+check deterministic:
 
-* **disabled overhead** — with the default :data:`~repro.obs.NULL_TRACER`,
-  the serve fast path costs at most 2% more than an untraced replica of the
-  same lookup (measured over a poisoned database, min-of-trials).
-* **traced overhead** — with a live tracer the fast path costs at most 10%
-  more.  The steady state records only *causally novel* arrivals (first
-  arrival per fingerprint, first after each admission/upsert), so repeat
-  arrivals cost one dict probe.
+* **free when off** — with tracing disabled, ``serve()`` reads the tracer's
+  ``enabled`` flag and nothing else: a stand-in tracer on which every other
+  attribute raises serves the whole probe (over a poisoned database, so the
+  fast path is also shown to plan and execute nothing).
+* **cheap when on** — with a live tracer the steady state records only
+  *causally novel* arrivals (first arrival per fingerprint, first after each
+  admission/upsert): a repeat arrival whose last chain event is already an
+  arrival records no span, so the probe's span count stops growing after its
+  first round.
 * **determinism** — the traced and untraced streams produce bit-for-bit
   identical serve traces: telemetry observes, never decides.
 * **causal chains** — from the traced stream's flat span list, at least one
@@ -20,8 +23,12 @@ never perturbs what it observes".  This benchmark drives the serve stream of
   *follows* an admission verdict, which *follows* the arrival that tripped
   it.
 
-``disabled_overhead_ratio`` and ``traced_overhead_ratio`` are the headline
-metrics tracked by ``bench_trend.py``.
+``disabled_serve_us`` and ``traced_serve_us`` (min-of-trials cost of one
+fast-path serve) are reported as plain numbers and tracked, warn-only, by
+``bench_trend.py``.  They are not gated: a fast-path serve is a few dict
+probes, and a ratio of two ~2 us loops measures the machine's mood.  The
+budget for tracing overhead is ``obs.trace_overhead_ratio`` of the
+end-to-end benchmark (``benchmarks/e2e``).
 
 Run:  PYTHONPATH=src python benchmarks/bench_obs.py [--smoke] [--json PATH] [--trace PATH]
 """
@@ -36,12 +43,11 @@ from collections import Counter as TallyCounter
 
 from repro.core.protocol import BudgetSpec
 from repro.db.query import Query
-from repro.obs import NULL_TRACER, Tracer, write_chrome_trace
+from repro.obs import Tracer, write_chrome_trace
 from repro.serve import (
     DriftEvent,
     PlanServer,
     ServeConfig,
-    ServeDecision,
     TrafficConfig,
     TrafficGenerator,
     drive_stream,
@@ -61,15 +67,21 @@ MAINTENANCE_EVERY = 25
 QPS_PROBES = 20_000
 PROBE_TRIALS = 7
 
-DISABLED_GATE = 1.02
-TRACED_GATE = 1.10
-
 
 class _PoisonedDatabase:
     """Any attribute access raises — the probe must stay a pure store lookup."""
 
     def __getattr__(self, name: str):
         raise AssertionError(f"fast path touched database.{name}")
+
+
+class _DisabledTracer:
+    """A disabled tracer on which everything but ``enabled`` raises."""
+
+    enabled = False
+
+    def __getattr__(self, name: str):
+        raise AssertionError(f"serve() with tracing off touched tracer.{name}")
 
 
 def _serve_config() -> ServeConfig:
@@ -90,20 +102,6 @@ def _traffic_config(arrivals: int) -> TrafficConfig:
         burst_length=40,
         drift_events=(DriftEvent(index=arrivals // 2, cutoff=None),),
     )
-
-
-def _untraced_serve(server: PlanServer, query: Query) -> ServeDecision:
-    """The pre-instrumentation fast path, verbatim — the overhead baseline."""
-    server.counters.arrivals += 1
-    entry = server.store.get(query)
-    if entry is not None and entry.best_plan is not None:
-        entry.serves += 1
-        server.counters.fast_path += 1
-        server.admission.note_arrival(entry.fingerprint, entry.optimized)
-        return ServeDecision(
-            query=query, plan=entry.best_plan, source="store", fingerprint=entry.fingerprint
-        )
-    raise AssertionError("overhead probe queries must all be store hits")
 
 
 def _probe(serve, queries: list[Query]) -> float:
@@ -165,17 +163,20 @@ def run_benchmark(arrivals: int, num_queries: int, trace_path: str | None = None
         if trace_path is not None:
             write_chrome_trace(spans, trace_path, process_name="bench_obs")
 
-        # ------------------------------------------------------ overhead probes
+        # ------------------------------------------------------ fast-path probes
         # All against a poisoned database: pure store lookups, no execution.
         known = [entry.query for entry in server.store.entries.values()]
         live_database = server.database
         server.database = _PoisonedDatabase()
         try:
-            baseline_s = _probe(lambda q: _untraced_serve(server, q), known)
-            server.tracer = NULL_TRACER
+            server.tracer = _DisabledTracer()
             disabled_s = _probe(server.serve, known)
-            server.tracer = Tracer(capacity=262_144)
+            server.tracer = probe_tracer = Tracer(capacity=262_144)
+            for query in known:
+                server.serve(query)
+            first_round_spans = len(probe_tracer.spans())
             traced_s = _probe(server.serve, known)
+            repeat_arrival_spans = len(probe_tracer.spans()) - first_round_spans
         finally:
             server.database = live_database
             server.tracer = tracer
@@ -190,13 +191,13 @@ def run_benchmark(arrivals: int, num_queries: int, trace_path: str | None = None
         "span_names": dict(sorted(names.items())),
         "complete_chains": count_causal_chains(spans),
         "traced_equals_untraced": traced_result.trace() == untraced_result.trace(),
-        "baseline_serve_us": baseline_s / QPS_PROBES * 1e6,
+        # The probes above would have raised on any touch.
+        "fast_path_pure": True,
+        "disabled_touches_only_enabled": True,
+        "first_round_spans": first_round_spans,
+        "repeat_arrival_spans": repeat_arrival_spans,
         "disabled_serve_us": disabled_s / QPS_PROBES * 1e6,
         "traced_serve_us": traced_s / QPS_PROBES * 1e6,
-        "disabled_overhead_ratio": disabled_s / baseline_s,
-        "traced_overhead_ratio": traced_s / baseline_s,
-        "disabled_gate": DISABLED_GATE,
-        "traced_gate": TRACED_GATE,
     }
 
 
@@ -204,15 +205,12 @@ def gate_failures(report: dict, smoke: bool) -> list[str]:
     failures = []
     if not smoke and report["arrivals"] < 500:
         failures.append("stream shorter than the 500-arrival gate")
-    if report["disabled_overhead_ratio"] > DISABLED_GATE:
+    if report["first_round_spans"] > report["distinct_queries"]:
+        failures.append("a probe arrival recorded more than one span")
+    if report["repeat_arrival_spans"]:
         failures.append(
-            f"disabled-tracing overhead {report['disabled_overhead_ratio']:.3f} "
-            f"exceeds {DISABLED_GATE}"
-        )
-    if report["traced_overhead_ratio"] > TRACED_GATE:
-        failures.append(
-            f"enabled-tracing overhead {report['traced_overhead_ratio']:.3f} "
-            f"exceeds {TRACED_GATE}"
+            f"{report['repeat_arrival_spans']} spans recorded by repeat arrivals "
+            "whose last chain event was an arrival"
         )
     if not report["traced_equals_untraced"]:
         failures.append("tracing changed the serve stream (determinism broken)")
@@ -239,11 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{report['distinct_queries']} distinct queries"
     )
     print(
-        f"  fast path   baseline {report['baseline_serve_us']:.2f}us, "
-        f"disabled {report['disabled_serve_us']:.2f}us "
-        f"(x{report['disabled_overhead_ratio']:.3f}, gate {DISABLED_GATE}), "
-        f"traced {report['traced_serve_us']:.2f}us "
-        f"(x{report['traced_overhead_ratio']:.3f}, gate {TRACED_GATE})"
+        f"  fast path   tracing off {report['disabled_serve_us']:.2f}us per serve "
+        f"(reads tracer.enabled only), on {report['traced_serve_us']:.2f}us "
+        f"({report['first_round_spans']} spans in the first probe round, "
+        f"{report['repeat_arrival_spans']} in {QPS_PROBES * PROBE_TRIALS} repeats)"
     )
     print(
         f"  trace       {report['spans']} spans across "

@@ -41,6 +41,7 @@ rebuilds its replica with a fresh, private cache and warms it alongside
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -155,19 +156,30 @@ def query_fingerprint(query: "Query") -> tuple:
     same query share cache entries, and reused names with different filters
     never collide.  Filter values may be lists (``in`` predicates); they are
     rendered to strings so the fingerprint stays hashable.
+
+    Computed once per ``Query`` object and kept on it (``Query._fingerprint``):
+    the three sorts below cost ~8 us for a six-table query, which is most of a
+    store lookup and twice per execution.  The memo cannot go stale because a
+    ``Query`` stores its content fields as tuples; a query unpickled from
+    before the memo existed simply computes it on first use.
     """
-    tables = tuple(sorted((ref.alias, ref.table) for ref in query.table_refs))
-    joins = tuple(
-        sorted(
-            min(
-                (p.left_alias, p.left_column, p.right_alias, p.right_column),
-                (p.right_alias, p.right_column, p.left_alias, p.left_column),
+    fingerprint = query._fingerprint
+    if fingerprint is None:
+        tables = tuple(sorted((ref.alias, ref.table) for ref in query.table_refs))
+        joins = tuple(
+            sorted(
+                min(
+                    (p.left_alias, p.left_column, p.right_alias, p.right_column),
+                    (p.right_alias, p.right_column, p.left_alias, p.left_column),
+                )
+                for p in query.join_predicates
             )
-            for p in query.join_predicates
         )
-    )
-    filters = tuple(sorted((f.alias, f.column, f.op, repr(f.value)) for f in query.filters))
-    return (tables, joins, filters)
+        filters = tuple(
+            sorted((f.alias, f.column, f.op, repr(f.value)) for f in query.filters)
+        )
+        fingerprint = query._fingerprint = (tables, joins, filters)
+    return fingerprint
 
 
 def plan_fingerprint(query: "Query", plan: "JoinTree") -> tuple:
@@ -260,6 +272,10 @@ class ExecutionCache:
         self.config = config or ExecutionCacheConfig()
         self.counters = CacheCounters()
         self._outcomes: dict[tuple, OutcomeEntry] = {}
+        #: Monotone count of outcomes stored (never reset): what a checkpoint
+        #: remembers to later ask for "stored since" — see
+        #: :meth:`export_outcomes`.
+        self.stamp = 0
         # Insertion order doubles as recency order (moved on every hit).
         self._subplans: dict[tuple, SubplanEntry] = {}
         self._subplan_bytes = 0
@@ -290,14 +306,20 @@ class ExecutionCache:
         time-censored logs the one observed to the larger timeout wins.
         """
         existing = self._outcomes.get(key)
-        if existing is not None and not completed:
-            if existing.completed or (existing.work_capped and not work_capped):
-                return
-            if not work_capped and (
-                observed_to is None
-                or (existing.observed_to is not None and existing.observed_to >= observed_to)
-            ):
-                return
+        if existing is not None:
+            if not completed:
+                if existing.completed or (existing.work_capped and not work_capped):
+                    return
+                if not work_capped and (
+                    observed_to is None
+                    or (existing.observed_to is not None and existing.observed_to >= observed_to)
+                ):
+                    return
+            # A replaced entry moves to the dict's end, so the dict's order is
+            # the order of stores and the newest ``n`` stores are its last
+            # ``n`` items (``export_outcomes(since=...)``).  ``pop`` so that two
+            # threads sharing a Database cannot both delete the key.
+            self._outcomes.pop(key, None)
         self._outcomes[key] = OutcomeEntry(
             events=events,
             completed=completed,
@@ -305,15 +327,25 @@ class ExecutionCache:
             output_rows=output_rows,
             work_capped=work_capped,
         )
+        self.stamp += 1
 
-    def export_outcomes(self) -> list[tuple]:
+    def export_outcomes(self, since: int = 0) -> list[tuple]:
         """The outcome cache as plain picklable tuples (for checkpoints).
 
         Only the outcome side travels: it is the part that carries replayable
         execution *results*.  The subplan memo is a pure performance
         structure rebuilt naturally as execution resumes, and its
         intermediates can be large.
+
+        ``since`` is a value :attr:`stamp` had earlier: every entry stored
+        after that moment is exported (and, when a key was stored twice since,
+        as many older ones — harmless to an importer that upserts), at a cost
+        proportional to their number rather than to the size of the cache.
         """
+        items = self._outcomes.items()
+        newer = self.stamp - since
+        if newer < len(items):
+            items = reversed(list(islice(reversed(items), newer)))
         return [
             (
                 key,
@@ -323,7 +355,7 @@ class ExecutionCache:
                 entry.output_rows,
                 entry.work_capped,
             )
-            for key, entry in self._outcomes.items()
+            for key, entry in items
         ]
 
     def import_outcomes(self, payload: Iterable[tuple]) -> int:

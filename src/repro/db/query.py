@@ -85,15 +85,26 @@ class Query:
     template:
         Optional template identifier (used by CEB/Stack-style workloads and
         by the LLM template-generalization experiment).
+
+    The three content fields accept any iterable and are stored as tuples: a
+    ``Query`` is a value, fixed once built (derive a variant with
+    :func:`dataclasses.replace`, which builds a new object).  That is what
+    lets :func:`repro.db.plan_cache.query_fingerprint` compute the content
+    fingerprint once per object and keep it in ``_fingerprint`` — a memo that
+    rides pickles and takes no part in ``==`` or ``repr``.
     """
 
     name: str
-    table_refs: list[TableRef]
-    join_predicates: list[JoinPredicate]
-    filters: list[FilterPredicate] = field(default_factory=list)
+    table_refs: tuple[TableRef, ...]
+    join_predicates: tuple[JoinPredicate, ...]
+    filters: tuple[FilterPredicate, ...] = ()
     template: str | None = None
+    _fingerprint: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.table_refs = tuple(self.table_refs)
+        self.join_predicates = tuple(self.join_predicates)
+        self.filters = tuple(self.filters)
         aliases = [ref.alias for ref in self.table_refs]
         if len(aliases) != len(set(aliases)):
             raise QueryError(f"query {self.name!r} has duplicate aliases")

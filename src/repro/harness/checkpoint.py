@@ -21,6 +21,7 @@ checkpoint leaves the previous checkpoint intact, never a torn file.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -32,20 +33,34 @@ from repro.utils.logging import get_logger
 CHECKPOINT_VERSION = 1
 
 
-def atomic_pickle_save(path: str, payload: object) -> None:
-    """Pickle ``payload`` to ``path`` atomically (temp file + :func:`os.replace`).
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (temp file + :func:`os.replace`).
 
-    A crash mid-write leaves any previous file intact, never a torn one.
-    Shared by :class:`CheckpointManager` and the plan store
-    (:mod:`repro.serve.store`), so every durable artifact in the repository
-    has the same crash-safety story.
+    A crash mid-write leaves any previous file intact, never a torn one, and a
+    write that fails removes its temp file before re-raising.  Every durable
+    artifact in the repository — session checkpoints and the plan store's
+    snapshots (:mod:`repro.serve.store`) — goes through this one function, so
+    there is one crash-safety story.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def atomic_pickle_save(path: str, payload: object) -> None:
+    """Pickle ``payload`` and write it with :func:`atomic_write_bytes`.
+
+    Pickling finishes before anything touches the disk: an unpicklable
+    payload raises with the previous file intact and no temp file created.
+    """
+    atomic_write_bytes(path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def tolerant_pickle_load(path: str) -> object | None:

@@ -4,10 +4,12 @@ The paper's offline/online split made operational.  The pieces:
 
 * :mod:`repro.serve.store` — the persistent, fingerprint-keyed plan store
   (best plans, observation histories, optimizer state, outcome-cache logs)
-  under a versioned atomic-write on-disk format.
+  under a versioned, checksummed on-disk format: an atomically written
+  snapshot and an append-only log of what changed since.
 * :mod:`repro.serve.server` — :class:`PlanServer`: microsecond fast path for
   known fingerprints, default-planner fallback + promotion on first sight,
-  latency telemetry, drift detection, checkpoint/resume.
+  latency telemetry, drift detection, checkpoints that cost what changed and
+  a resume that replays them.
 * :mod:`repro.serve.admission` — popularity/regression/SLO-weighted triage
   deciding which fingerprints earn background optimization budget.
 * :mod:`repro.serve.traffic` — deterministic Zipf/bursty/drifting stream
@@ -31,6 +33,8 @@ from repro.serve.store import (
     StoredObservation,
     StoreEntry,
     StoreFormatError,
+    StoreHeader,
+    read_store_header,
 )
 from repro.serve.traffic import (
     Arrival,
@@ -58,10 +62,12 @@ __all__ = [
     "ServeRecord",
     "StoreEntry",
     "StoreFormatError",
+    "StoreHeader",
     "StoredObservation",
     "StreamResult",
     "TrafficConfig",
     "TrafficGenerator",
     "data_signature",
     "drive_stream",
+    "read_store_header",
 ]

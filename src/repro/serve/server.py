@@ -4,9 +4,11 @@ The offline/online split of the paper's Figure 2, made operational.  A
 :class:`PlanServer` answers a query stream:
 
 * **Fast path** — a known fingerprint resolves to its stored plan with one
-  dictionary lookup.  No optimizer, no planner, no executor is invoked; the
-  serve itself costs microseconds, which is what lets the store amortize
-  thousands of offline plan executions over millions of serves.
+  dictionary lookup (the fingerprint is computed once per ``Query`` object:
+  :func:`~repro.db.plan_cache.query_fingerprint`).  No optimizer, no planner,
+  no executor is invoked; the serve itself costs microseconds, which is what
+  lets the store amortize thousands of offline plan executions over millions
+  of serves.
 * **Miss path** — an unknown fingerprint falls back to the default planner
   *once*, and the produced plan is promoted into the store immediately: the
   second arrival of any query is already a store hit.  The admission policy
@@ -31,13 +33,21 @@ The offline/online split of the paper's Figure 2, made operational.  A
 Everything the server decides from — store entries, admission counters, SLO
 reservoirs, arrival counts — persists through :meth:`PlanServer.checkpoint`
 and :meth:`PlanServer.resume`, so a server killed mid-stream continues the
-remaining arrivals bit-for-bit.
+remaining arrivals bit-for-bit.  A checkpoint costs what changed: the serve
+path's three state transitions (``_apply_hit`` / ``_apply_miss`` /
+``_apply_report``) are journalled as they run, a checkpoint appends the
+journal to the store file as one small record, and only what has no record
+kind — a finished maintenance task, another database — rewrites the
+snapshot.  ``resume`` loads the snapshot and runs the same three transitions
+over the appended records.  :mod:`repro.serve.store` describes the file.
 """
 
 from __future__ import annotations
 
 import copy
 import inspect
+import pickle
+import struct
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import ExecutionServiceConfig
@@ -53,11 +63,30 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.plans.jointree import JoinTree
 from repro.serve.admission import AdmissionConfig, AdmissionPolicy, AdmissionTask
-from repro.serve.store import PlanStore, StoreEntry
+from repro.serve.store import PlanStore, StoreEntry, StoreFormatError, StoreJournal
 
 if False:  # pragma: no cover - typing only
     from repro.core.optimizer import SchemaModel
     from repro.workloads.base import Workload
+
+# The operations a checkpoint appends to the store file (the payload of a tail
+# record is a run of these, in the order they happened).  An entry is named
+# by its ordinal in the store, a first-sight miss carries its ``(query,
+# plan)``, and outcome-cache entries ride as exported
+# (:meth:`~repro.db.plan_cache.ExecutionCache.export_outcomes`): a fast-path
+# serve is 5 bytes, a report 14.
+_OP_HIT, _OP_MISS, _OP_REPORT, _OP_OUTCOMES = 1, 2, 3, 4
+_HIT = struct.Struct("<BI")  # kind, entry ordinal
+_REPORT = struct.Struct("<BIBd")  # kind, entry ordinal, flags, latency
+_BLOB = struct.Struct("<BI")  # kind (miss | outcomes), length of the pickle behind it
+_FROM_STORE, _TIMED_OUT = 1, 2  # report flags
+_NO_ENTRY = 0xFFFFFFFF  # a report whose fingerprint the store does not hold
+
+
+def _blob(kind: int, value: object) -> bytes:
+    data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    return _BLOB.pack(kind, len(data)) + data
+
 
 #: Timeout of server-side warm-start seed executions (matches the generous
 #: first-execution timeout the Bao baseline uses).
@@ -234,6 +263,13 @@ class PlanServer:
             self.config.slo_reservoir, seed=self.config.seed + 1
         )
         self._backend: ExecutionBackend | None = None
+        # The store file this server last wrote a snapshot to, with the
+        # database (and the stamp of its outcome cache) that snapshot saw;
+        # `None` until the first checkpoint, so a server that never
+        # checkpoints records nothing.
+        self._journal: StoreJournal | None = None
+        self._journal_database: Database | None = None
+        self._journal_stamp = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Last chain event per fingerprint, as ``(span_id, is_arrival)`` — the
@@ -253,7 +289,8 @@ class PlanServer:
     def serve(self, query: Query) -> ServeDecision:
         """Answer one arrival.
 
-        Fast path: fingerprint -> stored plan, one dict lookup.  Miss path:
+        Fast path: fingerprint -> stored plan, one dict lookup, no sort and
+        no tuple built for a ``Query`` object seen before.  Miss path:
         default planner once, plan promoted into the store so every repeat
         arrival of this fingerprint is a fast-path serve.
         """
@@ -263,33 +300,25 @@ class PlanServer:
         # event is already an arrival adds no causal information, so the
         # enabled steady state costs one dict probe, no span construction.
         tracer = self.tracer
-        self.counters.arrivals += 1
+        journal = self._journal
         entry = self.store.get(query)
         if entry is not None and entry.best_plan is not None:
-            entry.serves += 1
-            self.counters.fast_path += 1
-            self.admission.note_arrival(entry.fingerprint, entry.optimized)
-            if tracer.enabled:
-                last = self._follow.get(entry.fingerprint)
-                if last is None or not last[1]:
-                    self._note_serve(tracer, query, "store", entry.fingerprint, last)
-            return ServeDecision(
-                query=query, plan=entry.best_plan, source="store",
-                fingerprint=entry.fingerprint,
-            )
-        entry = self.store.ensure(query)
-        self.counters.misses += 1
-        self.counters.planner_calls += 1
-        entry.best_plan = self.database.plan(query)
-        entry.source = "default"
-        self.admission.note_arrival(entry.fingerprint, entry.optimized)
+            source = "store"
+            self._apply_hit(entry)
+            if journal is not None:
+                journal.record(_HIT.pack(_OP_HIT, entry.ordinal))
+        else:
+            source = "default"
+            plan = self.database.plan(query)
+            entry = self._apply_miss(query, plan)
+            if journal is not None:
+                journal.record(_blob(_OP_MISS, (query, plan)))
         if tracer.enabled:
             last = self._follow.get(entry.fingerprint)
             if last is None or not last[1]:
-                self._note_serve(tracer, query, "default", entry.fingerprint, last)
+                self._note_serve(tracer, query, source, entry.fingerprint, last)
         return ServeDecision(
-            query=query, plan=entry.best_plan, source="default",
-            fingerprint=entry.fingerprint,
+            query=query, plan=entry.best_plan, source=source, fingerprint=entry.fingerprint
         )
 
     def _note_serve(self, tracer, query: Query, source: str, fingerprint: tuple, last) -> None:
@@ -311,15 +340,46 @@ class PlanServer:
         re-optimization when the window median exceeds ``drift_factor`` times
         the store's recorded latency.
         """
-        self.counters.reports += 1
+        latency = float(latency)
         entry = self.store.get_fingerprint(decision.fingerprint)
+        from_store = decision.source == "store"
+        self._apply_report(entry, from_store, latency, timed_out)
+        if entry is not None:
+            self.metrics.histogram(f"serve.latency.{decision.source}").observe(latency)
+        journal = self._journal
+        if journal is not None:
+            ordinal = _NO_ENTRY if entry is None else entry.ordinal
+            flags = (_FROM_STORE if from_store else 0) | (_TIMED_OUT if timed_out else 0)
+            journal.record(_REPORT.pack(_OP_REPORT, ordinal, flags, latency))
+
+    # The three state transitions of the serve path.  The live path calls
+    # them and journals what it called them with; `_replay` calls them with
+    # what the journal holds.  Everything a resumed server must agree on with
+    # the one that was killed changes here and nowhere else on this path.
+    def _apply_hit(self, entry: StoreEntry) -> None:
+        self.counters.arrivals += 1
+        entry.serves += 1
+        self.counters.fast_path += 1
+        self.admission.note_arrival(entry.fingerprint, entry.optimized)
+
+    def _apply_miss(self, query: Query, plan: JoinTree) -> StoreEntry:
+        self.counters.arrivals += 1
+        entry = self.store.ensure(query)
+        self.counters.misses += 1
+        self.counters.planner_calls += 1
+        entry.best_plan = plan
+        entry.source = "default"
+        self.admission.note_arrival(entry.fingerprint, entry.optimized)
+        return entry
+
+    def _apply_report(
+        self, entry: StoreEntry | None, from_store: bool, latency: float, timed_out: bool
+    ) -> None:
+        self.counters.reports += 1
         if entry is None:
             return
-        (self.slo_store if decision.source == "store" else self.slo_default).add(latency)
-        self.metrics.histogram(f"serve.latency.{decision.source}").observe(latency)
-        slo_violated = not timed_out and latency > self.config.slo_latency
-        if timed_out:
-            slo_violated = True
+        (self.slo_store if from_store else self.slo_default).add(latency)
+        slo_violated = timed_out or latency > self.config.slo_latency
         if slo_violated:
             self.counters.slo_violations += 1
         self.admission.note_latency(entry.fingerprint, slo_violated)
@@ -448,6 +508,10 @@ class PlanServer:
             mspan.annotate(tasks=len(records))
         if records:
             self.store.sync_cache(self.database)
+            # A finished task rewrote an entry (history, optimizer state,
+            # plan): no operation kind describes that, the next checkpoint
+            # writes a snapshot.
+            self._journal = None
         return records
 
     def _optimize_entry(
@@ -581,7 +645,35 @@ class PlanServer:
 
     # ------------------------------------------------------------------ persistence
     def checkpoint(self, path: str) -> None:
-        """Persist everything the server decides from, atomically."""
+        """Make everything the server decides from durable at ``path``.
+
+        When this returns, :meth:`resume` on ``path`` rebuilds exactly this
+        server state: the bytes have been handed to the operating system (not
+        fsynced — a power loss is not what this protects against) and none
+        wait in a buffer of this process.  What it costs depends on what
+        happened since the previous checkpoint to the same path:
+
+        * serves, reports and newly executed plans only — one small record
+          appended to the file, O(what happened) however large the store;
+        * anything else — this server's first checkpoint to ``path``
+          (whatever the path held before is replaced), a maintenance cycle
+          that finished a task, another database, operations that piled up
+          unrecorded because nobody checkpointed, or a tail that would
+          outgrow the snapshot it follows — the whole store, written
+          atomically as a new snapshot (:meth:`PlanStore.save`).
+
+        :mod:`repro.serve.store` describes the file.
+        """
+        journal = self._journal
+        cache = getattr(self.database, "execution_cache", None)
+        if journal is not None and journal.path == path and self._journal_database is self.database:
+            outcomes = b""
+            if cache is not None and cache.stamp != self._journal_stamp:
+                outcomes = _blob(_OP_OUTCOMES, cache.export_outcomes(since=self._journal_stamp))
+            if journal.commit(outcomes):
+                if cache is not None:
+                    self._journal_stamp = cache.stamp
+                return
         self.store.sync_cache(self.database)
         self.store.server_state = {
             "admission": self.admission,
@@ -589,8 +681,49 @@ class PlanServer:
             "slo_store": self.slo_store,
             "slo_default": self.slo_default,
             "data_signature": data_signature(self.database),
+            "config": self.config,
         }
-        self.store.save(path)
+        self._journal = StoreJournal(self.store, path)
+        self._journal_database = self.database
+        self._journal_stamp = cache.stamp if cache is not None else 0
+
+    def _replay(self, tail: bytes, entries: list[StoreEntry]) -> None:
+        """Apply one tail record: the operations between two checkpoints, in
+        the order they happened, through the transitions the live path ran.
+        ``entries`` is the store's entries by ordinal, extended here."""
+        offset = 0
+        try:
+            while offset < len(tail):
+                kind = tail[offset]
+                if kind == _OP_HIT:
+                    _, ordinal = _HIT.unpack_from(tail, offset)
+                    offset += _HIT.size
+                    self._apply_hit(entries[ordinal])
+                elif kind == _OP_REPORT:
+                    _, ordinal, flags, latency = _REPORT.unpack_from(tail, offset)
+                    offset += _REPORT.size
+                    entry = None if ordinal == _NO_ENTRY else entries[ordinal]
+                    self._apply_report(
+                        entry, bool(flags & _FROM_STORE), latency, bool(flags & _TIMED_OUT)
+                    )
+                elif kind in (_OP_MISS, _OP_OUTCOMES):
+                    _, length = _BLOB.unpack_from(tail, offset)
+                    offset += _BLOB.size + length
+                    if offset > len(tail):
+                        raise IndexError(f"a {length}-byte pickle runs past the record")
+                    value = pickle.loads(tail[offset - length : offset])
+                    if kind == _OP_OUTCOMES:
+                        self.store.cache_events.extend(value)
+                    else:
+                        entry = self._apply_miss(*value)
+                        if entry.ordinal == len(entries):
+                            entries.append(entry)
+                else:
+                    raise StoreFormatError(f"unknown operation kind {kind} at byte {offset}")
+        except (struct.error, IndexError) as exc:
+            raise StoreFormatError(
+                f"tail record does not decode at byte {offset}: {type(exc).__name__}: {exc}"
+            ) from exc
 
     @classmethod
     def resume(
@@ -602,25 +735,35 @@ class PlanServer:
         workload: "Workload | None" = None,
         schema_model: "SchemaModel | None" = None,
     ) -> "PlanServer":
-        """Rebuild a server from a persisted store.
+        """Rebuild the server that last checkpointed to ``path``.
 
-        Restores entries, admission counters, SLO reservoirs and serve
-        counters; primes ``database``'s execution cache from the stored
-        outcome logs when (and only when) the data signature matches — event
-        logs recorded on a different snapshot would replay the wrong
+        Snapshot, then replay: entries, admission counters, SLO reservoirs
+        (values, counts and RNG state) and serve counters come from the
+        file's snapshot, and the tail records behind it are applied through
+        :meth:`_apply_hit` / :meth:`_apply_miss` / :meth:`_apply_report` —
+        the code the live path ran, so the result is the checkpointed server
+        bit for bit.  Replay runs under the :class:`ServeConfig` the snapshot
+        recorded (the SLO and drift verdicts in the tail were reached under
+        it); ``config`` is in force from then on, and defaults to the
+        recorded one.  ``database``'s execution cache is primed from the
+        stored outcome logs when (and only when) the data signature matches —
+        event logs recorded on a different snapshot would replay the wrong
         latencies.
+
+        The resumed server's first checkpoint writes a snapshot, also to the
+        path it came from.
         """
         store = PlanStore.load(path)
         if store is None:
             raise OptimizationError(f"no plan store at {path!r}")
+        state = store.server_state
         server = cls(
             database,
             store=store,
-            config=config,
+            config=state.get("config", config),
             workload=workload,
             schema_model=schema_model,
         )
-        state = store.server_state
         if "admission" in state:
             server.admission = state["admission"]
         if "counters" in state:
@@ -629,6 +772,12 @@ class PlanServer:
             server.slo_store = state["slo_store"]
         if "slo_default" in state:
             server.slo_default = state["slo_default"]
+        tail, store.tail = store.tail, []
+        entries = list(store.entries.values())
+        for record in tail:
+            server._replay(record, entries)
+        if config is not None:
+            server.config = config
         if state.get("data_signature") == data_signature(database):
             store.prime(database)
         return server

@@ -846,6 +846,19 @@ class TestCheckpointDiscardLogging:
         assert not [r.getMessage() for r in records if r.levelname == "WARNING"]
         assert resumed == reference
 
+    def test_failed_save_keeps_the_previous_checkpoint_and_no_temp(self, tmp_path):
+        from repro.harness.checkpoint import CheckpointManager, SessionCheckpoint
+
+        manager = CheckpointManager(str(tmp_path / "session.ckpt"))
+        manager.save(SessionCheckpoint(technique="random", seed=0, query_names=["q"]))
+        unpicklable = SessionCheckpoint(
+            technique="random", seed=0, query_names=["q"], optimizer=lambda: None
+        )
+        with pytest.raises(Exception, match="pickle"):
+            manager.save(unpicklable)
+        assert [p.name for p in tmp_path.iterdir()] == ["session.ckpt"]
+        assert manager.load().optimizer is None
+
     def test_cold_start_is_only_a_debug_line(self, tmp_path):
         from repro.harness.checkpoint import tolerant_pickle_load
 

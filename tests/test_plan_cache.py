@@ -9,6 +9,9 @@ and determinism under the process-pool backend.
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,39 @@ class TestFingerprints:
             filters=list(reversed(tiny_query.filters)),
         )
         assert query_fingerprint(clone) == query_fingerprint(tiny_query)
+
+    def test_query_fingerprint_is_computed_once_per_object(self, tiny_query, monkeypatch):
+        import repro.db.plan_cache as plan_cache
+
+        query = Query(
+            name="fresh",
+            table_refs=tiny_query.table_refs,
+            join_predicates=tiny_query.join_predicates,
+            filters=tiny_query.filters,
+        )
+        first = query_fingerprint(query)
+        monkeypatch.setattr(
+            plan_cache, "sorted", lambda *a, **k: pytest.fail("fingerprint recomputed"),
+            raising=False,
+        )
+        assert query_fingerprint(query) is first
+
+    def test_query_from_before_the_memo_fingerprints_the_same(self, tiny_query,
+                                                              tiny_three_table_query):
+        # The format-1 plan store in tests/data was pickled by the parent of
+        # the memo: its queries hold lists and no `_fingerprint`.
+        path = os.path.join(os.path.dirname(__file__), "data", "plan_store_v1.pkl")
+        with open(path, "rb") as handle:
+            entries = pickle.load(handle)["entries"]
+        assert len(entries) == 2
+        for (stored_fingerprint, entry), current in zip(
+            entries.items(), (tiny_query, tiny_three_table_query)
+        ):
+            assert isinstance(entry.query.filters, list)
+            assert "_fingerprint" not in entry.query.__dict__
+            assert query_fingerprint(entry.query) == stored_fingerprint
+            assert query_fingerprint(entry.query) == query_fingerprint(current)
+            assert query_fingerprint(entry.query) is query_fingerprint(entry.query)
 
     def test_query_fingerprint_separates_filters(self, tiny_query):
         changed = Query(
@@ -247,6 +283,66 @@ class TestOutcomeInterchange:
         cache.import_outcomes([(key, events, False, 1.0, None, False)])
         exported = {k: (comp, obs) for k, _, comp, obs, _, _ in cache.export_outcomes()}
         assert exported[key] == (False, 2.0)
+
+
+    def test_export_since_a_stamp_returns_what_was_stored_since(self):
+        cache = ExecutionCache(ExecutionCacheConfig())
+        events = [("scan", 1.0)]
+        assert cache.stamp == 0 and cache.export_outcomes(since=0) == []
+        for name in "abc":
+            cache.store_outcome((name,), events, completed=False, observed_to=1.0,
+                                output_rows=None)
+        mark = cache.stamp
+        assert cache.export_outcomes(since=mark) == []
+        # A rejected store (a shorter observation) is not news ...
+        cache.store_outcome(("a",), events, completed=False, observed_to=0.5, output_rows=None)
+        assert cache.stamp == mark
+        # ... an upgrade of an old entry and a new entry both are.
+        cache.store_outcome(("a",), events, completed=True, observed_to=None, output_rows=7)
+        cache.store_outcome(("d",), events, completed=True, observed_to=None, output_rows=1)
+        newer = cache.export_outcomes(since=mark)
+        assert [(key, completed) for key, _, completed, *_ in newer] == [
+            (("a",), True), (("d",), True)
+        ]
+        # The full export is unchanged in content, and a snapshot plus what
+        # came since rebuilds the cache.
+        assert {key for key, *_ in cache.export_outcomes()} == {("a",), ("b",), ("c",), ("d",)}
+        assert cache.export_outcomes(since=0) == cache.export_outcomes()
+        # `clear` empties the cache without turning the stamp back.
+        cache.clear()
+        assert cache.stamp == mark + 2 and cache.export_outcomes(since=mark) == []
+
+    def test_export_since_does_not_walk_the_cache(self):
+        class Counting(dict):
+            walked = 0
+
+            def items(self):
+                outer = self
+
+                class Items:
+                    def __len__(self):
+                        return dict.__len__(outer)
+
+                    def __iter__(self):
+                        for item in dict.items(outer):
+                            Counting.walked += 1
+                            yield item
+
+                    def __reversed__(self):
+                        for item in reversed(dict.items(outer)):
+                            Counting.walked += 1
+                            yield item
+
+                return Items()
+
+        cache = ExecutionCache(ExecutionCacheConfig())
+        cache._outcomes = Counting()
+        for index in range(500):
+            cache.store_outcome((index,), [], completed=True, observed_to=None, output_rows=0)
+        mark = cache.stamp
+        cache.store_outcome(("new",), [], completed=True, observed_to=None, output_rows=0)
+        assert [key for key, *_ in cache.export_outcomes(since=mark)] == [("new",)]
+        assert Counting.walked == 1
 
 
 # --------------------------------------------------------------------- LRU eviction

@@ -1,7 +1,11 @@
 """Tests for query objects."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.db.plan_cache import query_fingerprint
 from repro.db.query import (
     FilterPredicate,
     JoinPredicate,
@@ -33,6 +37,40 @@ class TestQueryConstruction:
         assert query.table_of("a#1") == "a"
         assert len(query.filters_for("b#1")) == 1
         assert query.filters_for("a#1") == []
+
+    def test_content_fields_are_tuples_whatever_was_passed(self):
+        query = two_table_query()
+        assert isinstance(query.table_refs, tuple)
+        assert isinstance(query.join_predicates, tuple)
+        assert isinstance(query.filters, tuple)
+        assert Query("q", iter(query.table_refs), [], ()).filters == ()
+        # A Query is a value: its content cannot be edited in place ...
+        with pytest.raises(AttributeError):
+            query.filters.append(FilterPredicate("a#1", "flag", "=", 0))
+        with pytest.raises(AttributeError):
+            query.table_refs.append(TableRef("c#1", "c"))
+        # ... and a variant is a new object, with a fingerprint of its own.
+        before = query_fingerprint(query)
+        variant = dataclasses.replace(query, filters=[FilterPredicate("a#1", "flag", "=", 0)])
+        assert query_fingerprint(variant) != before
+        assert query_fingerprint(query) is before
+
+    def test_fingerprint_memo_takes_no_part_in_equality_or_repr(self):
+        fingerprinted, untouched = two_table_query(), two_table_query()
+        query_fingerprint(fingerprinted)
+        assert fingerprinted == untouched
+        assert repr(fingerprinted) == repr(untouched)
+        assert "fingerprint" not in repr(fingerprinted)
+        with pytest.raises(TypeError):
+            Query("q", [], [], _fingerprint=())
+
+    def test_fingerprint_memo_rides_pickles(self):
+        query = two_table_query()
+        fingerprint = query_fingerprint(query)
+        clone = pickle.loads(pickle.dumps(query))
+        assert clone == query
+        assert clone.__dict__["_fingerprint"] == fingerprint
+        assert query_fingerprint(clone) is clone.__dict__["_fingerprint"]
 
     def test_duplicate_aliases_rejected(self):
         with pytest.raises(QueryError):

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import logging
 import os
-import pickle
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.db.plan_cache as plan_cache_module
+import repro.harness.checkpoint as checkpoint_module
+import repro.serve.store as store_module
 from repro.core import BayesQO, BayesQOConfig, reoptimize
 from repro.core.protocol import BudgetSpec
+from repro.db.query import FilterPredicate, Query
 from repro.exceptions import OptimizationError
 from repro.harness.checkpoint import atomic_pickle_save
 from repro.serve import (
@@ -20,6 +28,7 @@ from repro.serve import (
     PlanServer,
     PlanStore,
     ServeConfig,
+    ServeDecision,
     StoredObservation,
     StoreEntry,
     StoreFormatError,
@@ -27,8 +36,12 @@ from repro.serve import (
     TrafficGenerator,
     data_signature,
     drive_stream,
+    read_store_header,
 )
+from repro.utils.logging import get_logger
 from repro.workloads.drift import rollback_to_date
+
+V1_STORE = os.path.join(os.path.dirname(__file__), "data", "plan_store_v1.pkl")
 
 
 def _serve_config(**overrides) -> ServeConfig:
@@ -53,7 +66,16 @@ class TestPlanStore:
         # Same content under a different name shares the entry.
         renamed = dataclasses.replace(tiny_query, name="other_name")
         assert store.get(renamed) is entry
+        # So does the same content built separately, in another order.
+        shuffled = Query(
+            name="built_elsewhere",
+            table_refs=reversed(tiny_query.table_refs),
+            join_predicates=[p.reversed() for p in reversed(tiny_query.join_predicates)],
+            filters=reversed(tiny_query.filters),
+        )
+        assert store.ensure(shuffled) is entry
         assert len(store) == 1
+        assert entry.ordinal == 0 and store.ensure(tiny_three_table_query).ordinal == 1
 
     def test_roundtrip(self, tmp_path, tiny_database, tiny_query):
         store = PlanStore(observation_window=8)
@@ -93,18 +115,80 @@ class TestPlanStore:
         atomic_pickle_save(other, {"format": "something.else"})
         assert PlanStore.load(other) is None
 
-    def test_version_mismatch_fails_loudly(self, tmp_path, tiny_query):
+    def test_version_mismatch_fails_loudly(self, tmp_path, tiny_query, monkeypatch):
         store = PlanStore()
         store.ensure(tiny_query)
         path = os.path.join(tmp_path, "store.pkl")
+        written = store.save(path)
+        header = read_store_header(path)
+        assert header.version == STORE_FORMAT_VERSION == 2
+        assert header.snapshot_bytes == written == os.path.getsize(path)
+        assert PlanStore.load(path) is not None
+        # The same store as a later build would write it.
+        monkeypatch.setattr(store_module, "STORE_FORMAT_VERSION", STORE_FORMAT_VERSION + 1)
+        store.save(path)
+        monkeypatch.undo()
+        assert read_store_header(path).version == STORE_FORMAT_VERSION + 1
+        with pytest.raises(StoreFormatError, match="version 3.*version 2"):
+            PlanStore.load(path)
+
+    def test_v1_store_is_refused_without_unpickling(self, monkeypatch):
+        # A plain-pickle store as the parent of the record log wrote it.
+        assert read_store_header(V1_STORE).version == 1
+        monkeypatch.setattr(
+            store_module.pickle, "loads", lambda data: pytest.fail("unpickled a v1 store")
+        )
+        with pytest.raises(StoreFormatError, match="version 1.*version 2"):
+            PlanStore.load(V1_STORE)
+
+    def test_header_of_a_missing_or_foreign_file_is_none(self, tmp_path):
+        assert read_store_header(os.path.join(tmp_path, "absent.pkl")) is None
+        other = os.path.join(tmp_path, "other.pkl")
+        atomic_pickle_save(other, {"format": "something.else"})
+        assert read_store_header(other) is None
+
+    def test_snapshot_failure_keeps_the_previous_file_and_no_temp(self, tmp_path, tiny_query):
+        store = PlanStore()
+        entry = store.ensure(tiny_query)
+        path = os.path.join(tmp_path, "store.pkl")
         store.save(path)
         with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        assert payload["version"] == STORE_FORMAT_VERSION
-        payload["version"] = STORE_FORMAT_VERSION + 1
-        atomic_pickle_save(path, payload)
-        with pytest.raises(StoreFormatError):
-            PlanStore.load(path)
+            before = handle.read()
+        entry.optimizer = lambda: None  # an optimizer state that does not pickle
+        with pytest.raises(Exception, match="pickle"):
+            store.save(path)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["store.pkl"]
+
+    def test_interrupted_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        path = os.path.join(tmp_path, "artifact.bin")
+        checkpoint_module.atomic_write_bytes(path, b"first")
+
+        def failing_replace(src, dst):
+            raise OSError("disk says no")
+
+        monkeypatch.setattr(checkpoint_module.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk says no"):
+            checkpoint_module.atomic_write_bytes(path, b"second")
+        monkeypatch.undo()
+        with open(path, "rb") as handle:
+            assert handle.read() == b"first"
+        assert os.listdir(tmp_path) == ["artifact.bin"]
+
+    def test_save_refuses_to_drop_an_unapplied_tail(self, tmp_path, tiny_database, tiny_query):
+        database = tiny_database.snapshot()
+        path = os.path.join(tmp_path, "store.pkl")
+        server = PlanServer(database, config=_serve_config())
+        server.checkpoint(path)
+        server.serve(tiny_query)
+        server.checkpoint(path)
+        loaded = PlanStore.load(path)
+        # The snapshot predates the serve; the serve waits in the tail.
+        assert len(loaded) == 0 and len(loaded.tail) == 1
+        with pytest.raises(StoreFormatError, match="tail"):
+            loaded.save(os.path.join(tmp_path, "copy.pkl"))
+        assert len(PlanServer.resume(path, database).store) == 1
 
     def test_cache_sync_and_prime(self, tmp_path, tiny_database, tiny_query):
         database = tiny_database.snapshot()
@@ -234,6 +318,28 @@ class TestPlanServer:
         server.database = _PoisonedDatabase()
         decision = server.serve(tiny_query)
         assert decision.source == "store"
+
+    def test_fast_path_is_dict_probes(self, tmp_path, tiny_workload, monkeypatch):
+        """Over known Query objects a serve plans nothing, executes nothing
+        and rebuilds no fingerprint — with a journal to feed or without."""
+        server = PlanServer(tiny_workload.database.snapshot(), config=_serve_config())
+        for query in tiny_workload.queries:
+            server.serve(query)
+        server.checkpoint(os.path.join(tmp_path, "store.pkl"))
+        monkeypatch.setattr(server, "database", _PoisonedDatabase())
+        monkeypatch.setattr(
+            plan_cache_module, "sorted", lambda *a, **k: pytest.fail("fingerprint rebuilt"),
+            raising=False,
+        )
+        for journal in (server._journal, None):
+            assert journal is None or not journal.pending
+            server._journal = journal
+            for _ in range(3):
+                for query in tiny_workload.queries:
+                    decision = server.serve(query)
+                    assert decision.source == "store"
+                    server.report(decision, 0.01)
+            assert journal is None or len(journal.pending) == 3 * 2 * (5 + 14)
 
     def test_report_flags_drift(self, tiny_database, tiny_query):
         server = PlanServer(tiny_database.snapshot(), config=_serve_config(drift_factor=1.5))
@@ -427,6 +533,532 @@ class TestStream:
             )
             assert result.drift_firings == []
             assert data_signature(server.database) == data_signature(past)
+
+
+# --------------------------------------------------------------------- kill anywhere, resume exactly
+def _reservoir(tracker) -> tuple:
+    return (list(tracker._values), tracker._count, tracker._rng.bit_generator.state)
+
+
+def _server_state(server) -> dict:
+    """Everything a resumed server must agree on with the one that was killed."""
+    return {
+        "counters": server.counters.snapshot(),
+        "admission": [
+            (fingerprint, dataclasses.asdict(stats))
+            for fingerprint, stats in server.admission.stats.items()
+        ],
+        "slo_store": _reservoir(server.slo_store),
+        "slo_default": _reservoir(server.slo_default),
+        "entries": [
+            (
+                fingerprint, entry.ordinal, entry.serves, list(entry.observed),
+                entry.recorded_latency, entry.best_plan.canonical(), len(entry.history),
+                entry.optimized, entry.source, entry.optimizations,
+            )
+            for fingerprint, entry in server.store.entries.items()
+        ],
+        "outcomes": {key for key, *_ in server.database.execution_cache.export_outcomes()},
+    }
+
+
+class _Recording:
+    """A server stand-in for ``drive_stream`` that keeps, after every
+    checkpoint, the file as it is on disk and the state the server is in: a
+    process killed after arrival ``k`` leaves exactly ``files[k]``."""
+
+    def __init__(self, server) -> None:
+        self._server = server
+        self.files: dict[int, bytes] = {}
+        self.states: dict[int, dict] = {}
+
+    def __getattr__(self, name: str):
+        return getattr(self._server, name)
+
+    def checkpoint(self, path: str) -> None:
+        self._server.checkpoint(path)
+        arrivals = self._server.counters.arrivals
+        with open(path, "rb") as handle:
+            self.files[arrivals] = handle.read()
+        self.states[arrivals] = _server_state(self._server)
+
+
+class _Scenario:
+    """One stream with a drift event: the uninterrupted reference, and a
+    victim that checkpointed after every arrival (see :class:`_Recording`)."""
+
+    def __init__(self, queries, database, *, arrivals, drift_at, maintenance_every, config,
+                 workload=None, **traffic) -> None:
+        self._future = database
+        self.config = config
+        self.workload = workload
+        self.arrivals = arrivals
+        self.drift_at = drift_at
+        self.maintenance_every = maintenance_every
+        self.generator = TrafficGenerator(
+            queries,
+            TrafficConfig(
+                num_arrivals=arrivals, seed=0,
+                drift_events=(DriftEvent(index=drift_at, cutoff=None),), **traffic,
+            ),
+        )
+        with PlanServer(self.past(), config=config, workload=workload) as server:
+            self.reference = drive_stream(
+                server, self.generator, self.future(), maintenance_every=maintenance_every
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            with PlanServer(self.past(), config=config, workload=workload) as server:
+                victim = _Recording(server)
+                checkpointed = drive_stream(
+                    victim, self.generator, self.future(), maintenance_every=maintenance_every,
+                    checkpoint_path=os.path.join(tmp, "store.pkl"),
+                )
+        # Checkpointing observes; it never decides.
+        assert checkpointed.trace() == self.reference.trace()
+        assert checkpointed.maintenance == self.reference.maintenance
+        self.files, self.states = victim.files, victim.states
+
+    def future(self):
+        """The post-drift database, with a cold execution cache."""
+        return self._future.snapshot()
+
+    def past(self):
+        return rollback_to_date(self._future, 500, date_column="order_date")
+
+    def resume(self, path: str, arrivals_served: int, **kwargs):
+        """A server resumed from ``path`` on cold copies of the databases it
+        faces after ``arrivals_served`` arrivals; and the stream's base."""
+        future = self.future()
+        database = future if arrivals_served > self.drift_at else self.past()
+        kwargs.setdefault("config", self.config)
+        return PlanServer.resume(path, database, workload=self.workload, **kwargs), future
+
+    def check_kill(self, kill_at: int, second_kill_at: int) -> None:
+        """Kill after ``kill_at`` arrivals, resume, go on *with* checkpoints
+        to the same path, kill again, resume again, finish the stream."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store.pkl")
+            with open(path, "wb") as handle:
+                handle.write(self.files[kill_at])
+            resumed, future = self.resume(path, kill_at)
+            with resumed:
+                assert _server_state(resumed) == self.states[kill_at]
+                first = drive_stream(
+                    resumed, self.generator, future, start_index=kill_at,
+                    stop_index=second_kill_at, maintenance_every=self.maintenance_every,
+                    checkpoint_path=path,
+                )
+                at_second_kill = _server_state(resumed)
+            again, future = self.resume(path, second_kill_at)
+            with again:
+                assert _server_state(again) == at_second_kill
+                second = drive_stream(
+                    again, self.generator, future, start_index=second_kill_at,
+                    maintenance_every=self.maintenance_every,
+                )
+        assert first.trace() + second.trace() == self.reference.trace()[kill_at:]
+        assert first.maintenance + second.maintenance == [
+            record for record in self.reference.maintenance if record.arrival_index >= kill_at
+        ]
+
+
+@pytest.fixture(scope="module")
+def tiny_scenario(tiny_workload):
+    return _Scenario(
+        tiny_workload.queries, tiny_workload.database, workload=tiny_workload,
+        arrivals=40, drift_at=20, maintenance_every=10, burst_every=0,
+        config=_serve_config(admission=AdmissionConfig(min_arrivals=2, cooldown_arrivals=4)),
+    )
+
+
+class TestKillAnywhere:
+    @settings(max_examples=30, deadline=None)
+    @given(kill_at=st.integers(1, 39), gap=st.integers(1, 39))
+    @example(kill_at=28, gap=40)
+    def test_resume_is_bitforbit_at_a_drawn_arrival(self, tiny_scenario, kill_at, gap):
+        tiny_scenario.check_kill(kill_at, min(kill_at + gap, tiny_scenario.arrivals))
+
+    def test_resume_is_bitforbit_at_the_named_arrivals(self, tiny_scenario):
+        scenario = tiny_scenario
+        after_a_miss = {r.index + 1 for r in scenario.reference.records if r.source == "default"}
+        after_maintenance = {r.arrival_index + 1 for r in scenario.reference.maintenance}
+        after_the_drift = {scenario.drift_at, scenario.drift_at + 1}
+        assert len(after_a_miss) == 2 and len(after_maintenance) >= 2
+        for kill_at in sorted(after_a_miss | after_maintenance | after_the_drift):
+            if kill_at < scenario.arrivals:
+                scenario.check_kill(kill_at, kill_at + 1)
+                scenario.check_kill(kill_at, scenario.arrivals)
+
+    def test_the_stream_exercises_appends_and_snapshots(self, tiny_scenario):
+        headers = [
+            store_module._parse_header(data, len(data)) for data in tiny_scenario.files.values()
+        ]
+        appended = sum(len(data) > header.snapshot_bytes
+                       for data, header in zip(tiny_scenario.files.values(), headers))
+        assert 0 < appended < len(headers)
+
+    def test_a_path_that_holds_another_servers_file(self, tmp_path, tiny_scenario, tiny_database,
+                                                    tiny_two_table_query):
+        scenario = tiny_scenario
+        path = os.path.join(tmp_path, "store.pkl")
+        other_database = tiny_database.snapshot()
+        with PlanServer(other_database, config=_serve_config()) as other:
+            other.checkpoint(path)
+            other.serve(tiny_two_table_query)
+            other.checkpoint(path)  # snapshot and a tail record, not ours
+        kill_at = 7
+        with PlanServer(scenario.past(), config=scenario.config, workload=scenario.workload) as victim:
+            drive_stream(
+                victim, scenario.generator, scenario.future(), stop_index=kill_at,
+                maintenance_every=scenario.maintenance_every, checkpoint_path=path,
+            )
+            at_kill = _server_state(victim)
+        assert at_kill == scenario.states[kill_at]
+        resumed, _ = scenario.resume(path, kill_at)
+        with resumed:
+            assert _server_state(resumed) == at_kill
+            assert tiny_two_table_query not in resumed.store
+
+    def test_tail_replays_under_the_recorded_config(self, tmp_path, tiny_scenario):
+        scenario = tiny_scenario
+        kill_at = 9  # a snapshot (first checkpoint) and eight appended records
+        path = os.path.join(tmp_path, "store.pkl")
+        with open(path, "wb") as handle:
+            handle.write(scenario.files[kill_at])
+        assert len(PlanStore.load(path).tail) == kill_at - 1
+        # Under `other` every one of the nine reports would be an SLO violation
+        # and none a drift flag.
+        other = dataclasses.replace(scenario.config, slo_latency=1e-9, drift_factor=1e9)
+        resumed, _ = scenario.resume(path, kill_at, config=other)
+        with resumed:
+            assert _server_state(resumed) == scenario.states[kill_at]
+            assert resumed.counters.slo_violations == 0
+            assert resumed.config is other
+            decision = resumed.serve(scenario.generator.arrivals(0, 1)[0].query)
+            resumed.report(decision, 0.001)
+            assert resumed.counters.slo_violations == 1
+        # No config given: the recorded one stays in force.
+        resumed, _ = scenario.resume(path, kill_at, config=None)
+        with resumed:
+            assert resumed.config == scenario.config
+
+    @pytest.mark.slow
+    def test_every_arrival_of_a_longer_stream(self, tiny_workload, tiny_query,
+                                              tiny_three_table_query):
+        queries = [
+            dataclasses.replace(
+                query, name=f"{query.name}_v{value}",
+                filters=[FilterPredicate(query.filters[0].alias, query.filters[0].column, "=", value)],
+            )
+            for query in (tiny_query, tiny_three_table_query)
+            for value in range(5)
+        ]
+        scenario = _Scenario(
+            queries, tiny_workload.database, arrivals=120, drift_at=60, maintenance_every=15,
+            burst_every=40, burst_length=10, zipf_alpha=0.8,
+            config=_serve_config(admission=AdmissionConfig(min_arrivals=2, cooldown_arrivals=4)),
+        )
+        assert len(scenario.reference.maintenance) >= 6
+        for kill_at in range(1, scenario.arrivals):
+            scenario.check_kill(kill_at, min(kill_at + 11, scenario.arrivals))
+
+
+# --------------------------------------------------------------------- what a checkpoint costs
+class TestCheckpointCost:
+    def _serving(self, database, queries, path):
+        """A server with every query optimized, served, reported and in the
+        snapshot at ``path``."""
+        server = PlanServer(
+            database, config=_serve_config(admission=AdmissionConfig(min_arrivals=1))
+        )
+        for query in queries:
+            decision = server.serve(query)
+            execution = database.execute(query, decision.plan, timeout=600.0)
+            server.report(decision, execution.latency)
+        assert len(server.run_maintenance(limit=len(queries))) == len(queries)
+        server.checkpoint(path)
+        return server
+
+    @staticmethod
+    def _steady_arrival(server, query, path, monkeypatch) -> int:
+        """Bytes one fast-path arrival + report + checkpoint add to the file."""
+        replaced = []
+        monkeypatch.setattr(checkpoint_module.os, "replace", lambda *args: replaced.append(args))
+        before = os.path.getsize(path)
+        decision = server.serve(query)
+        assert decision.source == "store"
+        server.report(decision, 0.01)
+        server.checkpoint(path)
+        monkeypatch.undo()
+        assert replaced == []
+        return os.path.getsize(path) - before
+
+    def test_an_arrival_costs_the_same_with_ten_times_the_history(
+        self, tmp_path, monkeypatch, tiny_workload
+    ):
+        database = tiny_workload.database.snapshot()
+        path = os.path.join(tmp_path, "store.pkl")
+        server = self._serving(database, tiny_workload.queries, path)
+        query = tiny_workload.queries[0]
+        small_store = read_store_header(path).snapshot_bytes
+        small = self._steady_arrival(server, query, path, monkeypatch)
+        assert 0 < small <= 256
+
+        # Ten times the optimisation history and ten times the outcome logs.
+        cache = database.execution_cache
+        for entry in server.store.entries.values():
+            entry.history = entry.history * 10
+        for copy_index in range(9):
+            for key, events, *rest in cache.export_outcomes()[: cache.num_outcomes]:
+                cache.store_outcome(("copy", copy_index, key), list(events), *rest)
+        assert server.run_maintenance() == []  # nothing new to optimize ...
+        server._journal = None  # ... so ask for the snapshot a finished task would
+        server.checkpoint(path)
+        assert read_store_header(path).snapshot_bytes > 5 * small_store
+        assert self._steady_arrival(server, query, path, monkeypatch) == small
+        server.close()
+
+    def test_the_file_never_exceeds_twice_its_snapshot(self, tmp_path, tiny_workload):
+        database = tiny_workload.database.snapshot()
+        path = os.path.join(tmp_path, "store.pkl")
+        server = self._serving(database, tiny_workload.queries, path)
+        snapshots = set()
+        for index in range(3000):
+            decision = server.serve(tiny_workload.queries[index % 2])
+            server.report(decision, 0.01)
+            server.checkpoint(path)
+            header = read_store_header(path)
+            assert os.path.getsize(path) <= 2 * header.snapshot_bytes
+            snapshots.add(header.snapshot_bytes)
+        # The tail was folded into a new snapshot now and then, not every time.
+        assert 2 <= len(snapshots) <= 30
+        resumed = PlanServer.resume(path, database)
+        assert _server_state(resumed) == _server_state(server)
+        server.close()
+
+    def test_a_server_that_never_checkpoints_records_nothing(self, tiny_database, tiny_query):
+        server = PlanServer(tiny_database.snapshot(), config=_serve_config())
+        for _ in range(100_000):
+            server.serve(tiny_query)
+        assert server._journal is None
+
+    def test_a_server_that_stops_checkpointing_stops_recording(self, tmp_path, tiny_database,
+                                                               tiny_query):
+        database = tiny_database.snapshot()
+        path = os.path.join(tmp_path, "store.pkl")
+        server = PlanServer(database, config=_serve_config())
+        server.serve(tiny_query)
+        server.checkpoint(path)
+        journal = server._journal
+        held = []
+        for index in range(100_000):
+            decision = server.serve(tiny_query)
+            if index % 1000 == 0:
+                server.report(decision, 0.01)
+                held.append(0 if journal.pending is None else len(journal.pending))
+        assert max(held) <= journal.snapshot_bytes
+        assert held[0] > 0 and held[-1] == 0 and journal.pending is None
+        # What was not recorded is not lost: the next checkpoint is a snapshot.
+        server.checkpoint(path)
+        assert server._journal is not journal
+        assert os.path.getsize(path) == read_store_header(path).snapshot_bytes
+        assert _server_state(PlanServer.resume(path, database)) == _server_state(server)
+
+    def test_a_file_the_journal_did_not_leave_gets_a_snapshot(self, tmp_path, tiny_database,
+                                                             tiny_query):
+        database = tiny_database.snapshot()
+        path = os.path.join(tmp_path, "store.pkl")
+        server = PlanServer(database, config=_serve_config())
+        server.serve(tiny_query)
+        server.checkpoint(path)
+
+        def arrive_and_checkpoint():
+            server.report(server.serve(tiny_query), 0.01)
+            server.checkpoint(path)
+            assert _server_state(PlanServer.resume(path, database)) == _server_state(server)
+            return os.path.getsize(path) > read_store_header(path).snapshot_bytes
+
+        assert arrive_and_checkpoint()  # appended
+        os.remove(path)
+        assert not arrive_and_checkpoint()  # a missing file: a snapshot
+        assert arrive_and_checkpoint()
+        with open(path, "r+b") as handle:  # an append that did not finish
+            handle.truncate(os.path.getsize(path) - 3)
+        assert not arrive_and_checkpoint()
+        assert arrive_and_checkpoint()
+        with open(path, "ab") as handle:  # somebody else's bytes
+            handle.write(b"stray")
+        assert not arrive_and_checkpoint()
+        assert os.listdir(tmp_path) == ["store.pkl"]
+
+    def test_new_outcomes_are_exported_by_stamp_not_by_scan(self, tmp_path, tiny_database,
+                                                            tiny_query, tiny_three_table_query):
+        database = tiny_database.snapshot()
+        path = os.path.join(tmp_path, "store.pkl")
+        server = PlanServer(database, config=_serve_config())
+        decision = server.serve(tiny_query)
+        database.execute(tiny_query, decision.plan, timeout=600.0)
+        server.checkpoint(path)
+        exports = []
+        real_export = database.execution_cache.export_outcomes
+        database.execution_cache.export_outcomes = lambda since=0: (
+            exports.append(since), real_export(since))[1]
+        server.serve(tiny_query)
+        server.checkpoint(path)  # nothing was executed: the cache is not asked
+        assert exports == []
+        decision = server.serve(tiny_three_table_query)
+        database.execute(tiny_three_table_query, decision.plan, timeout=600.0)
+        server.checkpoint(path)
+        assert exports == [1]
+        fresh = tiny_database.snapshot()
+        PlanServer.resume(path, fresh)
+        assert {key for key, *_ in fresh.execution_cache.export_outcomes()} == {
+            key for key, *_ in real_export()
+        }
+
+
+# --------------------------------------------------------------------- hostile bytes
+class TestHostileBytes:
+    @pytest.fixture(scope="class")
+    def written(self, tiny_database, tiny_query, tiny_three_table_query, tiny_two_table_query):
+        """A file with a snapshot and two tail records; the file and the
+        server's state as of the checkpoint before the last."""
+        database = tiny_database.snapshot()
+        server = PlanServer(database, config=_serve_config())
+
+        def arrive(query, report=True):
+            decision = server.serve(query)
+            execution = database.execute(query, decision.plan, timeout=600.0)
+            if report:
+                server.report(decision, execution.latency)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store.pkl")
+            arrive(tiny_query)
+            arrive(tiny_three_table_query)
+            server.checkpoint(path)
+            arrive(tiny_query)
+            server.checkpoint(path)
+            with open(path, "rb") as handle:
+                previous = handle.read()
+            previous_state = _server_state(server)
+            arrive(tiny_two_table_query)  # a miss, a new outcome log,
+            arrive(tiny_query, report=False)  # a hit
+            orphan = ServeDecision(tiny_query, None, source="store", fingerprint=("unknown",))
+            server.report(orphan, 0.5)  # and a report the store has no entry for
+            server.checkpoint(path)
+            with open(path, "rb") as handle:
+                complete = handle.read()
+        assert complete.startswith(previous) and len(complete) > len(previous)
+        assert len(previous) > read_header(previous).snapshot_bytes
+        return previous, previous_state, complete, _server_state(server)
+
+    @staticmethod
+    def _resume(tmp_path, database, data: bytes):
+        path = os.path.join(tmp_path, "store.pkl")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return PlanServer.resume(path, database, config=_serve_config())
+
+    def test_the_complete_file_resumes_to_the_last_checkpoint(self, tmp_path, tiny_database,
+                                                              written):
+        previous, previous_state, complete, complete_state = written
+        for data, state in ((complete, complete_state), (previous, previous_state)):
+            assert _server_state(self._resume(tmp_path, tiny_database.snapshot(), data)) == state
+
+    def test_a_torn_last_record_resumes_to_the_checkpoint_before(self, tmp_path, tiny_database,
+                                                                 written):
+        previous, previous_state, complete, _ = written
+        # One cold database for every cut: each resume primes it with the
+        # same outcome logs, or fails the comparison there and then.
+        database = tiny_database.snapshot()
+        for cut in range(len(previous) + 1, len(complete)):
+            with _repro_warnings() as warnings:
+                resumed = self._resume(tmp_path, database, complete[:cut])
+            assert _server_state(resumed) == previous_state, cut
+            (warning,) = warnings
+            message = warning.getMessage()
+            assert os.path.join(tmp_path, "store.pkl") in message
+            assert f"byte {len(previous)}" in message
+
+    def test_a_file_cut_inside_its_snapshot_is_refused(self, tmp_path, tiny_database, written):
+        previous, *_ = written
+        snapshot_bytes = read_header(previous).snapshot_bytes
+        for cut in range(12, snapshot_bytes):
+            with pytest.raises(StoreFormatError):
+                self._resume(tmp_path, tiny_database, previous[:cut])
+        # Cut inside the 12-byte header it is not a store at all.
+        path = os.path.join(tmp_path, "store.pkl")
+        for cut in range(12):
+            with open(path, "wb") as handle:
+                handle.write(previous[:cut])
+            assert PlanStore.load(path) is None
+            with pytest.raises(OptimizationError):
+                PlanServer.resume(path, tiny_database)
+
+    def test_a_flipped_bit_anywhere_is_refused_before_unpickling(self, tmp_path, tiny_database,
+                                                                 written, monkeypatch):
+        *_, complete, _ = written
+        monkeypatch.setattr(
+            store_module.pickle, "loads", lambda data: pytest.fail("unpickled a damaged file")
+        )
+        path = os.path.join(tmp_path, "store.pkl")
+        for offset in range(8, len(complete)):  # behind the magic
+            damaged = bytearray(complete)
+            damaged[offset] ^= 1 << (offset % 8)
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            with pytest.raises(StoreFormatError):
+                PlanStore.load(path)
+        # A damaged magic: not a store.
+        with open(path, "wb") as handle:
+            handle.write(b"X" + complete[1:])
+        assert PlanStore.load(path) is None
+
+    def test_a_record_kind_out_of_place_is_refused(self, tmp_path, tiny_database, written):
+        previous, *_ = written
+        header = previous[:12]
+        snapshot = previous[12 : read_header(previous).snapshot_bytes]
+        tail = previous[read_header(previous).snapshot_bytes :]
+        for data in (
+            previous + store_module._frame(7, b"from a later build?"),
+            previous + snapshot,  # a second snapshot
+            header + tail,  # no snapshot
+            header,
+        ):
+            with pytest.raises(StoreFormatError, match="record kinds"):
+                self._resume(tmp_path, tiny_database, data)
+        # A tail record that checks out but holds no operation of ours: the
+        # store carries it, the server refuses it.
+        foreign = previous + store_module._frame(store_module._TAIL_RECORD, b"\x09junk")
+        path = os.path.join(tmp_path, "store.pkl")
+        with open(path, "wb") as handle:
+            handle.write(foreign)
+        assert len(PlanStore.load(path).tail) == 2
+        with pytest.raises(StoreFormatError, match="operation kind 9"):
+            PlanServer.resume(path, tiny_database)
+        cut_short = previous + store_module._frame(store_module._TAIL_RECORD, b"\x01\x00")
+        with pytest.raises(StoreFormatError, match="does not decode"):
+            self._resume(tmp_path, tiny_database, cut_short)
+
+
+@contextlib.contextmanager
+def _repro_warnings():
+    """Warnings of the ``repro`` logger (it does not propagate: caplog never
+    sees it)."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(level=logging.WARNING)
+    handler.emit = records.append
+    logger = get_logger()
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+def read_header(data: bytes):
+    return store_module._parse_header(data[:64], len(data))
 
 
 # --------------------------------------------------------------------- reoptimize satellite
