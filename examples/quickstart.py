@@ -4,8 +4,8 @@ Builds the scaled-down IMDB-analogue database, trains the per-schema plan VAE,
 runs BayesQO on a single JOB-like query and compares the result against the
 default optimizer plan and the best Bao hint-set plan — then runs the same
 single query again with the batched ask (q=4 plans in flight on a process
-pool), the configuration that saturates parallel hardware even with only one
-query to optimize.
+pool): each round's four sibling plans run as one worker task that executes
+their shared join subtrees once.
 
 Run with::
 
@@ -62,12 +62,14 @@ def main() -> None:
     print(f"  best plan                    : {result.best_plan.canonical()}")
 
     # 4. The batched ask: the same single query with q=4 plans in flight on a
-    #    process pool.  One query cannot keep 4 workers busy at q=1; with
-    #    batch_size=4 the BO engine proposes 4 jointly informative candidates
-    #    per acquisition round.  batch_execution=True (the default, spelled
-    #    out here) sends each round's 4 proposals to the executor as ONE
-    #    batch: shared join subtrees across the sibling plans execute once,
-    #    and every plan still gets its own bit-for-bit latency/censoring.
+    #    process pool.  With batch_size=4 the BO engine proposes 4 jointly
+    #    informative candidates per acquisition round.  batch_execution=True
+    #    (the default, spelled out here) sends each round's 4 proposals to
+    #    the executor as ONE batch — one task on one worker: shared join
+    #    subtrees across the sibling plans execute once, and every plan
+    #    still gets its own bit-for-bit latency/censoring.  q widens a task;
+    #    it takes several queries (or batch_execution=False, which fans the
+    #    q plans out one worker each) to keep 4 workers busy.
     with WorkloadSession(
         workload,
         queries=[query],

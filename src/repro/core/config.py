@@ -122,31 +122,36 @@ class ExecutionServiceConfig:
     #: CPU-bound executions), or ``"fabric"`` (shared-nothing node processes
     #: behind the lease-based socket coordinator).
     backend: str = "inline"
-    #: Concurrent plan executions per backend instance.
+    #: Worker slots per backend instance: tasks (a lone request, or a
+    #: same-query batch) executing concurrently.
     max_workers: int = 1
     #: ``"round_robin"`` or ``"budget_aware"`` (spend remaining budget on the
     #: queries whose surrogate predicts the largest expected improvement).
     policy: str = "round_robin"
     #: Proposals held in flight *per query* (the batched-ask q knob).  With
     #: ``q > 1`` techniques advertising ``supports_batch`` in the registry
-    #: keep up to q plans executing concurrently for one query — what lets a
-    #: single-query workload saturate a process pool; other techniques fall
-    #: back to q=1 transparently.  ``1`` reproduces single-proposal behaviour
+    #: keep up to q plans in flight for one query; other techniques fall
+    #: back to q=1 transparently.  With ``batch_execution`` the q plans are
+    #: one worker task (q widens the task, other queries fill the pool, and
+    #: a fixed q reproduces ``drive_state`` at that q bit-for-bit); submitted
+    #: per request they fan out over q workers and traces depend on
+    #: completion timing.  ``1`` reproduces single-proposal behaviour
     #: bit-for-bit.  ``"auto"`` hands the knob to a
     #: :class:`~repro.harness.batching.BatchSizeController`, which widens q
     #: toward the backend capacity while workers idle and narrows it when
     #: per-observation improvement stalls (traces then depend on completion
-    #: timing, like any q > 1 run).
+    #: timing).
     batch_size: int | str = 1
     #: One-pass batch execution of a query's in-flight q proposals: when a
     #: state issues more than one proposal in a scheduling round, they are
-    #: submitted as a single backend batch and shared join subtrees execute
-    #: once (``Executor.run_batch``).  Results are bit-for-bit identical to
-    #: per-request submission — batching only dedups work.  At q=1 (one
-    #: proposal per round) there is nothing to group and the scheduler
-    #: transparently falls back to per-request submission.  Wrapper layers
-    #: without a batch path (supervisor, fault injection, router) also fall
-    #: back transparently.
+    #: submitted as a single backend batch — one task on one worker, one
+    #: scheduler slot — and shared join subtrees execute once
+    #: (``Executor.run_batch``).  Each execution's result is bit-for-bit
+    #: what per-request submission produces — batching only dedups work.
+    #: At q=1 (one proposal per round) there is nothing to group and the
+    #: scheduler transparently falls back to per-request submission.
+    #: Wrapper layers without a batch path (supervisor, fault injection,
+    #: router) also fall back transparently.
     batch_execution: bool = True
     #: Execution memoization (see :mod:`repro.db.plan_cache`): replay
     #: repeated ``(query, plan)`` executions and reuse join-subtree
@@ -155,8 +160,8 @@ class ExecutionServiceConfig:
     #: speedup.  ``None`` (the default) leaves the database's own
     #: ``exec_cache`` configuration untouched — the database enables
     #: caching by default; setting ``True``/``False`` here overrides it for
-    #: the session's database and, through pickling, for every process-pool
-    #: worker replica (each worker holds its own private cache).
+    #: the session's database and with it for every process-pool worker
+    #: replica (each worker holds its own private cache).
     plan_cache: bool | None = None
     #: Byte budget for memoized subplan intermediates, per cache instance;
     #: ``None`` keeps the database's configured budget.
@@ -171,8 +176,10 @@ class ExecutionServiceConfig:
     #: ``fork`` where available — worker replicas inherit the database without
     #: a per-worker pickle round-trip).
     start_method: str | None = None
-    #: Whether process workers pre-plan every query at startup so the replica
-    #: is warm before the first real execution.
+    #: Whether the process backend plans every query and executes its default
+    #: plan before the first real execution: once in the coordinator when
+    #: workers are forked from it (they inherit the warm caches), in each
+    #: worker under other start methods.  Fabric nodes warm per node.
     warmup: bool = True
     #: Node processes of the ``"fabric"`` backend (localhost shared-nothing
     #: replicas behind the lease-based coordinator, see

@@ -197,8 +197,9 @@ class Database:
         functions of (schema, relations, cost params, noise, seed); rebuilding
         them on unpickle keeps the payload small and guarantees a worker
         process reconstructs exactly the replica ``__init__`` would have built.
-        This is what lets a :class:`~repro.exec.ProcessPoolBackend` ship one
-        database to each worker and hold it warm across plan executions.
+        This is what lets a :class:`~repro.exec.ProcessPoolBackend` under a
+        non-``fork`` start method (and every fabric node) receive one
+        database and hold it warm across plan executions.
         """
         return {
             "schema": self.schema,
@@ -232,8 +233,9 @@ class Database:
 
         Planning runs the cardinality estimator and join-order search end to
         end, touching the statistics and relation pages a replica needs hot;
-        process-pool workers call this once at startup so the first real plan
-        execution pays no cold-start penalty.  When the execution cache is
+        the process pool calls this once before serving — in the coordinator
+        when its workers are forked from it, in each worker otherwise — so
+        the first real plan execution pays no cold-start penalty.  When the execution cache is
         enabled, warmup additionally executes each query's default plan once
         (bounded by :attr:`WARMUP_TIMEOUT`), priming the subplan memo with
         the base-table scans and default join subtrees — the fragments

@@ -15,9 +15,11 @@ scheduler drives:
 * :class:`ThreadPoolBackend` — a thread pool; overlaps *waiting* (DBMS
   round-trips), the PR 2 interleaved mode.
 * :class:`ProcessPoolBackend` — worker processes, each holding a warm
-  :class:`~repro.db.engine.Database` replica; scales *CPU-bound* simulated
-  executions past the GIL.  Determinism rests on the sha256-based stable
-  seeding of every latency/RNG digest (:mod:`repro.utils.seeding`).
+  :class:`~repro.db.engine.Database` replica (forked from the coordinator's
+  database, warmed once; or shipped by pickle and warmed per worker); scales
+  *CPU-bound* simulated executions past the GIL.  Determinism rests on the
+  sha256-based stable seeding of every latency/RNG digest
+  (:mod:`repro.utils.seeding`).
 * :class:`MultiBackendRouter` — fans executions over several independent
   backends with per-member occupancy and health tracking; infrastructure
   failures are retried on the surviving members.
@@ -28,7 +30,8 @@ scheduler drives:
   graceful degradation to inline execution.
 
 **Policies** (:class:`SchedulingPolicy`) — pick which ready query state gets
-the next free slot:
+the next free slot (a slot holds one worker task: a lone request, or a
+same-query batch submitted through ``submit_batch``):
 
 * :class:`RoundRobin` — FIFO; reproduces the PR 2 schedule exactly.
 * :class:`BudgetAwarePriority` — spends remaining budget on the queries whose
@@ -37,9 +40,10 @@ the next free slot:
   worst-incumbent-first for model-free techniques.
 
 Policies reorder work *across* queries only; each query's own plan sequence
-is unchanged, so final traces are identical under every backend/policy pair —
-verified by the determinism tests (``tests/test_exec.py``) and the
-``benchmarks/bench_exec_backends.py`` gate.
+is unchanged, so final traces are identical under every backend/policy pair
+at q=1, and at any fixed q on backends with a batch path — verified by the
+determinism tests (``tests/test_exec.py``, ``tests/test_batch_ask.py``) and
+the ``benchmarks/bench_exec_backends.py`` gate.
 
 Configuration: either hand a ``WorkloadSession`` backend/policy instances, or
 describe them with :class:`~repro.core.config.ExecutionServiceConfig` —
@@ -205,9 +209,9 @@ def make_backend(
     The config's execution-memoization knobs (``plan_cache`` /
     ``plan_cache_bytes``) are applied through
     :func:`apply_cache_overrides` first, so they govern inline/thread
-    execution directly and ride the pickled constructor inputs into every
-    process-pool worker replica (each worker rebuilds a fresh, private
-    cache).  Knobs left at ``None`` keep whatever ``exec_cache``
+    execution directly and reach every process-pool worker with the
+    database (inherited on fork, or riding the pickled constructor inputs;
+    either way each worker's cache is private from its start on).  Knobs left at ``None`` keep whatever ``exec_cache``
     configuration the database was built with, and overrides never mutate
     the caller's database — a snapshot sharing the same relations carries
     them instead.

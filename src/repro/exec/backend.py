@@ -195,12 +195,16 @@ def perform_batch(
 def submit_request_batch(backend, requests: list[ExecutionRequest]) -> "list[Future[ExecutionOutcome]]":
     """Submit ``requests`` through ``backend``, batched when it supports it.
 
-    The scheduler-side entry point: backends exposing ``submit_batch``
-    (inline, thread, process) receive the whole batch as one submission so
+    For callers that only want the futures (forwarding wrappers, tests):
+    backends exposing ``submit_batch`` (inline, thread, process, fabric)
+    receive the whole batch as one submission — one task on one worker — so
     same-query plans share subtree work; wrapper backends that deliberately
     do not (supervisor, fault injection, router — their per-request
     semantics are the point) fall back to one ``submit`` per request.
-    Returns one future per request, in request order, either way.
+    Returns one future per request, in request order, either way.  The
+    scheduler makes the same choice itself
+    (``WorkloadSession._submit_tasks``) because it must also know how many
+    worker slots the round took.
     """
     if len(requests) > 1:
         submit_batch = getattr(backend, "submit_batch", None)

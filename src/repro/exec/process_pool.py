@@ -2,13 +2,25 @@
 
 Thread pools only overlap *waiting*; CPU-bound simulated executions serialize
 on the GIL.  :class:`ProcessPoolBackend` sidesteps the GIL entirely: each
-worker process receives one pickled :class:`~repro.db.engine.Database`
-replica at startup (rebuilt through ``Database.__setstate__`` — statistics,
-planner and executor freshly constructed), optionally pre-plans every known
-query (warmup), and then serves plan executions for the life of the pool.
-Per task only the small ``(query name | query, plan, timeout)`` payload
-crosses the process boundary, and the result travels back as a plain
-:class:`~repro.core.protocol.ExecutionOutcome`.
+worker process holds its own :class:`~repro.db.engine.Database` replica and
+serves plan executions for the life of the pool.  How the replica gets there
+depends on the start method:
+
+* ``fork`` (preferred where available) — nothing is pickled.  The pool warms
+  the *coordinator's* database once (:meth:`Database.warmup`: every
+  registered query planned, its default plan executed into the execution
+  cache) and then forks; each worker is a copy-on-write image of the
+  coordinator, warm outcome cache, subplan memo and kernel caches included,
+  and runs no warm-up of its own.  From the fork on the caches diverge —
+  workers never share mutable cache structures.
+* ``spawn`` / ``forkserver`` — each worker receives one pickled replica
+  (rebuilt through ``Database.__setstate__`` — statistics, planner and
+  executor freshly constructed, execution cache empty) and warms it itself.
+
+Per task only the small ``(query name | query, plan, timeout)`` payload — or,
+for a same-query batch, one ``(plan, timeout, proposal id)`` triple per plan —
+crosses the process boundary, and the result travels back as plain
+:class:`~repro.core.protocol.ExecutionOutcome` objects.
 
 Determinism: the executor's latency noise and every per-query RNG are seeded
 through :func:`repro.utils.seeding.stable_digest`, so a worker process
@@ -68,12 +80,14 @@ class RemoteExecutionError(OptimizationError):
 def _init_worker(
     database: "Database", queries: tuple[Query, ...], warmup: bool, trace: bool = False
 ) -> None:
-    """Build this worker's warm replica (runs once per worker process).
+    """Install this worker's replica (runs once per worker process).
 
-    The replica arrives with a *fresh, private* execution cache
-    (:class:`~repro.db.engine.Database` pickles only its cache *config*, not
-    cached state), so workers never share mutable cache structures; warmup
-    primes it with each query's default plan and the per-execution
+    A pickled replica (non-``fork`` start methods) arrives with a *fresh,
+    private* execution cache (:class:`~repro.db.engine.Database` pickles only
+    its cache *config*, not cached state) and ``warmup`` primes it with each
+    query's default plan; a forked worker inherited the coordinator's warm
+    database and is started with ``warmup=False``.  Either way workers never
+    share mutable cache structures, and the per-execution
     :class:`~repro.db.plan_cache.CacheStats` travel back to the scheduler on
     every :class:`~repro.core.protocol.ExecutionOutcome`.
 
@@ -190,7 +204,9 @@ class ProcessPoolBackend:
     start_method:
         Multiprocessing start method; ``None`` prefers ``fork``.
     warmup:
-        Pre-plan every registered query in each worker at startup.
+        Plan every registered query and execute its default plan before the
+        pool serves its first request: once, in the coordinator's database,
+        when workers are forked from it; in each worker otherwise.
     """
 
     name = "process"
@@ -215,6 +231,8 @@ class ProcessPoolBackend:
         self._warmup = warmup
         self._trace = trace
         self._pool: ProcessPoolExecutor | None = None
+        #: Set once the coordinator's database has been warmed for forking.
+        self._warmed = False
         self._closed = False
 
     def capacity(self) -> int:
@@ -224,11 +242,21 @@ class ProcessPoolBackend:
         if self._closed:
             raise OptimizationError("backend is closed")
         if self._pool is None:
+            context = _pick_context(self._start_method)
+            forks = context.get_start_method() == "fork"
+            if self._warmup and forks and not self._warmed:
+                # A forked worker is a copy-on-write image of this process:
+                # warm here once and every worker starts warm, instead of
+                # each planning and executing every default plan again (and
+                # paying a page fault for each page it writes doing so).
+                self._warmed = True
+                if hasattr(self.database, "warmup"):
+                    self.database.warmup(list(self._queries))
             self._pool = ProcessPoolExecutor(
                 max_workers=self._max_workers,
-                mp_context=_pick_context(self._start_method),
+                mp_context=context,
                 initializer=_init_worker,
-                initargs=(self.database, self._queries, self._warmup, self._trace),
+                initargs=(self.database, self._queries, self._warmup and not forks, self._trace),
             )
         return self._pool
 
@@ -245,11 +273,13 @@ class ProcessPoolBackend:
     ) -> "list[Future[ExecutionOutcome]]":
         """Run a same-query batch as one worker task.
 
-        The batch occupies a single worker, trading fan-out parallelism for
-        one-pass execution over the plans' shared subtrees — the right trade
-        for the simulated executor, where the shared work dominates.  Callers
-        that want per-plan fan-out instead (e.g. CPU-burn benchmarks) submit
-        per request or disable ``batch_execution``.
+        The batch occupies a single worker — one slot of :meth:`capacity`,
+        whatever its size, which is how the scheduler counts it — trading
+        fan-out parallelism for one-pass execution over the plans' shared
+        subtrees: the right trade for the simulated executor, where the
+        shared work dominates.  The per-request futures all resolve when the
+        task does.  Callers that want per-plan fan-out instead (e.g. CPU-burn
+        benchmarks) submit per request or disable ``batch_execution``.
         """
         requests = list(requests)
         if len(requests) == 1:
@@ -276,9 +306,10 @@ class ProcessPoolBackend:
 
         ``BrokenProcessPool`` poisons the executor permanently; the
         supervisor calls this to discard it so the next submission lazily
-        starts fresh workers (replicas rebuilt from the same pickled
-        database, so determinism is unaffected).  In-flight futures of the
-        old pool have already failed — nothing is carried over.
+        starts fresh workers from the same database (forked from the
+        already-warm coordinator, or rebuilt from its pickle), so determinism
+        is unaffected.  In-flight futures of the old pool have already
+        failed — nothing is carried over.
         """
         if self._closed:
             return

@@ -6,9 +6,15 @@ sample-efficiency loss *grows* with q (each extra in-flight proposal is
 chosen with one less observation).  :class:`BatchSizeController` closes the
 loop with the two signals the scheduler can already measure:
 
-* **starvation** — the backend had free execution slots but no ready state
-  was allowed to issue (every query parked at its q cap).  Persistent
-  starvation means q is the bottleneck: widen toward the backend capacity.
+* **starvation** — the backend had free worker slots but no ready state
+  was allowed to issue (every query parked at its q cap).  A slot is what
+  the scheduler counts against ``capacity()``: a worker *task*, i.e. a lone
+  request or a same-query group submitted through ``submit_batch``.
+  Persistent starvation means q is the bottleneck: widen toward the backend
+  capacity.  With per-request submission a wider q puts more of a query's
+  plans on idle workers; on a backend with a batch path it widens the
+  query's one task (more plans share one pass over their subtrees) and idle
+  workers stay idle until another query is ready.
 * **stall** — a sliding window of completed observations produced no new
   best latency for any query.  The extra parallelism is no longer buying
   information: narrow back toward sequential proposing.
@@ -16,8 +22,12 @@ loop with the two signals the scheduler can already measure:
 The controller is deliberately minimal — integer q, one-step moves, small
 hysteresis counters — because it sits on the scheduler thread of
 :class:`~repro.harness.runner.WorkloadSession` and must never become the hot
-path.  Auto mode inherits the q > 1 caveat: traces depend on completion
-timing, so runs are not bit-for-bit reproducible (use a fixed q for that).
+path.  Both signals are read off the wall clock (which rounds found a slot
+idle, which outcomes fell inside a window), so in auto mode traces depend on
+completion timing and runs are not bit-for-bit reproducible.  A *fixed* q is:
+on a backend with a batch path every query's trace equals
+:func:`~repro.core.protocol.drive_state` at that q; only per-request
+submission at q > 1 shares auto mode's caveat.
 """
 
 from __future__ import annotations
@@ -33,8 +43,9 @@ class BatchSizeController:
     Parameters
     ----------
     max_q:
-        Upper bound for q — the backend capacity (more in-flight proposals
-        than execution slots can never help).
+        Upper bound for q — the backend capacity (with per-request
+        submission more in-flight proposals than worker slots can never
+        help).
     min_q:
         Lower bound (1 = sequential proposing).
     widen_patience:

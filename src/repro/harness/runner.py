@@ -18,11 +18,20 @@ registry (:mod:`repro.core.registry`); the session
 * schedules the per-query steppers either **sequentially** (one query drained
   at a time — bit-for-bit the behaviour of the old private loops) or
   **interleaved**, stepping suggest/observe on the scheduler thread while the
-  backend holds up to ``capacity`` plan executions in flight, with a
+  backend holds up to ``capacity`` worker *tasks* in flight — a lone request,
+  or a same-query q-batch that ``submit_batch`` runs on one worker — with a
   :class:`~repro.exec.SchedulingPolicy` picking which ready query runs next.
-  Each state has at most one outstanding proposal, so techniques with
+  A task's outcomes are observed in submission order once all have landed.
+  At q=1 each state has at most one outstanding proposal, so techniques with
   per-query RNG state (BayesQO, Random) produce identical traces under every
-  backend/policy pair,
+  backend/policy pair.  At a fixed q > 1 the same holds on every backend
+  with a batch path (inline, thread, process, fabric): each state runs
+  ask(q) -> execute -> observe-in-order rounds, which is
+  :func:`~repro.core.protocol.drive_state` at that q whatever the timing.
+  What stays timing-dependent: ``batch_size="auto"`` (q follows wall-clock
+  signals) and q > 1 submitted per request (``batch_execution=False``,
+  wrapper backends without a batch path), where a state tops up as slots
+  free and outcomes are observed as they complete,
 * memoizes per-technique results, so a comparison that needs Bao both as the
   improvement baseline and as a contender executes it once.
 
@@ -75,7 +84,6 @@ from repro.exec import (
     backend_health,
     make_backend,
     make_policy,
-    submit_request_batch,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_report
@@ -216,7 +224,7 @@ class WorkloadSession:
         instance, a backend name (``"inline"``, ``"thread"``, ``"process"``),
         or ``None`` to derive one from ``exec_config``/``max_workers``.
     policy:
-        Which ready query gets the next free execution slot: a
+        Which ready query gets the next free worker slot: a
         :class:`~repro.exec.SchedulingPolicy` instance, a policy name
         (``"round_robin"``, ``"budget_aware"``), or ``None`` for round-robin.
     exec_config:
@@ -224,24 +232,28 @@ class WorkloadSession:
         (:class:`~repro.core.config.ExecutionServiceConfig`); explicit
         ``backend``/``policy`` arguments take precedence over it.
     max_workers:
-        Concurrent plan executions.  With no explicit backend,
+        Worker slots — tasks executing concurrently.  With no explicit backend,
         ``max_workers > 1`` selects the thread backend (the PR 2 behaviour);
         ``max_workers == 1`` selects inline execution.
     batch_size:
         Proposals held in flight *per query* (the batched-ask q knob).
         Techniques advertising ``supports_batch`` in the registry keep up to
-        q plans executing concurrently for one query — what lets a
-        single-query workload saturate a process pool; others fall back to
-        q=1 transparently.  ``"auto"`` delegates the knob to a
+        q plans in flight for one query; others fall back to q=1
+        transparently.  With ``batch_execution`` the q plans are one worker
+        task (q widens the task, other queries fill the other workers);
+        submitted per request they fan out over q workers.  ``"auto"``
+        delegates the knob to a
         :class:`~repro.harness.batching.BatchSizeController` (widen while
         workers idle, narrow when improvement stalls).  Defaults to
         ``exec_config.batch_size`` (1).
     batch_execution:
         Submit a query's in-flight q proposals as *one* backend batch so the
         executor runs their shared join subtrees once
-        (:meth:`~repro.db.executor.Executor.run_batch`).  Results are
-        bit-for-bit identical to per-request submission.  At q=1 there is
-        nothing to group and submission transparently stays per-request.
+        (:meth:`~repro.db.executor.Executor.run_batch`).  The batch is one
+        worker task and occupies one scheduler slot.  Every execution's
+        result is bit-for-bit what per-request submission produces.  At q=1
+        there is nothing to group and submission transparently stays
+        per-request.
         Defaults to ``exec_config.batch_execution`` (True).
     interleave:
         Force interleaving on/off; defaults to backend capacity > 1.
@@ -495,19 +507,25 @@ class WorkloadSession:
             proposal_id=proposal.proposal_id,
         )
 
-    def _submit_requests(self, requests: "list[ExecutionRequest]") -> "list[Future]":
+    def _submit_tasks(self, requests: "list[ExecutionRequest]") -> "list[list[Future]]":
         """Submit one scheduling round's requests for a single query.
 
-        With ``batch_execution`` and more than one request, the whole group
-        goes through :func:`~repro.exec.submit_request_batch` so backends
-        with a batch path run it as one :meth:`Executor.run_batch` call
-        (shared subtrees execute once); otherwise — q=1 rounds, batching
-        disabled, or wrapper backends without a batch path — each request is
-        submitted individually, which is bit-for-bit equivalent.
+        Returns the futures grouped by the backend slot they occupy, in
+        request order.  With ``batch_execution``, more than one request and
+        a backend with a batch path (inline, thread, process, fabric), the
+        group is *one* task: ``submit_batch`` runs it as one
+        :meth:`Executor.run_batch` call on one worker, so shared subtrees
+        execute once.  Otherwise — q=1 rounds, batching disabled, wrapper
+        backends whose per-request semantics are the point — every request
+        is a task of its own, which is bit-for-bit equivalent.
         """
-        if self.batch_execution and len(requests) > 1:
-            return submit_request_batch(self._backend, requests)
-        return [self._backend.submit(request) for request in requests]
+        if len(requests) > 1 and self._has_batch_path():
+            return [list(self._backend.submit_batch(requests))]
+        return [[self._backend.submit(request)] for request in requests]
+
+    def _has_batch_path(self) -> bool:
+        """Whether a round of several requests reaches the backend as one task."""
+        return self.batch_execution and hasattr(self._backend, "submit_batch")
 
     def _execute(self, proposal: PlanProposal, query: Query) -> ExecutionOutcome:
         """Execute one proposal through the backend, waiting for its outcome."""
@@ -713,20 +731,34 @@ class WorkloadSession:
         q: int = 1,
         controller: "BatchSizeController | None" = None,
     ) -> dict[str, OptimizationResult]:
-        """Step all per-query states; the backend holds executions in flight.
+        """Step all per-query states; the backend holds worker tasks in flight.
 
         ``suggest``/``observe`` always run on this (scheduler) thread, so
         technique internals need no locking; only plan execution — pure over
         immutable relations — runs concurrently, wherever the backend puts
-        it.  At the default ``q = 1`` each state has at most one plan in
-        flight, so per-query optimization remains sequential and techniques
-        with per-query RNGs reproduce their sequential traces exactly; the
-        policy only decides which ready query claims a free slot.
+        it.  The unit counted against ``capacity()`` is the **task**: what
+        one backend slot runs.  A round's requests that went through
+        ``submit_batch`` are one task whatever their number (one worker runs
+        the whole same-query group); a request submitted on its own is a
+        task of one.  A task's outcomes are observed together, in submission
+        order, once *all* of them have landed, and only then does its state
+        re-enter the ready list.
+
+        At the default ``q = 1`` each state has at most one plan in flight,
+        so per-query optimization remains sequential and techniques with
+        per-query RNGs reproduce their sequential traces exactly; the policy
+        only decides which ready query claims a free slot.
 
         With ``q > 1`` (techniques advertising ``supports_batch``) a selected
-        state issues up to q proposals via ``suggest_batch`` and their
-        outcomes resolve out of completion order by ``proposal_id``.  Budget
-        is charged per *completed* outcome; :func:`issue_allowance` caps the
+        state issues proposals via ``suggest_batch``.  On a backend with a
+        batch path it asks for its full :func:`issue_allowance` — q widens
+        the task, other queries fill the other slots — so each state runs
+        ask(q) -> execute -> observe-in-order rounds: exactly
+        :func:`~repro.core.protocol.drive_state` at that q, whatever the
+        timing.  Submitted per request (``batch_execution`` off, wrapper
+        backends) the ask is capped by the free slots, a state tops up as
+        slots free, and its trace depends on completion timing.  Budget is
+        charged per *completed* outcome; :func:`issue_allowance` caps the
         in-flight count so the execution budget can never be overshot.
 
         With a :class:`~repro.harness.batching.BatchSizeController`
@@ -739,23 +771,30 @@ class WorkloadSession:
         self.policy.reset()
         ready = [optimizer.start(query, budget=budget) for query in self.queries]
         scored = optimizer if spec.predicts_improvement else None
-        in_flight: dict[Future, object] = {}
+        #: ``(state, futures)`` per task in flight, in submission order.
+        tasks: list[tuple[object, list[Future]]] = []
+        #: The unresolved futures of ``tasks`` — what ``wait`` sleeps on.
+        waiting: set[Future] = set()
         capacity = max(1, self._backend.capacity())
+        one_task_per_round = self._has_batch_path()
         best_seen: dict[str, float] = {}
         try:
-            while ready or in_flight:
+            while ready or tasks:
                 q_now = controller.q if controller is not None else q
-                while ready and len(in_flight) < capacity:
+                while ready and len(tasks) < capacity:
                     state = ready.pop(self.policy.select(ready, scored))
                     if self.tracer.enabled:
                         self.tracer.instant(
                             "schedule.select",
                             category="schedule",
                             query=state.query.name,
-                            in_flight=len(in_flight),
+                            in_flight=len(tasks),
                             ready=len(ready),
                         )
-                    want = min(issue_allowance(state, q_now), capacity - len(in_flight))
+                    want = issue_allowance(state, q_now)
+                    if not one_task_per_round:
+                        # Every request will be a task of its own.
+                        want = min(want, capacity - len(tasks))
                     proposals = suggest_proposals(optimizer, state, want)
                     if not proposals:
                         if want > 0:
@@ -768,44 +807,48 @@ class WorkloadSession:
                         if state.outstanding_count == 0:
                             results[state.query.name] = optimizer.finish(state)
                         # else: parked — it re-enters the ready list when one
-                        # of its outstanding outcomes lands, and finishes
-                        # with the last of them.
+                        # of its tasks lands, and finishes with the last of
+                        # them.
                         continue
                     requests = [
                         self._request(proposal, state.query) for proposal in proposals
                     ]
-                    for future in self._submit_requests(requests):
-                        in_flight[future] = state
+                    for futures in self._submit_tasks(requests):
+                        tasks.append((state, futures))
+                        waiting.update(futures)
                     if len(proposals) == want and issue_allowance(state, q_now) > 0:
-                        # The ask was capacity-capped, not technique-capped:
-                        # the state may claim further slots as they free up.
+                        # The ask was slot-capped, not technique-capped: the
+                        # state may claim further slots as they free up.
                         ready.append(state)
                 if controller is not None:
                     # Starvation: slots idle while every unfinished state is
                     # parked at its q cap (nothing ready to issue).
                     controller.record_round(
-                        idle_slots=capacity - len(in_flight),
-                        starved=bool(in_flight) and not ready,
+                        idle_slots=capacity - len(tasks),
+                        starved=bool(tasks) and not ready,
                     )
-                if not in_flight:
+                if not tasks:
                     continue
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    state = in_flight.pop(future)
-                    outcome = self._outcome_of(future, state.query.name)
-                    if controller is not None:
-                        name = state.query.name
-                        improved = not outcome.timed_out and outcome.latency < best_seen.get(
-                            name, float("inf")
-                        )
-                        if improved:
-                            best_seen[name] = outcome.latency
-                        controller.record_outcome(improved)
-                    optimizer.observe(state, outcome)
+                _, waiting = wait(waiting, return_when=FIRST_COMPLETED)
+                landed = [task for task in tasks if waiting.isdisjoint(task[1])]
+                tasks = [task for task in tasks if not waiting.isdisjoint(task[1])]
+                for state, futures in landed:
+                    for future in futures:
+                        outcome = self._outcome_of(future, state.query.name)
+                        if controller is not None:
+                            name = state.query.name
+                            improved = (
+                                not outcome.timed_out
+                                and outcome.latency < best_seen.get(name, float("inf"))
+                            )
+                            if improved:
+                                best_seen[name] = outcome.latency
+                            controller.record_outcome(improved)
+                        optimizer.observe(state, outcome)
                     if all(other is not state for other in ready):
                         ready.append(state)
         finally:
-            for future in in_flight:
+            for future in waiting:
                 future.cancel()
         return {query.name: results[query.name] for query in self.queries}
 

@@ -18,7 +18,11 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import queue
+import threading
+from concurrent.futures import Future, wait
 
 import numpy as np
 import pytest
@@ -43,7 +47,10 @@ from repro.core.timeout import (
     UncertaintyTimeout,
 )
 from repro.exceptions import OptimizationError
+from repro.exec import perform_batch
 from repro.harness import WorkloadSession
+from repro.harness import runner as runner_module
+from repro.workloads.base import Workload
 
 ALL_TECHNIQUES = technique_names()
 
@@ -368,6 +375,222 @@ class TestNoDuplicateProposals:
         assert finished == [("tiny_q3", 0)]
         plans = [record.plan.canonical() for record in results["tiny_q3"].trace]
         assert len(plans) == len(set(plans)) <= 6
+
+
+# ------------------------------------------------ the worker task is the unit
+@pytest.fixture(scope="module")
+def three_queries(tiny_query, tiny_three_table_query, tiny_two_table_query):
+    return [tiny_query, tiny_three_table_query, tiny_two_table_query]
+
+
+@pytest.mark.slow
+class TestFixedQMatchesDriveState:
+    """On a backend with a batch path a q-batch is one worker task, observed
+    in submission order once it has landed in full: every query's trace is
+    ``drive_state`` at that q, whatever the timing, policy or query order."""
+
+    BUDGET = BudgetSpec(max_executions=8)
+    CONFIG = BayesQOConfig(max_executions=8, num_candidates=32, seed=0)
+
+    @pytest.fixture(scope="class")
+    def reference(self, tiny_database, tiny_schema_model, three_queries):
+        database = tiny_database.snapshot()
+        optimizer = BayesQO(database, tiny_schema_model, config=self.CONFIG)
+        traces = {}
+        for query in three_queries:
+            state = optimizer.start(query, budget=self.BUDGET)
+            drive_state(optimizer, database, state, q=4)
+            traces[query.name] = optimizer.finish(state).trace_signature()
+        return traces
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("policy", ["round_robin", "budget_aware"])
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_interleaved_q4_equals_the_reference_loop_and_itself(
+        self, backend, policy, order, tiny_database, tiny_schema_model, three_queries, reference
+    ):
+        runs = []
+        for _ in range(2):
+            # A snapshot per run: same relations, an execution cache of its own.
+            workload = Workload(
+                name="tiny", database=tiny_database.snapshot(),
+                queries=three_queries[::order], max_aliases=2,
+            )
+            with make_session(
+                workload, tiny_schema_model,
+                budget=self.BUDGET, bayes_config=self.CONFIG,
+                backend=backend, max_workers=2, policy=policy, batch_size=4,
+            ) as session:
+                assert session.interleave
+                runs.append(signatures(session.run("bayesqo")))
+        assert runs[0] == reference
+        assert runs[1] == reference
+
+
+class SteppedBackend:
+    """A batch-path backend that executes at submit and resolves on demand.
+
+    Each :meth:`step` makes the resolver thread resolve exactly one future:
+    the *last* unresolved one of a group, the open groups taking turns — so
+    groups land one future at a time, in reverse order, several of them
+    partially landed at once.  ``fail_at`` fails the n-th resolution.
+    """
+
+    name = "stepped"
+
+    def __init__(self, database, capacity: int = 2, fail_at: int | None = None) -> None:
+        self.database = database
+        self._capacity = capacity
+        self._fail_at = fail_at
+        #: Every group submitted, ``[(future, request, outcome), ...]`` each,
+        #: in submission order; ``_open`` holds what of them is unresolved.
+        self.groups: list[list] = []
+        self.failed_request = None
+        self._open: list[list] = []
+        self._turn = 0
+        self._resolved = 0
+        self._steps: queue.Queue = queue.Queue()
+        self._thread = threading.Thread(target=self._resolve, daemon=True)
+        self._thread.start()
+
+    def capacity(self) -> int:
+        return self._capacity
+
+    def healthy(self) -> bool:
+        return True
+
+    def submit(self, request):
+        return self.submit_batch([request])[0]
+
+    def submit_batch(self, requests):
+        assert len(self._open) < self._capacity, "the scheduler holds more tasks than slots"
+        outcomes = perform_batch(self.database, list(requests))
+        group = [(Future(), request, outcome) for request, outcome in zip(requests, outcomes)]
+        self.groups.append(group)
+        self._open.append(list(group))
+        return [future for future, *_ in group]
+
+    def group_of(self, query_name: str, proposal_id: int) -> list:
+        for group in self.groups:
+            if any(
+                (request.query.name, request.proposal_id) == (query_name, proposal_id)
+                for _, request, _ in group
+            ):
+                return group
+        raise AssertionError(f"no group holds {query_name}#{proposal_id}")
+
+    def step(self) -> None:
+        self._steps.put(True)
+
+    def _resolve(self) -> None:
+        # Runs between a step() and the resolution the scheduler then wakes
+        # on, so it never touches ``_open`` while the scheduler submits.
+        while self._steps.get():
+            group = self._open[self._turn % len(self._open)]
+            future, request, outcome = group.pop()
+            if group:
+                self._turn += 1
+            else:
+                self._open.remove(group)
+            failing = self._resolved == self._fail_at
+            self._resolved += 1
+            if failing:
+                self.failed_request = request
+                future.set_exception(RuntimeError("injected execution failure"))
+            else:
+                future.set_result(outcome)
+
+    def close(self) -> None:
+        self._steps.put(None)
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+class TestSchedulerCountsTasks:
+    """The scheduler against :class:`SteppedBackend`, no pool involved: slots
+    hold tasks, a group is observed landed and in order, ``wait`` sleeps on
+    unresolved futures only, budgets are exact, failures name their query."""
+
+    Q = 4
+    BUDGET = 9  # rounds of 4, 4 and a lone request
+
+    @pytest.fixture
+    def queries(self, tiny_query, tiny_three_table_query):
+        # Three queries for two slots, each with more plans than the budget.
+        return [
+            tiny_query,
+            tiny_three_table_query,
+            dataclasses.replace(tiny_query, name="tiny_q1_again"),
+        ]
+
+    def run(self, monkeypatch, backend, queries):
+        waits: list[int] = []
+        observed: list[tuple] = []
+
+        def stepping_wait(futures, timeout=None, return_when=None):
+            futures = set(futures)
+            assert futures and not any(future.done() for future in futures)
+            waits.append(len(futures))
+            backend.step()
+            return wait(futures, timeout=30, return_when=return_when)
+
+        observe = RandomSearch.observe
+
+        def recording_observe(optimizer, state, outcome):
+            group = backend.group_of(state.query.name, outcome.proposal_id)
+            assert all(future.done() for future, *_ in group)
+            observed.append((state.query.name, outcome.proposal_id))
+            return observe(optimizer, state, outcome)
+
+        monkeypatch.setattr(runner_module, "wait", stepping_wait)
+        monkeypatch.setattr(RandomSearch, "observe", recording_observe)
+        workload = Workload(
+            name="tiny", database=backend.database, queries=queries, max_aliases=2
+        )
+        session = WorkloadSession(
+            workload, budget=BudgetSpec(max_executions=self.BUDGET), seed=0,
+            backend=backend, batch_size=self.Q,
+        )
+        assert session.interleave
+        try:
+            results = session.run("random")
+        finally:
+            session.close()
+        return results, waits, observed
+
+    def test_groups_land_whole_in_order_within_capacity(
+        self, monkeypatch, tiny_database, queries
+    ):
+        backend = SteppedBackend(tiny_database.snapshot())
+        results, waits, observed = self.run(monkeypatch, backend, queries)
+        total = self.BUDGET * len(queries)
+        assert {name: result.num_executions for name, result in results.items()} == {
+            query.name: self.BUDGET for query in queries
+        }
+        # A state asks for its whole allowance although only two slots exist.
+        assert sorted({len(group) for group in backend.groups}) == [1, self.Q]
+        # One wait per resolution: a partially landed group is never polled.
+        assert len(waits) == total == len(observed)
+        position = {key: index for index, key in enumerate(observed)}
+        assert len(position) == total
+        for group in backend.groups:
+            keys = [(request.query.name, request.proposal_id) for _, request, _ in group]
+            first = position[keys[0]]
+            assert [position[key] for key in keys] == list(range(first, first + len(keys)))
+
+    def test_a_failed_future_names_its_query_and_cancels_the_rest(
+        self, monkeypatch, tiny_database, queries
+    ):
+        backend = SteppedBackend(tiny_database.snapshot(), fail_at=5)
+        with pytest.raises(OptimizationError) as raised:
+            self.run(monkeypatch, backend, queries)
+        message = str(raised.value)
+        assert "injected execution failure" in message
+        assert f"query {backend.failed_request.query.name!r}" in message
+        futures = [future for group in backend.groups for future, *_ in group]
+        # Everything submitted has either landed or been cancelled on the way out.
+        assert all(future.done() for future in futures)
+        assert any(future.cancelled() for future in futures)
 
 
 # ----------------------------------------------------- engine batch acquisition

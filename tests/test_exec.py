@@ -9,7 +9,10 @@ occupancy/health bookkeeping.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import time
 from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
@@ -35,6 +38,7 @@ from repro.exec import (
     make_backend,
     make_policy,
 )
+from repro.exec.process_pool import _WORKER_STATE, _execute_in_worker
 from repro.harness import WorkloadSession
 from repro.plans.jointree import JoinTree
 from repro.utils.seeding import stable_digest
@@ -234,6 +238,119 @@ class TestBackends:
             assert outcome.latency == database.execute(query, plan).latency
         finally:
             backend.close()
+
+
+# ------------------------------------------------------------- warm once
+def _probe_worker(plans: dict, hold: float) -> tuple:
+    """Runs inside a pool worker: the cache counters it holds on arrival and
+    whether executing each default plan hits its outcome cache.  ``hold``
+    keeps this worker busy so the pool hands the next probe to the other."""
+    before = _WORKER_STATE["database"].execution_cache.counters.snapshot()
+    hits = {
+        name: _execute_in_worker(name, plan, Database.WARMUP_TIMEOUT).cache.outcome_hit
+        for name, plan in plans.items()
+    }
+    time.sleep(hold)
+    return os.getpid(), before, hits
+
+
+def _exit_worker() -> None:
+    os._exit(1)
+
+
+def _probe_both_workers(backend: ProcessPoolBackend, plans: dict) -> dict:
+    """``{worker pid: (counters on arrival, first-execution hits)}`` of a 2-worker pool."""
+    reports: dict = {}
+    for _ in range(5):
+        pool = backend._ensure_pool()
+        for task in [pool.submit(_probe_worker, plans, 0.3) for _ in range(2)]:
+            pid, before, hits = task.result(timeout=60)
+            reports.setdefault(pid, (before, hits))
+        if len(reports) == 2:
+            return reports
+    raise AssertionError(f"probes reached {len(reports)} of 2 workers")
+
+
+@pytest.mark.slow
+class TestProcessPoolWarmsOnce:
+    """Forked workers inherit one coordinator-side warm-up; spawned ones warm
+    their own replica; ``warmup=False`` leaves everything cold."""
+
+    @pytest.fixture
+    def cold(self, noisy_workload):
+        # A snapshot shares the relations and starts with an empty cache.
+        database = noisy_workload.database.snapshot()
+        queries = noisy_workload.queries
+        plans = {query.name: database.plan(query) for query in queries}
+        assert database.execution_cache.num_outcomes == 0
+        return database, queries, plans
+
+    def test_fork_warms_the_coordinator_and_no_worker(self, cold):
+        database, queries, plans = cold
+        cache = database.execution_cache
+        backend = ProcessPoolBackend(
+            database, max_workers=2, queries=queries, start_method="fork"
+        )
+        try:
+            assert cache.num_outcomes == 0  # the pool is lazy
+            reports = _probe_both_workers(backend, plans)
+            # One warm-up, here: a miss and a stored outcome per default plan.
+            assert cache.num_outcomes == len(queries)
+            warm = cache.counters.snapshot()
+            assert (warm["outcome_hits"], warm["outcome_misses"]) == (0, len(queries))
+            assert os.getpid() not in reports
+            for before, hits in reports.values():
+                # The worker arrived with exactly the coordinator's cache — it
+                # looked nothing up and executed nothing before the probe —
+                # and its first execution of every default plan replays.
+                assert before == warm
+                assert hits == {query.name: True for query in queries}
+
+            # Break the pool; its replacement forks from the warm coordinator.
+            with pytest.raises(BrokenExecutor):
+                backend._ensure_pool().submit(_exit_worker).result(timeout=60)
+            assert not backend.healthy()
+            backend.rebuild()
+            reports = _probe_both_workers(backend, plans)
+            assert cache.counters.snapshot() == warm
+            for before, hits in reports.values():
+                assert before == warm
+                assert all(hits.values())
+        finally:
+            backend.close()
+
+    @pytest.mark.skipif(
+        "spawn" not in multiprocessing.get_all_start_methods(), reason="no spawn start method"
+    )
+    def test_spawned_workers_warm_their_own_replica(self, cold):
+        database, queries, plans = cold
+        backend = ProcessPoolBackend(
+            database, max_workers=2, queries=queries, start_method="spawn"
+        )
+        try:
+            reports = _probe_both_workers(backend, plans)
+        finally:
+            backend.close()
+        # Nothing ran here; each worker paid its own misses before serving.
+        assert database.execution_cache.num_outcomes == 0
+        assert database.execution_cache.counters.snapshot()["outcome_misses"] == 0
+        for before, hits in reports.values():
+            assert (before["outcome_hits"], before["outcome_misses"]) == (0, len(queries))
+            assert hits == {query.name: True for query in queries}
+
+    def test_warmup_off_leaves_coordinator_and_workers_cold(self, cold):
+        database, queries, plans = cold
+        backend = ProcessPoolBackend(
+            database, max_workers=2, queries=queries, start_method="fork", warmup=False
+        )
+        try:
+            reports = _probe_both_workers(backend, plans)
+        finally:
+            backend.close()
+        assert database.execution_cache.num_outcomes == 0
+        for before, hits in reports.values():
+            assert (before["outcome_hits"], before["outcome_misses"]) == (0, 0)
+            assert hits == {query.name: False for query in queries}
 
 
 # ------------------------------------------------------- trace determinism
