@@ -17,8 +17,10 @@ quick:
 	$(PYTEST) -x -q -m "not slow"
 
 # Planner vs. the per-hint-set reference search on every JOB/Stack/DSB query
-# of <= 8 tables x all 49 hint sets (tier-1 rotates a window of hint sets over
-# the larger queries; this is the full cross product, a few minutes).
+# of <= 10 tables, the DP's whole range: all 49 hint sets up to 8 tables (the
+# full cross product), a rotating window of seven at 9-10 tables, where one
+# reference search takes up to 0.4 s (tier-1 rotates smaller windows; this is
+# a few minutes).
 # Executor vs. the nested-loop reference on every <= 5-table JOB query x its
 # distinct Bao hint-set plans, plus 300 random small databases (~35 s).
 oracle-full:

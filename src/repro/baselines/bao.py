@@ -29,7 +29,7 @@ from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
 from repro.db.engine import Database
 from repro.db.query import Query
-from repro.plans.hints import HintSet, bao_hint_sets
+from repro.plans.hints import HintSet
 from repro.plans.jointree import JoinTree
 
 #: Timeout for the first (uncapped) hint-set execution, and the latency
@@ -128,10 +128,10 @@ class BaoOptimizer:
             state.best_plan, state.best_hint_set, state.best_latency,
         )
         if best_plan is None or best_hint_set is None or best_latency is None:
-            # Every hinted plan timed out: fall back to the default plan at the
+            # Every hinted plan timed out: fall back to the default plan (the first
+            # hint set's, as it ran on the database the state started on) at the
             # initial timeout so callers always get a concrete (if slow) answer.
-            best_plan = self.database.plan(state.query)
-            best_hint_set = bao_hint_sets()[0]
+            best_hint_set, best_plan = state.plans[0]
             best_latency = self.initial_timeout
         return BaoOutcome(
             result=state.result,

@@ -10,7 +10,10 @@ A single cost model serves two purposes:
 Because both sides share the same operator formulas, the only source of
 "optimizer is wrong" behaviour is cardinality misestimation — which matches
 the premise of the paper (Leis et al.'s finding that cardinality errors, not
-cost model errors, dominate plan quality).
+cost model errors, dominate plan quality).  The planner evaluates the join
+formulas over arrays of alias subsets (``repro.db.optimizer._join_costs``, in
+the operation order used here); ``TestOneCostModel`` in
+``tests/test_db_optimizer.py`` keeps the two equal bit for bit.
 
 All costs are expressed in simulated seconds.  The constants are scaled so a
 well-chosen plan over the bundled workloads runs in tens of milliseconds to a

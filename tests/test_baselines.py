@@ -16,7 +16,7 @@ from repro.baselines import (
     complete_matrix,
 )
 from repro.core.initialization import bao_initialization
-from repro.core.protocol import ExecutionOutcome
+from repro.core.protocol import ExecutionOutcome, drive_state
 from repro.plans.hints import bao_hint_sets
 
 
@@ -42,6 +42,22 @@ class TestBao:
 
     def test_convenience_helper(self, tiny_database, tiny_query):
         assert bao_best_latency(tiny_database, tiny_query) > 0
+
+    def test_all_censored_falls_back_to_the_plan_that_ran(self, tiny_database, tiny_query, monkeypatch):
+        # An initial timeout no plan can meet censors every hint-set plan.
+        optimizer = BaoOptimizer(tiny_database, initial_timeout=1e-12)
+        state = optimizer.start(tiny_query)
+        drive_state(optimizer, tiny_database, state)
+        assert state.result.num_executions == len(state.plans) and state.best_plan is None
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("outcome() must not call the planner")
+
+        monkeypatch.setattr(tiny_database.optimizer, "plan_hint_sets", no_planning)
+        outcome = optimizer.outcome(state)
+        assert outcome.best_plan is state.plans[0][1] is state.result.trace[0].plan
+        assert outcome.best_hint_set is state.plans[0][0] is bao_hint_sets()[0]
+        assert outcome.best_latency == optimizer.initial_timeout
 
 
 class TestRandomSearch:

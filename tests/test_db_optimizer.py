@@ -4,12 +4,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.reference_planner import ReferencePlanner
-from repro.db.optimizer import PlanOptimizer
+from repro.db.cardinality import MIN_ROWS
+from repro.db.catalog import Schema
+from repro.db.cost import join_cost
+from repro.db.optimizer import PlanOptimizer, _QueryTables, _Side
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.exceptions import QueryError
 from repro.plans.hints import DEFAULT_HINT_SET, HintSet, bao_hint_sets
@@ -132,15 +136,20 @@ class TestCostEstimates:
 #: The oracle is 49 from-scratch searches of 3^n splits each, so tier-1 gives
 #: it every hint set only on small queries and a rotating window of them on
 #: larger ones (``plan_hint_sets`` itself always plans all 49 in one call).
-#: ``REPRO_ORACLE_FULL=1`` (``make oracle-full``) checks the full cross product.
+#: ``REPRO_ORACLE_FULL=1`` (``make oracle-full``) checks the full cross product
+#: up to 8 tables and a window of seven at 9-10 tables, where one oracle search
+#: takes 0.05-0.4 s.
 ORACLE_FULL = os.environ.get("REPRO_ORACLE_FULL") == "1"
 HINT_SETS = bao_hint_sets()
 
 
 def _oracle_window(query: Query, index: int) -> list[int]:
-    if ORACLE_FULL or query.num_tables <= 5:
+    if query.num_tables <= 5 or (ORACLE_FULL and query.num_tables <= 8):
         return list(range(len(HINT_SETS)))
-    width = 7 if query.num_tables == 6 else 2
+    if query.num_tables >= 9:
+        width = 7 if ORACLE_FULL else 1
+    else:
+        width = 7 if query.num_tables == 6 else 2
     return [(index * width + offset) % len(HINT_SETS) for offset in range(width)]
 
 
@@ -152,6 +161,12 @@ def _assert_matches_oracle(optimizer: PlanOptimizer, query: Query, checked: list
         expected = oracle.plan(query, HINT_SETS[index])
         assert plans[index] == expected, (query.name, HINT_SETS[index].name)
         assert optimizer.plan(query, HINT_SETS[index]) == expected
+
+
+def _drop_predicates(query: Query, dropped: int) -> Query:
+    """``query`` without the join predicates whose bit is set in ``dropped``."""
+    kept = [p for bit, p in enumerate(query.join_predicates) if not dropped >> bit & 1]
+    return Query(query.name, query.table_refs, kept, query.filters)
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +193,13 @@ class TestOracleEquivalence:
         ids=["job", "stack", "dsb"],
     )
     def test_benchmark_workloads(self, build):
+        # Every bundled query the DP plans: up to ``dp_table_limit`` tables.
         workload = build(scale=0.05, seed=0)
-        queries = [query for query in workload.queries if query.num_tables <= 8]
+        assert workload.database.optimizer.dp_table_limit == 10
+        queries = [query for query in workload.queries if query.num_tables <= 10]
         assert len(queries) >= 50
+        if build is not build_dsb_workload:
+            assert sum(query.num_tables >= 9 for query in queries) >= 25
         covered = set()
         for index, query in enumerate(queries):
             checked = _oracle_window(query, index)
@@ -201,12 +220,22 @@ class TestOracleEquivalence:
         # join graph (cross-join fallback); ``dp_table_limit=2`` sends queries
         # of every size down the greedy path.
         optimizer, query = job_sampler(seed, tables)
-        kept = [p for bit, p in enumerate(query.join_predicates) if not dropped >> bit & 1]
-        query = Query(query.name, query.table_refs, kept, query.filters)
+        query = _drop_predicates(query, dropped)
         optimizer = PlanOptimizer(
             optimizer.schema, optimizer.stats, optimizer.cost_params, dp_table_limit
         )
         _assert_matches_oracle(optimizer, query, checked)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("tables", [9, 10])
+    def test_widest_level_arrays(self, job_sampler, tables):
+        # The top of the DP's range with one predicate dropped and as a pure
+        # cross join, where the fallback makes all 3^n splits feasible.
+        optimizer, query = job_sampler(7, tables)
+        checked = [0, len(HINT_SETS) // 2, len(HINT_SETS) - 1]
+        for kept in (query.join_predicates[1:], []):
+            wide = Query(query.name, query.table_refs, kept, query.filters)
+            _assert_matches_oracle(optimizer, wide, checked)
 
     def test_two_table_and_fully_disconnected_queries(self, job_sampler):
         optimizer, pair = job_sampler(3, 2)
@@ -239,6 +268,134 @@ class TestOracleEquivalence:
         plans = optimizer.plan_hint_sets(tiny_query, [index, index_only, DEFAULT_HINT_SET])
         assert plans[0] is plans[1] is plans[2]
         assert optimizer.plan_hint_sets(tiny_query, []) == []
+
+    def test_no_hint_sets_no_plans(self, optimizer, job_sampler):
+        single = Query("one", [TableRef("customer#1", "customer")], [])
+        assert optimizer.plan_hint_sets(single, []) == []
+        for tables in (2, 7):
+            job_optimizer, query = job_sampler(8, tables)
+            assert job_optimizer.plan_hint_sets(query, []) == []
+
+    def test_a_class_does_not_depend_on_the_classes_it_is_swept_with(self, job_sampler):
+        optimizer, query = job_sampler(9, 7)
+        together = optimizer.plan_hint_sets(query, HINT_SETS)
+        assert len({plan.canonical() for plan in together}) > 1
+        for hint_set, plan in zip(HINT_SETS, together):
+            assert optimizer.plan_hint_sets(query, [hint_set]) == [plan]
+
+    def test_mirrored_splits_tie_exactly(self, optimizer):
+        # One table under two aliases with identical filters: swapping the
+        # twins gives splits of bit-identical cost, so every level has exact
+        # ties and only the first-wins order decides.
+        twins = Query(
+            "twins",
+            [
+                TableRef("orders#1", "orders"),
+                TableRef("customer#1", "customer"),
+                TableRef("customer#2", "customer"),
+                TableRef("product#1", "product"),
+                TableRef("shipment#1", "shipment"),
+            ],
+            [
+                JoinPredicate("orders#1", "customer_id", "customer#1", "id"),
+                JoinPredicate("orders#1", "customer_id", "customer#2", "id"),
+                JoinPredicate("orders#1", "product_id", "product#1", "id"),
+                JoinPredicate("shipment#1", "order_id", "orders#1", "id"),
+            ],
+            [
+                FilterPredicate("customer#1", "region", "=", 2),
+                FilterPredicate("customer#2", "region", "=", 2),
+            ],
+        )
+        tables = _QueryTables(optimizer, twins)
+        one, two = tables.bit_of["customer#1"], tables.bit_of["customer#2"]
+
+        def swap(mask: int) -> int:
+            return mask & ~(one | two) | (two if mask & one else 0) | (one if mask & two else 0)
+
+        ties = 0
+        for _, _, left, right, op_costs in tables.levels():
+            costs = dict(zip(zip(left.tolist(), right.tolist()), op_costs.tolist()))
+            for (l, r), triple in costs.items():
+                if (swap(l), swap(r)) != (l, r):
+                    assert costs[swap(l), swap(r)] == triple
+                    ties += 1
+        assert ties >= 20
+        _assert_matches_oracle(optimizer, twins, list(range(len(HINT_SETS))))
+
+
+# ---------------------------------------------------------------------------- one cost model
+def _check_cost_model(optimizer: PlanOptimizer, query: Query) -> set[str]:
+    """The DP's arrays against ``CardinalityEstimator`` and ``cost.join_cost``, with ``==``.
+
+    Returns which kinds of join input the feasible splits exercised.
+    """
+    tables = _QueryTables(optimizer, query)
+    oracle = ReferencePlanner(optimizer)
+    aliases = {
+        mask: frozenset(leaf.alias for bit, leaf in tables.leaves.items() if mask & bit)
+        for mask in range(1, tables.full + 1)
+    }
+    rows = {mask: optimizer.estimator.estimate_subset(query, aliases[mask]) for mask in aliases}
+    assert _Side(*tables.side_arrays()).rows[1:].tolist() == list(rows.values())
+    seen = set()
+    for subsets, counts, left, right, op_costs in tables.levels():
+        joined = np.repeat(subsets, counts).tolist()
+        for s, l, r, costs in zip(joined, left.tolist(), right.tolist(), op_costs.tolist()):
+            assert s == l | r and not l & r
+            indexed, table_rows = oracle._inner_index_info(query, aliases[r])
+            assert costs == [
+                join_cost(
+                    op, rows[l], rows[r], rows[s], inner_indexed=indexed,
+                    inner_table_rows=table_rows, params=optimizer.cost_params,
+                )
+                for op in JOIN_OPS
+            ]
+            if len(aliases[r]) > 1:
+                seen.add("multi-table inner")
+            else:
+                seen.add("indexed inner" if indexed else "plain inner")
+            if MIN_ROWS in (rows[l], rows[r]):
+                seen.add("clamped sort input")
+    return seen
+
+
+def _without_indexes(optimizer: PlanOptimizer, dropped: int) -> PlanOptimizer:
+    """``optimizer`` over a schema that lacks the indexes whose bit is set in ``dropped``."""
+    schema = optimizer.schema
+    kept = [index for bit, index in enumerate(schema.indexes) if not dropped >> bit & 1]
+    bare = Schema(schema.name, schema.tables, schema.foreign_keys, kept)
+    return PlanOptimizer(bare, optimizer.stats, optimizer.cost_params, optimizer.dp_table_limit)
+
+
+class TestOneCostModel:
+    """The planner evaluates ``repro.db.cost`` over arrays: equal to it bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        tables=st.integers(2, 7),
+        dropped_predicates=st.integers(0, 2**8 - 1),
+        dropped_indexes=st.integers(0, 2**40 - 1),
+    )
+    def test_sampled_queries(self, job_sampler, seed, tables, dropped_predicates, dropped_indexes):
+        optimizer, query = job_sampler(seed, tables)
+        query = _drop_predicates(query, dropped_predicates)
+        _check_cost_model(_without_indexes(optimizer, dropped_indexes), query)
+
+    def test_every_kind_of_join_input(self, optimizer, tiny_query):
+        # ``customer.id`` loses its index (a plain single-table inner) and an
+        # unsatisfiable filter clamps every subset with ``product#1`` at MIN_ROWS.
+        customer_id = next(
+            bit for bit, index in enumerate(optimizer.schema.indexes)
+            if (index.table, index.column) == ("customer", "id")
+        )
+        clamped = Query(
+            "clamped", tiny_query.table_refs, tiny_query.join_predicates,
+            [*tiny_query.filters, FilterPredicate("product#1", "category", "=", -1)],
+        )
+        seen = _check_cost_model(_without_indexes(optimizer, 1 << customer_id), clamped)
+        assert seen == {"multi-table inner", "indexed inner", "plain inner", "clamped sort input"}
 
 
 _HASH_SEED_PROBE = """
