@@ -8,7 +8,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test quick oracle-full bench-smoke serve-smoke bench-e2e bench-e2e-smoke
+.PHONY: test quick oracle-full bench-smoke serve-smoke bench-e2e bench-e2e-smoke bench-shape
 
 test:
 	$(PYTEST) -x -q
@@ -51,3 +51,10 @@ bench-e2e:
 
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --smoke
+
+# The ruler's paper-shape check (Fig. 9: on opt_exec_bound plan execution
+# outweighs BO overhead) is a property of the full sizes, so the smoke run
+# skips it.  One traced contract run (~10 s): prints the ratio, fails on
+# "correct": false.
+bench-shape:
+	python3 benchmarks/e2e/run.py --workload opt_exec_bound --trace 1 --seconds 6 | tail -n 1 | python3 -c "import json, sys; r = json.load(sys.stdin); m = {k: v['value'] for k, v in r['metrics'].items()}; print('db.execute_s / (core.suggest_s + core.observe_s) = %.3f / (%.3f + %.3f) = %.2f' % (m['db.execute_s'], m['core.suggest_s'], m['core.observe_s'], m['db.execute_s'] / (m['core.suggest_s'] + m['core.observe_s']))); sys.exit(None if r['correct'] else 'opt_exec_bound: \"correct\": false (paper shape, digest or attributed share)')"

@@ -15,6 +15,14 @@ runs L-BFGS on analytic marginal-likelihood gradients), ``add_observation``
 extends the Cholesky factor with a rank-1 update in O(n^2), and
 ``fantasize``/``fantasize_batch`` condition on a hypothetical observation in
 closed form instead of cloning and refitting the model.
+
+The linear algebra is LAPACK called with the arguments scipy's wrappers pass
+(every float is theirs) minus their per-call Python: ``potrf`` factorizes (a
+fit, the joint covariance of ``posterior_samples``), ``potrs`` solves for
+``alpha``, ``trtrs`` is the forward substitution of ``predict``, the samplers
+and both rank-1 extensions, ``potri`` inverts for the likelihood gradient.
+Every call checks its arguments finite, as the wrappers did (``_lapack``),
+except the likelihood objective's, which reads ``potrf``'s ``info`` instead.
 """
 
 from __future__ import annotations
@@ -28,9 +36,26 @@ from repro.exceptions import ModelError
 
 #: Jitter added to the noise variance to keep the covariance factorizable.
 _JITTER = 1e-8
-#: LAPACK Cholesky factorization and inverse-from-factor, fetched once (and
-#: here, not on the GP: surrogates ride inside pickled checkpoints).
-_POTRF, _POTRI = linalg.get_lapack_funcs(("potrf", "potri"), dtype=np.float64)
+#: LAPACK routines, fetched once (and here, not on the GP: surrogates ride
+#: inside pickled checkpoints).
+_POTRF, _POTRI, _POTRS, _TRTRS = linalg.get_lapack_funcs(
+    ("potrf", "potri", "potrs", "trtrs"), dtype=np.float64
+)
+
+
+def _lapack(routine, *arrays: np.ndarray, **options) -> np.ndarray:
+    """``routine`` as scipy's wrapper calls it: finite arrays in, a non-zero ``info`` raised."""
+    result, info = routine(*map(np.asarray_chkfinite, arrays), **options)
+    if info != 0:  # a failed pivot at ``info``, or an illegal argument ``-info``
+        raise (linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK returned info={info}")
+    return result
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``chol @ x = b``; a C-ordered factor (a rank-1 extended one) is solved transposed."""
+    if chol.flags.f_contiguous:
+        return _lapack(_TRTRS, chol, b, lower=True)
+    return _lapack(_TRTRS, chol.T, b, lower=False, trans=1)
 
 
 class ExactGP:
@@ -74,8 +99,8 @@ class ExactGP:
     def _factorize(self) -> None:
         assert self._sqdist is not None and self._y is not None
         cov = self.kernel.from_sqdist(self._sqdist) + (self.noise + _JITTER) * np.eye(len(self._y))
-        self._chol = linalg.cholesky(cov, lower=True)
-        self._alpha = linalg.cho_solve((self._chol, True), self._y)
+        self._chol = _lapack(_POTRF, cov, lower=True, clean=True)
+        self._alpha = _lapack(_POTRS, self._chol, self._y, lower=True)
 
     def _negative_log_marginal(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """NLL of ``log(lengthscale, outputscale, noise)`` and its analytic gradient."""
@@ -91,7 +116,7 @@ class ExactGP:
         chol, info = _POTRF(cov.T, lower=True, overwrite_a=True)
         if info != 0:
             return 1e10, np.zeros(3)
-        alpha = linalg.cho_solve((chol, True), self._y, check_finite=False)
+        alpha, _ = _POTRS(chol, self._y, lower=True)
         value = float(
             0.5 * self._y @ alpha
             + np.log(chol.diagonal()).sum()
@@ -150,7 +175,7 @@ class ExactGP:
             raise ModelError("y must match the number of fitted observations")
         self._y_raw = y.copy()
         self._standardize()
-        self._alpha = linalg.cho_solve((self._chol, True), self._y)
+        self._alpha = _lapack(_POTRS, self._chol, self._y, lower=True)
         return self
 
     def add_observation(self, x: np.ndarray, value: float) -> "ExactGP":
@@ -176,7 +201,7 @@ class ExactGP:
         self._y_raw = np.append(self._y_raw, float(value))
         self._standardize()
         row = self.kernel.from_sqdist(cross_sq).ravel()
-        l12 = linalg.solve_triangular(self._chol, row, lower=True)
+        l12 = _solve_lower(self._chol, row)
         pivot = float(self.kernel.diag(x)[0]) + self.noise + _JITTER - l12 @ l12
         if pivot <= 1e-10:
             # Near-duplicate point: the extended factor would be numerically
@@ -188,7 +213,7 @@ class ExactGP:
         chol[n, :n] = l12
         chol[n, n] = np.sqrt(pivot)
         self._chol = chol
-        self._alpha = linalg.cho_solve((self._chol, True), self._y)
+        self._alpha = _lapack(_POTRS, self._chol, self._y, lower=True)
         return self
 
     # ------------------------------------------------------------------ inference
@@ -198,7 +223,7 @@ class ExactGP:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cross = self.kernel(x, self._x)
         mean = cross @ self._alpha
-        v = linalg.solve_triangular(self._chol, cross.T, lower=True)
+        v = _solve_lower(self._chol, cross.T)
         var = self.kernel.diag(x) - np.sum(v**2, axis=0)
         var = np.maximum(var, 1e-12)
         return mean * self._y_std + self._y_mean, np.sqrt(var) * self._y_std
@@ -210,11 +235,11 @@ class ExactGP:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cross = self.kernel(x, self._x)
         mean = cross @ self._alpha
-        v = linalg.solve_triangular(self._chol, cross.T, lower=True)
+        v = _solve_lower(self._chol, cross.T)
         cov = self.kernel(x, x) - v.T @ v
         cov += jitter * np.eye(len(x))
         try:
-            chol = linalg.cholesky(cov, lower=True)
+            chol = _lapack(_POTRF, cov, lower=True, clean=True)
         except linalg.LinAlgError:
             chol = np.diag(np.sqrt(np.maximum(np.diag(cov), 1e-12)))
         draws = rng.standard_normal((count, len(x)))
@@ -247,7 +272,7 @@ class ExactGP:
         x_query = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
         n = len(self._x)
         row = self.kernel(x_new, self._x).ravel()
-        l12 = linalg.solve_triangular(self._chol, row, lower=True)
+        l12 = _solve_lower(self._chol, row)
         pivot = float(self.kernel.diag(x_new)[0]) + self.noise + _JITTER - l12 @ l12
         chol = np.zeros((n + 1, n + 1))
         chol[:n, :n] = self._chol
@@ -263,10 +288,10 @@ class ExactGP:
         scale = y_aug.std(axis=1)
         scale = np.where(scale == 0.0, 1.0, scale)
         normalized = (y_aug - center[:, None]) / scale[:, None]
-        alpha = linalg.cho_solve((chol, True), normalized.T)  # (n+1, B)
+        alpha = _lapack(_POTRS, chol, normalized.T, lower=True)  # (n+1, B)
         cross = self.kernel(x_query, x_aug)  # (Q, n+1)
         means = (cross @ alpha).T * scale[:, None] + center[:, None]
-        v = linalg.solve_triangular(chol, cross.T, lower=True)
+        v = _solve_lower(chol, cross.T)
         var = np.maximum(self.kernel.diag(x_query) - np.sum(v**2, axis=0), 1e-12)
         stds = np.sqrt(var)[None, :] * scale[:, None]
         return means, stds

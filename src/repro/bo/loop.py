@@ -11,8 +11,8 @@ The engine is an explicit composition of three layers, each behind its own
 contract:
 
 * **surrogate** (:mod:`repro.bo.surrogate`) — the probabilistic model;
-  ``censored_gp`` or ``svgp``, probed for incremental-update and
-  batched-fantasize capabilities by protocol ``isinstance`` checks,
+  ``censored_gp`` or ``svgp``, probed once per engine for incremental-update
+  and batched-fantasize capabilities by protocol ``isinstance`` checks,
 * **candidate generation** (:mod:`repro.bo.candidates`) — trust-region
   perturbation around the incumbent or uniform global sampling,
 * **acquisition** (:mod:`repro.bo.acquisition`) — Thompson sampling for
@@ -94,6 +94,11 @@ class BOEngine:
     #: Candidate pools drawn so far (what the Figure-9 breakdown divides by).
     #: A class-level default, so an engine pickled before PR 16 resumes at 0.
     acquisition_rounds = 0
+    #: (incremental updates, batched fantasize) of the configured surrogate
+    #: type: two protocol checks, made once by :meth:`_capabilities`.  A
+    #: class-level default, so an engine pickled before PR 24 makes them on
+    #: its first ask after resuming.
+    _surrogate_capabilities: tuple[bool, bool] | None = None
 
     def __init__(
         self,
@@ -189,6 +194,21 @@ class BOEngine:
             return CensoredSVGP(config=self.config.svgp or SVGPConfig())
         return CensoredGP()
 
+    def _capabilities(self) -> tuple[bool, bool]:
+        """Whether the surrogate updates incrementally / fantasizes in batches.
+
+        A property of the surrogate *type*, so it is decided once — on the
+        live surrogate, or on an unfitted one built for the question — and an
+        unfitted engine answers without a fit.
+        """
+        if self._surrogate_capabilities is None:
+            surrogate = self._surrogate if self._surrogate is not None else self._build_surrogate()
+            self._surrogate_capabilities = (
+                isinstance(surrogate, IncrementalSurrogate),
+                isinstance(surrogate, BatchFantasizeSurrogate),
+            )
+        return self._surrogate_capabilities
+
     def fit(self) -> None:
         """Bring the surrogate up to date with all recorded observations.
 
@@ -209,7 +229,7 @@ class BOEngine:
             return
         incremental = (
             self._surrogate is not None
-            and isinstance(self._surrogate, IncrementalSurrogate)
+            and self._capabilities()[0]
             and self._observations_since_refit + pending < self.config.refit_every
         )
         with self.tracer.span(
@@ -256,12 +276,10 @@ class BOEngine:
     def supports_batched_fantasize(self) -> bool:
         """Whether the (configured) surrogate fantasizes many levels at once.
 
-        Capability is a property of the surrogate *type*, so an unfitted
-        engine answers without forcing a fit (probing an empty engine must
-        not raise — e.g. protocol ``isinstance`` checks).
+        An unfitted engine answers without forcing a fit (probing an empty
+        engine must not raise — e.g. protocol ``isinstance`` checks).
         """
-        surrogate = self._surrogate if self._surrogate is not None else self._build_surrogate()
-        return isinstance(surrogate, BatchFantasizeSurrogate)
+        return self._capabilities()[1]
 
     def fantasize_censored_batch(
         self, x: np.ndarray, censor_levels: np.ndarray

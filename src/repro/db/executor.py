@@ -26,12 +26,13 @@ cache on or off.
 
 The hot path is built from the columnar kernels of :mod:`repro.db.kernels`
 (``use_kernels=True``, the default): per-relation predicate-bitmap and
-selection caches, factorized join indexes on scanned build sides, and a fused
-residual filter that gathers each matched (alias, column) once per join.  The
-pre-kernel reference implementations are kept verbatim (``use_kernels=False``)
-— the kernels are charge-for-charge indistinguishable from them (see
-:mod:`repro.db.kernels` for the argument), which the property tests and the
-``bench_exec_kernels`` gate verify.
+selection caches, one counting join index for every build side (cached per
+relation for a scanned one), and a fused residual filter that gathers each
+matched (alias, column) once per join.  The pre-kernel reference
+implementations are kept verbatim (``use_kernels=False``) — the kernels are
+charge-for-charge indistinguishable from them (see :mod:`repro.db.kernels`
+for the argument), which the property tests and the ``bench_exec_kernels``
+gate verify.
 
 Joins materialize on read.  A join knows its output *count* from the match
 counts; the pair set keeps its right index unexpanded and the join records,
@@ -572,12 +573,13 @@ class Executor:
 
         Charge-for-charge identical to :meth:`_match_reference` (same match
         totals, same charge order — see the determinism contract in
-        :mod:`repro.db.kernels`), but the build side of a scanned relation is
-        sorted once per (filter set, column) instead of once per join, the
-        residual predicates gather only matched positions, each (alias,
-        column) at most once per join, and — absent residual predicates —
-        the left side of the returned pair set stays factorized so position
-        gathers run as sequential repeats (late materialization).
+        :mod:`repro.db.kernels`), but the build side is counted into a join
+        index instead of sorted — once per (filter set, column) for a scanned
+        relation, once per join for an intermediate — the residual predicates
+        gather only matched positions, each (alias, column) at most once per
+        join, and — absent residual predicates — the left side of the
+        returned pair set stays factorized so position gathers run as
+        sequential repeats (late materialization).
         """
         first, *rest = predicates
         left_alias, left_column, right_alias, right_column = self._orient(first, left)
@@ -585,12 +587,12 @@ class Executor:
         left_keys = self._values_for(query, left, left_alias, left_column)
         full_values[(0, left_alias, left_column)] = left_keys
         index = self._scan_join_index(query, right, right_alias, right_column)
-        if index is not None:
-            match = kernels.probe_join_index(index, left_keys)
-        else:
+        if index is None:
+            # An intermediate build side: the same index, private to this join.
             right_keys = self._values_for(query, right, right_alias, right_column)
             full_values[(1, right_alias, right_column)] = right_keys
-            match = kernels.match_counts(left_keys, right_keys)
+            index = kernels.build_join_index(right_keys)
+        match = kernels.probe_join_index(index, left_keys)
         # Check the output size and charge its cost *before* materializing it,
         # so catastrophic joins hit the timeout without allocating huge arrays.
         self._check_materialization(match.total, state)

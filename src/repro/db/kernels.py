@@ -1,26 +1,28 @@
 """Pure columnar operators for the executor hot path.
 
 Everything in this module is a function (or an index structure) over numpy
-arrays: no executor state, no charge accounting, no cache access.  Only a
-:class:`PairSet` is written to after construction (its right index, on first
-read), and it is private to the join that built it.
-The executor composes these kernels into join execution; the split exists so
-the kernels can be property-tested for exact equivalence against the
-reference implementations (see ``tests/test_kernels_batch.py``) and reused
-by future vectorized operators.
+arrays: no executor state, no charge accounting, no cache access. The
+executor composes these kernels into join execution; the split exists so the
+kernels can be property-tested for exact equivalence against the reference
+implementations (see ``tests/test_kernels_batch.py``) and reused by future
+vectorized operators.
 
 Determinism contract
 --------------------
 Every kernel here produces **bit-for-bit the same match pairs in the same
 order** as the reference sort-merge path that shipped with the seed
-executor:
+executor (:func:`match_counts` + :func:`expand_matches`, kept verbatim):
 
 * match pairs are ordered by left row, and within one left row by the
-  *original* position of the right row (guaranteed by the stable argsort in
-  :func:`build_join_index` / :func:`match_counts`);
-* the hash-factorized probe (:func:`probe_join_index`) is a direct-address
-  lookup into exactly the arrays the sort-merge path computes, so its
-  expansion is identical;
+  *original* position of the right row: the stable argsort of the right
+  keys.  A stable permutation is unique — a function of the order of the
+  keys alone, not of who sorts, when, or in which dtype — so a
+  :class:`JoinIndex` may count its keys instead of sorting them, sort
+  ``key - key_min`` in a narrower dtype, and sort only when a right index is
+  read: the ``order`` it then holds is the one :func:`match_counts` computes;
+* the probe (:func:`probe_join_index`) looks up per-key run lengths and
+  starts (``bincount`` and its cumulative sum: what two ``searchsorted`` over
+  the sorted keys give), so its expansion is identical;
 * the fused residual filter ANDs per-predicate equality masks — boolean
   masking preserves order and equality tests are independent, so fusing is
   indistinguishable from filtering predicate by predicate.
@@ -28,15 +30,21 @@ executor:
   as one expanded at once — *when* a pair array is written is not observable.
 
 Because the executor's simulated charges depend only on match *counts*
-(which are order-independent and known before any expansion) and the pair
-ordering is preserved anyway, swapping kernels in or out — or reading a pair
-set late, or never — can never change a latency, a censoring decision or a
-charge-event stream.
+(which are order-independent and known before any expansion or sort) and the
+pair ordering is preserved anyway, swapping kernels in or out — or reading a
+pair set late, or never — can never change a latency, a censoring decision or
+a charge-event stream.
+
+Written after construction, by their first read: a :class:`PairSet`'s right
+index and a :class:`JoinIndex`'s ``order`` / ``sorted_keys``.  Both are private
+to one join, except a scanned build side's index (``Relation._index_cache``),
+where two threads may both sort: the relation caches' benign race.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,11 +61,11 @@ __all__ = [
     "predicate_key",
 ]
 
-#: Ceiling on the dense direct-address table of a :class:`JoinIndex`: the
-#: key domain (max - min + 1) must fit under ``max(this, 4 * num_keys)`` or
-#: the index stays sort-merge only.  Generated columns are small ints, so
-#: real workloads essentially always qualify.
-MAX_DIRECT_DOMAIN = 65536
+#: A :class:`JoinIndex` counts instead of sorting when the key domain
+#: (max - min + 1) fits under ``max(this, 4 * num_keys)``.  The floor bounds
+#: what the tables cost a tiny build side (~15 us): a per-join index is not
+#: amortized, and 10 rows over a 60 000-wide domain are sorted in 2 us.
+DENSE_DOMAIN_FLOOR = 4096
 
 _EMPTY = np.array([], dtype=np.int64)
 
@@ -66,19 +74,20 @@ _EMPTY = np.array([], dtype=np.int64)
 class MatchCounts:
     """Per-left-row match ranges against the sorted right keys (pre-materialization).
 
-    ``order`` is the stable argsort of the right keys, ``lo``/``counts`` the
+    ``order`` is the stable argsort of the right keys (``None`` on a probe
+    result: it is ``index.order``, unsorted until read), ``lo``/``counts`` the
     start offset and length of each left row's run inside the sorted keys.
-    ``lo`` is only meaningful where ``counts > 0`` — zero-count rows may
-    carry an arbitrary offset (the direct-address probe leaves 0 where the
-    sort-merge path leaves an insertion point); :func:`expand_matches`
-    never reads them.
+    ``lo`` is only meaningful where ``counts > 0`` — zero-count rows may carry
+    an arbitrary offset (the direct-address probe leaves 0 where the sort-merge
+    path leaves an insertion point); :func:`expand_matches` never reads them.
     """
 
-    order: np.ndarray
+    order: np.ndarray | None
     lo: np.ndarray
     counts: np.ndarray
     total: int
     num_left: int
+    index: "JoinIndex | None" = None
 
 
 def match_counts(left_keys: np.ndarray, right_keys: np.ndarray) -> MatchCounts:
@@ -194,12 +203,13 @@ class PairSet:
         if self.cross is not None:
             return np.tile(np.arange(self.cross[1]), self.cross[0])
         match = self.match
+        order = match.order if match.index is None else match.index.order
         if self.left_all:
             # Every probe row matched exactly once: no gather of lo needed.
-            return match.order[match.lo]
+            return order[match.lo]
         lo = match.lo[self.left_rows]
         if self.run_counts is None:
-            return match.order[lo]
+            return order[lo]
         # Run concatenation: the sorted-side positions are the runs
         # [lo_i, lo_i + counts_i) back to back, i.e. one cumulative sum over
         # unit steps with a per-run jump scattered at each run start.
@@ -211,7 +221,7 @@ class PairSet:
             # Jump from the last position of run i-1 (lo[i-1] + counts[i-1] - 1)
             # to the first of run i (lo[i]).
             steps[run_starts[1:]] = lo[1:] - (lo[:-1] + run_counts[:-1]) + 1
-        return match.order[np.cumsum(steps)]
+        return order[np.cumsum(steps)]
 
 
 def expand_pairs(match: MatchCounts) -> PairSet:
@@ -239,62 +249,67 @@ def expand_pairs(match: MatchCounts) -> PairSet:
 
 @dataclass
 class JoinIndex:
-    """A factorized build side: sort once, probe many times.
+    """A factorized build side: count once, probe many times, sort on demand.
 
-    Always carries the stable sort (``order`` + ``sorted_keys``); for
-    integer keys over a small domain it additionally carries a dense
-    direct-address table (``starts_table``/``counts_table`` indexed by
-    ``key - key_min + 1``) so probes are O(1) array lookups instead of
-    O(log n) binary searches — the vectorized analogue of a hash join
-    whose hash function is the identity.  Slot 0 and the last slot are
-    zero-count sentinels: a probe clips out-of-domain keys onto them.
+    For integer keys over a dense domain (:data:`DENSE_DOMAIN_FLOOR`) it is a
+    direct-address table — ``counts_table``/``starts_table`` indexed by
+    ``key - key_min + 1``, one ``bincount`` and its cumulative sum — so probes
+    are O(1) lookups: the vectorized analogue of a hash join whose hash is the
+    identity.  Slot 0 and the last slot are zero-count sentinels: a probe clips
+    out-of-domain keys onto them.  Other keys (floats, a sparse domain, a float
+    probe) binary-search ``sorted_keys``.  ``order``, which the offsets index,
+    is sorted by its first read: a join that only counts (a root join, a
+    censored parent) never sorts.
     """
 
-    order: np.ndarray
-    sorted_keys: np.ndarray
+    keys: np.ndarray
     key_min: int = 0
     starts_table: np.ndarray | None = None
     counts_table: np.ndarray | None = None
 
     @property
     def num_keys(self) -> int:
-        return len(self.sorted_keys)
+        return len(self.keys)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        keys = self.keys
+        if self.counts_table is not None:
+            # Same permutation from keys narrowed to hold domain - 1: <= 16 bits radix-sort.
+            keys = (keys - self.key_min).astype(np.min_scalar_type(len(self.counts_table) - 3))
+        return np.argsort(keys, kind="stable")
+
+    @cached_property
+    def sorted_keys(self) -> np.ndarray:
+        return self.keys[self.order]
 
 
 def build_join_index(keys: np.ndarray) -> JoinIndex:
-    """Factorize ``keys`` for repeated probing (stable — preserves pair order)."""
-    if len(keys) == 0:
-        return JoinIndex(order=_EMPTY, sorted_keys=_EMPTY)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    index = JoinIndex(order=order, sorted_keys=sorted_keys)
-    if np.issubdtype(sorted_keys.dtype, np.integer):
-        key_min = int(sorted_keys[0])
-        domain = int(sorted_keys[-1]) - key_min + 1
-        if domain <= max(MAX_DIRECT_DOMAIN, 4 * len(sorted_keys)):
-            counts_table = np.bincount(sorted_keys - (key_min - 1), minlength=domain + 2)
-            starts_table = np.concatenate(
-                ([0], np.cumsum(counts_table)[:-1])
-            ).astype(np.int64)
+    """Factorize ``keys`` for probing (pair order: see the module docstring)."""
+    index = JoinIndex(keys)
+    if len(keys) and np.issubdtype(keys.dtype, np.integer):
+        key_min = int(keys.min())
+        domain = int(keys.max()) - key_min + 1
+        if domain <= max(DENSE_DOMAIN_FLOOR, 4 * len(keys)):
             index.key_min = key_min
-            index.starts_table = starts_table
-            index.counts_table = counts_table.astype(np.int64)
+            index.counts_table = np.bincount(keys - (key_min - 1), minlength=domain + 2)
+            index.starts_table = np.cumsum(index.counts_table) - index.counts_table
     return index
 
 
 def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:
     """Match ``left_keys`` against a factorized build side.
 
-    Returns exactly what ``match_counts(left_keys, build_keys)`` would for
-    the keys the index was built from — same ``order``, same ``counts``,
-    same expansion — while skipping the per-join argsort (and, with a
-    direct-address table, the binary searches too).
+    Returns what ``match_counts(left_keys, build_keys)`` would for the keys
+    the index was built from — same ``counts``, same expansion, the same
+    ``order`` once read — without sorting (with a direct-address table) or
+    without sorting again (without one).
     """
     if len(left_keys) == 0 or index.num_keys == 0:
         return MatchCounts(order=_EMPTY, lo=_EMPTY,
                            counts=np.zeros(len(left_keys), dtype=np.int64),
                            total=0, num_left=len(left_keys))
-    if index.starts_table is not None and np.issubdtype(left_keys.dtype, np.integer):
+    if index.counts_table is not None and np.issubdtype(left_keys.dtype, np.integer):
         slots = left_keys - (index.key_min - 1)
         counts = index.counts_table.take(slots, mode="clip")
         lo = index.starts_table.take(slots, mode="clip")
@@ -302,8 +317,8 @@ def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:
         lo = np.searchsorted(index.sorted_keys, left_keys, side="left")
         hi = np.searchsorted(index.sorted_keys, left_keys, side="right")
         counts = hi - lo
-    return MatchCounts(order=index.order, lo=lo, counts=counts,
-                       total=int(counts.sum()), num_left=len(left_keys))
+    return MatchCounts(order=None, lo=lo, counts=counts, total=int(counts.sum()),
+                       num_left=len(left_keys), index=index)
 
 
 def fused_equality_filter(

@@ -172,8 +172,8 @@ class Relation:
         """Factorized join index over ``column`` at the given selection.
 
         Keyed by ``(selection key, column)`` so every plan scanning this
-        relation with the same filters probes one shared sorted/dense index
-        instead of re-sorting the build side per join.
+        relation with the same filters probes one shared index (and sorts it
+        at most once) instead of building it per join.
         """
         key = (select_key, column)
         index = self._index_cache.get(key)

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import reference_gp
+from scipy import linalg
 
+import repro.bo.gp as gp_module
 from repro.bo.censored import (
     censored_elbo_terms,
     expected_log_survival,
@@ -264,6 +266,123 @@ class TestLikelihoodObjectiveOracle:
         assert set(vars(fitted)) == set(vars(ExactGP()))
         clone = pickle.loads(pickle.dumps(fitted))
         assert np.array_equal(clone.predict(x)[0], fitted.predict(x)[0])
+
+
+def _poisoned(array, bad: float) -> np.ndarray:
+    array = np.array(array, dtype=np.float64)
+    array.flat[0] = bad
+    return array
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """The factorization as ``ExactGP`` spells it."""
+    return gp_module._lapack(gp_module._POTRF, cov, lower=True, clean=True)
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solve against a factor as ``ExactGP`` spells it."""
+    return gp_module._lapack(gp_module._POTRS, chol, b, lower=True)
+
+
+class TestLapackDirect:
+    """The GP calls LAPACK itself; every float and every error is scipy's wrapper's."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solves_equal_the_scipy_wrappers_float_for_float(self, order):
+        rng = np.random.default_rng(24)
+        for n in range(1, 65):
+            root = rng.standard_normal((n, n))
+            cov = np.asarray(root @ root.T + n * np.eye(n), order=order)
+            chol = _cholesky(cov)
+            reference = linalg.cholesky(cov, lower=True)
+            assert np.array_equal(chol, reference) and chol.flags == reference.flags
+            # A fresh factor is Fortran-ordered, a rank-1 extended one
+            # C-ordered: trtrs takes them through different argument sets.
+            chol = np.asarray(chol, order=order)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 5)),
+                      np.asfortranarray(rng.standard_normal((n, 3))), rng.standard_normal((7, n)).T):
+                for ours, theirs in (
+                    (gp_module._solve_lower(chol, b), linalg.solve_triangular(chol, b, lower=True)),
+                    (_cho_solve(chol, b), linalg.cho_solve((chol, True), b)),
+                ):
+                    assert np.array_equal(ours, theirs)
+                    assert ours.flags.f_contiguous == theirs.flags.f_contiguous  # reductions read it
+
+    def test_info_codes_raise_what_the_wrappers_raise(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.cholesky(indefinite, lower=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(indefinite)
+        singular = np.array([[1.0, 0.0], [1.0, 0.0]])
+        for order in ("C", "F"):
+            factor = np.asarray(singular, order=order)
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg.solve_triangular(factor, np.ones(2), lower=True)
+            with pytest.raises(np.linalg.LinAlgError):
+                gp_module._solve_lower(factor, np.ones(2))
+
+    def test_non_pd_covariance_raises_out_of_factorize_and_falls_back_in_sampling(self):
+        gp = _objective_gp(RBFKernel, *_random_points(6, seed=0))
+        gp._sqdist = -50.0 * (1.0 - np.eye(6))
+        with pytest.raises(np.linalg.LinAlgError):
+            gp._factorize()
+        # A negative "jitter" makes the joint covariance indefinite: the draws
+        # come from its clipped diagonal instead.
+        x, y = _random_points(12, seed=3)
+        gp = ExactGP().fit(x, y)
+        query = np.random.default_rng(4).random((5, x.shape[1]))
+        samples = gp.posterior_samples(query, 3, np.random.default_rng(9), jitter=-10.0)
+        mean, _ = gp.predict(query)
+        draws = np.random.default_rng(9).standard_normal((3, 5))
+        centred = (mean - gp._y_mean) / gp._y_std
+        expected = (centred[None, :] + draws * np.sqrt(1e-12)) * gp._y_std + gp._y_mean
+        np.testing.assert_allclose(samples, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_at_the_public_call_it_enters_by(self, bad):
+        # What the parent of PR 24 did, call by call (scipy's wrappers
+        # validated every argument; so do the direct calls).
+        rng = np.random.default_rng(0)
+        x, y, query = rng.random((8, 3)), rng.standard_normal(8), rng.random((4, 3))
+        censored = np.arange(8) % 3 == 0
+        levels = np.array([0.1, 0.2])
+
+        def exact():
+            return ExactGP().fit(x, y)
+
+        def tobit():
+            return CensoredGP().fit(x, y, censored)
+
+        raising = [
+            lambda: ExactGP().fit(_poisoned(x, bad), y),
+            lambda: ExactGP().fit(x, _poisoned(y, bad)),
+            lambda: ExactGP().fit(_poisoned(x, bad), y, optimize_hyperparameters=False),
+            lambda: exact().update_targets(_poisoned(y, bad)),
+            lambda: exact().add_observation(_poisoned(query[0], bad), 0.3),
+            lambda: exact().add_observation(query[0], bad),
+            lambda: exact().predict(_poisoned(query, bad)),
+            lambda: exact().posterior_samples(_poisoned(query, bad), 2, rng),
+            lambda: exact().fantasize_batch(_poisoned(query[0], bad), levels, query),
+            lambda: exact().fantasize_batch(query[0], _poisoned(levels, bad), query),
+            lambda: exact().fantasize_batch(query[0], levels, _poisoned(query, bad)),
+            lambda: CensoredGP().fit(_poisoned(x, bad), y, censored),
+            lambda: CensoredGP().fit(x, _poisoned(y, bad), censored),  # y[0] is censored
+            lambda: tobit().add_observation(_poisoned(query[0], bad), 0.2, censored=True),
+            lambda: tobit().fantasize(query[0], 0.3, _poisoned(query, bad)),
+        ]
+        # Censored at -inf says nothing: the imputation is the posterior mean.
+        censor_levels = [
+            lambda: tobit().add_observation(query[0], bad, censored=True),
+            lambda: tobit().fantasize(query[0], bad, query),
+        ]
+        with np.errstate(all="ignore"):
+            for call in raising + ([] if bad == -np.inf else censor_levels):
+                with pytest.raises(ValueError):
+                    call()
+            if bad == -np.inf:
+                for call in censor_levels:
+                    call()
 
 
 STREAMS = Path(__file__).parent / "data" / "replay_streams.npz"

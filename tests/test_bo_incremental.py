@@ -9,6 +9,7 @@ from repro.bo.censored import truncated_normal_mean
 from repro.bo.gp import CensoredGP, ExactGP
 from repro.bo.kernels import Matern52Kernel, RBFKernel, pairwise_sqdist
 from repro.bo.loop import BOEngine, BOEngineConfig
+from repro.bo.svgp import CensoredSVGP
 
 ATOL = 1e-6
 
@@ -198,6 +199,41 @@ class TestWarmEngine:
             engine.fit()
         assert engine.surrogate is warm
         assert warm.num_observations == engine.num_observations
+
+    def test_capabilities_are_decided_once_not_per_ask(self, monkeypatch):
+        built = []
+        build = BOEngine._build_surrogate
+        monkeypatch.setattr(
+            BOEngine, "_build_surrogate", lambda engine: built.append(engine) or build(engine)
+        )
+        engine = self.make_engine(refit_every=10)
+        # An unfitted engine answers, without a fit and without a model per call.
+        assert all(engine.supports_batched_fantasize for _ in range(3))
+        assert engine._surrogate is None and len(built) == 1
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            engine.add_observation(rng.random(3), float(rng.standard_normal()))
+            engine.fit()
+            assert engine.supports_batched_fantasize
+        assert len(built) == 2  # the model the first fit built
+        assert engine._observations_since_refit == 5  # ... kept warm since
+
+        # The SVGP has neither capability: every fit is a full one.
+        svgp = BOEngine(
+            np.zeros(3), np.ones(3), seed=0,
+            config=BOEngineConfig(surrogate="svgp", refit_every=10),
+        )
+        assert not svgp.supports_batched_fantasize and svgp._surrogate is None
+        fits = []
+        fit = CensoredSVGP.fit
+        monkeypatch.setattr(
+            CensoredSVGP, "fit", lambda model, *args: fits.append(len(args[0])) or fit(model, *args)
+        )
+        for _ in range(3):
+            svgp.add_observation(rng.random(3), float(rng.standard_normal()))
+            svgp.fit()
+        assert fits == [1, 2, 3] and svgp._observations_since_refit == 0
+        assert not svgp.supports_batched_fantasize and len(built) == 4
 
     def test_refit_boundary_reoptimizes_and_reimputes(self):
         """What a refit boundary must do, whichever object carries the model:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.db import kernels
 from repro.db.catalog import Column, Index, Schema, Table, alias_name
 from repro.db.engine import Database
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
@@ -206,3 +207,96 @@ def test_job_queries_match_nested_loop_oracle(job_cases):
             check_against_oracle(arms, query, plan, max_pairs=5_000_000)
             checked += 1
     assert checked >= len(cases)
+
+
+# ------------------------------------------------------------------ nobody sorts what nobody reads
+class _CountingNumpy:
+    """``np`` as ``repro.db.kernels`` sees it, recording the length of every ``argsort`` input."""
+
+    def __init__(self) -> None:
+        self.sorted_lengths: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, keys, *args, **kwargs):
+        self.sorted_lengths.append(len(keys))
+        return np.argsort(keys, *args, **kwargs)
+
+
+def _bushy_case(outer_alias: str):
+    """``(t0 ⋈ t1) ⋈ (t2 ⋈ t3)`` with one predicate between the two sides.
+
+    Both sides of the root are intermediates, so its build side is no scan.
+    The predicate reads ``t0`` (the *left* input of its join: gathered by
+    repeats, no right index) and ``outer_alias`` in the other side — ``t2`` is
+    a left input as well, ``t3`` a right one, whose positions exist only
+    through the sorted order of ``t3``'s join index.
+    """
+    rng = np.random.default_rng(24)
+    sizes = {"t0": 31, "t1": 37, "t2": 41, "t3": 43}
+    tables = [Table(name, [Column(column) for column in KEY_COLUMNS]) for name in sizes]
+    relations = {
+        table.name: Relation(table, {
+            "id": rng.permutation(sizes[table.name]),
+            "a": rng.integers(0, 7, size=sizes[table.name]),
+            "b": rng.integers(-2, 5, size=sizes[table.name]),
+        })
+        for table in tables
+    }
+    refs = [TableRef(alias_name(name, 1), name) for name in sizes]
+    t0, t1, t2, t3 = (ref.alias for ref in refs)
+    outer = {"t2": t2, "t3": t3}[outer_alias]
+    query = Query(f"bushy_{outer_alias}", refs, [
+        JoinPredicate(t0, "a", t1, "a"),
+        JoinPredicate(t2, "b", t3, "b"),
+        JoinPredicate(t0, "b", outer, "a"),
+    ], [])
+    plan = JoinTree.join(
+        JoinTree.join(JoinTree.leaf(t0), JoinTree.leaf(t1), JOIN_OPS[0]),
+        JoinTree.join(JoinTree.leaf(t2), JoinTree.leaf(t3), JOIN_OPS[0]),
+        JOIN_OPS[0],
+    )
+    return Database(Schema("bushy", tables), relations), query, plan
+
+
+@pytest.mark.parametrize("arm", ["cache on", "cache off"])
+def test_a_join_whose_pairs_nobody_reads_sorts_nothing(monkeypatch, arm):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(kernels, "np", counting)
+
+    # A root join over an intermediate build side, no residual predicate: it
+    # counts.  Its inputs gather their left sides, so nothing sorts anywhere.
+    database, query, plan = _bushy_case("t2")
+    result = make_arms(database)[arm].execute(query, plan)
+    assert not result.timed_out and result.output_rows > 100
+    assert counting.sorted_lengths == []
+
+    # Control — the counter sees a sort when a pair set's right index is
+    # read: the root's key is now a column of t3, the build side of its join.
+    database, query, plan = _bushy_case("t3")
+    db = make_arms(database)[arm]
+    cards = evaluate(query, plan, database.relations, max_pairs=60_000)
+    events = charge_events(query, cards, database.schema, database.relations, database.cost_params)
+    assert not db.execute(query, plan).timed_out
+    assert counting.sorted_lengths == [43]  # t3's scan index, once; never the root's build side
+
+    # ... and a parent censored on its pre-charge never reads it: the same
+    # plan on cold relations, cut off between the root's two charges.  (The
+    # subplan memo materializes what it stores, the child's t3 positions
+    # among it: with the cache on that is the one reader left.)
+    counting.sorted_lengths.clear()
+    database, query, plan = _bushy_case("t3")
+    before_root_output = math.nextafter(cumulative_charges(events)[-2], -math.inf)
+    censored = make_arms(database)[arm].execute(query, plan, timeout=before_root_output)
+    assert censored.timed_out and censored.nodes_executed == 6
+    assert counting.sorted_lengths == ([43] if arm == "cache on" else [])
+
+
+@pytest.mark.parametrize("outer_alias", ["t2", "t3"])
+def test_counting_joins_match_nested_loop_oracle(outer_alias):
+    """The bushy plans above on every arm, through ``execute_batch`` and a warm memo."""
+    database, query, plan = _bushy_case(outer_alias)
+    arms = make_arms(database)
+    check_against_oracle(arms, query, plan, max_pairs=60_000)
+    check_against_oracle(arms, query, plan, max_pairs=60_000)  # "cache on" is warm now

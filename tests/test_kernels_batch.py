@@ -25,6 +25,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.db.executor as executor_module
 from repro.core.protocol import ExecutionOutcome
@@ -120,28 +122,80 @@ def timeout_grid(latency: float) -> list:
 
 
 # ------------------------------------------------------------------ kernel primitives
+def assert_index_equals_sort_merge(left: np.ndarray, right: np.ndarray, *, dense: bool) -> None:
+    """The counting index reproduces the seed's sort-merge, array for array."""
+    index = kernels.build_join_index(right)
+    assert (index.counts_table is not None) == dense  # which path it took
+    match = kernels.probe_join_index(index, left)
+    ref_l, ref_r = kernels.expand_matches(kernels.match_counts(left, right))
+    assert match.total == len(ref_l) and match.num_left == len(left)
+    pairs = kernels.expand_pairs(match)
+    assert pairs.count == len(ref_l)
+    np.testing.assert_array_equal(pairs.left_indices(), ref_l)
+    np.testing.assert_array_equal(pairs.right_idx, ref_r)
+    left_values, right_values = np.arange(len(left)) * 3, np.arange(len(right)) * 7
+    np.testing.assert_array_equal(pairs.gather_left(left_values), left_values[ref_l])
+    np.testing.assert_array_equal(pairs.gather_right(right_values), right_values[ref_r])
+    order = index.order
+    assert order.dtype == np.int64 and order is index.order  # sorted once
+    np.testing.assert_array_equal(order, np.argsort(right, kind="stable"))
+
+
+_KEY_ARRAYS = st.lists(st.integers(-40, 40), max_size=60)
+
+
 class TestKernelPrimitives:
-    def test_probe_equals_match_counts(self, rng):
-        for _ in range(20):
-            domain = int(rng.integers(2, 120))
-            build = rng.integers(0, domain, size=int(rng.integers(0, 400)))
-            probe = rng.integers(-5, domain + 5, size=int(rng.integers(0, 300)))
-            index = kernels.build_join_index(build)
-            via_index = kernels.expand_matches(kernels.probe_join_index(index, probe))
-            direct = kernels.expand_matches(kernels.match_counts(probe, build))
-            np.testing.assert_array_equal(via_index[0], direct[0])
-            np.testing.assert_array_equal(via_index[1], direct[1])
+    @settings(max_examples=200, deadline=None)
+    @given(_KEY_ARRAYS, _KEY_ARRAYS, st.sampled_from([np.int32, np.int64]),
+           st.integers(-1000, 1000))
+    def test_probe_equals_match_counts(self, left, right, dtype, shift):
+        left = np.array(left, dtype=dtype) + dtype(shift)
+        right = np.array(right, dtype=dtype) + dtype(shift)
+        assert_index_equals_sort_merge(left, right, dense=len(right) > 0)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_probe_equals_match_counts_named_cases(self, rng, dtype):
+        def keys(values):
+            return np.asarray(values).astype(dtype)
+
+        everywhere = keys(rng.integers(-300, 300, size=400))
+        cases = {
+            "negative keys, key_min != 0": (everywhere, keys(rng.integers(-200, -50, size=300))),
+            "all-duplicate build side": (everywhere, keys(np.full(50, 17))),
+            "all-distinct build side": (everywhere, keys(rng.permutation(200) - 100)),
+            "empty left": (keys([]), keys(rng.integers(0, 9, size=20))),
+            "probe keys below and above the build domain": (
+                keys([-10**6, 4, 5, 6, 10**6, 5]), keys([5, 6, 5, 5])),
+        }
+        # Each boundary of the dtype ``order`` is sorted in: the last domain
+        # of uint8 and of uint16 and the first one past them.
+        for domain in (256, 257, 65536, 65537):
+            build = keys(rng.integers(0, domain, size=max(400, domain // 4 + 1)) + 1000)
+            build[:2] = 1000, 1000 + domain - 1
+            probe = keys(rng.integers(-5, domain + 5, size=300) + 1000)
+            cases[f"domain of exactly {domain}"] = (probe, build)
+        for name, (left, right) in cases.items():
+            assert_index_equals_sort_merge(left, right, dense=True)
+        assert_index_equals_sort_merge(everywhere, keys([]), dense=False)  # empty right
 
     def test_probe_without_direct_table_falls_back_to_searchsorted(self, rng):
-        # A huge key domain disqualifies the direct-address table.
-        build = rng.integers(0, 10**9, size=200)
-        index = kernels.build_join_index(build)
-        assert index.starts_table is None
-        probe = np.concatenate([build[:50], rng.integers(0, 10**9, size=100)])
-        via_index = kernels.expand_matches(kernels.probe_join_index(index, probe))
-        direct = kernels.expand_matches(kernels.match_counts(probe, build))
-        np.testing.assert_array_equal(via_index[0], direct[0])
-        np.testing.assert_array_equal(via_index[1], direct[1])
+        # A sparse domain and a float key column take the searchsorted
+        # fallback, and the index says so (no table).  The floor: a build side
+        # of any size may count over a domain of DENSE_DOMAIN_FLOOR, no more.
+        sparse = rng.integers(0, 10**9, size=200)
+        few_over_wide = rng.permutation(60_000)[:10]
+        floats = rng.integers(0, 50, size=300) / 4.0
+        for build in (sparse, few_over_wide, floats):
+            probe = np.concatenate([build[:50], build[:5], rng.permutation(build)[:20] + 1])
+            assert_index_equals_sort_merge(probe, build, dense=False)
+        at_floor = np.array([0, kernels.DENSE_DOMAIN_FLOOR - 1, 7])
+        assert_index_equals_sort_merge(np.arange(10), at_floor, dense=True)
+        assert_index_equals_sort_merge(np.arange(10), at_floor * 2, dense=False)
+        # An integer index probed with float keys binary-searches as well.
+        dense = kernels.build_join_index(np.array([3, 1, 3, 2]))
+        match = kernels.probe_join_index(dense, np.array([3.0, 2.5, 1.0]))
+        assert match.counts.tolist() == [2, 0, 1]
+        assert kernels.expand_pairs(match).right_idx.tolist() == [0, 2, 1]
 
     def test_expand_fast_equals_reference(self, rng):
         """expand_pairs hits all three shapes (unique-all, unique-sparse,
