@@ -185,31 +185,14 @@ class _ProposalLedger:
     ``suggest``/``suggest_batch`` park proposals in ``outstanding`` (a dict
     keyed by per-state proposal id) and ``observe`` consumes them — by id, in
     any order, or implicitly when exactly one is outstanding.  Single-proposal
-    techniques keep the historical invariant through :meth:`park`, which
-    refuses to issue while anything is outstanding; the :attr:`pending`
-    property preserves the old one-slot view for them.  Subclasses provide
-    ``_describe()`` (for error messages), ``_validate_proposal`` and
-    ``_result_for`` (which trace the outcome lands in).
+    techniques issue through :meth:`park`, which refuses to issue while
+    anything is outstanding.  Subclasses provide ``_describe()`` (for error
+    messages), ``_validate_proposal`` and ``_result_for`` (which trace the
+    outcome lands in).
     """
 
     outstanding: dict[int, PlanProposal]
     proposal_counter: int
-
-    @property
-    def pending(self) -> PlanProposal | None:
-        """The sole outstanding proposal (the single-proposal view).
-
-        ``None`` when nothing is outstanding; raises when several proposals
-        are in flight — batched callers must resolve by ``proposal_id``.
-        """
-        if not self.outstanding:
-            return None
-        if len(self.outstanding) > 1:
-            raise OptimizationError(
-                f"{self._describe()} has {len(self.outstanding)} proposals outstanding; "
-                "resolve them by proposal_id"
-            )
-        return next(iter(self.outstanding.values()))
 
     @property
     def outstanding_count(self) -> int:
@@ -261,10 +244,6 @@ class _ProposalLedger:
         )
         return proposal, record
 
-    def record_pending(self, outcome: ExecutionOutcome) -> TraceRecord:
-        """Consume a pending proposal, appending its outcome to the trace."""
-        return self.resolve(outcome)[1]
-
     def take_pending(self, proposal_id: int | None = None) -> PlanProposal:
         if not self.outstanding:
             raise OptimizationError(
@@ -306,10 +285,6 @@ class _ProposalLedger:
 
     def _describe(self) -> str:
         raise NotImplementedError
-
-
-#: Backwards-compatible alias (the PR 2 name for the bookkeeping mixin).
-_PendingProposal = _ProposalLedger
 
 
 @dataclass

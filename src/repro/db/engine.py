@@ -60,10 +60,6 @@ class Database:
         disables it, or pass an :class:`ExecutionCacheConfig` for explicit
         limits.  Caching never changes results — repeated and overlapping
         plan executions just stop paying for work already done.
-    use_kernels:
-        Execute through the columnar kernels of :mod:`repro.db.kernels`
-        (the default).  ``False`` selects the pre-kernel reference executor
-        path; results are bit-for-bit identical either way.
     """
 
     def __init__(
@@ -74,7 +70,6 @@ class Database:
         noise_sigma: float = 0.0,
         seed: int = 0,
         exec_cache: ExecutionCacheConfig | bool = True,
-        use_kernels: bool = True,
     ) -> None:
         missing = [name for name in schema.table_names if name not in relations]
         if missing:
@@ -92,7 +87,6 @@ class Database:
             noise_sigma=noise_sigma,
             seed=seed,
             cache=self._build_cache(self.exec_cache_config),
-            use_kernels=use_kernels,
         )
 
     @staticmethod
@@ -132,7 +126,6 @@ class Database:
             noise_sigma=self.executor.noise_sigma,
             seed=self.executor.seed,
             exec_cache=config,
-            use_kernels=self.executor.use_kernels,
         )
 
     def set_execution_cache(self, config: ExecutionCacheConfig | bool) -> None:
@@ -208,19 +201,18 @@ class Database:
             "noise_sigma": self.executor.noise_sigma,
             "seed": self.executor.seed,
             "exec_cache": self.exec_cache_config,
-            "use_kernels": self.executor.use_kernels,
         }
 
     def __setstate__(self, state: dict) -> None:
+        # Older state dicts may lack "exec_cache" (rebuilt with the default)
+        # or carry keys of since-removed options (ignored).
         self.__init__(
             state["schema"],
             state["relations"],
             state["cost_params"],
             noise_sigma=state["noise_sigma"],
             seed=state["seed"],
-            # Pre-cache pickles (older state dicts) rebuild with the default.
             exec_cache=state.get("exec_cache", True),
-            use_kernels=state.get("use_kernels", True),
         )
 
     #: Timeout used when warmup pre-executes default plans to prime the
@@ -266,7 +258,6 @@ class Database:
             noise_sigma=self.executor.noise_sigma,
             seed=self.executor.seed,
             exec_cache=self.exec_cache_config,
-            use_kernels=self.executor.use_kernels,
         )
 
     def with_relations(self, relations: dict[str, Relation]) -> "Database":
@@ -278,7 +269,6 @@ class Database:
             noise_sigma=self.executor.noise_sigma,
             seed=self.executor.seed,
             exec_cache=self.exec_cache_config,
-            use_kernels=self.executor.use_kernels,
         )
 
     # ------------------------------------------------------------------ metadata

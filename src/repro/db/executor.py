@@ -24,15 +24,13 @@ float additions of the recording run in the exact order, so latencies,
 censoring, node counts and cost breakdowns are bit-for-bit identical with the
 cache on or off.
 
-The hot path is built from the columnar kernels of :mod:`repro.db.kernels`
-(``use_kernels=True``, the default): per-relation predicate-bitmap and
-selection caches, one counting join index for every build side (cached per
-relation for a scanned one), and a fused residual filter that gathers each
-matched (alias, column) once per join.  The pre-kernel reference
-implementations are kept verbatim (``use_kernels=False``) — the kernels are
-charge-for-charge indistinguishable from them (see :mod:`repro.db.kernels`
-for the argument), which the property tests and the ``bench_exec_kernels``
-gate verify.
+Scans and joins are built from the columnar kernels of
+:mod:`repro.db.kernels`: per-relation predicate-bitmap and selection caches,
+one counting join index for every build side (cached per relation for a
+scanned one), and a fused residual filter that gathers each matched (alias,
+column) once per join.  The nested-loop evaluator in
+``tests/oracles/reference_executor.py`` is the independent check of what
+they produce and charge.
 
 Joins materialize on read.  A join knows its output *count* from the match
 counts; the pair set keeps its right index unexpanded and the join records,
@@ -45,8 +43,7 @@ side no later predicate references and a join whose parent is censored on its
 pre-charge allocate nothing.  Charges cannot move: every charge, work-cap
 check, node count and event is issued from ``match.total`` / ``n_left *
 n_right`` before any pair is expanded, exactly where it was when outputs were
-written eagerly.  Both paths (``use_kernels`` on or off) share ``_execute_join``
-and so both defer.  A deferred intermediate is private to one execution; the
+written eagerly.  A deferred intermediate is private to one execution; the
 memo materializes what it stores (see :meth:`ExecutionCache.put_subplan`).
 
 A batch of sibling plans for one query can be executed in one pass via
@@ -163,9 +160,9 @@ class _Intermediate:
     output holds :class:`_Positions`: deferred while one execution owns the
     intermediate, plain arrays once the subplan memo stores it.
 
-    ``scan`` tags kernel-path base-table scans with ``(table, selection key)``
-    so joins against them can reuse the relation's cached factorized join
-    index instead of re-sorting the build side.
+    ``scan`` tags base-table scans with ``(table, selection key)`` so joins
+    against them reuse the relation's cached join index instead of building
+    one per join.
     """
 
     positions: dict[str, np.ndarray]
@@ -208,11 +205,6 @@ class Executor:
         repeated ``(query, plan)`` executions replay their recorded charge
         log and overlapping plans of the same query reuse memoized subtree
         intermediates — results are bit-for-bit identical either way.
-    use_kernels:
-        Execute through the columnar kernels of :mod:`repro.db.kernels`
-        (cached predicate bitmaps/selections, factorized join indexes, fused
-        residual filters).  ``False`` selects the pre-kernel reference path;
-        results are bit-for-bit identical either way.
     """
 
     def __init__(
@@ -223,7 +215,6 @@ class Executor:
         noise_sigma: float = 0.0,
         seed: int = 0,
         cache: ExecutionCache | None = None,
-        use_kernels: bool = True,
     ) -> None:
         self.schema = schema
         self.relations = relations
@@ -231,7 +222,6 @@ class Executor:
         self.noise_sigma = noise_sigma
         self.seed = seed
         self.cache = cache
-        self.use_kernels = use_kernels
 
     # ------------------------------------------------------------------ public API
     def execute(
@@ -465,14 +455,9 @@ class Executor:
         table = query.table_of(alias)
         relation = self.relations[table]
         filters = query.filters_for(alias)
-        scan: tuple | None = None
-        if self.use_kernels:
-            positions, select_key = relation.select_cached(
-                (flt.column, flt.op, flt.value) for flt in filters
-            )
-            scan = (table, select_key)
-        else:
-            positions = relation.select((flt.column, flt.op, flt.value) for flt in filters)
+        positions, select_key = relation.select_cached(
+            (flt.column, flt.op, flt.value) for flt in filters
+        )
         indexed = any(self.schema.has_index(table, flt.column) for flt in filters)
         if indexed:
             cost = index_scan_cost(relation.num_rows, len(positions), self.cost_params)
@@ -480,7 +465,9 @@ class Executor:
             cost = seq_scan_cost(relation.num_rows, self.cost_params)
         state.charge("scan", cost)
         state.count_node()
-        return _Intermediate({alias: positions}, covered={alias}, count=len(positions), scan=scan)
+        return _Intermediate(
+            {alias: positions}, covered={alias}, count=len(positions), scan=(table, select_key)
+        )
 
     def _execute_join(
         self,
@@ -556,30 +543,16 @@ class Executor:
         predicates: list,
         state: "_ExecutionState",
     ) -> "kernels.PairSet":
-        if self.use_kernels:
-            return self._match_kernel(query, left, right, predicates, state)
-        left_idx, right_idx = self._match_reference(query, left, right, predicates, state)
-        return kernels.PairSet(len(left_idx), left_idx, right_idx)
+        """Equi-match on the first predicate, then filter the rest.
 
-    def _match_kernel(
-        self,
-        query: Query,
-        left: _Intermediate,
-        right: _Intermediate,
-        predicates: list,
-        state: "_ExecutionState",
-    ) -> "kernels.PairSet":
-        """Kernel-backed equi-match: factorized probe + fused residual filter.
-
-        Charge-for-charge identical to :meth:`_match_reference` (same match
-        totals, same charge order — see the determinism contract in
-        :mod:`repro.db.kernels`), but the build side is counted into a join
-        index instead of sorted — once per (filter set, column) for a scanned
-        relation, once per join for an intermediate — the residual predicates
-        gather only matched positions, each (alias, column) at most once per
-        join, and — absent residual predicates — the left side of the
-        returned pair set stays factorized so position gathers run as
-        sequential repeats (late materialization).
+        The build side is counted into a join index — once per (filter set,
+        column) for a scanned relation, once per join for an intermediate —
+        the output is charged from the match total before any pair is
+        expanded, the residual predicates gather only matched positions, each
+        (alias, column) at most once per join, and — absent residual
+        predicates — the left side of the returned pair set stays factorized
+        so position gathers run as sequential repeats (late materialization).
+        Pair order: see the determinism contract in :mod:`repro.db.kernels`.
         """
         first, *rest = predicates
         left_alias, left_column, right_alias, right_column = self._orient(first, left)
@@ -638,60 +611,11 @@ class Executor:
     def _scan_join_index(
         self, query: Query, side: _Intermediate, alias: str, column: str
     ) -> "kernels.JoinIndex | None":
-        """The cached factorized index for a base-table-scan side, if any."""
-        if side.scan is None or len(side.covered) != 1:
+        """The cached join index for a base-table-scan side, if any."""
+        if side.scan is None:
             return None
         table, select_key = side.scan
         return self.relations[table].join_index(select_key, side.positions[alias], column)
-
-    def _match_reference(
-        self,
-        query: Query,
-        left: _Intermediate,
-        right: _Intermediate,
-        predicates: list,
-        state: "_ExecutionState",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Equi-match the two sides on the first predicate, then filter the rest.
-
-        The pre-kernel implementation, kept verbatim as the equivalence
-        reference for the kernel path and the benchmark baseline.
-        """
-        first, *rest = predicates
-        if first.left_alias in left.aliases:
-            left_alias, left_column = first.left_alias, first.left_column
-            right_alias, right_column = first.right_alias, first.right_column
-        else:
-            left_alias, left_column = first.right_alias, first.right_column
-            right_alias, right_column = first.left_alias, first.left_column
-        left_keys = self._values_for(query, left, left_alias, left_column)
-        right_keys = self._values_for(query, right, right_alias, right_column)
-        match = kernels.match_counts(left_keys, right_keys)
-        # Check the output size and charge its cost *before* materializing it,
-        # so catastrophic joins hit the timeout without allocating huge arrays.
-        self._check_materialization(match.total, state)
-        state.charge("join", self.cost_params.output_row * match.total)
-        left_idx, right_idx = kernels.expand_matches(match)
-        for predicate in rest:
-            if predicate.left_alias in left.aliases:
-                la, lc, ra, rc = (
-                    predicate.left_alias,
-                    predicate.left_column,
-                    predicate.right_alias,
-                    predicate.right_column,
-                )
-            else:
-                la, lc, ra, rc = (
-                    predicate.right_alias,
-                    predicate.right_column,
-                    predicate.left_alias,
-                    predicate.left_column,
-                )
-            lv = self._values_for(query, left, la, lc)[left_idx]
-            rv = self._values_for(query, right, ra, rc)[right_idx]
-            keep = lv == rv
-            left_idx, right_idx = left_idx[keep], right_idx[keep]
-        return left_idx, right_idx
 
     def _cross_join(
         self, n_left: int, n_right: int, state: "_ExecutionState"

@@ -4,14 +4,15 @@ Everything in this module is a function (or an index structure) over numpy
 arrays: no executor state, no charge accounting, no cache access. The
 executor composes these kernels into join execution; the split exists so the
 kernels can be property-tested for exact equivalence against the reference
-implementations (see ``tests/test_kernels_batch.py``) and reused by future
-vectorized operators.
+sort-merge in ``tests/oracles/reference_kernels.py`` (see
+``tests/test_kernels_batch.py``).
 
 Determinism contract
 --------------------
 Every kernel here produces **bit-for-bit the same match pairs in the same
-order** as the reference sort-merge path that shipped with the seed
-executor (:func:`match_counts` + :func:`expand_matches`, kept verbatim):
+order** as a sort-merge join — a stable argsort of the right keys, two
+``searchsorted`` passes and a repeat-based expansion, the executor's first
+join path, kept verbatim in ``tests/oracles/reference_kernels.py``:
 
 * match pairs are ordered by left row, and within one left row by the
   *original* position of the right row: the stable argsort of the right
@@ -19,7 +20,7 @@ executor (:func:`match_counts` + :func:`expand_matches`, kept verbatim):
   keys alone, not of who sorts, when, or in which dtype — so a
   :class:`JoinIndex` may count its keys instead of sorting them, sort
   ``key - key_min`` in a narrower dtype, and sort only when a right index is
-  read: the ``order`` it then holds is the one :func:`match_counts` computes;
+  read: the ``order`` it then holds is the sort-merge's;
 * the probe (:func:`probe_join_index`) looks up per-key run lengths and
   starts (``bincount`` and its cumulative sum: what two ``searchsorted`` over
   the sorted keys give), so its expansion is identical;
@@ -31,9 +32,9 @@ executor (:func:`match_counts` + :func:`expand_matches`, kept verbatim):
 
 Because the executor's simulated charges depend only on match *counts*
 (which are order-independent and known before any expansion or sort) and the
-pair ordering is preserved anyway, swapping kernels in or out — or reading a
-pair set late, or never — can never change a latency, a censoring decision or
-a charge-event stream.
+pair ordering is preserved anyway, swapping one kernel for another — or
+reading a pair set late, or never — can never change a latency, a censoring
+decision or a charge-event stream.
 
 Written after construction, by their first read: a :class:`PairSet`'s right
 index and a :class:`JoinIndex`'s ``order`` / ``sorted_keys``.  Both are private
@@ -52,8 +53,6 @@ __all__ = [
     "MatchCounts",
     "JoinIndex",
     "PairSet",
-    "match_counts",
-    "expand_matches",
     "expand_pairs",
     "build_join_index",
     "probe_join_index",
@@ -72,60 +71,25 @@ _EMPTY = np.array([], dtype=np.int64)
 
 @dataclass
 class MatchCounts:
-    """Per-left-row match ranges against the sorted right keys (pre-materialization).
+    """Per-left-row match ranges against a :class:`JoinIndex` (pre-materialization).
 
-    ``order`` is the stable argsort of the right keys (``None`` on a probe
-    result: it is ``index.order``, unsorted until read), ``lo``/``counts`` the
-    start offset and length of each left row's run inside the sorted keys.
+    ``lo``/``counts`` are the start offset and length of each left row's run
+    inside ``index.order`` (the build keys' stable sort, unsorted until read).
     ``lo`` is only meaningful where ``counts > 0`` — zero-count rows may carry
-    an arbitrary offset (the direct-address probe leaves 0 where the sort-merge
-    path leaves an insertion point); :func:`expand_matches` never reads them.
+    an arbitrary offset (the direct-address probe leaves 0 where a binary
+    search leaves an insertion point); no expansion reads them.
     """
 
-    order: np.ndarray | None
+    index: "JoinIndex"
     lo: np.ndarray
     counts: np.ndarray
     total: int
     num_left: int
-    index: "JoinIndex | None" = None
-
-
-def match_counts(left_keys: np.ndarray, right_keys: np.ndarray) -> MatchCounts:
-    """Sort-merge match: how many right rows match each left row (no materialization)."""
-    if len(left_keys) == 0 or len(right_keys) == 0:
-        return MatchCounts(order=_EMPTY, lo=_EMPTY,
-                           counts=np.zeros(len(left_keys), dtype=np.int64),
-                           total=0, num_left=len(left_keys))
-    order = np.argsort(right_keys, kind="stable")
-    sorted_keys = right_keys[order]
-    lo = np.searchsorted(sorted_keys, left_keys, side="left")
-    hi = np.searchsorted(sorted_keys, left_keys, side="right")
-    counts = hi - lo
-    return MatchCounts(order=order, lo=lo, counts=counts, total=int(counts.sum()),
-                       num_left=len(left_keys))
-
-
-def expand_matches(match: MatchCounts) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the matching (left index, right index) pairs.
-
-    The *reference* expansion — the implementation the seed executor
-    shipped, kept verbatim as the equivalence baseline for
-    :func:`expand_pairs` and the ``bench_exec_kernels`` gate.
-    """
-    if match.total == 0:
-        return _EMPTY, _EMPTY
-    left_idx = np.repeat(np.arange(match.num_left), match.counts)
-    starts = np.repeat(match.lo, match.counts)
-    offsets = np.arange(match.total) - np.repeat(
-        np.cumsum(match.counts) - match.counts, match.counts
-    )
-    right_idx = match.order[starts + offsets]
-    return left_idx, right_idx
 
 
 @dataclass
 class PairSet:
-    """The matched row pairs of one join, in reference order (left-major).
+    """The matched row pairs of one join, in sort-merge order (left-major).
 
     ``count`` comes from the match counts alone; index arrays are written
     only when something reads them (late materialization), so a join whose
@@ -136,8 +100,8 @@ class PairSet:
 
     Exactly one representation is active per side.  Left:
 
-    * ``left_idx is not None`` — materialized (the reference path, and the
-      kernel path after residual filtering);
+    * ``left_idx is not None`` — materialized (after residual filtering, and
+      for an empty match);
     * ``left_all`` — every left row matched exactly once, in order: the left
       index is the identity, gathers return the input array *unsliced*
       (safe: the executor never mutates position arrays);
@@ -151,7 +115,7 @@ class PairSet:
     pair set, so a pair set is private to the execution that built it.
 
     ``gather_left``/``gather_right`` produce bit-for-bit the arrays
-    ``values[left_idx]``/``values[right_idx]`` of the reference expansion,
+    ``values[left_idx]``/``values[right_idx]`` of the sort-merge expansion,
     whether or not ``right_idx`` was read first.
     """
 
@@ -181,7 +145,7 @@ class PairSet:
         return values[self.right_idx]
 
     def left_indices(self) -> np.ndarray:
-        """Materialize the left index array (identical to the reference's)."""
+        """Materialize the left index array (identical to the sort-merge's)."""
         if self.left_idx is not None:
             return self.left_idx
         if self.left_all:
@@ -194,7 +158,7 @@ class PairSet:
 
     @property
     def right_idx(self) -> np.ndarray:
-        """The right index array (identical to the reference's), built on first read."""
+        """The right index array (identical to the sort-merge's), built on first read."""
         if self._right_idx is None:
             self._right_idx = self._expand_right()
         return self._right_idx
@@ -203,7 +167,7 @@ class PairSet:
         if self.cross is not None:
             return np.tile(np.arange(self.cross[1]), self.cross[0])
         match = self.match
-        order = match.order if match.index is None else match.index.order
+        order = match.index.order
         if self.left_all:
             # Every probe row matched exactly once: no gather of lo needed.
             return order[match.lo]
@@ -227,8 +191,8 @@ class PairSet:
 def expand_pairs(match: MatchCounts) -> PairSet:
     """Factorized pair expansion: pick each side's shape, write no pair array.
 
-    Three shapes replace the reference's three ``np.repeat`` + two
-    ``np.arange`` passes, all in the exact reference ordering (pairs grouped
+    Three shapes replace the sort-merge's three ``np.repeat`` + two
+    ``np.arange`` passes, all in the exact sort-merge ordering (pairs grouped
     by left row, within one left row by the build row's original position):
     **identity** (every probe row matched exactly once), **unique-match** (no
     probe row matches more than one build row — every FK -> PK join: the
@@ -300,14 +264,13 @@ def build_join_index(keys: np.ndarray) -> JoinIndex:
 def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:
     """Match ``left_keys`` against a factorized build side.
 
-    Returns what ``match_counts(left_keys, build_keys)`` would for the keys
-    the index was built from — same ``counts``, same expansion, the same
-    ``order`` once read — without sorting (with a direct-address table) or
-    without sorting again (without one).
+    Returns what a sort-merge of ``left_keys`` against the keys the index was
+    built from computes — same ``counts``, same expansion, the same ``order``
+    once read — without sorting (with a direct-address table) or without
+    sorting again (without one).
     """
     if len(left_keys) == 0 or index.num_keys == 0:
-        return MatchCounts(order=_EMPTY, lo=_EMPTY,
-                           counts=np.zeros(len(left_keys), dtype=np.int64),
+        return MatchCounts(index, lo=_EMPTY, counts=np.zeros(len(left_keys), dtype=np.int64),
                            total=0, num_left=len(left_keys))
     if index.counts_table is not None and np.issubdtype(left_keys.dtype, np.integer):
         slots = left_keys - (index.key_min - 1)
@@ -317,8 +280,8 @@ def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:
         lo = np.searchsorted(index.sorted_keys, left_keys, side="left")
         hi = np.searchsorted(index.sorted_keys, left_keys, side="right")
         counts = hi - lo
-    return MatchCounts(order=None, lo=lo, counts=counts, total=int(counts.sum()),
-                       num_left=len(left_keys), index=index)
+    return MatchCounts(index, lo=lo, counts=counts, total=int(counts.sum()),
+                       num_left=len(left_keys))
 
 
 def fused_equality_filter(

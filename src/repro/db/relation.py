@@ -114,13 +114,6 @@ class Relation:
             return np.isin(values, np.asarray(list(value)))
         raise ExecutionError(f"unsupported filter operator {op!r}")
 
-    def select(self, predicates: Iterable[tuple[str, str, object]]) -> np.ndarray:
-        """Return the row positions satisfying every ``(column, op, value)`` predicate."""
-        mask = np.ones(self._num_rows, dtype=bool)
-        for column, op, value in predicates:
-            mask &= self.filter_mask(column, op, value)
-        return np.flatnonzero(mask)
-
     # ------------------------------------------------------------------ kernel caches
     @staticmethod
     def _cache_put(cache: dict, key, value) -> None:
@@ -145,11 +138,12 @@ class Relation:
     def select_cached(
         self, predicates: Iterable[tuple[str, str, object]]
     ) -> tuple[np.ndarray, tuple]:
-        """Memoized :meth:`select` over cached predicate bitmaps.
+        """The row positions satisfying every ``(column, op, value)`` predicate.
 
-        Returns ``(positions, selection key)``; the key identifies this
-        filter set for :meth:`join_index` lookups.  The positions array is
-        value-identical to :meth:`select`'s and must not be mutated.
+        Memoized per filter set over cached predicate bitmaps.  Returns
+        ``(positions, selection key)``; the key identifies this filter set
+        for :meth:`join_index` lookups.  The positions array must not be
+        mutated.
         """
         preds = tuple(predicates)
         key = tuple(kernels.predicate_key(*pred) for pred in preds)

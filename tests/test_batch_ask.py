@@ -229,10 +229,8 @@ class TestOutOfOrderResolution:
         query = tiny_workload.queries[0]
         state = optimizer.start(query, budget=BudgetSpec(max_executions=6))
         proposals = optimizer.suggest_batch(state, 2)
-        # The one-slot ``pending`` view is ambiguous with several in flight…
-        with pytest.raises(OptimizationError, match="outstanding"):
-            _ = state.pending
-        # …an un-keyed outcome cannot pick between them…
+        assert state.outstanding_count == 2
+        # An un-keyed outcome cannot pick between two in flight…
         with pytest.raises(OptimizationError, match="proposal_id"):
             optimizer.observe(state, ExecutionOutcome(latency=1.0))
         # …and an unknown id is rejected.
@@ -249,7 +247,7 @@ class TestOutOfOrderResolution:
         }
         for outcome in outcomes.values():
             optimizer.observe(state, outcome)
-        assert state.pending is None
+        assert state.outstanding_count == 0
 
     def test_issue_allowance_works_on_workload_states(self, tiny_workload):
         # Regression: the allowance must charge the same progress object the

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from repro.db.executor import MAX_MATERIALIZED_ROWS
-from repro.db.kernels import expand_matches as _expand_matches, match_counts as _match_counts
+from repro.db.kernels import build_join_index, expand_pairs, probe_join_index
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.exceptions import ExecutionError, PlanError
 from repro.plans.jointree import JoinOp, JoinTree
 from repro.plans.sampling import random_join_tree
 
+from oracles.reference_kernels import sort_merge_pairs
+
 
 def _hash_match(left_keys, right_keys):
     """Index arrays (into left, into right) of every equal-key pair."""
-    return _expand_matches(_match_counts(left_keys, right_keys))
+    pairs = expand_pairs(probe_join_index(build_join_index(right_keys), left_keys))
+    return pairs.left_indices(), pairs.right_idx
 
 
 class TestHashMatch:
@@ -35,11 +38,15 @@ class TestHashMatch:
     def test_counts_total_matches_expansion(self, rng):
         left = rng.integers(0, 50, 500)
         right = rng.integers(0, 50, 700)
-        counts = _match_counts(left, right)
-        left_idx, right_idx = _expand_matches(counts)
-        assert counts.total == len(left_idx) == len(right_idx)
-        # Every reported pair actually matches.
+        counts = probe_join_index(build_join_index(right), left)
+        pairs = expand_pairs(counts)
+        left_idx, right_idx = pairs.left_indices(), pairs.right_idx
+        assert counts.total == pairs.count == len(left_idx) == len(right_idx)
+        # Every reported pair actually matches, in the sort-merge reference's order.
         assert np.all(left[left_idx] == right[right_idx])
+        ref_left, ref_right = sort_merge_pairs(left, right)
+        np.testing.assert_array_equal(left_idx, ref_left)
+        np.testing.assert_array_equal(right_idx, ref_right)
 
 
 class TestExecution:

@@ -7,8 +7,8 @@ that length is ever built), ``output_rows`` needs a witness that shares no
 code with the kernels: here every ``ExecutionResult`` field that depends on a
 cardinality — output rows, nodes executed, the charge total and breakdown, and
 the censoring decision on either side of every cumulative charge — must equal
-the oracle's, with the execution cache on and off, on the pre-kernel path and
-through ``run_batch``.
+the oracle's, with the execution cache on and off and through ``run_batch``,
+and the charge log the cache records must be the oracle's event for event.
 """
 
 from __future__ import annotations
@@ -24,13 +24,16 @@ from hypothesis import strategies as st
 from repro.db import kernels
 from repro.db.catalog import Column, Index, Schema, Table, alias_name
 from repro.db.engine import Database
+from repro.db.plan_cache import NODE_EVENT, plan_fingerprint
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.db.relation import Relation
 from repro.plans.hints import bao_hint_sets
 from repro.plans.jointree import JOIN_OPS, JoinTree
+from repro.plans.sampling import random_join_tree
 from repro.workloads import build_job_workload
 
 from oracles.reference_executor import (
+    NODE,
     OracleLimit,
     charge_events,
     cumulative_charges,
@@ -67,18 +70,21 @@ def make_arms(database: Database) -> dict[str, Database]:
     return {
         "cache on": Database(schema, relations, exec_cache=True),
         "cache off": Database(schema, relations, exec_cache=False),
-        "reference path": Database(schema, relations, exec_cache=False, use_kernels=False),
     }
 
 
 def check_against_oracle(
-    arms: dict[str, Database], query: Query, plan: JoinTree, max_pairs: int
+    arms: dict[str, Database], query: Query, plan: JoinTree, max_pairs: int,
+    timeouts: tuple = (),
 ) -> None:
-    """Every arm of the executor reports what the oracle's cardinalities imply."""
+    """Every arm of the executor reports what the oracle's cardinalities imply.
+
+    ``timeouts`` are checked besides the ones around every cumulative charge.
+    """
     database = arms["cache off"]
     cards = evaluate(query, plan, database.relations, max_pairs=max_pairs)
     events = charge_events(query, cards, database.schema, database.relations, database.cost_params)
-    timeouts = timeouts_around(cumulative_charges(events))
+    timeouts = timeouts_around(cumulative_charges(events)) + list(timeouts)
     expected = [expected_result(events, cards[-1].output_rows, timeout) for timeout in timeouts]
     for arm, db in arms.items():
         for timeout, want in zip(timeouts, expected):
@@ -86,6 +92,10 @@ def check_against_oracle(
     batch = database.execute_batch(query, [plan] * len(timeouts), timeouts)
     for timeout, got, want in zip(timeouts, batch, expected):
         assert_matches(got, want, ("batch", timeout))
+    # The first timeout is None: the cache holds the plan's complete charge log.
+    recorded = arms["cache on"].execution_cache.lookup_outcome(plan_fingerprint(query, plan), None)
+    assert [(NODE if category == NODE_EVENT else category, cost)
+            for category, cost in recorded.events] == events
 
 
 # ------------------------------------------------------------------ random small databases
@@ -169,6 +179,89 @@ def test_random_small_databases_match_nested_loop_oracle(case):
         check_against_oracle(make_arms(database), query, plan, max_pairs=60_000)
     except OracleLimit:
         assume(False)
+
+
+# ------------------------------------------------------------------ random star-schema queries
+#: (alias, column, candidate ops, value range) pools for random filters.
+_STAR_FILTERS = [
+    ("orders#1", "quantity", ("=", ">=", "<="), 20),
+    ("orders#1", "order_date", (">=", "<="), 1000),
+    ("customer#1", "region", ("=", ">="), 8),
+    ("customer#1", "segment", ("=",), 4),
+    ("product#1", "category", ("=", "<="), 10),
+    ("product#1", "price", (">=", "<="), 50),
+    ("shipment#1", "carrier", ("=",), 5),
+    ("shipment#1", "ship_date", (">=", "<="), 1000),
+]
+
+
+def random_star_query(rng: np.random.Generator, name: str) -> Query:
+    """A random connected query over the tiny star schema.
+
+    Always includes ``orders`` (the hub); each satellite table joins through
+    its foreign key with probability ~2/3, and 0-3 random filters apply to
+    the chosen aliases.
+    """
+    refs = [TableRef("orders#1", "orders")]
+    joins = []
+    if rng.random() < 0.67:
+        refs.append(TableRef("customer#1", "customer"))
+        joins.append(JoinPredicate("orders#1", "customer_id", "customer#1", "id"))
+    if rng.random() < 0.67:
+        refs.append(TableRef("product#1", "product"))
+        joins.append(JoinPredicate("orders#1", "product_id", "product#1", "id"))
+    if rng.random() < 0.67 or len(refs) == 1:
+        refs.append(TableRef("shipment#1", "shipment"))
+        joins.append(JoinPredicate("shipment#1", "order_id", "orders#1", "id"))
+    aliases = {ref.alias for ref in refs}
+    pool = [entry for entry in _STAR_FILTERS if entry[0] in aliases]
+    filters = []
+    for pick in rng.choice(len(pool), size=min(len(pool), int(rng.integers(0, 4))), replace=False):
+        alias, column, ops, domain = pool[int(pick)]
+        op = ops[int(rng.integers(0, len(ops)))]
+        filters.append(FilterPredicate(alias, column, op, int(rng.integers(0, domain))))
+    return Query(name=name, table_refs=refs, join_predicates=joins, filters=filters)
+
+
+def timeout_grid(latency: float) -> tuple:
+    """Timeouts that exercise completion, near-miss censoring and deep censoring."""
+    return (latency * 2.0, latency, latency * 0.5, latency * 0.05)
+
+
+@pytest.fixture(scope="module")
+def small_star_database(tiny_database):
+    """The tiny star schema cut to its first 200 orders and the rows joining them.
+
+    Small enough for nested loops; the foreign keys still find their rows.
+    """
+    full = tiny_database.relations
+    orders = full["orders"].with_rows(np.arange(200))
+
+    def joining(table: str, column: str, keys: np.ndarray) -> Relation:
+        relation = full[table]
+        return relation.with_rows(np.flatnonzero(np.isin(relation.column(column), keys)))
+
+    relations = {
+        "orders": orders,
+        "customer": joining("customer", "id", orders.column("customer_id")),
+        "product": joining("product", "id", orders.column("product_id")),
+        "shipment": joining("shipment", "order_id", orders.column("id")),
+    }
+    return Database(tiny_database.schema, relations)
+
+
+def test_random_star_queries_match_nested_loop_oracle(small_star_database):
+    """Twelve random star queries x three random plans, on every arm."""
+    rng = np.random.default_rng(11)
+    arms = make_arms(small_star_database)
+    for case in range(12):
+        query = random_star_query(rng, f"prop_q{case}")
+        for _ in range(3):
+            plan = random_join_tree(query, rng)
+            latency = arms["cache off"].execute(query, plan).latency
+            check_against_oracle(
+                arms, query, plan, max_pairs=60_000, timeouts=timeout_grid(latency)
+            )
 
 
 # ------------------------------------------------------------------ JOB queries x Bao plans

@@ -1,25 +1,29 @@
-"""Property tests: columnar kernels and batch execution are bit-for-bit safe.
+"""Property tests: join kernels and batch execution are bit-for-bit safe.
 
 Two equivalence claims guard the executor hot path (see
 :mod:`repro.db.kernels` for the argument):
 
-* **kernels on == kernels off** — for randomized queries and plans, the
-  kernel-backed executor produces the identical ``ExecutionResult`` (latency
-  to the last bit, censoring, node counts, cost breakdowns) and the identical
-  charge-event stream as the reference path, including timeout censoring and
-  work-cap aborts;
+* **kernels == sort-merge** — the counting join index, its probe and the
+  late pair expansion reproduce the sort-merge reference of
+  ``tests/oracles/reference_kernels.py`` array for array, and so do the join
+  pairs the executor builds on random queries and plans; a plan censors where
+  the reference accumulation of its recorded charge log says, and a work-cap
+  abort is the same fresh, replayed and batched (whole executions —
+  latencies, censoring, node counts, charge logs — are held to the
+  nested-loop oracle in ``test_executor_oracle.py``);
 * **batch == sequential** — ``Executor.run_batch`` reconstructs every plan's
   result by replaying per-plan charge streams over once-executed shared
   subtrees, so a batch is indistinguishable from calling ``execute`` per
   plan, including per-plan timeouts, censoring, work-cap aborts and
   duplicate plans.
 
-The grid is exercised kernels on/off x batch on/off x cache on/off, plus the
+The batch claim is exercised batch on/off x cache on/off, plus the
 process-pool worker batch path.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 from functools import partial
 
@@ -32,8 +36,8 @@ import repro.db.executor as executor_module
 from repro.core.protocol import ExecutionOutcome
 from repro.db import kernels
 from repro.db.engine import Database
-from repro.db.plan_cache import CacheStats
-from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
+from repro.db.plan_cache import NODE_EVENT, CacheStats, plan_fingerprint
+from repro.db.query import JoinPredicate, Query
 from repro.exceptions import ExecutionError
 from repro.exec import (
     ExecutionRequest,
@@ -46,59 +50,21 @@ from repro.exec import (
 from repro.harness.runner import ExecutionCacheReport
 from repro.plans.jointree import JoinTree
 from repro.plans.sampling import random_join_tree
+from repro.workloads.generator import FilterSpec, RandomQuerySampler
+
+from oracles.reference_executor import NODE, cumulative_charges, expected_result
+from oracles.reference_kernels import sort_merge_pairs
 
 
 # ------------------------------------------------------------------ helpers
-def make_database(tiny_database: Database, *, use_kernels: bool, exec_cache: bool) -> Database:
+def make_database(tiny_database: Database, *, exec_cache: bool) -> Database:
     """A fresh executor over the tiny fixture's immutable relations."""
-    return Database(
-        tiny_database.schema,
-        tiny_database.relations,
-        seed=7,
-        exec_cache=exec_cache,
-        use_kernels=use_kernels,
-    )
+    return Database(tiny_database.schema, tiny_database.relations, seed=7, exec_cache=exec_cache)
 
 
-#: (alias, column, candidate ops, value range) pools for random filters.
-_FILTER_POOL = [
-    ("orders#1", "quantity", ("=", ">=", "<="), 20),
-    ("orders#1", "order_date", (">=", "<="), 1000),
-    ("customer#1", "region", ("=", ">="), 8),
-    ("customer#1", "segment", ("=",), 4),
-    ("product#1", "category", ("=", "<="), 10),
-    ("product#1", "price", (">=", "<="), 50),
-    ("shipment#1", "carrier", ("=",), 5),
-    ("shipment#1", "ship_date", (">=", "<="), 1000),
-]
-
-
-def random_query(rng: np.random.Generator, name: str) -> Query:
-    """A random connected query over the tiny star schema.
-
-    Always includes ``orders`` (the hub); each satellite table joins through
-    its foreign key with probability ~2/3, and 0-3 random filters apply to
-    the chosen aliases.
-    """
-    refs = [TableRef("orders#1", "orders")]
-    joins = []
-    if rng.random() < 0.67:
-        refs.append(TableRef("customer#1", "customer"))
-        joins.append(JoinPredicate("orders#1", "customer_id", "customer#1", "id"))
-    if rng.random() < 0.67:
-        refs.append(TableRef("product#1", "product"))
-        joins.append(JoinPredicate("orders#1", "product_id", "product#1", "id"))
-    if rng.random() < 0.67 or len(refs) == 1:
-        refs.append(TableRef("shipment#1", "shipment"))
-        joins.append(JoinPredicate("shipment#1", "order_id", "orders#1", "id"))
-    aliases = {ref.alias for ref in refs}
-    pool = [entry for entry in _FILTER_POOL if entry[0] in aliases]
-    filters = []
-    for pick in rng.choice(len(pool), size=min(len(pool), int(rng.integers(0, 4))), replace=False):
-        alias, column, ops, domain = pool[int(pick)]
-        op = ops[int(rng.integers(0, len(ops)))]
-        filters.append(FilterPredicate(alias, column, op, int(rng.integers(0, domain))))
-    return Query(name=name, table_refs=refs, join_predicates=joins, filters=filters)
+def production_pairs(left: np.ndarray, right: np.ndarray) -> kernels.PairSet:
+    """Build side ``right`` counted into a join index, probed with ``left``, expanded late."""
+    return kernels.expand_pairs(kernels.probe_join_index(kernels.build_join_index(right), left))
 
 
 def assert_same_result(a, b) -> None:
@@ -116,18 +82,13 @@ def assert_same_result(a, b) -> None:
     assert a.breakdown == b.breakdown
 
 
-def timeout_grid(latency: float) -> list:
-    """Timeouts that exercise completion, near-miss censoring and deep censoring."""
-    return [None, latency * 2.0, latency, latency * 0.5, latency * 0.05]
-
-
 # ------------------------------------------------------------------ kernel primitives
 def assert_index_equals_sort_merge(left: np.ndarray, right: np.ndarray, *, dense: bool) -> None:
-    """The counting index reproduces the seed's sort-merge, array for array."""
+    """The counting index reproduces the sort-merge reference, array for array."""
     index = kernels.build_join_index(right)
     assert (index.counts_table is not None) == dense  # which path it took
     match = kernels.probe_join_index(index, left)
-    ref_l, ref_r = kernels.expand_matches(kernels.match_counts(left, right))
+    ref_l, ref_r = sort_merge_pairs(left, right)
     assert match.total == len(ref_l) and match.num_left == len(left)
     pairs = kernels.expand_pairs(match)
     assert pairs.count == len(ref_l)
@@ -213,9 +174,8 @@ class TestKernelPrimitives:
         # Unique build side, partial coverage: some probe rows miss.
         cases.append((rng.integers(0, 200, size=120), rng.permutation(100)))
         for left, right in cases:
-            match = kernels.match_counts(left, right)
-            ref_l, ref_r = kernels.expand_matches(match)
-            pairs = kernels.expand_pairs(match)
+            ref_l, ref_r = sort_merge_pairs(left, right)
+            pairs = production_pairs(left, right)
             fast_l, fast_r = pairs.left_indices(), pairs.right_idx
             np.testing.assert_array_equal(ref_l, fast_l)
             np.testing.assert_array_equal(ref_r, fast_r)
@@ -226,13 +186,12 @@ class TestKernelPrimitives:
             domain = int(rng.integers(1, 60))
             left = rng.integers(0, domain, size=int(rng.integers(0, 300)))
             right = rng.integers(0, domain, size=int(rng.integers(0, 200)))
-            match = kernels.match_counts(left, right)
-            ref_l, ref_r = kernels.expand_matches(match)
-            pairs = kernels.expand_pairs(match)
+            ref_l, ref_r = sort_merge_pairs(left, right)
+            pairs = production_pairs(left, right)
             assert pairs.count == len(ref_l)
             np.testing.assert_array_equal(pairs.left_indices(), ref_l)
             np.testing.assert_array_equal(pairs.right_idx, ref_r)
-            left_values = rng.integers(0, 1000, size=match.num_left)
+            left_values = rng.integers(0, 1000, size=len(left))
             right_values = rng.integers(0, 1000, size=len(right))
             np.testing.assert_array_equal(pairs.gather_left(left_values), left_values[ref_l])
             np.testing.assert_array_equal(pairs.gather_right(right_values), right_values[ref_r])
@@ -257,9 +216,8 @@ class TestKernelPrimitives:
             ))
         built = []
         for left, right in cases:
-            match = kernels.match_counts(left, right)
             built.append((
-                partial(kernels.expand_pairs, match), kernels.expand_matches(match),
+                partial(production_pairs, left, right), sort_merge_pairs(left, right),
                 len(left), len(right),
             ))
         for n_left, n_right in [(7, 5), (1, 9), (6, 1), (0, 4), (3, 0)]:
@@ -287,22 +245,23 @@ class TestKernelPrimitives:
     def test_pair_order_is_left_major_right_stable(self):
         left = np.array([7, 7, 3])
         right = np.array([7, 3, 7, 7])
-        left_idx, right_idx = kernels.expand_matches(kernels.match_counts(left, right))
-        # Ordered by left row; within a left row by original right position.
-        assert left_idx.tolist() == [0, 0, 0, 1, 1, 1, 2]
-        assert right_idx.tolist() == [0, 2, 3, 0, 2, 3, 1]
+        pairs = production_pairs(left, right)
+        for left_idx, right_idx in (
+            sort_merge_pairs(left, right), (pairs.left_indices(), pairs.right_idx)
+        ):
+            # Ordered by left row; within a left row by original right position.
+            assert left_idx.tolist() == [0, 0, 0, 1, 1, 1, 2]
+            assert right_idx.tolist() == [0, 2, 3, 0, 2, 3, 1]
 
     def test_empty_sides(self):
         empty = np.array([], dtype=np.int64)
         keys = np.array([1, 2, 3])
         for left, right in [(empty, keys), (keys, empty), (empty, empty)]:
-            match = kernels.match_counts(left, right)
+            match = kernels.probe_join_index(kernels.build_join_index(right), left)
             assert match.total == 0 and match.num_left == len(left)
-            left_idx, right_idx = kernels.expand_matches(match)
-            assert len(left_idx) == 0 and len(right_idx) == 0
+            pairs = kernels.expand_pairs(match)
+            assert pairs.count == len(pairs.left_indices()) == len(pairs.right_idx) == 0
         assert kernels.build_join_index(empty).num_keys == 0
-        probe = kernels.probe_join_index(kernels.build_join_index(empty), keys)
-        assert probe.total == 0 and probe.num_left == 3
 
     def test_fused_filter_equals_sequential(self, rng):
         for _ in range(10):
@@ -330,92 +289,157 @@ class TestKernelPrimitives:
         hash(kernels.predicate_key("c", "in", {"x": 1}))  # unhashable value -> repr key
 
 
-# ------------------------------------------------------------------ kernel-vs-reference execution
+# ------------------------------------------------------------------ executor joins
+def check_joins_against_sort_merge(executor) -> list[int]:
+    """Make every join ``executor`` runs compare its pairs with the sort-merge reference.
+
+    Returns the list the wrapper appends each checked join's predicate count to.
+    """
+    original = executor._match
+    checked: list[int] = []
+
+    def checked_match(query, left, right, predicates, state):
+        pairs = original(query, left, right, predicates, state)
+
+        def values(side, alias, column):
+            return executor._values_for(query, side, alias, column)
+
+        la, lc, ra, rc = executor._orient(predicates[0], left)
+        ref_l, ref_r = sort_merge_pairs(values(left, la, lc), values(right, ra, rc))
+        for predicate in predicates[1:]:
+            la, lc, ra, rc = executor._orient(predicate, left)
+            keep = values(left, la, lc)[ref_l] == values(right, ra, rc)[ref_r]
+            ref_l, ref_r = ref_l[keep], ref_r[keep]
+        np.testing.assert_array_equal(pairs.left_indices(), ref_l)
+        np.testing.assert_array_equal(pairs.right_idx, ref_r)
+        checked.append(len(predicates))
+        return pairs
+
+    executor._match = checked_match
+    return checked
+
+
+#: Filterable columns of the tiny star schema, for ``RandomQuerySampler``.
+TINY_FILTER_SPECS = {
+    "orders": FilterSpec(eq_columns=["quantity"], range_columns=["order_date"]),
+    "customer": FilterSpec(eq_columns=["region", "segment"]),
+    "product": FilterSpec(eq_columns=["category"], range_columns=["price"]),
+    "shipment": FilterSpec(eq_columns=["carrier"], range_columns=["ship_date"]),
+}
+
+
 class TestKernelExecutorEquivalence:
     def test_randomized_queries_and_plans(self, tiny_database):
+        """Random queries over the full tiny schema — self-joins, ``=``/``in``/range
+        filters, 2-5 aliases — under random plans: every join's pairs are the
+        sort-merge reference's, and each query counts the same rows under all
+        of its plans."""
+        sampler = RandomQuerySampler(
+            tiny_database.schema, max_aliases=2, relations=tiny_database.relations,
+            filter_specs=TINY_FILTER_SPECS, min_tables=2, max_tables=5,
+        )
+        executor = make_database(tiny_database, exec_cache=False).executor
+        checked = check_joins_against_sort_merge(executor)
         rng = np.random.default_rng(11)
-        reference = make_database(tiny_database, use_kernels=False, exec_cache=False)
-        kernel = make_database(tiny_database, use_kernels=True, exec_cache=False)
-        for case in range(12):
-            query = random_query(rng, f"prop_q{case}")
-            for _ in range(3):
-                plan = random_join_tree(query, rng)
-                base = reference.execute(query, plan, timeout=None)
-                for timeout in timeout_grid(base.latency):
-                    assert_same_result(
-                        reference.execute(query, plan, timeout=timeout),
-                        kernel.execute(query, plan, timeout=timeout),
-                    )
+        for query in sampler.sample(12, seed=11):
+            results = [
+                executor.execute(query, random_join_tree(query, rng), timeout=600.0)
+                for _ in range(3)
+            ]
+            assert not any(result.timed_out for result in results)
+            assert len({result.output_rows for result in results}) == 1, query.name
+        assert len(checked) > 36
 
     def test_charge_event_streams_identical(self, tiny_database, tiny_query, rng):
         """With caching on, the recorded outcome logs (the full charge-event
-        streams) match event-for-event between the kernel and reference paths."""
-        reference = make_database(tiny_database, use_kernels=False, exec_cache=True)
-        kernel = make_database(tiny_database, use_kernels=True, exec_cache=True)
-        for _ in range(4):
-            plan = random_join_tree(tiny_query, rng)
-            assert_same_result(
-                reference.execute(tiny_query, plan, timeout=600.0),
-                kernel.execute(tiny_query, plan, timeout=600.0),
-            )
-        assert reference.execution_cache.export_outcomes() == (
-            kernel.execution_cache.export_outcomes()
-        )
+        streams, censored ones included) match event for event whether the
+        plans ran one at a time or as one batch."""
+        plans = [random_join_tree(tiny_query, rng) for _ in range(5)]
+        probe = make_database(tiny_database, exec_cache=False)
+        base = [probe.execute(tiny_query, plan, timeout=600.0) for plan in plans]
+        timeouts = [600.0, base[1].latency * 0.3, None, base[3].latency, base[4].latency * 0.5]
+        sequential = make_database(tiny_database, exec_cache=True)
+        results = [
+            sequential.execute(tiny_query, plan, timeout=timeout)
+            for plan, timeout in zip(plans, timeouts)
+        ]
+        assert any(result.timed_out for result in results)
+        batch = make_database(tiny_database, exec_cache=True)
+        batch.execute_batch(tiny_query, plans, timeouts)
+        logs = sequential.execution_cache.export_outcomes()
+        assert len(logs) == len(plans)
+        assert logs == batch.execution_cache.export_outcomes()
 
     def test_censoring_identical_with_cache(self, tiny_database, tiny_query, rng):
-        reference = make_database(tiny_database, use_kernels=False, exec_cache=True)
-        kernel = make_database(tiny_database, use_kernels=True, exec_cache=True)
+        """Just below, at and just above every cumulative charge of a plan's
+        recorded log, a fresh execution and a cached replay both censor where
+        the reference accumulation of that log says they must."""
         plan = random_join_tree(tiny_query, rng)
-        latency = reference.execute(tiny_query, plan, timeout=None).latency
-        for timeout in timeout_grid(latency):
-            assert_same_result(
-                reference.execute(tiny_query, plan, timeout=timeout),
-                kernel.execute(tiny_query, plan, timeout=timeout),
+        cached = make_database(tiny_database, exec_cache=True)
+        fresh = make_database(tiny_database, exec_cache=False)
+        complete = cached.execute(tiny_query, plan, timeout=None)
+        log = cached.execution_cache.lookup_outcome(plan_fingerprint(tiny_query, plan), None)
+        events = [
+            (NODE if category == NODE_EVENT else category, cost) for category, cost in log.events
+        ]
+        timeouts = [None] + [
+            timeout
+            for point in cumulative_charges(events)
+            for timeout in (
+                math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)
             )
+        ]
+        censored = 0
+        for timeout in timeouts:
+            want = expected_result(events, complete.output_rows, timeout)
+            censored += want.timed_out
+            for database in (fresh, cached):
+                got = database.execute(tiny_query, plan, timeout=timeout)
+                assert (got.latency, got.timed_out, got.output_rows, got.nodes_executed) == (
+                    want.latency, want.timed_out, want.output_rows, want.nodes_executed
+                ), timeout
+                assert got.breakdown == want.breakdown, timeout
+        assert censored >= len(timeouts) // 3  # at least every "just below"
 
     def test_work_cap_abort_identical(self, tiny_database, tiny_query, monkeypatch):
         """A cross join blowing the (monkeypatched) materialization cap censors
-        at the identical point with kernels on or off, and raises without a
-        timeout on both paths."""
+        at the identical point freshly executed, recorded, replayed and
+        batched, and raises without a timeout, replayed or not."""
         monkeypatch.setattr(executor_module, "MAX_MATERIALIZED_ROWS", 10_000)
         # product x shipment first: no join predicate between them -> cross join.
         plan = JoinTree.left_deep(["product#1", "shipment#1", "orders#1", "customer#1"])
-        reference = make_database(tiny_database, use_kernels=False, exec_cache=False)
-        kernel = make_database(tiny_database, use_kernels=True, exec_cache=False)
-        ref_result = reference.execute(tiny_query, plan, timeout=600.0)
-        assert ref_result.timed_out  # the cap converts to censoring under a timeout
-        assert_same_result(ref_result, kernel.execute(tiny_query, plan, timeout=600.0))
-        with pytest.raises(ExecutionError):
-            reference.execute(tiny_query, plan, timeout=None)
-        with pytest.raises(ExecutionError):
-            kernel.execute(tiny_query, plan, timeout=None)
+        fresh = make_database(tiny_database, exec_cache=False)
+        cached = make_database(tiny_database, exec_cache=True)
+        result = fresh.execute(tiny_query, plan, timeout=600.0)
+        assert result.timed_out  # the cap converts to censoring under a timeout
+        recorded = cached.execute(tiny_query, plan, timeout=600.0)
+        replayed = cached.execute(tiny_query, plan, timeout=600.0)
+        assert replayed.cache.outcome_hit
+        (batched,) = make_database(tiny_database, exec_cache=False).execute_batch(
+            tiny_query, [plan], 600.0
+        )
+        for other in (recorded, replayed, batched):
+            assert_same_result(result, other)
+        for database in (fresh, cached):
+            with pytest.raises(ExecutionError):
+                database.execute(tiny_query, plan, timeout=None)
 
     def test_match_indices_identical(self, tiny_database, tiny_query, rng):
-        """The raw match index arrays (not just counts) agree pairwise."""
-        reference = make_database(tiny_database, use_kernels=False, exec_cache=False)
-        kernel = make_database(tiny_database, use_kernels=True, exec_cache=False)
-        captured: dict[str, list] = {"ref": [], "ker": []}
-
-        def capture(executor, bucket):
-            original = executor._match
-
-            def wrapper(query, left, right, predicates, state):
-                pair = original(query, left, right, predicates, state)
-                bucket.append((pair.left_indices().copy(), pair.right_idx.copy()))
-                return pair
-
-            return wrapper
-
-        reference.executor._match = capture(reference.executor, captured["ref"])
-        kernel.executor._match = capture(kernel.executor, captured["ker"])
-        plan = random_join_tree(tiny_query, rng)
-        reference.execute(tiny_query, plan, timeout=600.0)
-        kernel.execute(tiny_query, plan, timeout=600.0)
-        assert len(captured["ref"]) == len(captured["ker"]) > 0
-        for (rl, rr), (kl, kr) in zip(captured["ref"], captured["ker"]):
-            np.testing.assert_array_equal(rl, kl)
-            np.testing.assert_array_equal(rr, kr)
-
+        """The pair arrays of every join the executor runs (not just their
+        counts) are the sort-merge reference's, residual predicates included."""
+        executor = make_database(tiny_database, exec_cache=False).executor
+        checked = check_joins_against_sort_merge(executor)
+        # orders |x| product on two predicates: the second is a residual filter.
+        two_predicates = Query(
+            "tiny_q1_residual", tiny_query.table_refs,
+            [*tiny_query.join_predicates,
+             JoinPredicate("orders#1", "quantity", "product#1", "category")],
+            tiny_query.filters,
+        )
+        for query in (tiny_query, two_predicates):
+            for _ in range(4):
+                executor.execute(query, random_join_tree(query, rng), timeout=600.0)
+        assert checked and max(checked) == 2
 
     def test_unread_intermediate_reports_its_final_size(self, tiny_database, tiny_query):
         """A join output is sized from its row count: ``intermediate_nbytes``
@@ -423,7 +447,7 @@ class TestKernelExecutorEquivalence:
         from repro.db.executor import _ExecutionState, _Gather
         from repro.db.plan_cache import intermediate_nbytes
 
-        database = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        database = make_database(tiny_database, exec_cache=False)
         plan = JoinTree.left_deep(["orders#1", "customer#1", "product#1", "shipment#1"])
         executor = database.executor
         state = _ExecutionState(timeout=None)
@@ -440,7 +464,7 @@ class TestKernelExecutorEquivalence:
 
 # ------------------------------------------------------------------ relation-side caches
 class TestRelationCaches:
-    def test_select_cached_matches_select(self, tiny_database, rng):
+    def test_select_cached_matches_filter_masks(self, tiny_database, rng):
         relation = tiny_database.relations["orders"]
         for _ in range(8):
             predicates = []
@@ -448,14 +472,16 @@ class TestRelationCaches:
                 predicates.append(("quantity", ">=", int(rng.integers(0, 20))))
             if rng.random() < 0.5:
                 predicates.append(("order_date", "<=", int(rng.integers(0, 1000))))
-            plain = relation.select(iter(predicates))
+            mask = np.ones(relation.num_rows, dtype=bool)
+            for predicate in predicates:
+                mask &= relation.filter_mask(*predicate)
             cached, key = relation.select_cached(iter(predicates))
-            np.testing.assert_array_equal(plain, cached)
+            np.testing.assert_array_equal(np.flatnonzero(mask), cached)
             again, key2 = relation.select_cached(iter(predicates))
             assert again is cached and key == key2  # memoized, not recomputed
 
     def test_pickle_drops_kernel_caches(self, tiny_database, tiny_query, rng):
-        database = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        database = make_database(tiny_database, exec_cache=False)
         plan = random_join_tree(tiny_query, rng)
         warm = database.execute(tiny_query, plan, timeout=600.0)
         replica: Database = pickle.loads(pickle.dumps(database))
@@ -471,21 +497,16 @@ class TestBatchEquivalence:
         plans[-1] = plans[0]  # duplicate plan inside the batch
         return plans
 
-    @pytest.mark.parametrize("use_kernels", [True, False])
     @pytest.mark.parametrize("exec_cache", [True, False])
-    def test_batch_matches_sequential(self, tiny_database, tiny_query, use_kernels, exec_cache):
+    def test_batch_matches_sequential(self, tiny_database, tiny_query, exec_cache):
         rng = np.random.default_rng(23)
         plans = self._plans(tiny_query, rng)
-        sequential_db = make_database(
-            tiny_database, use_kernels=use_kernels, exec_cache=exec_cache
-        )
-        batch_db = make_database(tiny_database, use_kernels=use_kernels, exec_cache=exec_cache)
+        sequential_db = make_database(tiny_database, exec_cache=exec_cache)
+        batch_db = make_database(tiny_database, exec_cache=exec_cache)
         base = [sequential_db.execute(tiny_query, plan, timeout=600.0) for plan in plans]
         # Per-plan timeouts: censor some plans, complete others, one uncapped.
         timeouts = [600.0, base[1].latency * 0.3, None, base[3].latency, 600.0, 0.75]
-        sequential_db = make_database(
-            tiny_database, use_kernels=use_kernels, exec_cache=exec_cache
-        )
+        sequential_db = make_database(tiny_database, exec_cache=exec_cache)
         sequential = [
             sequential_db.execute(tiny_query, plan, timeout=timeout)
             for plan, timeout in zip(plans, timeouts)
@@ -498,7 +519,7 @@ class TestBatchEquivalence:
 
     def test_batch_dedups_shared_subtrees(self, tiny_database, tiny_query):
         """Sibling plans sharing a join prefix replay it instead of re-executing."""
-        database = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        database = make_database(tiny_database, exec_cache=False)
         a = JoinTree.left_deep(["orders#1", "customer#1", "product#1", "shipment#1"])
         # b shares the (orders, customer) prefix with a, then diverges.
         b = JoinTree.left_deep(["orders#1", "customer#1", "shipment#1", "product#1"])
@@ -515,31 +536,31 @@ class TestBatchEquivalence:
         monkeypatch.setattr(executor_module, "MAX_MATERIALIZED_ROWS", 10_000)
         capped = JoinTree.left_deep(["product#1", "shipment#1", "orders#1", "customer#1"])
         fine = JoinTree.left_deep(["orders#1", "customer#1", "product#1", "shipment#1"])
-        solo_db = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        solo_db = make_database(tiny_database, exec_cache=False)
         solo = [
             solo_db.execute(tiny_query, capped, timeout=600.0),
             solo_db.execute(tiny_query, fine, timeout=600.0),
         ]
-        batch_db = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        batch_db = make_database(tiny_database, exec_cache=False)
         batched = batch_db.execute_batch(tiny_query, [capped, fine], 600.0)
         assert batched[0].timed_out and not batched[1].timed_out
         for s, b in zip(solo, batched):
             assert_same_result(s, b)
 
     def test_batch_timeout_validation(self, tiny_database, tiny_query, rng):
-        database = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        database = make_database(tiny_database, exec_cache=False)
         plan = random_join_tree(tiny_query, rng)
         with pytest.raises(ExecutionError):
             database.execute_batch(tiny_query, [plan, plan], [600.0])
         assert database.execute_batch(tiny_query, [], None) == []
 
     def test_run_batch_scalar_timeout_broadcasts(self, tiny_database, tiny_query, rng):
-        database = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        database = make_database(tiny_database, exec_cache=False)
         plans = [random_join_tree(tiny_query, rng) for _ in range(3)]
         scalar = database.execute_batch(tiny_query, plans, 600.0)
-        explicit = make_database(
-            tiny_database, use_kernels=True, exec_cache=False
-        ).execute_batch(tiny_query, plans, [600.0, 600.0, 600.0])
+        explicit = make_database(tiny_database, exec_cache=False).execute_batch(
+            tiny_query, plans, [600.0, 600.0, 600.0]
+        )
         for s, e in zip(scalar, explicit):
             assert_same_result(s, e)
 
@@ -554,14 +575,14 @@ class TestBackendBatchPaths:
 
     def test_inline_submit_batch_matches_sequential(self, tiny_database, tiny_query, rng):
         plans = [random_join_tree(tiny_query, rng) for _ in range(4)]
-        sequential_db = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        sequential_db = make_database(tiny_database, exec_cache=False)
         expected = [
             ExecutionOutcome.from_execution(
                 sequential_db.execute(tiny_query, plan, timeout=600.0), 600.0
             )
             for plan in plans
         ]
-        backend = InlineBackend(make_database(tiny_database, use_kernels=True, exec_cache=False))
+        backend = InlineBackend(make_database(tiny_database, exec_cache=False))
         futures = submit_request_batch(backend, self._requests(tiny_query, plans))
         outcomes = [future.result() for future in futures]
         for got, want in zip(outcomes, expected):
@@ -571,10 +592,10 @@ class TestBackendBatchPaths:
 
     def test_thread_submit_batch_matches_sequential(self, tiny_database, tiny_query, rng):
         plans = [random_join_tree(tiny_query, rng) for _ in range(4)]
-        sequential_db = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        sequential_db = make_database(tiny_database, exec_cache=False)
         expected = [sequential_db.execute(tiny_query, plan, timeout=600.0) for plan in plans]
         backend = ThreadPoolBackend(
-            make_database(tiny_database, use_kernels=True, exec_cache=False), max_workers=2
+            make_database(tiny_database, exec_cache=False), max_workers=2
         )
         try:
             futures = backend.submit_batch(self._requests(tiny_query, plans))
@@ -586,10 +607,10 @@ class TestBackendBatchPaths:
 
     def test_process_submit_batch_matches_sequential(self, tiny_database, tiny_query, rng):
         plans = [random_join_tree(tiny_query, rng) for _ in range(3)]
-        sequential_db = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        sequential_db = make_database(tiny_database, exec_cache=False)
         expected = [sequential_db.execute(tiny_query, plan, timeout=600.0) for plan in plans]
         backend = ProcessPoolBackend(
-            make_database(tiny_database, use_kernels=True, exec_cache=False),
+            make_database(tiny_database, exec_cache=False),
             max_workers=1,
             queries=[tiny_query],
             warmup=False,
@@ -606,7 +627,7 @@ class TestBackendBatchPaths:
         self, tiny_database, tiny_query, tiny_three_table_query, rng
     ):
         """Different queries in one submission execute per-request (no grouping)."""
-        database = make_database(tiny_database, use_kernels=True, exec_cache=False)
+        database = make_database(tiny_database, exec_cache=False)
         requests = [
             ExecutionRequest(
                 query=tiny_query, plan=random_join_tree(tiny_query, rng), timeout=600.0
@@ -641,7 +662,7 @@ class TestBackendBatchPaths:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-        wrapper = Wrapper(make_database(tiny_database, use_kernels=True, exec_cache=False))
+        wrapper = Wrapper(make_database(tiny_database, exec_cache=False))
         plans = [random_join_tree(tiny_query, rng) for _ in range(2)]
         outcomes = perform_batch(
             wrapper,

@@ -582,6 +582,23 @@ class TestConfigPlumbing:
         assert clone.execution_cache.num_outcomes == 0  # fresh cache
         assert clone.execution_cache is not database.execution_cache
 
+    def test_older_pickles_still_load(self, tiny_database, tiny_query, monkeypatch):
+        """A pickle whose state predates the cache config, or still carries the
+        flag of the removed second join path, loads; the flag is ignored."""
+        database = _clone(tiny_database, exec_cache=False)
+        plan = database.plan(tiny_query)
+        older = {**database.__getstate__(), "use_kernels": False}
+        del older["exec_cache"]
+        monkeypatch.setattr(Database, "__getstate__", lambda self: older)
+        payload = pickle.dumps(database)
+        monkeypatch.undo()
+        clone = pickle.loads(payload)
+        assert clone.exec_cache_config == ExecutionCacheConfig()
+        got, want = clone.execute(tiny_query, plan), database.execute(tiny_query, plan)
+        assert (got.latency, got.output_rows, got.breakdown) == (
+            want.latency, want.output_rows, want.breakdown
+        )
+
 
 # --------------------------------------------------------------------- process pool
 @pytest.mark.slow

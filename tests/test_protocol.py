@@ -96,18 +96,20 @@ class TestProtocolConformance:
         proposal = optimizer.suggest(state)
         assert isinstance(proposal, PlanProposal)
         assert isinstance(proposal.plan, JoinTree)
-        assert state.pending is proposal
+        assert state.outstanding_count == 1
+        assert state.outstanding[proposal.proposal_id] is proposal
         # A second suggest with a pending proposal is a protocol violation and
         # must leave the state untouched: the pending proposal survives.
         with pytest.raises(OptimizationError):
             optimizer.suggest(state)
-        assert state.pending is proposal
+        assert state.outstanding_count == 1
+        assert state.outstanding[proposal.proposal_id] is proposal
 
         execution = tiny_workload.database.execute(
             proposal.query or query, proposal.plan, timeout=proposal.timeout
         )
         optimizer.observe(state, ExecutionOutcome.from_execution(execution, proposal.timeout))
-        assert state.pending is None
+        assert state.outstanding_count == 0
         assert result_of().num_executions == 1
         record = result_of().trace[0]
         assert record.plan.canonical() == proposal.plan.canonical()

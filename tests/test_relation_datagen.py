@@ -58,8 +58,9 @@ class TestRelation:
 
     def test_select_conjunction(self):
         relation = simple_relation()
-        rows = relation.select([("v", "=", 2), ("w", "=", 9)])
-        assert list(rows) == [7]
+        rows, _ = relation.select_cached([("v", "=", 2), ("w", "=", 9)])
+        mask = relation.filter_mask("v", "=", 2) & relation.filter_mask("w", "=", 9)
+        assert list(rows) == list(np.flatnonzero(mask)) == [7]
 
     def test_take_and_with_rows(self):
         relation = simple_relation()
