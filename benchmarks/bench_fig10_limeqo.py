@@ -17,7 +17,7 @@ BENCH_QUERIES = 6
 import numpy as np
 
 from repro.baselines import LimeQOOptimizer
-from repro.core import BayesQO
+from repro.core import BayesQO, BudgetSpec, drive_query, drive_workload
 from repro.harness import format_summaries, workload_curve
 
 NUM_QUERIES = 4
@@ -28,9 +28,10 @@ def run_figure10(job_workload, job_schema_model, bench_bayes_config):
     database = job_workload.database
     queries = job_workload.queries[:NUM_QUERIES]
     bayes = BayesQO(database, job_schema_model, config=bench_bayes_config)
-    bayes_results = {query.name: bayes.optimize(query, max_executions=BENCH_EXECUTIONS) for query in queries}
-    limeqo_results = LimeQOOptimizer(database).optimize_workload(
-        queries, max_executions=49 * NUM_QUERIES
+    budget = BudgetSpec(max_executions=BENCH_EXECUTIONS)
+    bayes_results = {query.name: drive_query(bayes, database, query, budget) for query in queries}
+    limeqo_results = drive_workload(
+        LimeQOOptimizer(database), database, queries, BudgetSpec(max_executions=49 * NUM_QUERIES)
     )
     defaults = {query.name: database.execute(query, timeout=600.0).latency for query in queries}
     return bayes_results, limeqo_results, defaults

@@ -15,8 +15,8 @@ BENCH_QUERIES = 6
 
 import numpy as np
 
-from repro.baselines import BalsaOptimizer, BaoOptimizer, RandomSearch
-from repro.core import BayesQO
+from repro.baselines import BalsaOptimizer, RandomSearch, bao_best_latency
+from repro.core import BayesQO, BudgetSpec, drive_query
 from repro.harness import format_table
 
 NUM_CASE_STUDIES = 2
@@ -27,14 +27,14 @@ def run_case_studies(job_workload, job_schema_model, bench_bayes_config):
     database = job_workload.database
     queries = job_workload.queries[:NUM_CASE_STUDIES]
     bayes = BayesQO(database, job_schema_model, config=bench_bayes_config)
+    budget = BudgetSpec(max_executions=BENCH_EXECUTIONS)
     outcomes = {}
     for query in queries:
-        bao = BaoOptimizer(database).optimize(query)
         outcomes[query.name] = {
-            "bao": bao,
-            "bayes": bayes.optimize(query, max_executions=BENCH_EXECUTIONS),
-            "random": RandomSearch(database, seed=1).optimize(query, max_executions=BENCH_EXECUTIONS),
-            "balsa": BalsaOptimizer(database).optimize(query, max_executions=BENCH_EXECUTIONS),
+            "bao": bao_best_latency(database, query),
+            "bayes": drive_query(bayes, database, query, budget),
+            "random": drive_query(RandomSearch(database, seed=1), database, query, budget),
+            "balsa": drive_query(BalsaOptimizer(database), database, query, budget),
         }
     return outcomes
 
@@ -46,7 +46,7 @@ def test_fig4_case_studies(benchmark, job_workload, job_schema_model, bench_baye
     )
     print()
     for name, runs in outcomes.items():
-        bao_best = runs["bao"].best_latency
+        bao_best = runs["bao"]
         max_cost = max(
             runs[technique].total_cost for technique in ("bayes", "random", "balsa")
         )

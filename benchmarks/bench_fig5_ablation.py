@@ -15,7 +15,7 @@ BENCH_EXECUTIONS = 30
 #: Number of workload queries sampled for the comparison benches.
 BENCH_QUERIES = 6
 
-from repro.core import BayesQO, BayesQOConfig
+from repro.core import BayesQO, BayesQOConfig, drive_query
 from repro.harness import format_table
 
 TIMEOUT_ARMS = {
@@ -38,7 +38,7 @@ def _run_arms(job_workload, job_schema_model, arms):
     for label, overrides in arms.items():
         config = BayesQOConfig(max_executions=BENCH_EXECUTIONS, num_candidates=128, seed=0, **overrides)
         optimizer = BayesQO(job_workload.database, job_schema_model, config=config)
-        outcomes[label] = optimizer.optimize(query)
+        outcomes[label] = drive_query(optimizer, job_workload.database, query)
     return outcomes
 
 

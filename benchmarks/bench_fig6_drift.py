@@ -9,8 +9,15 @@ optimizing from scratch.
 
 from __future__ import annotations
 
-from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, reoptimize, train_schema_model
-from repro.baselines import BaoOptimizer
+from repro.core import (
+    BayesQO,
+    BayesQOConfig,
+    VAETrainingConfig,
+    drive_query,
+    reoptimize,
+    train_schema_model,
+)
+from repro.baselines import bao_best_latency
 from repro.harness import WorkloadSummary, format_summaries
 from repro.workloads import STACK_DATE_2017, rollback_to_date
 
@@ -37,20 +44,20 @@ def run_drift_experiment(stack_workload):
     rows = {"bao": [], "past_plan": [], "future_bo": [], "reopt": [], "stale_vae": [], "fresh_vae": []}
     reopt_costs, scratch_costs = [], []
     for query in queries:
-        bao_future = BaoOptimizer(future_db).optimize(query)
-        rows["bao"].append(bao_future.best_latency)
-        past_run = past_bayes.optimize(query)
+        bao_future = bao_best_latency(future_db, query)
+        rows["bao"].append(bao_future)
+        past_run = drive_query(past_bayes, past_db, query)
         past_plan = past_run.best_plan
         # The stale plan executed against the future data.
         rows["past_plan"].append(future_db.execute(query, past_plan, timeout=600.0).latency)
-        future_run = future_bayes.optimize(query)
-        rows["future_bo"].append(future_run.best_latency_or(bao_future.best_latency))
+        future_run = drive_query(future_bayes, future_db, query)
+        rows["future_bo"].append(future_run.best_latency_or(bao_future))
         scratch_costs.append(future_run.total_cost)
         outcome = reoptimize(future_bayes, query, past_plan, max_executions=EXECUTIONS // 2)
-        rows["reopt"].append(outcome.result.best_latency_or(bao_future.best_latency))
+        rows["reopt"].append(outcome.result.best_latency_or(bao_future))
         reopt_costs.append(outcome.result.total_cost)
         rows["stale_vae"].append(
-            stale_vae_bayes.optimize(query).best_latency_or(bao_future.best_latency)
+            drive_query(stale_vae_bayes, future_db, query).best_latency_or(bao_future)
         )
         rows["fresh_vae"].append(rows["future_bo"][-1])
     return rows, reopt_costs, scratch_costs

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import BaoOptimizer
-from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, train_schema_model
+from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, drive_query, train_schema_model
 from repro.harness import format_table
 from repro.workloads import STACK_DATE_2017, STACK_DATE_MAX, drift_timeline, rollback_to_date
 
@@ -33,16 +32,15 @@ def run_timeline(stack_workload):
                                                          max_aliases=stack_workload.max_aliases), config=config)
     plans = {}
     for query in queries:
-        bao = BaoOptimizer(past_db).optimize(query)
-        past_plan = past_bayes.optimize(query).best_record.plan
-        future_plan = future_bayes.optimize(query).best_record.plan
-        plans[query.name] = (past_plan, future_plan, bao.best_plan)
+        past_plan = drive_query(past_bayes, past_db, query).best_record.plan
+        future_plan = drive_query(future_bayes, future_db, query).best_record.plan
+        plans[query.name] = (past_plan, future_plan)
     snapshots = drift_timeline(future_db, STACK_DATE_2017, STACK_DATE_MAX, TIMELINE_STEPS)
     series = []
     for cutoff, snapshot in snapshots:
         past_latencies, future_latencies = [], []
         for query in queries:
-            past_plan, future_plan, _ = plans[query.name]
+            past_plan, future_plan = plans[query.name]
             past_latencies.append(snapshot.execute(query, past_plan, timeout=600.0).latency)
             future_latencies.append(snapshot.execute(query, future_plan, timeout=600.0).latency)
         series.append((cutoff, past_latencies, future_latencies))

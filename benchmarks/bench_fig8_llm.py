@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import BaoOptimizer
-from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, train_schema_model
+from repro.baselines import bao_best_latency
+from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, drive_query, train_schema_model
 from repro.harness import format_table, percentage_difference
 from repro.llm import PlanLM, PlanLMConfig, build_finetune_dataset
 from repro.plans.encoding import sequence_length
@@ -39,7 +39,7 @@ def run_llm_experiment():
     runs, queries_by_name = {}, {}
     for template in train_templates:
         for query in workload.queries_for_template(template)[:TRAIN_QUERIES_PER_TEMPLATE]:
-            runs[query.name] = bayes.optimize(query)
+            runs[query.name] = drive_query(bayes, database, query)
             queries_by_name[query.name] = query
 
     max_length = sequence_length(max(query.num_tables for query in workload.queries))
@@ -51,7 +51,7 @@ def run_llm_experiment():
     def evaluate(queries):
         differences = []
         for query in queries:
-            bao_best = BaoOptimizer(database).optimize(query).best_latency
+            bao_best = bao_best_latency(database, query)
             best = np.inf
             for plan in model.generate_plans(query, SAMPLES_PER_QUERY, seed=1):
                 execution = database.execute(query, plan, timeout=bao_best * 8.0)

@@ -19,10 +19,9 @@ registry entry is marked ``order_sensitive`` (Balsa shares its RNG and value
 network across queries) are automatically kept sequential so their results
 stay deterministic too.
 
-Calling ``optimizer.optimize(...)`` directly still works but is deprecated:
-it spins up a private single-query loop that cannot share budgets, schema
-models or the execution backend.  Prefer a session (or the thin
-``run_technique``/``run_comparison`` wrappers).
+For one query on one database without a session,
+:func:`repro.core.drive_query` runs the same loop with inline execution; it
+cannot share budgets, schema models or the execution backend.
 
 Run with::
 

@@ -12,8 +12,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro.baselines import BaoOptimizer
-from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, train_schema_model
+from repro.baselines import bao_best_latency
+from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, drive_query, train_schema_model
 from repro.llm import PlanLM, PlanLMConfig, build_finetune_dataset
 from repro.plans.encoding import sequence_length
 from repro.workloads import build_ceb_workload
@@ -34,7 +34,7 @@ def main() -> None:
 
     # 1. Optimize a few queries and collect their traces.
     train_queries = workload.queries[:4]
-    runs = {query.name: bayes.optimize(query) for query in train_queries}
+    runs = {query.name: drive_query(bayes, database, query) for query in train_queries}
     print("Collected optimization traces:")
     for name, run in runs.items():
         print(f"  {name}: best {run.best_latency:.4f} s over {run.num_executions} executions")
@@ -51,13 +51,13 @@ def main() -> None:
 
     # 3. Use the PlanLM to seed BayesQO on an unseen query of a seen template.
     target = workload.queries[4]
-    bao_best = BaoOptimizer(database).optimize(target).best_latency
+    bao_best = bao_best_latency(database, target)
     llm_bayes = BayesQO(
         database, schema_model,
         config=BayesQOConfig(max_executions=35, initialization="llm", num_initial_plans=15, seed=0),
         plan_generator=model,
     )
-    run = llm_bayes.optimize(target)
+    run = drive_query(llm_bayes, database, target)
     print(f"\nTarget query {target.name}:")
     print(f"  best Bao hint-set plan : {bao_best:.4f} s")
     print(f"  BayesQO (LLM init)     : {run.best_latency:.4f} s")

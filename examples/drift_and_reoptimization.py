@@ -12,12 +12,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.baselines import BaoOptimizer
+from repro.baselines import bao_best_latency
 from repro.core import (
     BayesQO,
     BayesQOConfig,
     OnlinePlanner,
     VAETrainingConfig,
+    drive_query,
     reoptimize,
     train_schema_model,
 )
@@ -43,12 +44,12 @@ def main() -> None:
     past_model = train_schema_model(past_db, workload.queries, vae_config,
                                     max_aliases=workload.max_aliases)
     past_bayes = BayesQO(past_db, past_model, config=config)
-    past_run = past_bayes.optimize(query)
+    past_run = drive_query(past_bayes, past_db, query)
     print(f"\nOffline optimization in the past: best latency {past_run.best_latency:.4f} s")
 
     # The data drifts; the online component notices the regression.
     stale_latency = future_db.execute(query, past_run.best_plan, timeout=600.0).latency
-    bao_future = BaoOptimizer(future_db).optimize(query).best_latency
+    bao_future = bao_best_latency(future_db, query)
     print(f"Stale plan on the future data   : {stale_latency:.4f} s "
           f"(best Bao hint on future data: {bao_future:.4f} s)")
     planner = OnlinePlanner(future_db)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.baselines import BaoOptimizer
 from repro.core import BayesQOConfig, ExecutionServiceConfig, PlanCache, VAETrainingConfig
-from repro.core.protocol import BudgetSpec, drive_state
+from repro.core.protocol import BudgetSpec, drive_state, inline_execute
 from repro.harness import WorkloadSession
 from repro.utils import get_logger
 from repro.workloads import build_job_workload
@@ -39,7 +39,7 @@ def main() -> None:
     default_latency = database.execute(query, timeout=600.0).latency
     bao_optimizer = BaoOptimizer(database)
     bao_state = bao_optimizer.start(query)
-    drive_state(bao_optimizer, database, bao_state)
+    drive_state(bao_optimizer, bao_state, inline_execute(database))
     bao = bao_optimizer.outcome(bao_state)
     print(f"\nDefault optimizer plan latency : {default_latency:.4f} s")
     print(f"Best Bao hint-set plan latency : {bao.best_latency:.4f} s ({bao.best_hint_set})")

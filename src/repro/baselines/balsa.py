@@ -23,7 +23,6 @@ Its training set is seeded with the Bao hint-set plans, as in the paper.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ from repro.core.protocol import (
     ExecutionOutcome,
     OptimizerState,
     PlanProposal,
-    drive_state,
 )
 from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
@@ -217,31 +215,6 @@ class BalsaOptimizer:
 
     def finish(self, state: BalsaState) -> OptimizationResult:
         return state.result
-
-    # ------------------------------------------------------------------ legacy driver
-    def optimize(
-        self,
-        query: Query,
-        max_executions: int = 100,
-        time_budget: float | None = None,
-    ) -> OptimizationResult:
-        """Run the Balsa agent for one query.
-
-        .. deprecated:: PR 2
-            Compatibility shim over the ask/tell protocol; prefer driving the
-            optimizer through a WorkloadSession.
-        """
-        warnings.warn(
-            "BalsaOptimizer.optimize() is deprecated; drive the optimizer through a "
-            "WorkloadSession (or repro.core.protocol.drive_query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        state = self.start(
-            query, budget=BudgetSpec(max_executions=max_executions, time_budget=time_budget)
-        )
-        drive_state(self, self.database, state)
-        return self.finish(state)
 
 
 @register_technique(

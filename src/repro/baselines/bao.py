@@ -14,7 +14,6 @@ count); the registry records this as ``ignores_execution_cap``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.initialization import bao_hint_set_plans
@@ -24,6 +23,7 @@ from repro.core.protocol import (
     OptimizerState,
     PlanProposal,
     drive_state,
+    inline_execute,
 )
 from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
@@ -140,30 +140,12 @@ class BaoOptimizer:
             best_latency=best_latency,
         )
 
-    # ------------------------------------------------------------------ legacy driver
-    def optimize(self, query: Query, time_budget: float | None = None) -> BaoOutcome:
-        """Execute all hint-set plans (deduplicated) for ``query``.
-
-        .. deprecated:: PR 2
-            Compatibility shim over the ask/tell protocol; prefer driving the
-            optimizer through a WorkloadSession.
-        """
-        warnings.warn(
-            "BaoOptimizer.optimize() is deprecated; drive the optimizer through a "
-            "WorkloadSession (or repro.core.protocol.drive_query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        state = self.start(query, budget=BudgetSpec(max_executions=None, time_budget=time_budget))
-        drive_state(self, self.database, state)
-        return self.outcome(state)
-
 
 def bao_best_latency(database: Database, query: Query) -> float:
     """Convenience: the latency of the best Bao hint-set plan."""
     optimizer = BaoOptimizer(database)
     state = optimizer.start(query)
-    drive_state(optimizer, database, state)
+    drive_state(optimizer, state, inline_execute(database))
     return optimizer.outcome(state).best_latency
 
 

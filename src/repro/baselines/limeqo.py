@@ -21,7 +21,6 @@ private ``max_executions * len(queries)`` arithmetic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.core.protocol import (
     ExecutionOutcome,
     PlanProposal,
     WorkloadOptimizerState,
-    drive_state,
 )
 from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
@@ -184,36 +182,6 @@ class LimeQOOptimizer:
 
     def finish_workload(self, state: LimeQOWorkloadState) -> dict[str, OptimizationResult]:
         return state.results
-
-    # ------------------------------------------------------------------ legacy driver
-    def optimize_workload(
-        self,
-        queries: list[Query],
-        max_executions: int | None = None,
-        time_budget: float | None = None,
-    ) -> dict[str, OptimizationResult]:
-        """Explore hints for the whole workload; returns per-query traces.
-
-        ``max_executions``/``time_budget`` are *workload-level* totals, kept
-        for backward compatibility.
-
-        .. deprecated:: PR 2
-            Compatibility shim over the ask/tell protocol; prefer driving the
-            optimizer through a WorkloadSession, which charges LimeQO the same
-            per-query budget as every other technique via
-            ``BudgetSpec.scaled(len(queries))``.
-        """
-        warnings.warn(
-            "LimeQOOptimizer.optimize_workload() is deprecated; drive the optimizer "
-            "through a WorkloadSession (or repro.core.protocol.drive_workload)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        state = self.start_workload(
-            queries, budget=BudgetSpec(max_executions=max_executions, time_budget=time_budget)
-        )
-        drive_state(self, self.database, state)
-        return self.finish_workload(state)
 
 
 @register_technique(

@@ -18,7 +18,6 @@ time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.core.protocol import (
     ExecutionOutcome,
     OptimizerState,
     PlanProposal,
-    drive_state,
 )
 from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
@@ -150,34 +148,6 @@ class RandomSearch:
 
     def finish(self, state: RandomSearchState) -> OptimizationResult:
         return state.result
-
-    # ------------------------------------------------------------------ legacy driver
-    def optimize(
-        self,
-        query: Query,
-        max_executions: int = 100,
-        time_budget: float | None = None,
-        initial_timeout: float | None = 600.0,
-    ) -> OptimizationResult:
-        """Run random search for ``query`` under the shared budget model.
-
-        .. deprecated:: PR 2
-            Compatibility shim over the ask/tell protocol; prefer driving the
-            optimizer through a WorkloadSession.
-        """
-        warnings.warn(
-            "RandomSearch.optimize() is deprecated; drive the optimizer through a "
-            "WorkloadSession (or repro.core.protocol.drive_query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        state = self.start(
-            query,
-            budget=BudgetSpec(max_executions=max_executions, time_budget=time_budget),
-            initial_timeout=initial_timeout,
-        )
-        drive_state(self, self.database, state)
-        return self.finish(state)
 
 
 @register_technique(

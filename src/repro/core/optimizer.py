@@ -17,16 +17,14 @@ The optimizer ties every substrate together.  It implements the ask/tell
    ``None``: the reachable plan space is exhausted).
 
 The loop itself is owned by the caller — usually a
-:class:`~repro.harness.runner.WorkloadSession` that interleaves many queries —
-and :meth:`BayesQO.optimize` survives as a compatibility shim over
-:func:`~repro.core.protocol.drive_query`.
+:class:`~repro.harness.runner.WorkloadSession` that interleaves many queries,
+or :func:`~repro.core.protocol.drive_query` for one query on a database.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,7 +38,6 @@ from repro.core.protocol import (
     ExecutionOutcome,
     OptimizerState,
     PlanProposal,
-    drive_query,
 )
 from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
@@ -217,9 +214,8 @@ class BayesQO:
     ) -> BayesQOState:
         """Build a resumable per-query state (engine, timeout policy, init plans)."""
         config = self.config
-        # Unset budget axes fall back to the configuration's own budget, the
-        # same resolution the legacy optimize(max_executions=, time_budget=)
-        # signature applied.
+        # Unset budget axes (or no budget) fall back to the configuration's
+        # own budget.
         budget = BudgetSpec(
             max_executions=(
                 budget.max_executions
@@ -460,33 +456,6 @@ class BayesQO:
         x, _, _ = engine.observations()
         mean, std = engine.predict(x)
         return float(max(0.0, best - float(np.min(mean - std))))
-
-    # ------------------------------------------------------------------ legacy driver
-    def optimize(
-        self,
-        query: Query,
-        initial_plans: list[InitialPlan] | None = None,
-        max_executions: int | None = None,
-        time_budget: float | None = None,
-    ) -> OptimizationResult:
-        """Run offline optimization for one query and return the execution trace.
-
-        .. deprecated:: PR 2
-            Compatibility shim over the ask/tell protocol
-            (:meth:`start`/:meth:`suggest`/:meth:`observe`/:meth:`finish`).
-            New code should drive the optimizer through a
-            :class:`~repro.harness.runner.WorkloadSession`, which owns the
-            loop and can interleave many queries under one budget.
-        """
-        warnings.warn(
-            "BayesQO.optimize() is deprecated; drive the optimizer through a "
-            "WorkloadSession (or repro.core.protocol.drive_query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # start() resolves unset axes against the configuration's own budget.
-        budget = BudgetSpec(max_executions=max_executions, time_budget=time_budget)
-        return drive_query(self, self.database, query, budget, initial_plans=initial_plans)
 
     # ------------------------------------------------------------------ bookkeeping
     def _best_latency(self, result: OptimizationResult) -> float | None:

@@ -37,9 +37,10 @@ next) implement the :class:`WorkloadOptimizer` variant: ``start_workload``
 over all queries at once, with each :class:`PlanProposal` naming the query it
 belongs to, and a shared workload-level budget.
 
-:func:`drive_query` / :func:`drive_workload` are the reference loop owners;
-the legacy blocking ``optimize(...)`` methods on each technique are thin
-deprecation shims over them.
+:func:`drive_state` is the one serial suggest/execute/observe loop: the
+session's sequential and workload-level schedulers, the plan server's
+re-optimisation and :func:`drive_query` / :func:`drive_workload` (inline
+execution on a :class:`~repro.db.engine.Database`) all run through it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.core.result import OptimizationResult, TraceRecord
 from repro.db.plan_cache import CacheStats
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
+from repro.obs.tracer import NULL_TRACER
 from repro.plans.jointree import JoinTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -460,47 +462,54 @@ def suggest_proposals(optimizer, state, count: int) -> list[PlanProposal]:
     return [] if proposal is None else [proposal]
 
 
-def drive_state(optimizer, database: "Database", state, q: int = 1) -> None:
+def inline_execute(database: "Database"):
+    """An ``execute`` for :func:`drive_state` that runs each plan on ``database``."""
+
+    def execute(query: Query, proposal: PlanProposal) -> ExecutionOutcome:
+        execution = database.execute(query, proposal.plan, timeout=proposal.timeout)
+        return ExecutionOutcome.from_execution(
+            execution, proposal.timeout, proposal_id=proposal.proposal_id
+        )
+
+    return execute
+
+
+def drive_state(
+    optimizer, state, execute, q: int = 1, *, tracer=NULL_TRACER, after_observe=None
+) -> None:
     """Run one state's suggest/execute/observe loop until its budget is spent.
 
-    The reference single-threaded loop owner; works for both per-query and
+    The reference single-threaded loop; works for both per-query and
     workload-level states (proposals name their query in the latter case).
-    With ``q > 1`` (and an optimizer implementing ``suggest_batch``) up to
-    ``q`` proposals are issued per round and their outcomes observed in
-    submission order — the reference semantics the concurrent scheduler in
-    :mod:`repro.harness.runner` must agree with.
+    ``execute(query, proposal)`` returns the proposal's
+    :class:`ExecutionOutcome` (:func:`inline_execute`, or a backend
+    submission), and ``after_observe(state)`` runs after every observation —
+    a quiescent point at q = 1.  Each round asks for up to ``q`` proposals
+    (``suggest_batch`` when the optimizer has it and ``q > 1``, plain
+    ``suggest`` otherwise) and observes their outcomes in submission order:
+    the reference semantics the concurrent scheduler in
+    :mod:`repro.harness.runner` must agree with.  An ask that comes back
+    empty while budget is left marks the state ``exhausted``.
     """
     if q < 1:
         raise OptimizationError("q must be at least 1")
-    if q == 1:
-        while state.budget_left():
-            proposal = optimizer.suggest(state)
-            if proposal is None:
-                state.exhausted = True
-                break
-            query = proposal.query if proposal.query is not None else state.query
-            execution = database.execute(query, proposal.plan, timeout=proposal.timeout)
-            optimizer.observe(
-                state, ExecutionOutcome.from_execution(execution, proposal.timeout)
-            )
-        return
+    suggest_attrs = {"query": state.query.name} if isinstance(state, OptimizerState) else {}
     # Proposals drain synchronously here, so the ledger is empty at every
-    # loop top and the allowance is simply min(q, remaining budget).
-    while True:
-        proposals = suggest_proposals(optimizer, state, issue_allowance(state, q))
+    # loop top and the allowance is min(q, remaining budget) — zero exactly
+    # when the budget is spent.
+    while count := issue_allowance(state, q):
+        with tracer.span("optimize.suggest", category="optimize", **suggest_attrs):
+            proposals = suggest_proposals(optimizer, state, count)
         if not proposals:
-            if state.budget_left():
-                state.exhausted = True
-            break
+            state.exhausted = True
+            return
         for proposal in proposals:
             query = proposal.query if proposal.query is not None else state.query
-            execution = database.execute(query, proposal.plan, timeout=proposal.timeout)
-            optimizer.observe(
-                state,
-                ExecutionOutcome.from_execution(
-                    execution, proposal.timeout, proposal_id=proposal.proposal_id
-                ),
-            )
+            outcome = execute(query, proposal)
+            with tracer.span("optimize.observe", category="optimize", query=query.name):
+                optimizer.observe(state, outcome)
+            if after_observe is not None:
+                after_observe(state)
 
 
 def drive_query(
@@ -510,9 +519,9 @@ def drive_query(
     budget: BudgetSpec | None = None,
     **start_kwargs,
 ) -> OptimizationResult:
-    """Start, drive and finish one per-query optimizer run."""
+    """Start, drive and finish one per-query optimizer run on ``database``."""
     state = optimizer.start(query, budget=budget, **start_kwargs)
-    drive_state(optimizer, database, state)
+    drive_state(optimizer, state, inline_execute(database))
     return optimizer.finish(state)
 
 
@@ -522,7 +531,7 @@ def drive_workload(
     queries: list[Query],
     budget: BudgetSpec | None = None,
 ) -> dict[str, OptimizationResult]:
-    """Start, drive and finish one workload-level optimizer run."""
+    """Start, drive and finish one workload-level optimizer run on ``database``."""
     state = optimizer.start_workload(queries, budget=budget)
-    drive_state(optimizer, database, state)
+    drive_state(optimizer, state, inline_execute(database))
     return optimizer.finish_workload(state)

@@ -5,8 +5,8 @@ every registered ask/tell technique over a workload under one shared
 :class:`~repro.core.protocol.BudgetSpec` — sequentially, or interleaved with
 plan executions routed through any :mod:`repro.exec` backend (thread pool,
 process pool with warm database replicas, multi-backend router) under a
-cross-query scheduling policy.  ``run_technique``/``run_comparison`` are thin
-wrappers kept for existing call sites.
+cross-query scheduling policy.  ``run_comparison`` is a thin wrapper that runs
+the Figure 3 comparison through one session.
 """
 
 from repro.harness.metrics import (
@@ -25,11 +25,9 @@ from repro.harness.reporting import format_cdf, format_summaries, format_table
 from repro.harness.runner import (
     ComparisonRun,
     ExecutionCacheReport,
-    TECHNIQUES,
     WorkloadSession,
     prepare_schema_model,
     run_comparison,
-    run_technique,
 )
 from repro.core.config import ExecutionServiceConfig
 from repro.core.protocol import BudgetSpec, ExecutionOutcome, PlanProposal
@@ -45,7 +43,6 @@ __all__ = [
     "StreamingPercentiles",
     "ExecutionOutcome",
     "PlanProposal",
-    "TECHNIQUES",
     "WorkloadSession",
     "WorkloadSummary",
     "best_latency_curve",
@@ -58,6 +55,5 @@ __all__ = [
     "percentage_difference",
     "prepare_schema_model",
     "run_comparison",
-    "run_technique",
     "workload_curve",
 ]

@@ -39,10 +39,9 @@ Comparisons across techniques follow the paper's methodology (Section 5.2):
 every technique gets the same per-query budget, counted only as time spent
 executing proposed plans against the database.
 
-``run_technique`` and ``run_comparison`` remain as thin wrappers over a
-session.  Calling ``optimizer.optimize(...)`` directly still works but is
-deprecated: it spins up a throwaway single-query loop and cannot share
-budgets, schema models or the execution backend.
+The sequential and workload-level schedulers are
+:func:`~repro.core.protocol.drive_state` with the session's backend as its
+``execute``; :func:`run_comparison` is a thin wrapper over a session.
 """
 
 from __future__ import annotations
@@ -66,10 +65,11 @@ from repro.core.protocol import (
     ExecutionOutcome,
     PlanProposal,
     drive_query,
+    drive_state,
     issue_allowance,
     suggest_proposals,
 )
-from repro.core.registry import TechniqueContext, TechniqueSpec, get_technique, technique_names
+from repro.core.registry import TechniqueContext, TechniqueSpec, get_technique
 from repro.core.result import OptimizationResult
 from repro.db.plan_cache import CacheStats
 from repro.db.query import Query
@@ -89,11 +89,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_report
 from repro.obs.tracer import NULL_TRACER
 from repro.workloads.base import Workload
-
-#: Deprecated alias: the registered technique names at import time.  Prefer
-#: :func:`repro.core.registry.technique_names`, which reflects late
-#: registrations too.
-TECHNIQUES = technique_names()
 
 #: Latency reported for a query whose Bao runs were all censored —
 #: BaoOptimizer's own fallback of "default plan at the initial timeout".
@@ -527,8 +522,9 @@ class WorkloadSession:
         """Whether a round of several requests reaches the backend as one task."""
         return self.batch_execution and hasattr(self._backend, "submit_batch")
 
-    def _execute(self, proposal: PlanProposal, query: Query) -> ExecutionOutcome:
-        """Execute one proposal through the backend, waiting for its outcome."""
+    def _execute(self, query: Query, proposal: PlanProposal) -> ExecutionOutcome:
+        """Execute one proposal through the backend, waiting for its outcome
+        (the ``execute`` of :func:`~repro.core.protocol.drive_state`)."""
         tracer = self.tracer
         if not tracer.enabled:
             outcome = self._backend.submit(self._request(proposal, query)).result()
@@ -610,16 +606,38 @@ class WorkloadSession:
             )
         )
 
-    def _load_checkpoint(self, technique: str) -> "SessionCheckpoint | None":
-        if self._checkpoint is None:
-            return None
-        checkpoint = self._checkpoint.load()
+    def _resume(self, technique: str, optimizer) -> tuple:
+        """``(optimizer, completed results, in-progress state)`` to run from.
+
+        A matching checkpoint supplies all three (and restores the execution
+        cache's outcome logs); otherwise the fresh ``optimizer``, nothing
+        completed and no state.
+        """
+        checkpoint = self._checkpoint.load() if self._checkpoint is not None else None
         if checkpoint is None or not checkpoint.matches(
             technique, self.seed, [query.name for query in self.queries]
         ):
-            return None
+            return optimizer, {}, None
         self._restore_cache_events(checkpoint.cache_events)
-        return checkpoint
+        if checkpoint.optimizer is not None:
+            # The pickled optimizer carries the mid-run model/RNG state the
+            # freshly built one lacks.  Its tracer was nulled on pickle;
+            # re-attach the live one.
+            optimizer = checkpoint.optimizer
+            if hasattr(optimizer, "tracer"):
+                optimizer.tracer = self.tracer
+        return optimizer, dict(checkpoint.completed), checkpoint.state
+
+    def _checkpoint_if_due(self, technique: str, optimizer, completed: dict):
+        """The ``after_observe`` hook of a checkpointed run (``None`` if off)."""
+        if self._checkpoint is None:
+            return None
+
+        def save_if_due(state) -> None:
+            if self._checkpoint.due():
+                self._save_checkpoint(technique, optimizer, completed, state=state)
+
+        return save_if_due
 
     # ------------------------------------------------------------------ reporting
     def health_report(self) -> dict:
@@ -640,7 +658,7 @@ class WorkloadSession:
     def _run_sequential(
         self, optimizer, budget: BudgetSpec, technique: str = ""
     ) -> dict[str, OptimizationResult]:
-        """Drain one query at a time (the behaviour of the old private loops).
+        """Drain one query at a time: :func:`drive_state` per query at q = 1.
 
         With checkpointing enabled the loop periodically persists the
         optimizer (and current state) at quiescent points — after an
@@ -649,19 +667,8 @@ class WorkloadSession:
         restored verbatim, the in-progress query continues from its exact
         suggest/observe position.
         """
-        results: dict[str, OptimizationResult] = {}
-        resumed_state = None
-        checkpoint = self._load_checkpoint(technique)
-        if checkpoint is not None:
-            results.update(checkpoint.completed)
-            if checkpoint.optimizer is not None:
-                # The pickled optimizer carries the mid-run model/RNG state
-                # the freshly built one lacks.  Its tracer was nulled on
-                # pickle; re-attach the live one.
-                optimizer = checkpoint.optimizer
-                if hasattr(optimizer, "tracer"):
-                    optimizer.tracer = self.tracer
-            resumed_state = checkpoint.state
+        optimizer, results, resumed_state = self._resume(technique, optimizer)
+        after_observe = self._checkpoint_if_due(technique, optimizer, results)
         for query in self.queries:
             if query.name in results:
                 continue
@@ -669,20 +676,9 @@ class WorkloadSession:
                 state, resumed_state = resumed_state, None
             else:
                 state = optimizer.start(query, budget=budget)
-            while state.budget_left():
-                with self.tracer.span(
-                    "optimize.suggest", category="optimize", query=query.name
-                ):
-                    proposal = optimizer.suggest(state)
-                if proposal is None:
-                    break
-                outcome = self._execute(proposal, query)
-                with self.tracer.span(
-                    "optimize.observe", category="optimize", query=query.name
-                ):
-                    optimizer.observe(state, outcome)
-                if self._checkpoint is not None and self._checkpoint.due():
-                    self._save_checkpoint(technique, optimizer, results, state=state)
+            drive_state(
+                optimizer, state, self._execute, tracer=self.tracer, after_observe=after_observe
+            )
             results[query.name] = optimizer.finish(state)
             if self._checkpoint is not None:
                 self._save_checkpoint(technique, optimizer, results)
@@ -694,30 +690,15 @@ class WorkloadSession:
         self, optimizer, budget: BudgetSpec, technique: str = ""
     ) -> dict[str, OptimizationResult]:
         """Drive a workload-level optimizer against the shared budget pool."""
-        state = None
-        checkpoint = self._load_checkpoint(technique)
-        if checkpoint is not None and checkpoint.state is not None:
-            if checkpoint.optimizer is not None:
-                optimizer = checkpoint.optimizer
-                if hasattr(optimizer, "tracer"):
-                    optimizer.tracer = self.tracer
-            state = checkpoint.state
+        optimizer, _, state = self._resume(technique, optimizer)
         if state is None:
             state = optimizer.start_workload(
                 self.queries, budget=budget.scaled(len(self.queries))
             )
-        while state.budget_left():
-            with self.tracer.span("optimize.suggest", category="optimize"):
-                proposal = optimizer.suggest(state)
-            if proposal is None:
-                break
-            outcome = self._execute(proposal, proposal.query)
-            with self.tracer.span(
-                "optimize.observe", category="optimize", query=proposal.query.name
-            ):
-                optimizer.observe(state, outcome)
-            if self._checkpoint is not None and self._checkpoint.due():
-                self._save_checkpoint(technique, optimizer, {}, state=state)
+        drive_state(
+            optimizer, state, self._execute, tracer=self.tracer,
+            after_observe=self._checkpoint_if_due(technique, optimizer, {}),
+        )
         results = optimizer.finish_workload(state)
         if self._checkpoint is not None:
             self._checkpoint.clear()
@@ -854,34 +835,6 @@ class WorkloadSession:
 
 
 # ---------------------------------------------------------------------- wrappers
-def run_technique(
-    technique: str,
-    workload: Workload,
-    queries: list[Query],
-    budget: BudgetSpec,
-    schema_model: SchemaModel | None = None,
-    bayes_config: BayesQOConfig | None = None,
-    seed: int = 0,
-    max_workers: int = 1,
-    exec_config: ExecutionServiceConfig | None = None,
-) -> dict[str, OptimizationResult]:
-    """Run one technique on a list of queries and return per-query traces.
-
-    Thin wrapper over :class:`WorkloadSession` kept for existing call sites.
-    """
-    with WorkloadSession(
-        workload,
-        queries=queries,
-        budget=budget,
-        schema_model=schema_model,
-        bayes_config=bayes_config,
-        seed=seed,
-        max_workers=max_workers,
-        exec_config=exec_config,
-    ) as session:
-        return session.run(technique)
-
-
 def run_comparison(
     workload: Workload,
     queries: list[Query],

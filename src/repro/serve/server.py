@@ -51,7 +51,7 @@ import struct
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import ExecutionServiceConfig
-from repro.core.protocol import BudgetSpec, PlanProposal
+from repro.core.protocol import BudgetSpec, PlanProposal, drive_state
 from repro.core.registry import TechniqueContext, get_technique
 from repro.core.reoptimize import warm_start_plans
 from repro.db.engine import Database
@@ -566,14 +566,20 @@ class PlanServer:
             outcome = backend.submit(request).result()
             self.counters.maintenance_executions += 1
             seed_records.append((plan, outcome.latency, outcome.timed_out, outcome.timeout, label))
-        state = optimizer.start(query, budget=budget, **start_kwargs)
-        while state.budget_left():
-            proposal = optimizer.suggest(state)
-            if proposal is None:
-                break
-            outcome = backend.submit(self._request(proposal, query)).result()
+
+        def execute(target: Query, proposal: PlanProposal):
+            request = ExecutionRequest(
+                query=target,
+                plan=proposal.plan,
+                timeout=proposal.timeout,
+                proposal_id=proposal.proposal_id,
+            )
+            outcome = backend.submit(request).result()
             self.counters.maintenance_executions += 1
-            optimizer.observe(state, outcome)
+            return outcome
+
+        state = optimizer.start(query, budget=budget, **start_kwargs)
+        drive_state(optimizer, state, execute, tracer=tracer)
         result = optimizer.finish(state)
         for plan, latency, censored, timeout, label in seed_records:
             result.record(plan, latency, censored, timeout, source=label)
@@ -632,15 +638,6 @@ class PlanServer:
             best_latency=best,
             adopted=adopted,
             warm_started=warm_started,
-        )
-
-    def _request(self, proposal: PlanProposal, query: Query) -> ExecutionRequest:
-        target = proposal.query if proposal.query is not None else query
-        return ExecutionRequest(
-            query=target,
-            plan=proposal.plan,
-            timeout=proposal.timeout,
-            proposal_id=proposal.proposal_id,
         )
 
     # ------------------------------------------------------------------ persistence

@@ -16,28 +16,43 @@ from repro.baselines import (
     complete_matrix,
 )
 from repro.core.initialization import bao_initialization
-from repro.core.protocol import ExecutionOutcome, drive_state
+from repro.core.protocol import (
+    BudgetSpec,
+    ExecutionOutcome,
+    drive_query,
+    drive_state,
+    drive_workload,
+    inline_execute,
+)
 from repro.plans.hints import bao_hint_sets
+
+
+def run_bao(database, query, time_budget=None):
+    """Drive Bao over ``query`` on ``database`` and package its outcome."""
+    optimizer = BaoOptimizer(database)
+    state = optimizer.start(query, budget=BudgetSpec(time_budget=time_budget))
+    drive_state(optimizer, state, inline_execute(database))
+    return optimizer.outcome(state)
 
 
 class TestBao:
     def test_runs_all_distinct_hint_plans(self, tiny_database, tiny_query):
-        outcome = BaoOptimizer(tiny_database).optimize(tiny_query)
+        outcome = run_bao(tiny_database, tiny_query)
         assert 1 <= outcome.result.num_executions <= 49
         assert outcome.best_latency > 0
         outcome.best_plan.validate_for_query(tiny_query)
 
     def test_best_is_minimum_of_trace(self, tiny_database, tiny_query):
-        outcome = BaoOptimizer(tiny_database).optimize(tiny_query)
+        outcome = run_bao(tiny_database, tiny_query)
         uncensored = [r.latency for r in outcome.result.trace if not r.censored]
         assert outcome.best_latency == pytest.approx(min(uncensored))
 
     def test_best_no_worse_than_default(self, tiny_database, tiny_query):
         default = tiny_database.default_latency(tiny_query)
-        assert BaoOptimizer(tiny_database).optimize(tiny_query).best_latency <= default + 1e-9
+        assert bao_best_latency(tiny_database, tiny_query) <= default + 1e-9
 
     def test_time_budget_limits_executions(self, tiny_database, tiny_query):
-        limited = BaoOptimizer(tiny_database).optimize(tiny_query, time_budget=1e-9)
+        limited = run_bao(tiny_database, tiny_query, time_budget=1e-9)
         assert limited.result.num_executions <= 1
 
     def test_convenience_helper(self, tiny_database, tiny_query):
@@ -47,7 +62,7 @@ class TestBao:
         # An initial timeout no plan can meet censors every hint-set plan.
         optimizer = BaoOptimizer(tiny_database, initial_timeout=1e-12)
         state = optimizer.start(tiny_query)
-        drive_state(optimizer, tiny_database, state)
+        drive_state(optimizer, state, inline_execute(tiny_database))
         assert state.result.num_executions == len(state.plans) and state.best_plan is None
 
         def no_planning(*args, **kwargs):
@@ -60,24 +75,31 @@ class TestBao:
         assert outcome.best_latency == optimizer.initial_timeout
 
 
+def run_random(database, query, seed, max_executions, time_budget=None):
+    return drive_query(
+        RandomSearch(database, seed=seed), database, query,
+        BudgetSpec(max_executions=max_executions, time_budget=time_budget),
+    )
+
+
 class TestRandomSearch:
     def test_respects_execution_budget(self, tiny_database, tiny_query):
-        result = RandomSearch(tiny_database, seed=1).optimize(tiny_query, max_executions=20)
+        result = run_random(tiny_database, tiny_query, seed=1, max_executions=20)
         assert result.num_executions <= 20
         assert result.trace[0].source == "default"
 
     def test_first_execution_is_default_plan(self, tiny_database, tiny_query):
-        result = RandomSearch(tiny_database, seed=1).optimize(tiny_query, max_executions=5)
+        result = run_random(tiny_database, tiny_query, seed=1, max_executions=5)
         default = tiny_database.plan(tiny_query).canonical()
         assert result.trace[0].plan.canonical() == default
 
     def test_never_worse_than_default(self, tiny_database, tiny_query):
-        result = RandomSearch(tiny_database, seed=2).optimize(tiny_query, max_executions=25)
+        result = run_random(tiny_database, tiny_query, seed=2, max_executions=25)
         default = tiny_database.default_latency(tiny_query)
         assert result.best_latency <= default + 1e-9
 
     def test_timeouts_bounded_by_best_seen(self, tiny_database, tiny_query):
-        result = RandomSearch(tiny_database, seed=3).optimize(tiny_query, max_executions=25)
+        result = run_random(tiny_database, tiny_query, seed=3, max_executions=25)
         best_so_far = float("inf")
         for record in result.trace[1:]:
             if record.timeout is not None and np.isfinite(best_so_far):
@@ -86,14 +108,12 @@ class TestRandomSearch:
                 best_so_far = min(best_so_far, record.latency)
 
     def test_time_budget(self, tiny_database, tiny_query):
-        result = RandomSearch(tiny_database, seed=1).optimize(
-            tiny_query, max_executions=100, time_budget=0.01
-        )
+        result = run_random(tiny_database, tiny_query, seed=1, max_executions=100, time_budget=0.01)
         assert result.total_cost <= 0.01 + 600.0  # first execution may consume up to its timeout
 
     def test_deterministic_per_seed(self, tiny_database, tiny_query):
-        first = RandomSearch(tiny_database, seed=5).optimize(tiny_query, max_executions=10)
-        second = RandomSearch(tiny_database, seed=5).optimize(tiny_query, max_executions=10)
+        first = run_random(tiny_database, tiny_query, seed=5, max_executions=10)
+        second = run_random(tiny_database, tiny_query, seed=5, max_executions=10)
         assert [r.plan.canonical() for r in first.trace] == [r.plan.canonical() for r in second.trace]
 
 
@@ -115,18 +135,18 @@ class TestBalsa:
 
     def test_optimize_runs_within_budget(self, tiny_database, tiny_query):
         balsa = BalsaOptimizer(tiny_database, BalsaConfig(seed=0, retrain_every=5, training_epochs=10))
-        result = balsa.optimize(tiny_query, max_executions=25)
+        result = drive_query(balsa, tiny_database, tiny_query, BudgetSpec(max_executions=25))
         assert result.num_executions <= 25
         assert result.best_latency > 0
 
     def test_seeded_with_bao_plans(self, tiny_database, tiny_query):
         balsa = BalsaOptimizer(tiny_database, BalsaConfig(seed=0))
-        result = balsa.optimize(tiny_query, max_executions=20)
+        result = drive_query(balsa, tiny_database, tiny_query, BudgetSpec(max_executions=20))
         assert result.sources().get("init:bao", 0) >= 1
 
     def test_uses_constant_timeout_multiplier(self, tiny_database, tiny_query):
-        config = BalsaConfig(seed=0, timeout_multiplier=1.5)
-        result = BalsaOptimizer(tiny_database, config).optimize(tiny_query, max_executions=20)
+        balsa = BalsaOptimizer(tiny_database, BalsaConfig(seed=0, timeout_multiplier=1.5))
+        result = drive_query(balsa, tiny_database, tiny_query, BudgetSpec(max_executions=20))
         best_so_far = None
         for record in result.trace:
             if record.timeout is not None and best_so_far is not None:
@@ -148,8 +168,9 @@ class TestLimeQO:
 
     def test_optimize_workload_traces(self, tiny_database, tiny_query, tiny_three_table_query):
         limeqo = LimeQOOptimizer(tiny_database, LimeQOConfig(rank=2, als_iterations=5))
-        results = limeqo.optimize_workload(
-            [tiny_query, tiny_three_table_query], max_executions=12
+        results = drive_workload(
+            limeqo, tiny_database, [tiny_query, tiny_three_table_query],
+            BudgetSpec(max_executions=12),
         )
         assert set(results) == {tiny_query.name, tiny_three_table_query.name}
         total = sum(result.num_executions for result in results.values())
@@ -159,8 +180,11 @@ class TestLimeQO:
 
     def test_limeqo_never_beats_bao_best(self, tiny_database, tiny_query):
         """LimeQO's search space is the hint sets, so Bao's exhaustive best is its floor."""
-        bao_best = BaoOptimizer(tiny_database).optimize(tiny_query).best_latency
-        results = LimeQOOptimizer(tiny_database).optimize_workload([tiny_query], max_executions=60)
+        bao_best = bao_best_latency(tiny_database, tiny_query)
+        results = drive_workload(
+            LimeQOOptimizer(tiny_database), tiny_database, [tiny_query],
+            BudgetSpec(max_executions=60),
+        )
         assert results[tiny_query.name].best_latency >= bao_best - 1e-9
 
 

@@ -36,7 +36,10 @@ from repro.core.config import ExecutionServiceConfig
 from repro.core.protocol import (
     BudgetSpec,
     ExecutionOutcome,
+    drive_query,
     drive_state,
+    drive_workload,
+    inline_execute,
     issue_allowance,
     suggest_proposals,
 )
@@ -165,7 +168,7 @@ class TestBatchedRuns:
         optimizer = RandomSearch(tiny_workload.database, seed=1)
         query = tiny_workload.queries[0]
         state = optimizer.start(query, budget=BudgetSpec(max_executions=7))
-        drive_state(optimizer, tiny_workload.database, state, q=3)
+        drive_state(optimizer, state, inline_execute(tiny_workload.database), q=3)
         assert state.result.num_executions == 7
         assert state.outstanding_count == 0
 
@@ -257,7 +260,7 @@ class TestOutOfOrderResolution:
             tiny_workload.queries, budget=BudgetSpec(max_executions=5)
         )
         assert issue_allowance(state, 3) == 3
-        drive_state(optimizer, tiny_workload.database, state, q=2)
+        drive_state(optimizer, state, inline_execute(tiny_workload.database), q=2)
         total = sum(result.num_executions for result in state.results.values())
         assert total == 5
         assert state.outstanding_count == 0
@@ -336,12 +339,13 @@ class TestNoDuplicateProposals:
             )
             assert state.engine.num_observations == reached
 
+    @pytest.mark.parametrize("q", [1, 4])
     def test_drive_state_batched_ends_an_exhausted_query_once(
-        self, tiny_workload, tiny_schema_model, tiny_two_table_query
+        self, q, tiny_workload, tiny_schema_model, tiny_two_table_query
     ):
         optimizer = BayesQO(tiny_workload.database, tiny_schema_model, config=BAYES_CONFIG)
         state = optimizer.start(tiny_two_table_query, budget=BudgetSpec(max_executions=40))
-        drive_state(optimizer, tiny_workload.database, state, q=4)
+        drive_state(optimizer, state, inline_execute(tiny_workload.database), q=q)
         plans = [record.plan.canonical() for record in state.result.trace]
         assert state.exhausted and state.outstanding_count == 0
         assert len(plans) == len(set(plans)) <= 6
@@ -397,7 +401,7 @@ class TestFixedQMatchesDriveState:
         traces = {}
         for query in three_queries:
             state = optimizer.start(query, budget=self.BUDGET)
-            drive_state(optimizer, database, state, q=4)
+            drive_state(optimizer, state, inline_execute(database), q=4)
             traces[query.name] = optimizer.finish(state).trace_signature()
         return traces
 
@@ -800,33 +804,48 @@ class TestSupportsFantasizeDecoupling:
         assert sequential.calls == policy.bisection_steps + 1
 
 
-# ------------------------------------------------------------- deprecations
-class TestDeprecatedShims:
-    def test_random_optimize_warns(self, tiny_workload):
-        with pytest.warns(DeprecationWarning, match="RandomSearch.optimize"):
-            RandomSearch(tiny_workload.database, seed=0).optimize(
-                tiny_workload.queries[0], max_executions=1
-            )
+# ------------------------------------------------------ shim replacements
+class TestShimReplacements:
+    """The deleted ``optimize()`` shims stay gone, and the calls that replace
+    them run the same one-execution budgets without a deprecation warning
+    (``pytest.ini`` turns any ``DeprecationWarning`` into an error)."""
 
-    def test_bao_optimize_warns(self, tiny_workload):
-        with pytest.warns(DeprecationWarning, match="BaoOptimizer.optimize"):
-            BaoOptimizer(tiny_workload.database).optimize(
-                tiny_workload.queries[0], time_budget=1e-9
-            )
+    ONE = BudgetSpec(max_executions=1)
 
-    def test_balsa_optimize_warns(self, tiny_workload):
-        with pytest.warns(DeprecationWarning, match="BalsaOptimizer.optimize"):
-            BalsaOptimizer(tiny_workload.database).optimize(
-                tiny_workload.queries[0], max_executions=1
-            )
+    def test_random_drive_query_replaces_optimize(self, tiny_workload):
+        assert not hasattr(RandomSearch, "optimize")
+        optimizer = RandomSearch(tiny_workload.database, seed=0)
+        result = drive_query(optimizer, tiny_workload.database, tiny_workload.queries[0], self.ONE)
+        assert result.num_executions == 1
 
-    def test_limeqo_optimize_workload_warns(self, tiny_workload):
-        with pytest.warns(DeprecationWarning, match="LimeQOOptimizer.optimize_workload"):
-            LimeQOOptimizer(tiny_workload.database).optimize_workload(
-                tiny_workload.queries[:1], max_executions=1
-            )
+    def test_bao_outcome_replaces_optimize(self, tiny_workload):
+        assert not hasattr(BaoOptimizer, "optimize")
+        optimizer = BaoOptimizer(tiny_workload.database)
+        state = optimizer.start(
+            tiny_workload.queries[0], budget=BudgetSpec(max_executions=None, time_budget=1e-9)
+        )
+        drive_state(optimizer, state, inline_execute(tiny_workload.database))
+        outcome = optimizer.outcome(state)
+        assert outcome.result.num_executions == 1
+        assert outcome.best_plan is not None and outcome.best_hint_set is not None
 
-    def test_bayesqo_optimize_warns(self, tiny_workload, tiny_schema_model):
+    def test_balsa_drive_query_replaces_optimize(self, tiny_workload):
+        assert not hasattr(BalsaOptimizer, "optimize")
+        optimizer = BalsaOptimizer(tiny_workload.database)
+        result = drive_query(optimizer, tiny_workload.database, tiny_workload.queries[0], self.ONE)
+        assert result.num_executions == 1
+
+    def test_limeqo_drive_workload_replaces_optimize_workload(self, tiny_workload):
+        assert not hasattr(LimeQOOptimizer, "optimize_workload")
+        queries = tiny_workload.queries[:1]
+        results = drive_workload(
+            LimeQOOptimizer(tiny_workload.database), tiny_workload.database, queries, self.ONE
+        )
+        assert list(results) == [queries[0].name]
+        assert results[queries[0].name].num_executions == 1
+
+    def test_bayesqo_drive_query_replaces_optimize(self, tiny_workload, tiny_schema_model):
+        assert not hasattr(BayesQO, "optimize")
         optimizer = BayesQO(tiny_workload.database, tiny_schema_model, config=BAYES_CONFIG)
-        with pytest.warns(DeprecationWarning, match="BayesQO.optimize"):
-            optimizer.optimize(tiny_workload.queries[0], max_executions=1)
+        result = drive_query(optimizer, tiny_workload.database, tiny_workload.queries[0], self.ONE)
+        assert result.num_executions == 1

@@ -10,7 +10,7 @@ import pytest
 from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, reoptimize
 from repro.core.cache import PlanCache
 from repro.core.optimizer import train_schema_model
-from repro.core.protocol import drive_state
+from repro.core.protocol import BudgetSpec, drive_query, drive_state, inline_execute
 from repro.exceptions import OptimizationError
 
 #: What the parent of PR 16 did on these fixtures (``comment`` inside).
@@ -25,7 +25,7 @@ def bayes(tiny_database, tiny_schema_model):
 
 @pytest.fixture(scope="module")
 def run(bayes, tiny_query):
-    return bayes.optimize(tiny_query)
+    return drive_query(bayes, bayes.database, tiny_query)
 
 
 @pytest.mark.slow
@@ -44,9 +44,9 @@ class TestBayesQORun:
         assert run.sources().get("bo", 0) >= 1
 
     def test_never_worse_than_bao_best(self, bayes, run, tiny_query):
-        from repro.baselines import BaoOptimizer
+        from repro.baselines import bao_best_latency
 
-        bao_best = BaoOptimizer(bayes.database).optimize(tiny_query).best_latency
+        bao_best = bao_best_latency(bayes.database, tiny_query)
         assert run.best_latency <= bao_best + 1e-9
 
     def test_cumulative_cost_monotone(self, run):
@@ -61,16 +61,20 @@ class TestBayesQORun:
         assert all(value >= 0 for value in breakdown.values())
 
     def test_time_budget_stops_early(self, bayes, tiny_query):
-        result = bayes.optimize(tiny_query, time_budget=0.001)
+        result = drive_query(
+            bayes, bayes.database, tiny_query, BudgetSpec(max_executions=None, time_budget=0.001)
+        )
         assert result.total_cost >= 0.001 or result.num_executions <= 2
 
     def test_three_table_query(self, bayes, tiny_three_table_query):
-        result = bayes.optimize(tiny_three_table_query, max_executions=15)
+        result = drive_query(
+            bayes, bayes.database, tiny_three_table_query, BudgetSpec(max_executions=15)
+        )
         result.best_plan.validate_for_query(tiny_three_table_query)
 
     def test_empty_initialization_rejected(self, bayes, tiny_query):
         with pytest.raises(OptimizationError):
-            bayes.optimize(tiny_query, initial_plans=[])
+            drive_query(bayes, bayes.database, tiny_query, initial_plans=[])
 
 
 class TestCacheAndReoptimization:
@@ -97,13 +101,13 @@ class TestConfigVariants:
     def test_timeout_strategies_run(self, tiny_database, tiny_schema_model, tiny_three_table_query, strategy):
         config = BayesQOConfig(max_executions=12, timeout_strategy=strategy, seed=1)
         optimizer = BayesQO(tiny_database, tiny_schema_model, config=config)
-        result = optimizer.optimize(tiny_three_table_query)
+        result = drive_query(optimizer, tiny_database, tiny_three_table_query)
         assert result.num_executions >= 1
 
     def test_global_bo_variant(self, tiny_database, tiny_schema_model, tiny_three_table_query):
         config = BayesQOConfig(max_executions=12, use_trust_region=False, seed=1)
         optimizer = BayesQO(tiny_database, tiny_schema_model, config=config)
-        result = optimizer.optimize(tiny_three_table_query)
+        result = drive_query(optimizer, tiny_database, tiny_three_table_query)
         assert result.num_executions >= 1
 
     def test_random_initialization_variant(self, tiny_database, tiny_schema_model, tiny_three_table_query):
@@ -111,13 +115,13 @@ class TestConfigVariants:
             max_executions=12, initialization="random", num_initial_plans=5, seed=1
         )
         optimizer = BayesQO(tiny_database, tiny_schema_model, config=config)
-        result = optimizer.optimize(tiny_three_table_query)
+        result = drive_query(optimizer, tiny_database, tiny_three_table_query)
         assert result.sources().get("init:random", 0) >= 1
 
     def test_no_learning_from_timeouts_variant(self, tiny_database, tiny_schema_model, tiny_three_table_query):
         config = BayesQOConfig(max_executions=12, learn_from_timeouts=False, seed=2)
         optimizer = BayesQO(tiny_database, tiny_schema_model, config=config)
-        result = optimizer.optimize(tiny_three_table_query)
+        result = drive_query(optimizer, tiny_database, tiny_three_table_query)
         assert result.num_executions >= 1
 
 
@@ -127,7 +131,7 @@ def _optimize(database, schema_model, query, **config):
     config = {"max_executions": 35, "num_candidates": 64, "seed": 0, **config}
     optimizer = BayesQO(database, schema_model, config=BayesQOConfig(**config))
     state = optimizer.start(query)
-    drive_state(optimizer, database, state)
+    drive_state(optimizer, state, inline_execute(database))
     return optimizer, state
 
 

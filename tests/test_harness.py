@@ -8,6 +8,7 @@ from repro.exceptions import OptimizationError
 from repro.harness import (
     BudgetSpec,
     StreamingPercentiles,
+    WorkloadSession,
     WorkloadSummary,
     best_latency_curve,
     format_cdf,
@@ -18,7 +19,6 @@ from repro.harness import (
     improvement_over_baseline,
     percentage_difference,
     run_comparison,
-    run_technique,
     workload_curve,
 )
 from repro.plans.jointree import JoinTree
@@ -154,19 +154,19 @@ class TestReporting:
 class TestRunners:
     def test_unknown_technique_rejected(self, tiny_workload):
         with pytest.raises(OptimizationError):
-            run_technique("nope", tiny_workload, tiny_workload.queries, BudgetSpec())
+            WorkloadSession(tiny_workload, budget=BudgetSpec()).run("nope")
 
     def test_run_bao_and_random(self, tiny_workload):
         budget = BudgetSpec(max_executions=10)
         queries = tiny_workload.queries
-        bao = run_technique("bao", tiny_workload, queries, budget)
-        random_results = run_technique("random", tiny_workload, queries, budget, seed=1)
+        bao = WorkloadSession(tiny_workload, budget=budget).run("bao")
+        random_results = WorkloadSession(tiny_workload, budget=budget, seed=1).run("random")
         assert set(bao) == {q.name for q in queries}
         assert all(result.num_executions <= 49 for result in bao.values())
         assert all(result.num_executions <= 10 for result in random_results.values())
 
     def test_run_limeqo(self, tiny_workload):
-        results = run_technique("limeqo", tiny_workload, tiny_workload.queries, BudgetSpec(max_executions=6))
+        results = WorkloadSession(tiny_workload, budget=BudgetSpec(max_executions=6)).run("limeqo")
         assert set(results) == {q.name for q in tiny_workload.queries}
 
     def test_run_comparison_small(self, tiny_workload, tiny_schema_model):

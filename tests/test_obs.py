@@ -425,7 +425,10 @@ class TestTracingDeterminism:
 
         spans = tracer.spans()
         names = {record.name for record in spans}
-        assert {"serve.arrival", "serve.admission", "serve.reoptimize", "store.upsert"} <= names
+        assert {
+            "serve.arrival", "serve.admission", "serve.reoptimize", "store.upsert",
+            "optimize.suggest", "optimize.observe",
+        } <= names
         assert count_causal_chains(spans) >= 1
 
     def test_session_identical_traced_and_untraced(self, tiny_workload):

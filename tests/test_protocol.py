@@ -13,7 +13,13 @@ import pytest
 
 from repro.baselines import BaoOptimizer
 from repro.core import BayesQOConfig
-from repro.core.protocol import BudgetSpec, ExecutionOutcome, PlanProposal
+from repro.core.protocol import (
+    BudgetSpec,
+    ExecutionOutcome,
+    PlanProposal,
+    drive_query,
+    drive_workload,
+)
 from repro.core.registry import (
     TechniqueContext,
     get_technique,
@@ -205,18 +211,21 @@ class TestWorkloadSession:
         total = sum(result.num_executions for result in results.values())
         assert total <= per_query * len(tiny_workload.queries)
 
-    def test_legacy_optimize_workload_matches_session(self, tiny_workload, tiny_schema_model):
+    def test_inline_drive_workload_matches_session_backend(self, tiny_workload, tiny_schema_model):
         from repro.baselines import LimeQOOptimizer
 
         per_query = 4
         session_results = make_session(
             tiny_workload, tiny_schema_model, budget=BudgetSpec(max_executions=per_query)
         ).run("limeqo")
-        legacy_results = LimeQOOptimizer(tiny_workload.database).optimize_workload(
-            tiny_workload.queries, max_executions=per_query * len(tiny_workload.queries)
+        inline_results = drive_workload(
+            LimeQOOptimizer(tiny_workload.database),
+            tiny_workload.database,
+            tiny_workload.queries,
+            BudgetSpec(max_executions=per_query * len(tiny_workload.queries)),
         )
         for name in session_results:
-            assert trace_signature(session_results[name]) == trace_signature(legacy_results[name])
+            assert trace_signature(session_results[name]) == trace_signature(inline_results[name])
 
     def test_order_sensitive_technique_stays_sequential(self, tiny_workload, tiny_schema_model):
         # Balsa shares its RNG/model across queries, so the session must run it
@@ -265,7 +274,10 @@ class TestWorkloadSession:
         optimizer = BayesQO(tiny_workload.database, tiny_schema_model, config=BAYES_CONFIG)
         query = tiny_workload.queries[0]
         seeds = [(tiny_workload.database.plan(query), "seed:custom")]
-        result = optimizer.optimize(query, initial_plans=seeds, max_executions=5)
+        result = drive_query(
+            optimizer, tiny_workload.database, query, BudgetSpec(max_executions=5),
+            initial_plans=seeds,
+        )
         assert result.trace[0].source == "seed:custom"
         assert result.trace[0].timeout == 600.0
 
@@ -301,14 +313,15 @@ class TestWorkloadSession:
             with pytest.raises(OptimizationError, match=poison):
                 session.run("random")
 
-    def test_legacy_optimize_matches_session(self, tiny_workload, tiny_schema_model):
+    def test_inline_drive_query_matches_session_backend(self, tiny_workload, tiny_schema_model):
         from repro.baselines import RandomSearch
 
         session_results = make_session(
             tiny_workload, tiny_schema_model, seed=1, budget=BudgetSpec(max_executions=8)
         ).run("random")
         for query in tiny_workload.queries:
-            legacy = RandomSearch(tiny_workload.database, seed=1).optimize(
-                query, max_executions=8
+            inline = drive_query(
+                RandomSearch(tiny_workload.database, seed=1), tiny_workload.database, query,
+                BudgetSpec(max_executions=8),
             )
-            assert trace_signature(session_results[query.name]) == trace_signature(legacy)
+            assert trace_signature(session_results[query.name]) == trace_signature(inline)
