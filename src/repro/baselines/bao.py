@@ -22,8 +22,8 @@ from repro.core.protocol import (
     ExecutionOutcome,
     OptimizerState,
     PlanProposal,
-    drive_state,
-    inline_execute,
+    drive,
+    inline_submit,
 )
 from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
@@ -145,7 +145,7 @@ def bao_best_latency(database: Database, query: Query) -> float:
     """Convenience: the latency of the best Bao hint-set plan."""
     optimizer = BaoOptimizer(database)
     state = optimizer.start(query)
-    drive_state(optimizer, state, inline_execute(database))
+    drive(optimizer, [state], inline_submit(database))
     return optimizer.outcome(state).best_latency
 
 

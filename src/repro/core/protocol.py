@@ -37,8 +37,8 @@ next) implement the :class:`WorkloadOptimizer` variant: ``start_workload``
 over all queries at once, with each :class:`PlanProposal` naming the query it
 belongs to, and a shared workload-level budget.
 
-:func:`drive_state` is the one serial suggest/execute/observe loop: the
-session's sequential and workload-level schedulers, the plan server's
+:func:`drive` is the one suggest/execute/observe loop: the session's
+sequential, workload-level and interleaved schedulers, the plan server's
 re-optimisation and :func:`drive_query` / :func:`drive_workload` (inline
 execution on a :class:`~repro.db.engine.Database`) all run through it.
 """
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -462,54 +463,138 @@ def suggest_proposals(optimizer, state, count: int) -> list[PlanProposal]:
     return [] if proposal is None else [proposal]
 
 
-def inline_execute(database: "Database"):
-    """An ``execute`` for :func:`drive_state` that runs each plan on ``database``."""
-
-    def execute(query: Query, proposal: PlanProposal) -> ExecutionOutcome:
-        execution = database.execute(query, proposal.plan, timeout=proposal.timeout)
-        return ExecutionOutcome.from_execution(
-            execution, proposal.timeout, proposal_id=proposal.proposal_id
-        )
-
-    return execute
+def proposal_query(state, proposal: PlanProposal) -> Query:
+    """The query ``proposal`` runs against: its own, else its state's."""
+    return proposal.query if proposal.query is not None else state.query
 
 
-def drive_state(
-    optimizer, state, execute, q: int = 1, *, tracer=NULL_TRACER, after_observe=None
+def inline_submit(database: "Database"):
+    """A ``submit`` for :func:`drive` that runs each plan on ``database``.
+
+    The plans run before ``submit`` returns, so its futures are resolved; an
+    execution that raises propagates out of ``submit`` itself.
+    """
+
+    def submit(state, proposals: list[PlanProposal]) -> "list[Future[ExecutionOutcome]]":
+        futures = []
+        for proposal in proposals:
+            execution = database.execute(
+                proposal_query(state, proposal), proposal.plan, timeout=proposal.timeout
+            )
+            future: Future[ExecutionOutcome] = Future()
+            future.set_result(
+                ExecutionOutcome.from_execution(
+                    execution, proposal.timeout, proposal_id=proposal.proposal_id
+                )
+            )
+            futures.append(future)
+        return futures
+
+    return submit
+
+
+def drive(
+    optimizer,
+    states: list,
+    submit,
+    q: int = 1,
+    *,
+    capacity: int = 1,
+    select=None,
+    tracer=NULL_TRACER,
+    on_outcome=None,
+    after_observe=None,
 ) -> None:
-    """Run one state's suggest/execute/observe loop until its budget is spent.
+    """Run the suggest/execute/observe loop of ``states`` until each is spent.
 
-    The reference single-threaded loop; works for both per-query and
-    workload-level states (proposals name their query in the latter case).
-    ``execute(query, proposal)`` returns the proposal's
-    :class:`ExecutionOutcome` (:func:`inline_execute`, or a backend
-    submission), and ``after_observe(state)`` runs after every observation —
-    a quiescent point at q = 1.  Each round asks for up to ``q`` proposals
-    (``suggest_batch`` when the optimizer has it and ``q > 1``, plain
-    ``suggest`` otherwise) and observes their outcomes in submission order:
-    the reference semantics the concurrent scheduler in
-    :mod:`repro.harness.runner` must agree with.  An ask that comes back
-    empty while budget is left marks the state ``exhausted``.
+    A *round* asks one state for its full :func:`issue_allowance` —
+    ``min(q, remaining budget)`` proposals, through ``suggest_batch`` when
+    the optimizer has it and more than one is wanted, plain ``suggest``
+    otherwise — and hands them to ``submit(state, proposals)``, which
+    returns one future per proposal, in order (:func:`inline_submit`, or a
+    backend submission).  At most ``capacity`` rounds are in flight, and
+    ``select(ready)`` returns the index of the ready state that claims a
+    free one (the longest-waiting when ``None``).  A round's outcomes are
+    observed in submission order once all of them have landed, and only
+    then may its state ask again — so no state has proposals outstanding
+    when it is asked, and each state's trace is what driving it alone at
+    ``q`` produces, whatever ``capacity``, ``select`` or the completion
+    timing.  An ask that comes back empty marks its state ``exhausted``.
+
+    ``on_outcome(state, outcome)`` runs as each outcome is collected and
+    ``after_observe(state)`` after it is observed (a quiescent point when
+    one state runs at ``q = 1``).  With ``tracer`` enabled every ask records
+    an ``optimize.suggest`` span, every observation an ``optimize.observe``
+    span, and every outcome an ``exec.request`` span from submission to
+    collection, under which spans that rode back on the outcome (a pool
+    worker's) are adopted.  A failed future aborts the run with an
+    :class:`~repro.exceptions.OptimizationError` naming its query; futures
+    still in flight are cancelled.
     """
     if q < 1:
         raise OptimizationError("q must be at least 1")
-    suggest_attrs = {"query": state.query.name} if isinstance(state, OptimizerState) else {}
-    # Proposals drain synchronously here, so the ledger is empty at every
-    # loop top and the allowance is min(q, remaining budget) — zero exactly
-    # when the budget is spent.
-    while count := issue_allowance(state, q):
-        with tracer.span("optimize.suggest", category="optimize", **suggest_attrs):
-            proposals = suggest_proposals(optimizer, state, count)
-        if not proposals:
-            state.exhausted = True
-            return
-        for proposal in proposals:
-            query = proposal.query if proposal.query is not None else state.query
-            outcome = execute(query, proposal)
-            with tracer.span("optimize.observe", category="optimize", query=query.name):
-                optimizer.observe(state, outcome)
-            if after_observe is not None:
-                after_observe(state)
+    capacity = max(1, capacity)
+    ready = list(states)
+    #: ``(state, proposals, futures, submitted_at)`` per round in flight, in
+    #: submission order.
+    rounds: list[tuple] = []
+    #: The unresolved futures of ``rounds`` — what ``wait`` sleeps on.
+    waiting: set[Future] = set()
+    try:
+        while ready or rounds:
+            while ready and len(rounds) < capacity:
+                state = ready.pop(0 if select is None else select(ready))
+                count = issue_allowance(state, q)
+                if not count:
+                    continue
+                attrs = {"query": state.query.name} if isinstance(state, OptimizerState) else {}
+                with tracer.span(
+                    "optimize.suggest", category="optimize", in_flight=len(rounds), **attrs
+                ):
+                    proposals = suggest_proposals(optimizer, state, count)
+                if not proposals:
+                    state.exhausted = True
+                    continue
+                submitted = tracer.now()
+                futures = submit(state, proposals)
+                rounds.append((state, proposals, futures, submitted))
+                waiting.update(futures)
+            if not rounds:
+                continue
+            _, waiting = wait(waiting, return_when=FIRST_COMPLETED)
+            landed = [entry for entry in rounds if waiting.isdisjoint(entry[2])]
+            rounds = [entry for entry in rounds if not waiting.isdisjoint(entry[2])]
+            for state, proposals, futures, submitted in landed:
+                for proposal, future in zip(proposals, futures):
+                    name = proposal_query(state, proposal).name
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:
+                        raise OptimizationError(
+                            f"plan execution failed for query {name!r}: {exc}"
+                        ) from exc
+                    if tracer.enabled:
+                        record = tracer.record(
+                            "exec.request", submitted, category="exec", query=name,
+                            proposal_id=proposal.proposal_id, latency=outcome.latency,
+                            timed_out=outcome.timed_out, attempts=outcome.attempts,
+                            cache_hit=bool(outcome.cache is not None and outcome.cache.outcome_hit),
+                        )
+                        if outcome.spans:
+                            # Worker-recorded spans (process pool) re-parent
+                            # under the request, so the causal chain crosses
+                            # the pool.
+                            tracer.adopt(outcome.spans, parent=record)
+                    if on_outcome is not None:
+                        on_outcome(state, outcome)
+                    with tracer.span("optimize.observe", category="optimize", query=name):
+                        optimizer.observe(state, outcome)
+                    if after_observe is not None:
+                        after_observe(state)
+                ready.append(state)
+    finally:
+        for future in waiting:
+            future.cancel()
 
 
 def drive_query(
@@ -521,7 +606,7 @@ def drive_query(
 ) -> OptimizationResult:
     """Start, drive and finish one per-query optimizer run on ``database``."""
     state = optimizer.start(query, budget=budget, **start_kwargs)
-    drive_state(optimizer, state, inline_execute(database))
+    drive(optimizer, [state], inline_submit(database))
     return optimizer.finish(state)
 
 
@@ -533,5 +618,5 @@ def drive_workload(
 ) -> dict[str, OptimizationResult]:
     """Start, drive and finish one workload-level optimizer run on ``database``."""
     state = optimizer.start_workload(queries, budget=budget)
-    drive_state(optimizer, state, inline_execute(database))
+    drive(optimizer, [state], inline_submit(database))
     return optimizer.finish_workload(state)

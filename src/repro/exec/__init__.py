@@ -68,6 +68,7 @@ from repro.exec.backend import (
     InlineBackend,
     ThreadPoolBackend,
     TransientBackendError,
+    backend_submit,
     is_infra_failure,
     perform_batch,
     perform_request,
@@ -127,6 +128,7 @@ __all__ = [
     "TransientBackendError",
     "apply_cache_overrides",
     "backend_health",
+    "backend_submit",
     "is_infra_failure",
     "make_backend",
     "make_policy",

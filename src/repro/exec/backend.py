@@ -18,7 +18,7 @@ from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.core.protocol import ExecutionOutcome
+from repro.core.protocol import ExecutionOutcome, proposal_query
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
 from repro.plans.jointree import JoinTree
@@ -201,16 +201,36 @@ def submit_request_batch(backend, requests: list[ExecutionRequest]) -> "list[Fut
     same-query plans share subtree work; wrapper backends that deliberately
     do not (supervisor, fault injection, router — their per-request
     semantics are the point) fall back to one ``submit`` per request.
-    Returns one future per request, in request order, either way.  The
-    scheduler makes the same choice itself
-    (``WorkloadSession._submit_tasks``) because it must also know how many
-    worker slots the round took.
+    Returns one future per request, in request order, either way.
     """
     if len(requests) > 1:
         submit_batch = getattr(backend, "submit_batch", None)
         if submit_batch is not None:
             return list(submit_batch(list(requests)))
     return [backend.submit(request) for request in requests]
+
+
+def backend_submit(backend):
+    """A ``submit`` for :func:`~repro.core.protocol.drive` on ``backend``.
+
+    A round's proposals become :class:`ExecutionRequest` s and go through
+    :func:`submit_request_batch`: one task on one worker where the backend
+    has a batch path, one submission per request on wrappers without one.
+    """
+
+    def submit(state, proposals) -> "list[Future[ExecutionOutcome]]":
+        requests = [
+            ExecutionRequest(
+                query=proposal_query(state, proposal),
+                plan=proposal.plan,
+                timeout=proposal.timeout,
+                proposal_id=proposal.proposal_id,
+            )
+            for proposal in proposals
+        ]
+        return submit_request_batch(backend, requests)
+
+    return submit
 
 
 def fan_out_batch(task: "Future", futures: "list[Future[ExecutionOutcome]]") -> None:

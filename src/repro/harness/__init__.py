@@ -19,7 +19,6 @@ from repro.harness.metrics import (
     percentage_difference,
     workload_curve,
 )
-from repro.harness.batching import BatchSizeController
 from repro.harness.checkpoint import CheckpointManager, SessionCheckpoint
 from repro.harness.reporting import format_cdf, format_summaries, format_table
 from repro.harness.runner import (
@@ -33,7 +32,6 @@ from repro.core.config import ExecutionServiceConfig
 from repro.core.protocol import BudgetSpec, ExecutionOutcome, PlanProposal
 
 __all__ = [
-    "BatchSizeController",
     "BudgetSpec",
     "CheckpointManager",
     "ExecutionServiceConfig",

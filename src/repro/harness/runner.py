@@ -17,37 +17,25 @@ registry (:mod:`repro.core.registry`); the session
   CPU-bound executions, or a router fanning out over several backends,
 * schedules the per-query steppers either **sequentially** (one query drained
   at a time — bit-for-bit the behaviour of the old private loops) or
-  **interleaved**, stepping suggest/observe on the scheduler thread while the
-  backend holds up to ``capacity`` worker *tasks* in flight — a lone request,
-  or a same-query q-batch that ``submit_batch`` runs on one worker — with a
-  :class:`~repro.exec.SchedulingPolicy` picking which ready query runs next.
-  A task's outcomes are observed in submission order once all have landed.
-  At q=1 each state has at most one outstanding proposal, so techniques with
-  per-query RNG state (BayesQO, Random) produce identical traces under every
-  backend/policy pair.  At a fixed q > 1 the same holds on every backend
-  with a batch path (inline, thread, process, fabric): each state runs
-  ask(q) -> execute -> observe-in-order rounds, which is
-  :func:`~repro.core.protocol.drive_state` at that q whatever the timing.
-  What stays timing-dependent: ``batch_size="auto"`` (q follows wall-clock
-  signals) and q > 1 submitted per request (``batch_execution=False``,
-  wrapper backends without a batch path), where a state tops up as slots
-  free and outcomes are observed as they complete,
+  **interleaved** (every query's state at once, the backend holding up to
+  ``capacity`` rounds in flight and a :class:`~repro.exec.SchedulingPolicy`
+  picking which ready query asks next).  Both are
+  :func:`~repro.core.protocol.drive`: a round is one query's ask of up to q
+  proposals — one worker task on a backend with a batch path — observed in
+  submission order once all of it has landed, so at a fixed q every query's
+  trace is the one it gets when driven alone, under every backend and policy,
 * memoizes per-technique results, so a comparison that needs Bao both as the
   improvement baseline and as a contender executes it once.
 
 Comparisons across techniques follow the paper's methodology (Section 5.2):
 every technique gets the same per-query budget, counted only as time spent
-executing proposed plans against the database.
-
-The sequential and workload-level schedulers are
-:func:`~repro.core.protocol.drive_state` with the session's backend as its
-``execute``; :func:`run_comparison` is a thin wrapper over a session.
+executing proposed plans against the database.  :func:`run_comparison` is a
+thin wrapper over a session.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 
 # Importing the technique modules registers them with the registry.
@@ -60,28 +48,19 @@ from repro.core.config import (
     validate_batch_size,
 )
 from repro.core.optimizer import SchemaModel, train_schema_model
-from repro.core.protocol import (
-    BudgetSpec,
-    ExecutionOutcome,
-    PlanProposal,
-    drive_query,
-    drive_state,
-    issue_allowance,
-    suggest_proposals,
-)
-from repro.core.registry import TechniqueContext, TechniqueSpec, get_technique
+from repro.core.protocol import BudgetSpec, ExecutionOutcome, drive, drive_query
+from repro.core.registry import TechniqueContext, get_technique
 from repro.core.result import OptimizationResult
 from repro.db.plan_cache import CacheStats
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
-from repro.harness.batching import BatchSizeController
 from repro.harness.checkpoint import CheckpointManager, SessionCheckpoint
 from repro.exec import (
     ExecutionBackend,
-    ExecutionRequest,
     SchedulingPolicy,
     apply_cache_overrides,
     backend_health,
+    backend_submit,
     make_backend,
     make_policy,
 )
@@ -227,29 +206,17 @@ class WorkloadSession:
         (:class:`~repro.core.config.ExecutionServiceConfig`); explicit
         ``backend``/``policy`` arguments take precedence over it.
     max_workers:
-        Worker slots — tasks executing concurrently.  With no explicit backend,
-        ``max_workers > 1`` selects the thread backend (the PR 2 behaviour);
-        ``max_workers == 1`` selects inline execution.
+        Worker slots — rounds executing concurrently.  With no explicit
+        backend, ``max_workers > 1`` selects the thread backend (the PR 2
+        behaviour); ``max_workers == 1`` selects inline execution.
     batch_size:
-        Proposals held in flight *per query* (the batched-ask q knob).
+        Proposals a query asks for per round (the batched-ask q knob).
         Techniques advertising ``supports_batch`` in the registry keep up to
         q plans in flight for one query; others fall back to q=1
-        transparently.  With ``batch_execution`` the q plans are one worker
-        task (q widens the task, other queries fill the other workers);
-        submitted per request they fan out over q workers.  ``"auto"``
-        delegates the knob to a
-        :class:`~repro.harness.batching.BatchSizeController` (widen while
-        workers idle, narrow when improvement stalls).  Defaults to
-        ``exec_config.batch_size`` (1).
-    batch_execution:
-        Submit a query's in-flight q proposals as *one* backend batch so the
-        executor runs their shared join subtrees once
-        (:meth:`~repro.db.executor.Executor.run_batch`).  The batch is one
-        worker task and occupies one scheduler slot.  Every execution's
-        result is bit-for-bit what per-request submission produces.  At q=1
-        there is nothing to group and submission transparently stays
-        per-request.
-        Defaults to ``exec_config.batch_execution`` (True).
+        transparently.  On a backend with a batch path a round's q plans
+        are one worker task that executes their shared join subtrees once
+        (q widens the task, other queries fill the other workers).
+        Defaults to ``exec_config.batch_size`` (1).
     interleave:
         Force interleaving on/off; defaults to backend capacity > 1.
     checkpoint_path / checkpoint_every:
@@ -280,8 +247,7 @@ class WorkloadSession:
         policy: "SchedulingPolicy | str | None" = None,
         exec_config: ExecutionServiceConfig | None = None,
         max_workers: int = 1,
-        batch_size: int | str | None = None,
-        batch_execution: bool | None = None,
+        batch_size: int | None = None,
         interleave: bool | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int | None = None,
@@ -306,15 +272,6 @@ class WorkloadSession:
         self.seed = seed
         self.max_workers = max_workers
         self.batch_size = batch_size
-        # One-pass batch submission of a query's in-flight q proposals
-        # (``ExecutionServiceConfig.batch_execution``, default on).  At q=1
-        # each round issues a single proposal, so there is nothing to group
-        # and submission transparently stays per-request.
-        if batch_execution is None:
-            batch_execution = (
-                exec_config.batch_execution if exec_config is not None else True
-            )
-        self.batch_execution = batch_execution
         self.exec_config = exec_config
         # Telemetry is opt-in: the defaults (a no-op tracer, a private
         # registry) keep every pre-existing call site byte-identical.  Set
@@ -425,18 +382,10 @@ class WorkloadSession:
         # Techniques with a naturally bounded search space (Bao's 49 hint
         # sets) are charged on the time axis only.
         budget = self.budget.without_execution_cap() if spec.ignores_execution_cap else self.budget
-        # The per-query in-flight cap: only techniques advertising the
-        # batched ask get q > 1; everyone else falls back to one proposal
-        # outstanding per state, transparently.  "auto" hands the knob to a
-        # fresh controller per run (q starts at 1 and adapts).
-        controller: BatchSizeController | None = None
-        if not spec.supports_batch:
-            q = 1
-        elif self.batch_size == "auto":
-            controller = BatchSizeController(max_q=max(1, self._backend.capacity()))
-            q = controller.max_q
-        else:
-            q = self.batch_size
+        # The per-query round size: only techniques advertising the batched
+        # ask get q > 1; everyone else asks for one proposal at a time,
+        # transparently.
+        q = self.batch_size if spec.supports_batch else 1
         interleave = (
             self.interleave
             and self._backend.capacity() > 1
@@ -454,7 +403,8 @@ class WorkloadSession:
             # Checkpointing pins the run to the sequential scheduler: its
             # quiescent points are well-defined there, and sequential traces
             # are the reference every other mode must match anyway.
-            results = self._run_interleaved(optimizer, budget, spec, q, controller)
+            scored = optimizer if spec.predicts_improvement else None
+            results = self._run_interleaved(optimizer, budget, q, scored)
         else:
             results = self._run_sequential(optimizer, budget, technique=technique)
         self._results[technique] = results
@@ -493,92 +443,18 @@ class WorkloadSession:
         }
 
     # ------------------------------------------------------------------ execution
-    def _request(self, proposal: PlanProposal, query: Query) -> ExecutionRequest:
-        target = proposal.query if proposal.query is not None else query
-        return ExecutionRequest(
-            query=target,
-            plan=proposal.plan,
-            timeout=proposal.timeout,
-            proposal_id=proposal.proposal_id,
+    def _drive(self, optimizer, states: list, q: int = 1, **options) -> None:
+        """:func:`~repro.core.protocol.drive` ``states`` on the session's backend."""
+        drive(
+            optimizer, states, backend_submit(self._backend), q,
+            capacity=self._backend.capacity(), tracer=self.tracer,
+            on_outcome=self._note_outcome, **options,
         )
 
-    def _submit_tasks(self, requests: "list[ExecutionRequest]") -> "list[list[Future]]":
-        """Submit one scheduling round's requests for a single query.
-
-        Returns the futures grouped by the backend slot they occupy, in
-        request order.  With ``batch_execution``, more than one request and
-        a backend with a batch path (inline, thread, process, fabric), the
-        group is *one* task: ``submit_batch`` runs it as one
-        :meth:`Executor.run_batch` call on one worker, so shared subtrees
-        execute once.  Otherwise — q=1 rounds, batching disabled, wrapper
-        backends whose per-request semantics are the point — every request
-        is a task of its own, which is bit-for-bit equivalent.
-        """
-        if len(requests) > 1 and self._has_batch_path():
-            return [list(self._backend.submit_batch(requests))]
-        return [[self._backend.submit(request)] for request in requests]
-
-    def _has_batch_path(self) -> bool:
-        """Whether a round of several requests reaches the backend as one task."""
-        return self.batch_execution and hasattr(self._backend, "submit_batch")
-
-    def _execute(self, query: Query, proposal: PlanProposal) -> ExecutionOutcome:
-        """Execute one proposal through the backend, waiting for its outcome
-        (the ``execute`` of :func:`~repro.core.protocol.drive_state`)."""
-        tracer = self.tracer
-        if not tracer.enabled:
-            outcome = self._backend.submit(self._request(proposal, query)).result()
-        else:
-            with tracer.span(
-                "exec.request",
-                category="exec",
-                query=query.name,
-                proposal_id=proposal.proposal_id,
-            ) as span:
-                outcome = self._backend.submit(self._request(proposal, query)).result()
-                span.annotate(
-                    latency=outcome.latency,
-                    timed_out=outcome.timed_out,
-                    attempts=outcome.attempts,
-                    cache_hit=bool(outcome.cache is not None and outcome.cache.outcome_hit),
-                )
-                if outcome.spans:
-                    # Worker-recorded spans (process pool) re-parent under
-                    # this request so the causal chain crosses the pool.
-                    tracer.adopt(outcome.spans, parent=span)
+    def _note_outcome(self, state, outcome: ExecutionOutcome) -> None:
+        """The ``on_outcome`` hook: session-wide cache and latency totals."""
         self.cache_report.note(outcome.cache)
         self.metrics.histogram("optimize.exec_latency").observe(outcome.latency)
-        return outcome
-
-    def _outcome_of(self, future: "Future[ExecutionOutcome]", query_name: str) -> ExecutionOutcome:
-        """Unwrap a backend future, attributing any failure to its query.
-
-        A bare ``future.result()`` traceback names a pool internals frame,
-        not the work item; wrapping here is what lets a 50-query interleaved
-        run say *which* query's plan execution died.
-        """
-        try:
-            outcome = future.result()
-        except Exception as exc:
-            raise OptimizationError(
-                f"plan execution failed for query {query_name!r}: {exc}"
-            ) from exc
-        self.cache_report.note(outcome.cache)
-        tracer = self.tracer
-        if tracer.enabled:
-            record = tracer.instant(
-                "exec.complete",
-                category="exec",
-                query=query_name,
-                latency=outcome.latency,
-                timed_out=outcome.timed_out,
-                attempts=outcome.attempts,
-                cache_hit=bool(outcome.cache is not None and outcome.cache.outcome_hit),
-            )
-            if outcome.spans:
-                tracer.adopt(outcome.spans, parent=record)
-        self.metrics.histogram("optimize.exec_latency").observe(outcome.latency)
-        return outcome
 
     # ------------------------------------------------------------------ checkpointing
     def _cache_events(self) -> list:
@@ -658,7 +534,7 @@ class WorkloadSession:
     def _run_sequential(
         self, optimizer, budget: BudgetSpec, technique: str = ""
     ) -> dict[str, OptimizationResult]:
-        """Drain one query at a time: :func:`drive_state` per query at q = 1.
+        """Drain one query at a time: :func:`drive` on each query's state at q = 1.
 
         With checkpointing enabled the loop periodically persists the
         optimizer (and current state) at quiescent points — after an
@@ -676,9 +552,7 @@ class WorkloadSession:
                 state, resumed_state = resumed_state, None
             else:
                 state = optimizer.start(query, budget=budget)
-            drive_state(
-                optimizer, state, self._execute, tracer=self.tracer, after_observe=after_observe
-            )
+            self._drive(optimizer, [state], after_observe=after_observe)
             results[query.name] = optimizer.finish(state)
             if self._checkpoint is not None:
                 self._save_checkpoint(technique, optimizer, results)
@@ -695,9 +569,8 @@ class WorkloadSession:
             state = optimizer.start_workload(
                 self.queries, budget=budget.scaled(len(self.queries))
             )
-        drive_state(
-            optimizer, state, self._execute, tracer=self.tracer,
-            after_observe=self._checkpoint_if_due(technique, optimizer, {}),
+        self._drive(
+            optimizer, [state], after_observe=self._checkpoint_if_due(technique, optimizer, {})
         )
         results = optimizer.finish_workload(state)
         if self._checkpoint is not None:
@@ -705,133 +578,24 @@ class WorkloadSession:
         return results
 
     def _run_interleaved(
-        self,
-        optimizer,
-        budget: BudgetSpec,
-        spec: TechniqueSpec,
-        q: int = 1,
-        controller: "BatchSizeController | None" = None,
+        self, optimizer, budget: BudgetSpec, q: int, scored=None
     ) -> dict[str, OptimizationResult]:
-        """Step all per-query states; the backend holds worker tasks in flight.
+        """Step every query's state at once: :func:`drive` over all of them.
 
         ``suggest``/``observe`` always run on this (scheduler) thread, so
         technique internals need no locking; only plan execution — pure over
         immutable relations — runs concurrently, wherever the backend puts
-        it.  The unit counted against ``capacity()`` is the **task**: what
-        one backend slot runs.  A round's requests that went through
-        ``submit_batch`` are one task whatever their number (one worker runs
-        the whole same-query group); a request submitted on its own is a
-        task of one.  A task's outcomes are observed together, in submission
-        order, once *all* of them have landed, and only then does its state
-        re-enter the ready list.
-
-        At the default ``q = 1`` each state has at most one plan in flight,
-        so per-query optimization remains sequential and techniques with
-        per-query RNGs reproduce their sequential traces exactly; the policy
-        only decides which ready query claims a free slot.
-
-        With ``q > 1`` (techniques advertising ``supports_batch``) a selected
-        state issues proposals via ``suggest_batch``.  On a backend with a
-        batch path it asks for its full :func:`issue_allowance` — q widens
-        the task, other queries fill the other slots — so each state runs
-        ask(q) -> execute -> observe-in-order rounds: exactly
-        :func:`~repro.core.protocol.drive_state` at that q, whatever the
-        timing.  Submitted per request (``batch_execution`` off, wrapper
-        backends) the ask is capped by the free slots, a state tops up as
-        slots free, and its trace depends on completion timing.  Budget is
-        charged per *completed* outcome; :func:`issue_allowance` caps the
-        in-flight count so the execution budget can never be overshot.
-
-        With a :class:`~repro.harness.batching.BatchSizeController`
-        (``batch_size="auto"``) the per-round q follows ``controller.q``,
-        widened when rounds leave slots idle with every state parked at its
-        cap and narrowed when a window of observations stops improving any
-        query's best latency.
+        it.  Up to ``capacity()`` rounds are in flight, and the policy picks
+        which ready query claims a free slot (``scored`` is the optimizer
+        when its registry entry advertises ``predicts_improvement``).  A
+        query asks for its full allowance each round and asks again only
+        once the round has landed, so each query's trace is the one it gets
+        when driven alone at ``q``, whatever the timing.
         """
-        results: dict[str, OptimizationResult] = {}
         self.policy.reset()
-        ready = [optimizer.start(query, budget=budget) for query in self.queries]
-        scored = optimizer if spec.predicts_improvement else None
-        #: ``(state, futures)`` per task in flight, in submission order.
-        tasks: list[tuple[object, list[Future]]] = []
-        #: The unresolved futures of ``tasks`` — what ``wait`` sleeps on.
-        waiting: set[Future] = set()
-        capacity = max(1, self._backend.capacity())
-        one_task_per_round = self._has_batch_path()
-        best_seen: dict[str, float] = {}
-        try:
-            while ready or tasks:
-                q_now = controller.q if controller is not None else q
-                while ready and len(tasks) < capacity:
-                    state = ready.pop(self.policy.select(ready, scored))
-                    if self.tracer.enabled:
-                        self.tracer.instant(
-                            "schedule.select",
-                            category="schedule",
-                            query=state.query.name,
-                            in_flight=len(tasks),
-                            ready=len(ready),
-                        )
-                    want = issue_allowance(state, q_now)
-                    if not one_task_per_round:
-                        # Every request will be a task of its own.
-                        want = min(want, capacity - len(tasks))
-                    proposals = suggest_proposals(optimizer, state, want)
-                    if not proposals:
-                        if want > 0:
-                            # Asked and got nothing: whatever the technique
-                            # can reach has been tried (BayesQO: no candidate
-                            # pool held an unexecuted plan), regardless of
-                            # budget.  Outcomes still in flight cannot undo
-                            # that — their plans stay masked once executed.
-                            state.exhausted = True
-                        if state.outstanding_count == 0:
-                            results[state.query.name] = optimizer.finish(state)
-                        # else: parked — it re-enters the ready list when one
-                        # of its tasks lands, and finishes with the last of
-                        # them.
-                        continue
-                    requests = [
-                        self._request(proposal, state.query) for proposal in proposals
-                    ]
-                    for futures in self._submit_tasks(requests):
-                        tasks.append((state, futures))
-                        waiting.update(futures)
-                    if len(proposals) == want and issue_allowance(state, q_now) > 0:
-                        # The ask was slot-capped, not technique-capped: the
-                        # state may claim further slots as they free up.
-                        ready.append(state)
-                if controller is not None:
-                    # Starvation: slots idle while every unfinished state is
-                    # parked at its q cap (nothing ready to issue).
-                    controller.record_round(
-                        idle_slots=capacity - len(tasks),
-                        starved=bool(tasks) and not ready,
-                    )
-                if not tasks:
-                    continue
-                _, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                landed = [task for task in tasks if waiting.isdisjoint(task[1])]
-                tasks = [task for task in tasks if not waiting.isdisjoint(task[1])]
-                for state, futures in landed:
-                    for future in futures:
-                        outcome = self._outcome_of(future, state.query.name)
-                        if controller is not None:
-                            name = state.query.name
-                            improved = (
-                                not outcome.timed_out
-                                and outcome.latency < best_seen.get(name, float("inf"))
-                            )
-                            if improved:
-                                best_seen[name] = outcome.latency
-                            controller.record_outcome(improved)
-                        optimizer.observe(state, outcome)
-                    if all(other is not state for other in ready):
-                        ready.append(state)
-        finally:
-            for future in waiting:
-                future.cancel()
-        return {query.name: results[query.name] for query in self.queries}
+        states = [optimizer.start(query, budget=budget) for query in self.queries]
+        self._drive(optimizer, states, q, select=lambda ready: self.policy.select(ready, scored))
+        return {state.query.name: optimizer.finish(state) for state in states}
 
 
 # ---------------------------------------------------------------------- wrappers

@@ -51,13 +51,19 @@ import struct
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import ExecutionServiceConfig
-from repro.core.protocol import BudgetSpec, PlanProposal, drive_state
+from repro.core.protocol import BudgetSpec, drive
 from repro.core.registry import TechniqueContext, get_technique
 from repro.core.reoptimize import warm_start_plans
 from repro.db.engine import Database
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
-from repro.exec import ExecutionBackend, ExecutionRequest, backend_health, make_backend
+from repro.exec import (
+    ExecutionBackend,
+    ExecutionRequest,
+    backend_health,
+    backend_submit,
+    make_backend,
+)
 from repro.harness.metrics import StreamingPercentiles
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
@@ -567,19 +573,14 @@ class PlanServer:
             self.counters.maintenance_executions += 1
             seed_records.append((plan, outcome.latency, outcome.timed_out, outcome.timeout, label))
 
-        def execute(target: Query, proposal: PlanProposal):
-            request = ExecutionRequest(
-                query=target,
-                plan=proposal.plan,
-                timeout=proposal.timeout,
-                proposal_id=proposal.proposal_id,
-            )
-            outcome = backend.submit(request).result()
-            self.counters.maintenance_executions += 1
-            return outcome
+        submit_to_backend = backend_submit(backend)
+
+        def submit(state, proposals):
+            self.counters.maintenance_executions += len(proposals)
+            return submit_to_backend(state, proposals)
 
         state = optimizer.start(query, budget=budget, **start_kwargs)
-        drive_state(optimizer, state, execute, tracer=tracer)
+        drive(optimizer, [state], submit, tracer=tracer)
         result = optimizer.finish(state)
         for plan, latency, censored, timeout, label in seed_records:
             result.record(plan, latency, censored, timeout, source=label)

@@ -19,10 +19,10 @@ from repro.core.initialization import bao_initialization
 from repro.core.protocol import (
     BudgetSpec,
     ExecutionOutcome,
+    drive,
     drive_query,
-    drive_state,
     drive_workload,
-    inline_execute,
+    inline_submit,
 )
 from repro.plans.hints import bao_hint_sets
 
@@ -31,7 +31,7 @@ def run_bao(database, query, time_budget=None):
     """Drive Bao over ``query`` on ``database`` and package its outcome."""
     optimizer = BaoOptimizer(database)
     state = optimizer.start(query, budget=BudgetSpec(time_budget=time_budget))
-    drive_state(optimizer, state, inline_execute(database))
+    drive(optimizer, [state], inline_submit(database))
     return optimizer.outcome(state)
 
 
@@ -62,7 +62,7 @@ class TestBao:
         # An initial timeout no plan can meet censors every hint-set plan.
         optimizer = BaoOptimizer(tiny_database, initial_timeout=1e-12)
         state = optimizer.start(tiny_query)
-        drive_state(optimizer, state, inline_execute(tiny_database))
+        drive(optimizer, [state], inline_submit(tiny_database))
         assert state.result.num_executions == len(state.plans) and state.best_plan is None
 
         def no_planning(*args, **kwargs):

@@ -33,13 +33,14 @@ from repro.bo.loop import BOEngine, BOEngineConfig
 from repro.bo.svgp import SVGPConfig
 from repro.core import BayesQO, BayesQOConfig
 from repro.core.config import ExecutionServiceConfig
+from repro.core import protocol as protocol_module
 from repro.core.protocol import (
     BudgetSpec,
     ExecutionOutcome,
+    drive,
     drive_query,
-    drive_state,
     drive_workload,
-    inline_execute,
+    inline_submit,
     issue_allowance,
     suggest_proposals,
 )
@@ -52,7 +53,6 @@ from repro.core.timeout import (
 from repro.exceptions import OptimizationError
 from repro.exec import perform_batch
 from repro.harness import WorkloadSession
-from repro.harness import runner as runner_module
 from repro.workloads.base import Workload
 
 ALL_TECHNIQUES = technique_names()
@@ -168,9 +168,31 @@ class TestBatchedRuns:
         optimizer = RandomSearch(tiny_workload.database, seed=1)
         query = tiny_workload.queries[0]
         state = optimizer.start(query, budget=BudgetSpec(max_executions=7))
-        drive_state(optimizer, state, inline_execute(tiny_workload.database), q=3)
+        drive(optimizer, [state], inline_submit(tiny_workload.database), q=3)
         assert state.result.num_executions == 7
         assert state.outstanding_count == 0
+
+    @pytest.mark.parametrize("capacity", [1, 3])
+    def test_drive_over_several_states_equals_each_state_driven_alone(
+        self, capacity, tiny_workload
+    ):
+        database = tiny_workload.database.snapshot()
+        budget = BudgetSpec(max_executions=7)
+        alone = RandomSearch(database, seed=2)
+        expected = []
+        for query in tiny_workload.queries:
+            state = alone.start(query, budget=budget)
+            drive(alone, [state], inline_submit(database), q=3)
+            expected.append(state.result.trace_signature())
+        together = RandomSearch(database, seed=2)
+        states = [together.start(query, budget=budget) for query in tiny_workload.queries]
+        # Newest-first picks: the order states claim slots in reaches no trace.
+        drive(
+            together, states, inline_submit(database), q=3, capacity=capacity,
+            select=lambda ready: len(ready) - 1,
+        )
+        assert [state.result.trace_signature() for state in states] == expected
+        assert all(state.outstanding_count == 0 for state in states)
 
 
 # ------------------------------------------------------ out-of-order observe
@@ -260,7 +282,7 @@ class TestOutOfOrderResolution:
             tiny_workload.queries, budget=BudgetSpec(max_executions=5)
         )
         assert issue_allowance(state, 3) == 3
-        drive_state(optimizer, state, inline_execute(tiny_workload.database), q=2)
+        drive(optimizer, [state], inline_submit(tiny_workload.database), q=2)
         total = sum(result.num_executions for result in state.results.values())
         assert total == 5
         assert state.outstanding_count == 0
@@ -345,7 +367,7 @@ class TestNoDuplicateProposals:
     ):
         optimizer = BayesQO(tiny_workload.database, tiny_schema_model, config=BAYES_CONFIG)
         state = optimizer.start(tiny_two_table_query, budget=BudgetSpec(max_executions=40))
-        drive_state(optimizer, state, inline_execute(tiny_workload.database), q=q)
+        drive(optimizer, [state], inline_submit(tiny_workload.database), q=q)
         plans = [record.plan.canonical() for record in state.result.trace]
         assert state.exhausted and state.outstanding_count == 0
         assert len(plans) == len(set(plans)) <= 6
@@ -387,9 +409,10 @@ def three_queries(tiny_query, tiny_three_table_query, tiny_two_table_query):
 
 @pytest.mark.slow
 class TestFixedQMatchesDriveState:
-    """On a backend with a batch path a q-batch is one worker task, observed
-    in submission order once it has landed in full: every query's trace is
-    ``drive_state`` at that q, whatever the timing, policy or query order."""
+    """A q-round is observed in submission order once it has landed in full
+    (one worker task on a backend with a batch path): every query's trace is
+    ``drive`` on that query alone at that q, whatever the backend, timing,
+    policy or query order."""
 
     BUDGET = BudgetSpec(max_executions=8)
     CONFIG = BayesQOConfig(max_executions=8, num_candidates=32, seed=0)
@@ -401,7 +424,7 @@ class TestFixedQMatchesDriveState:
         traces = {}
         for query in three_queries:
             state = optimizer.start(query, budget=self.BUDGET)
-            drive_state(optimizer, state, inline_execute(database), q=4)
+            drive(optimizer, [state], inline_submit(database), q=4)
             traces[query.name] = optimizer.finish(state).trace_signature()
         return traces
 
@@ -427,6 +450,24 @@ class TestFixedQMatchesDriveState:
                 runs.append(signatures(session.run("bayesqo")))
         assert runs[0] == reference
         assert runs[1] == reference
+
+    @pytest.mark.parametrize("wrapper", ["supervised", "router"])
+    def test_a_backend_without_a_batch_path_equals_the_reference_loop(
+        self, wrapper, tiny_database, tiny_schema_model, three_queries, reference
+    ):
+        """A wrapper receives a round one request at a time; the round is
+        still asked in full and observed whole, in order."""
+        layer = {"supervised": True} if wrapper == "supervised" else {"replicas": 2}
+        config = ExecutionServiceConfig(backend="thread", max_workers=2, batch_size=4, **layer)
+        workload = Workload(
+            name="tiny", database=tiny_database.snapshot(), queries=three_queries, max_aliases=2,
+        )
+        with make_session(
+            workload, tiny_schema_model,
+            budget=self.BUDGET, bayes_config=self.CONFIG, exec_config=config,
+        ) as session:
+            assert session.interleave and not hasattr(session.backend, "submit_batch")
+            assert signatures(session.run("bayesqo")) == reference
 
 
 class SteppedBackend:
@@ -544,7 +585,7 @@ class TestSchedulerCountsTasks:
             observed.append((state.query.name, outcome.proposal_id))
             return observe(optimizer, state, outcome)
 
-        monkeypatch.setattr(runner_module, "wait", stepping_wait)
+        monkeypatch.setattr(protocol_module, "wait", stepping_wait)
         monkeypatch.setattr(RandomSearch, "observe", recording_observe)
         workload = Workload(
             name="tiny", database=backend.database, queries=queries, max_aliases=2
@@ -824,7 +865,7 @@ class TestShimReplacements:
         state = optimizer.start(
             tiny_workload.queries[0], budget=BudgetSpec(max_executions=None, time_budget=1e-9)
         )
-        drive_state(optimizer, state, inline_execute(tiny_workload.database))
+        drive(optimizer, [state], inline_submit(tiny_workload.database))
         outcome = optimizer.outcome(state)
         assert outcome.result.num_executions == 1
         assert outcome.best_plan is not None and outcome.best_hint_set is not None

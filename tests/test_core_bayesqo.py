@@ -10,7 +10,7 @@ import pytest
 from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, reoptimize
 from repro.core.cache import PlanCache
 from repro.core.optimizer import train_schema_model
-from repro.core.protocol import BudgetSpec, drive_query, drive_state, inline_execute
+from repro.core.protocol import BudgetSpec, drive, drive_query, inline_submit
 from repro.exceptions import OptimizationError
 
 #: What the parent of PR 16 did on these fixtures (``comment`` inside).
@@ -131,7 +131,7 @@ def _optimize(database, schema_model, query, **config):
     config = {"max_executions": 35, "num_candidates": 64, "seed": 0, **config}
     optimizer = BayesQO(database, schema_model, config=BayesQOConfig(**config))
     state = optimizer.start(query)
-    drive_state(optimizer, state, inline_execute(database))
+    drive(optimizer, [state], inline_submit(database))
     return optimizer, state
 
 
