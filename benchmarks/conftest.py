@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BayesQOConfig, VAETrainingConfig
+from repro.core import BayesQOConfig, ExecutionServiceConfig, VAETrainingConfig
 from repro.harness import prepare_schema_model
 from repro.workloads import build_job_workload, build_stack_workload
 
@@ -22,6 +22,10 @@ from repro.workloads import build_job_workload, build_stack_workload
 BENCH_QUERIES = 4
 #: Per-query execution budget for the comparison benches.
 BENCH_EXECUTIONS = 35
+#: One-pass batch execution of each round's q proposals (shared join subtrees
+#: execute once; traces stay bit-for-bit).  Benches that need per-plan
+#: fan-out instead (CPU-burn wrappers) override this to False explicitly.
+BENCH_BATCH_EXECUTION = True
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +52,16 @@ def job_schema_model(job_workload):
 @pytest.fixture(scope="session")
 def bench_bayes_config():
     return BayesQOConfig(max_executions=BENCH_EXECUTIONS, num_candidates=96, seed=0)
+
+
+@pytest.fixture
+def bench_exec_config():
+    """Baseline execution-service config for benches that drive a session.
+
+    ``batch_execution`` is surfaced here so a bench can flip the one-pass
+    q-batch grouping with a single override.  Note the fallback: at q=1
+    (``batch_size=1``, the default) each round issues a single proposal, so
+    there is nothing to group and submission stays per-request regardless of
+    the knob.
+    """
+    return ExecutionServiceConfig(batch_execution=BENCH_BATCH_EXECUTION)

@@ -63,11 +63,13 @@ def main() -> None:
 
     # 4. The batched ask: the same single query with q=4 plans in flight on a
     #    process pool.  With batch_size=4 the BO engine proposes 4 jointly
-    #    informative candidates per acquisition round, and each round's 4
-    #    proposals reach the executor as ONE batch — one task on one worker:
-    #    shared join subtrees across the sibling plans execute once, and
-    #    every plan still gets its own bit-for-bit latency/censoring.  q
-    #    widens a task; it takes several queries to keep 4 workers busy.
+    #    informative candidates per acquisition round.  batch_execution=True
+    #    (the default, spelled out here) sends each round's 4 proposals to
+    #    the executor as ONE batch — one task on one worker: shared join
+    #    subtrees across the sibling plans execute once, and every plan
+    #    still gets its own bit-for-bit latency/censoring.  q widens a task;
+    #    it takes several queries (or batch_execution=False, which fans the
+    #    q plans out one worker each) to keep 4 workers busy.
     with WorkloadSession(
         workload,
         queries=[query],
@@ -75,13 +77,15 @@ def main() -> None:
         schema_model=session.ensure_schema_model(),  # reuse the trained VAE
         bayes_config=BayesQOConfig(max_executions=60, seed=0),
         exec_config=ExecutionServiceConfig(
-            backend="process", max_workers=4, batch_size=4
+            backend="process", max_workers=4, batch_size=4, batch_execution=True
         ),
     ) as batched_session:
         batched = batched_session.run("bayesqo")[query.name]
     print(f"\nBayesQO (q=4, process pool)    : {batched.best_latency:.4f} s "
           f"({batched.num_executions} executions)")
-    print("  (each round's q proposals ran as one executor pass)")
+    print("  (batch_execution groups each round's q proposals into one "
+          "executor pass; at q=1 there is nothing to group and submission "
+          "falls back to per-request)")
 
     # 5. Cache the plan for the online component.
     cache = PlanCache()

@@ -96,10 +96,15 @@ class BayesQOConfig:
             raise OptimizationError("timeout_max_multiplier must be at least 1")
 
 
-def validate_batch_size(batch_size: int) -> None:
-    """Shared validation of the q knob: a positive int."""
-    if not isinstance(batch_size, int) or batch_size < 1:
-        raise OptimizationError(f"batch_size must be a positive int, got {batch_size!r}")
+def validate_batch_size(batch_size: int | str) -> None:
+    """Shared validation of the q knob: a positive int or ``"auto"``."""
+    if isinstance(batch_size, str):
+        if batch_size != "auto":
+            raise OptimizationError(
+                f"batch_size must be a positive int or 'auto', got {batch_size!r}"
+            )
+    elif batch_size < 1:
+        raise OptimizationError("batch_size must be at least 1")
 
 
 @dataclass
@@ -123,15 +128,32 @@ class ExecutionServiceConfig:
     #: ``"round_robin"`` or ``"budget_aware"`` (spend remaining budget on the
     #: queries whose surrogate predicts the largest expected improvement).
     policy: str = "round_robin"
-    #: Proposals a query asks for per round (the batched-ask q knob).  With
+    #: Proposals held in flight *per query* (the batched-ask q knob).  With
     #: ``q > 1`` techniques advertising ``supports_batch`` in the registry
     #: keep up to q plans in flight for one query; other techniques fall
-    #: back to q=1 transparently.  A round is one worker task on a backend
-    #: with a batch path — its plans' shared join subtrees execute once
-    #: (``Executor.run_batch``) — and is observed in submission order once
-    #: it has landed, so a fixed q reproduces driving each query alone at
-    #: that q bit-for-bit on every backend.
-    batch_size: int = 1
+    #: back to q=1 transparently.  With ``batch_execution`` the q plans are
+    #: one worker task (q widens the task, other queries fill the pool, and
+    #: a fixed q reproduces ``drive`` on each query alone at that q
+    #: bit-for-bit); submitted
+    #: per request they fan out over q workers and traces depend on
+    #: completion timing.  ``1`` reproduces single-proposal behaviour
+    #: bit-for-bit.  ``"auto"`` hands the knob to a
+    #: :class:`~repro.harness.batching.BatchSizeController`, which widens q
+    #: toward the backend capacity while workers idle and narrows it when
+    #: per-observation improvement stalls (traces then depend on completion
+    #: timing).
+    batch_size: int | str = 1
+    #: One-pass batch execution of a query's in-flight q proposals: when a
+    #: state issues more than one proposal in a scheduling round, they are
+    #: submitted as a single backend batch — one task on one worker, one
+    #: scheduler slot — and shared join subtrees execute once
+    #: (``Executor.run_batch``).  Each execution's result is bit-for-bit
+    #: what per-request submission produces — batching only dedups work.
+    #: At q=1 (one proposal per round) there is nothing to group and the
+    #: scheduler transparently falls back to per-request submission.
+    #: Wrapper layers without a batch path (supervisor, fault injection,
+    #: router) also fall back transparently.
+    batch_execution: bool = True
     #: Execution memoization (see :mod:`repro.db.plan_cache`): replay
     #: repeated ``(query, plan)`` executions and reuse join-subtree
     #: intermediates across overlapping plans of the same query.  Results

@@ -497,30 +497,45 @@ def drive(
     optimizer,
     states: list,
     submit,
-    q: int = 1,
+    q=1,
     *,
     capacity: int = 1,
+    fan_out: bool = False,
     select=None,
     tracer=NULL_TRACER,
     on_outcome=None,
     after_observe=None,
+    after_fill=None,
 ) -> None:
     """Run the suggest/execute/observe loop of ``states`` until each is spent.
 
-    A *round* asks one state for its full :func:`issue_allowance` —
-    ``min(q, remaining budget)`` proposals, through ``suggest_batch`` when
-    the optimizer has it and more than one is wanted, plain ``suggest``
-    otherwise — and hands them to ``submit(state, proposals)``, which
-    returns one future per proposal, in order (:func:`inline_submit`, or a
-    backend submission).  At most ``capacity`` rounds are in flight, and
+    A *round* asks one state for its :func:`issue_allowance` —
+    ``min(q, remaining budget)`` proposals less those it has in flight,
+    through ``suggest_batch`` when the optimizer has it and more than one is
+    wanted, plain ``suggest`` otherwise — and hands them to
+    ``submit(state, proposals)``, which returns one future per proposal, in
+    order (:func:`inline_submit`, or a backend submission).  What a round
+    occupies is a *task*: at most ``capacity`` tasks are in flight, and
     ``select(ready)`` returns the index of the ready state that claims a
-    free one (the longest-waiting when ``None``).  A round's outcomes are
+    free one (the longest-waiting when ``None``).  A task's outcomes are
     observed in submission order once all of them have landed, and only
-    then may its state ask again — so no state has proposals outstanding
-    when it is asked, and each state's trace is what driving it alone at
-    ``q`` produces, whatever ``capacity``, ``select`` or the completion
-    timing.  An ask that comes back empty marks its state ``exhausted``.
+    then does its state re-enter the ready list.
 
+    By default a round is one task, so no state has proposals outstanding
+    when it is asked and each state's trace is what driving it alone at
+    ``q`` produces, whatever ``capacity``, ``select`` or the completion
+    timing.  With ``fan_out`` every proposal is a task of its own (submitted
+    alone): the ask is capped by the free tasks, a state whose ask that cap
+    cut short stays ready to top up, and its outcomes are observed as they
+    land — at ``q > 1`` the trace then depends on completion timing, but no
+    more than ``capacity`` executions are ever submitted at once.  An ask
+    that comes back empty marks its state ``exhausted``.
+
+    ``q`` is an int or a callable returning the current q (read once per
+    scheduling pass); ``after_fill(idle, starved)`` runs after each pass has
+    filled what it could, with the count of free tasks and whether work is
+    in flight while no state is ready — the signals of
+    :class:`~repro.harness.batching.BatchSizeController`.
     ``on_outcome(state, outcome)`` runs as each outcome is collected and
     ``after_observe(state)`` after it is observed (a quiescent point when
     one state runs at ``q = 1``).  With ``tracer`` enabled every ask records
@@ -531,39 +546,54 @@ def drive(
     :class:`~repro.exceptions.OptimizationError` naming its query; futures
     still in flight are cancelled.
     """
-    if q < 1:
+    current_q = q if callable(q) else lambda: q
+    if current_q() < 1:
         raise OptimizationError("q must be at least 1")
     capacity = max(1, capacity)
     ready = list(states)
-    #: ``(state, proposals, futures, submitted_at)`` per round in flight, in
+    #: ``(state, proposals, futures, submitted_at)`` per task in flight, in
     #: submission order.
-    rounds: list[tuple] = []
-    #: The unresolved futures of ``rounds`` — what ``wait`` sleeps on.
+    tasks: list[tuple] = []
+    #: The unresolved futures of ``tasks`` — what ``wait`` sleeps on.
     waiting: set[Future] = set()
     try:
-        while ready or rounds:
-            while ready and len(rounds) < capacity:
+        while ready or tasks:
+            q_now = current_q()
+            while ready and len(tasks) < capacity:
                 state = ready.pop(0 if select is None else select(ready))
-                count = issue_allowance(state, q)
+                count = issue_allowance(state, q_now)
+                if fan_out:
+                    count = min(count, capacity - len(tasks))
                 if not count:
+                    # Spent, or parked with proposals in flight: it re-enters
+                    # the ready list when one of its tasks lands.
                     continue
                 attrs = {"query": state.query.name} if isinstance(state, OptimizerState) else {}
                 with tracer.span(
-                    "optimize.suggest", category="optimize", in_flight=len(rounds), **attrs
+                    "optimize.suggest", category="optimize", in_flight=len(tasks), **attrs
                 ):
                     proposals = suggest_proposals(optimizer, state, count)
                 if not proposals:
+                    # Whatever the technique can reach has been tried;
+                    # outcomes still in flight cannot undo that.
                     state.exhausted = True
                     continue
-                submitted = tracer.now()
-                futures = submit(state, proposals)
-                rounds.append((state, proposals, futures, submitted))
-                waiting.update(futures)
-            if not rounds:
+                groups = [[proposal] for proposal in proposals] if fan_out else [proposals]
+                for group in groups:
+                    submitted = tracer.now()
+                    futures = submit(state, group)
+                    tasks.append((state, group, futures, submitted))
+                    waiting.update(futures)
+                if fan_out and len(proposals) == count and issue_allowance(state, q_now):
+                    # Cut short by the free tasks, not by the technique.
+                    ready.append(state)
+            if after_fill is not None:
+                after_fill(capacity - len(tasks), bool(tasks) and not ready)
+            if not tasks:
                 continue
             _, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-            landed = [entry for entry in rounds if waiting.isdisjoint(entry[2])]
-            rounds = [entry for entry in rounds if not waiting.isdisjoint(entry[2])]
+            landed = [task for task in tasks if waiting.isdisjoint(task[2])]
+            tasks = [task for task in tasks if not waiting.isdisjoint(task[2])]
             for state, proposals, futures, submitted in landed:
                 for proposal, future in zip(proposals, futures):
                     name = proposal_query(state, proposal).name
@@ -591,7 +621,8 @@ def drive(
                         optimizer.observe(state, outcome)
                     if after_observe is not None:
                         after_observe(state)
-                ready.append(state)
+                if all(other is not state for other in ready):
+                    ready.append(state)
     finally:
         for future in waiting:
             future.cancel()

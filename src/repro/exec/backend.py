@@ -201,7 +201,10 @@ def submit_request_batch(backend, requests: list[ExecutionRequest]) -> "list[Fut
     same-query plans share subtree work; wrapper backends that deliberately
     do not (supervisor, fault injection, router — their per-request
     semantics are the point) fall back to one ``submit`` per request.
-    Returns one future per request, in request order, either way.
+    Returns one future per request, in request order, either way.  The
+    session makes the same choice itself (``WorkloadSession._has_batch_path``)
+    because :func:`~repro.core.protocol.drive` must also know how many
+    worker slots a round takes.
     """
     if len(requests) > 1:
         submit_batch = getattr(backend, "submit_batch", None)

@@ -279,7 +279,7 @@ class ProcessPoolBackend:
         subtrees: the right trade for the simulated executor, where the
         shared work dominates.  The per-request futures all resolve when the
         task does.  Callers that want per-plan fan-out instead (e.g. CPU-burn
-        benchmarks) submit per request.
+        benchmarks) submit per request or disable ``batch_execution``.
         """
         requests = list(requests)
         if len(requests) == 1:

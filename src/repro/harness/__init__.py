@@ -19,6 +19,7 @@ from repro.harness.metrics import (
     percentage_difference,
     workload_curve,
 )
+from repro.harness.batching import BatchSizeController
 from repro.harness.checkpoint import CheckpointManager, SessionCheckpoint
 from repro.harness.reporting import format_cdf, format_summaries, format_table
 from repro.harness.runner import (
@@ -32,6 +33,7 @@ from repro.core.config import ExecutionServiceConfig
 from repro.core.protocol import BudgetSpec, ExecutionOutcome, PlanProposal
 
 __all__ = [
+    "BatchSizeController",
     "BudgetSpec",
     "CheckpointManager",
     "ExecutionServiceConfig",

@@ -26,7 +26,7 @@ path.  Both signals are read off the wall clock (which rounds found a slot
 idle, which outcomes fell inside a window), so in auto mode traces depend on
 completion timing and runs are not bit-for-bit reproducible.  A *fixed* q is:
 on a backend with a batch path every query's trace equals
-:func:`~repro.core.protocol.drive_state` at that q; only per-request
+:func:`~repro.core.protocol.drive` on that query alone at that q; only per-request
 submission at q > 1 shares auto mode's caveat.
 """
 

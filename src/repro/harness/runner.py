@@ -18,12 +18,18 @@ registry (:mod:`repro.core.registry`); the session
 * schedules the per-query steppers either **sequentially** (one query drained
   at a time — bit-for-bit the behaviour of the old private loops) or
   **interleaved** (every query's state at once, the backend holding up to
-  ``capacity`` rounds in flight and a :class:`~repro.exec.SchedulingPolicy`
-  picking which ready query asks next).  Both are
-  :func:`~repro.core.protocol.drive`: a round is one query's ask of up to q
-  proposals — one worker task on a backend with a batch path — observed in
-  submission order once all of it has landed, so at a fixed q every query's
-  trace is the one it gets when driven alone, under every backend and policy,
+  ``capacity`` worker *tasks* in flight and a
+  :class:`~repro.exec.SchedulingPolicy` picking which ready query asks
+  next).  Both are :func:`~repro.core.protocol.drive`.  A task is a lone
+  request or a same-query q-batch that ``submit_batch`` runs on one worker,
+  and its outcomes are observed in submission order once all have landed.
+  At q=1, and at a fixed q > 1 on every backend with a batch path (inline,
+  thread, process, fabric), every query's trace is the one it gets when
+  driven alone, under every backend and policy.  What stays
+  timing-dependent: ``batch_size="auto"`` (q follows wall-clock signals)
+  and q > 1 submitted per request (``batch_execution=False``, wrapper
+  backends without a batch path), where a state tops up as slots free and
+  outcomes are observed as they complete,
 * memoizes per-technique results, so a comparison that needs Bao both as the
   improvement baseline and as a contender executes it once.
 
@@ -54,6 +60,7 @@ from repro.core.result import OptimizationResult
 from repro.db.plan_cache import CacheStats
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
+from repro.harness.batching import BatchSizeController
 from repro.harness.checkpoint import CheckpointManager, SessionCheckpoint
 from repro.exec import (
     ExecutionBackend,
@@ -206,17 +213,30 @@ class WorkloadSession:
         (:class:`~repro.core.config.ExecutionServiceConfig`); explicit
         ``backend``/``policy`` arguments take precedence over it.
     max_workers:
-        Worker slots — rounds executing concurrently.  With no explicit
-        backend, ``max_workers > 1`` selects the thread backend (the PR 2
-        behaviour); ``max_workers == 1`` selects inline execution.
+        Worker slots — tasks executing concurrently.  With no explicit backend,
+        ``max_workers > 1`` selects the thread backend (the PR 2 behaviour);
+        ``max_workers == 1`` selects inline execution.
     batch_size:
-        Proposals a query asks for per round (the batched-ask q knob).
+        Proposals held in flight *per query* (the batched-ask q knob).
         Techniques advertising ``supports_batch`` in the registry keep up to
         q plans in flight for one query; others fall back to q=1
-        transparently.  On a backend with a batch path a round's q plans
-        are one worker task that executes their shared join subtrees once
-        (q widens the task, other queries fill the other workers).
-        Defaults to ``exec_config.batch_size`` (1).
+        transparently.  With ``batch_execution`` the q plans are one worker
+        task (q widens the task, other queries fill the other workers);
+        submitted per request they fan out over q workers.  ``"auto"``
+        delegates the knob to a
+        :class:`~repro.harness.batching.BatchSizeController` (widen while
+        workers idle, narrow when improvement stalls).  Defaults to
+        ``exec_config.batch_size`` (1).
+    batch_execution:
+        Submit a query's in-flight q proposals as *one* backend batch so the
+        executor runs their shared join subtrees once
+        (:meth:`~repro.db.executor.Executor.run_batch`).  The batch is one
+        worker task and occupies one scheduler slot.  Every execution's
+        result is bit-for-bit what per-request submission produces.  At q=1
+        there is nothing to group and submission transparently stays
+        per-request; wrapper backends without a batch path (supervisor,
+        fault injection, router) always submit per request.
+        Defaults to ``exec_config.batch_execution`` (True).
     interleave:
         Force interleaving on/off; defaults to backend capacity > 1.
     checkpoint_path / checkpoint_every:
@@ -247,7 +267,8 @@ class WorkloadSession:
         policy: "SchedulingPolicy | str | None" = None,
         exec_config: ExecutionServiceConfig | None = None,
         max_workers: int = 1,
-        batch_size: int | None = None,
+        batch_size: int | str | None = None,
+        batch_execution: bool | None = None,
         interleave: bool | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int | None = None,
@@ -272,6 +293,11 @@ class WorkloadSession:
         self.seed = seed
         self.max_workers = max_workers
         self.batch_size = batch_size
+        if batch_execution is None:
+            batch_execution = (
+                exec_config.batch_execution if exec_config is not None else True
+            )
+        self.batch_execution = batch_execution
         self.exec_config = exec_config
         # Telemetry is opt-in: the defaults (a no-op tracer, a private
         # registry) keep every pre-existing call site byte-identical.  Set
@@ -382,10 +408,18 @@ class WorkloadSession:
         # Techniques with a naturally bounded search space (Bao's 49 hint
         # sets) are charged on the time axis only.
         budget = self.budget.without_execution_cap() if spec.ignores_execution_cap else self.budget
-        # The per-query round size: only techniques advertising the batched
-        # ask get q > 1; everyone else asks for one proposal at a time,
-        # transparently.
-        q = self.batch_size if spec.supports_batch else 1
+        # The per-query in-flight cap: only techniques advertising the
+        # batched ask get q > 1; everyone else falls back to one proposal
+        # outstanding per state, transparently.  "auto" hands the knob to a
+        # fresh controller per run (q starts at 1 and adapts).
+        controller: BatchSizeController | None = None
+        if not spec.supports_batch:
+            q = 1
+        elif self.batch_size == "auto":
+            controller = BatchSizeController(max_q=max(1, self._backend.capacity()))
+            q = controller.max_q
+        else:
+            q = self.batch_size
         interleave = (
             self.interleave
             and self._backend.capacity() > 1
@@ -404,7 +438,7 @@ class WorkloadSession:
             # quiescent points are well-defined there, and sequential traces
             # are the reference every other mode must match anyway.
             scored = optimizer if spec.predicts_improvement else None
-            results = self._run_interleaved(optimizer, budget, q, scored)
+            results = self._run_interleaved(optimizer, budget, q, scored, controller)
         else:
             results = self._run_sequential(optimizer, budget, technique=technique)
         self._results[technique] = results
@@ -443,13 +477,26 @@ class WorkloadSession:
         }
 
     # ------------------------------------------------------------------ execution
-    def _drive(self, optimizer, states: list, q: int = 1, **options) -> None:
-        """:func:`~repro.core.protocol.drive` ``states`` on the session's backend."""
+    def _drive(self, optimizer, states: list, q=1, **options) -> None:
+        """:func:`~repro.core.protocol.drive` ``states`` on the session's backend.
+
+        A round of several proposals is one task when ``batch_execution`` is
+        on and the backend has a batch path (inline, thread, process,
+        fabric); otherwise — batching disabled, or a wrapper backend whose
+        per-request semantics are the point — every request is a task of its
+        own (``fan_out``), so no more requests are in flight than the
+        backend has slots and none waits out a supervision deadline queued.
+        """
+        options.setdefault("on_outcome", self._note_outcome)
         drive(
             optimizer, states, backend_submit(self._backend), q,
-            capacity=self._backend.capacity(), tracer=self.tracer,
-            on_outcome=self._note_outcome, **options,
+            capacity=self._backend.capacity(), fan_out=not self._has_batch_path(),
+            tracer=self.tracer, **options,
         )
+
+    def _has_batch_path(self) -> bool:
+        """Whether a round of several requests reaches the backend as one task."""
+        return self.batch_execution and hasattr(self._backend, "submit_batch")
 
     def _note_outcome(self, state, outcome: ExecutionOutcome) -> None:
         """The ``on_outcome`` hook: session-wide cache and latency totals."""
@@ -578,23 +625,52 @@ class WorkloadSession:
         return results
 
     def _run_interleaved(
-        self, optimizer, budget: BudgetSpec, q: int, scored=None
+        self,
+        optimizer,
+        budget: BudgetSpec,
+        q: int,
+        scored=None,
+        controller: BatchSizeController | None = None,
     ) -> dict[str, OptimizationResult]:
         """Step every query's state at once: :func:`drive` over all of them.
 
         ``suggest``/``observe`` always run on this (scheduler) thread, so
         technique internals need no locking; only plan execution — pure over
         immutable relations — runs concurrently, wherever the backend puts
-        it.  Up to ``capacity()`` rounds are in flight, and the policy picks
+        it.  Up to ``capacity()`` tasks are in flight, and the policy picks
         which ready query claims a free slot (``scored`` is the optimizer
-        when its registry entry advertises ``predicts_improvement``).  A
-        query asks for its full allowance each round and asks again only
-        once the round has landed, so each query's trace is the one it gets
-        when driven alone at ``q``, whatever the timing.
+        when its registry entry advertises ``predicts_improvement``).  On a
+        batch path a query asks for its full allowance each round and asks
+        again only once the round has landed, so each query's trace is the
+        one it gets when driven alone at ``q``, whatever the timing.
+
+        With a :class:`~repro.harness.batching.BatchSizeController`
+        (``batch_size="auto"``) the per-round q follows ``controller.q``,
+        widened when passes leave slots idle with no state ready and
+        narrowed when a window of observations stops improving any query's
+        best latency.
         """
         self.policy.reset()
         states = [optimizer.start(query, budget=budget) for query in self.queries]
-        self._drive(optimizer, states, q, select=lambda ready: self.policy.select(ready, scored))
+        options = {"select": lambda ready: self.policy.select(ready, scored)}
+        if controller is not None:
+            best_seen: dict[str, float] = {}
+
+            def note_improvement(state, outcome: ExecutionOutcome) -> None:
+                self._note_outcome(state, outcome)
+                name = state.query.name
+                improved = not outcome.timed_out and outcome.latency < best_seen.get(
+                    name, float("inf")
+                )
+                if improved:
+                    best_seen[name] = outcome.latency
+                controller.record_outcome(improved)
+
+            options.update(on_outcome=note_improvement, after_fill=controller.record_round)
+        # drive reads a callable q once per scheduling pass.
+        self._drive(
+            optimizer, states, q if controller is None else (lambda: controller.q), **options
+        )
         return {state.query.name: optimizer.finish(state) for state in states}
 
 

@@ -22,6 +22,7 @@ import dataclasses
 import math
 import queue
 import threading
+import time
 from concurrent.futures import Future, wait
 
 import numpy as np
@@ -51,7 +52,7 @@ from repro.core.timeout import (
     UncertaintyTimeout,
 )
 from repro.exceptions import OptimizationError
-from repro.exec import perform_batch
+from repro.exec import SupervisedBackend, ThreadPoolBackend, perform_batch
 from repro.harness import WorkloadSession
 from repro.workloads.base import Workload
 
@@ -451,23 +452,46 @@ class TestFixedQMatchesDriveState:
         assert runs[0] == reference
         assert runs[1] == reference
 
-    @pytest.mark.parametrize("wrapper", ["supervised", "router"])
-    def test_a_backend_without_a_batch_path_equals_the_reference_loop(
-        self, wrapper, tiny_database, tiny_schema_model, three_queries, reference
+
+class _SlowDatabase:
+    """A database whose every execution holds its worker for ``seconds``."""
+
+    def __init__(self, database, seconds: float) -> None:
+        self.database = database
+        self.seconds = seconds
+
+    def execute(self, *args, **kwargs):
+        time.sleep(self.seconds)
+        return self.database.execute(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.database, name)
+
+
+class TestPerRequestSubmission:
+    """Without a batch path every request is a task: a q-round never puts
+    more requests in flight than the backend has workers."""
+
+    def test_a_supervised_q8_round_waits_out_no_deadline_queued(
+        self, tiny_database, three_queries
     ):
-        """A wrapper receives a round one request at a time; the round is
-        still asked in full and observed whole, in order."""
-        layer = {"supervised": True} if wrapper == "supervised" else {"replicas": 2}
-        config = ExecutionServiceConfig(backend="thread", max_workers=2, batch_size=4, **layer)
-        workload = Workload(
-            name="tiny", database=tiny_database.snapshot(), queries=three_queries, max_aliases=2,
+        # 100 ms per execution on 2 workers: two rounds of 8 requests queued
+        # at once would finish the last after 800 ms, past the deadline.
+        database = tiny_database.snapshot()
+        backend = SupervisedBackend(
+            ThreadPoolBackend(_SlowDatabase(database, 0.1), max_workers=2),
+            request_deadline=0.6, max_retries=0,
         )
-        with make_session(
-            workload, tiny_schema_model,
-            budget=self.BUDGET, bayes_config=self.CONFIG, exec_config=config,
+        workload = Workload(name="tiny", database=database, queries=three_queries, max_aliases=2)
+        with WorkloadSession(
+            workload, budget=BudgetSpec(max_executions=8), seed=0, backend=backend, batch_size=8,
         ) as session:
-            assert session.interleave and not hasattr(session.backend, "submit_batch")
-            assert signatures(session.run("bayesqo")) == reference
+            assert session.interleave and not hasattr(backend, "submit_batch")
+            results = session.run("random")
+            supervisor = session.health_report()["supervisor"]
+        executions = sum(result.num_executions for result in results.values())
+        assert supervisor["hangs"] == 0
+        assert supervisor["attempts"] == supervisor["submissions"] == executions > 8
 
 
 class SteppedBackend:
