@@ -515,17 +515,17 @@ def drive(
     wanted, plain ``suggest`` otherwise — and hands them to
     ``submit(state, proposals)``, which returns one future per proposal, in
     order (:func:`inline_submit`, or a backend submission).  What a round
-    occupies is a *task*: at most ``capacity`` tasks are in flight, and
-    ``select(ready)`` returns the index of the ready state that claims a
-    free one (the longest-waiting when ``None``).  A task's outcomes are
-    observed in submission order once all of them have landed, and only
-    then does its state re-enter the ready list.
+    occupies is a *task*: at most ``capacity`` tasks (worker slots) are in
+    flight, and ``select(ready)`` returns the index of the ready state that
+    claims a free one (the longest-waiting when ``None``).  A task's
+    outcomes are observed in submission order once all of them have landed,
+    and only then does its state re-enter the ready list.
 
     By default a round is one task, so no state has proposals outstanding
     when it is asked and each state's trace is what driving it alone at
     ``q`` produces, whatever ``capacity``, ``select`` or the completion
     timing.  With ``fan_out`` every proposal is a task of its own (submitted
-    alone): the ask is capped by the free tasks, a state whose ask that cap
+    alone): the ask is capped by the free slots, a state whose ask that cap
     cut short stays ready to top up, and its outcomes are observed as they
     land — at ``q > 1`` the trace then depends on completion timing, but no
     more than ``capacity`` executions are ever submitted at once.  An ask
@@ -533,7 +533,7 @@ def drive(
 
     ``q`` is an int or a callable returning the current q (read once per
     scheduling pass); ``after_fill(idle, starved)`` runs after each pass has
-    filled what it could, with the count of free tasks and whether work is
+    filled what it could, with the count of free slots and whether work is
     in flight while no state is ready — the signals of
     :class:`~repro.harness.batching.BatchSizeController`.
     ``on_outcome(state, outcome)`` runs as each outcome is collected and
@@ -585,7 +585,7 @@ def drive(
                     tasks.append((state, group, futures, submitted))
                     waiting.update(futures)
                 if fan_out and len(proposals) == count and issue_allowance(state, q_now):
-                    # Cut short by the free tasks, not by the technique.
+                    # Cut short by the free slots, not by the technique.
                     ready.append(state)
             if after_fill is not None:
                 after_fill(capacity - len(tasks), bool(tasks) and not ready)
