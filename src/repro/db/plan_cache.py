@@ -149,7 +149,33 @@ class CacheCounters:
 
 
 # ------------------------------------------------------------------ fingerprints
-def query_fingerprint(query: "Query") -> tuple:
+class Fingerprint(tuple):
+    """A query fingerprint: the plain ``(tables, joins, filters)`` tuple with
+    its hash computed once.
+
+    Hashing the nested tuple walks every element (~0.5 us for a six-table
+    query), and a store hit used to pay that once per dictionary it probed.
+    A ``Fingerprint`` is equal to the plain tuple and hashes like it, so the
+    two are interchangeable as keys in either direction: keys written before
+    this class existed still match.  The cached hash is salted by the
+    current process's ``PYTHONHASHSEED`` and must never leave it, so
+    pickling and copying go through :meth:`__reduce__`, which ships the
+    content only; whoever loads it computes the hash afresh.
+    """
+
+    def __new__(cls, parts: Iterable) -> "Fingerprint":
+        self = super().__new__(cls, parts)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Fingerprint, (tuple(self),))
+
+
+def query_fingerprint(query: "Query") -> Fingerprint:
     """Content-based identity of a query: tables, join predicates, filters.
 
     Deliberately ignores ``query.name``: ad-hoc Query objects describing the
@@ -160,10 +186,16 @@ def query_fingerprint(query: "Query") -> tuple:
     Computed once per ``Query`` object and kept on it (``Query._fingerprint``):
     the three sorts below cost ~8 us for a six-table query, which is most of a
     store lookup and twice per execution.  The memo cannot go stale because a
-    ``Query`` stores its content fields as tuples; a query unpickled from
-    before the memo existed simply computes it on first use.
+    ``Query`` stores its content fields as tuples.  It is a
+    :class:`Fingerprint`, whose hash is computed in the current process and
+    never persisted: a pickled ``Query`` carries the content and the process
+    that loads it hashes it again.  A query unpickled from before the memo
+    existed computes it on first use, and one whose memo is a plain tuple
+    (pickled before :class:`Fingerprint` existed) has it wrapped once.
     """
     fingerprint = query._fingerprint
+    if fingerprint.__class__ is Fingerprint:
+        return fingerprint
     if fingerprint is None:
         tables = tuple(sorted((ref.alias, ref.table) for ref in query.table_refs))
         joins = tuple(
@@ -178,7 +210,8 @@ def query_fingerprint(query: "Query") -> tuple:
         filters = tuple(
             sorted((f.alias, f.column, f.op, repr(f.value)) for f in query.filters)
         )
-        fingerprint = query._fingerprint = (tables, joins, filters)
+        fingerprint = (tables, joins, filters)
+    fingerprint = query._fingerprint = Fingerprint(fingerprint)
     return fingerprint
 
 

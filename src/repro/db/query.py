@@ -91,7 +91,9 @@ class Query:
     :func:`dataclasses.replace`, which builds a new object).  That is what
     lets :func:`repro.db.plan_cache.query_fingerprint` compute the content
     fingerprint once per object and keep it in ``_fingerprint`` — a memo that
-    rides pickles and takes no part in ``==`` or ``repr``.
+    rides pickles and takes no part in ``==`` or ``repr``.  The memo carries a
+    hash computed in the current process; that hash is never persisted (a
+    pickle holds the content, and the loading process hashes it again).
     """
 
     name: str

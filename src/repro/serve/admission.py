@@ -103,7 +103,9 @@ class AdmissionPolicy:
     # ------------------------------------------------------------------ signals
     def note_arrival(self, fingerprint: tuple, optimized: bool) -> None:
         """One arrival of ``fingerprint``; ``optimized`` mirrors its entry."""
-        stats = self._stats_for(fingerprint)
+        stats = self.stats.get(fingerprint)  # every serve: one probe when known
+        if stats is None:
+            stats = self._stats_for(fingerprint)
         stats.arrivals += 1
         stats.arrivals_since_opt += 1
         stats.optimized = optimized

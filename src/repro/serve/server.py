@@ -49,12 +49,14 @@ import inspect
 import pickle
 import struct
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.core.config import ExecutionServiceConfig
 from repro.core.protocol import BudgetSpec, drive
 from repro.core.registry import TechniqueContext, get_technique
 from repro.core.reoptimize import warm_start_plans
 from repro.db.engine import Database
+from repro.db.plan_cache import query_fingerprint
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
 from repro.exec import (
@@ -87,6 +89,20 @@ _REPORT = struct.Struct("<BIBd")  # kind, entry ordinal, flags, latency
 _BLOB = struct.Struct("<BI")  # kind (miss | outcomes), length of the pickle behind it
 _FROM_STORE, _TIMED_OUT = 1, 2  # report flags
 _NO_ENTRY = 0xFFFFFFFF  # a report whose fingerprint the store does not hold
+
+
+class _HitRecords(dict):
+    """Each entry ordinal's encoded hit operation, packed on first use.
+
+    The encoding never changes, so a fast-path serve appends bytes it packed
+    before.  Lives on the server beside its journal and is never persisted.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, ordinal: int) -> bytes:
+        record = self[ordinal] = _HIT.pack(_OP_HIT, ordinal)
+        return record
 
 
 def _blob(kind: int, value: object) -> bytes:
@@ -155,15 +171,22 @@ class ServeConfig:
             raise OptimizationError("slo_latency must be positive")
 
 
-@dataclass(frozen=True)
-class ServeDecision:
-    """What the server answered one arrival with."""
+class ServeDecision(NamedTuple):
+    """What the server answered one arrival with.
+
+    An immutable record built once per arrival, so a named tuple: it costs a
+    quarter of a frozen dataclass to build, which on the fast path is a
+    sizeable share of the serve.
+    """
 
     query: Query
     plan: JoinTree
     #: ``"store"`` (fast path) or ``"default"`` (first-sight planner fallback).
     source: str
     fingerprint: tuple
+
+
+_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -276,9 +299,11 @@ class PlanServer:
         self._journal: StoreJournal | None = None
         self._journal_database: Database | None = None
         self._journal_stamp = 0
+        self._hit_records = _HitRecords()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Last chain event per fingerprint, as ``(span_id, is_arrival)`` — the
+        # Last chain event per store entry (by ordinal: an int key costs the
+        # traced fast path no hash call), as ``(span_id, is_arrival)`` — the
         # `follows` causal link that stitches arrival -> admission ->
         # re-optimization -> upsert -> next serve into one chain.  The
         # is_arrival flag is what lets the fast path skip recording repeat
@@ -307,12 +332,15 @@ class PlanServer:
         # enabled steady state costs one dict probe, no span construction.
         tracer = self.tracer
         journal = self._journal
-        entry = self.store.get(query)
+        # The store's dict directly, and the decision through `tuple.__new__`
+        # as the named tuple's own `_make` does: `PlanStore.get` and the
+        # generated `__new__` would each be one more Python frame per arrival.
+        entry = self.store.entries.get(query_fingerprint(query))
         if entry is not None and entry.best_plan is not None:
             source = "store"
             self._apply_hit(entry)
             if journal is not None:
-                journal.record(_HIT.pack(_OP_HIT, entry.ordinal))
+                journal.record(self._hit_records[entry.ordinal])
         else:
             source = "default"
             plan = self.database.plan(query)
@@ -320,14 +348,12 @@ class PlanServer:
             if journal is not None:
                 journal.record(_blob(_OP_MISS, (query, plan)))
         if tracer.enabled:
-            last = self._follow.get(entry.fingerprint)
+            last = self._follow.get(entry.ordinal)
             if last is None or not last[1]:
-                self._note_serve(tracer, query, source, entry.fingerprint, last)
-        return ServeDecision(
-            query=query, plan=entry.best_plan, source=source, fingerprint=entry.fingerprint
-        )
+                self._note_serve(tracer, query, source, entry.ordinal, last)
+        return _tuple_new(ServeDecision, (query, entry.best_plan, source, entry.fingerprint))
 
-    def _note_serve(self, tracer, query: Query, source: str, fingerprint: tuple, last) -> None:
+    def _note_serve(self, tracer, query: Query, source: str, ordinal: int, last) -> None:
         """Record one causally novel arrival, chained to the last chain event."""
         record = tracer.instant(
             "serve.arrival",
@@ -336,7 +362,7 @@ class PlanServer:
             source=source,
             follows=None if last is None else last[0],
         )
-        self._follow[fingerprint] = (record.span_id, True)
+        self._follow[ordinal] = (record.span_id, True)
 
     def report(self, decision: ServeDecision, latency: float, timed_out: bool = False) -> None:
         """Client telemetry: the served plan ran in ``latency`` seconds.
@@ -496,7 +522,7 @@ class PlanServer:
                 if tracer.enabled:
                     # The admission verdict follows the fingerprint's last
                     # arrival; the re-optimization span follows the verdict.
-                    last = self._follow.get(task.fingerprint)
+                    last = self._follow.get(entry.ordinal)
                     verdict = tracer.instant(
                         "serve.admission",
                         category="serve",
@@ -506,7 +532,7 @@ class PlanServer:
                         score=task.score,
                         follows=None if last is None else last[0],
                     )
-                    self._follow[task.fingerprint] = (verdict.span_id, False)
+                    self._follow[entry.ordinal] = (verdict.span_id, False)
                     follows = verdict.span_id
                 records.append(
                     self._optimize_entry(entry, task, parent=mspan, follows=follows)
@@ -630,7 +656,7 @@ class PlanServer:
                 adopted=adopted,
                 best_latency=best,
             )
-            self._follow[entry.fingerprint] = (upsert.span_id, False)
+            self._follow[entry.ordinal] = (upsert.span_id, False)
         return MaintenanceRecord(
             query_name=query.name,
             reason=task.reason,

@@ -9,6 +9,7 @@ and determinism under the process-pool backend.
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 
@@ -22,6 +23,7 @@ from repro.db.plan_cache import (
     CacheStats,
     ExecutionCache,
     ExecutionCacheConfig,
+    Fingerprint,
     plan_fingerprint,
     query_fingerprint,
 )
@@ -82,6 +84,34 @@ class TestFingerprints:
             raising=False,
         )
         assert query_fingerprint(query) is first
+
+    def test_a_fingerprint_and_its_plain_tuple_are_one_key(self, tiny_database, tiny_query):
+        fingerprint = query_fingerprint(tiny_query)
+        plain = tuple(fingerprint)
+        assert type(fingerprint) is Fingerprint and type(plain) is tuple
+        assert fingerprint == plain and plain == fingerprint
+        assert hash(fingerprint) == hash(plain)
+        assert {plain: "old"}[fingerprint] == "old" and {fingerprint: "new"}[plain] == "new"
+        assert plain in {fingerprint} and fingerprint in {plain}
+        # Keys that nest it — outcome logs, a node's imported set — match too,
+        # whichever side was written before fingerprints cached their hash.
+        plan = tiny_database.plan(tiny_query)
+        assert (plain, plan.canonical()) in {plan_fingerprint(tiny_query, plan)}
+        assert plan_fingerprint(tiny_query, plan) in {(plain, plan.canonical())}
+        assert repr(fingerprint) == repr(plain)
+
+    def test_a_fingerprint_copies_and_pickles_as_its_content(self, tiny_query):
+        fingerprint = query_fingerprint(tiny_query)
+        data = pickle.dumps(fingerprint, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"_hash" not in data
+        for clone in (copy.copy(fingerprint), copy.deepcopy(fingerprint), pickle.loads(data)):
+            assert type(clone) is Fingerprint
+            assert clone == fingerprint and hash(clone) == hash(fingerprint)
+        # A memo pickled as a plain tuple (before this class) is wrapped once.
+        query = Query("old", tiny_query.table_refs, tiny_query.join_predicates, tiny_query.filters)
+        query._fingerprint = tuple(fingerprint)
+        assert type(query_fingerprint(query)) is Fingerprint
+        assert query_fingerprint(query) is query_fingerprint(query) == fingerprint
 
     def test_query_from_before_the_memo_fingerprints_the_same(self, tiny_query,
                                                               tiny_three_table_query):

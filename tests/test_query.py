@@ -71,6 +71,9 @@ class TestQueryConstruction:
         assert clone == query
         assert clone.__dict__["_fingerprint"] == fingerprint
         assert query_fingerprint(clone) is clone.__dict__["_fingerprint"]
+        # The memo's hash belongs to the process that computed it: the pickle
+        # carries the content only.
+        assert b"_hash" not in pickle.dumps(query)
 
     def test_duplicate_aliases_rejected(self):
         with pytest.raises(QueryError):

@@ -6,6 +6,9 @@ import contextlib
 import dataclasses
 import logging
 import os
+import pickle
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -17,6 +20,7 @@ import repro.harness.checkpoint as checkpoint_module
 import repro.serve.store as store_module
 from repro.core import BayesQO, BayesQOConfig, reoptimize
 from repro.core.protocol import BudgetSpec
+from repro.db.plan_cache import query_fingerprint
 from repro.db.query import FilterPredicate, Query
 from repro.exceptions import OptimizationError
 from repro.harness.checkpoint import atomic_pickle_save
@@ -42,6 +46,7 @@ from repro.utils.logging import get_logger
 from repro.workloads.drift import rollback_to_date
 
 V1_STORE = os.path.join(os.path.dirname(__file__), "data", "plan_store_v1.pkl")
+V2_STORE = os.path.join(os.path.dirname(__file__), "data", "plan_store_v2.pkl")
 
 
 def _serve_config(**overrides) -> ServeConfig:
@@ -140,6 +145,44 @@ class TestPlanStore:
         )
         with pytest.raises(StoreFormatError, match="version 1.*version 2"):
             PlanStore.load(V1_STORE)
+
+    def test_a_format_2_file_from_before_cached_hashes_serves_from_the_store(
+        self, tiny_database, tiny_query, tiny_three_table_query, tiny_two_table_query
+    ):
+        # Written by `PlanServer.checkpoint` before fingerprints cached their
+        # hash, so every key and memo in it is a plain tuple: misses, hits and
+        # reports of the three tiny queries with one maintenance run (Bao on
+        # tiny_q1) in the snapshot, and more of each in one tail record.
+        header = read_store_header(V2_STORE)
+        assert header.version == STORE_FORMAT_VERSION
+        assert os.path.getsize(V2_STORE) > header.snapshot_bytes
+        loaded = PlanStore.load(V2_STORE)
+        assert len(loaded.tail) == 1
+        assert all(type(fingerprint) is tuple for fingerprint in loaded.entries)
+
+        database = tiny_database.snapshot()
+        server = PlanServer.resume(V2_STORE, database)
+        counters = server.counters.snapshot()
+        assert (counters["arrivals"], counters["fast_path"], counters["misses"]) == (11, 8, 3)
+        assert (counters["reports"], counters["optimizations"]) == (10, 1)
+        entries = list(server.store.entries.values())
+        assert [entry.query.name for entry in entries] == ["tiny_q1", "tiny_q2", "tiny_q3"]
+        assert [entry.source for entry in entries] == ["bao", "default", "default"]
+        stored = {entry.query.name: entry.best_plan.canonical() for entry in entries}
+        fresh = (tiny_query, tiny_three_table_query, tiny_two_table_query)
+        for query in fresh:
+            stats = server.admission.stats[query_fingerprint(query)]
+            assert stats.arrivals == server.store.get(query).serves + 1
+        # The stored outcome logs primed the database: a stored plan replays.
+        plan = server.store.get(tiny_query).best_plan
+        assert database.execute(tiny_query, plan, timeout=600.0).cache.outcome_hit
+
+        server.database = _PoisonedDatabase()
+        for query in [entry.query for entry in entries] + [*fresh]:
+            decision = server.serve(query)
+            assert decision.source == "store"
+            assert decision.plan.canonical() == stored[query.name]
+        assert server.counters.fast_path == 8 + 6 and server.counters.planner_calls == 3
 
     def test_header_of_a_missing_or_foreign_file_is_none(self, tmp_path):
         assert read_store_header(os.path.join(tmp_path, "absent.pkl")) is None
@@ -341,6 +384,18 @@ class TestPlanServer:
                     server.report(decision, 0.01)
             assert journal is None or len(journal.pending) == 3 * 2 * (5 + 14)
 
+    def test_serve_decision_is_an_immutable_record(self, tiny_query):
+        positional = ServeDecision(tiny_query, None, "store", ("fingerprint",))
+        keyword = ServeDecision(
+            query=tiny_query, plan=None, source="store", fingerprint=("fingerprint",)
+        )
+        assert positional == keyword
+        assert keyword.query is tiny_query and keyword.plan is None
+        assert (keyword.source, keyword.fingerprint) == ("store", ("fingerprint",))
+        for name in ("query", "plan", "source", "fingerprint"):
+            with pytest.raises(AttributeError):
+                setattr(positional, name, None)
+
     def test_report_flags_drift(self, tiny_database, tiny_query):
         server = PlanServer(tiny_database.snapshot(), config=_serve_config(drift_factor=1.5))
         decision = server.serve(tiny_query)
@@ -533,6 +588,82 @@ class TestStream:
             )
             assert result.drift_firings == []
             assert data_signature(server.database) == data_signature(past)
+
+
+# --------------------------------------------------------------------- the hash stays in its process
+_TINY_DATABASE = """
+import os, pickle, sys
+from conftest import _tiny_schema, _tiny_specs
+from repro.core.protocol import BudgetSpec
+from repro.db.datagen import DataGenerator
+from repro.db.engine import Database
+from repro.db.plan_cache import query_fingerprint
+from repro.serve import PlanServer, PlanStore, ServeConfig
+
+def tiny_database():
+    schema = _tiny_schema()
+    return Database(schema, DataGenerator(schema, _tiny_specs(), seed=7).generate(), seed=7)
+
+def path(name):
+    return os.path.join(sys.argv[1], name)
+
+with open(path("queries.pkl"), "rb") as handle:
+    fresh = pickle.load(handle)  # no fingerprint memo: hashed in this process
+"""
+
+_WRITER = """
+database = tiny_database()
+server = PlanServer(database, config=ServeConfig(budget=BudgetSpec(max_executions=6)))
+for query in fresh + fresh:
+    decision = server.serve(query)
+    server.report(decision, database.execute(query, decision.plan, timeout=600.0).latency)
+server.checkpoint(path("store.pkl"))
+query = fresh[0]
+assert query.__dict__["_fingerprint"] is query_fingerprint(query)
+assert b"_hash" not in pickle.dumps(query_fingerprint(query))
+with open(path("query.pkl"), "wb") as handle:
+    pickle.dump((query, server.store.get(query).best_plan), handle)
+with open(path("outcomes.pkl"), "wb") as handle:
+    pickle.dump(database.execution_cache.export_outcomes(), handle)
+print(hash(query_fingerprint(query)))
+"""
+
+_READER = """
+with open(path("query.pkl"), "rb") as handle:
+    query, plan = pickle.load(handle)  # its memo was computed by the writer
+assert query.__dict__["_fingerprint"] is not None
+for probe in (query, fresh[0]):
+    store = PlanStore.load(path("store.pkl"))
+    assert store.get(probe) is not None
+    server = PlanServer.resume(path("store.pkl"), tiny_database())
+    assert query_fingerprint(probe) in server.admission.stats
+    assert server.serve(probe).source == "store"
+    database = tiny_database()
+    database.execution_cache.import_outcomes(pickle.load(open(path("outcomes.pkl"), "rb")))
+    assert database.execute(probe, plan, timeout=600.0).cache.outcome_hit
+print(hash(query_fingerprint(fresh[0])))
+"""
+
+
+def test_a_fingerprint_hash_never_leaves_its_process(tmp_path, tiny_query,
+                                                     tiny_three_table_query):
+    """A query, a store and an outcome log written under one hash seed serve,
+    admit and replay under another.  The e2e runs pin ``PYTHONHASHSEED`` and
+    fork their workers, so a hash that rode a pickle shows only here."""
+    with open(os.path.join(tmp_path, "queries.pkl"), "wb") as handle:
+        pickle.dump([dataclasses.replace(q) for q in (tiny_query, tiny_three_table_query)], handle)
+    search_path = os.pathsep.join([os.path.dirname(__file__), *sys.path])
+    hashes = []
+    for script, hash_seed in ((_WRITER, "1"), (_READER, "2")):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": search_path}
+        run = subprocess.run(
+            [sys.executable, "-c", _TINY_DATABASE + script, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        hashes.append(run.stdout.split()[-1])
+    # The two processes salt their hashes differently, or this proves nothing.
+    assert hashes[0] != hashes[1]
 
 
 # --------------------------------------------------------------------- kill anywhere, resume exactly
