@@ -161,6 +161,26 @@ class BayesQOState(OptimizerState):
     #: Uncensored latencies in observation order (for percentile timeouts).
     observed_latencies: list = field(default_factory=list)
 
+    def decode_memo(self) -> dict:
+        """Token sequence -> (canonical key, merge list) of this query's decodes.
+
+        A cache, not a field: never pickled, so a checkpoint keeps the layout
+        (and size) of the state without it and a resumed state rebuilds it on
+        its first ask.  ``BayesQO.finish`` drops it.
+        """
+        memo = self.__dict__.get("_decode_memo")
+        if memo is None:
+            memo = self.__dict__["_decode_memo"] = {}
+        return memo
+
+    def clear_decode_memo(self) -> None:
+        self.__dict__.pop("_decode_memo", None)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_decode_memo", None)
+        return state
+
 
 class BayesQO:
     """The offline query optimizer."""
@@ -306,21 +326,32 @@ class BayesQO:
         """
         engine, query = state.engine, state.query
         latent_space = self.schema_model.latent_space
+        tables = latent_space.codec.tables(query)
+        memo = state.decode_memo()
         taken = {proposal.plan.canonical() for proposal in state.outstanding.values()}
         plans: list[JoinTree] = []
         decode_seconds = 0.0
 
         def admissible(points: np.ndarray) -> np.ndarray:
+            # A point's plan is known by its key; a latent whose token
+            # sequence was decoded before costs one memo probe, and only the
+            # accepted point's tree is built.
             nonlocal decode_seconds
             start = time.perf_counter()
-            decoded = latent_space.decode_vectors(points, query)
-            decode_seconds += time.perf_counter() - start
-            keys = [plan.canonical() for plan in decoded]
-            mask = np.array([key not in state.executed and key not in taken for key in keys])
+            decoded = []
+            for row in latent_space.token_rows(points):
+                walked = memo.get(row)
+                if walked is None:
+                    walked = memo[row] = tables.walk(row)
+                decoded.append(walked)
+            mask = np.array(
+                [key not in state.executed and key not in taken for key, _ in decoded]
+            )
             if mask.any():  # the engine takes the first point accepted
-                first = int(mask.argmax())
-                taken.add(keys[first])
-                plans.append(decoded[first])
+                key, merges = decoded[int(mask.argmax())]
+                taken.add(key)
+                plans.append(tables.build(merges))
+            decode_seconds += time.perf_counter() - start
             return mask
 
         # A top-up ask may arrive before any init outcome was observed; the
@@ -423,6 +454,7 @@ class BayesQO:
 
     def finish(self, state: BayesQOState) -> OptimizationResult:
         """Close the state and return the execution trace."""
+        state.clear_decode_memo()
         return state.result
 
     def predicted_improvement(self, state: BayesQOState) -> float:

@@ -12,11 +12,21 @@ guarantees are:
 
 The language is intentionally not injective: multiple strings may decode to
 the same plan (the paper accepts this trade-off, following SELFIES).
+
+Decoding is key first.  :class:`DecodeTables`, built once per (vocabulary,
+query aliases), turns the repair rule into table lookups over plain ints; its
+:meth:`~DecodeTables.walk` returns the plan's canonical key
+(:meth:`JoinTree.canonical`) and the list of merges that build it, without
+creating a single ``JoinTree``.  The BO loop decodes many latents per plan it
+proposes and only needs the keys of the ones it rejects; the tree of a plan
+that leaves the decoder is built from its merges by
+:meth:`~DecodeTables.build`, through :meth:`JoinTree.join` and its validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.db.query import Query
 from repro.exceptions import EncodingError
@@ -40,6 +50,13 @@ class PlanCodec:
     """
 
     vocabulary: PlanVocabulary
+
+    def __getstate__(self):
+        # The decode tables are rebuilt on demand; pickles (schema models in
+        # checkpoints and plan stores) keep the layout of the bare codec.
+        state = self.__dict__.copy()
+        state.pop("_tables", None)
+        return state
 
     # ------------------------------------------------------------------ encoding
     def encode(self, plan: JoinTree, query: Query) -> list[int]:
@@ -71,27 +88,27 @@ class PlanCodec:
         return tokens + [self.vocabulary.pad_id] * (length - len(tokens))
 
     # ------------------------------------------------------------------ decoding
-    def decode(self, tokens: list[int], query: Query) -> JoinTree:
+    def tables(self, query: Query) -> DecodeTables:
+        """The decode tables of ``query``'s aliases (built once per alias tuple)."""
+        aliases = tuple(query.aliases)
+        cache = self.__dict__.setdefault("_tables", {})
+        tables = cache.get(aliases)
+        if tables is None:
+            if not aliases:
+                raise EncodingError(f"query {query.name!r} has no tables to plan")
+            tables = cache[aliases] = DecodeTables(self.vocabulary, aliases)
+        return tables
+
+    def decode(self, tokens: Sequence[int], query: Query) -> JoinTree:
         """Decode any token sequence into a valid join tree for ``query``.
 
-        The decoder maintains the forest of partially-built components and
-        repairs every invalid symbol by indexing into the list of valid
-        symbols at that position.  If the sequence ends before the tree is
-        complete, the remaining components are joined deterministically with
-        hash joins.
+        The key-first walk (:meth:`DecodeTables.walk`) repairs every invalid
+        symbol and completes a truncated sequence; the tree is then built
+        from its merge list through :meth:`JoinTree.join`, which validates
+        every join.
         """
-        aliases = query.aliases
-        if not aliases:
-            raise EncodingError(f"query {query.name!r} has no tables to plan")
-        if len(aliases) == 1:
-            return JoinTree.leaf(aliases[0])
-        state = _DecodeState(query, self.vocabulary)
-        position = 0
-        while state.num_components > 1 and position + 3 <= len(tokens):
-            state.apply_triple(tokens[position : position + 3])
-            position += 3
-        state.complete()
-        return state.result()
+        tables = self.tables(query)
+        return tables.build(tables.walk(tokens)[1])
 
     def round_trip(self, plan: JoinTree, query: Query) -> JoinTree:
         """Encode then decode a plan (identity for canonical encodings)."""
@@ -102,72 +119,90 @@ class PlanCodec:
         return " ".join(self.vocabulary.token_of(token) for token in tokens)
 
 
-class _DecodeState:
-    """Forest of components built while decoding one plan string."""
+#: One step of a decode: (left component, right component, operator).  A
+#: component is named by the query-order index of the alias it started from;
+#: a merge keeps the left component's name.
+Merge = tuple[int, int, JoinOp]
 
-    def __init__(self, query: Query, vocabulary: PlanVocabulary) -> None:
-        self.query = query
-        self.vocabulary = vocabulary
-        # Component id -> current subtree; alias -> component id.
-        self.components: dict[int, JoinTree] = {}
-        self.component_of: dict[str, int] = {}
-        for i, alias in enumerate(query.aliases):
-            self.components[i] = JoinTree.leaf(alias)
-            self.component_of[alias] = i
 
-    # ------------------------------------------------------------------ component bookkeeping
-    @property
-    def num_components(self) -> int:
-        return len(self.components)
+class DecodeTables:
+    """Lookup tables of the key-first decode of one query's plan strings.
 
-    def _valid_alias_ids(self, exclude_component: int | None = None) -> list[int]:
-        """Alias token ids valid at this point, sorted for determinism."""
-        valid = []
-        for alias, component in self.component_of.items():
-            if exclude_component is not None and component == exclude_component:
-                continue
-            valid.append(self.vocabulary.alias_id(alias))
-        return sorted(valid)
+    Alias ``i`` is ``aliases[i]`` (query order), and so is component ``i``
+    before any merge.  ``ranked`` lists the alias indices in vocabulary-id
+    order: the valid left symbols, in the order the repair rule indexes them.
+    """
 
-    def _repair(self, token: int, valid: list[int]) -> int:
-        if token in valid:
-            return token
-        if not valid:
-            raise EncodingError("no valid symbols available during decoding")
-        return valid[token % len(valid)]
+    __slots__ = ("aliases", "leaves", "index_of", "ranked", "op_of", "ops")
 
-    # ------------------------------------------------------------------ decoding steps
-    def apply_triple(self, triple: list[int]) -> None:
-        left_token, right_token, op_token_id = triple
-        left_valid = self._valid_alias_ids()
-        left_token = self._repair(left_token, left_valid)
-        left_alias = self.vocabulary.token_of(left_token)
-        left_component = self.component_of[left_alias]
+    def __init__(self, vocabulary: PlanVocabulary, aliases: Sequence[str]) -> None:
+        ids = vocabulary.alias_ids(aliases)
+        self.aliases = tuple(aliases)
+        self.leaves = tuple(JoinTree.leaf(alias) for alias in aliases)
+        self.index_of = {token: index for index, token in enumerate(ids)}
+        self.ranked = tuple(sorted(range(len(ids)), key=ids.__getitem__))
+        #: Operator token -> (operator, its rendering in a canonical key);
+        #: ``ops`` holds the same pairs in token-id order.
+        self.op_of = {
+            token: (vocabulary.op_of(token), vocabulary.op_of(token).symbol)
+            for token in sorted(vocabulary.op_ids)
+        }
+        self.ops = tuple(self.op_of.values())
 
-        right_valid = self._valid_alias_ids(exclude_component=left_component)
-        right_token = self._repair(right_token, right_valid)
-        right_alias = self.vocabulary.token_of(right_token)
-        right_component = self.component_of[right_alias]
+    def walk(self, tokens: Sequence[int]) -> tuple[str, tuple[Merge, ...]]:
+        """The canonical key and merge list of the plan ``tokens`` decode to.
 
-        op_token_id = self._repair(op_token_id, sorted(self.vocabulary.op_ids))
-        op = self.vocabulary.op_of(op_token_id)
-        self._merge(left_component, right_component, op)
+        Each ``(left, right, operator)`` triple merges two components.  A
+        symbol that is valid where it stands is kept; any other becomes
+        ``valid[token % len(valid)]``, where the valid left symbols are all
+        the query's alias ids, the valid right ones those outside the left
+        symbol's component and the valid operators the operator ids, each
+        sorted.  A sequence that ends before the plan is complete is finished
+        by hash joins of the lowest-numbered component with each other one,
+        in order.
+        """
+        keys = list(self.aliases)
+        if len(keys) == 1:
+            return keys[0], ()
+        index_of, ranked, op_of, ops = self.index_of, self.ranked, self.op_of, self.ops
+        label = list(range(len(keys)))
+        members = [[index] for index in label]
+        merges: list[Merge] = []
+        joins_left = len(keys) - 1
 
-    def _merge(self, left_component: int, right_component: int, op: JoinOp) -> None:
-        left_tree = self.components.pop(left_component)
-        right_tree = self.components.pop(right_component)
-        merged = JoinTree.join(left_tree, right_tree, op)
-        self.components[left_component] = merged
-        for alias in merged.leaf_aliases():
-            self.component_of[alias] = left_component
+        def merge(left: int, right: int, op: JoinOp, symbol: str) -> None:
+            keys[left] = f"({keys[left]} {symbol} {keys[right]})"
+            moved = members[right]
+            members[left] += moved
+            for index in moved:
+                label[index] = left
+            merges.append((left, right, op))
 
-    def complete(self) -> None:
-        """Join any remaining components deterministically (hash joins, id order)."""
-        while self.num_components > 1:
-            ordered = sorted(self.components)
-            self._merge(ordered[0], ordered[1], JoinOp.HASH)
+        position, end = 0, len(tokens) - 2
+        while joins_left and position < end:
+            index = index_of.get(tokens[position])
+            if index is None:
+                index = ranked[tokens[position] % len(ranked)]
+            left = label[index]
+            index = index_of.get(tokens[position + 1])
+            if index is None or label[index] == left:
+                valid = [other for other in ranked if label[other] != left]
+                index = valid[tokens[position + 1] % len(valid)]
+            op, symbol = op_of.get(tokens[position + 2]) or ops[tokens[position + 2] % len(ops)]
+            merge(left, label[index], op, symbol)
+            position += 3
+            joins_left -= 1
+        if joins_left:
+            first, *rest = sorted(set(label))
+            for right in rest:
+                merge(first, right, JoinOp.HASH, JoinOp.HASH.symbol)
+        return keys[merges[-1][0]], tuple(merges)
 
-    def result(self) -> JoinTree:
-        if self.num_components != 1:
-            raise EncodingError("decoding finished with more than one component")
-        return next(iter(self.components.values()))
+    def build(self, merges: Sequence[Merge]) -> JoinTree:
+        """The join tree a merge list of :meth:`walk` describes."""
+        trees = list(self.leaves)
+        root = 0
+        for left, right, op in merges:
+            trees[left] = JoinTree.join(trees[left], trees[right], op)
+            root = left
+        return trees[root]

@@ -69,10 +69,14 @@ class LatentSpace:
         )
         return self.embed_tokens(tokens)
 
+    def token_rows(self, vectors: np.ndarray) -> list[tuple[int, ...]]:
+        """Argmax token sequences of latent vectors (one, or one per row), as int tuples."""
+        return list(map(tuple, self.model.decode_tokens(np.atleast_2d(vectors)).tolist()))
+
     def decode_vectors(self, vectors: np.ndarray, query: Query) -> list[JoinTree]:
         """Decode latent vectors (one, or one per row) to valid join trees for ``query``."""
-        tokens = self.model.decode_tokens(np.atleast_2d(vectors))
-        return [self.codec.decode([int(t) for t in row], query) for row in tokens]
+        tables = self.codec.tables(query)
+        return [tables.build(tables.walk(row)[1]) for row in self.token_rows(vectors)]
 
     # ------------------------------------------------------------------ search domain
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

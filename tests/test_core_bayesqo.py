@@ -1,6 +1,7 @@
 """Integration tests for the BayesQO optimizer on the tiny database."""
 
 import json
+import pickle
 import time
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, reoptimize
 from repro.core.cache import PlanCache
 from repro.core.optimizer import train_schema_model
-from repro.core.protocol import BudgetSpec, drive, drive_query, inline_submit
+from repro.core.protocol import (
+    BudgetSpec, ExecutionOutcome, drive, drive_query, inline_submit,
+)
 from repro.exceptions import OptimizationError
 
 #: What the parent of PR 16 did on these fixtures (``comment`` inside).
@@ -212,3 +215,60 @@ class TestProposalsSpendBudget:
         assert {p.canonical() for p in latent_space.decode_vectors(sample, query)} <= set(plans)
         # The asks that found nothing drew a trust-region and a global pool.
         assert optimizer.overhead.iterations <= 2 * (len(plans) + 2)
+
+
+# ------------------------------------------------------------------ the decode memo
+def _step(optimizer, state, database, steps=None):
+    """``steps`` suggest -> execute -> observe rounds (all of them: the budget)."""
+    while state.budget_left() and steps != 0:
+        proposal = optimizer.suggest(state)
+        if proposal is None:
+            state.exhausted = True
+            break
+        execution = database.execute(state.query, proposal.plan, timeout=proposal.timeout)
+        optimizer.observe(state, ExecutionOutcome.from_execution(execution, proposal.timeout))
+        steps = None if steps is None else steps - 1
+
+
+class TestDecodeMemo:
+    """Token sequence -> (key, merges) per query: a cache that never reaches a pickle."""
+
+    CONFIG = BayesQOConfig(max_executions=16, num_candidates=64, seed=0)
+
+    def test_checkpoint_holds_no_memo_and_resumes_to_the_uninterrupted_trace(
+        self, tiny_database, tiny_schema_model, tiny_query
+    ):
+        optimizer = BayesQO(tiny_database.snapshot(), tiny_schema_model, config=self.CONFIG)
+        state = optimizer.start(tiny_query)
+        _step(optimizer, state, optimizer.database)
+        reference = optimizer.finish(state).trace_signature()
+        assert "_decode_memo" not in state.__dict__
+
+        optimizer = BayesQO(tiny_database.snapshot(), tiny_schema_model, config=self.CONFIG)
+        state = optimizer.start(tiny_query)
+        _step(optimizer, state, optimizer.database, steps=12)
+        assert state.result.sources()["bo"] > 0 and state.decode_memo()
+        blob = pickle.dumps((optimizer, state))
+        checkpoint = pickle.dumps(state)
+        state.clear_decode_memo()
+        assert checkpoint == pickle.dumps(state)
+
+        optimizer, resumed = pickle.loads(blob)
+        assert "_decode_memo" not in resumed.__dict__
+        _step(optimizer, resumed, optimizer.database)
+        assert optimizer.finish(resumed).trace_signature() == reference
+
+    def test_state_pickled_by_the_parent_build_resumes(
+        self, tiny_database, tiny_schema_model, tiny_three_table_query
+    ):
+        # Pickled by the build before the memo: ``optimizer.start(tiny_q2,
+        # BudgetSpec(max_executions=10))`` under CONFIG, six rounds of ``_step``.
+        with open(Path(__file__).parent / "data" / "bayesqo_state_pre_memo.pkl", "rb") as handle:
+            state = pickle.load(handle)
+        assert state.query == tiny_three_table_query
+        assert state.result.num_executions == 6 and state.budget.max_executions == 10
+        optimizer = BayesQO(tiny_database.snapshot(), tiny_schema_model, config=self.CONFIG)
+        _step(optimizer, state, optimizer.database)
+        plans = [record.plan.canonical() for record in optimizer.finish(state).trace]
+        assert len(plans) == len(set(plans))
+        assert len(plans) == 10 or state.exhausted

@@ -4,11 +4,17 @@ Property-based tests (hypothesis) check the paper's two required language
 properties over arbitrary token sequences and arbitrary plans.
 """
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.reference_decoder import reference_decode
+from repro.core import VAETrainingConfig
+from repro.core.optimizer import train_schema_model
 from repro.db.catalog import Column, ForeignKey, Schema, Table
 from repro.db.query import JoinPredicate, Query, TableRef
 from repro.exceptions import EncodingError
@@ -16,6 +22,9 @@ from repro.plans.encoding import PlanCodec, sequence_length
 from repro.plans.jointree import JOIN_OPS, JoinOp, JoinTree
 from repro.plans.sampling import random_join_tree
 from repro.plans.vocabulary import PAD_TOKEN, build_vocabulary, max_aliases_in_workload
+from repro.workloads import build_dsb_workload, build_job_workload, build_stack_workload
+from repro.workloads.generator import RandomQuerySampler
+from repro.workloads.imdb import build_imdb_schema
 
 
 def star_schema(num_dims: int = 5) -> Schema:
@@ -170,10 +179,105 @@ class TestDecodingValidity:
         assert decoded.canonical() == plan.canonical()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(min_value=-5, max_value=2**31), min_size=3, max_size=30))
+    @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=3, max_size=30))
     def test_out_of_range_tokens_are_repaired(self, tokens):
-        # Tokens far outside the vocabulary still decode (the repair rule indexes
-        # into the valid-symbol list with the raw integer value).
-        clipped = [abs(token) % (VOCAB.size * 3) for token in tokens]
-        plan = CODEC.decode(clipped, QUERY)
+        # Negative ids and ids far outside the vocabulary still decode: the
+        # repair rule indexes into the valid-symbol list with the raw integer.
+        plan = CODEC.decode(tokens, QUERY)
         plan.validate_for_query(QUERY)
+        assert plan == reference_decode(VOCAB, tokens, QUERY)
+
+
+# ---------------------------------------------------------------------------- decoder oracle
+#: ``REPRO_ORACLE_FULL=1`` (``make oracle-full``) decodes VAE-decoded and
+#: random sequences for every query of the three benchmark workloads; tier-1
+#: takes every eighth query and fewer sequences.
+ORACLE_FULL = os.environ.get("REPRO_ORACLE_FULL") == "1"
+
+JOB_SCHEMA = build_imdb_schema()
+JOB_CODEC = PlanCodec(build_vocabulary(JOB_SCHEMA, max_aliases=2))
+#: JOB-schema queries of 1-10 tables over the alias-2 reference graph (some
+#: join two aliases of one table, e.g. ``cast_info#1`` and ``cast_info#2``).
+JOB_QUERIES = [
+    query
+    for tables in range(1, 11)
+    for query in RandomQuerySampler(
+        JOB_SCHEMA, max_aliases=2, min_tables=tables, max_tables=tables
+    ).sample(3, seed=tables)
+]
+ORACLE_CASES = [(CODEC, QUERY)] + [(JOB_CODEC, query) for query in JOB_QUERIES]
+
+
+def assert_decodes_like_the_oracle(codec: PlanCodec, tokens: list[int], query: Query) -> None:
+    expected = reference_decode(codec.vocabulary, tokens, query)
+    tables = codec.tables(query)
+    key, merges = tables.walk(tokens)
+    assert codec.decode(tokens, query) == expected
+    assert key == expected.canonical()
+    assert tables.build(merges) == expected
+
+
+def token_lists(vocabulary) -> st.SearchStrategy:
+    """Up to 40 ids: in-vocabulary, pad and operators anywhere, negative, too large."""
+    size = vocabulary.size
+    token = st.one_of(
+        st.integers(min_value=0, max_value=size - 1),
+        st.sampled_from([vocabulary.pad_id, *vocabulary.op_ids]),
+        st.integers(min_value=-3 * size, max_value=-1),
+        st.integers(min_value=size, max_value=2**40),
+    )
+    return st.lists(token, max_size=40)
+
+
+class TestDecoderOracle:
+    """The key-first walk decodes as the component-forest reference decoder did."""
+
+    def test_job_queries_cover_every_size_and_repeated_tables(self):
+        assert {query.num_tables for query in JOB_QUERIES} == set(range(1, 11))
+        tables = [[ref.table for ref in query.table_refs] for query in JOB_QUERIES]
+        assert any(len(set(names)) < len(names) for names in tables)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_token_list_decodes_like_the_oracle(self, data):
+        codec, query = data.draw(st.sampled_from(ORACLE_CASES))
+        assert_decodes_like_the_oracle(codec, data.draw(token_lists(codec.vocabulary)), query)
+
+    def test_tables_are_built_once_per_alias_tuple_and_not_pickled(self):
+        codec = PlanCodec(VOCAB)
+        assert codec.tables(QUERY) is codec.tables(star_query())
+        assert pickle.dumps(codec) == pickle.dumps(PlanCodec(VOCAB))
+        with pytest.raises(EncodingError):
+            codec.tables(Query("empty", [], []))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "build", [build_job_workload, build_stack_workload, build_dsb_workload],
+        ids=["job", "stack", "dsb"],
+    )
+    def test_benchmark_workloads(self, build):
+        workload = build(scale=0.05, seed=0)
+        model = train_schema_model(
+            workload.database, workload.queries,
+            VAETrainingConfig(
+                latent_dim=8, embed_dim=8, hidden_dim=32, training_steps=60,
+                corpus_queries=12, seed=0,
+            ),
+        )
+        latent, codec = model.latent_space, model.codec
+        size = codec.vocabulary.size
+        rng = np.random.default_rng(0)
+        queries = workload.queries if ORACLE_FULL else workload.queries[::8]
+        count = 64 if ORACLE_FULL else 8
+        for query in queries:
+            vectors = latent.random_vectors(count, rng)
+            decoded = [list(row) for row in latent.token_rows(vectors)]
+            assert latent.decode_vectors(vectors, query) == [
+                reference_decode(codec.vocabulary, tokens, query) for tokens in decoded
+            ]
+            random = [
+                rng.integers(-size, 2 * size, int(rng.integers(0, 41))).tolist()
+                for _ in range(count)
+            ]
+            for tokens in decoded + random:
+                assert_decodes_like_the_oracle(codec, tokens, query)
