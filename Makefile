@@ -25,10 +25,14 @@ quick:
 # distinct Bao hint-set plans, plus 300 random small databases (~35 s).
 # Plan decoder vs. the component-forest reference decoder on every JOB/Stack/DSB
 # query x 64 VAE-decoded and 64 random token sequences (~20 s).
+# Closed-form fantasized conditioning vs. the augmented-factor solve: 2000
+# property examples, and the timeout rule's grid level for 64 probe candidates
+# after every observation of both replayed GP streams (~60 s).
 oracle-full:
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_db_optimizer.py -k test_benchmark_workloads
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_executor_oracle.py
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_encoding.py -k "TestDecoderOracle and test_benchmark_workloads"
+	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_bo_gp.py -k TestFantasizeOracle
 
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_surrogate_hotpath.py --smoke

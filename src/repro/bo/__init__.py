@@ -50,7 +50,11 @@ refit per observation, larger values amortize the O(n^3) fit over cheap warm
 updates.  Fantasized conditioning (the
 uncertainty-timeout rule) never refits at all: ``fantasize``/``fantasize_batch``
 condition on hypothetical censored observations in closed form against the
-cached factorization, sharing one rank-1 extension across all probed levels.
+cached factorization.  The rank-1 extension they imply is never built: one
+kernel call and one forward solve give the posterior at the candidate (which
+the imputation needs), the extension's pivot and the queries' rows, and every
+probed level is O(1) arithmetic on those (``ExactGP.fantasize_batch`` has the
+identities).
 """
 
 from repro.bo.acquisition import (

@@ -14,18 +14,25 @@ matrix (re-scaled, not recomputed, during hyper-parameter optimization, which
 runs L-BFGS on analytic marginal-likelihood gradients), ``add_observation``
 extends the Cholesky factor with a rank-1 update in O(n^2), and
 ``fantasize``/``fantasize_batch`` condition on a hypothetical observation in
-closed form instead of cloning and refitting the model.
+closed form (the Schur complement of the extension that observation would
+make) instead of cloning and refitting the model.
 
 The linear algebra is LAPACK called with the arguments scipy's wrappers pass
 (every float is theirs) minus their per-call Python: ``potrf`` factorizes (a
 fit, the joint covariance of ``posterior_samples``), ``potrs`` solves for
-``alpha``, ``trtrs`` is the forward substitution of ``predict``, the samplers
-and both rank-1 extensions, ``potri`` inverts for the likelihood gradient.
+``alpha``, ``trtrs`` is the forward substitution of ``predict``, the samplers,
+the rank-1 extension of ``add_observation`` and a fantasy's one solve (the new
+point's kernel row, the queries', ``y`` and a column of ones together; the
+conditioning itself is closed-form arithmetic on what it returns, with no
+extended factor and no solve per fantasized value), ``potri`` inverts for the
+likelihood gradient.
 Every call checks its arguments finite, as the wrappers did (``_lapack``),
 except the likelihood objective's, which reads ``potrf``'s ``info`` instead.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 from scipy import linalg, optimize
@@ -261,38 +268,67 @@ class ExactGP:
         """Posterior at ``x_query`` conditioned on ``(x_new, y)`` for each ``y``.
 
         Equivalent to refitting on the augmented dataset once per value (the
-        old clone-and-refit path), but the extended Cholesky factor depends
-        only on ``x_new``, so one rank-1 extension is shared by the whole
-        batch: O(n^2 (B + Q)) for B values and Q query points instead of
-        O(B n^3).  Returns arrays of shape ``(B, Q)``.
+        old clone-and-refit path, which re-standardizes the responses each
+        time), but the extended factor is never built: its Schur complement
+        gives every quantity in closed form.  With ``L`` the cached factor,
+        ``k`` the kernel row of ``x_new`` and ``c`` a query's,
+
+        * ``l = L^-1 k``, ``v = L^-1 c``, ``s^2 = k(x,x) - l.l`` (the
+          posterior variance at ``x_new``), ``p = s^2 + noise`` (the
+          extension's pivot) and ``w = (k(q,x) - l.v) / sqrt(p)``;
+        * the fantasized variance is ``k(q,q) - v.v - w^2``, whatever ``y``;
+        * with ``z_y = L^-1 y`` and ``z_1 = L^-1 1``, the current posterior
+          means are ``m(x) ~ l.z_y`` and ``m(q) ~ v.z_y``, and a value ``y``
+          whose augmented responses' centre is ``d`` above the fitted one has
+          the mean ``m(q) + (w / sqrt(p)) (y - m(x)) + d (1 - v.z_1 -
+          (w / sqrt(p)) (1 - l.z_1))``: O(1) per value;
+        * the augmented centre and scale come from the fitted responses'
+          centred sums.
+
+        One kernel call and one forward solve (``k``, every ``c``, ``y`` and
+        ``1`` as its columns) serve all B values and Q query points.
+        Returns arrays of shape ``(B, Q)``.
         """
+        y_values = np.asarray(y_values, dtype=np.float64).reshape(-1)
+        return self._fantasize(x_new, x_query, lambda mean, std: y_values)
+
+    def _fantasize(
+        self, x_new: np.ndarray, x_query: np.ndarray,
+        responses: Callable[[float, float], np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``fantasize_batch`` on the values ``responses(mean, std)`` returns
+        for the posterior at ``x_new``, which the same solve yields."""
         self._require_fit()
         x_new = np.asarray(x_new, dtype=np.float64).reshape(1, -1)
-        y_values = np.asarray(y_values, dtype=np.float64).reshape(-1)
         x_query = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
-        n = len(self._x)
-        row = self.kernel(x_new, self._x).ravel()
-        l12 = _solve_lower(self._chol, row)
-        pivot = float(self.kernel.diag(x_new)[0]) + self.noise + _JITTER - l12 @ l12
-        chol = np.zeros((n + 1, n + 1))
-        chol[:n, :n] = self._chol
-        chol[n, :n] = l12
-        chol[n, n] = np.sqrt(max(pivot, 1e-10))
-        x_aug = np.vstack([self._x, x_new])
-        # Each fantasized value re-standardizes the augmented responses, exactly
-        # as a refit would (the predictive std scales with std(y)).
-        y_aug = np.concatenate(
-            [np.broadcast_to(self._y_raw, (len(y_values), n)), y_values[:, None]], axis=1
-        )
-        center = y_aug.mean(axis=1)
-        scale = y_aug.std(axis=1)
+        n, count = len(self._x), len(x_query)
+        # Row 0 is x_new, rows 1.. the queries; column n is each against x_new.
+        cross = self.kernel(np.vstack([x_new, x_query]), np.vstack([self._x, x_new]))
+        rhs = np.empty((n, count + 3), order="F")
+        rhs[:, : count + 1] = cross[:, :n].T
+        rhs[:, -2] = self._y
+        rhs[:, -1] = 1.0
+        solved = _solve_lower(self._chol, rhs)
+        l12, v, z_y, z_1 = solved[:, 0], solved[:, 1:-2], solved[:, -2], solved[:, -1]
+        prior_var = float(self.kernel.diag(x_new)[0]) - l12 @ l12
+        mean = float(l12 @ z_y) * self._y_std + self._y_mean
+        std = np.sqrt(max(prior_var, 1e-12)) * self._y_std
+        y_values = np.asarray_chkfinite(np.asarray(responses(mean, std), dtype=np.float64))
+        root = np.sqrt(max(prior_var + self.noise + _JITTER, 1e-10))
+        gain = (cross[1:, n] - l12 @ v) / root
+        var = np.maximum(self.kernel.diag(x_query) - np.sum(v**2, axis=0) - gain**2, 1e-12)
+        weight = gain / root
+        unexplained = 1.0 - z_1 @ v - weight * (1.0 - l12 @ z_1)
+        # The augmented responses' centre (``y_mean + shift``) and scale.
+        centred = self._y_raw - self._y_mean
+        offset = y_values - self._y_mean
+        total = centred.sum() + offset
+        shift = total / (n + 1)
+        squares = centred @ centred + offset**2 - total * shift
+        scale = np.sqrt(np.maximum(squares, 0.0) / (n + 1))
         scale = np.where(scale == 0.0, 1.0, scale)
-        normalized = (y_aug - center[:, None]) / scale[:, None]
-        alpha = _lapack(_POTRS, chol, normalized.T, lower=True)  # (n+1, B)
-        cross = self.kernel(x_query, x_aug)  # (Q, n+1)
-        means = (cross @ alpha).T * scale[:, None] + center[:, None]
-        v = _solve_lower(chol, cross.T)
-        var = np.maximum(self.kernel.diag(x_query) - np.sum(v**2, axis=0), 1e-12)
+        current = self._y_mean + self._y_std * (z_y @ v)
+        means = current[None, :] + np.outer(y_values - mean, weight) + np.outer(shift, unexplained)
         stds = np.sqrt(var)[None, :] * scale[:, None]
         return means, stds
 
@@ -376,15 +412,14 @@ class CensoredGP:
         """Batched ``fantasize``: one closed-form conditioning for all levels.
 
         The timeout rule probes many censoring levels for the *same* candidate;
-        the imputations all derive from one posterior evaluation at ``x_new``
-        and the conditioning shares one extended Cholesky factor.
+        the imputations all derive from the posterior at ``x_new``, which the
+        conditioning's own forward solve yields (``ExactGP.fantasize_batch``
+        has the identities), so a call is one kernel evaluation and one solve.
         """
         censor_levels = np.asarray(censor_levels, dtype=np.float64).reshape(-1)
-        mean, std = self.gp.predict(np.atleast_2d(x_new))
-        imputed = truncated_normal_mean(
-            np.full(len(censor_levels), mean[0]), np.full(len(censor_levels), std[0]), censor_levels
+        return self.gp._fantasize(
+            x_new, x_query, lambda mean, std: truncated_normal_mean(mean, std, censor_levels)
         )
-        return self.gp.fantasize_batch(x_new, imputed, x_query)
 
     @property
     def num_observations(self) -> int:

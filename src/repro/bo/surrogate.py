@@ -71,9 +71,11 @@ class IncrementalSurrogate(Surrogate, Protocol):
 class BatchFantasizeSurrogate(Surrogate, Protocol):
     """A surrogate that can fantasize many censor levels in one conditioning.
 
-    One rank-1 Cholesky extension (a function of ``x_new`` only) is shared by
-    every probed level, so the uncertainty-timeout grid and the constant-liar
-    batch acquisition cost one O(n^2) conditioning instead of one per level.
+    The rank-1 extension a censored ``x_new`` would make depends on ``x_new``
+    only; the exact GPs take its Schur complement in closed form (one kernel
+    call and one forward solve per call, then O(1) arithmetic per level and
+    query), so the uncertainty-timeout grid and the constant-liar batch
+    acquisition cost one O(n^2) conditioning instead of one per level.
     """
 
     def fantasize_batch(

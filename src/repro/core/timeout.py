@@ -186,9 +186,10 @@ class UncertaintyTimeout(TimeoutPolicy):
             return self.fallback
         if engine is None or candidate is None or engine.num_observations < 3:
             return self.max_multiplier * best_latency
-        best_log = math.log(max(best_latency, 1e-9))
+        floor = max(best_latency, 1e-9)
+        best_log = math.log(floor)
         low = best_log
-        high = math.log(best_latency * self.max_multiplier)
+        high = math.log(floor * self.max_multiplier)
         if getattr(engine, "supports_batched_fantasize", False):
             return self._select_batched(engine, candidate, low, high, best_log)
         return self._select_sequential(engine, candidate, low, high, best_log)

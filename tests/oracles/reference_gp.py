@@ -7,8 +7,14 @@ the identity and full-matrix traces, kept verbatim.  ``ColdCensoredGP`` is the
 full refit as the engine ran it before refits became warm — a fresh model
 fitted from the default hyper-parameters, then the complete censored-EM loop —
 spelled out on that dense objective with dense solves.  ``truncated_normal_mean``
-is the ``scipy.stats`` formula the imputation used.  The oracle shares the
-kernel classes and the L-BFGS settings with production code, and nothing else.
+is the ``scipy.stats`` formula the imputation used.  ``fantasize_batch`` and
+``censored_fantasize_batch`` are the fantasized conditioning as it stood before
+it went closed form: the rank-1 extended factor built, the augmented responses
+re-standardized per value and solved for as ``B`` columns, kept verbatim but
+for scipy's wrappers in place of the direct LAPACK calls (the same floats).
+The oracle shares the kernel classes, the L-BFGS settings and, in the censored
+fantasy, the model's ``predict`` and the production imputation with production
+code, and nothing else.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg, optimize, stats
 
+from repro.bo import censored as tobit
 from repro.bo.kernels import Kernel, Matern52Kernel, pairwise_sqdist
 
 _JITTER = 1e-8
@@ -118,3 +125,49 @@ def truncated_normal_mean(mu: np.ndarray, sigma: np.ndarray, lower: np.ndarray) 
     asymptotic = np.maximum(alpha, 0.0) + 1.0 / np.maximum(np.abs(alpha), 1.0)
     hazard = np.where(np.isfinite(hazard), hazard, asymptotic)
     return mu + sigma * hazard
+
+
+def fantasize_batch(
+    gp, x_new: np.ndarray, y_values: np.ndarray, x_query: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ExactGP.fantasize_batch`` on a fitted ``gp``: one augmented factor, B columns."""
+    x_new = np.asarray(x_new, dtype=np.float64).reshape(1, -1)
+    y_values = np.asarray(y_values, dtype=np.float64).reshape(-1)
+    x_query = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
+    n = len(gp._x)
+    row = gp.kernel(x_new, gp._x).ravel()
+    l12 = linalg.solve_triangular(gp._chol, row, lower=True)
+    pivot = float(gp.kernel.diag(x_new)[0]) + gp.noise + _JITTER - l12 @ l12
+    chol = np.zeros((n + 1, n + 1))
+    chol[:n, :n] = gp._chol
+    chol[n, :n] = l12
+    chol[n, n] = np.sqrt(max(pivot, 1e-10))
+    x_aug = np.vstack([gp._x, x_new])
+    # Each fantasized value re-standardizes the augmented responses, exactly
+    # as a refit would (the predictive std scales with std(y)).
+    y_aug = np.concatenate(
+        [np.broadcast_to(gp._y_raw, (len(y_values), n)), y_values[:, None]], axis=1
+    )
+    center = y_aug.mean(axis=1)
+    scale = y_aug.std(axis=1)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    normalized = (y_aug - center[:, None]) / scale[:, None]
+    alpha = linalg.cho_solve((chol, True), normalized.T)  # (n+1, B)
+    cross = gp.kernel(x_query, x_aug)  # (Q, n+1)
+    means = (cross @ alpha).T * scale[:, None] + center[:, None]
+    v = linalg.solve_triangular(chol, cross.T, lower=True)
+    var = np.maximum(gp.kernel.diag(x_query) - np.sum(v**2, axis=0), 1e-12)
+    stds = np.sqrt(var)[None, :] * scale[:, None]
+    return means, stds
+
+
+def censored_fantasize_batch(
+    model, x_new: np.ndarray, censor_levels: np.ndarray, x_query: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``CensoredGP.fantasize_batch``: impute under ``predict(x_new)``, then condition."""
+    censor_levels = np.asarray(censor_levels, dtype=np.float64).reshape(-1)
+    mean, std = model.gp.predict(np.atleast_2d(x_new))
+    imputed = tobit.truncated_normal_mean(
+        np.full(len(censor_levels), mean[0]), np.full(len(censor_levels), std[0]), censor_levels
+    )
+    return fantasize_batch(model.gp, x_new, imputed, x_query)

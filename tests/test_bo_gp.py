@@ -7,12 +7,16 @@ refit, the rank-1 updates and the imputation against the dense reference in
 
 import itertools
 import json
+import math
+import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_gp
 from scipy import linalg
 
@@ -26,6 +30,7 @@ from repro.bo.censored import (
 from repro.bo.gp import CensoredGP, ExactGP
 from repro.bo.kernels import Kernel, Matern52Kernel, RBFKernel, pairwise_sqdist
 from repro.bo.loop import BOEngine, BOEngineConfig
+from repro.core.timeout import UncertaintyTimeout
 from repro.exceptions import ModelError
 
 
@@ -557,6 +562,113 @@ class TestWarmRefitOracle:
         probes = np.random.default_rng(6).random((64, xs.shape[1]))
         for ours, theirs in zip(incremental.predict(probes), scratch.predict(probes)):
             np.testing.assert_allclose(ours, theirs, rtol=1e-6, atol=1e-8)
+
+
+#: ``REPRO_ORACLE_FULL=1`` (``make oracle-full``) draws 2000 conditioning
+#: examples instead of 200 and probes 64 candidates after every observation of
+#: the replayed streams instead of 16.
+ORACLE_FULL = os.environ.get("REPRO_ORACLE_FULL") == "1"
+
+
+class TestFantasizeOracle:
+    """The closed-form conditioning vs. the augmented-factor solve it replaced."""
+
+    @settings(max_examples=2000 if ORACLE_FULL else 200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        dim=st.integers(1, 16),
+        batch=st.sampled_from([1, 2, 257]),
+        queries=st.sampled_from([1, 7, 96]),
+        responses=st.sampled_from(["censored", "exact", "constant"]),
+        new_is_training_point=st.booleans(),
+        query_holds_new=st.booleans(),
+    )
+    def test_fantasize_batch_matches_the_augmented_solve(
+        self, seed, n, dim, batch, queries, responses, new_is_training_point, query_holds_new
+    ):
+        """Equal to rtol 1e-9, and to an atol of 1e-12 plus the two sides'
+        rounding.  Each side evaluates the kernel in its own calls, and a
+        squared distance rounds by ~eps * dim on the unit cube (a duplicate
+        point's is ~1e-15, not 0), which moves a kernel entry by ~eps * dim /
+        lengthscale^2; each solves against an augmented covariance whose
+        condition number reaches ~1e4 when the fitted noise sits at its lower
+        bound.  Checked against exact arithmetic on the cases that need the
+        slack, neither side is the closer one."""
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, dim))
+        y = rng.standard_normal(n) * rng.uniform(0.1, 3.0) + rng.uniform(-5.0, 5.0)
+        x_new = x[rng.integers(n)] if new_is_training_point else rng.random(dim)
+        x_query = rng.random((queries, dim))
+        if query_holds_new:
+            x_query[rng.integers(queries)] = x_new
+        values = rng.uniform(-6.0, 6.0, batch)
+        if responses == "censored":
+            model = CensoredGP().fit(x, y, rng.random(n) < 0.5)
+            gp = model.gp
+            # Levels within 8 posterior stds of x_new's mean: further out the
+            # truncated-normal hazard is a difference of two ~alpha^2/2 logs,
+            # and its rounding, not the conditioning's, would be measured.
+            mean, std = model.predict(np.atleast_2d(x_new))
+            values = mean[0] + std[0] * rng.uniform(-8.0, 8.0, batch)
+            ours = model.fantasize_batch(x_new, values, x_query)
+            theirs = reference_gp.censored_fantasize_batch(model, x_new, values, x_query)
+        else:
+            if responses == "constant":
+                # Integers: the oracle's two-pass mean of them is exact, so
+                # its zero scale is exactly zero (and becomes 1) as it is here.
+                level = float(rng.integers(-3, 4))
+                y = np.full(n, level)
+                values[0] = level
+            gp = ExactGP().fit(x, y)
+            ours = gp.fantasize_batch(x_new, values, x_query)
+            theirs = reference_gp.fantasize_batch(gp, x_new, values, x_query)
+            if responses == "constant":
+                assert gp._y_std == 1.0
+        augmented = np.vstack([gp._x, x_new])
+        cond = np.linalg.cond(
+            gp.kernel(augmented, augmented) + (gp.noise + 1e-8) * np.eye(n + 1)
+        )
+        magnitude = max(np.abs(gp._y_raw).max(), np.abs(values).max(), 1.0)
+        distances = 1.0 + dim / gp.kernel.lengthscale**2
+        atol = 1e-12 + 4 * np.finfo(float).eps * cond * magnitude * distances
+        for mine, reference in zip(ours, theirs):
+            assert mine.shape == reference.shape == (batch, queries)
+            np.testing.assert_allclose(mine, reference, rtol=1e-9, atol=atol)
+
+    @pytest.mark.parametrize("name", ["replay", "bimodal"])
+    def test_timeout_rule_picks_the_oracles_grid_level_on_the_recorded_streams(self, name):
+        """After every observation of a recorded stream, the uncertainty
+        timeout of each probe candidate is the grid level the augmented-factor
+        conditioning picks."""
+        with np.load(STREAMS) as data:
+            lower, upper = data[f"{name}_lower"], data[f"{name}_upper"]
+            stream = list(zip(data[f"{name}_x"], data[f"{name}_y"], data[f"{name}_censored"]))
+            config = BOEngineConfig(**json.loads(str(data["engine_config"])))
+        engine = BOEngine(lower, upper, config=config, seed=0)
+        policy = UncertaintyTimeout()
+        count = 64 if ORACLE_FULL else 16
+        probes = np.random.default_rng(11).uniform(lower, upper, (count, len(lower)))
+        selects = 0
+        for x, y, censored in stream:
+            engine.add_observation(x, y, censored)
+            if engine.num_observations < 3 or engine.best_value() is None:
+                continue
+            engine.fit()
+            best_latency = math.exp(engine.best_value())
+            best_log = math.log(best_latency)
+            levels = np.linspace(best_log, math.log(best_latency * policy.max_multiplier), 257)
+            for candidate in probes:
+                point = engine._normalize(candidate)
+                means, stds = reference_gp.censored_fantasize_batch(
+                    engine.surrogate, point, levels, point
+                )
+                confident = best_log <= means[:, 0] - policy.kappa * stds[:, 0]
+                index = int(np.argmax(confident)) if confident[-1] else len(levels) - 1
+                timeout = policy.select(engine, candidate, best_latency, [best_latency])
+                assert timeout == math.exp(levels[index]), (engine.num_observations, candidate)
+                selects += 1
+        assert selects == len(probes) * (len(stream) - 2)
 
 
 class TestImputationOracle:

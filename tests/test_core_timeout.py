@@ -142,6 +142,21 @@ class TestUncertaintyPolicy:
         resolution = (high - low) / 2**policy.bisection_steps
         assert abs(math.log(batched) - math.log(sequential)) <= 2 * resolution + 1e-9
 
+    @pytest.mark.parametrize("best_latency", [0.0, 1e-12])
+    def test_latency_below_the_floor_probes_the_floored_grid(self, best_latency):
+        """The grid runs from the floored best latency to max_multiplier times
+        it, on both paths; an unfloored cap was a math domain error at 0."""
+        engine = self.make_engine()
+
+        class Sequential:  # the engine without its batched fantasize path
+            num_observations = engine.num_observations
+            fantasize_censored = engine.fantasize_censored
+
+        policy = UncertaintyTimeout(max_multiplier=16.0)
+        for surrogate in (engine, Sequential()):
+            timeout = policy.select(surrogate, np.array([0.7, 0.3]), best_latency, [best_latency])
+            assert 1e-9 <= timeout <= 16e-9 * (1 + 1e-12)
+
     def test_batched_grid_is_capped_for_large_bisection_steps(self):
         """A huge bisection_steps must not allocate an exponential grid."""
         engine = self.make_engine()
