@@ -151,8 +151,8 @@ class ExecutionServiceConfig:
     #: what per-request submission produces — batching only dedups work.
     #: At q=1 (one proposal per round) there is nothing to group and the
     #: scheduler transparently falls back to per-request submission.
-    #: Wrapper layers without a batch path (supervisor, fault injection,
-    #: router) also fall back transparently.
+    #: Wrapper layers without a batch path (supervisor, fault injection)
+    #: also fall back transparently.
     batch_execution: bool = True
     #: Execution memoization (see :mod:`repro.db.plan_cache`): replay
     #: repeated ``(query, plan)`` executions and reuse join-subtree
@@ -167,11 +167,13 @@ class ExecutionServiceConfig:
     #: Byte budget for memoized subplan intermediates, per cache instance;
     #: ``None`` keeps the database's configured budget.
     plan_cache_bytes: int | None = None
-    #: Independent backend instances; ``> 1`` fans executions out over a
-    #: :class:`~repro.exec.MultiBackendRouter` with health/occupancy tracking.
+    #: Independent backend instances; ``> 1`` puts them behind the lease
+    #: coordinator (:class:`~repro.exec.FabricBackend`, with an inline
+    #: fallback), exactly like fabric nodes.
     replicas: int = 1
-    #: Infrastructure failures tolerated per replica before the router stops
-    #: routing to it.
+    #: Infrastructure failures tolerated per replica (or fabric node) before
+    #: the coordinator puts it on probation: it sits out a doubling period,
+    #: then gets one half-open probe.
     max_failures: int = 3
     #: Multiprocessing start method for the process backend (``None`` prefers
     #: ``fork`` where available — worker replicas inherit the database without
@@ -184,13 +186,10 @@ class ExecutionServiceConfig:
     warmup: bool = True
     #: Node processes of the ``"fabric"`` backend (localhost shared-nothing
     #: replicas behind the lease-based coordinator, see
-    #: :mod:`repro.exec.fabric`).
+    #: :mod:`repro.exec.fabric`).  Node links keep
+    #: :func:`~repro.exec.start_local_fabric`'s heartbeat defaults: a ping
+    #: every 0.25 s, a node silent for 2 s is lost.
     fabric_nodes: int = 2
-    #: Heartbeat ping cadence per node link.
-    fabric_heartbeat_interval: float = 0.25
-    #: Liveness deadline: a node silent this long is declared lost and its
-    #: in-flight leases are reassigned.
-    fabric_heartbeat_timeout: float = 2.0
     #: A :class:`~repro.exec.NetworkFaultConfig` (duck-typed, like
     #: ``fault_injection``) injecting seeded connection drops, partitions,
     #: slow links and node kills at the fabric boundary; ``None`` disables.
@@ -216,11 +215,6 @@ class ExecutionServiceConfig:
     #: How many times the supervisor rebuilds a broken process pool before
     #: degrading to inline execution on the scheduler thread.
     pool_rebuilds: int = 2
-    #: Router probation: a replica that exhausts ``max_failures`` sits out
-    #: this many seconds (doubling per relapse), then gets a half-open probe
-    #: instead of being retired forever.  ``None`` restores permanent
-    #: retirement.
-    probation_seconds: float | None = 30.0
     #: A :class:`~repro.exec.FaultInjectionConfig` (kept duck-typed here to
     #: avoid a config -> exec import cycle); ``None`` disables injection.
     #: When set, the backend is wrapped in a
@@ -267,16 +261,8 @@ class ExecutionServiceConfig:
             raise OptimizationError("backoff_jitter must be non-negative")
         if self.pool_rebuilds < 0:
             raise OptimizationError("pool_rebuilds must be non-negative")
-        if self.probation_seconds is not None and self.probation_seconds <= 0:
-            raise OptimizationError("probation_seconds must be positive")
         if self.fabric_nodes < 1:
             raise OptimizationError("fabric_nodes must be at least 1")
-        if self.fabric_heartbeat_interval <= 0:
-            raise OptimizationError("fabric_heartbeat_interval must be positive")
-        if self.fabric_heartbeat_timeout <= self.fabric_heartbeat_interval:
-            raise OptimizationError(
-                "fabric_heartbeat_timeout must exceed fabric_heartbeat_interval"
-            )
         if self.checkpoint_every < 1:
             raise OptimizationError("checkpoint_every must be at least 1")
 

@@ -20,14 +20,13 @@ scheduler drives:
   *CPU-bound* simulated executions past the GIL.  Determinism rests on the
   sha256-based stable seeding of every latency/RNG digest
   (:mod:`repro.utils.seeding`).
-* :class:`MultiBackendRouter` — fans executions over several independent
-  backends with per-member occupancy and health tracking; infrastructure
-  failures are retried on the surviving members.
-* :class:`FabricBackend` — lease-based dispatch over shared-nothing node
-  *processes* speaking the socket protocol of :mod:`repro.exec.remote`:
-  heartbeat liveness, deterministic lease reassignment on node loss,
-  probation/half-open rejoin, cross-node outcome-cache replication and
-  graceful degradation to inline execution.
+* :class:`FabricBackend` — the one lease coordinator over several
+  members: shared-nothing node *processes* speaking the socket protocol of
+  :mod:`repro.exec.remote` (heartbeat liveness, cross-node outcome-cache
+  replication), or in-process replicas of the backends above.  Either way
+  it gives least-loaded dispatch, deterministic lease reassignment on an
+  infrastructure failure, probation/half-open rejoin and graceful
+  degradation to inline execution.
 
 **Policies** (:class:`SchedulingPolicy`) — pick which ready query state gets
 the next free slot (a slot holds one worker task: a lone request, or a
@@ -48,7 +47,7 @@ the ``benchmarks/bench_exec_backends.py`` gate.
 Configuration: either hand a ``WorkloadSession`` backend/policy instances, or
 describe them with :class:`~repro.core.config.ExecutionServiceConfig` —
 ``backend`` ("inline" / "thread" / "process" / "fabric"), ``max_workers``, ``policy``
-("round_robin" / "budget_aware"), ``replicas`` (> 1 puts a router in front),
+("round_robin" / "budget_aware"), ``replicas`` (> 1 puts the lease coordinator in front),
 ``start_method`` and ``warmup`` — and let :func:`make_backend` /
 :func:`make_policy` build them.
 """
@@ -87,15 +86,12 @@ from repro.exec.faults import (
 from repro.exec.policy import BudgetAwarePriority, RoundRobin, SchedulingPolicy
 from repro.exec.process_pool import ProcessPoolBackend, RemoteExecutionError
 from repro.exec.remote import NodeLostError, RemoteNodeBackend
-from repro.exec.router import BackendStatus, BackendUnavailableError, MultiBackendRouter
 from repro.exec.supervisor import HangTimeout, SupervisedBackend, SupervisorCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
 
 __all__ = [
-    "BackendStatus",
-    "BackendUnavailableError",
     "BudgetAwarePriority",
     "CacheStats",
     "ExecutionBackend",
@@ -113,7 +109,6 @@ __all__ = [
     "InjectedTransientError",
     "InjectedWorkerCrash",
     "InlineBackend",
-    "MultiBackendRouter",
     "NetworkFaultConfig",
     "NetworkFaultCounters",
     "NodeLostError",
@@ -142,7 +137,7 @@ __all__ = [
 def backend_health(backend: "ExecutionBackend | None") -> dict:
     """Health snapshot of a backend stack's wrapper layers.
 
-    Walks supervisor -> fault harness -> router/pool by the ``inner``
+    Walks supervisor -> fault harness -> coordinator/pool by the ``inner``
     convention, so any holder of a composed backend (the scheduler's
     :class:`~repro.harness.runner.WorkloadSession`, the serving layer's
     :class:`~repro.serve.server.PlanServer`) reports degradation — retries
@@ -157,12 +152,11 @@ def backend_health(backend: "ExecutionBackend | None") -> dict:
             report["supervisor"] = layer.report()
         elif isinstance(layer, FaultInjectionBackend):
             report["faults"] = layer.counters.snapshot()
-        elif isinstance(layer, MultiBackendRouter):
-            report["router"] = [status.snapshot() for status in layer.statuses()]
         elif isinstance(layer, FabricBackend):
-            # Per-node liveness, lease reassignments, reconnect/backoff
-            # counters and shipped-log cache hits — one section, shared by
-            # WorkloadSession.health_report() and PlanServer health.
+            # Per-node (or per-replica) liveness, lease reassignments,
+            # reconnect/backoff counters and shipped-log cache hits — one
+            # section, shared by WorkloadSession.health_report() and
+            # PlanServer health.
             report["fabric"] = layer.health_snapshot()
         layer = getattr(layer, "inner", None)
     return report
@@ -206,7 +200,8 @@ def make_backend(
 
     With ``replicas > 1`` every replica is an independent backend instance
     (process backends get their own worker pools) behind one
-    :class:`MultiBackendRouter`.
+    :class:`FabricBackend`, the coordinator :func:`start_local_fabric` puts
+    in front of node processes, with the same inline fallback.
 
     The config's execution-memoization knobs (``plan_cache`` /
     ``plan_cache_bytes``) are applied through
@@ -253,8 +248,6 @@ def make_backend(
                 num_nodes=config.fabric_nodes,
                 warmup=config.warmup,
                 trace=tracing,
-                heartbeat_interval=config.fabric_heartbeat_interval,
-                heartbeat_timeout=config.fabric_heartbeat_timeout,
                 start_method=config.start_method,
                 max_failures=config.max_failures,
                 network_faults=network_faults,
@@ -264,11 +257,16 @@ def make_backend(
     if config.replicas == 1:
         backend = one_backend()
     else:
-        backend = MultiBackendRouter(
+        backend = FabricBackend(
             [one_backend() for _ in range(config.replicas)],
+            database=database,
+            fallback=InlineBackend(database),
             max_failures=config.max_failures,
-            probation_seconds=config.probation_seconds,
         )
+    # A supervisor's fallback gives the session somewhere to run when all
+    # pooled capacity is lost: pointless when the primary already *is*
+    # inline, and a second one when the coordinator carries its own.
+    needs_fallback = not isinstance(backend, (InlineBackend, FabricBackend))
 
     # Fault injection sits *inside* supervision so injected faults exercise
     # the real recovery paths (watchdog, retry, rebuild, degradation).
@@ -279,11 +277,6 @@ def make_backend(
         backend = FaultInjectionBackend(backend, fault_config)
 
     if config.supervised or config.request_deadline is not None:
-        # The fallback gives the session somewhere to run when all pooled
-        # capacity is lost; pointless when the primary already *is* inline.
-        fallback: ExecutionBackend | None = None
-        if not (config.backend == "inline" and config.replicas == 1):
-            fallback = InlineBackend(database)
         backend = SupervisedBackend(
             backend,
             request_deadline=config.request_deadline,
@@ -292,7 +285,7 @@ def make_backend(
             backoff_max=config.backoff_max,
             backoff_jitter=config.backoff_jitter,
             max_rebuilds=config.pool_rebuilds,
-            fallback=fallback,
+            fallback=InlineBackend(database) if needs_fallback else None,
         )
     return backend
 

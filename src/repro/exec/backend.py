@@ -7,9 +7,9 @@ A backend turns an :class:`ExecutionRequest` (query + plan + timeout) into a
 where the execution happens — on the scheduler thread
 (:class:`InlineBackend`), on a thread pool that overlaps DBMS waiting
 (:class:`ThreadPoolBackend`), in worker processes holding warm database
-replicas (:class:`~repro.exec.process_pool.ProcessPoolBackend`), or fanned
-out over several independent backends
-(:class:`~repro.exec.router.MultiBackendRouter`).
+replicas (:class:`~repro.exec.process_pool.ProcessPoolBackend`), or leased
+out over several independent members by the coordinator
+(:class:`~repro.exec.fabric.FabricBackend`).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ class TransientBackendError(OptimizationError):
     Says nothing about the plan that was executing: the same request submitted
     again may well succeed.  The supervision layer
     (:class:`~repro.exec.supervisor.SupervisedBackend`) retries these with
-    backoff, and the :class:`~repro.exec.router.MultiBackendRouter` charges
-    them against the failing member's health budget — exactly like a
-    :class:`~concurrent.futures.BrokenExecutor`.
+    backoff, and the :class:`~repro.exec.fabric.FabricBackend` coordinator
+    charges them against the failing member's health budget and reassigns
+    the lease — exactly like a :class:`~concurrent.futures.BrokenExecutor`.
     """
 
 
@@ -199,7 +199,7 @@ def submit_request_batch(backend, requests: list[ExecutionRequest]) -> "list[Fut
     backends exposing ``submit_batch`` (inline, thread, process, fabric)
     receive the whole batch as one submission — one task on one worker — so
     same-query plans share subtree work; wrapper backends that deliberately
-    do not (supervisor, fault injection, router — their per-request
+    do not (supervisor, fault injection — their per-request
     semantics are the point) fall back to one ``submit`` per request.
     Returns one future per request, in request order, either way.  The
     session makes the same choice itself (``WorkloadSession._has_batch_path``)

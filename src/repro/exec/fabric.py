@@ -1,10 +1,13 @@
-"""The fabric coordinator: lease-based dispatch over remote execution nodes.
+"""The fabric coordinator: lease-based dispatch over execution members.
 
 :class:`FabricBackend` implements the
-:class:`~repro.exec.backend.ExecutionBackend` protocol over N node links
-(normally :class:`~repro.exec.remote.RemoteNodeBackend`; anything duck-typing
-``submit``/``healthy``/``capacity``/``close`` works, which is what the unit
-tests exploit).  Robustness is the design center:
+:class:`~repro.exec.backend.ExecutionBackend` protocol over N members:
+remote node links (:class:`~repro.exec.remote.RemoteNodeBackend`), or the
+in-process replicas ``ExecutionServiceConfig(replicas=N)`` builds (inline,
+thread or process backends).  Anything duck-typing
+``submit``/``healthy``/``capacity``/``close`` (and optionally
+``submit_batch``) works, which is what the unit tests exploit.  Robustness
+is the design center:
 
 * **Leases.**  Every request is owned by a lease.  Dispatch hands the lease
   to the least-loaded eligible node; an infrastructure failure (node died,
@@ -16,9 +19,9 @@ tests exploit).  Robustness is the design center:
   delivered outcome's ``attempts`` field records the reassignment count.
 * **Probation / half-open probes.**  A node charged ``max_failures``
   infrastructure failures sits out ``probation_seconds`` (doubling per
-  relapse), then gets a single half-open probe — the router's machinery
-  (:mod:`repro.exec.router`), re-grounded on links that also *reconnect*
-  themselves with exponential backoff underneath.
+  relapse), then gets a single half-open probe.  A success clears the
+  node's record.  Remote links also *reconnect* themselves with exponential
+  backoff underneath.
 * **Work conservation.**  There are no per-node queues to steal from:
   nodes hold at most ``capacity()`` leases and everything else waits in the
   central queue, so a straggler can never hoard work an idle node could
@@ -57,7 +60,6 @@ from repro.exec.backend import ExecutionRequest, InlineBackend, is_infra_failure
 from repro.exec.faults import NetworkFaultConfig, NetworkFaultCounters, _copy_completion
 from repro.exec.node import start_node_process
 from repro.exec.remote import RemoteNodeBackend
-from repro.exec.router import BackendUnavailableError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
@@ -106,11 +108,11 @@ class _Lease:
 
 
 class _NodeSlot:
-    """Fabric-side bookkeeping for one node link (mirrors the router's member)."""
+    """Fabric-side bookkeeping for one member (node link or replica)."""
 
-    def __init__(self, node, index: int) -> None:
+    def __init__(self, node, name: str) -> None:
         self.node = node
-        self.name = getattr(node, "name", f"node[{index}]")
+        self.name = name
         self.occupancy = 0
         self.dispatched = 0
         self.completed = 0
@@ -185,7 +187,14 @@ class FabricBackend:
             raise OptimizationError("max_lease_attempts must be at least 1")
         if degrade_after < 0:
             raise OptimizationError("degrade_after must be non-negative")
-        self._slots = [_NodeSlot(node, index) for index, node in enumerate(nodes)]
+        # Remote links are named ``node[i]`` already; same-named replicas
+        # (``inline``, ``process``) get their index so every slot's name is
+        # unique in reports and as the dispatch tie-break.
+        names = [getattr(node, "name", f"node[{index}]") for index, node in enumerate(nodes)]
+        self._slots = [
+            _NodeSlot(node, name if names.count(name) == 1 else f"{name}[{index}]")
+            for index, (node, name) in enumerate(zip(nodes, names))
+        ]
         self.database = database
         self.fallback = fallback
         self._max_failures = max_failures
@@ -504,8 +513,8 @@ class FabricBackend:
             slot.failures += 1
             failing_probe = slot.probing(self._clock())
             if slot.failures >= self._max_failures or failing_probe:
-                # Doubling probation per relapse, same as the router: a
-                # flapping node backs off the fleet exponentially.
+                # Doubling probation per relapse: a flapping node backs off
+                # the fleet exponentially.
                 slot.probation_until = self._clock() + self._probation_seconds * (
                     2.0 ** slot.probations
                 )

@@ -47,6 +47,42 @@ FAULT_KINDS = ("crash", "hang", "transient", "slow")
 NETWORK_FAULT_KINDS = ("drop", "partition", "slow_link", "kill")
 
 
+def _check_rates(config, kinds: tuple[str, ...], what: str) -> None:
+    """Validate a schedule's ``<kind>_rate`` fields and its fault cap."""
+    total = 0.0
+    for kind in kinds:
+        rate = getattr(config, f"{kind}_rate")
+        if not 0.0 <= rate <= 1.0:
+            raise OptimizationError(f"{kind}_rate must be in [0, 1], got {rate!r}")
+        total += rate
+    if total > 1.0:
+        raise OptimizationError(f"{what} rates must sum to at most 1, got {total}")
+    if config.max_faults_per_request is not None and config.max_faults_per_request < 0:
+        raise OptimizationError("max_faults_per_request must be non-negative")
+
+
+def _draw(
+    config, salt: str, kinds: tuple[str, ...], request: ExecutionRequest, attempt: int
+) -> str | None:
+    """The fault kind (if any) for ``attempt`` of ``request`` — a pure function.
+
+    Deterministic in every process and under any submission interleaving:
+    one stable uniform deviate of ``(salt, seed, query, plan, attempt)``
+    lands in the ``<kind>_rate`` intervals, taken in ``kinds`` order.
+    """
+    if config.max_faults_per_request is not None and attempt >= config.max_faults_per_request:
+        return None
+    deviate = stable_digest(
+        salt, config.seed, request.query.name, request.plan.canonical(), attempt, bits=53
+    ) / float(1 << 53)
+    edge = 0.0
+    for kind in kinds:
+        edge += getattr(config, f"{kind}_rate")
+        if deviate < edge:
+            return kind
+    return None
+
+
 class InjectedWorkerCrash(BrokenExecutor):
     """An injected worker-process death (classified as infrastructure)."""
 
@@ -81,41 +117,15 @@ class FaultInjectionConfig:
     max_faults_per_request: int | None = None
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for name in ("crash_rate", "hang_rate", "transient_rate", "slow_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise OptimizationError(f"{name} must be in [0, 1], got {rate!r}")
-            total += rate
-        if total > 1.0:
-            raise OptimizationError(f"fault rates must sum to at most 1, got {total}")
+        _check_rates(self, FAULT_KINDS, "fault")
         if self.hang_seconds <= 0:
             raise OptimizationError("hang_seconds must be positive")
         if self.slow_seconds < 0:
             raise OptimizationError("slow_seconds must be non-negative")
-        if self.max_faults_per_request is not None and self.max_faults_per_request < 0:
-            raise OptimizationError("max_faults_per_request must be non-negative")
 
     def decide(self, request: ExecutionRequest, attempt: int) -> str | None:
-        """The fault (if any) for ``attempt`` of ``request`` — a pure function.
-
-        Deterministic in every process and under any submission interleaving:
-        the deviate depends only on the scenario seed, the request's content
-        and its per-request attempt index.
-        """
-        if self.max_faults_per_request is not None and attempt >= self.max_faults_per_request:
-            return None
-        deviate = stable_digest(
-            "fault", self.seed, request.query.name, request.plan.canonical(), attempt, bits=53
-        ) / float(1 << 53)
-        edge = 0.0
-        for kind, rate in zip(
-            FAULT_KINDS, (self.crash_rate, self.hang_rate, self.transient_rate, self.slow_rate)
-        ):
-            edge += rate
-            if deviate < edge:
-                return kind
-        return None
+        """The fault (if any) for ``attempt`` of ``request`` — a pure function."""
+        return _draw(self, "fault", FAULT_KINDS, request, attempt)
 
 
 @dataclass(frozen=True)
@@ -160,39 +170,17 @@ class NetworkFaultConfig:
     max_kills: int | None = None
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for name in ("drop_rate", "partition_rate", "slow_link_rate", "kill_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise OptimizationError(f"{name} must be in [0, 1], got {rate!r}")
-            total += rate
-        if total > 1.0:
-            raise OptimizationError(f"network fault rates must sum to at most 1, got {total}")
+        _check_rates(self, NETWORK_FAULT_KINDS, "network fault")
         if self.partition_seconds <= 0:
             raise OptimizationError("partition_seconds must be positive")
         if self.slow_link_seconds < 0:
             raise OptimizationError("slow_link_seconds must be non-negative")
-        if self.max_faults_per_request is not None and self.max_faults_per_request < 0:
-            raise OptimizationError("max_faults_per_request must be non-negative")
         if self.max_kills is not None and self.max_kills < 0:
             raise OptimizationError("max_kills must be non-negative")
 
     def decide(self, request: ExecutionRequest, attempt: int) -> str | None:
         """The network fault (if any) for ``attempt`` of ``request``."""
-        if self.max_faults_per_request is not None and attempt >= self.max_faults_per_request:
-            return None
-        deviate = stable_digest(
-            "netfault", self.seed, request.query.name, request.plan.canonical(), attempt, bits=53
-        ) / float(1 << 53)
-        edge = 0.0
-        for kind, rate in zip(
-            NETWORK_FAULT_KINDS,
-            (self.drop_rate, self.partition_rate, self.slow_link_rate, self.kill_rate),
-        ):
-            edge += rate
-            if deviate < edge:
-                return kind
-        return None
+        return _draw(self, "netfault", NETWORK_FAULT_KINDS, request, attempt)
 
 
 @dataclass

@@ -59,7 +59,7 @@ class RemoteExecutionError(OptimizationError):
     a string so the original stack rides along to the scheduler (and into the
     run report, tagged with the owning query).  It is a genuine execution
     error — :func:`~repro.exec.backend.is_infra_failure` is false for it, so
-    neither the router's health budget nor the supervisor's retries apply.
+    neither the coordinator's health budget nor the supervisor's retries apply.
     """
 
     def __init__(self, message: str, remote_traceback: str = "") -> None:

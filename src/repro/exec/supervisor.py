@@ -313,8 +313,9 @@ class SupervisedBackend:
             return
         with self._lock:
             if self._degraded or self.inner.healthy():
-                # Injected crashes (or a router with surviving members) leave
-                # the backend healthy — nothing to recover.
+                # Injected crashes (or a coordinator with surviving members
+                # or a fallback) leave the backend healthy — nothing to
+                # recover.
                 return
             rebuild = getattr(self.inner, "rebuild", None)
             if callable(rebuild) and self._rebuilds_done < self.max_rebuilds:

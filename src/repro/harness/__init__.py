@@ -4,7 +4,7 @@ The loop owner is :class:`~repro.harness.runner.WorkloadSession`, which drives
 every registered ask/tell technique over a workload under one shared
 :class:`~repro.core.protocol.BudgetSpec` — sequentially, or interleaved with
 plan executions routed through any :mod:`repro.exec` backend (thread pool,
-process pool with warm database replicas, multi-backend router) under a
+process pool with warm database replicas, lease coordinator) under a
 cross-query scheduling policy.  ``run_comparison`` is a thin wrapper that runs
 the Figure 3 comparison through one session.
 """

@@ -14,7 +14,7 @@ registry (:mod:`repro.core.registry`); the session
 * routes every plan execution through one **execution backend**
   (:mod:`repro.exec`): inline on the scheduler thread, a thread pool that
   overlaps DBMS waiting, worker processes holding warm database replicas for
-  CPU-bound executions, or a router fanning out over several backends,
+  CPU-bound executions, or the lease coordinator over several replicas,
 * schedules the per-query steppers either **sequentially** (one query drained
   at a time — bit-for-bit the behaviour of the old private loops) or
   **interleaved** (every query's state at once, the backend holding up to
@@ -93,7 +93,7 @@ class ComparisonRun:
     #: (see :class:`ExecutionCacheReport`).
     cache_summary: dict = field(default_factory=dict)
     #: Backend-health snapshot of the session (supervisor counters, fault
-    #: injection totals, per-replica router statuses) — degraded runs are
+    #: injection totals, per-replica coordinator statuses) — degraded runs are
     #: visible in the report instead of silent.
     backend_health: dict = field(default_factory=dict)
     #: The session's observability report (:func:`repro.obs.report.render_report`):
@@ -235,7 +235,7 @@ class WorkloadSession:
         result is bit-for-bit what per-request submission produces.  At q=1
         there is nothing to group and submission transparently stays
         per-request; wrapper backends without a batch path (supervisor,
-        fault injection, router) always submit per request.
+        fault injection) always submit per request.
         Defaults to ``exec_config.batch_execution`` (True).
     interleave:
         Force interleaving on/off; defaults to backend capacity > 1.
@@ -564,10 +564,10 @@ class WorkloadSession:
 
     # ------------------------------------------------------------------ reporting
     def health_report(self) -> dict:
-        """Backend-health snapshot: supervision, fault injection, router.
+        """Backend-health snapshot: supervision, fault injection, coordinator.
 
         Walks the backend's wrapper layers (supervisor -> fault harness ->
-        router/pool), so a degraded run — retries burned, replicas on
+        coordinator/pool), so a degraded run — retries burned, replicas on
         probation, execution running on the inline fallback — is visible in
         reports next to :attr:`cache_report` instead of silent.
         """

@@ -452,6 +452,25 @@ class TestFixedQMatchesDriveState:
         assert runs[0] == reference
         assert runs[1] == reference
 
+    @pytest.mark.parametrize("backend", ["inline", "process", "thread"])
+    def test_two_replicas_at_q4_equal_the_reference_loop(
+        self, backend, tiny_database, tiny_schema_model, three_queries, reference
+    ):
+        # Replicas sit behind the lease coordinator, which keeps a q-batch
+        # together as one task on one replica.
+        config = ExecutionServiceConfig(backend=backend, max_workers=1, replicas=2, batch_size=4)
+        for _ in range(2):
+            workload = Workload(
+                name="tiny", database=tiny_database.snapshot(),
+                queries=three_queries, max_aliases=2,
+            )
+            with make_session(
+                workload, tiny_schema_model,
+                budget=self.BUDGET, bayes_config=self.CONFIG, exec_config=config,
+            ) as session:
+                assert session.interleave
+                assert signatures(session.run("bayesqo")) == reference
+
 
 class _SlowDatabase:
     """A database whose every execution holds its worker for ``seconds``."""

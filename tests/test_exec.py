@@ -1,10 +1,11 @@
-"""Execution-service suite: serialization, backends, router, policies.
+"""Execution-service suite: serialization, backends, policies.
 
 Covers the cross-process contract (everything that crosses a backend boundary
 round-trips through pickle), the stable sha256 seeding that makes worker
 processes observe identical latencies, backend/policy trace determinism
-(sequential == process-pool for Random and BayesQO), and the router's
-occupancy/health bookkeeping.
+(sequential == process-pool for Random and BayesQO), and how an
+``ExecutionServiceConfig`` composes backends.  The replica coordinator's
+occupancy/health bookkeeping is covered in ``tests/test_fabric.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from repro.exceptions import OptimizationError
 from repro.exec import (
     BudgetAwarePriority,
     ExecutionRequest,
+    FabricBackend,
     InlineBackend,
-    MultiBackendRouter,
     ProcessPoolBackend,
     RoundRobin,
     ThreadPoolBackend,
@@ -220,7 +221,14 @@ class TestBackends:
         routed = make_backend(
             ExecutionServiceConfig(backend="inline", replicas=2), database
         )
-        assert isinstance(routed, MultiBackendRouter) and routed.capacity() == 2
+        try:
+            # Replicas sit behind the lease coordinator with its inline fallback.
+            assert isinstance(routed, FabricBackend) and routed.capacity() == 2
+            assert isinstance(routed.fallback, InlineBackend)
+            names = [status["name"] for status in routed.statuses()]
+            assert names == ["inline[0]", "inline[1]"]
+        finally:
+            routed.close()
         with pytest.raises(OptimizationError):
             ExecutionServiceConfig(backend="quantum")
         with pytest.raises(OptimizationError):
@@ -457,92 +465,6 @@ class TestProcessPoolDeterminism:
         ) as session:
             prioritized = session.run("bayesqo")
         assert signatures(round_robin) == signatures(prioritized)
-
-
-# --------------------------------------------------------------------- router
-class _ScriptedBackend:
-    """Backend double: scripted outcomes/failures, manual future resolution."""
-
-    def __init__(self, name, capacity=2, fail_with=None):
-        self.name = name
-        self._capacity = capacity
-        self._fail_with = fail_with
-        self.submitted = []
-
-    def capacity(self):
-        return self._capacity
-
-    def submit(self, request):
-        self.submitted.append(request)
-        future = Future()
-        if self._fail_with is not None:
-            future.set_exception(self._fail_with)
-        else:
-            future.set_result(ExecutionOutcome(latency=1.0))
-        return future
-
-    def healthy(self):
-        return True
-
-    def close(self):
-        pass
-
-
-def _request(query):
-    return ExecutionRequest(query=query, plan=JoinTree.left_deep(["a", "b"]))
-
-
-class TestMultiBackendRouter:
-    def test_routes_to_least_loaded_member(self, tiny_query):
-        left, right = _ScriptedBackend("left"), _ScriptedBackend("right")
-        router = MultiBackendRouter([left, right])
-        for _ in range(4):
-            assert router.submit(_request(tiny_query)).result().latency == 1.0
-        # Scripted futures resolve synchronously, so occupancy is always zero
-        # at choice time and the tie-break sends everything to the first
-        # member — deterministic least-loaded routing.
-        assert len(left.submitted) == 4 and len(right.submitted) == 0
-        statuses = {status.name: status for status in router.statuses()}
-        assert statuses["left[0]"].completed == 4
-        assert statuses["left[0]"].occupancy == 0
-        assert router.capacity() == 4 and router.healthy()
-
-    def test_broken_member_is_retired_and_request_retried(self, tiny_query):
-        broken = _ScriptedBackend("broken", fail_with=BrokenExecutor("pool died"))
-        spare = _ScriptedBackend("spare")
-        router = MultiBackendRouter([broken, spare], max_failures=1)
-        outcome = router.submit(_request(tiny_query)).result()
-        assert outcome.latency == 1.0
-        assert len(broken.submitted) == 1 and len(spare.submitted) == 1
-        statuses = {status.name: status for status in router.statuses()}
-        assert not statuses["broken[0]"].healthy
-        assert statuses["broken[0]"].failures == 1
-        # Subsequent submissions skip the retired member entirely.
-        router.submit(_request(tiny_query)).result()
-        assert len(broken.submitted) == 1
-        assert router.capacity() == spare.capacity()
-
-    def test_execution_errors_propagate_without_retry(self, tiny_query):
-        failing = _ScriptedBackend("failing", fail_with=RuntimeError("bad plan"))
-        spare = _ScriptedBackend("spare")
-        router = MultiBackendRouter([failing, spare])
-        with pytest.raises(RuntimeError, match="bad plan"):
-            router.submit(_request(tiny_query)).result()
-        # A genuine execution error is not infrastructure: nothing was
-        # retried, and the member's health/failure budget is untouched.
-        assert len(spare.submitted) == 0
-        status = router.statuses()[0]
-        assert status.healthy and status.failures == 0 and status.occupancy == 0
-
-    def test_all_members_broken_reports_unavailable(self, tiny_query):
-        broken = _ScriptedBackend("broken", fail_with=BrokenExecutor("dead"))
-        router = MultiBackendRouter([broken], max_failures=1)
-        with pytest.raises(OptimizationError, match="no healthy execution backend"):
-            router.submit(_request(tiny_query)).result()
-
-    def test_router_rejects_empty_membership(self):
-        with pytest.raises(OptimizationError):
-            MultiBackendRouter([])
 
 
 # ------------------------------------------------------------------- policies

@@ -4,7 +4,9 @@ Covers the socket wire format (length-prefixed pickle frames, error frames
 that preserve node-side tracebacks, pickle failures that must not tear the
 stream), the coordinator's lease machinery against scripted node doubles
 (reassignment off a lost node, bounded attempts, probation/half-open rejoin,
-degradation to the inline fallback, grouped batch dispatch), cross-node
+degradation to the inline fallback, grouped batch dispatch), the same
+coordinator over in-process replicas (``ExecutionServiceConfig(replicas=N)``:
+least-loaded routing, health charging, unique slot names), cross-node
 cache-log replication, and end-to-end runs against real localhost node
 processes: trace equivalence with inline execution, drop/kill recovery and
 remote-traceback preservation across the socket boundary.
@@ -16,7 +18,7 @@ import pickle
 import socket
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.exec import (
     NodeLostError,
     RemoteExecutionError,
     RemoteNodeBackend,
+    TransientBackendError,
     backend_health,
     is_infra_failure,
     start_local_fabric,
@@ -119,6 +122,29 @@ class _ScriptedNode:
 
     def close(self):
         self.closed = True
+
+
+class _HeldNode(_ScriptedNode):
+    """Node double whose futures stay pending until :meth:`release`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.held = []
+
+    def _complete(self, future):
+        self.held.append(future)
+
+    def release(self):
+        held, self.held = self.held, []
+        for future in held:
+            future.set_result(ExecutionOutcome(latency=1.0))
+
+
+def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
 
 
 class _ImportingCache:
@@ -388,6 +414,110 @@ class TestProbationAndDegradation:
             FabricBackend([_ScriptedNode()], max_failures=0)
         with pytest.raises(OptimizationError):
             FabricBackend([_ScriptedNode()], max_lease_attempts=0)
+
+
+# ------------------------------------------------------------------ replica coordination
+class TestReplicaCoordinator:
+    """The coordinator over in-process replicas, as ``replicas > 1`` builds it:
+    members that are not node links, failing with pool-level errors."""
+
+    def test_failed_probe_doubles_the_next_probation(self):
+        clock = _FakeClock()
+        flaky = _ScriptedNode(name="flaky", script=[BrokenExecutor("pool died")] * 5)
+        spare = _ScriptedNode(name="spare")
+        fabric = FabricBackend(
+            [flaky, spare], max_failures=1, probation_seconds=10.0, clock=clock
+        )
+        try:
+            fabric.submit(_request("q0")).result(timeout=10.0)  # failure -> 10 s probation
+            clock.advance(11.0)
+            fabric.submit(_request("q1")).result(timeout=10.0)  # probe fails -> 20 s
+            assert len(flaky.submitted) == 2
+            clock.advance(11.0)  # 11 < 20: still on probation
+            fabric.submit(_request("q2")).result(timeout=10.0)
+            assert len(flaky.submitted) == 2
+            clock.advance(10.0)  # 21 > 20: the next probe goes through
+            fabric.submit(_request("q3")).result(timeout=10.0)
+            assert len(flaky.submitted) == 3
+        finally:
+            fabric.close()
+        assert len(spare.submitted) == 4  # every lease finished on the spare
+
+    def test_a_transient_error_counts_against_health(self):
+        flaky = _ScriptedNode(name="flaky", script=[TransientBackendError("blip")])
+        spare = _ScriptedNode(name="spare")
+        fabric = FabricBackend([flaky, spare], max_failures=1, clock=_FakeClock())
+        try:
+            assert fabric.submit(_request()).result(timeout=10.0).latency == 1.0
+            status = fabric.statuses()[0]
+        finally:
+            fabric.close()
+        assert status["on_probation"] and status["probations"] == 1
+        assert len(spare.submitted) == 1
+
+    def test_a_failure_below_max_failures_is_counted_but_not_benched(self):
+        clock = _FakeClock()
+        flaky = _ScriptedNode(name="flaky", script=[BrokenExecutor("hiccup")])
+        fabric = FabricBackend([flaky, _ScriptedNode(name="spare")], max_failures=3, clock=clock)
+        try:
+            outcome = fabric.submit(_request()).result(timeout=10.0)
+            status = fabric.statuses()[0]
+            assert fabric._slots[0].eligible(clock())
+        finally:
+            fabric.close()
+        assert outcome.latency == 1.0 and outcome.attempts == 2
+        assert status["failures"] == 1 and not status["on_probation"]
+
+    def test_a_plan_error_neither_reassigns_nor_charges_the_replica(self):
+        failing = _ScriptedNode(name="failing", script=[RuntimeError("bad plan")])
+        spare = _ScriptedNode(name="spare")
+        fabric = FabricBackend([failing, spare], max_failures=1)
+        try:
+            with pytest.raises(RuntimeError, match="bad plan"):
+                fabric.submit(_request()).result(timeout=10.0)
+            status = fabric.statuses()[0]
+        finally:
+            fabric.close()
+        assert status["failures"] == 0 and not status["on_probation"]
+        assert status["occupancy"] == 0 and not spare.submitted
+
+    def test_least_loaded_routing_breaks_ties_by_name(self):
+        right = _HeldNode(name="right", capacity=2)
+        left = _HeldNode(name="left", capacity=2)
+        fabric = FabricBackend([right, left])
+        try:
+            futures, occupancy = [], []
+            for i in range(4):
+                futures.append(fabric.submit(_request(f"q{i}")))
+                occupancy.append(tuple(status["occupancy"] for status in fabric.statuses()))
+            # (right, left): a tie goes to the smaller name whatever the
+            # member order, then the load alternates the members.
+            assert occupancy == [(0, 1), (1, 1), (1, 2), (2, 2)]
+            # Both members are full: the fifth lease waits in the queue...
+            futures.append(fabric.submit(_request("q4")))
+            assert fabric.health_snapshot()["pending_leases"] == 1
+            # ...until a member frees a slot.  (The fabric's pump thread may
+            # be the one that hands a lease to its member, hence the waits.)
+            _until(lambda: len(right.held) == 2)
+            right.release()
+            _until(lambda: len(right.held) == 1)
+            assert right.submitted[-1].query.name == "q4"
+            _until(lambda: len(left.held) == 2)
+            right.release()
+            left.release()
+            assert all(future.result(timeout=10.0).latency == 1.0 for future in futures)
+        finally:
+            fabric.close()
+
+    def test_same_named_members_get_unique_slot_names(self):
+        replicas = FabricBackend([_ScriptedNode(name="inline"), _ScriptedNode(name="inline")])
+        nodes = FabricBackend([_ScriptedNode(name="node[0]"), _ScriptedNode(name="node[1]")])
+        try:
+            assert [status["name"] for status in replicas.statuses()] == ["inline[0]", "inline[1]"]
+            assert [status["name"] for status in nodes.statuses()] == ["node[0]", "node[1]"]
+        finally:
+            replicas.close()
+            nodes.close()
 
 
 # ------------------------------------------------------------------ network faults (doubles)

@@ -2,8 +2,10 @@
 
 Covers the deterministic fault-injection harness (seeded schedules, crash /
 transient short-circuit, hang / slow delayed delivery), the supervisor's
-retry-with-backoff / watchdog / rebuild / degradation paths, the router's
-probation and half-open re-probe recovery, remote-traceback preservation
+retry-with-backoff / watchdog / rebuild / degradation paths, how
+``make_backend`` composes supervision with the replica coordinator (whose
+probation and half-open re-probe recovery ``tests/test_fabric.py`` covers),
+remote-traceback preservation
 across the process boundary, and the session-level checkpoint/resume
 guarantee: a killed run resumed from its checkpoint finishes with traces
 bit-for-bit identical to an uninterrupted run.
@@ -27,13 +29,14 @@ from repro.exceptions import OptimizationError
 from repro.exec import (
     BudgetAwarePriority,
     ExecutionRequest,
+    FabricBackend,
     FaultInjectionBackend,
     FaultInjectionConfig,
     HangTimeout,
     InjectedTransientError,
     InjectedWorkerCrash,
     InlineBackend,
-    MultiBackendRouter,
+    NetworkFaultConfig,
     ProcessPoolBackend,
     RemoteExecutionError,
     SupervisedBackend,
@@ -41,7 +44,6 @@ from repro.exec import (
     is_infra_failure,
     make_backend,
 )
-from repro.exec.router import BackendUnavailableError
 from repro.harness import CheckpointManager, SessionCheckpoint, WorkloadSession
 from repro.plans.jointree import JoinTree
 
@@ -166,6 +168,35 @@ class TestFaultInjectionConfig:
         assert config.decide(request, 0) == "crash"
         assert config.decide(request, 1) == "crash"
         assert config.decide(request, 2) is None  # bounded: attempt 3 is clean
+
+    # The first 64 draws of one seed (16 requests x attempts 0-3), one letter
+    # per decision ("." = no fault).  Seeded chaos runs replay only while
+    # these never change, whatever code draws them.
+    PINNED_FAULTS = "ts.schtc.hshs.tt.sttcst.t.s.t.s.t.s.httctcc.tcthcs.t....stc....t"
+    PINNED_NETWORK = "l.d.dddl.d.dpll...p.dl.k.k.k.lllkk..dp..lppkl..pk.l.lld.dkd.k..d"
+    LETTERS = {
+        None: ".", "crash": "c", "hang": "h", "transient": "t", "slow": "s",
+        "drop": "d", "partition": "p", "slow_link": "l", "kill": "k",
+    }
+
+    def _draws(self, config):
+        requests = [_request(f"q{i}") for i in range(16)]
+        return "".join(
+            self.LETTERS[config.decide(request, attempt)]
+            for attempt in range(4)
+            for request in requests
+        )
+
+    def test_seeded_schedules_are_pinned(self):
+        faults = FaultInjectionConfig(
+            seed=7, crash_rate=0.15, hang_rate=0.1, transient_rate=0.2, slow_rate=0.15
+        )
+        network = NetworkFaultConfig(
+            seed=7, drop_rate=0.15, partition_rate=0.1, slow_link_rate=0.2, kill_rate=0.15,
+            max_faults_per_request=None,
+        )
+        assert self._draws(faults) == self.PINNED_FAULTS
+        assert self._draws(network) == self.PINNED_NETWORK
 
 
 class TestFaultInjectionBackend:
@@ -308,109 +339,6 @@ class TestSupervisedBackend:
         for attempt, delay in enumerate(delays):
             base = min(0.2, 0.05 * 2**attempt)
             assert base <= delay <= base * 1.25  # capped + bounded jitter
-
-
-# ------------------------------------------------------------------ router probation
-class _FakeClock:
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class TestRouterProbation:
-    def test_exhausted_member_enters_probation_then_recovers_via_probe(self):
-        clock = _FakeClock()
-        flaky = _ScriptedBackend("flaky", script=[BrokenExecutor("dead")] * 2)
-        spare = _ScriptedBackend("spare")
-        router = MultiBackendRouter(
-            [flaky, spare], max_failures=2, probation_seconds=30.0, clock=clock
-        )
-        # Two infra failures: requests land on spare, flaky goes on probation.
-        for i in range(2):
-            assert router.submit(_request(f"q{i}")).result().latency == 1.0
-        statuses = {s.name: s for s in router.statuses()}
-        assert statuses["flaky[0]"].on_probation and not statuses["flaky[0]"].healthy
-        assert statuses["spare[1]"].retries == 2
-        # While on probation the member takes no traffic.
-        router.submit(_request("q2")).result()
-        assert len(flaky.submitted) == 2
-        # Probation expires -> half-open probe -> success clears the record.
-        clock.advance(31.0)
-        router.submit(_request("q3")).result()
-        assert len(flaky.submitted) == 3  # the probe went to the probing member
-        statuses = {s.name: s for s in router.statuses()}
-        assert statuses["flaky[0]"].healthy and not statuses["flaky[0]"].on_probation
-        assert statuses["flaky[0]"].failures == 0
-
-    def test_failed_probe_doubles_the_next_probation(self):
-        clock = _FakeClock()
-        flaky = _ScriptedBackend("flaky", script=[BrokenExecutor("dead")] * 5)
-        spare = _ScriptedBackend("spare")
-        router = MultiBackendRouter(
-            [flaky, spare], max_failures=1, probation_seconds=10.0, clock=clock
-        )
-        router.submit(_request("q0")).result()  # failure #1 -> probation (10s)
-        clock.advance(11.0)
-        router.submit(_request("q1")).result()  # probe fails -> probation doubles
-        assert len(flaky.submitted) == 2
-        clock.advance(11.0)  # 11 < 20: still on probation
-        router.submit(_request("q2")).result()
-        assert len(flaky.submitted) == 2
-        clock.advance(10.0)  # 21 > 20: next probe allowed
-        router.submit(_request("q3")).result()
-        assert len(flaky.submitted) == 3
-
-    def test_transient_error_charges_health_budget(self):
-        clock = _FakeClock()
-        flaky = _ScriptedBackend("flaky", script=[TransientBackendError("blip")])
-        spare = _ScriptedBackend("spare")
-        router = MultiBackendRouter(
-            [flaky, spare], max_failures=1, probation_seconds=30.0, clock=clock
-        )
-        assert router.submit(_request()).result().latency == 1.0
-        assert router.statuses()[0].on_probation  # transient == infra here
-
-    def test_every_member_retired_raises_backend_unavailable(self):
-        # Legacy mode (probation_seconds=None): retirement is permanent.
-        members = [
-            _ScriptedBackend(f"dead{i}", script=[BrokenExecutor("dead")] * 4)
-            for i in range(2)
-        ]
-        router = MultiBackendRouter(members, max_failures=1)
-        with pytest.raises(BackendUnavailableError, match="no healthy execution backend"):
-            router.submit(_request()).result()
-        assert not router.healthy()
-        with pytest.raises(BackendUnavailableError):
-            router.submit(_request("q2")).result()
-
-    def test_genuine_error_does_not_dent_health_budget(self):
-        clock = _FakeClock()
-        failing = _ScriptedBackend("failing", script=[RuntimeError("bad plan")])
-        spare = _ScriptedBackend("spare")
-        router = MultiBackendRouter(
-            [failing, spare], max_failures=1, probation_seconds=30.0, clock=clock
-        )
-        with pytest.raises(RuntimeError, match="bad plan"):
-            router.submit(_request()).result()
-        status = router.statuses()[0]
-        assert status.healthy and status.failures == 0 and not status.on_probation
-        assert spare.submitted == []  # no retry either
-
-    def test_retry_then_succeed_on_flaky_member(self):
-        clock = _FakeClock()
-        flaky = _ScriptedBackend("flaky", script=[BrokenExecutor("hiccup")])
-        router = MultiBackendRouter(
-            [flaky, _ScriptedBackend("spare")], max_failures=3,
-            probation_seconds=30.0, clock=clock,
-        )
-        assert router.submit(_request()).result().latency == 1.0
-        status = router.statuses()[0]
-        assert status.healthy and status.failures == 1  # charged but not retired
 
 
 # ------------------------------------------------------------------ remote tracebacks
@@ -601,9 +529,11 @@ class TestHealthReport:
         assert report["supervisor"]["submissions"] > 0
         assert report["supervisor"]["give_ups"] == 0
         assert report["faults"]["clean"] > 0
-        assert len(report["router"]) == 2
-        assert all(set(m) >= {"occupancy", "failures", "healthy", "retries"}
-                   for m in report["router"])
+        nodes = report["fabric"]["nodes"]
+        assert [node["name"] for node in nodes] == ["inline[0]", "inline[1]"]
+        assert all(set(node) >= {"occupancy", "failures", "live", "on_probation",
+                                 "lease_reassignments_received"}
+                   for node in nodes)
 
     def test_make_backend_wires_supervision_and_faults(self, tiny_workload):
         config = ExecutionServiceConfig(
@@ -618,6 +548,24 @@ class TestHealthReport:
             assert backend.fallback is None  # inline primary needs no fallback
         finally:
             backend.close()
+
+    def test_one_inline_fallback_per_stack(self, tiny_workload):
+        database = tiny_workload.database
+        thread = make_backend(
+            ExecutionServiceConfig(backend="thread", max_workers=2, supervised=True), database
+        )
+        replicas = make_backend(
+            ExecutionServiceConfig(backend="inline", replicas=2, supervised=True), database
+        )
+        try:
+            assert isinstance(thread.fallback, InlineBackend)
+            # The coordinator carries the fallback; the supervisor adds none.
+            assert isinstance(replicas.inner, FabricBackend)
+            assert isinstance(replicas.inner.fallback, InlineBackend)
+            assert replicas.fallback is None
+        finally:
+            thread.close()
+            replicas.close()
 
     def test_comparison_run_carries_backend_health(self, tiny_workload):
         from repro.harness import run_comparison
@@ -690,8 +638,6 @@ class TestSupervisedFabric:
     """The supervisor's per-request semantics survive a fabric underneath."""
 
     def _supervised_fabric(self, script):
-        from repro.exec import FabricBackend, NodeLostError  # noqa: F401
-
         fabric = FabricBackend(
             [_ScriptedFabricNode(script=script)],
             max_lease_attempts=1,  # fabric-level failover off: supervisor owns retry
