@@ -4,13 +4,13 @@ The paper's premise is hours of offline machine time buying milliseconds at
 query time — so a worker crash or a hung execution at hour three must not
 discard the run.  This bench injects a seeded fault schedule (worker crashes,
 transient infra errors, hangs, slow replicas — see
-:mod:`repro.exec.faults`) into a supervised session and gates on the
-recovery guarantees:
+:mod:`repro.exec.faults`) into a supervised session — one inline member
+behind the lease coordinator — and gates on the recovery guarantees:
 
 * **completion + equivalence** — under the fault schedule the session
   completes every query, and its per-query observation traces are identical
   to the fault-free run (faults cost wall-clock, never results),
-* **bounded retries** — the supervisor's attempt count stays within
+* **bounded retries** — the coordinator's dispatches stay within
   ``submissions * (1 + max_retries)`` and nothing gives up,
 * **kill + resume is exact** — a session killed mid-run and resumed from its
   checkpoint finishes with traces bit-for-bit identical to the uninterrupted
@@ -49,7 +49,7 @@ SEED = 0
 KILL_AFTER = 6  # executions completed before the mid-run kill
 
 #: The chaos scenario: every fault kind enabled, bounded per request so the
-#: supervisor's retry budget (MAX_RETRIES > max_faults_per_request) makes
+#: coordinator's lease attempts (MAX_RETRIES > max_faults_per_request) make
 #: completion guaranteed, not probabilistic.
 FAULTS = FaultInjectionConfig(
     seed=7,
@@ -166,8 +166,6 @@ def run_benchmark(executions: int, checkpoint_dir: str) -> dict:
         supervised=True,
         request_deadline=REQUEST_DEADLINE,
         max_retries=MAX_RETRIES,
-        backoff_base=0.005,
-        backoff_max=0.05,
         fault_injection=FAULTS,
     )
     with WorkloadSession(workload, budget=budget, seed=SEED,
@@ -176,7 +174,10 @@ def run_benchmark(executions: int, checkpoint_dir: str) -> dict:
         chaos = session.run(TECHNIQUE)
         chaos_s = time.perf_counter() - start
         health = session.health_report()
-    supervisor = health.get("supervisor", {})
+    fabric = {
+        key: health.get("fabric", {}).get(key, 0)
+        for key in ("submissions", "dispatched", "lease_reassignments", "hangs", "give_ups")
+    }
     faults = health.get("faults", {})
 
     # Arm 3: kill the session mid-run, then resume from its checkpoint.
@@ -199,7 +200,7 @@ def run_benchmark(executions: int, checkpoint_dir: str) -> dict:
         resumed = session.run(TECHNIQUE)
 
     reference_sig = signatures(reference)
-    attempts_bound = supervisor.get("submissions", 0) * (1 + MAX_RETRIES)
+    attempts_bound = fabric["submissions"] * (1 + MAX_RETRIES)
     return {
         "technique": TECHNIQUE,
         "num_queries": NUM_QUERIES,
@@ -209,14 +210,14 @@ def run_benchmark(executions: int, checkpoint_dir: str) -> dict:
         "chaos_s": chaos_s,
         "overhead_ratio": chaos_s / reference_s if reference_s > 0 else float("inf"),
         "fault_counters": faults,
-        "supervisor": supervisor,
+        "fabric": fabric,
         "max_retries": MAX_RETRIES,
         "request_deadline": REQUEST_DEADLINE,
         "chaos_all_queries_completed": set(chaos) == set(reference),
         "chaos_traces_equivalent": signatures(chaos) == reference_sig,
         "faults_injected": faults.get("total_faults", 0),
-        "retries_bounded": supervisor.get("attempts", 0) <= attempts_bound,
-        "give_ups": supervisor.get("give_ups", 0),
+        "retries_bounded": fabric["dispatched"] <= attempts_bound,
+        "give_ups": fabric["give_ups"],
         "killed_mid_run": killed,
         "executions_before_kill": killer.executed,
         "executions_after_resume": resume_backend.executed,
@@ -234,9 +235,9 @@ def gate_failures(report: dict) -> list[str]:
     if report["faults_injected"] == 0:
         failures.append("fault schedule injected nothing — the chaos arm tested nothing")
     if not report["retries_bounded"]:
-        failures.append("supervisor attempts exceeded the retry bound")
+        failures.append("coordinator dispatches exceeded the retry bound")
     if report["give_ups"] != 0:
-        failures.append(f"supervisor gave up on {report['give_ups']} request(s)")
+        failures.append(f"coordinator gave up on {report['give_ups']} request(s)")
     if not report["killed_mid_run"]:
         failures.append("mid-run kill never fired — the resume arm tested nothing")
     if not report["resume_traces_equivalent"]:
@@ -269,9 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  injected: {counters.get('crashes', 0)} crashes, "
           f"{counters.get('transients', 0)} transients, {counters.get('hangs', 0)} hangs, "
           f"{counters.get('slowdowns', 0)} slowdowns over "
-          f"{report['supervisor'].get('attempts', 0)} attempts "
-          f"({report['supervisor'].get('retries', 0)} retries, "
-          f"{report['give_ups']} give-ups)")
+          f"{report['fabric']['dispatched']} dispatches "
+          f"({report['fabric']['lease_reassignments']} reassignments, "
+          f"{report['fabric']['hangs']} hangs, {report['give_ups']} give-ups)")
     print(f"  chaos traces equivalent: {report['chaos_traces_equivalent']}")
     print(f"  kill after {report['executions_before_kill']} -> resume executed "
           f"{report['executions_after_resume']} "

@@ -150,9 +150,9 @@ class ExecutionServiceConfig:
     #: (``Executor.run_batch``).  Each execution's result is bit-for-bit
     #: what per-request submission produces — batching only dedups work.
     #: At q=1 (one proposal per round) there is nothing to group and the
-    #: scheduler transparently falls back to per-request submission.
-    #: Wrapper layers without a batch path (supervisor, fault injection)
-    #: also fall back transparently.
+    #: scheduler transparently falls back to per-request submission.  A
+    #: lone fault-injection wrapper (no coordinator) has no batch path and
+    #: also falls back transparently.
     batch_execution: bool = True
     #: Execution memoization (see :mod:`repro.db.plan_cache`): replay
     #: repeated ``(query, plan)`` executions and reuse join-subtree
@@ -169,11 +169,12 @@ class ExecutionServiceConfig:
     plan_cache_bytes: int | None = None
     #: Independent backend instances; ``> 1`` puts them behind the lease
     #: coordinator (:class:`~repro.exec.FabricBackend`, with an inline
-    #: fallback), exactly like fabric nodes.
+    #: fallback), exactly like fabric nodes.  With the fabric backend each
+    #: replica is ``fabric_nodes`` more nodes behind the same coordinator.
     replicas: int = 1
     #: Infrastructure failures tolerated per replica (or fabric node) before
     #: the coordinator puts it on probation: it sits out a doubling period,
-    #: then gets one half-open probe.
+    #: then gets one half-open probe.  Probation is the only backoff.
     max_failures: int = 3
     #: Multiprocessing start method for the process backend (``None`` prefers
     #: ``fork`` where available — worker replicas inherit the database without
@@ -196,30 +197,25 @@ class ExecutionServiceConfig:
     fabric_network_faults: object | None = None
 
     # Fault tolerance ---------------------------------------------------------
-    #: Wrap the backend in a :class:`~repro.exec.SupervisedBackend` (hang
-    #: watchdogs, retry with backoff, pool rebuild, degradation to inline
-    #: execution).  Implied by setting ``request_deadline``.
+    #: Put a single backend behind the lease coordinator
+    #: (:class:`~repro.exec.FabricBackend`: lease reassignment, hang
+    #: watchdog, pool rebuild, degradation to inline execution).  Implied by
+    #: setting ``request_deadline``; ``replicas > 1`` and the fabric backend
+    #: are coordinated already.
     supervised: bool = False
-    #: Wall-clock seconds one execution attempt may run before the supervisor
-    #: declares it hung and retries it.  ``None`` disables the watchdog.
+    #: Wall-clock seconds one execution may hold its member before the
+    #: coordinator declares it hung and reassigns it (a dispatched q-round
+    #: gets ``q`` times this).  ``None`` disables the watchdog.
     request_deadline: float | None = None
-    #: Supervisor retries per request beyond the first attempt (only
-    #: infrastructure failures are retried; genuine plan errors propagate).
+    #: Reassignments per lease beyond its first dispatch, on every
+    #: coordinator (only infrastructure failures are retried; genuine plan
+    #: errors propagate).
     max_retries: int = 3
-    #: Exponential backoff between retries: attempt k waits
-    #: ``min(backoff_max, backoff_base * 2**k)`` plus deterministic jitter.
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    #: Jitter fraction on top of the backoff delay (0 disables jitter).
-    backoff_jitter: float = 0.25
-    #: How many times the supervisor rebuilds a broken process pool before
-    #: degrading to inline execution on the scheduler thread.
-    pool_rebuilds: int = 2
     #: A :class:`~repro.exec.FaultInjectionConfig` (kept duck-typed here to
     #: avoid a config -> exec import cycle); ``None`` disables injection.
-    #: When set, the backend is wrapped in a
-    #: :class:`~repro.exec.FaultInjectionBackend` *inside* the supervision
-    #: layer, so injected faults exercise the real recovery paths.
+    #: When set, each in-process member is wrapped in a
+    #: :class:`~repro.exec.FaultInjectionBackend` *inside* the coordinator,
+    #: so injected faults exercise the real recovery path.
     fault_injection: object | None = None
 
     # Checkpoint / resume -----------------------------------------------------
@@ -253,14 +249,6 @@ class ExecutionServiceConfig:
             raise OptimizationError("request_deadline must be positive")
         if self.max_retries < 0:
             raise OptimizationError("max_retries must be non-negative")
-        if self.backoff_base <= 0:
-            raise OptimizationError("backoff_base must be positive")
-        if self.backoff_max < self.backoff_base:
-            raise OptimizationError("backoff_max must be at least backoff_base")
-        if self.backoff_jitter < 0:
-            raise OptimizationError("backoff_jitter must be non-negative")
-        if self.pool_rebuilds < 0:
-            raise OptimizationError("pool_rebuilds must be non-negative")
         if self.fabric_nodes < 1:
             raise OptimizationError("fabric_nodes must be at least 1")
         if self.checkpoint_every < 1:

@@ -152,8 +152,8 @@ class ExecutionOutcome:
     proposal_id: int | None = None
     cache: CacheStats | None = None
     #: How many execution attempts it took to produce this outcome (1 =
-    #: first try).  Stamped by the supervision layer
-    #: (:class:`~repro.exec.supervisor.SupervisedBackend`); purely
+    #: first try).  Stamped by the lease coordinator
+    #: (:class:`~repro.exec.fabric.FabricBackend`); purely
     #: observational — traces and budget charging ignore it.
     attempts: int = 1
     #: Spans recorded by the executing actor's own tracer

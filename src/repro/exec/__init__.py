@@ -25,8 +25,11 @@ scheduler drives:
   :mod:`repro.exec.remote` (heartbeat liveness, cross-node outcome-cache
   replication), or in-process replicas of the backends above.  Either way
   it gives least-loaded dispatch, deterministic lease reassignment on an
-  infrastructure failure, probation/half-open rejoin and graceful
-  degradation to inline execution.
+  infrastructure failure, probation/half-open rejoin, a per-dispatch hang
+  watchdog, in-place rebuild of a broken process pool and graceful
+  degradation to inline execution.  It is the service's one retry path:
+  supervision (``supervised=True`` or a ``request_deadline``) puts it in
+  front of a single backend too.
 
 **Policies** (:class:`SchedulingPolicy`) — pick which ready query state gets
 the next free slot (a slot holds one worker task: a lone request, or a
@@ -48,8 +51,9 @@ Configuration: either hand a ``WorkloadSession`` backend/policy instances, or
 describe them with :class:`~repro.core.config.ExecutionServiceConfig` —
 ``backend`` ("inline" / "thread" / "process" / "fabric"), ``max_workers``, ``policy``
 ("round_robin" / "budget_aware"), ``replicas`` (> 1 puts the lease coordinator in front),
-``start_method`` and ``warmup`` — and let :func:`make_backend` /
-:func:`make_policy` build them.
+``supervised`` / ``request_deadline`` / ``max_retries`` (the coordinator's
+watchdog and lease attempts), ``fault_injection``, ``start_method`` and
+``warmup`` — and let :func:`make_backend` / :func:`make_policy` build them.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from repro.exceptions import OptimizationError
 from repro.exec.backend import (
     ExecutionBackend,
     ExecutionRequest,
+    HangTimeout,
     InlineBackend,
     ThreadPoolBackend,
     TransientBackendError,
@@ -86,7 +91,6 @@ from repro.exec.faults import (
 from repro.exec.policy import BudgetAwarePriority, RoundRobin, SchedulingPolicy
 from repro.exec.process_pool import ProcessPoolBackend, RemoteExecutionError
 from repro.exec.remote import NodeLostError, RemoteNodeBackend
-from repro.exec.supervisor import HangTimeout, SupervisedBackend, SupervisorCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
@@ -117,8 +121,6 @@ __all__ = [
     "RemoteNodeBackend",
     "RoundRobin",
     "SchedulingPolicy",
-    "SupervisedBackend",
-    "SupervisorCounters",
     "ThreadPoolBackend",
     "TransientBackendError",
     "apply_cache_overrides",
@@ -135,30 +137,34 @@ __all__ = [
 
 
 def backend_health(backend: "ExecutionBackend | None") -> dict:
-    """Health snapshot of a backend stack's wrapper layers.
+    """Health snapshot of a backend stack: coordinator and fault harness.
 
-    Walks supervisor -> fault harness -> coordinator/pool by the ``inner``
-    convention, so any holder of a composed backend (the scheduler's
+    Walks wrapper layers by the ``inner`` convention, so any holder of a
+    composed backend (the scheduler's
     :class:`~repro.harness.runner.WorkloadSession`, the serving layer's
-    :class:`~repro.serve.server.PlanServer`) reports degradation — retries
-    burned, replicas on probation, injected faults — the same way.
+    :class:`~repro.serve.server.PlanServer`) reports degradation — leases
+    reassigned, hangs, replicas on probation, injected faults — the same
+    way.  The ``"fabric"`` section is the coordinator's; ``"faults"`` sums
+    the fault harness around each of its members (or around the lone
+    backend of an unsupervised stack).
     """
     report: dict = {}
+    harnesses: list[FaultInjectionBackend] = []
     layer = backend
     seen: set[int] = set()
     while layer is not None and id(layer) not in seen:
         seen.add(id(layer))
-        if isinstance(layer, SupervisedBackend):
-            report["supervisor"] = layer.report()
-        elif isinstance(layer, FaultInjectionBackend):
-            report["faults"] = layer.counters.snapshot()
+        if isinstance(layer, FaultInjectionBackend):
+            harnesses.append(layer)
         elif isinstance(layer, FabricBackend):
-            # Per-node (or per-replica) liveness, lease reassignments,
-            # reconnect/backoff counters and shipped-log cache hits — one
-            # section, shared by WorkloadSession.health_report() and
-            # PlanServer health.
+            # Per-node (or per-replica) liveness, lease reassignments, hangs,
+            # rebuilds, reconnect/backoff counters and shipped-log cache hits.
             report["fabric"] = layer.health_snapshot()
+            harnesses += [m for m in layer.members() if isinstance(m, FaultInjectionBackend)]
         layer = getattr(layer, "inner", None)
+    if harnesses:
+        counts = [harness.counters.snapshot() for harness in harnesses]
+        report["faults"] = {key: sum(count[key] for count in counts) for key in counts[0]}
     return report
 
 
@@ -198,33 +204,59 @@ def make_backend(
 ) -> ExecutionBackend:
     """Build the backend an :class:`ExecutionServiceConfig` describes.
 
-    With ``replicas > 1`` every replica is an independent backend instance
-    (process backends get their own worker pools) behind one
-    :class:`FabricBackend`, the coordinator :func:`start_local_fabric` puts
-    in front of node processes, with the same inline fallback.
+    A stack holds at most one :class:`FabricBackend`, the only layer that
+    retries: over ``fabric_nodes * replicas`` localhost node processes for
+    ``backend="fabric"`` (:func:`start_local_fabric`), over ``replicas``
+    independent instances of the other backends (process backends get their
+    own worker pools), or over a single one when supervised
+    (``supervised=True`` or a ``request_deadline``).  Every such coordinator
+    gets ``max_lease_attempts = max_retries + 1``, the ``request_deadline``
+    watchdog and one inline fallback (none when its lone member is inline);
+    an unsupervised single backend is returned bare.  ``fault_injection``
+    wraps each in-process member in a :class:`FaultInjectionBackend`
+    *inside* the coordinator, so injected faults exercise the real recovery
+    path; fabric nodes take their chaos from ``fabric_network_faults``.
 
-    The config's execution-memoization knobs (``plan_cache`` /
-    ``plan_cache_bytes``) are applied through
-    :func:`apply_cache_overrides` first, so they govern inline/thread
-    execution directly and reach every process-pool worker with the
-    database (inherited on fork, or riding the pickled constructor inputs;
-    either way each worker's cache is private from its start on).  Knobs left at ``None`` keep whatever ``exec_cache``
-    configuration the database was built with, and overrides never mutate
-    the caller's database — a snapshot sharing the same relations carries
-    them instead.
+    The cache knobs are applied through :func:`apply_cache_overrides` first,
+    so they reach every member, and every worker's private cache, with the
+    database; the caller's database is never reconfigured.
     """
     database = apply_cache_overrides(config, database)
     tracing = tracer is not None and getattr(tracer, "enabled", False)
+    local_tracer = tracer if tracing else None
+    coordinator_options = dict(
+        max_failures=config.max_failures,
+        max_lease_attempts=config.max_retries + 1,
+        request_deadline=config.request_deadline,
+    )
+
+    if config.backend == "fabric":
+        if config.fault_injection is not None:
+            raise OptimizationError(
+                "fault_injection wraps in-process members; the fabric backend "
+                "injects its chaos through fabric_network_faults"
+            )
+        # Localhost node processes behind the fabric coordinator; node
+        # tracers ship spans back on outcomes like the process pool.
+        network_faults = config.fabric_network_faults
+        if network_faults is not None and not isinstance(network_faults, NetworkFaultConfig):
+            network_faults = NetworkFaultConfig(**dict(network_faults))  # type: ignore[arg-type]
+        return start_local_fabric(
+            database,
+            queries=queries,
+            num_nodes=config.fabric_nodes * config.replicas,
+            warmup=config.warmup,
+            trace=tracing,
+            start_method=config.start_method,
+            network_faults=network_faults,
+            **coordinator_options,
+        )
 
     def one_backend() -> ExecutionBackend:
         if config.backend == "inline":
-            return InlineBackend(database, tracer=tracer if tracing else None)
+            return InlineBackend(database, tracer=local_tracer)
         if config.backend == "thread":
-            return ThreadPoolBackend(
-                database,
-                max_workers=config.max_workers,
-                tracer=tracer if tracing else None,
-            )
+            return ThreadPoolBackend(database, max_workers=config.max_workers, tracer=local_tracer)
         if config.backend == "process":
             # Workers record into private tracers and ship drained spans back
             # on outcomes; the parent-side tracer object itself never crosses.
@@ -236,58 +268,26 @@ def make_backend(
                 warmup=config.warmup,
                 trace=tracing,
             )
-        if config.backend == "fabric":
-            # Localhost node processes behind the fabric coordinator; node
-            # tracers ship spans back on outcomes like the process pool.
-            network_faults = config.fabric_network_faults
-            if network_faults is not None and not isinstance(network_faults, NetworkFaultConfig):
-                network_faults = NetworkFaultConfig(**dict(network_faults))  # type: ignore[arg-type]
-            return start_local_fabric(
-                database,
-                queries=queries,
-                num_nodes=config.fabric_nodes,
-                warmup=config.warmup,
-                trace=tracing,
-                start_method=config.start_method,
-                max_failures=config.max_failures,
-                network_faults=network_faults,
-            )
         raise OptimizationError(f"unknown execution backend {config.backend!r}")
 
-    if config.replicas == 1:
-        backend = one_backend()
-    else:
-        backend = FabricBackend(
-            [one_backend() for _ in range(config.replicas)],
-            database=database,
-            fallback=InlineBackend(database),
-            max_failures=config.max_failures,
-        )
-    # A supervisor's fallback gives the session somewhere to run when all
-    # pooled capacity is lost: pointless when the primary already *is*
-    # inline, and a second one when the coordinator carries its own.
-    needs_fallback = not isinstance(backend, (InlineBackend, FabricBackend))
-
-    # Fault injection sits *inside* supervision so injected faults exercise
-    # the real recovery paths (watchdog, retry, rebuild, degradation).
+    members = [one_backend() for _ in range(config.replicas)]
     if config.fault_injection is not None:
         fault_config = config.fault_injection
         if not isinstance(fault_config, FaultInjectionConfig):
             fault_config = FaultInjectionConfig(**dict(fault_config))  # type: ignore[arg-type]
-        backend = FaultInjectionBackend(backend, fault_config)
-
-    if config.supervised or config.request_deadline is not None:
-        backend = SupervisedBackend(
-            backend,
-            request_deadline=config.request_deadline,
-            max_retries=config.max_retries,
-            backoff_base=config.backoff_base,
-            backoff_max=config.backoff_max,
-            backoff_jitter=config.backoff_jitter,
-            max_rebuilds=config.pool_rebuilds,
-            fallback=InlineBackend(database) if needs_fallback else None,
-        )
-    return backend
+        members = [FaultInjectionBackend(member, fault_config) for member in members]
+    supervised = config.supervised or config.request_deadline is not None
+    if len(members) == 1 and not supervised:
+        return members[0]
+    # The fallback gives the run somewhere to go when every member is lost:
+    # pointless when the lone member already is inline.
+    lone_inline = len(members) == 1 and config.backend == "inline"
+    return FabricBackend(
+        members,
+        database=database,
+        fallback=None if lone_inline else InlineBackend(database),
+        **coordinator_options,
+    )
 
 
 def make_policy(name: str) -> SchedulingPolicy:

@@ -31,11 +31,19 @@ class TransientBackendError(OptimizationError):
     """A retryable infrastructure failure (network blip, evicted worker, ...).
 
     Says nothing about the plan that was executing: the same request submitted
-    again may well succeed.  The supervision layer
-    (:class:`~repro.exec.supervisor.SupervisedBackend`) retries these with
-    backoff, and the :class:`~repro.exec.fabric.FabricBackend` coordinator
-    charges them against the failing member's health budget and reassigns
-    the lease — exactly like a :class:`~concurrent.futures.BrokenExecutor`.
+    again may well succeed.  The :class:`~repro.exec.fabric.FabricBackend`
+    coordinator charges these against the failing member's health budget and
+    reassigns the lease — exactly like a
+    :class:`~concurrent.futures.BrokenExecutor`.
+    """
+
+
+class HangTimeout(TransientBackendError):
+    """A dispatched execution outlived its request deadline.
+
+    Raised by the :class:`~repro.exec.fabric.FabricBackend` watchdog
+    (``request_deadline``): the hung attempt is abandoned and its lease
+    reassigned like any other infrastructure failure.
     """
 
 
@@ -43,7 +51,7 @@ def is_infra_failure(exc: BaseException) -> bool:
     """Whether ``exc`` is an infrastructure failure rather than a plan error.
 
     Infrastructure failures (a worker process died, a transient backend
-    error, a supervision deadline expired) are retryable: the plan itself is
+    error, a request deadline expired) are retryable: the plan itself is
     not implicated.  Everything else — the plan genuinely failing to execute —
     must propagate to the scheduler untouched.
     """
@@ -198,9 +206,9 @@ def submit_request_batch(backend, requests: list[ExecutionRequest]) -> "list[Fut
     For callers that only want the futures (forwarding wrappers, tests):
     backends exposing ``submit_batch`` (inline, thread, process, fabric)
     receive the whole batch as one submission — one task on one worker — so
-    same-query plans share subtree work; wrapper backends that deliberately
-    do not (supervisor, fault injection — their per-request
-    semantics are the point) fall back to one ``submit`` per request.
+    same-query plans share subtree work; the fault-injection wrapper, whose
+    per-request schedule is the point, falls back to one ``submit`` per
+    request.
     Returns one future per request, in request order, either way.  The
     session makes the same choice itself (``WorkloadSession._has_batch_path``)
     because :func:`~repro.core.protocol.drive` must also know how many

@@ -20,8 +20,20 @@ is the design center:
 * **Probation / half-open probes.**  A node charged ``max_failures``
   infrastructure failures sits out ``probation_seconds`` (doubling per
   relapse), then gets a single half-open probe.  A success clears the
-  node's record.  Remote links also *reconnect* themselves with exponential
-  backoff underneath.
+  node's record.  This is the coordinator's one backoff: a reassigned
+  lease never sleeps.  Remote links also *reconnect* themselves with
+  exponential backoff underneath.
+* **Hang watchdog.**  With a ``request_deadline``, a dispatched group that
+  has not landed ``request_deadline * len(group)`` seconds after it reached
+  its node is abandoned: its futures are cancelled and its leases charged
+  and reassigned as a :class:`~repro.exec.backend.HangTimeout`.  A late
+  reply from the abandoned attempt is discarded, never observed twice.
+  The pump thread checks the deadlines; no request gets a thread.
+* **Pool rebuild.**  A member that fails with a
+  :class:`~concurrent.futures.BrokenExecutor`, then reports itself
+  unhealthy and offers ``rebuild()`` (a broken
+  :class:`~repro.exec.process_pool.ProcessPoolBackend`) is rebuilt in
+  place, at most :data:`MAX_REBUILDS` times per member.
 * **Work conservation.**  There are no per-node queues to steal from:
   nodes hold at most ``capacity()`` leases and everything else waits in the
   central queue, so a straggler can never hoard work an idle node could
@@ -50,13 +62,13 @@ import dataclasses
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.protocol import ExecutionOutcome
 from repro.exceptions import OptimizationError
-from repro.exec.backend import ExecutionRequest, InlineBackend, is_infra_failure
+from repro.exec.backend import ExecutionRequest, HangTimeout, InlineBackend, is_infra_failure
 from repro.exec.faults import NetworkFaultConfig, NetworkFaultCounters, _copy_completion
 from repro.exec.node import start_node_process
 from repro.exec.remote import RemoteNodeBackend
@@ -64,6 +76,9 @@ from repro.exec.remote import RemoteNodeBackend
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
     from repro.db.query import Query
+
+#: How many times the coordinator rebuilds one broken member in place.
+MAX_REBUILDS = 2
 
 
 @dataclass
@@ -76,20 +91,13 @@ class FabricCounters:
     lease_reassignments: int = 0
     degraded_executions: int = 0
     give_ups: int = 0
+    hangs: int = 0
+    rebuilds: int = 0
     events_imported: int = 0
     events_replicated: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "submissions": self.submissions,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "lease_reassignments": self.lease_reassignments,
-            "degraded_executions": self.degraded_executions,
-            "give_ups": self.give_ups,
-            "events_imported": self.events_imported,
-            "events_replicated": self.events_replicated,
-        }
+        return dataclasses.asdict(self)
 
 
 class _Lease:
@@ -107,6 +115,22 @@ class _Lease:
         self.last_slot: "_NodeSlot | None" = None
 
 
+class _Flight:
+    """One group dispatched to one node: what is still open, and until when."""
+
+    __slots__ = ("slot", "leases", "open", "futures", "deadline", "abandoned")
+
+    def __init__(self, slot: "_NodeSlot", leases: "list[_Lease]") -> None:
+        self.slot = slot
+        self.leases = leases
+        #: Leases whose reply has not landed yet.
+        self.open = set(leases)
+        self.futures: list = []
+        self.deadline: float | None = None
+        #: Set by the watchdog: every reply still to come is a late one.
+        self.abandoned = False
+
+
 class _NodeSlot:
     """Fabric-side bookkeeping for one member (node link or replica)."""
 
@@ -120,6 +144,7 @@ class _NodeSlot:
         self.failures = 0
         self.probation_until: float | None = None
         self.probations = 0
+        self.rebuilds = 0
 
     def on_probation(self, now: float) -> bool:
         return self.probation_until is not None and now < self.probation_until
@@ -148,6 +173,7 @@ class _NodeSlot:
             "failures": self.failures,
             "on_probation": self.on_probation(now),
             "probations": self.probations,
+            "rebuilds": self.rebuilds,
         }
         node_status = getattr(self.node, "status", None)
         if callable(node_status):
@@ -173,6 +199,7 @@ class FabricBackend:
         probation_seconds: float = 1.0,
         max_lease_attempts: int | None = None,
         degrade_after: float = 2.0,
+        request_deadline: float | None = None,
         network_faults: NetworkFaultConfig | None = None,
         replicate_cache: bool = True,
         clock: Callable[[], float] = time.monotonic,
@@ -187,6 +214,8 @@ class FabricBackend:
             raise OptimizationError("max_lease_attempts must be at least 1")
         if degrade_after < 0:
             raise OptimizationError("degrade_after must be non-negative")
+        if request_deadline is not None and request_deadline <= 0:
+            raise OptimizationError("request_deadline must be positive")
         # Remote links are named ``node[i]`` already; same-named replicas
         # (``inline``, ``process``) get their index so every slot's name is
         # unique in reports and as the dispatch tie-break.
@@ -203,6 +232,7 @@ class FabricBackend:
             max_lease_attempts if max_lease_attempts is not None else 3 * len(nodes)
         )
         self._degrade_after = degrade_after
+        self._request_deadline = request_deadline
         self.network_faults = network_faults
         self.network_counters = NetworkFaultCounters()
         self._replicate_cache = replicate_cache
@@ -212,6 +242,8 @@ class FabricBackend:
         # inside submit(), re-entering the dispatch path.
         self._lock = threading.RLock()
         self._pending: "deque[list[_Lease]]" = deque()
+        #: Dispatched groups under the watchdog, in dispatch order.
+        self._flights: "dict[_Flight, None]" = {}
         self._fault_attempts: dict[tuple, int] = {}
         self._kills_done = 0
         self._all_unhealthy_since: float | None = None
@@ -231,20 +263,12 @@ class FabricBackend:
         return sum(max(1, slot.node.capacity()) for slot in self._slots)
 
     def healthy(self) -> bool:
-        if self._closed:
-            return False
-        return self.fallback is not None or any(slot.node.healthy() for slot in self._slots)
+        return not self._closed and (
+            self.fallback is not None or any(slot.node.healthy() for slot in self._slots)
+        )
 
     def submit(self, request: ExecutionRequest) -> "Future[ExecutionOutcome]":
-        if self._closed:
-            raise OptimizationError("backend is closed")
-        lease = _Lease(request)
-        with self._lock:
-            self.counters.submissions += 1
-            self._pending.append([lease])
-        self._ensure_pump()
-        self._dispatch()
-        return lease.outer
+        return self.submit_batch([request])[0]
 
     def submit_batch(
         self, requests: "list[ExecutionRequest]"
@@ -255,9 +279,6 @@ class FabricBackend:
         group disbands and the leases reassign individually — correctness
         first, the batching win only when the fleet is calm.
         """
-        requests = list(requests)
-        if len(requests) == 1:
-            return [self.submit(requests[0])]
         if self._closed:
             raise OptimizationError("backend is closed")
         leases = [_Lease(request) for request in requests]
@@ -299,7 +320,8 @@ class FabricBackend:
 
     def _ensure_pump(self) -> None:
         # A tiny timer thread re-runs dispatch so queued leases make progress
-        # on probation expiry / degradation deadlines even with no link event.
+        # on probation expiry / degradation deadlines even with no link event,
+        # and abandons dispatched groups past their request deadline.
         with self._lock:
             if self._pump is None or not self._pump.is_alive():
                 self._pump = threading.Thread(
@@ -310,6 +332,8 @@ class FabricBackend:
     def _pump_loop(self) -> None:
         while not self._closed:
             time.sleep(0.02)
+            if self._flights:
+                self._expire_hung()
             if self._pending:
                 self._dispatch()
 
@@ -333,23 +357,19 @@ class FabricBackend:
                     self._pending.popleft()
                     continue
                 slot = self._choose(now, live_group[0].last_slot)
-                if slot is None:
-                    if not self._maybe_degrade(now):
-                        return
-                    self._pending.popleft()
-                    group_to_fallback = live_group
-                    slot = None
-                else:
-                    self._pending.popleft()
+                if slot is None and not self._maybe_degrade(now):
+                    return
+                self._pending.popleft()
+                if slot is not None:
                     self._all_unhealthy_since = None
                     slot.occupancy += 1
                     slot.dispatched += len(live_group)
                     if live_group[0].attempt > 0:
                         slot.reassigned_in += len(live_group)
             if slot is None:
-                self._run_on_fallback(group_to_fallback)
-                continue
-            self._dispatch_to(slot, live_group)
+                self._run_on_fallback(live_group)
+            else:
+                self._dispatch_to(slot, live_group)
 
     def _maybe_degrade(self, now: float) -> bool:
         """Whether queued leases should run on the fallback *now*."""
@@ -380,7 +400,7 @@ class FabricBackend:
                 self._pending.appendleft(group)
             self.network_counters.kills += 1
             slot.node.inject_kill()
-            self._record_failure(slot)
+            self._charge(slot)
             self._dispatch()
             return
         if fault == "partition":
@@ -389,6 +409,11 @@ class FabricBackend:
             self.network_counters.partitions += 1
             slot.node.inject_partition(self.network_faults.partition_seconds)
         self.counters.dispatched += len(group)
+        flight = _Flight(slot, group)
+        if self._request_deadline is not None:
+            # Counted from dispatch, never from queueing; a group holds its
+            # node for the sum of its executions.
+            flight.deadline = self._clock() + self._request_deadline * len(group)
         try:
             if len(group) > 1 and hasattr(slot.node, "submit_batch"):
                 requests = [lease.request for lease in group]
@@ -399,7 +424,7 @@ class FabricBackend:
             with self._lock:
                 slot.occupancy -= 1
             if is_infra_failure(exc):
-                self._record_failure(slot)
+                self._charge(slot, exc)
                 self._requeue(slot, group, exc)
             else:
                 for lease in group:
@@ -411,10 +436,13 @@ class FabricBackend:
                 self._delay(future, self.network_faults.slow_link_seconds)
                 for future in inner_futures
             ]
-        remaining = [len(group)]
+        flight.futures = inner_futures
+        if flight.deadline is not None:
+            with self._lock:
+                self._flights[flight] = None
         for lease, inner in zip(group, inner_futures):
             inner.add_done_callback(
-                lambda done, lease=lease: self._on_lease_done(slot, lease, done, remaining)
+                lambda done, lease=lease: self._on_lease_done(flight, lease, done)
             )
         if fault == "drop":
             # The link drops with the lease in flight: every pending request
@@ -424,32 +452,28 @@ class FabricBackend:
             if drop is not None:
                 drop()
 
-    def _on_lease_done(
-        self, slot: "_NodeSlot", lease: _Lease, inner: "Future", remaining: list
-    ) -> None:
+    def _on_lease_done(self, flight: _Flight, lease: _Lease, inner: "Future") -> None:
+        slot = flight.slot
         with self._lock:
-            remaining[0] -= 1
-            if remaining[0] == 0:
+            if flight.abandoned:
+                # A late reply: the watchdog already reassigned this lease.
+                return
+            flight.open.discard(lease)
+            if not flight.open:
                 slot.occupancy -= 1
-        try:
-            exc = inner.exception()
-        except BaseException as err:  # noqa: BLE001 - CancelledError and friends
-            exc = err
+                self._flights.pop(flight, None)
+        exc = _failure(inner)
         if exc is None:
-            outcome = inner.result()
             with self._lock:
                 slot.completed += 1
                 slot.failures = 0
                 slot.probation_until = None
                 slot.probations = 0
-                self.counters.completed += 1
-            if lease.attempt > 0 and isinstance(outcome, ExecutionOutcome):
-                outcome = dataclasses.replace(outcome, attempts=lease.attempt + 1)
-            _settle(lease.outer, result=outcome)
+            self._deliver(lease, inner.result())
             self._dispatch()
             return
         if is_infra_failure(exc):
-            self._record_failure(slot)
+            self._charge(slot, exc)
             self._requeue(slot, [lease], exc)
         else:
             # The plan itself failed: propagate untouched, no health charge.
@@ -494,32 +518,67 @@ class FabricBackend:
             )
 
     def _finish_degraded(self, lease: _Lease, inner: "Future") -> None:
-        try:
-            exc = inner.exception()
-        except BaseException as err:  # noqa: BLE001 - CancelledError and friends
-            exc = err
+        exc = _failure(inner)
         if exc is not None:
             _settle(lease.outer, exc=exc)
-            return
-        outcome = inner.result()
+        else:
+            self._deliver(lease, inner.result())
+
+    def _deliver(self, lease: _Lease, outcome) -> None:
+        """Settle a lease with its outcome, stamped with the attempts it took."""
         with self._lock:
             self.counters.completed += 1
         if lease.attempt > 0 and isinstance(outcome, ExecutionOutcome):
             outcome = dataclasses.replace(outcome, attempts=lease.attempt + 1)
         _settle(lease.outer, result=outcome)
 
-    def _record_failure(self, slot: "_NodeSlot") -> None:
+    def _expire_hung(self) -> None:
+        """Abandon every dispatched group past its deadline (the watchdog)."""
+        now = self._clock()
+        expired = []
+        with self._lock:
+            for flight in list(self._flights):
+                if now >= flight.deadline:
+                    del self._flights[flight]
+                    flight.abandoned = True
+                    flight.slot.occupancy -= 1
+                    hung = [lease for lease in flight.leases if lease in flight.open]
+                    self.counters.hangs += len(hung)
+                    expired.append((flight, hung))
+        for flight, hung in expired:
+            for future in flight.futures:
+                future.cancel()
+            exc = HangTimeout(
+                f"{len(hung)} execution(s) of query {hung[0].request.query.name!r} "
+                f"outlived the {self._request_deadline}s request deadline on "
+                f"{flight.slot.name}"
+            )
+            self._charge(flight.slot, exc)
+            self._requeue(flight.slot, hung, exc)
+
+    def _charge(self, slot: "_NodeSlot", exc: BaseException | None = None) -> None:
+        """Charge an infrastructure failure to ``slot``; rebuild a broken pool."""
+        rebuild = getattr(slot.node, "rebuild", None)
         with self._lock:
             slot.failures += 1
-            failing_probe = slot.probing(self._clock())
-            if slot.failures >= self._max_failures or failing_probe:
+            now = self._clock()
+            if slot.failures >= self._max_failures or slot.probing(now):
                 # Doubling probation per relapse: a flapping node backs off
                 # the fleet exponentially.
-                slot.probation_until = self._clock() + self._probation_seconds * (
-                    2.0 ** slot.probations
-                )
+                slot.probation_until = now + self._probation_seconds * 2.0 ** slot.probations
                 slot.probations += 1
                 slot.failures = 0
+            # Under the lock: the failures of one broken pool race in on
+            # several threads and must cost one rebuild, not one each.
+            if (
+                rebuild is not None
+                and isinstance(exc, BrokenExecutor)
+                and not slot.node.healthy()
+                and slot.rebuilds < MAX_REBUILDS
+            ):
+                slot.rebuilds += 1
+                self.counters.rebuilds += 1
+                rebuild()
 
     # ------------------------------------------------------------------ network chaos
     def _decide_fault(self, lease: _Lease) -> str | None:
@@ -585,6 +644,10 @@ class FabricBackend:
                 self.counters.events_imported += imported
 
     # ------------------------------------------------------------------ introspection
+    def members(self) -> list:
+        """The coordinated members (node links or replicas), in slot order."""
+        return [slot.node for slot in self._slots]
+
     def statuses(self) -> list[dict]:
         now = self._clock()
         with self._lock:
@@ -605,6 +668,14 @@ class FabricBackend:
         if self.network_faults is not None:
             report["network_faults"] = self.network_counters.snapshot()
         return report
+
+
+def _failure(future: "Future") -> BaseException | None:
+    """A finished future's exception, counting cancellation as one."""
+    try:
+        return future.exception()
+    except BaseException as err:  # noqa: BLE001 - CancelledError and friends
+        return err
 
 
 def _settle(future: "Future", result=None, exc=None) -> None:

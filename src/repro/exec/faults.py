@@ -12,9 +12,9 @@ purpose.  :class:`FaultInjectionBackend` wraps any
   :class:`~repro.exec.backend.TransientBackendError`, modelling a network
   blip or an evicted worker,
 * **hang** — the execution runs, but its result is withheld for
-  ``hang_seconds`` after completion, modelling a stuck worker; a supervision
-  deadline (:class:`~repro.exec.supervisor.SupervisedBackend`) must fire
-  first for the request to make progress,
+  ``hang_seconds`` after completion, modelling a stuck worker; the
+  coordinator's request deadline (:class:`~repro.exec.fabric.FabricBackend`)
+  must fire first for the request to make progress,
 * **slow** — like a hang but short (``slow_seconds``), modelling a straggler
   replica; a well-tuned deadline must *not* fire on these.
 
@@ -99,9 +99,11 @@ class FaultInjectionConfig:
     uniform deviate from ``(seed, query, plan, attempt)`` and the interval it
     lands in decides the fault (or none).  ``max_faults_per_request`` bounds
     how many *attempts* of one ``(query, plan)`` request may fault — with a
-    supervisor whose ``max_retries`` exceeds it, every request is guaranteed
-    to eventually complete, which is what lets a chaos benchmark assert full
-    completion while still exercising every failure path.
+    coordinator whose ``max_retries`` exceeds it, every request is
+    guaranteed to eventually complete, which is what lets a chaos benchmark
+    assert full completion while still exercising every failure path.  The
+    attempt count is per wrapper: behind a coordinator each member's
+    harness counts the attempts that reached it.
     """
 
     seed: int = 0

@@ -59,7 +59,8 @@ class RemoteExecutionError(OptimizationError):
     a string so the original stack rides along to the scheduler (and into the
     run report, tagged with the owning query).  It is a genuine execution
     error — :func:`~repro.exec.backend.is_infra_failure` is false for it, so
-    neither the coordinator's health budget nor the supervisor's retries apply.
+    the coordinator neither charges a member's health budget nor reassigns
+    the lease.
     """
 
     def __init__(self, message: str, remote_traceback: str = "") -> None:
@@ -305,7 +306,8 @@ class ProcessPoolBackend:
         """Replace a broken process pool with a fresh one.
 
         ``BrokenProcessPool`` poisons the executor permanently; the
-        supervisor calls this to discard it so the next submission lazily
+        coordinator (:class:`~repro.exec.fabric.FabricBackend`) calls this
+        to discard it so the next submission lazily
         starts fresh workers from the same database (forked from the
         already-warm coordinator, or rebuilt from its pickle), so determinism
         is unaffected.  In-flight futures of the old pool have already

@@ -98,9 +98,9 @@ class ProtocolError(OptimizationError):
 class NodeLostError(TransientBackendError):
     """The link to an execution node died with requests in flight.
 
-    Classified as infrastructure (retryable): the plan is not implicated, the
-    fabric reassigns the request's lease to a surviving node, and the
-    supervisor's retry budget applies if the fabric itself gives up.
+    Classified as infrastructure (retryable): the plan is not implicated, and
+    the fabric reassigns the request's lease to a surviving node, up to its
+    ``max_lease_attempts``.
     """
 
 

@@ -92,8 +92,8 @@ class ComparisonRun:
     #: Execution-memoization totals of the session that produced the run
     #: (see :class:`ExecutionCacheReport`).
     cache_summary: dict = field(default_factory=dict)
-    #: Backend-health snapshot of the session (supervisor counters, fault
-    #: injection totals, per-replica coordinator statuses) — degraded runs are
+    #: Backend-health snapshot of the session (coordinator counters and
+    #: per-member statuses, fault-injection totals) — degraded runs are
     #: visible in the report instead of silent.
     backend_health: dict = field(default_factory=dict)
     #: The session's observability report (:func:`repro.obs.report.render_report`):
@@ -234,8 +234,8 @@ class WorkloadSession:
         worker task and occupies one scheduler slot.  Every execution's
         result is bit-for-bit what per-request submission produces.  At q=1
         there is nothing to group and submission transparently stays
-        per-request; wrapper backends without a batch path (supervisor,
-        fault injection) always submit per request.
+        per-request; a lone fault-injection wrapper, which has no batch
+        path, always submits per request.
         Defaults to ``exec_config.batch_execution`` (True).
     interleave:
         Force interleaving on/off; defaults to backend capacity > 1.
@@ -482,10 +482,10 @@ class WorkloadSession:
 
         A round of several proposals is one task when ``batch_execution`` is
         on and the backend has a batch path (inline, thread, process,
-        fabric); otherwise — batching disabled, or a wrapper backend whose
-        per-request semantics are the point — every request is a task of its
-        own (``fan_out``), so no more requests are in flight than the
-        backend has slots and none waits out a supervision deadline queued.
+        fabric); otherwise — batching disabled, or a fault-injection wrapper
+        whose per-request schedule is the point — every request is a task of
+        its own (``fan_out``), so no more requests are in flight than the
+        backend has slots.
         """
         options.setdefault("on_outcome", self._note_outcome)
         drive(
@@ -564,12 +564,12 @@ class WorkloadSession:
 
     # ------------------------------------------------------------------ reporting
     def health_report(self) -> dict:
-        """Backend-health snapshot: supervision, fault injection, coordinator.
+        """Backend-health snapshot: coordinator and fault injection.
 
-        Walks the backend's wrapper layers (supervisor -> fault harness ->
-        coordinator/pool), so a degraded run — retries burned, replicas on
-        probation, execution running on the inline fallback — is visible in
-        reports next to :attr:`cache_report` instead of silent.
+        See :func:`~repro.exec.backend_health`: a degraded run — leases
+        reassigned, hangs, replicas on probation, execution running on the
+        inline fallback — is visible in reports next to
+        :attr:`cache_report` instead of silent.
         """
         return backend_health(self._backend)
 

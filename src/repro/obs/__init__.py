@@ -8,7 +8,7 @@ The telemetry layer threaded through optimize/execute/serve:
   everywhere, so tracing is strictly opt-in and tier-1 determinism is
   untouched on or off.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` unifies the
-  per-subsystem counter objects (serve, supervisor, faults, execution cache)
+  per-subsystem counter objects (serve, coordinator, faults, execution cache)
   behind providers and adds first-class latency histograms on the same
   reservoir sampler as the SLO trackers.
 * :mod:`repro.obs.export` — JSONL sink and Chrome-trace/Perfetto JSON.

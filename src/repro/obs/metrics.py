@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges and latency histograms in one place.
 
 Before this module every subsystem grew its own counter dataclass —
-``ServeCounters``, ``SupervisorCounters``, ``FaultCounters``,
+``ServeCounters``, ``FabricCounters``, ``FaultCounters``,
 ``CacheCounters`` — each with a private ``snapshot()`` and no single place to
 ask "what is this process doing?".  Those dataclasses stay (they are
 picklable operational state, persisted in checkpoints and plan stores); the
@@ -130,7 +130,7 @@ class MetricsRegistry:
     object, so subsystems can share a registry without coordination.
     Providers are zero-argument callables returning a JSON-ish dict — the
     existing ``snapshot()``/``summary()`` methods of the per-subsystem
-    counter objects plug in unchanged, which is how the serve, supervision,
+    counter objects plug in unchanged, which is how the serve, coordinator,
     fault-injection and execution-cache counters all surface through one
     :meth:`snapshot`.
     """

@@ -52,7 +52,7 @@ from repro.core.timeout import (
     UncertaintyTimeout,
 )
 from repro.exceptions import OptimizationError
-from repro.exec import SupervisedBackend, ThreadPoolBackend, perform_batch
+from repro.exec import make_backend, perform_batch
 from repro.harness import WorkloadSession
 from repro.workloads.base import Workload
 
@@ -471,6 +471,26 @@ class TestFixedQMatchesDriveState:
                 assert session.interleave
                 assert signatures(session.run("bayesqo")) == reference
 
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_a_supervised_q4_run_equals_the_reference_loop(
+        self, backend, tiny_database, tiny_schema_model, three_queries, reference
+    ):
+        # Supervision puts the coordinator in front of the one pool, so a
+        # q-batch stays one task; no execution comes near the deadline.
+        config = ExecutionServiceConfig(
+            backend=backend, max_workers=2, batch_size=4, supervised=True, request_deadline=30.0
+        )
+        workload = Workload(
+            name="tiny", database=tiny_database.snapshot(), queries=three_queries, max_aliases=2
+        )
+        with make_session(
+            workload, tiny_schema_model,
+            budget=self.BUDGET, bayes_config=self.CONFIG, exec_config=config,
+        ) as session:
+            assert session.interleave
+            assert signatures(session.run("bayesqo")) == reference
+            assert session.health_report()["fabric"]["hangs"] == 0
+
 
 class _SlowDatabase:
     """A database whose every execution holds its worker for ``seconds``."""
@@ -488,29 +508,30 @@ class _SlowDatabase:
 
 
 class TestPerRequestSubmission:
-    """Without a batch path every request is a task: a q-round never puts
-    more requests in flight than the backend has workers."""
+    """A request's deadline runs from its dispatch to a worker, never from
+    queueing, and a q-round that is one task gets q times the deadline."""
 
     def test_a_supervised_q8_round_waits_out_no_deadline_queued(
         self, tiny_database, three_queries
     ):
-        # 100 ms per execution on 2 workers: two rounds of 8 requests queued
-        # at once would finish the last after 800 ms, past the deadline.
+        # 100 ms per execution on 2 workers: a q=8 round is one 0.8 s task,
+        # past the 0.6 s per request but well within the round's 8 x 0.6 s.
         database = tiny_database.snapshot()
-        backend = SupervisedBackend(
-            ThreadPoolBackend(_SlowDatabase(database, 0.1), max_workers=2),
-            request_deadline=0.6, max_retries=0,
+        config = ExecutionServiceConfig(
+            backend="thread", max_workers=2, supervised=True, request_deadline=0.6,
+            max_retries=0,
         )
+        backend = make_backend(config, _SlowDatabase(database, 0.1))
         workload = Workload(name="tiny", database=database, queries=three_queries, max_aliases=2)
         with WorkloadSession(
             workload, budget=BudgetSpec(max_executions=8), seed=0, backend=backend, batch_size=8,
         ) as session:
-            assert session.interleave and not hasattr(backend, "submit_batch")
+            assert session.interleave and hasattr(backend, "submit_batch")
             results = session.run("random")
-            supervisor = session.health_report()["supervisor"]
+            fabric = session.health_report()["fabric"]
         executions = sum(result.num_executions for result in results.values())
-        assert supervisor["hangs"] == 0
-        assert supervisor["attempts"] == supervisor["submissions"] == executions > 8
+        assert fabric["hangs"] == 0
+        assert fabric["dispatched"] == fabric["submissions"] == executions > 8
 
 
 class SteppedBackend:

@@ -1,11 +1,12 @@
 """Fault-tolerance suite: injection, supervision, probation, checkpoint/resume.
 
 Covers the deterministic fault-injection harness (seeded schedules, crash /
-transient short-circuit, hang / slow delayed delivery), the supervisor's
-retry-with-backoff / watchdog / rebuild / degradation paths, how
-``make_backend`` composes supervision with the replica coordinator (whose
-probation and half-open re-probe recovery ``tests/test_fabric.py`` covers),
-remote-traceback preservation
+transient short-circuit, hang / slow delayed delivery), supervision on a
+one-member lease coordinator (attempt stamping, bounded reassignment, the
+hang watchdog, pool rebuild, degradation; probation and half-open re-probe
+recovery are ``tests/test_fabric.py``'s), how ``make_backend`` composes
+supervision, fault injection and the coordinator, remote-traceback
+preservation
 across the process boundary, and the session-level checkpoint/resume
 guarantee: a killed run resumed from its checkpoint finishes with traces
 bit-for-bit identical to an uninterrupted run.
@@ -37,13 +38,16 @@ from repro.exec import (
     InjectedWorkerCrash,
     InlineBackend,
     NetworkFaultConfig,
+    NodeLostError,
     ProcessPoolBackend,
     RemoteExecutionError,
-    SupervisedBackend,
+    RemoteNodeBackend,
+    ThreadPoolBackend,
     TransientBackendError,
     is_infra_failure,
     make_backend,
 )
+from repro.exec.fabric import MAX_REBUILDS
 from repro.harness import CheckpointManager, SessionCheckpoint, WorkloadSession
 from repro.plans.jointree import JoinTree
 
@@ -103,25 +107,56 @@ class _RebuildableBackend(_ScriptedBackend):
 
 
 class _NeverResolves:
-    """Backend whose futures never complete — a true hang."""
+    """Backend whose futures never complete — a true hang.
+
+    The futures are already running, so nobody can cancel them, exactly
+    like a stuck worker's.  With ``hangs`` set only the first ``hangs``
+    submissions hang; later ones complete cleanly.
+    """
 
     name = "black-hole"
 
-    def __init__(self):
+    def __init__(self, hangs=None):
+        self.hangs = hangs
         self.submitted = []
+        self.hung = []
 
     def capacity(self):
         return 1
 
     def submit(self, request):
         self.submitted.append(request)
-        return Future()
+        future = Future()
+        if self.hangs is not None and len(self.hung) >= self.hangs:
+            future.set_result(ExecutionOutcome(latency=1.0))
+        else:
+            future.set_running_or_notify_cancel()
+            self.hung.append(future)
+        return future
 
     def healthy(self):
         return True
 
     def close(self):
         pass
+
+
+class _FakeClock:
+    def __init__(self, now=100.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
+def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
 
 
 def _query(name="faulty_q"):
@@ -241,104 +276,195 @@ class TestFaultInjectionBackend:
         assert future.result(timeout=1.0).latency == 1.0
 
 
-# ------------------------------------------------------------------ supervisor
-class TestSupervisedBackend:
-    def test_clean_path_stamps_attempts(self):
-        supervised = SupervisedBackend(_ScriptedBackend())
-        outcome = supervised.submit(_request()).result(timeout=5.0)
-        assert outcome.latency == 1.0 and outcome.attempts == 1
-        assert supervised.counters.retries == 0
+# ------------------------------------------------------------------ supervision
+class TestCoordinatorSupervision:
+    """Supervision on a one-member lease coordinator, the stack
+    ``supervised=True`` builds around a single backend."""
 
-    def test_retry_then_succeed_on_transient(self):
+    def test_clean_path_stamps_one_attempt(self):
+        fabric = FabricBackend([_ScriptedBackend()])
+        try:
+            outcome = fabric.submit(_request()).result(timeout=5.0)
+        finally:
+            fabric.close()
+        assert outcome.latency == 1.0 and outcome.attempts == 1
+        assert fabric.counters.dispatched == 1
+        assert fabric.counters.lease_reassignments == 0
+
+    def test_transient_then_crash_then_success(self):
         inner = _ScriptedBackend(
             script=[TransientBackendError("blip"), BrokenExecutor("worker died"), None]
         )
-        supervised = SupervisedBackend(inner, max_retries=3, backoff_base=0.001, backoff_max=0.01)
-        outcome = supervised.submit(_request()).result(timeout=5.0)
+        fabric = FabricBackend([inner], max_lease_attempts=4)
+        try:
+            outcome = fabric.submit(_request()).result(timeout=5.0)
+            report = fabric.health_snapshot()
+        finally:
+            fabric.close()
         assert outcome.latency == 1.0 and outcome.attempts == 3
         assert len(inner.submitted) == 3
-        report = supervised.report()
-        assert report["retries"] == 2
-        assert report["transients"] == 1 and report["crashes"] == 1
-        assert report["give_ups"] == 0 and not report["degraded"]
+        assert report["dispatched"] == 3 and report["lease_reassignments"] == 2
+        assert report["give_ups"] == 0 and report["degraded_executions"] == 0
 
-    def test_gives_up_after_max_retries(self):
-        inner = _ScriptedBackend(script=[TransientBackendError("blip")] * 10)
-        supervised = SupervisedBackend(inner, max_retries=2, backoff_base=0.001, backoff_max=0.01)
-        future = supervised.submit(_request())
-        with pytest.raises(TransientBackendError):
-            future.result(timeout=5.0)
-        assert len(inner.submitted) == 3  # initial + 2 retries, bounded
-        assert supervised.counters.give_ups == 1
+    def test_gives_up_after_max_lease_attempts_with_the_last_error(self):
+        inner = _ScriptedBackend(
+            script=[TransientBackendError(f"blip {i}") for i in range(10)]
+        )
+        fabric = FabricBackend([inner], max_lease_attempts=3, max_failures=10)
+        try:
+            future = fabric.submit(_request())
+            with pytest.raises(TransientBackendError, match="blip 2"):
+                future.result(timeout=5.0)
+        finally:
+            fabric.close()
+        assert len(inner.submitted) == 3  # bounded: first dispatch + 2 reassignments
+        assert fabric.counters.give_ups == 1
 
-    def test_genuine_plan_error_is_never_retried(self):
+    def test_a_plan_error_is_never_retried(self):
         inner = _ScriptedBackend(script=[RuntimeError("bad plan")])
-        supervised = SupervisedBackend(inner, max_retries=5, backoff_base=0.001)
-        future = supervised.submit(_request())
-        with pytest.raises(RuntimeError, match="bad plan"):
-            future.result(timeout=5.0)
+        fabric = FabricBackend([inner], max_lease_attempts=6)
+        try:
+            future = fabric.submit(_request())
+            with pytest.raises(RuntimeError, match="bad plan"):
+                future.result(timeout=5.0)
+            status = fabric.statuses()[0]
+        finally:
+            fabric.close()
         assert len(inner.submitted) == 1
-        assert supervised.counters.retries == 0
+        assert fabric.counters.lease_reassignments == 0 and status["failures"] == 0
 
-    def test_hang_watchdog_fires_and_retry_lands_elsewhere(self):
-        hang_then_recover = FaultInjectionBackend(
-            _ScriptedBackend(),
-            FaultInjectionConfig(seed=0, hang_rate=1.0, hang_seconds=60.0, max_faults_per_request=1),
-        )
-        supervised = SupervisedBackend(
-            hang_then_recover, request_deadline=0.05, max_retries=2,
-            backoff_base=0.001, backoff_max=0.01,
-        )
-        outcome = supervised.submit(_request()).result(timeout=10.0)
+    def test_a_failed_lease_leaves_its_group_and_reassigns_alone(self):
+        inner = _ScriptedBackend(script=[NodeLostError("link down")])
+        fabric = FabricBackend([inner])
+        try:
+            futures = fabric.submit_batch([_request("q_a"), _request("q_b")])
+            outcomes = [future.result(timeout=5.0) for future in futures]
+        finally:
+            fabric.close()
+        assert [outcome.attempts for outcome in outcomes] == [2, 1]
+        assert fabric.counters.lease_reassignments == 1
+        assert fabric.counters.give_ups == 0
+
+    def test_the_watchdog_reassigns_a_hang_and_drops_its_late_reply(self):
+        clock = _FakeClock()
+        member = _NeverResolves(hangs=1)
+        fabric = FabricBackend([member], request_deadline=0.5, degrade_after=0.0, clock=clock)
+        try:
+            future = fabric.submit(_request())
+            clock.advance(0.6)
+            outcome = future.result(timeout=10.0)
+            # The stuck attempt finally answers: nobody listens any more.
+            member.hung[0].set_result(ExecutionOutcome(latency=99.0))
+            report = fabric.health_snapshot()
+        finally:
+            fabric.close()
         assert outcome.latency == 1.0 and outcome.attempts == 2
-        assert supervised.counters.hangs == 1
-        supervised.close()
+        assert future.result().latency == 1.0
+        assert report["hangs"] == 1 and report["completed"] == 1
+        assert report["nodes"][0]["occupancy"] == 0
 
-    def test_true_hang_exhausts_retries_with_hang_timeout(self):
-        supervised = SupervisedBackend(
-            _NeverResolves(), request_deadline=0.02, max_retries=1,
-            backoff_base=0.001, backoff_max=0.01,
+    def test_a_true_hang_gives_up_with_hang_timeout(self):
+        clock = _FakeClock()
+        member = _NeverResolves()
+        fabric = FabricBackend([member], request_deadline=0.5, max_lease_attempts=2, clock=clock)
+        try:
+            future = fabric.submit(_request())
+            clock.advance(0.6)
+            _until(lambda: len(member.submitted) == 2)
+            clock.advance(0.6)
+            with pytest.raises(HangTimeout, match="request deadline"):
+                future.result(timeout=10.0)
+        finally:
+            fabric.close()
+        assert fabric.counters.hangs == 2 and fabric.counters.give_ups == 1
+
+    def test_a_group_deadline_starts_at_dispatch_and_scales_with_its_size(self):
+        clock = _FakeClock()
+        member = _NeverResolves()
+        fabric = FabricBackend([member], request_deadline=0.5, clock=clock)
+        try:
+            fabric.submit_batch([_request("q_a"), _request("q_b")])  # due at +1.0
+            fabric.submit(_request("q_c"))  # queued behind the group: no deadline yet
+            assert len(member.submitted) == 2
+            clock.advance(0.9)
+            time.sleep(0.1)  # several watchdog passes
+            assert fabric.counters.hangs == 0
+            clock.advance(0.2)
+            _until(lambda: fabric.counters.hangs == 2)
+            time.sleep(0.1)
+            # The group hung; q_c, queued for 1.1 s, did not.
+            assert fabric.counters.hangs == 2
+        finally:
+            fabric.close()
+
+    def test_watchdog_bookkeeping_survives_a_stress_run(self):
+        # Executions of 0-40 ms against a 20 ms deadline: about half the
+        # attempts are abandoned while their worker still runs, so late
+        # replies, expiries and fresh dispatches race on many threads.
+        import random
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = random.Random(0)
+        pool = ThreadPoolExecutor(max_workers=16)
+
+        class _Sleepy(_ScriptedBackend):
+            def submit(self, request):
+                delay = rng.uniform(0.0, 0.04)
+                return pool.submit(lambda: time.sleep(delay) or ExecutionOutcome(latency=1.0))
+
+        fabric = FabricBackend(
+            [_Sleepy(capacity=4)], request_deadline=0.02, max_lease_attempts=1000,
+            max_failures=10**6,
         )
-        future = supervised.submit(_request())
-        with pytest.raises(HangTimeout, match="supervision deadline"):
-            future.result(timeout=10.0)
-        assert supervised.counters.hangs == 2
-        supervised.close()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            futures = [fabric.submit(_request(f"q{i}")) for i in range(100)]
+            assert all(future.result(timeout=60.0).latency == 1.0 for future in futures)
+            _until(lambda: not fabric._flights)
+            report = fabric.health_snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+            fabric.close()
+            pool.shutdown(wait=True)
+        assert report["hangs"] > 0
+        assert report["completed"] == report["submissions"] == 100
+        assert report["hangs"] == report["lease_reassignments"]
+        assert report["dispatched"] == 100 + report["lease_reassignments"]
+        assert report["nodes"][0]["occupancy"] == 0
 
-    def test_pool_rebuild_on_broken_backend(self):
+    def test_a_broken_pool_is_rebuilt_once(self):
         inner = _RebuildableBackend(script=[BrokenExecutor("pool broke"), None])
-        supervised = SupervisedBackend(inner, max_retries=2, backoff_base=0.001, backoff_max=0.01)
-        outcome = supervised.submit(_request()).result(timeout=5.0)
-        assert outcome.latency == 1.0
+        fabric = FabricBackend([inner])
+        try:
+            outcome = fabric.submit(_request()).result(timeout=5.0)
+            status = fabric.statuses()[0]
+        finally:
+            fabric.close()
+        assert outcome.latency == 1.0 and outcome.attempts == 2
         assert inner.rebuilds == 1
-        assert supervised.report()["pool_rebuilds_done"] == 1
+        assert fabric.counters.rebuilds == 1 and status["rebuilds"] == 1
 
-    def test_degrades_to_fallback_when_capacity_lost(self):
+    def test_degradation_to_the_fallback_is_sticky(self):
         inner = _RebuildableBackend(script=[BrokenExecutor("gone")] * 10)
         fallback = _ScriptedBackend(name="fallback")
-        supervised = SupervisedBackend(
-            inner, max_retries=3, max_rebuilds=0, fallback=fallback,
-            backoff_base=0.001, backoff_max=0.01,
+        fabric = FabricBackend(
+            [inner], fallback=fallback, max_lease_attempts=6, max_failures=10,
+            degrade_after=0.0,
         )
-        outcome = supervised.submit(_request()).result(timeout=5.0)
+        try:
+            outcome = fabric.submit(_request()).result(timeout=5.0)
+            # Rebuilt MAX_REBUILDS times, then broken for good.
+            assert inner.rebuilds == MAX_REBUILDS == 2
+            assert len(inner.submitted) == MAX_REBUILDS + 1
+            # The next request goes straight to the fallback.
+            fabric.submit(_request("next_q")).result(timeout=5.0)
+        finally:
+            fabric.close()
         assert outcome.latency == 1.0
-        assert supervised.degraded
-        assert len(fallback.submitted) >= 1
-        assert supervised.counters.fallback_attempts >= 1
-        # Degradation is sticky: the next request goes straight to fallback.
-        supervised.submit(_request("next_q")).result(timeout=5.0)
-        assert len(inner.submitted) == 1
-
-    def test_backoff_delay_is_deterministic_bounded_jitter(self):
-        supervised = SupervisedBackend(
-            _ScriptedBackend(), backoff_base=0.05, backoff_max=0.2, backoff_jitter=0.25
-        )
-        request = _request()
-        delays = [supervised._backoff_delay(request, attempt) for attempt in range(6)]
-        assert delays == [supervised._backoff_delay(request, a) for a in range(6)]
-        for attempt, delay in enumerate(delays):
-            base = min(0.2, 0.05 * 2**attempt)
-            assert base <= delay <= base * 1.25  # capped + bounded jitter
+        assert len(inner.submitted) == MAX_REBUILDS + 1
+        assert fabric.counters.degraded_executions == len(fallback.submitted) == 2
 
 
 # ------------------------------------------------------------------ remote tracebacks
@@ -517,7 +643,7 @@ class TestHealthReport:
         config = ExecutionServiceConfig(
             backend="inline", replicas=2, supervised=True,
             fault_injection=FaultInjectionConfig(seed=0, transient_rate=0.3),
-            max_retries=4, backoff_base=0.001, backoff_max=0.01,
+            max_retries=4,
         )
         with WorkloadSession(
             tiny_workload, budget=BudgetSpec(max_executions=4),
@@ -526,13 +652,13 @@ class TestHealthReport:
             results = session.run("random")
             report = session.health_report()
         assert set(results) == {q.name for q in tiny_workload.queries}
-        assert report["supervisor"]["submissions"] > 0
-        assert report["supervisor"]["give_ups"] == 0
-        assert report["faults"]["clean"] > 0
+        assert report["fabric"]["submissions"] > 0
+        assert report["fabric"]["give_ups"] == 0
+        assert report["faults"]["clean"] > 0 and report["faults"]["transients"] > 0
         nodes = report["fabric"]["nodes"]
-        assert [node["name"] for node in nodes] == ["inline[0]", "inline[1]"]
+        assert [node["name"] for node in nodes] == ["faults[0]", "faults[1]"]
         assert all(set(node) >= {"occupancy", "failures", "live", "on_probation",
-                                 "lease_reassignments_received"}
+                                 "lease_reassignments_received", "rebuilds"}
                    for node in nodes)
 
     def test_make_backend_wires_supervision_and_faults(self, tiny_workload):
@@ -542,30 +668,48 @@ class TestHealthReport:
         )
         backend = make_backend(config, tiny_workload.database, tiny_workload.queries)
         try:
-            assert isinstance(backend, SupervisedBackend)
-            assert isinstance(backend.inner, FaultInjectionBackend)
-            assert isinstance(backend.inner.inner, InlineBackend)
+            assert isinstance(backend, FabricBackend)
+            [member] = backend.members()
+            assert isinstance(member, FaultInjectionBackend)
+            assert isinstance(member.inner, InlineBackend)
             assert backend.fallback is None  # inline primary needs no fallback
+            assert backend._request_deadline == 5.0
+            assert backend._max_lease_attempts == config.max_retries + 1
         finally:
             backend.close()
+        # Fabric nodes take their chaos from fabric_network_faults.
+        with pytest.raises(OptimizationError, match="fabric_network_faults"):
+            make_backend(
+                ExecutionServiceConfig(backend="fabric", fault_injection=config.fault_injection),
+                tiny_workload.database,
+            )
 
     def test_one_inline_fallback_per_stack(self, tiny_workload):
         database = tiny_workload.database
-        thread = make_backend(
-            ExecutionServiceConfig(backend="thread", max_workers=2, supervised=True), database
-        )
-        replicas = make_backend(
-            ExecutionServiceConfig(backend="inline", replicas=2, supervised=True), database
-        )
+        stacks = [
+            make_backend(
+                ExecutionServiceConfig(backend="thread", max_workers=2, supervised=True), database
+            ),
+            make_backend(
+                ExecutionServiceConfig(backend="inline", replicas=2, supervised=True), database
+            ),
+            make_backend(
+                ExecutionServiceConfig(backend="fabric", fabric_nodes=1, replicas=2),
+                database, tiny_workload.queries,
+            ),
+        ]
         try:
-            assert isinstance(thread.fallback, InlineBackend)
-            # The coordinator carries the fallback; the supervisor adds none.
-            assert isinstance(replicas.inner, FabricBackend)
-            assert isinstance(replicas.inner.fallback, InlineBackend)
-            assert replicas.fallback is None
+            # Each stack is one coordinator carrying the one fallback.
+            for stack in stacks:
+                assert isinstance(stack, FabricBackend)
+                assert isinstance(stack.fallback, InlineBackend)
+            thread, replicas, fabric = (stack.members() for stack in stacks)
+            assert [type(member) for member in thread] == [ThreadPoolBackend]
+            assert [type(member) for member in replicas] == [InlineBackend] * 2
+            assert [type(member) for member in fabric] == [RemoteNodeBackend] * 2
         finally:
-            thread.close()
-            replicas.close()
+            for stack in stacks:
+                stack.close()
 
     def test_comparison_run_carries_backend_health(self, tiny_workload):
         from repro.harness import run_comparison
@@ -575,7 +719,7 @@ class TestHealthReport:
             techniques=["random"],
             exec_config=ExecutionServiceConfig(backend="inline", supervised=True),
         )
-        assert "supervisor" in run.backend_health
+        assert run.backend_health["fabric"]["submissions"] > 0
 
 
 # ------------------------------------------------------------------ policy robustness
@@ -603,84 +747,6 @@ class TestPolicyRobustness:
         # The predictor explodes; scheduling falls back to worst-incumbent
         # priority instead of killing the session.
         assert BudgetAwarePriority().select(states, _ExplodingPredictor()) == 1
-
-
-# ------------------------------------------------------------------ supervisor over fabric
-class _ScriptedFabricNode:
-    """Minimal node double for driving a FabricBackend from the supervisor."""
-
-    def __init__(self, name="node[0]", script=None):
-        self.name = name
-        self._script = list(script or [])
-        self.submitted = []
-
-    def capacity(self):
-        return 1
-
-    def healthy(self):
-        return True
-
-    def submit(self, request):
-        self.submitted.append(request)
-        future = Future()
-        entry = self._script.pop(0) if self._script else None
-        if entry is not None:
-            future.set_exception(entry)
-        else:
-            future.set_result(ExecutionOutcome(latency=1.0))
-        return future
-
-    def close(self):
-        pass
-
-
-class TestSupervisedFabric:
-    """The supervisor's per-request semantics survive a fabric underneath."""
-
-    def _supervised_fabric(self, script):
-        fabric = FabricBackend(
-            [_ScriptedFabricNode(script=script)],
-            max_lease_attempts=1,  # fabric-level failover off: supervisor owns retry
-            max_failures=10,
-        )
-        supervised = SupervisedBackend(
-            fabric, max_retries=3, backoff_base=0.001, backoff_max=0.01
-        )
-        return supervised, fabric
-
-    def test_batch_submission_falls_back_per_request_and_retries(self):
-        from repro.exec import NodeLostError
-        from repro.exec.backend import submit_request_batch
-
-        # The node loses the first request's lease; the fabric (failover
-        # disabled) surfaces the infra failure and the *supervisor* retries.
-        supervised, fabric = self._supervised_fabric([NodeLostError("link down")])
-        try:
-            # The supervisor deliberately has no submit_batch: batches must
-            # disband so each request keeps its own retry/fail-over story.
-            assert not hasattr(supervised, "submit_batch")
-            futures = submit_request_batch(supervised, [_request("q_a"), _request("q_b")])
-            outcomes = [future.result(timeout=30.0) for future in futures]
-        finally:
-            supervised.close()
-        assert outcomes[0].attempts == 2  # retried after the lease was lost
-        assert outcomes[1].attempts == 1  # clean sibling: untouched
-        assert supervised.counters.retries == 1
-        assert supervised.counters.give_ups == 0
-        assert fabric.counters.give_ups == 1  # the fabric handed the failure up
-
-    def test_fabric_infra_failure_is_retryable_by_the_supervisor(self):
-        from repro.exec import NodeLostError
-
-        assert is_infra_failure(NodeLostError("down"))
-        supervised, _ = self._supervised_fabric(
-            [NodeLostError("down"), NodeLostError("down")]
-        )
-        try:
-            outcome = supervised.submit(_request()).result(timeout=30.0)
-        finally:
-            supervised.close()
-        assert outcome.attempts == 3
 
 
 # ------------------------------------------------------------------ checkpoint discard logging
