@@ -39,7 +39,7 @@ from bench_exec_backends import (
 from bench_faults import build_bench_workload as build_chaos_workload
 
 from repro.core.protocol import BudgetSpec
-from repro.exec import NetworkFaultConfig, start_local_fabric
+from repro.exec import FaultInjectionConfig, start_local_fabric
 from repro.harness import WorkloadSession
 
 TECHNIQUE = "random"
@@ -52,7 +52,7 @@ BURN_ITERATIONS = 250_000
 SMOKE_BURN_ITERATIONS = 150_000
 KILL_AFTER = 6
 CHAOS_NODES = 3
-NETWORK_FAULTS = NetworkFaultConfig(
+LINK_FAULTS = FaultInjectionConfig(
     seed=7,
     drop_rate=0.10,
     partition_rate=0.06,
@@ -102,7 +102,11 @@ class _KillAfter:
 
 
 def _run_fabric(workload, budget: BudgetSpec, num_nodes: int, **fabric_kwargs):
-    """One session on a fresh localhost fabric; returns (results, s, health)."""
+    """One session on a fresh localhost fabric; returns (results, s, health).
+
+    ``health`` is the session's whole health report: ``"fabric"`` and, with
+    a fault schedule, ``"faults"``.
+    """
     backend = start_local_fabric(
         workload.database, workload.queries, num_nodes=num_nodes,
         **HEARTBEAT, **fabric_kwargs,
@@ -111,7 +115,7 @@ def _run_fabric(workload, budget: BudgetSpec, num_nodes: int, **fabric_kwargs):
         start = time.perf_counter()
         results = session.run(TECHNIQUE)
         elapsed = time.perf_counter() - start
-        health = session.health_report().get("fabric", {})
+        health = session.health_report()
     return results, elapsed, health
 
 
@@ -159,11 +163,12 @@ def _chaos_arm(executions: int) -> dict:
     total = sum(result.num_executions for result in reference.values())
 
     chaos_workload = build_chaos_workload()
-    chaos, chaos_s, health = _run_fabric(
-        chaos_workload, budget, num_nodes=CHAOS_NODES, network_faults=NETWORK_FAULTS,
+    chaos, chaos_s, report = _run_fabric(
+        chaos_workload, budget, num_nodes=CHAOS_NODES, faults=LINK_FAULTS,
     )
     chaos_total = sum(result.num_executions for result in chaos.values())
-    faults = health.get("network_faults", {})
+    health = report.get("fabric", {})
+    faults = report.get("faults", {})
     # Every reassignment consumes one bounded lease attempt: 3 x nodes per
     # lease by default, so the fleet-wide total is bounded by submissions.
     reassignment_bound = health.get("submissions", 0) * 3 * CHAOS_NODES
@@ -173,13 +178,13 @@ def _chaos_arm(executions: int) -> dict:
         "chaos_s": chaos_s,
         "chaos_overhead_ratio": chaos_s / reference_s if reference_s > 0 else float("inf"),
         "network_fault_config": {
-            "seed": NETWORK_FAULTS.seed,
-            "drop_rate": NETWORK_FAULTS.drop_rate,
-            "partition_rate": NETWORK_FAULTS.partition_rate,
-            "slow_link_rate": NETWORK_FAULTS.slow_link_rate,
-            "kill_rate": NETWORK_FAULTS.kill_rate,
+            "seed": LINK_FAULTS.seed,
+            "drop_rate": LINK_FAULTS.drop_rate,
+            "partition_rate": LINK_FAULTS.partition_rate,
+            "slow_link_rate": LINK_FAULTS.slow_link_rate,
+            "kill_rate": LINK_FAULTS.kill_rate,
         },
-        "network_faults": faults,
+        "faults": faults,
         "faults_injected": faults.get("total_faults", 0),
         "lease_reassignments": health.get("lease_reassignments", 0),
         "reassignments_bounded": health.get("lease_reassignments", 0) <= reassignment_bound,

@@ -150,9 +150,7 @@ class ExecutionServiceConfig:
     #: (``Executor.run_batch``).  Each execution's result is bit-for-bit
     #: what per-request submission produces — batching only dedups work.
     #: At q=1 (one proposal per round) there is nothing to group and the
-    #: scheduler transparently falls back to per-request submission.  A
-    #: lone fault-injection wrapper (no coordinator) has no batch path and
-    #: also falls back transparently.
+    #: scheduler transparently falls back to per-request submission.
     batch_execution: bool = True
     #: Execution memoization (see :mod:`repro.db.plan_cache`): replay
     #: repeated ``(query, plan)`` executions and reuse join-subtree
@@ -191,17 +189,13 @@ class ExecutionServiceConfig:
     #: :func:`~repro.exec.start_local_fabric`'s heartbeat defaults: a ping
     #: every 0.25 s, a node silent for 2 s is lost.
     fabric_nodes: int = 2
-    #: A :class:`~repro.exec.NetworkFaultConfig` (duck-typed, like
-    #: ``fault_injection``) injecting seeded connection drops, partitions,
-    #: slow links and node kills at the fabric boundary; ``None`` disables.
-    fabric_network_faults: object | None = None
 
     # Fault tolerance ---------------------------------------------------------
     #: Put a single backend behind the lease coordinator
     #: (:class:`~repro.exec.FabricBackend`: lease reassignment, hang
     #: watchdog, pool rebuild, degradation to inline execution).  Implied by
-    #: setting ``request_deadline``; ``replicas > 1`` and the fabric backend
-    #: are coordinated already.
+    #: setting ``request_deadline`` or ``fault_injection``; ``replicas > 1``
+    #: and the fabric backend are coordinated already.
     supervised: bool = False
     #: Wall-clock seconds one execution may hold its member before the
     #: coordinator declares it hung and reassigns it (a dispatched q-round
@@ -213,9 +207,11 @@ class ExecutionServiceConfig:
     max_retries: int = 3
     #: A :class:`~repro.exec.FaultInjectionConfig` (kept duck-typed here to
     #: avoid a config -> exec import cycle); ``None`` disables injection.
-    #: When set, each in-process member is wrapped in a
-    #: :class:`~repro.exec.FaultInjectionBackend` *inside* the coordinator,
-    #: so injected faults exercise the real recovery path.
+    #: When set, the coordinator (implied, as by ``request_deadline``) draws
+    #: one fault per lease at dispatch — crashes, transient errors, hangs,
+    #: slow members and slow links on any backend; drops, partitions and
+    #: node kills on fabric node links — so injected faults exercise the
+    #: real recovery path.
     fault_injection: object | None = None
 
     # Checkpoint / resume -----------------------------------------------------

@@ -29,7 +29,9 @@ scheduler drives:
   watchdog, in-place rebuild of a broken process pool and graceful
   degradation to inline execution.  It is the service's one retry path:
   supervision (``supervised=True`` or a ``request_deadline``) puts it in
-  front of a single backend too.
+  front of a single backend too.  It is also the one fault injector: a
+  :class:`FaultInjectionConfig` is drawn per lease at its dispatch, so every
+  injected fault — member or link — meets the real recovery path.
 
 **Policies** (:class:`SchedulingPolicy`) — pick which ready query state gets
 the next free slot (a slot holds one worker task: a lone request, or a
@@ -52,8 +54,9 @@ describe them with :class:`~repro.core.config.ExecutionServiceConfig` —
 ``backend`` ("inline" / "thread" / "process" / "fabric"), ``max_workers``, ``policy``
 ("round_robin" / "budget_aware"), ``replicas`` (> 1 puts the lease coordinator in front),
 ``supervised`` / ``request_deadline`` / ``max_retries`` (the coordinator's
-watchdog and lease attempts), ``fault_injection``, ``start_method`` and
-``warmup`` — and let :func:`make_backend` / :func:`make_policy` build them.
+watchdog and lease attempts), ``fault_injection`` (the coordinator's chaos
+schedule), ``start_method`` and ``warmup`` — and let :func:`make_backend` /
+:func:`make_policy` build them.
 """
 
 from __future__ import annotations
@@ -81,12 +84,9 @@ from repro.exec.backend import (
 from repro.exec.fabric import FabricBackend, FabricCounters, start_local_fabric
 from repro.exec.faults import (
     FaultCounters,
-    FaultInjectionBackend,
     FaultInjectionConfig,
     InjectedTransientError,
     InjectedWorkerCrash,
-    NetworkFaultConfig,
-    NetworkFaultCounters,
 )
 from repro.exec.policy import BudgetAwarePriority, RoundRobin, SchedulingPolicy
 from repro.exec.process_pool import ProcessPoolBackend, RemoteExecutionError
@@ -107,14 +107,11 @@ __all__ = [
     "FabricBackend",
     "FabricCounters",
     "FaultCounters",
-    "FaultInjectionBackend",
     "FaultInjectionConfig",
     "HangTimeout",
     "InjectedTransientError",
     "InjectedWorkerCrash",
     "InlineBackend",
-    "NetworkFaultConfig",
-    "NetworkFaultCounters",
     "NodeLostError",
     "ProcessPoolBackend",
     "RemoteExecutionError",
@@ -137,34 +134,28 @@ __all__ = [
 
 
 def backend_health(backend: "ExecutionBackend | None") -> dict:
-    """Health snapshot of a backend stack: coordinator and fault harness.
+    """Health snapshot of a backend stack: the coordinator and its faults.
 
     Walks wrapper layers by the ``inner`` convention, so any holder of a
     composed backend (the scheduler's
     :class:`~repro.harness.runner.WorkloadSession`, the serving layer's
     :class:`~repro.serve.server.PlanServer`) reports degradation — leases
     reassigned, hangs, replicas on probation, injected faults — the same
-    way.  The ``"fabric"`` section is the coordinator's; ``"faults"`` sums
-    the fault harness around each of its members (or around the lone
-    backend of an unsupervised stack).
+    way.  The ``"fabric"`` section is the coordinator's; ``"faults"``, the
+    faults its schedule injected, appears whenever it has one.
     """
     report: dict = {}
-    harnesses: list[FaultInjectionBackend] = []
     layer = backend
     seen: set[int] = set()
     while layer is not None and id(layer) not in seen:
         seen.add(id(layer))
-        if isinstance(layer, FaultInjectionBackend):
-            harnesses.append(layer)
-        elif isinstance(layer, FabricBackend):
+        if isinstance(layer, FabricBackend):
             # Per-node (or per-replica) liveness, lease reassignments, hangs,
             # rebuilds, reconnect/backoff counters and shipped-log cache hits.
             report["fabric"] = layer.health_snapshot()
-            harnesses += [m for m in layer.members() if isinstance(m, FaultInjectionBackend)]
+            if layer.faults is not None:
+                report["faults"] = layer.fault_counters.snapshot()
         layer = getattr(layer, "inner", None)
-    if harnesses:
-        counts = [harness.counters.snapshot() for harness in harnesses]
-        report["faults"] = {key: sum(count[key] for count in counts) for key in counts[0]}
     return report
 
 
@@ -209,13 +200,12 @@ def make_backend(
     ``backend="fabric"`` (:func:`start_local_fabric`), over ``replicas``
     independent instances of the other backends (process backends get their
     own worker pools), or over a single one when supervised
-    (``supervised=True`` or a ``request_deadline``).  Every such coordinator
-    gets ``max_lease_attempts = max_retries + 1``, the ``request_deadline``
-    watchdog and one inline fallback (none when its lone member is inline);
-    an unsupervised single backend is returned bare.  ``fault_injection``
-    wraps each in-process member in a :class:`FaultInjectionBackend`
-    *inside* the coordinator, so injected faults exercise the real recovery
-    path; fabric nodes take their chaos from ``fabric_network_faults``.
+    (``supervised=True``, a ``request_deadline`` or ``fault_injection``).
+    Every such coordinator gets ``max_lease_attempts = max_retries + 1``,
+    the ``request_deadline`` watchdog, the ``fault_injection`` schedule
+    (drawn per lease at dispatch, so injected faults exercise the real
+    recovery path) and one inline fallback (none when its lone member is
+    inline); a single backend with none of the three is returned bare.
 
     The cache knobs are applied through :func:`apply_cache_overrides` first,
     so they reach every member, and every worker's private cache, with the
@@ -224,23 +214,19 @@ def make_backend(
     database = apply_cache_overrides(config, database)
     tracing = tracer is not None and getattr(tracer, "enabled", False)
     local_tracer = tracer if tracing else None
+    faults = config.fault_injection
+    if faults is not None and not isinstance(faults, FaultInjectionConfig):
+        faults = FaultInjectionConfig(**dict(faults))  # type: ignore[arg-type]
     coordinator_options = dict(
         max_failures=config.max_failures,
         max_lease_attempts=config.max_retries + 1,
         request_deadline=config.request_deadline,
+        faults=faults,
     )
 
     if config.backend == "fabric":
-        if config.fault_injection is not None:
-            raise OptimizationError(
-                "fault_injection wraps in-process members; the fabric backend "
-                "injects its chaos through fabric_network_faults"
-            )
         # Localhost node processes behind the fabric coordinator; node
         # tracers ship spans back on outcomes like the process pool.
-        network_faults = config.fabric_network_faults
-        if network_faults is not None and not isinstance(network_faults, NetworkFaultConfig):
-            network_faults = NetworkFaultConfig(**dict(network_faults))  # type: ignore[arg-type]
         return start_local_fabric(
             database,
             queries=queries,
@@ -248,7 +234,6 @@ def make_backend(
             warmup=config.warmup,
             trace=tracing,
             start_method=config.start_method,
-            network_faults=network_faults,
             **coordinator_options,
         )
 
@@ -271,13 +256,10 @@ def make_backend(
         raise OptimizationError(f"unknown execution backend {config.backend!r}")
 
     members = [one_backend() for _ in range(config.replicas)]
-    if config.fault_injection is not None:
-        fault_config = config.fault_injection
-        if not isinstance(fault_config, FaultInjectionConfig):
-            fault_config = FaultInjectionConfig(**dict(fault_config))  # type: ignore[arg-type]
-        members = [FaultInjectionBackend(member, fault_config) for member in members]
-    supervised = config.supervised or config.request_deadline is not None
-    if len(members) == 1 and not supervised:
+    coordinated = (
+        config.supervised or config.request_deadline is not None or faults is not None
+    )
+    if len(members) == 1 and not coordinated:
         return members[0]
     # The fallback gives the run somewhere to go when every member is lost:
     # pointless when the lone member already is inline.

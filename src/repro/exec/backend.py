@@ -206,9 +206,8 @@ def submit_request_batch(backend, requests: list[ExecutionRequest]) -> "list[Fut
     For callers that only want the futures (forwarding wrappers, tests):
     backends exposing ``submit_batch`` (inline, thread, process, fabric)
     receive the whole batch as one submission — one task on one worker — so
-    same-query plans share subtree work; the fault-injection wrapper, whose
-    per-request schedule is the point, falls back to one ``submit`` per
-    request.
+    same-query plans share subtree work; a backend without one gets one
+    ``submit`` per request.
     Returns one future per request, in request order, either way.  The
     session makes the same choice itself (``WorkloadSession._has_batch_path``)
     because :func:`~repro.core.protocol.drive` must also know how many

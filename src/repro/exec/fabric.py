@@ -48,12 +48,15 @@ is the design center:
   piggybacks them onto every *other* node's next request frame — guarded by
   the data signature exchanged at handshake, so logs never replay against a
   different data snapshot.  A plan executed on one node replays everywhere.
-* **Seeded network chaos.**  A :class:`~repro.exec.faults.NetworkFaultConfig`
-  drives connection drops, partitions, slow links and node kills from the
-  same ``(seed, query, plan, attempt)`` digest schedule as the PR 6 fault
-  harness, so a chaos run is a pure function of its config — and because
-  execution outcomes are deterministic in ``(query, plan, timeout)``, chaos
-  traces are bit-for-bit identical to fault-free inline ones.
+* **Seeded chaos.**  A :class:`~repro.exec.faults.FaultInjectionConfig`
+  is drawn once per lease at dispatch, from one ``(seed, query, plan,
+  attempt)`` digest schedule whose attempt is this coordinator's dispatch
+  count of the ``(query, plan)``: crashes and transient errors fail the
+  lease before its member sees it, hangs, slow members and slow links delay
+  its result, and drops, partitions and kills act on a node link.  A chaos
+  run is a pure function of its config — and because execution outcomes
+  are deterministic in ``(query, plan, timeout)``, chaos traces are
+  bit-for-bit identical to fault-free inline ones.
 """
 
 from __future__ import annotations
@@ -69,7 +72,12 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.protocol import ExecutionOutcome
 from repro.exceptions import OptimizationError
 from repro.exec.backend import ExecutionRequest, HangTimeout, InlineBackend, is_infra_failure
-from repro.exec.faults import NetworkFaultConfig, NetworkFaultCounters, _copy_completion
+from repro.exec.faults import (
+    FaultCounters,
+    FaultInjectionConfig,
+    InjectedTransientError,
+    InjectedWorkerCrash,
+)
 from repro.exec.node import start_node_process
 from repro.exec.remote import RemoteNodeBackend
 
@@ -200,7 +208,7 @@ class FabricBackend:
         max_lease_attempts: int | None = None,
         degrade_after: float = 2.0,
         request_deadline: float | None = None,
-        network_faults: NetworkFaultConfig | None = None,
+        faults: FaultInjectionConfig | None = None,
         replicate_cache: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -233,8 +241,14 @@ class FabricBackend:
         )
         self._degrade_after = degrade_after
         self._request_deadline = request_deadline
-        self.network_faults = network_faults
-        self.network_counters = NetworkFaultCounters()
+        self.faults = faults
+        self.fault_counters = FaultCounters()
+        #: Seconds each delaying fault kind withholds a lease's result.
+        self._fault_delays = {} if faults is None else {
+            "hang": faults.hang_seconds,
+            "slow": faults.slow_seconds,
+            "slow_link": faults.slow_link_seconds,
+        }
         self._replicate_cache = replicate_cache
         self._clock = clock
         self.counters = FabricCounters()
@@ -245,6 +259,8 @@ class FabricBackend:
         #: Dispatched groups under the watchdog, in dispatch order.
         self._flights: "dict[_Flight, None]" = {}
         self._fault_attempts: dict[tuple, int] = {}
+        #: timer -> (finished future, delayed future) for withheld results.
+        self._delayed: "dict[threading.Timer, tuple[Future, Future]]" = {}
         self._kills_done = 0
         self._all_unhealthy_since: float | None = None
         self._pump: threading.Thread | None = None
@@ -296,10 +312,17 @@ class FabricBackend:
             self._closed = True
             pending = list(self._pending)
             self._pending.clear()
+            delayed = list(self._delayed.items())
+            self._delayed.clear()
         error = OptimizationError("fabric closed with leases queued")
         for group in pending:
             for lease in group:
                 _settle(lease.outer, exc=error)
+        # Withheld results are delivered now: nobody is left waiting on a
+        # closed coordinator.
+        for timer, (done, outer) in delayed:
+            timer.cancel()
+            _copy_completion(done, outer)
         for slot in self._slots:
             slot.node.close()
         if self.fallback is not None:
@@ -383,43 +406,50 @@ class FabricBackend:
         return now - self._all_unhealthy_since >= self._degrade_after
 
     def _dispatch_to(self, slot: "_NodeSlot", group: "list[_Lease]") -> None:
-        fault = self._decide_fault(group[0])
-        if fault in ("kill", "drop", "partition") and not hasattr(
-            slot.node, f"inject_{fault}"
-        ):
-            # Link-level faults are only meaningful against a real link;
-            # against doubles without the hooks the dispatch runs clean.
-            fault = None
-        if fault == "kill":
-            # The node dies before it ever sees the lease; dispatch re-picks.
+        kinds = []
+        for lease in group:
+            kind = self._decide_fault(slot, lease)
+            if kind == "kill":
+                # The node dies before it ever sees the group; dispatch re-picks.
+                with self._lock:
+                    slot.occupancy -= 1
+                    slot.dispatched -= len(group)
+                    if group[0].attempt > 0:
+                        slot.reassigned_in -= len(group)
+                    self._pending.appendleft(group)
+                    self.fault_counters.count(kind)
+                slot.node.inject_kill()
+                self._charge(slot)
+                self._dispatch()
+                return
+            kinds.append(kind)
+        if self.faults is not None:
             with self._lock:
-                slot.occupancy -= 1
-                slot.dispatched -= len(group)
-                if group[0].attempt > 0:
-                    slot.reassigned_in -= len(group)
-                self._pending.appendleft(group)
-            self.network_counters.kills += 1
-            slot.node.inject_kill()
-            self._charge(slot)
-            self._dispatch()
-            return
-        if fault == "partition":
-            # The lease is sent into the blackhole; only the heartbeat
+                for kind in kinds:
+                    self.fault_counters.count(kind)
+        if "partition" in kinds:
+            # The group is sent into the blackhole; only the heartbeat
             # deadline can reclaim it.
-            self.network_counters.partitions += 1
-            slot.node.inject_partition(self.network_faults.partition_seconds)
+            slot.node.inject_partition(self.faults.partition_seconds)
         self.counters.dispatched += len(group)
         flight = _Flight(slot, group)
         if self._request_deadline is not None:
             # Counted from dispatch, never from queueing; a group holds its
             # node for the sum of its executions.
             flight.deadline = self._clock() + self._request_deadline * len(group)
+        # Injected crashes and transient errors fail their lease here, before
+        # the member sees it; the other leases go out together.
+        futures = {
+            lease: _injected_failure(lease.request, kind)
+            for lease, kind in zip(group, kinds)
+            if kind in ("crash", "transient")
+        }
+        clean = [lease for lease in group if lease not in futures]
         try:
-            if len(group) > 1 and hasattr(slot.node, "submit_batch"):
-                requests = [lease.request for lease in group]
-                inner_futures = slot.node.submit_batch(requests)
+            if len(clean) > 1 and hasattr(slot.node, "submit_batch"):
+                submitted = slot.node.submit_batch([lease.request for lease in clean])
             else:
-                inner_futures = [slot.node.submit(lease.request) for lease in group]
+                submitted = [slot.node.submit(lease.request) for lease in clean]
         except Exception as exc:  # noqa: BLE001 - classified by the failure path
             with self._lock:
                 slot.occupancy -= 1
@@ -430,27 +460,23 @@ class FabricBackend:
                 for lease in group:
                     _settle(lease.outer, exc=exc)
             return
-        if fault == "slow_link":
-            self.network_counters.slow_links += 1
-            inner_futures = [
-                self._delay(future, self.network_faults.slow_link_seconds)
-                for future in inner_futures
-            ]
-        flight.futures = inner_futures
+        futures.update(zip(clean, submitted))
+        delays = self._fault_delays
+        flight.futures = [
+            self._delay(futures[lease], delays[kind]) if kind in delays else futures[lease]
+            for lease, kind in zip(group, kinds)
+        ]
         if flight.deadline is not None:
             with self._lock:
                 self._flights[flight] = None
-        for lease, inner in zip(group, inner_futures):
+        for lease, inner in zip(group, flight.futures):
             inner.add_done_callback(
                 lambda done, lease=lease: self._on_lease_done(flight, lease, done)
             )
-        if fault == "drop":
-            # The link drops with the lease in flight: every pending request
-            # on the node fails over, this lease included.
-            self.network_counters.drops += 1
-            drop = getattr(slot.node, "inject_drop", None)
-            if drop is not None:
-                drop()
+        if "drop" in kinds:
+            # The link drops with the group in flight: every pending request
+            # on the node fails over, this group included.
+            slot.node.inject_drop()
 
     def _on_lease_done(self, flight: _Flight, lease: _Lease, inner: "Future") -> None:
         slot = flight.slot
@@ -580,9 +606,10 @@ class FabricBackend:
                 self.counters.rebuilds += 1
                 rebuild()
 
-    # ------------------------------------------------------------------ network chaos
-    def _decide_fault(self, lease: _Lease) -> str | None:
-        config = self.network_faults
+    # ------------------------------------------------------------------ chaos
+    def _decide_fault(self, slot: "_NodeSlot", lease: _Lease) -> str | None:
+        """Draw ``lease``'s fault for this dispatch to ``slot`` (if any)."""
+        config = self.faults
         if config is None:
             return None
         request = lease.request
@@ -591,26 +618,41 @@ class FabricBackend:
             attempt = self._fault_attempts.get(key, 0)
             self._fault_attempts[key] = attempt + 1
         kind = config.decide(request, attempt)
-        if kind is None:
-            self.network_counters.clean += 1
+        if kind in ("drop", "partition", "kill") and not hasattr(slot.node, f"inject_{kind}"):
+            # Link faults are only meaningful against a real link; against
+            # any other member the dispatch runs clean.
             return None
         if kind == "kill":
             with self._lock:
                 if config.max_kills is not None and self._kills_done >= config.max_kills:
-                    self.network_counters.clean += 1
                     return None
                 self._kills_done += 1
         return kind
 
-    @staticmethod
-    def _delay(inner: "Future", seconds: float) -> "Future":
-        """Deliver ``inner``'s completion ``seconds`` late (a slow link)."""
+    def _delay(self, inner: "Future", seconds: float) -> "Future":
+        """Deliver ``inner``'s completion ``seconds`` after it finishes.
+
+        The delay starts when the execution *finishes*: a hung worker or a
+        slow link has done the work, it just reports back late.
+        """
         outer: "Future" = Future()
 
         def arm(done: "Future") -> None:
-            timer = threading.Timer(seconds, _copy_completion, args=(done, outer))
+            def deliver() -> None:
+                with self._lock:
+                    self._delayed.pop(timer, None)
+                _copy_completion(done, outer)
+
+            timer = threading.Timer(seconds, deliver)
             timer.daemon = True
-            timer.start()
+            with self._lock:
+                closed = self._closed
+                if not closed:
+                    self._delayed[timer] = (done, outer)
+            if closed:
+                _copy_completion(done, outer)
+            else:
+                timer.start()
 
         inner.add_done_callback(arm)
         return outer
@@ -665,8 +707,6 @@ class FabricBackend:
         report["shipped_log_hits"] = sum(
             status.get("node", {}).get("shipped_log_hits", 0) for status in nodes
         )
-        if self.network_faults is not None:
-            report["network_faults"] = self.network_counters.snapshot()
         return report
 
 
@@ -676,6 +716,20 @@ def _failure(future: "Future") -> BaseException | None:
         return future.exception()
     except BaseException as err:  # noqa: BLE001 - CancelledError and friends
         return err
+
+
+def _injected_failure(request: ExecutionRequest, kind: str) -> "Future":
+    """An already-failed future: an injected crash or transient error."""
+    error = InjectedWorkerCrash if kind == "crash" else InjectedTransientError
+    future: "Future" = Future()
+    future.set_exception(error(f"injected {kind} (query {request.query.name!r})"))
+    return future
+
+
+def _copy_completion(source: "Future", target: "Future") -> None:
+    """Copy a finished future's completion onto ``target`` (a no-op once settled)."""
+    exc = _failure(source)
+    _settle(target, result=None if exc is not None else source.result(), exc=exc)
 
 
 def _settle(future: "Future", result=None, exc=None) -> None:

@@ -27,8 +27,8 @@ registry (:mod:`repro.core.registry`); the session
   thread, process, fabric), every query's trace is the one it gets when
   driven alone, under every backend and policy.  What stays
   timing-dependent: ``batch_size="auto"`` (q follows wall-clock signals)
-  and q > 1 submitted per request (``batch_execution=False``, wrapper
-  backends without a batch path), where a state tops up as slots free and
+  and q > 1 submitted per request (``batch_execution=False``, or a
+  backend without a batch path), where a state tops up as slots free and
   outcomes are observed as they complete,
 * memoizes per-technique results, so a comparison that needs Bao both as the
   improvement baseline and as a contender executes it once.
@@ -234,8 +234,7 @@ class WorkloadSession:
         worker task and occupies one scheduler slot.  Every execution's
         result is bit-for-bit what per-request submission produces.  At q=1
         there is nothing to group and submission transparently stays
-        per-request; a lone fault-injection wrapper, which has no batch
-        path, always submits per request.
+        per-request.
         Defaults to ``exec_config.batch_execution`` (True).
     interleave:
         Force interleaving on/off; defaults to backend capacity > 1.
@@ -482,10 +481,10 @@ class WorkloadSession:
 
         A round of several proposals is one task when ``batch_execution`` is
         on and the backend has a batch path (inline, thread, process,
-        fabric); otherwise — batching disabled, or a fault-injection wrapper
-        whose per-request schedule is the point — every request is a task of
-        its own (``fan_out``), so no more requests are in flight than the
-        backend has slots.
+        fabric); otherwise — batching disabled, or a caller's backend
+        without ``submit_batch`` — every request is a task of its own
+        (``fan_out``), so no more requests are in flight than the backend
+        has slots.
         """
         options.setdefault("on_outcome", self._note_outcome)
         drive(

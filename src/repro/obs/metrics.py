@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges and latency histograms in one place.
 
 Before this module every subsystem grew its own counter dataclass —
-``ServeCounters``, ``FabricCounters``, ``FaultCounters``,
+``ServeCounters``, ``FabricCounters``, the coordinator's ``FaultCounters``,
 ``CacheCounters`` — each with a private ``snapshot()`` and no single place to
 ask "what is this process doing?".  Those dataclasses stay (they are
 picklable operational state, persisted in checkpoints and plan stores); the

@@ -52,7 +52,7 @@ from repro.core.timeout import (
     UncertaintyTimeout,
 )
 from repro.exceptions import OptimizationError
-from repro.exec import make_backend, perform_batch
+from repro.exec import FaultInjectionConfig, make_backend, perform_batch
 from repro.harness import WorkloadSession
 from repro.workloads.base import Workload
 
@@ -471,14 +471,22 @@ class TestFixedQMatchesDriveState:
                 assert session.interleave
                 assert signatures(session.run("bayesqo")) == reference
 
+    @pytest.mark.parametrize(
+        "faults",
+        [None, FaultInjectionConfig(seed=0, transient_rate=0.3, max_faults_per_request=1)],
+        ids=["clean", "transients"],
+    )
     @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_a_supervised_q4_run_equals_the_reference_loop(
-        self, backend, tiny_database, tiny_schema_model, three_queries, reference
+        self, backend, faults, tiny_database, tiny_schema_model, three_queries, reference
     ):
         # Supervision puts the coordinator in front of the one pool, so a
-        # q-batch stays one task; no execution comes near the deadline.
+        # q-batch stays one task; no execution comes near the deadline.  An
+        # injected transient fails its lease before the pool sees it; the
+        # lease reassigns alone and the round is still observed in order.
         config = ExecutionServiceConfig(
-            backend=backend, max_workers=2, batch_size=4, supervised=True, request_deadline=30.0
+            backend=backend, max_workers=2, batch_size=4, supervised=True, request_deadline=30.0,
+            fault_injection=faults,
         )
         workload = Workload(
             name="tiny", database=tiny_database.snapshot(), queries=three_queries, max_aliases=2
@@ -489,7 +497,10 @@ class TestFixedQMatchesDriveState:
         ) as session:
             assert session.interleave
             assert signatures(session.run("bayesqo")) == reference
-            assert session.health_report()["fabric"]["hangs"] == 0
+            report = session.health_report()
+        assert report["fabric"]["hangs"] == 0
+        if faults is not None:
+            assert report["faults"]["transients"] > 0
 
 
 class _SlowDatabase:

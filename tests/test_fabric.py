@@ -27,8 +27,8 @@ from repro.exceptions import OptimizationError
 from repro.exec import (
     ExecutionRequest,
     FabricBackend,
+    FaultInjectionConfig,
     InlineBackend,
-    NetworkFaultConfig,
     NodeLostError,
     RemoteExecutionError,
     RemoteNodeBackend,
@@ -520,39 +520,49 @@ class TestReplicaCoordinator:
             nodes.close()
 
 
-# ------------------------------------------------------------------ network faults (doubles)
-class TestNetworkFaultDecisions:
+# ------------------------------------------------------------------ link faults (doubles)
+class TestLinkFaultDecisions:
     def test_rates_validated_and_deterministic(self):
         with pytest.raises(OptimizationError):
-            NetworkFaultConfig(seed=0, drop_rate=0.9, partition_rate=0.2)
-        config = NetworkFaultConfig(seed=3, drop_rate=0.3, kill_rate=0.2)
+            FaultInjectionConfig(seed=0, drop_rate=0.9, partition_rate=0.2)
+        config = FaultInjectionConfig(seed=3, drop_rate=0.3, kill_rate=0.2)
         requests = [_request(f"q{i}") for i in range(32)]
         first = [config.decide(request, 0) for request in requests]
         second = [config.decide(request, 0) for request in requests]
         assert first == second  # pure function of (seed, request, attempt)
         assert any(kind is not None for kind in first)
         assert any(kind is None for kind in first)
-        other = NetworkFaultConfig(seed=4, drop_rate=0.3, kill_rate=0.2)
+        other = FaultInjectionConfig(seed=4, drop_rate=0.3, kill_rate=0.2)
         assert first != [other.decide(request, 0) for request in requests]
 
     def test_max_faults_per_request_guarantees_clean_retries(self):
-        config = NetworkFaultConfig(seed=0, drop_rate=1.0, max_faults_per_request=1)
+        config = FaultInjectionConfig(seed=0, drop_rate=1.0, max_faults_per_request=1)
         request = _request()
         assert config.decide(request, 0) == "drop"
         assert all(config.decide(request, attempt) is None for attempt in range(1, 8))
+
+    def test_link_kinds_are_drawn_only_when_the_member_draw_is_clean(self):
+        members = FaultInjectionConfig(seed=3, crash_rate=0.5)
+        links = FaultInjectionConfig(seed=3, drop_rate=1.0)
+        both = FaultInjectionConfig(seed=3, crash_rate=0.5, drop_rate=1.0)
+        requests = [_request(f"q{i}") for i in range(32)]
+        expected = [members.decide(r, 0) or links.decide(r, 0) for r in requests]
+        assert [both.decide(r, 0) for r in requests] == expected
+        assert set(expected) == {"crash", "drop"}
 
     def test_faults_without_link_hooks_run_clean_on_doubles(self):
         # Link-level faults (kill/drop/partition) need a real link; against
         # doubles without the inject_* hooks the dispatch must run clean
         # rather than crash.
-        config = NetworkFaultConfig(seed=0, kill_rate=1.0, max_faults_per_request=2)
+        config = FaultInjectionConfig(seed=0, kill_rate=1.0, max_faults_per_request=2)
         node = _ScriptedNode()
-        fabric = FabricBackend([node], network_faults=config)
+        fabric = FabricBackend([node], faults=config)
         try:
             outcome = fabric.submit(_request()).result(timeout=10.0)
         finally:
             fabric.close()
         assert isinstance(outcome, ExecutionOutcome)
+        assert fabric.fault_counters.kills == 0 and fabric.fault_counters.clean == 1
 
 
 # ------------------------------------------------------------------ cache replication

@@ -1,7 +1,8 @@
 """Fault-tolerance suite: injection, supervision, probation, checkpoint/resume.
 
-Covers the deterministic fault-injection harness (seeded schedules, crash /
-transient short-circuit, hang / slow delayed delivery), supervision on a
+Covers the deterministic fault schedule (seeded decisions) and its
+injection by the lease coordinator (crash / transient short-circuit, hang /
+slow delayed delivery, the per-request fault bound), supervision on a
 one-member lease coordinator (attempt stamping, bounded reassignment, the
 hang watchdog, pool rebuild, degradation; probation and half-open re-probe
 recovery are ``tests/test_fabric.py``'s), how ``make_backend`` composes
@@ -31,13 +32,11 @@ from repro.exec import (
     BudgetAwarePriority,
     ExecutionRequest,
     FabricBackend,
-    FaultInjectionBackend,
     FaultInjectionConfig,
     HangTimeout,
     InjectedTransientError,
     InjectedWorkerCrash,
     InlineBackend,
-    NetworkFaultConfig,
     NodeLostError,
     ProcessPoolBackend,
     RemoteExecutionError,
@@ -226,7 +225,7 @@ class TestFaultInjectionConfig:
         faults = FaultInjectionConfig(
             seed=7, crash_rate=0.15, hang_rate=0.1, transient_rate=0.2, slow_rate=0.15
         )
-        network = NetworkFaultConfig(
+        network = FaultInjectionConfig(
             seed=7, drop_rate=0.15, partition_rate=0.1, slow_link_rate=0.2, kill_rate=0.15,
             max_faults_per_request=None,
         )
@@ -234,46 +233,76 @@ class TestFaultInjectionConfig:
         assert self._draws(network) == self.PINNED_NETWORK
 
 
-class TestFaultInjectionBackend:
+class TestCoordinatorFaultInjection:
+    """The one injector: a one-member coordinator drawing faults at dispatch."""
+
     def test_crash_and_transient_short_circuit_inner(self):
         inner = _ScriptedBackend()
         config = FaultInjectionConfig(seed=0, crash_rate=0.5, transient_rate=0.5)
-        backend = FaultInjectionBackend(inner, config)
+        fabric = FabricBackend([inner], faults=config, max_lease_attempts=1, max_failures=100)
         crashes = transients = 0
-        for i in range(12):
-            future = backend.submit(_request(f"q{i}"))
-            exc = future.exception()
-            assert isinstance(exc, (InjectedWorkerCrash, InjectedTransientError))
-            assert is_infra_failure(exc)
-            crashes += isinstance(exc, InjectedWorkerCrash)
-            transients += isinstance(exc, InjectedTransientError)
-        # Every submission faulted (rates sum to 1) without touching inner.
+        try:
+            for i in range(12):
+                exc = fabric.submit(_request(f"q{i}")).exception(timeout=5.0)
+                assert isinstance(exc, (InjectedWorkerCrash, InjectedTransientError))
+                assert is_infra_failure(exc)
+                crashes += isinstance(exc, InjectedWorkerCrash)
+                transients += isinstance(exc, InjectedTransientError)
+            status = fabric.statuses()[0]
+        finally:
+            fabric.close()
+        # Every dispatch faulted (rates sum to 1) without touching the member,
+        # and each was dispatched and charged like a real member failure.
         assert inner.submitted == []
-        assert backend.counters.crashes == crashes > 0
-        assert backend.counters.transients == transients > 0
-        assert backend.counters.total_faults == 12
+        assert fabric.fault_counters.crashes == crashes > 0
+        assert fabric.fault_counters.transients == transients > 0
+        assert fabric.fault_counters.total_faults == 12
+        assert fabric.counters.dispatched == 12 and status["failures"] == 12
 
     def test_slow_delivery_runs_for_real_but_arrives_late(self):
         inner = _ScriptedBackend()
         config = FaultInjectionConfig(seed=0, slow_rate=1.0, slow_seconds=0.05)
-        backend = FaultInjectionBackend(inner, config)
-        start = time.monotonic()
-        future = backend.submit(_request())
-        assert not future.done()  # the result is withheld...
-        assert len(inner.submitted) == 1  # ...but the work already happened
-        assert future.result(timeout=5.0).latency == 1.0
-        assert time.monotonic() - start >= 0.04
-        assert backend.counters.slowdowns == 1
-        backend.close()
+        fabric = FabricBackend([inner], faults=config)
+        try:
+            start = time.monotonic()
+            future = fabric.submit(_request())
+            assert not future.done()  # the result is withheld...
+            assert len(inner.submitted) == 1  # ...but the work already happened
+            assert future.result(timeout=5.0).latency == 1.0
+            assert time.monotonic() - start >= 0.04
+        finally:
+            fabric.close()
+        assert fabric.fault_counters.slowdowns == 1
 
     def test_close_flushes_withheld_results(self):
         inner = _ScriptedBackend()
         config = FaultInjectionConfig(seed=0, hang_rate=1.0, hang_seconds=60.0)
-        backend = FaultInjectionBackend(inner, config)
-        future = backend.submit(_request())
+        fabric = FabricBackend([inner], faults=config)
+        future = fabric.submit(_request())
         assert not future.done()
-        backend.close()  # cancels the 60s timer, delivers the done result
+        fabric.close()  # cancels the 60s timer, delivers the done result
         assert future.result(timeout=1.0).latency == 1.0
+
+    def test_the_fault_bound_holds_across_replicas(self, tiny_workload):
+        # The attempt is the coordinator's, not a member's: a lease
+        # reassigned to the other replica does not draw its faults again.
+        database = tiny_workload.database.snapshot()
+        query = tiny_workload.queries[0]
+        config = ExecutionServiceConfig(
+            backend="inline", replicas=2,
+            fault_injection=FaultInjectionConfig(
+                seed=0, crash_rate=1.0, max_faults_per_request=2
+            ),
+        )
+        backend = make_backend(config, database)
+        try:
+            request = ExecutionRequest(query=query, plan=database.plan(query))
+            outcome = backend.submit(request).result(timeout=30.0)
+        finally:
+            backend.close()
+        assert outcome.attempts == 3
+        assert backend.fault_counters.crashes == 2
+        assert backend.counters.degraded_executions == 0
 
 
 # ------------------------------------------------------------------ supervision
@@ -656,7 +685,7 @@ class TestHealthReport:
         assert report["fabric"]["give_ups"] == 0
         assert report["faults"]["clean"] > 0 and report["faults"]["transients"] > 0
         nodes = report["fabric"]["nodes"]
-        assert [node["name"] for node in nodes] == ["faults[0]", "faults[1]"]
+        assert [node["name"] for node in nodes] == ["inline[0]", "inline[1]"]
         assert all(set(node) >= {"occupancy", "failures", "live", "on_probation",
                                  "lease_reassignments_received", "rebuilds"}
                    for node in nodes)
@@ -670,19 +699,26 @@ class TestHealthReport:
         try:
             assert isinstance(backend, FabricBackend)
             [member] = backend.members()
-            assert isinstance(member, FaultInjectionBackend)
-            assert isinstance(member.inner, InlineBackend)
+            assert isinstance(member, InlineBackend)
+            assert backend.faults is config.fault_injection
             assert backend.fallback is None  # inline primary needs no fallback
             assert backend._request_deadline == 5.0
             assert backend._max_lease_attempts == config.max_retries + 1
         finally:
             backend.close()
-        # Fabric nodes take their chaos from fabric_network_faults.
-        with pytest.raises(OptimizationError, match="fabric_network_faults"):
-            make_backend(
-                ExecutionServiceConfig(backend="fabric", fault_injection=config.fault_injection),
-                tiny_workload.database,
-            )
+        # Fabric nodes draw from the same schedule, on the same coordinator.
+        fabric = make_backend(
+            ExecutionServiceConfig(
+                backend="fabric", fabric_nodes=1, fault_injection=config.fault_injection
+            ),
+            tiny_workload.database, tiny_workload.queries,
+        )
+        try:
+            assert isinstance(fabric, FabricBackend)
+            assert [type(member) for member in fabric.members()] == [RemoteNodeBackend]
+            assert fabric.faults is config.fault_injection
+        finally:
+            fabric.close()
 
     def test_one_inline_fallback_per_stack(self, tiny_workload):
         database = tiny_workload.database
