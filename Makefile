@@ -27,12 +27,13 @@ quick:
 # query x 64 VAE-decoded and 64 random token sequences (~20 s).
 # Closed-form fantasized conditioning vs. the augmented-factor solve: 2000
 # property examples, and the timeout rule's grid level for 64 probe candidates
-# after every observation of both replayed GP streams (~60 s).
+# after every observation of both replayed GP streams (~60 s).  The direct
+# L-BFGS-B driver vs. optimize.minimize: 1000 property examples (~10 s).
 oracle-full:
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_db_optimizer.py -k test_benchmark_workloads
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_executor_oracle.py
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_encoding.py -k "TestDecoderOracle and test_benchmark_workloads"
-	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_bo_gp.py -k TestFantasizeOracle
+	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_bo_gp.py -k "TestFantasizeOracle or TestDirectLbfgsbOracle"
 
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_surrogate_hotpath.py --smoke

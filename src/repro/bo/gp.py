@@ -11,7 +11,7 @@ timeout rule).
 
 The hot path is *incremental*: ``fit`` caches the unscaled squared-distance
 matrix (re-scaled, not recomputed, during hyper-parameter optimization, which
-runs L-BFGS on analytic marginal-likelihood gradients), ``add_observation``
+runs L-BFGS-B on analytic marginal-likelihood gradients), ``add_observation``
 extends the Cholesky factor with a rank-1 update in O(n^2), and
 ``fantasize``/``fantasize_batch`` condition on a hypothetical observation in
 closed form (the Schur complement of the extension that observation would
@@ -28,6 +28,15 @@ extended factor and no solve per fantasized value), ``potri`` inverts for the
 likelihood gradient.
 Every call checks its arguments finite, as the wrappers did (``_lapack``),
 except the likelihood objective's, which reads ``potrf``'s ``info`` instead.
+
+A full refit does its input-only work once.  The hyper-parameter search drives
+scipy's L-BFGS-B step routine ``setulb`` in a loop of its own
+(``_minimize_lbfgsb``): the arguments and the iterates of scipy's
+``minimize(method="L-BFGS-B")``, without its per-evaluation wrappers.
+That routine is a private scipy extension, so scipy is pinned to a minor
+release.  The censored EM loop computes the censored points' kernel rows and
+variance solve once (``ExactGP.predictor``); its iterations change only the
+responses.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
+from scipy.optimize import _lbfgsb
 
 from repro.bo.censored import truncated_normal_mean
 from repro.bo.kernels import Kernel, Matern52Kernel, pairwise_sqdist
@@ -56,6 +66,53 @@ def _lapack(routine, *arrays: np.ndarray, **options) -> np.ndarray:
     if info != 0:  # a failed pivot at ``info``, or an illegal argument ``-info``
         raise (linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK returned info={info}")
     return result
+
+
+#: The box L-BFGS-B searches, in ``log(lengthscale, outputscale, noise)``.
+_LOG_LOWER = np.array([-3.0, -4.0, -8.0])
+_LOG_UPPER = np.array([3.0, 4.0, 1.0])
+#: Iteration cap of a hyper-parameter search.
+_MAX_ITERATIONS = 40
+
+
+def _minimize_lbfgsb(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]], start: np.ndarray
+) -> np.ndarray:
+    """scipy's ``minimize(objective, start, method="L-BFGS-B", jac=True,
+    bounds=[(-3, 3), (-4, 4), (-8, 1)], options={"maxiter": 40}).x``, bit for bit.
+
+    The loop scipy's own ``_minimize_lbfgsb`` runs over ``setulb``, with its
+    arguments (``m=10``, ``factr = ftol / eps`` at the default ``ftol``,
+    ``pgtol=1e-5``, ``maxls=20``, the start clipped into the box), minus the
+    per-evaluation ``ScalarFunction``/``MemoizeJac`` layers and the result
+    object.  Their one visible effect is kept: a point equal to the last one
+    evaluated is answered from it, not evaluated again.  The 15000-evaluation
+    limit is left out: 40 iterations of at most two 20-step line searches each
+    cannot reach it.
+    """
+    m, n = 10, len(start)
+    x = np.clip(start, _LOG_LOWER, _LOG_UPPER)
+    bounded = np.full(n, 2, np.int32)  # nbd: a lower and an upper bound
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    evaluated, iterations = None, 0
+    while True:
+        _lbfgsb.setulb(m, x, _LOG_LOWER, _LOG_UPPER, bounded, f, g, factr, 1e-5,
+                       wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: the objective at ``x``
+            if evaluated != (point := x.tolist()):
+                evaluated = point
+                f, g = objective(np.array(point))
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            iterations += 1
+            if iterations >= _MAX_ITERATIONS:
+                task[0], task[1] = 5, 504  # STOP: the iteration limit, handed back
+        else:  # CONVERGENCE, STOP, or a WARNING/ERROR/ABNORMAL code
+            return x
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,21 +207,18 @@ class ExactGP:
         return value, grad
 
     def _optimize_hyperparameters(self) -> None:
-        """L-BFGS on the marginal likelihood, started at the current hyper-parameters.
+        """L-BFGS-B on the marginal likelihood, started at the current hyper-parameters.
 
         On a fitted model those are the previous optimum, so a refit continues
-        from it instead of starting over from the defaults.
+        from it instead of starting over from the defaults.  ``_minimize_lbfgsb``
+        drives scipy's ``setulb`` directly, with the arguments and floats of
+        scipy's ``minimize``; it is handed the objective as looked up now, so
+        a counter patched onto the class sees every evaluation.
         """
         initial = np.log([self.kernel.lengthscale, self.kernel.outputscale, self.noise])
-        result = optimize.minimize(
-            self._negative_log_marginal,
-            initial,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=[(-3.0, 3.0), (-4.0, 4.0), (-8.0, 1.0)],
-            options={"maxiter": 40},
+        lengthscale, outputscale, noise = np.exp(
+            _minimize_lbfgsb(self._negative_log_marginal, initial)
         )
-        lengthscale, outputscale, noise = np.exp(result.x)
         self.kernel = self.kernel.with_params(float(lengthscale), float(outputscale))
         self.noise = float(noise)
 
@@ -226,14 +280,23 @@ class ExactGP:
     # ------------------------------------------------------------------ inference
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation (in the original y units)."""
+        return self.predictor(x)()
+
+    def predictor(self, x: np.ndarray) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+        """``predict(x)`` as a callable that follows ``update_targets``.
+
+        The kernel rows of ``x`` and the forward solve for its variance depend
+        on the inputs, the hyper-parameters and the factor only, so they are
+        computed here, once; each call applies the responses' current
+        ``alpha``, centre and scale to them.  Valid until the factor changes
+        (``fit`` or ``add_observation``).
+        """
         self._require_fit()
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cross = self.kernel(x, self._x)
-        mean = cross @ self._alpha
         v = _solve_lower(self._chol, cross.T)
-        var = self.kernel.diag(x) - np.sum(v**2, axis=0)
-        var = np.maximum(var, 1e-12)
-        return mean * self._y_std + self._y_mean, np.sqrt(var) * self._y_std
+        root_var = np.sqrt(np.maximum(self.kernel.diag(x) - np.sum(v**2, axis=0), 1e-12))
+        return lambda: (cross @ self._alpha * self._y_std + self._y_mean, root_var * self._y_std)
 
     def posterior_samples(self, x: np.ndarray, count: int, rng: np.random.Generator,
                           jitter: float = 1e-8) -> np.ndarray:
@@ -360,6 +423,13 @@ class CensoredGP:
         self._x: np.ndarray | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray, censored: np.ndarray) -> "CensoredGP":
+        """Fit the GP on the raw responses, then run the EM loop.
+
+        Inputs and hyper-parameters stay fixed inside the loop, so the
+        censored points' kernel rows and posterior variance are computed once
+        (``ExactGP.predictor``); an EM step is a matrix-vector product, the
+        imputation and an O(n^2) ``update_targets``.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         censored = np.asarray(censored, dtype=bool).reshape(-1)
@@ -370,9 +440,10 @@ class CensoredGP:
         self.gp.fit(x, imputed)
         if not censored.any():
             return self
+        posterior, lower = self.gp.predictor(x[censored]), y[censored]
         for _ in range(self.em_iterations):
-            mean, std = self.gp.predict(x[censored])
-            imputed[censored] = truncated_normal_mean(mean, std, y[censored])
+            mean, std = posterior()
+            imputed[censored] = truncated_normal_mean(mean, std, lower)
             # Only the responses change between EM steps: reuse the cached
             # factorization instead of refitting from scratch.
             self.gp.update_targets(imputed)

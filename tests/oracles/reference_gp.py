@@ -1,4 +1,5 @@
-"""Reference surrogate: the dense likelihood objective and the cold full refit.
+"""Reference surrogate: the dense likelihood objective, the cold full refit, the
+L-BFGS-B call and the per-iteration EM loop.
 
 This is the exact-GP marginal likelihood as it stood before
 ``ExactGP._negative_log_marginal`` moved to one LAPACK factorization: Gram
@@ -12,12 +13,21 @@ is the ``scipy.stats`` formula the imputation used.  ``fantasize_batch`` and
 it went closed form: the rank-1 extended factor built, the augmented responses
 re-standardized per value and solved for as ``B`` columns, kept verbatim but
 for scipy's wrappers in place of the direct LAPACK calls (the same floats).
+``minimize_lbfgsb`` is the hyper-parameter search as it stood before
+``ExactGP`` drove scipy's ``setulb`` itself: the ``optimize.minimize`` call,
+kept verbatim (the direct driver must return its bits after evaluating the
+objective at the same points).  ``predict`` and ``censored_fit`` are the
+posterior and the censored-EM fit as they stood before the EM loop computed
+the censored points' kernel rows and variance once per refit: a full
+``predict`` per EM iteration, with scipy's triangular solve.
 The oracle shares the kernel classes, the L-BFGS settings and, in the censored
-fantasy, the model's ``predict`` and the production imputation with production
-code, and nothing else.
+fantasy and fit, the model's ``predict``/``fit``/``update_targets`` and the
+production imputation with production code, and nothing else.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 from scipy import linalg, optimize, stats
@@ -63,6 +73,45 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y - mean) / std, mean, std
 
 
+def minimize_lbfgsb(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]], start: np.ndarray
+) -> optimize.OptimizeResult:
+    """The hyper-parameter search as ``ExactGP`` ran it through ``optimize.minimize``."""
+    return optimize.minimize(
+        objective, start, method="L-BFGS-B", jac=True, bounds=LOG_BOUNDS, options={"maxiter": 40}
+    )
+
+
+def predict(gp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ExactGP.predict`` as it stood before ``ExactGP.predictor``: everything per call."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    cross = gp.kernel(x, gp._x)
+    mean = cross @ gp._alpha
+    v = linalg.solve_triangular(gp._chol, cross.T, lower=True)
+    var = gp.kernel.diag(x) - np.sum(v**2, axis=0)
+    var = np.maximum(var, 1e-12)
+    return mean * gp._y_std + gp._y_mean, np.sqrt(var) * gp._y_std
+
+
+def censored_fit(model, x: np.ndarray, y: np.ndarray, censored: np.ndarray):
+    """``CensoredGP.fit`` on ``model`` with the EM loop as it stood before it
+    solved once per refit: a full ``predict`` of the censored points per
+    iteration."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    censored = np.asarray(censored, dtype=bool).reshape(-1)
+    model._x, model._values, model._censored = x, y, censored
+    imputed = y.copy()
+    model.gp.fit(x, imputed)
+    if not censored.any():
+        return model
+    for _ in range(model.em_iterations):
+        mean, std = predict(model.gp, x[censored])
+        imputed[censored] = tobit.truncated_normal_mean(mean, std, y[censored])
+        model.gp.update_targets(imputed)
+    return model
+
+
 class ColdCensoredGP:
     """A censored GP that starts over on every ``fit``."""
 
@@ -77,15 +126,11 @@ class ColdCensoredGP:
         #: The standardized responses the hyper-parameters are fitted on.
         self.fitted_y = _standardize(y)[0]
         if len(x) >= 3:
-            result = optimize.minimize(
+            result = minimize_lbfgsb(
                 lambda params: negative_log_marginal(
                     self.kernel, self.sqdist, self.fitted_y, params
                 ),
                 np.log([1.0, 1.0, 1e-2]),
-                method="L-BFGS-B",
-                jac=True,
-                bounds=LOG_BOUNDS,
-                options={"maxiter": 40},
             )
             lengthscale, outputscale, noise = np.exp(result.x)
             self.kernel = self.kernel.with_params(float(lengthscale), float(outputscale))

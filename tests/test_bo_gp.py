@@ -5,6 +5,7 @@ refit, the rank-1 updates and the imputation against the dense reference in
 ``tests/oracles/reference_gp.py``.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -691,3 +692,168 @@ class TestImputationOracle:
         far = truncated_normal_mean(0 * unit, unit, 1e200 * unit)[0]
         assert far == reference_gp.truncated_normal_mean(0 * unit, unit, 1e200 * unit)[0]
         assert far >= 1e200
+
+
+# ------------------------------------------------------------------ refit oracles
+#: ``(n, dim, seed)`` of a random five-point first fit, searched from the
+#: default start, for each way a search stops (``optimize.minimize``'s
+#: ``message``).  A workload's first refits are this size, and at n = 5-6 some
+#: of them run into the iteration limit.
+_STOP_CASES = {
+    "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL": (5, 1, 0),
+    "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH": (5, 2, 5),
+    "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT": (5, 2, 0),
+}
+_DEFAULT_START = np.log([1.0, 1.0, 1e-2])
+
+
+def _bits(arrays) -> bytes:
+    return b"".join(np.asarray(array, dtype=np.float64).tobytes() for array in arrays)
+
+
+def _searches_match(gp: ExactGP, start: np.ndarray) -> tuple[str, list[float]]:
+    """Run the direct driver and ``optimize.minimize`` on ``gp``'s objective
+    from ``start``; both must return the same bits after evaluating it at the
+    same points, in the same order.  Returns the reference's stop message and
+    the objective values the driver saw."""
+    points, values = {"ours": [], "theirs": []}, []
+
+    def recorded(side):
+        def objective(params):
+            points[side].append(params.copy())
+            value, grad = gp._negative_log_marginal(params)
+            if side == "ours":
+                values.append(value)
+            return value, grad
+        return objective
+
+    ours = gp_module._minimize_lbfgsb(recorded("ours"), start.copy())
+    theirs = reference_gp.minimize_lbfgsb(recorded("theirs"), start.copy())
+    assert _bits([ours]) == _bits([theirs.x])
+    assert len(points["ours"]) == len(points["theirs"]) == theirs.nfev
+    assert _bits(points["ours"]) == _bits(points["theirs"])
+    return theirs.message, values
+
+
+def _stream_searches(name: str) -> list[tuple[ExactGP, np.ndarray]]:
+    """Every hyper-parameter search a replay of the recorded stream runs: its
+    objective (the model's inputs and responses at that refit) and its warm
+    start."""
+    searches, driver = [], gp_module._minimize_lbfgsb
+
+    def recording(objective, start):
+        gp = objective.__self__
+        probe = ExactGP(kernel=gp.kernel)
+        probe._sqdist, probe._y = gp._sqdist, gp._y
+        searches.append((probe, np.array(start)))
+        return driver(objective, start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp_module, "_minimize_lbfgsb", recording)
+        for _ in _replay(_recorded_stream(name)):
+            pass
+    return searches
+
+
+class TestDirectLbfgsbOracle:
+    """The direct ``setulb`` loop vs. the ``optimize.minimize`` call it replaced."""
+
+    @pytest.mark.parametrize("name", ["replay", "bimodal"])
+    def test_every_refit_of_the_recorded_streams_warm_and_cold(self, name):
+        searches = _stream_searches(name)
+        assert len(searches) >= 30
+        messages = set()
+        for gp, warm in searches:
+            messages.add(_searches_match(gp, warm)[0])
+            messages.add(_searches_match(gp, _DEFAULT_START)[0])
+        # Both stop reasons of a converged search occur on every stream.
+        assert set(list(_STOP_CASES)[:2]) <= messages
+
+    @pytest.mark.parametrize("message", list(_STOP_CASES))
+    def test_each_stop_reason(self, message):
+        n, dim, seed = _STOP_CASES[message]
+        rng = np.random.default_rng(seed)
+        gp = _objective_gp(Matern52Kernel, rng.random((n, dim)), rng.standard_normal(n))
+        assert _searches_match(gp, _DEFAULT_START)[0] == message
+
+    def test_a_wall_inside_the_box(self):
+        """Negative "distances" make the covariance indefinite in part of the
+        box: the search steps into the ``1e10`` wall, backs off and ends on
+        the factorizable side."""
+        x, y = _random_points(12, seed=2)
+        gp = _objective_gp(RBFKernel, x, y)
+        gp._sqdist = gp._sqdist - 0.5 * (1.0 - np.eye(12))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, values = _searches_match(gp, np.zeros(3))
+        assert values[0] < 1e10 and 1e10 in values and values[-1] < 1e10
+
+    @settings(max_examples=1000 if ORACLE_FULL else 100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 60),
+        dim=st.integers(1, 16),
+        kernel_cls=st.sampled_from([Matern52Kernel, RBFKernel]),
+        start=st.sampled_from(["default", "inside", "outside", "on_bound"]),
+        wall=st.booleans(),
+    )
+    def test_driver_is_minimize_bit_for_bit(self, seed, n, dim, kernel_cls, start, wall):
+        rng = np.random.default_rng(seed)
+        x, y = rng.random((n, dim)), rng.standard_normal(n) * rng.uniform(0.1, 3.0)
+        if rng.random() < 0.3:  # duplicated points, as a shrunken trust region replays them
+            x[n // 2 :] = x[: n - n // 2]
+        gp = _objective_gp(RBFKernel if wall else kernel_cls, x, y)
+        if wall:
+            gp._sqdist = gp._sqdist - rng.uniform(0.0, 1.0) * (1.0 - np.eye(n))
+        lows, highs = np.array(reference_gp.LOG_BOUNDS).T
+        inside = rng.uniform(lows, highs)
+        on_bound = rng.random(3) < 0.5
+        on_bound[rng.integers(3)] = True
+        initial = {
+            "default": _DEFAULT_START,
+            "inside": inside,
+            "outside": inside + rng.choice([-1.0, 1.0], 3) * rng.uniform(0.1, 5.0, 3),
+            "on_bound": np.where(on_bound, np.where(rng.random(3) < 0.5, lows, highs), inside),
+        }[start]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _searches_match(gp, initial)
+
+
+def _assert_em_matches(model: CensoredGP, x: np.ndarray, y: np.ndarray, censored: np.ndarray) -> None:
+    """``CensoredGP.fit`` vs. the per-iteration ``predict`` loop, both
+    continued from ``model``'s hyper-parameters."""
+    ours = copy.deepcopy(model).fit(x, y, censored)
+    theirs = reference_gp.censored_fit(copy.deepcopy(model), x, y, censored)
+    assert _bits([ours.gp._y_raw, ours.gp._alpha]) == _bits([theirs.gp._y_raw, theirs.gp._alpha])
+    assert (ours.gp._y_mean, ours.gp._y_std) == (theirs.gp._y_mean, theirs.gp._y_std)
+
+
+class TestEMOracle:
+    """The EM loop's once-per-refit solve vs. a full ``predict`` per iteration."""
+
+    @pytest.mark.parametrize("name", ["replay", "bimodal"])
+    def test_every_refit_of_the_recorded_streams(self, name):
+        boundaries = 0
+        for engine, _ in _replay(_recorded_stream(name)):
+            model = engine.surrogate
+            _assert_em_matches(model, model._x, model._values, model._censored)
+            boundaries += 1
+        assert boundaries >= 30
+
+    @pytest.mark.parametrize("em_iterations", [0, 1, 2, 3])
+    @pytest.mark.parametrize("censoring", ["none", "one", "some", "all"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets(self, em_iterations, censoring, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        x, y = rng.random((n, int(rng.integers(1, 9)))), rng.standard_normal(n)
+        censored = {
+            "none": np.zeros(n, dtype=bool),
+            "one": np.arange(n) == rng.integers(n),
+            "some": rng.random(n) < 0.5,
+            "all": np.ones(n, dtype=bool),
+        }[censoring]
+        model = CensoredGP(em_iterations=em_iterations)
+        _assert_em_matches(model, x, y, censored)
+        # And warm: refit a fitted model on one more point.
+        model.fit(x[:-1], y[:-1], censored[:-1])
+        _assert_em_matches(model, x, y, censored)
