@@ -21,8 +21,10 @@ quick:
 # full cross product), a rotating window of seven at 9-10 tables, where one
 # reference search takes up to 0.4 s (tier-1 rotates smaller windows; this is
 # a few minutes).
-# Executor vs. the nested-loop reference on every <= 5-table JOB query x its
-# distinct Bao hint-set plans, plus 300 random small databases (~35 s).
+# Executor vs. the nested-loop reference on every <= 5-table JOB query and one
+# query of each of the 16 Stack templates x its distinct Bao hint-set plans
+# (Stack's repeated alias pairs make multi-predicate joins: composite keys and
+# shared columns), plus 300 random small databases (~55 s).
 # Plan decoder vs. the component-forest reference decoder on every JOB/Stack/DSB
 # query x 64 VAE-decoded and 64 random token sequences (~20 s).
 # Closed-form fantasized conditioning vs. the augmented-factor solve: 2000

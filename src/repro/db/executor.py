@@ -27,17 +27,17 @@ cache on or off.
 Scans and joins are built from the columnar kernels of
 :mod:`repro.db.kernels`: per-relation predicate-bitmap and selection caches,
 one counting join index for every build side (cached per relation for a
-scanned one), and a fused residual filter that gathers each matched (alias,
-column) once per join.  The nested-loop evaluator in
-``tests/oracles/reference_executor.py`` is the independent check of what
-they produce and charge.
+scanned one), and one match on every predicate of a join: shared columns
+filter one side's rows, the rest form one composite key.  The nested-loop
+evaluator in ``tests/oracles/reference_executor.py`` is the independent
+check of what they produce and charge.
 
 Joins materialize on read.  A join knows its output *count* from the match
 counts; the pair set keeps its right index unexpanded and the join records,
 per retained alias, which side of the pair set and which child positions it
 gathers from (:class:`_Positions`).  The arrays are written by the first
-``positions[alias]`` read — a parent's key lookup (``_values_for``), its
-residual filter, ``_scan_join_index``, the parent's own gather, or the
+``positions[alias]`` read — a parent's key or predicate columns
+(``_values_for``), ``_scan_join_index``, the parent's own gather, or the
 subplan memo storing the intermediate — so a root join (nothing retained), a
 side no later predicate references and a join whose parent is censored on its
 pre-charge allocate nothing.  Charges cannot move: every charge, work-cap
@@ -543,70 +543,40 @@ class Executor:
         predicates: list,
         state: "_ExecutionState",
     ) -> "kernels.PairSet":
-        """Equi-match on the first predicate, then filter the rest.
+        """Equi-match on every predicate at once, charged per first-predicate match.
 
         The build side is counted into a join index — once per (filter set,
         column) for a scanned relation, once per join for an intermediate —
-        the output is charged from the match total before any pair is
-        expanded, the residual predicates gather only matched positions, each
-        (alias, column) at most once per join, and — absent residual
-        predicates — the left side of the returned pair set stays factorized
-        so position gathers run as sequential repeats (late materialization).
-        Pair order: see the determinism contract in :mod:`repro.db.kernels`.
+        and the output is charged from the first predicate's match total
+        before any pair is expanded.  More predicates are matched with it over
+        rows, never pairs (:func:`kernels.match_all`); the left side of the
+        pair set stays factorized so position gathers run as sequential
+        repeats (late materialization).  Pair order: see the determinism
+        contract in :mod:`repro.db.kernels`.
         """
-        first, *rest = predicates
-        left_alias, left_column, right_alias, right_column = self._orient(first, left)
-        full_values: dict[tuple[int, str, str], np.ndarray] = {}
+        oriented = [self._orient(predicate, left) for predicate in predicates]
+        left_alias, left_column, right_alias, right_column = oriented[0]
         left_keys = self._values_for(query, left, left_alias, left_column)
-        full_values[(0, left_alias, left_column)] = left_keys
         index = self._scan_join_index(query, right, right_alias, right_column)
         if index is None:
             # An intermediate build side: the same index, private to this join.
             right_keys = self._values_for(query, right, right_alias, right_column)
-            full_values[(1, right_alias, right_column)] = right_keys
             index = kernels.build_join_index(right_keys)
         match = kernels.probe_join_index(index, left_keys)
         # Check the output size and charge its cost *before* materializing it,
         # so catastrophic joins hit the timeout without allocating huge arrays.
         self._check_materialization(match.total, state)
         state.charge("join", self.cost_params.output_row * match.total)
-        pairs = kernels.expand_pairs(match)
-        if not rest or pairs.count == 0:
-            return pairs
-        left_idx, right_idx = pairs.left_indices(), pairs.right_idx
-        sides = (left, right)
-        idxs = (left_idx, right_idx)
-        rows_memo: dict[tuple[int, str], np.ndarray] = {}
-        values_memo: dict[tuple[int, str, str], np.ndarray] = {}
-
-        def matched_values(side_no: int, alias: str, column: str) -> np.ndarray:
-            values_key = (side_no, alias, column)
-            values = values_memo.get(values_key)
-            if values is not None:
-                return values
-            full = full_values.get(values_key)
-            if full is not None:
-                # The match keys were already gathered in full — slice them.
-                values = full[idxs[side_no]]
-            else:
-                rows_key = (side_no, alias)
-                rows = rows_memo.get(rows_key)
-                if rows is None:
-                    rows = sides[side_no].positions[alias][idxs[side_no]]
-                    rows_memo[rows_key] = rows
-                relation = self.relations[query.table_of(alias)]
-                values = relation.column(column)[rows]
-            values_memo[values_key] = values
-            return values
-
-        value_pairs = []
-        for predicate in rest:
-            la, lc, ra, rc = self._orient(predicate, left)
-            value_pairs.append((matched_values(0, la, lc), matched_values(1, ra, rc)))
-        keep = kernels.fused_equality_filter(value_pairs)
-        if keep is not None:
-            left_idx, right_idx = left_idx[keep], right_idx[keep]
-        return kernels.PairSet(len(left_idx), left_idx, right_idx)
+        if len(oriented) > 1 and match.total:
+            # Each (alias, column) gathered once; index.keys is the first right one.
+            pairs = [(predicate[:2], predicate[2:]) for predicate in oriented]
+            columns = ({pairs[0][0]: left_keys}, {pairs[0][1]: index.keys})
+            for pair in pairs[1:]:
+                for side, side_columns, key in zip((left, right), columns, pair):
+                    if key not in side_columns:
+                        side_columns[key] = self._values_for(query, side, *key)
+            match = kernels.match_all(*columns, pairs)
+        return kernels.expand_pairs(match)
 
     def _scan_join_index(
         self, query: Query, side: _Intermediate, alias: str, column: str

@@ -24,9 +24,9 @@ join path, kept verbatim in ``tests/oracles/reference_kernels.py``:
 * the probe (:func:`probe_join_index`) looks up per-key run lengths and
   starts (``bincount`` and its cumulative sum: what two ``searchsorted`` over
   the sorted keys give), so its expansion is identical;
-* the fused residual filter ANDs per-predicate equality masks — boolean
-  masking preserves order and equality tests are independent, so fusing is
-  indistinguishable from filtering predicate by predicate.
+* a join on several predicates (:func:`match_all`) keeps a sort-merge's pairs
+  on the first predicate that pass the others, in order: filtered rows map
+  back monotonically, a composite key sorts stably by digit, last one first;
 * a :class:`PairSet` expanded late yields the same index arrays and gathers
   as one expanded at once — *when* a pair array is written is not observable.
 
@@ -56,7 +56,7 @@ __all__ = [
     "expand_pairs",
     "build_join_index",
     "probe_join_index",
-    "fused_equality_filter",
+    "match_all",
     "predicate_key",
 ]
 
@@ -100,8 +100,7 @@ class PairSet:
 
     Exactly one representation is active per side.  Left:
 
-    * ``left_idx is not None`` — materialized (after residual filtering, and
-      for an empty match);
+    * ``left_idx is not None`` — materialized (an empty match);
     * ``left_all`` — every left row matched exactly once, in order: the left
       index is the identity, gathers return the input array *unsliced*
       (safe: the executor never mutates position arrays);
@@ -168,6 +167,8 @@ class PairSet:
             return np.tile(np.arange(self.cross[1]), self.cross[0])
         match = self.match
         order = match.index.order
+        if match.index.rows is not None:
+            order = match.index.rows[order]
         if self.left_all:
             # Every probe row matched exactly once: no gather of lo needed.
             return order[match.lo]
@@ -223,13 +224,16 @@ class JoinIndex:
     out-of-domain keys onto them.  Other keys (floats, a sparse domain, a float
     probe) binary-search ``sorted_keys``.  ``order``, which the offsets index,
     is sorted by its first read: a join that only counts (a root join, a
-    censored parent) never sorts.
+    censored parent) never sorts.  ``rows`` maps filtered keys back to build
+    rows (monotonically); a sparse composite key sorts by its ``digits``.
     """
 
     keys: np.ndarray
     key_min: int = 0
     starts_table: np.ndarray | None = None
     counts_table: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    digits: list[np.ndarray] | None = None
 
     @property
     def num_keys(self) -> int:
@@ -237,26 +241,36 @@ class JoinIndex:
 
     @cached_property
     def order(self) -> np.ndarray:
-        keys = self.keys
+        digits = self.digits or [self.keys]
         if self.counts_table is not None:
             # Same permutation from keys narrowed to hold domain - 1: <= 16 bits radix-sort.
-            keys = (keys - self.key_min).astype(np.min_scalar_type(len(self.counts_table) - 3))
-        return np.argsort(keys, kind="stable")
+            narrow = np.min_scalar_type(len(self.counts_table) - 3)
+            digits = [(self.keys - self.key_min).astype(narrow)]
+        # Stable passes, least significant digit first: the keys' stable order.
+        order = np.argsort(digits[-1], kind="stable")
+        for digit in reversed(digits[:-1]):
+            order = order[np.argsort(digit[order], kind="stable")]
+        return order
 
     @cached_property
     def sorted_keys(self) -> np.ndarray:
         return self.keys[self.order]
 
 
-def build_join_index(keys: np.ndarray) -> JoinIndex:
+def _direct_addressable(keys: np.ndarray) -> bool:  # integers, offsets fit int64
+    return keys.dtype.kind == "i" or (keys.dtype.kind == "u" and keys.dtype.itemsize < 8)
+
+
+def build_join_index(keys: np.ndarray, rows=None, digits=None) -> JoinIndex:
     """Factorize ``keys`` for probing (pair order: see the module docstring)."""
-    index = JoinIndex(keys)
-    if len(keys) and np.issubdtype(keys.dtype, np.integer):
+    index = JoinIndex(keys, rows=rows, digits=digits)
+    if len(keys) and _direct_addressable(keys):
         key_min = int(keys.min())
         domain = int(keys.max()) - key_min + 1
-        if domain <= max(DENSE_DOMAIN_FLOOR, 4 * len(keys)):
+        if domain <= max(DENSE_DOMAIN_FLOOR, 4 * len(keys)) and key_min > -(1 << 63):
             index.key_min = key_min
-            index.counts_table = np.bincount(keys - (key_min - 1), minlength=domain + 2)
+            offsets = keys.astype(np.int64, copy=False) - (key_min - 1)
+            index.counts_table = np.bincount(offsets, minlength=domain + 2)
             index.starts_table = np.cumsum(index.counts_table) - index.counts_table
     return index
 
@@ -267,37 +281,113 @@ def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:
     Returns what a sort-merge of ``left_keys`` against the keys the index was
     built from computes — same ``counts``, same expansion, the same ``order``
     once read — without sorting (with a direct-address table) or without
-    sorting again (without one).
+    sorting again (without one).  NaN matches nothing, as under ``==``.
     """
     if len(left_keys) == 0 or index.num_keys == 0:
         return MatchCounts(index, lo=_EMPTY, counts=np.zeros(len(left_keys), dtype=np.int64),
                            total=0, num_left=len(left_keys))
-    if index.counts_table is not None and np.issubdtype(left_keys.dtype, np.integer):
-        slots = left_keys - (index.key_min - 1)
+    if index.counts_table is not None and _direct_addressable(left_keys):
+        slots = left_keys.astype(np.int64, copy=False) - (index.key_min - 1)
         counts = index.counts_table.take(slots, mode="clip")
         lo = index.starts_table.take(slots, mode="clip")
     else:
         lo = np.searchsorted(index.sorted_keys, left_keys, side="left")
         hi = np.searchsorted(index.sorted_keys, left_keys, side="right")
         counts = hi - lo
+        counts[left_keys != left_keys] = 0  # NaN: a sorted float side holds a NaN run
     return MatchCounts(index, lo=lo, counts=counts, total=int(counts.sum()),
                        num_left=len(left_keys))
 
 
-def fused_equality_filter(
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray | None:
-    """AND the equality masks of every (left values, right values) pair.
+def match_all(left_columns: dict, right_columns: dict, predicates: list[tuple]) -> MatchCounts:
+    """Match on every ``left_columns[l] == right_columns[r]`` of ``predicates`` at once.
 
-    One fused boolean reduction over the full matched set — equivalent to
-    filtering predicate by predicate because equality tests are independent
-    and boolean masking preserves order.  Returns ``None`` for no pairs.
+    Predicates sharing a column form a class of equal columns (``L.a = R.x ∧
+    L.a = R.y`` is ``L.a = R.x ∧ R.x = R.y``, under IEEE ``==`` too): its other
+    columns filter their side's rows, and the classes' first columns form one
+    composite key.  Left counts are scattered back, the index keeps the right
+    selection: :func:`expand_pairs` stays as lazy as for one predicate.
     """
-    keep: np.ndarray | None = None
-    for left_values, right_values in pairs:
-        mask = left_values == right_values
-        keep = mask if keep is None else keep & mask
-    return keep
+    classes: list[tuple[dict, dict]] = []  # ordered sets of each side's names
+    for left_name, right_name in predicates:
+        merged = ({left_name: None}, {right_name: None})
+        for cls in [cls for cls in classes if left_name in cls[0] or right_name in cls[1]]:
+            classes.remove(cls)
+            merged[0].update(cls[0])
+            merged[1].update(cls[1])
+        classes.append(merged)
+    left_rows, left_keys = _filter_rows(left_columns, [list(cls[0]) for cls in classes])
+    right_rows, right_keys = _filter_rows(right_columns, [list(cls[1]) for cls in classes])
+    left_keys, right_keys, digits = _composite_keys(left_keys, right_keys)
+    match = probe_join_index(build_join_index(right_keys, right_rows, digits), left_keys)
+    if left_rows is None:
+        return match
+    lo, counts = np.zeros((2, len(next(iter(left_columns.values())))), dtype=np.int64)
+    counts[left_rows] = match.counts
+    lo[left_rows] = match.lo if match.total else 0
+    return MatchCounts(match.index, lo=lo, counts=counts, total=match.total, num_left=len(lo))
+
+
+def _filter_rows(columns: dict, classes: list[list]) -> tuple[np.ndarray | None, list]:
+    """Rows where each class's columns are ``==`` (``None``: all), and its first column there."""
+    keep = None
+    for names in classes:
+        for name in names[1:]:
+            equal = columns[names[0]] == columns[name]
+            keep = equal if keep is None else keep & equal
+    firsts = [columns[names[0]] for names in classes]
+    rows = None if keep is None else np.flatnonzero(keep)
+    return rows, firsts if rows is None else [values[rows] for values in firsts]
+
+
+#: A composite key stays below this domain, with headroom for probe offsets.
+_KEY_DOMAIN_LIMIT = 1 << 62
+
+
+def _composite_keys(left_values: list, right_values: list):
+    """Int64 keys equal across the sides iff every column pair is ``==``, and the right digits.
+
+    Mixed radix over each pair's codes, re-densified to rank codes where the
+    next radix would overflow, digits narrowed to radix-sort; one column is its own key.
+    """
+    if len(left_values) == 1:
+        return left_values[0], right_values[0], None
+    left_key, right_key, domain, digits = 0, 0, 1, []
+    for left, right in zip(left_values, right_values):
+        left_code, right_code, radix = _key_codes(left, right)
+        if domain * radix > _KEY_DOMAIN_LIMIT:
+            left_key, right_key, domain = _rank_codes(left_key, right_key)
+            digits = [(right_key, domain)]
+            if domain * radix > _KEY_DOMAIN_LIMIT:
+                left_code, right_code, radix = _rank_codes(left_code, right_code)
+        left_key, right_key = left_key * radix + left_code, right_key * radix + right_code
+        domain *= radix
+        digits.append((right_code, radix))
+    return left_key, right_key, [d.astype(np.min_scalar_type(n - 1)) for d, n in digits]
+
+
+def _key_codes(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Codes in ``[0, domain)``, equal across the sides iff the values are ``==``.
+
+    Integers: ``value - lo + 1`` over the right side's ``[lo, hi]``, left values
+    outside it on the sentinels 0 and ``domain - 1``; anything else: ranks.
+    """
+    if _direct_addressable(left) and _direct_addressable(right) and len(right):
+        lo, hi = int(right.min()), int(right.max())
+        if hi - lo < _KEY_DOMAIN_LIMIT and -(1 << 63) < lo <= hi < (1 << 63) - 1:
+            left_codes = np.clip(left.astype(np.int64, copy=False), lo - 1, hi + 1) - (lo - 1)
+            return left_codes, right.astype(np.int64) - (lo - 1), hi - lo + 3
+    return _rank_codes(left, right)
+
+
+def _rank_codes(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense rank codes over both sides; a right NaN gets a code no left row has."""
+    values, codes = np.unique(np.concatenate([left, right]), return_inverse=True)
+    left_codes, right_codes, domain = codes[:len(left)], codes[len(left):], len(values)
+    if domain and values[-1] != values[-1]:  # NaNs share the last rank
+        right_codes = np.where(right_codes == domain - 1, domain, right_codes)
+        domain += 1
+    return left_codes, right_codes, domain
 
 
 def predicate_key(column: str, op: str, value) -> tuple:

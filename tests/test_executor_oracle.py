@@ -30,7 +30,7 @@ from repro.db.relation import Relation
 from repro.plans.hints import bao_hint_sets
 from repro.plans.jointree import JOIN_OPS, JoinTree
 from repro.plans.sampling import random_join_tree
-from repro.workloads import build_job_workload
+from repro.workloads import build_job_workload, build_stack_workload
 
 from oracles.reference_executor import (
     NODE,
@@ -43,7 +43,13 @@ from oracles.reference_executor import (
 
 ORACLE_FULL = os.environ.get("REPRO_ORACLE_FULL") == "1"
 
-KEY_COLUMNS = ("id", "a", "b")
+KEY_COLUMNS = ("id", "a", "b", "x", "w", "v")
+
+#: ``x`` is a float key column: NaN equals nothing, ``-0.0 == 0.0``.
+FLOAT_KEYS = (np.nan, -0.0, 0.0, 1.0, 2.0)
+#: ``w`` and ``v`` are integer key columns over a domain of 2^40: a composite
+#: key with a digit on each overflows int64 unless it is re-densified.
+WIDE_KEYS = (0, 1, 2, 2**40 - 1)
 
 
 def timeouts_around(points: list[float]) -> list[float | None]:
@@ -104,9 +110,11 @@ def small_cases(draw):
     """A schema of <= 4 tables, <= 40 rows each, a query of <= 5 aliases and a join tree.
 
     Key columns draw from small per-table domains (duplicates on both sides,
-    keys missing on either side); predicates may repeat an alias pair
-    (multi-predicate joins), close cycles, or leave the join graph
-    disconnected (predicate-free cross joins); aliases may repeat a table.
+    keys missing on either side), a float column holds NaN, -0.0 and 0.0 and
+    two integer ones span 2^40; predicates may repeat an alias pair
+    (multi-predicate joins: sharing a column on either side, or a composite
+    key), close cycles, or leave the join graph disconnected (predicate-free
+    cross joins); aliases may repeat a table.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tables, relations, indexes = [], {}, []
@@ -119,6 +127,9 @@ def small_cases(draw):
             "id": rng.permutation(rows),
             "a": rng.integers(0, draw(st.integers(1, 12)), size=rows),
             "b": rng.integers(-2, draw(st.integers(1, 6)), size=rows),
+            "x": rng.choice(FLOAT_KEYS, size=rows),
+            "w": rng.choice(WIDE_KEYS, size=rows),
+            "v": rng.choice(WIDE_KEYS, size=rows),
             "f": rng.integers(0, 10, size=rows),
         })
         indexes += [
@@ -151,6 +162,27 @@ def small_cases(draw):
         )
         for left, right in draw(st.permutations(pairs))
     ]
+    # Siblings between one predicate's aliases: sharing its left column, its
+    # right column, or neither (one more digit of a composite key); "wide"
+    # adds two digits, on ``w`` and ``v`` of one side, which overflow int64
+    # together.
+    for base, shared in draw(st.lists(
+        st.tuples(st.integers(0, max(len(predicates) - 1, 0)),
+                  st.sampled_from(("left", "right", "neither", "wide"))),
+        max_size=3 if predicates else 0,
+    )):
+        base = predicates[base]
+        if shared == "wide":
+            narrow = st.sampled_from(("id", "a", "b"))
+            predicates.append(JoinPredicate(base.left_alias, draw(narrow), base.right_alias, "w"))
+            predicates.append(JoinPredicate(base.left_alias, draw(narrow), base.right_alias, "v"))
+            continue
+        predicates.append(JoinPredicate(
+            base.left_alias,
+            base.left_column if shared == "left" else draw(st.sampled_from(KEY_COLUMNS)),
+            base.right_alias,
+            base.right_column if shared == "right" else draw(st.sampled_from(KEY_COLUMNS)),
+        ))
     filters = [
         FilterPredicate(
             draw(st.sampled_from(aliases)), draw(st.sampled_from(("f", "a"))), op,
@@ -168,6 +200,10 @@ def small_cases(draw):
     return Database(schema, relations), query, forest[0]
 
 
+# The planner's column statistics cast their most common values to int64:
+# the float key column's NaN makes that cast warn.  No plan here is checked
+# against an estimate.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(
     max_examples=300 if ORACLE_FULL else 60, deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
@@ -302,6 +338,43 @@ def test_job_queries_match_nested_loop_oracle(job_cases):
     assert checked >= len(cases)
 
 
+# ------------------------------------------------------------------ Stack queries x Bao plans
+#: Stack's joins repeat alias pairs (``badge.user_id = so_user#1.id ∧
+#: badge.user_id = so_user#2.id``): its Bao plans hold composite keys and
+#: predicates sharing a column on either side.
+STACK_ORACLE_SCALE = 0.01
+
+
+@pytest.fixture(scope="module")
+def stack_cases():
+    """One query per Stack template with its distinct Bao hint-set plans."""
+    workload = build_stack_workload(scale=STACK_ORACLE_SCALE, seed=0, num_queries=16)
+    hint_sets = bao_hint_sets()
+    cases = [
+        (query, list({
+            plan.canonical(): plan for plan in workload.database.plan_hint_sets(query, hint_sets)
+        }.values()))
+        for query in workload.queries
+    ]
+    return workload.database, cases
+
+
+def test_stack_queries_match_nested_loop_oracle(stack_cases):
+    """Tier-1 takes one plan of every query; ``REPRO_ORACLE_FULL=1`` all of them."""
+    database, cases = stack_cases
+    assert len(cases) == 16
+    arms = make_arms(database)
+    multi_predicate_joins = 0
+    for query, plans in cases:
+        for plan in plans if ORACLE_FULL else plans[:1]:
+            check_against_oracle(arms, query, plan, max_pairs=5_000_000)
+            multi_predicate_joins += sum(
+                len(query.predicates_between(set(left), set(right))) > 1
+                for left, right, _ in plan.join_pairs()
+            )
+    assert multi_predicate_joins > 0
+
+
 # ------------------------------------------------------------------ nobody sorts what nobody reads
 class _CountingNumpy:
     """``np`` as ``repro.db.kernels`` sees it, recording the length of every ``argsort`` input."""
@@ -317,18 +390,25 @@ class _CountingNumpy:
         return np.argsort(keys, *args, **kwargs)
 
 
-def _bushy_case(outer_alias: str):
+#: Second root predicates of :func:`_bushy_case` over ``t0`` and ``t2`` alone:
+#: one sharing the first predicate's ``t0.b`` (a row filter of the right
+#: side), one making a composite key with it.
+SECOND_ROOT_PREDICATES = {"shared column": ("b", "b"), "composite key": ("a", "b")}
+
+
+def _bushy_case(outer_alias: str, second: tuple[str, str] | None = None):
     """``(t0 ⋈ t1) ⋈ (t2 ⋈ t3)`` with one predicate between the two sides.
 
     Both sides of the root are intermediates, so its build side is no scan.
     The predicate reads ``t0`` (the *left* input of its join: gathered by
     repeats, no right index) and ``outer_alias`` in the other side — ``t2`` is
     a left input as well, ``t3`` a right one, whose positions exist only
-    through the sorted order of ``t3``'s join index.
+    through the sorted order of ``t3``'s join index.  ``second`` adds the
+    root predicate ``t0.<second[0]> = t2.<second[1]>``.
     """
     rng = np.random.default_rng(24)
     sizes = {"t0": 31, "t1": 37, "t2": 41, "t3": 43}
-    tables = [Table(name, [Column(column) for column in KEY_COLUMNS]) for name in sizes]
+    tables = [Table(name, [Column(column) for column in ("id", "a", "b")]) for name in sizes]
     relations = {
         table.name: Relation(table, {
             "id": rng.permutation(sizes[table.name]),
@@ -340,11 +420,14 @@ def _bushy_case(outer_alias: str):
     refs = [TableRef(alias_name(name, 1), name) for name in sizes]
     t0, t1, t2, t3 = (ref.alias for ref in refs)
     outer = {"t2": t2, "t3": t3}[outer_alias]
-    query = Query(f"bushy_{outer_alias}", refs, [
+    predicates = [
         JoinPredicate(t0, "a", t1, "a"),
         JoinPredicate(t2, "b", t3, "b"),
         JoinPredicate(t0, "b", outer, "a"),
-    ], [])
+    ]
+    if second is not None:
+        predicates.append(JoinPredicate(t0, second[0], t2, second[1]))
+    query = Query(f"bushy_{outer_alias}", refs, predicates, [])
     plan = JoinTree.join(
         JoinTree.join(JoinTree.leaf(t0), JoinTree.leaf(t1), JOIN_OPS[0]),
         JoinTree.join(JoinTree.leaf(t2), JoinTree.leaf(t3), JOIN_OPS[0]),
@@ -358,11 +441,18 @@ def test_a_join_whose_pairs_nobody_reads_sorts_nothing(monkeypatch, arm):
     counting = _CountingNumpy()
     monkeypatch.setattr(kernels, "np", counting)
 
-    # A root join over an intermediate build side, no residual predicate: it
+    # A root join over an intermediate build side, on one predicate: it
     # counts.  Its inputs gather their left sides, so nothing sorts anywhere.
     database, query, plan = _bushy_case("t2")
     result = make_arms(database)[arm].execute(query, plan)
     assert not result.timed_out and result.output_rows > 100
+    assert counting.sorted_lengths == []
+
+    # Two-predicate root joins count too: a row filter and a composite key.
+    for second in SECOND_ROOT_PREDICATES.values():
+        database, query, plan = _bushy_case("t2", second)
+        result = make_arms(database)[arm].execute(query, plan)
+        assert not result.timed_out and result.output_rows > 0
     assert counting.sorted_lengths == []
 
     # Control — the counter sees a sort when a pair set's right index is
@@ -386,10 +476,11 @@ def test_a_join_whose_pairs_nobody_reads_sorts_nothing(monkeypatch, arm):
     assert counting.sorted_lengths == ([43] if arm == "cache on" else [])
 
 
+@pytest.mark.parametrize("second", [None, *SECOND_ROOT_PREDICATES])
 @pytest.mark.parametrize("outer_alias", ["t2", "t3"])
-def test_counting_joins_match_nested_loop_oracle(outer_alias):
+def test_counting_joins_match_nested_loop_oracle(outer_alias, second):
     """The bushy plans above on every arm, through ``execute_batch`` and a warm memo."""
-    database, query, plan = _bushy_case(outer_alias)
+    database, query, plan = _bushy_case(outer_alias, SECOND_ROOT_PREDICATES.get(second))
     arms = make_arms(database)
     check_against_oracle(arms, query, plan, max_pairs=60_000)
     check_against_oracle(arms, query, plan, max_pairs=60_000)  # "cache on" is warm now

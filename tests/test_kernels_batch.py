@@ -5,7 +5,8 @@ Two equivalence claims guard the executor hot path (see
 
 * **kernels == sort-merge** — the counting join index, its probe and the
   late pair expansion reproduce the sort-merge reference of
-  ``tests/oracles/reference_kernels.py`` array for array, and so do the join
+  ``tests/oracles/reference_kernels.py`` array for array, ``match_all``
+  reproduces its expand-then-filter multi-predicate join, and so do the join
   pairs the executor builds on random queries and plans; a plan censors where
   the reference accumulation of its recorded charge log says, and a work-cap
   abort is the same fresh, replayed and batched (whole executions —
@@ -53,7 +54,7 @@ from repro.plans.sampling import random_join_tree
 from repro.workloads.generator import FilterSpec, RandomQuerySampler
 
 from oracles.reference_executor import NODE, cumulative_charges, expected_result
-from oracles.reference_kernels import sort_merge_pairs
+from oracles.reference_kernels import filtered_pairs, fused_equality_filter, sort_merge_pairs
 
 
 # ------------------------------------------------------------------ helpers
@@ -103,6 +104,66 @@ def assert_index_equals_sort_merge(left: np.ndarray, right: np.ndarray, *, dense
 
 
 _KEY_ARRAYS = st.lists(st.integers(-40, 40), max_size=60)
+
+#: Key dtypes of :func:`multi_predicate_cases`, int64 (the executor's) three
+#: times over; uint64 is drawn alone, since numpy compares it with signed
+#: keys exactly but sorts them together as float64.
+_KEY_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.int64, np.int64,
+               np.uint8, np.uint16, np.uint32, np.float32, np.float64]
+#: Candidate key values: small ones (matches, duplicates), wide ones (sparse
+#: and 2^62-wide domains), the float ones where a dtype holds them.
+_KEY_VALUES = [0, 1, 2, 3, -1, 300, 9000, 70_000, 2**40, -2**63, 2**63 - 1, 2**64 - 1,
+               np.nan, -0.0, 0.5]
+
+
+def _holds(dtype, value) -> bool:
+    """Whether ``dtype`` holds ``value`` exactly."""
+    if np.issubdtype(dtype, np.floating):
+        return not isinstance(value, int) or abs(value) <= 2**24
+    if isinstance(value, float):
+        return value == 0.0
+    info = np.iinfo(dtype)
+    return info.min <= value <= info.max
+
+
+@st.composite
+def multi_predicate_cases(draw):
+    """Two sides of 0-30 rows, 1-3 key columns each, and 1-6 predicates between them.
+
+    Each column draws from a pool of 1-4 values (a pool of one: all-duplicate
+    keys) in a dtype of its own, or every column is uint64.  A quarter of the
+    cases pair distinct columns (a composite key, whose running key
+    re-densifies when it outgrows int64), half share a column on one side;
+    up to three more predicates may merge those, repeat one or stand alone.
+    """
+    uint64 = draw(st.booleans()) and draw(st.booleans())
+    shape = draw(st.sampled_from(["composite", "shared left", "shared right", "random"]))
+
+    def side(rows: int, least: int) -> dict:
+        columns = {}
+        for number in range(draw(st.integers(least, 3))):
+            dtype = np.uint64 if uint64 else draw(st.sampled_from(_KEY_DTYPES))
+            pool = draw(st.lists(
+                st.sampled_from([v for v in _KEY_VALUES if _holds(dtype, v)]),
+                min_size=1, max_size=4,
+            ))
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+            columns[number] = np.array([pool[i] for i in picks], dtype=object).astype(dtype)
+        return columns
+
+    left = side(draw(st.integers(0, 30)), 2 if shape in ("composite", "shared right") else 1)
+    right = side(draw(st.integers(0, 30)), 2 if shape in ("composite", "shared left") else 1)
+    predicates = {
+        "composite": list(zip(left, right)),
+        "shared left": [(0, 0), (0, 1)],
+        "shared right": [(0, 0), (1, 0)],
+        "random": [],
+    }[shape]
+    predicates += draw(st.lists(
+        st.tuples(st.sampled_from(sorted(left)), st.sampled_from(sorted(right))),
+        min_size=0 if predicates else 1, max_size=3,
+    ))
+    return left, right, predicates
 
 
 class TestKernelPrimitives:
@@ -263,6 +324,68 @@ class TestKernelPrimitives:
             assert pairs.count == len(pairs.left_indices()) == len(pairs.right_idx) == 0
         assert kernels.build_join_index(empty).num_keys == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(multi_predicate_cases())
+    def test_match_all_equals_filtered_sort_merge(self, case):
+        left, right, predicates = case
+        match = kernels.match_all(left, right, predicates)
+        ref_l, ref_r = filtered_pairs(left, right, predicates)
+        pairs = kernels.expand_pairs(match)
+        assert match.total == pairs.count == len(ref_l)
+        np.testing.assert_array_equal(pairs.left_indices(), ref_l)
+        np.testing.assert_array_equal(pairs.right_idx, ref_r)
+
+    def test_match_all_named_cases(self):
+        nan = np.nan
+        cases = {
+            # L.0 = R.0 ∧ L.0 = R.1: a filter of the right rows.
+            "shared left column": (
+                {0: np.array([1, 2, 2, 3])},
+                {0: np.array([2, 2, 1, 3, 2]), 1: np.array([2, 5, 1, 3, 2])},
+                [(0, 0), (0, 1)], [0, 1, 1, 2, 2, 3], [2, 0, 4, 0, 4, 3]),
+            "shared right column": (
+                {0: np.array([1, 2, 3]), 1: np.array([1, 0, 3])},
+                {0: np.array([3, 1, 1])},
+                [(0, 0), (1, 0)], [0, 0, 2], [1, 2, 0]),
+            # Sparse (0..9000 x 0..9000): sorted by two radix passes.
+            "composite key": (
+                {0: np.array([9000, 0, 9000, 5]), 1: np.array([1, 9000, 1, 5])},
+                {0: np.array([9000, 9000, 0, 9000]), 1: np.array([1, 2, 9000, 1])},
+                [(0, 0), (1, 1)], [0, 0, 1, 2, 2], [0, 3, 2, 0, 3]),
+            "three columns wider than 2^62: rank codes": (
+                {c: np.array([-2**63, 2**63 - 1, 0]) for c in range(3)},
+                {c: np.array([0, 2**63 - 1, -2**63, 2**63 - 1]) for c in range(3)},
+                [(0, 0), (1, 1), (2, 2)], [0, 1, 1, 2], [2, 1, 3, 0]),
+            "three 2^40-wide columns: the running key re-densified": (
+                {0: np.array([0, 2**40, 5]), 1: np.array([2**40, 2**40, 5]),
+                 2: np.array([0, 0, 5])},
+                {0: np.array([2**40, 0, 0]), 1: np.array([2**40, 2**40, 0]),
+                 2: np.array([0, 0, 2**40])},
+                [(0, 0), (1, 1), (2, 2)], [0, 1], [1, 0]),
+            # Radixes 2^32 + 3 and 2^32: unless re-densified, (2^32 + 1) * 2^32
+            # wraps to 2^32 and right row 1 aliases row 0.
+            "a radix product past 2^64": (
+                {0: np.array([0]), 1: np.array([0])},
+                {0: np.array([0, 2**32, 2**32]), 1: np.array([0, 0, 2**32 - 3])},
+                [(0, 0), (1, 1)], [0], [0]),
+            "NaN, -0.0 and 0.0": (
+                {0: np.array([nan, -0.0, 1.0]), 1: np.array([nan, 0.0, 1.0])},
+                {0: np.array([0.0, nan, 1.0]), 1: np.array([-0.0, nan, 1.0])},
+                [(0, 0), (1, 1)], [1, 2], [0, 2]),
+        }
+        for name, (left, right, predicates, want_l, want_r) in cases.items():
+            pairs = kernels.expand_pairs(kernels.match_all(left, right, predicates))
+            assert pairs.left_indices().tolist() == want_l, name
+            assert pairs.right_idx.tolist() == want_r, name
+            ref_l, ref_r = filtered_pairs(left, right, predicates)
+            assert (ref_l.tolist(), ref_r.tolist()) == (want_l, want_r), name
+
+    def test_nan_keys_match_nothing(self):
+        index = kernels.build_join_index(np.array([1.0, np.nan, 2.0]))
+        match = kernels.probe_join_index(index, np.array([np.nan, 2.0, np.nan]))
+        assert match.counts.tolist() == [0, 1, 0] and match.total == 1
+        assert kernels.expand_pairs(match).right_idx.tolist() == [2]
+
     def test_fused_filter_equals_sequential(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 200))
@@ -270,12 +393,12 @@ class TestKernelPrimitives:
                 (rng.integers(0, 4, size=n), rng.integers(0, 4, size=n))
                 for _ in range(int(rng.integers(1, 4)))
             ]
-            fused = kernels.fused_equality_filter(pairs)
+            fused = fused_equality_filter(pairs)
             sequential = np.ones(n, dtype=bool)
             for lv, rv in pairs:
                 sequential &= lv == rv
             np.testing.assert_array_equal(fused, sequential)
-        assert kernels.fused_equality_filter([]) is None
+        assert fused_equality_filter([]) is None
 
     def test_predicate_key_is_content_based(self):
         assert kernels.predicate_key("c", "=", 3) == kernels.predicate_key("c", "=", 3)
@@ -426,12 +549,12 @@ class TestKernelExecutorEquivalence:
 
     def test_match_indices_identical(self, tiny_database, tiny_query, rng):
         """The pair arrays of every join the executor runs (not just their
-        counts) are the sort-merge reference's, residual predicates included."""
+        counts) are the sort-merge reference's, multi-predicate joins included."""
         executor = make_database(tiny_database, exec_cache=False).executor
         checked = check_joins_against_sort_merge(executor)
-        # orders |x| product on two predicates: the second is a residual filter.
+        # orders |x| product on two predicates: one composite key.
         two_predicates = Query(
-            "tiny_q1_residual", tiny_query.table_refs,
+            "tiny_q1_two_predicates", tiny_query.table_refs,
             [*tiny_query.join_predicates,
              JoinPredicate("orders#1", "quantity", "product#1", "category")],
             tiny_query.filters,
