@@ -47,6 +47,7 @@ from repro.db.query import Query
 from repro.exceptions import OptimizationError
 from repro.obs.tracer import NULL_TRACER
 from repro.plans.encoding import PlanCodec
+from repro.utils.blas import one_blas_thread
 from repro.plans.jointree import JoinTree
 from repro.plans.vocabulary import PlanVocabulary, vocabulary_for_workload
 from repro.vae.dataset import build_plan_corpus
@@ -97,13 +98,17 @@ class SchemaModel:
     vae_report: object | None = None
 
 
+@one_blas_thread()
 def train_schema_model(
     database: Database,
     workload_queries: list[Query] | None = None,
     vae_config: VAETrainingConfig | None = None,
     max_aliases: int | None = None,
 ) -> SchemaModel:
-    """Build the vocabulary, plan corpus and VAE for one schema (done once per schema)."""
+    """Build the vocabulary, plan corpus and VAE for one schema (done once per schema).
+
+    Runs with OpenBLAS on one thread (:func:`~repro.utils.blas.one_blas_thread`).
+    """
     from repro.plans.vocabulary import build_vocabulary, max_aliases_in_workload
 
     vae_config = vae_config or VAETrainingConfig()

@@ -57,6 +57,7 @@ from repro.db.query import Query
 from repro.exceptions import OptimizationError
 from repro.obs.tracer import NULL_TRACER
 from repro.plans.jointree import JoinTree
+from repro.utils.blas import one_blas_thread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
@@ -493,6 +494,7 @@ def inline_submit(database: "Database"):
     return submit
 
 
+@one_blas_thread()
 def drive(
     optimizer,
     states: list,
@@ -544,7 +546,9 @@ def drive(
     collection, under which spans that rode back on the outcome (a pool
     worker's) are adopted.  A failed future aborts the run with an
     :class:`~repro.exceptions.OptimizationError` naming its query; futures
-    still in flight are cancelled.
+    still in flight are cancelled.  The loop runs with OpenBLAS on one
+    thread (:func:`~repro.utils.blas.one_blas_thread`; an explicit
+    ``OPENBLAS_NUM_THREADS`` wins): the surrogate's matrices are small.
     """
     current_q = q if callable(q) else lambda: q
     if current_q() < 1:

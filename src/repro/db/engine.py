@@ -227,7 +227,10 @@ class Database:
         end, touching the statistics and relation pages a replica needs hot;
         the process pool calls this once before serving — in the coordinator
         when its workers are forked from it, in each worker otherwise — so
-        the first real plan execution pays no cold-start penalty.  When the execution cache is
+        the first real plan execution pays no cold-start penalty.  A query
+        this database has planned before (an optimizer's ``start`` plans its
+        default plan) is a probe of the planner's memo, not a search
+        (:mod:`repro.db.optimizer`).  When the execution cache is
         enabled, warmup additionally executes each query's default plan once
         (bounded by :attr:`WARMUP_TIMEOUT`), priming the subplan memo with
         the base-table scans and default join subtrees — the fragments

@@ -32,7 +32,17 @@ arrays and one :class:`JoinTree` per class is built at the end.  Beyond the
 limit a greedy constructive search (the analogue of PostgreSQL's GEQO
 threshold) evaluates the same formulas on floats for the few subsets it
 touches, as does ``estimated_cost``.  Only the per-``n`` split tables are kept
-at module level: nothing query-dependent outlives the call.
+at module level.
+
+A planner remembers the tree it found per (query, hint class), up to
+:data:`PLAN_MEMO_CAP` entries, oldest evicted first.  Its inputs (schema,
+statistics, cost constants, DP limit) are fixed at construction, so an entry
+never goes stale, and a query planned once — by ``start``, say — costs a dict
+probe when :meth:`~repro.db.engine.Database.warmup` or a Bao initialiser
+plans it again.  The memo is keyed by the query's content *in its own order*,
+not by the order-free :func:`~repro.db.plan_cache.query_fingerprint`: row
+estimates multiply in alias and predicate order, and their last ulp can
+decide a cost tie.
 """
 
 from __future__ import annotations
@@ -54,6 +64,19 @@ from repro.plans.jointree import JOIN_OPS, JoinOp, JoinTree
 
 #: A hint-set class: (allowed operators, (index scans allowed, seq scans allowed)).
 _HintClass = tuple[frozenset[JoinOp], tuple[bool, bool]]
+
+#: Most (query, hint class) trees one planner remembers; eviction is FIFO.
+#: The 49 Bao hint sets are 21 classes, so this holds ~48 queries' sets.
+PLAN_MEMO_CAP = 1024
+
+
+def _memo_key(query: Query) -> tuple:
+    """Everything of ``query`` the search reads, in the query's own order."""
+    return (
+        query.table_refs,
+        query.join_predicates,
+        tuple((flt.alias, flt.column, flt.op, repr(flt.value)) for flt in query.filters),
+    )
 
 
 class _Side(NamedTuple):
@@ -332,6 +355,8 @@ class PlanOptimizer:
         self.estimator = CardinalityEstimator(stats)
         self.cost_params = cost_params
         self.dp_table_limit = dp_table_limit
+        #: ``(query key, hint class) -> tree`` of earlier calls (see the module docstring).
+        self._memo: dict[tuple, JoinTree] = {}
 
     # ------------------------------------------------------------------ public API
     def plan(self, query: Query, hint_set: HintSet = DEFAULT_HINT_SET) -> JoinTree:
@@ -342,7 +367,9 @@ class PlanOptimizer:
         """The chosen join tree for ``query`` under each of ``hint_sets``, in order.
 
         Hint sets that allow the same operators and scan kinds are one class:
-        they share one search (and one tree object).
+        they share one search (and one tree object).  Classes this planner has
+        already planned for the query come from its memo; only the others
+        are searched.
         """
         if query.num_tables == 0:
             raise QueryError(f"query {query.name!r} joins no tables")
@@ -352,10 +379,17 @@ class PlanOptimizer:
             (hint_set.join_ops, (hint_set.allows_index_scan(), hint_set.allows_seq_scan()))
             for hint_set in hint_sets
         ]
-        classes = list(dict.fromkeys(keys))
-        tables = _QueryTables(self, query)
-        search = self._dp if query.num_tables <= self.dp_table_limit else self._greedy
-        trees = dict(zip(classes, search(tables, classes)))
+        memo, query_key = self._memo, _memo_key(query)
+        trees = {key: memo.get((query_key, key)) for key in keys}
+        missing = [key for key, tree in trees.items() if tree is None]
+        if missing:
+            tables = _QueryTables(self, query)
+            search = self._dp if query.num_tables <= self.dp_table_limit else self._greedy
+            for key, tree in zip(missing, search(tables, missing)):
+                trees[key] = tree
+                if len(memo) >= PLAN_MEMO_CAP:
+                    memo.pop(next(iter(memo)), None)
+                memo[query_key, key] = tree
         return [trees[key] for key in keys]
 
     def estimated_cost(self, query: Query, tree: JoinTree, hint_set: HintSet = DEFAULT_HINT_SET) -> float:

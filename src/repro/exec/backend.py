@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.protocol import ExecutionOutcome, proposal_query
+from repro.db.plan_cache import query_fingerprint
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
 from repro.plans.jointree import JoinTree
@@ -78,6 +79,21 @@ class ExecutionRequest:
     #: stamped into the returned outcome so the scheduler can resolve
     #: proposals out of completion order.  ``None`` for q=1 callers.
     proposal_id: int | None = None
+
+
+def query_payload(query: Query, registered: "dict[str, Query]") -> "Query | str":
+    """What to send a worker for ``query``: its name, or the query itself.
+
+    ``registered`` maps names to the queries the receiving side was given at
+    start-up.  The name goes only when the query is one of them in content
+    too (same :func:`~repro.db.plan_cache.query_fingerprint`): a variant
+    derived with :func:`dataclasses.replace` keeps its name, and sending the
+    name alone would run the registered query instead.
+    """
+    known = registered.get(query.name)
+    if known is not None and (known is query or query_fingerprint(known) == query_fingerprint(query)):
+        return query.name
+    return query
 
 
 def perform_request(

@@ -17,10 +17,22 @@ depends on the start method:
   (rebuilt through ``Database.__setstate__`` — statistics, planner and
   executor freshly constructed, execution cache empty) and warms it itself.
 
+The transport is one duplex pipe per worker (:class:`_PipePool`), not
+:class:`~concurrent.futures.ProcessPoolExecutor`: a task is pickled once as
+``(function, args)`` and written straight onto an idle worker's pipe (a FIFO
+holds the rest), and one reader thread waits on every pipe and process
+sentinel and resolves the futures.  There is no call queue, result queue,
+feeder thread or manager thread between a submit and the worker.  A worker
+that dies fails its own task and every queued one with
+:class:`~concurrent.futures.process.BrokenProcessPool`, and the pool reports
+itself unhealthy until :meth:`ProcessPoolBackend.rebuild` replaces it.
+
 Per task only the small ``(query name | query, plan, timeout)`` payload — or,
 for a same-query batch, one ``(plan, timeout, proposal id)`` triple per plan —
 crosses the process boundary, and the result travels back as plain
-:class:`~repro.core.protocol.ExecutionOutcome` objects.
+:class:`~repro.core.protocol.ExecutionOutcome` objects.  A query goes by name
+only when the worker holds that very query under it
+(:func:`~repro.exec.backend.query_payload`).
 
 Determinism: the executor's latency noise and every per-query RNG are seeded
 through :func:`repro.utils.seeding.stable_digest`, so a worker process
@@ -33,15 +45,28 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import threading
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import TYPE_CHECKING
+import weakref
+from collections import deque
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.protocol import ExecutionOutcome
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
-from repro.exec.backend import ExecutionRequest, fan_out_batch, perform_batch, perform_request
+from repro.exec.backend import (
+    ExecutionRequest,
+    fan_out_batch,
+    perform_batch,
+    perform_request,
+    query_payload,
+)
 from repro.obs.tracer import Tracer
+from repro.utils.blas import one_blas_thread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
@@ -178,6 +203,45 @@ def _execute_batch_in_worker(
         ) from exc
 
 
+
+
+def _serve(conn, inherited: tuple, database, queries, warmup: bool, trace: bool) -> None:
+    """A worker process: install the replica, then run tasks off ``conn`` until told to stop.
+
+    A task is a pickled ``(function, args)``; the reply is ``(True, result)``
+    or ``(False, exception)``.  ``None`` or a closed pipe ends the loop.  A
+    forked worker first closes its copies of the coordinator's ends of the
+    pipes forked so far (``inherited``, its own included), so that if the
+    coordinator goes away every worker reads end-of-file instead of waiting
+    for ever.
+    """
+    for other in inherited:
+        other.close()
+    with one_blas_thread():
+        _init_worker(database, queries, warmup, trace)
+        while True:
+            try:
+                task = conn.recv()
+            except (EOFError, OSError):
+                return
+            if task is None:
+                return
+            function, args = task
+            try:
+                reply = (True, function(*args))
+            except Exception as exc:  # noqa: BLE001 - shipped to the submitter
+                reply = (False, exc)
+            try:
+                conn.send(reply)
+            except OSError:
+                return
+            except Exception as exc:  # noqa: BLE001 - an unpicklable result or exception
+                conn.send((False, RemoteExecutionError(
+                    f"worker reply could not be pickled: {type(exc).__name__}: {exc}",
+                    remote_traceback=traceback.format_exc(),
+                )))
+
+
 def _pick_context(start_method: str | None) -> multiprocessing.context.BaseContext:
     """Prefer ``fork`` (workers inherit the database without pickling it per
     worker); fall back to the platform default elsewhere."""
@@ -185,6 +249,215 @@ def _pick_context(start_method: str | None) -> multiprocessing.context.BaseConte
         methods = multiprocessing.get_all_start_methods()
         start_method = "fork" if "fork" in methods else methods[0]
     return multiprocessing.get_context(start_method)
+
+
+class _Worker:
+    """One worker process, the coordinator's end of its pipe, and its task in flight."""
+
+    __slots__ = ("process", "conn", "future")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.future: Future | None = None
+
+
+class _PipePool:
+    """``workers`` processes, one duplex pipe each, and one reader thread.
+
+    ``_lock`` guards the idle list, the FIFO of queued tasks, every worker's
+    ``future`` slot and every write to a pipe; a task is written only to an
+    idle worker, so writes never interleave.  Only the reader thread reads.
+    Futures are resolved outside the lock: their callbacks may submit again.
+    """
+
+    def __init__(self, context, workers: int, initargs: tuple) -> None:
+        self.broken = False
+        self._stopping = False
+        self._lock = threading.Lock()
+        self._queue: deque[tuple[Future, memoryview]] = deque()
+        self._workers: list[_Worker] = []
+        forks = context.get_start_method() == "fork"
+        try:
+            for _ in range(workers):
+                here, there = context.Pipe()
+                inherited = (*(worker.conn for worker in self._workers), here) if forks else ()
+                process = context.Process(
+                    target=_serve, args=(there, inherited, *initargs), daemon=True
+                )
+                process.start()
+                there.close()
+                self._workers.append(_Worker(process, here))
+        except BaseException:
+            for worker in self._workers:
+                worker.process.kill()
+                worker.process.join()
+                worker.conn.close()
+            raise
+        self._idle = list(self._workers)
+        self._reader = threading.Thread(target=self._read, name="process-pool-reader", daemon=True)
+        self._reader.start()
+
+    # ------------------------------------------------------------------ submission
+    def submit(self, function: Callable, *args) -> Future:
+        """Run ``function(*args)`` in a worker; the future resolves to its return value."""
+        future: Future = Future()
+        try:
+            task = ForkingPickler.dumps((function, args))
+        except Exception as exc:  # noqa: BLE001 - an unpicklable task fails its own future
+            future.set_exception(exc)
+            return future
+        with self._lock:
+            if self.broken:
+                raise BrokenProcessPool("a worker process died; the pool must be rebuilt")
+            if self._stopping:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            if self._idle:
+                future.set_running_or_notify_cancel()
+                self._send(self._idle.pop(), future, task)
+            else:
+                self._queue.append((future, task))
+        return future
+
+    def _send(self, worker: _Worker, future: Future, task) -> None:
+        worker.future = future
+        try:
+            worker.conn.send_bytes(task)
+        except OSError:
+            pass  # the worker is gone: the reader fails ``future`` when it sees the death
+
+    def _dispatch(self, worker: _Worker) -> None:
+        """Give ``worker``, just freed, the oldest live queued task (under the lock)."""
+        while self._queue and not self._stopping:
+            future, task = self._queue.popleft()
+            if future.set_running_or_notify_cancel():
+                self._send(worker, future, task)
+                return
+        if self._stopping:
+            self._retire(worker)
+        else:
+            self._idle.append(worker)
+
+    def _retire(self, worker: _Worker) -> None:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass
+
+    def _take_queue(self) -> list[Future]:
+        """Empty the FIFO, returning the futures that were not cancelled (under the lock)."""
+        futures = [future for future, _ in self._queue if future.set_running_or_notify_cancel()]
+        self._queue.clear()
+        return futures
+
+    # ------------------------------------------------------------------ the reader
+    def _read(self) -> None:
+        handles: dict = {}
+        for worker in self._workers:
+            handles[worker.conn] = handles[worker.process.sentinel] = worker
+        try:
+            while handles:
+                for ready in wait(list(handles)):
+                    worker = handles.get(ready)
+                    if worker is None:
+                        continue
+                    if ready is worker.conn:
+                        if not self._receive(worker):
+                            del handles[ready]  # end of file: the sentinel follows
+                        continue
+                    # Dead: deliver whatever it sent before dying, then fail the rest.
+                    while worker.conn in handles and worker.conn.poll():
+                        if not self._receive(worker):
+                            break
+                    handles.pop(worker.conn, None)
+                    del handles[ready]
+                    self._lost(worker)
+        except BaseException:  # noqa: BLE001 - a dead reader would strand every future
+            self.terminate()
+            for worker in self._workers:
+                worker.process.join()
+            raise
+        finally:
+            for worker in self._workers:
+                worker.conn.close()
+
+    def _receive(self, worker: _Worker) -> bool:
+        """Resolve ``worker``'s task from its reply; ``False`` at end of file."""
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            return False
+        except Exception as exc:  # noqa: BLE001 - a reply that cannot be unpickled
+            ok, value = False, exc
+        with self._lock:
+            future, worker.future = worker.future, None
+            self._dispatch(worker)
+        if future is not None:
+            if ok:
+                future.set_result(value)
+            else:
+                future.set_exception(value)
+        return True
+
+    def _lost(self, worker: _Worker) -> None:
+        """A worker exited: fail its task and, unless the pool is stopping, every queued one."""
+        worker.process.join()
+        with self._lock:
+            failed = [worker.future] if worker.future is not None else []
+            worker.future = None
+            if worker in self._idle:
+                self._idle.remove(worker)
+            if not self._stopping:
+                self.broken = True
+                failed += self._take_queue()
+        error = BrokenProcessPool(
+            f"worker process {worker.process.pid} exited with code {worker.process.exitcode}"
+        )
+        for future in failed:
+            future.set_exception(error)
+
+    # ------------------------------------------------------------------ shutdown
+    def terminate(self) -> None:
+        """Kill every worker now; tasks in flight and queued fail with ``BrokenProcessPool``."""
+        with self._lock:
+            self._stopping = True
+            failed = [worker.future for worker in self._workers if worker.future is not None]
+            for worker in self._workers:
+                worker.future = None
+            failed += self._take_queue()
+            self._idle.clear()
+        for worker in self._workers:
+            worker.process.kill()
+        error = BrokenProcessPool("the process pool was terminated")
+        for future in failed:
+            future.set_exception(error)
+
+    def join(self) -> None:
+        """Wait until every worker has been reaped (a no-op on the reader thread itself)."""
+        if threading.current_thread() is not self._reader:
+            self._reader.join()
+
+    def shutdown(self, grace: float) -> None:
+        """Cancel queued tasks, give tasks in flight ``grace`` seconds, then kill what is left."""
+        with self._lock:
+            self._stopping = True
+            queued = [future for future, _ in self._queue]
+            self._queue.clear()
+            idle, self._idle = self._idle, []
+            for worker in idle:
+                self._retire(worker)
+        for future in queued:
+            future.cancel()
+        if threading.current_thread() is not self._reader:
+            self._reader.join(grace)
+        if self._reader.is_alive():
+            self.terminate()
+            self.join()
+
+
+#: How long :meth:`ProcessPoolBackend.close` lets tasks in flight finish
+#: before it kills their workers.
+CLOSE_GRACE_S = 5.0
 
 
 class ProcessPoolBackend:
@@ -199,9 +472,10 @@ class ProcessPoolBackend:
     max_workers:
         Worker process count (defaults to the CPU count).
     queries:
-        Queries to register with every worker.  Registered queries are sent
-        by *name* per task (and pre-planned during warmup); unregistered
-        queries are pickled whole with each request.
+        Queries to register with every worker.  A request whose query is a
+        registered one (same name, same content) is sent by *name* (and the
+        query is pre-planned during warmup); any other query is pickled whole
+        with each request.
     start_method:
         Multiprocessing start method; ``None`` prefers ``fork``.
     warmup:
@@ -227,11 +501,11 @@ class ProcessPoolBackend:
         self.database = database
         self._max_workers = workers
         self._queries = tuple(queries or ())
-        self._registered = {query.name for query in self._queries}
+        self._registered = {query.name: query for query in self._queries}
         self._start_method = start_method
         self._warmup = warmup
         self._trace = trace
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: _PipePool | None = None
         #: Set once the coordinator's database has been warmed for forking.
         self._warmed = False
         self._closed = False
@@ -239,7 +513,7 @@ class ProcessPoolBackend:
     def capacity(self) -> int:
         return self._max_workers
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self) -> _PipePool:
         if self._closed:
             raise OptimizationError("backend is closed")
         if self._pool is None:
@@ -253,20 +527,22 @@ class ProcessPoolBackend:
                 self._warmed = True
                 if hasattr(self.database, "warmup"):
                     self.database.warmup(list(self._queries))
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(self.database, self._queries, self._warmup and not forks, self._trace),
+            self._pool = _PipePool(
+                context,
+                self._max_workers,
+                (self.database, self._queries, self._warmup and not forks, self._trace),
             )
+            # A backend dropped without close() takes its workers with it.
+            weakref.finalize(self, self._pool.terminate)
         return self._pool
 
     def submit(self, request: ExecutionRequest) -> "Future[ExecutionOutcome]":
-        payload: Query | str = (
-            request.query.name if request.query.name in self._registered else request.query
-        )
         return self._ensure_pool().submit(
-            _execute_in_worker, payload, request.plan, request.timeout, request.proposal_id
+            _execute_in_worker,
+            query_payload(request.query, self._registered),
+            request.plan,
+            request.timeout,
+            request.proposal_id,
         )
 
     def submit_batch(
@@ -285,42 +561,42 @@ class ProcessPoolBackend:
         requests = list(requests)
         if len(requests) == 1:
             return [self.submit(requests[0])]
-        query = requests[0].query
-        payload: Query | str = query.name if query.name in self._registered else query
         items = [
             (request.plan, request.timeout, request.proposal_id) for request in requests
         ]
         futures: list[Future[ExecutionOutcome]] = [Future() for _ in requests]
-        task = self._ensure_pool().submit(_execute_batch_in_worker, payload, items)
+        task = self._ensure_pool().submit(
+            _execute_batch_in_worker, query_payload(requests[0].query, self._registered), items
+        )
         fan_out_batch(task, futures)
         return futures
 
     def healthy(self) -> bool:
-        if self._closed:
-            return False
         # A pool that hasn't been started yet is healthy by definition; a
         # broken pool (worker died mid-task) is unusable until rebuild().
-        return self._pool is None or getattr(self._pool, "_broken", False) is False
+        return not self._closed and (self._pool is None or not self._pool.broken)
 
     def rebuild(self) -> None:
-        """Replace a broken process pool with a fresh one.
+        """Replace a broken (or hung) worker set with a fresh one.
 
-        ``BrokenProcessPool`` poisons the executor permanently; the
-        coordinator (:class:`~repro.exec.fabric.FabricBackend`) calls this
-        to discard it so the next submission lazily
-        starts fresh workers from the same database (forked from the
-        already-warm coordinator, or rebuilt from its pickle), so determinism
-        is unaffected.  In-flight futures of the old pool have already
-        failed — nothing is carried over.
+        The coordinator (:class:`~repro.exec.fabric.FabricBackend`) calls
+        this after a :class:`~concurrent.futures.BrokenExecutor` or a hang:
+        the old workers are killed (their tasks in flight and queued fail
+        with ``BrokenProcessPool``) and the next submission lazily forks
+        fresh ones from the same database — the already-warm coordinator, or
+        its pickle — so determinism is unaffected.
         """
         if self._closed:
             return
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.terminate()
+            pool.join()
 
     def close(self) -> None:
+        """Stop the workers: queued tasks are cancelled, tasks in flight get
+        :data:`CLOSE_GRACE_S` to finish before their workers are killed."""
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(CLOSE_GRACE_S)

@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.protocol import ExecutionOutcome
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
-from repro.exec.backend import ExecutionRequest, TransientBackendError
+from repro.exec.backend import ExecutionRequest, TransientBackendError, query_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
@@ -248,7 +248,7 @@ class RemoteNodeBackend:
         self.name = f"node[{node_id}]"
         self.node_id = node_id
         self._queries = tuple(queries or ())
-        self._registered = {query.name for query in self._queries}
+        self._registered = {query.name: query for query in self._queries}
         self._warmup = warmup
         self._trace = trace
         self.heartbeat_interval = heartbeat_interval
@@ -300,9 +300,7 @@ class RemoteNodeBackend:
         if self._closed:
             raise OptimizationError("backend is closed")
         future: "Future[ExecutionOutcome]" = Future()
-        payload: Query | str = (
-            request.query.name if request.query.name in self._registered else request.query
-        )
+        payload = query_payload(request.query, self._registered)
         with self._lock:
             if not self._live:
                 future.set_exception(NodeLostError(f"{self.name} is not connected"))
@@ -334,7 +332,7 @@ class RemoteNodeBackend:
             raise OptimizationError("backend is closed")
         futures: "list[Future[ExecutionOutcome]]" = [Future() for _ in requests]
         query = requests[0].query
-        payload: Query | str = query.name if query.name in self._registered else query
+        payload = query_payload(query, self._registered)
         with self._lock:
             if not self._live:
                 error = NodeLostError(f"{self.name} is not connected")

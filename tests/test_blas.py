@@ -1,0 +1,111 @@
+"""The one-BLAS-thread guard: counts set and restored, and traces unchanged."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.utils import blas
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+_COUNTS_PROBE = """
+import json
+import numpy, scipy.linalg
+from repro.utils.blas import one_blas_thread, openblas_controls
+
+controls = openblas_controls()
+for set_threads, _ in controls:
+    set_threads(2)
+counts = lambda: [get_threads() for _, get_threads in controls]
+report = {"libraries": len(controls), "before": counts()}
+with one_blas_thread():
+    report["inside"] = counts()
+    with one_blas_thread():
+        report["nested"] = counts()
+    report["after_inner"] = counts()
+report["after"] = counts()
+print(json.dumps(report))
+"""
+
+_TRACE_PROBE = """
+import json
+from conftest import _tiny_schema, _tiny_specs
+from repro.core import BayesQO, BayesQOConfig, drive_query
+from repro.core.config import VAETrainingConfig
+from repro.core.optimizer import train_schema_model
+from repro.db.datagen import DataGenerator
+from repro.db.engine import Database
+from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
+
+schema = _tiny_schema()
+database = Database(schema, DataGenerator(schema, _tiny_specs(), seed=7).generate(), seed=7)
+query = Query(
+    "blas_q", [TableRef("orders#1", "orders"), TableRef("customer#1", "customer"),
+               TableRef("product#1", "product"), TableRef("shipment#1", "shipment")],
+    [JoinPredicate("orders#1", "customer_id", "customer#1", "id"),
+     JoinPredicate("orders#1", "product_id", "product#1", "id"),
+     JoinPredicate("shipment#1", "order_id", "orders#1", "id")],
+    [FilterPredicate("customer#1", "region", "=", 2)],
+)
+model = train_schema_model(database, [query], VAETrainingConfig(
+    latent_dim=8, embed_dim=8, hidden_dim=32, training_steps=60, corpus_queries=12,
+    max_tables=4, seed=3), max_aliases=2)
+optimizer = BayesQO(database, model, config=BayesQOConfig(max_executions=24, num_candidates=64, seed=0))
+result = drive_query(optimizer, database, query)
+print(json.dumps([[plan, latency.hex(), censored, timeout, source]
+                  for plan, latency, censored, timeout, source in result.trace_signature()]))
+"""
+
+
+def _run(probe: str, pinned: bool) -> str:
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if pinned:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join([TESTS, *sys.path])
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True,
+        timeout=300,
+    ).stdout
+
+
+def test_the_guard_pins_every_loaded_openblas_and_restores_it():
+    report = json.loads(_run(_COUNTS_PROBE, pinned=False))
+    if report["libraries"] == 0:
+        pytest.skip("no OpenBLAS loaded by numpy or scipy")
+    libraries = report["libraries"]
+    assert report["before"] == [2] * libraries
+    assert report["inside"] == report["nested"] == report["after_inner"] == [1] * libraries
+    assert report["after"] == [2] * libraries
+
+
+@pytest.mark.slow
+def test_a_guarded_trace_equals_the_env_pinned_one():
+    guarded = json.loads(_run(_TRACE_PROBE, pinned=False))
+    assert len(guarded) == 24
+    assert guarded == json.loads(_run(_TRACE_PROBE, pinned=True))
+
+
+def test_an_explicit_environment_count_wins(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setattr(blas, "openblas_controls", lambda: pytest.fail("looked for OpenBLAS"))
+    with blas.one_blas_thread():
+        pass
+
+
+def test_no_library_logs_once_and_changes_nothing(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(blas, "_candidate_paths", lambda: [])
+    monkeypatch.setattr(blas, "_warned", False)
+    messages = []
+    monkeypatch.setattr(
+        blas, "get_logger", lambda name: type("Log", (), {"info": lambda self, *a: messages.append(a)})()
+    )
+    for _ in range(2):
+        with blas.one_blas_thread():
+            assert blas._restore == []
+    assert len(messages) == 1

@@ -427,3 +427,89 @@ def test_estimates_and_plans_do_not_depend_on_the_hash_seed():
             ).stdout
         )
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def _hint_classes() -> int:
+    """How many searches the Bao hint sets take: one per distinct class."""
+    return len({(h.join_ops, h.allows_index_scan(), h.allows_seq_scan()) for h in HINT_SETS})
+
+
+class TestPlannerMemo:
+    """A planner remembers its trees per (query, hint class): a repeat is a probe."""
+
+    @staticmethod
+    def _fresh(optimizer: PlanOptimizer) -> PlanOptimizer:
+        return PlanOptimizer(
+            optimizer.schema, optimizer.stats, optimizer.cost_params, optimizer.dp_table_limit
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "build", [build_job_workload, build_stack_workload, build_dsb_workload],
+        ids=["job", "stack", "dsb"],
+    )
+    def test_memoized_trees_equal_a_fresh_planners(self, build):
+        workload = build(scale=0.05, seed=0)
+        memoized = self._fresh(workload.database.optimizer)
+        for query in [query for query in workload.queries if query.num_tables <= 10]:
+            fresh = [tree.canonical() for tree in self._fresh(memoized).plan_hint_sets(query, HINT_SETS)]
+            memoized.plan(query)  # what ``start`` plans first: one class, the rest missing
+            for hint_sets in (HINT_SETS, HINT_SETS[::-1]):  # partly, then wholly memoized
+                trees = memoized.plan_hint_sets(query, hint_sets)
+                ordered = trees if hint_sets is HINT_SETS else trees[::-1]
+                assert [tree.canonical() for tree in ordered] == fresh, query.name
+
+    def test_a_second_call_searches_nothing(self, tiny_database, tiny_query, monkeypatch):
+        searches = []
+        for name in ("_dp", "_greedy"):
+            search = getattr(PlanOptimizer, name)
+            monkeypatch.setattr(
+                PlanOptimizer, name,
+                lambda self, tables, classes, name=name, search=search: searches.append(
+                    (name, len(classes))
+                ) or search(self, tables, classes),
+            )
+        classes = _hint_classes()
+        for limit, name in ((10, "_dp"), (2, "_greedy")):
+            optimizer = PlanOptimizer(tiny_database.schema, tiny_database.stats, dp_table_limit=limit)
+            default = optimizer.plan(tiny_query)
+            first = optimizer.plan_hint_sets(tiny_query, HINT_SETS)
+            assert searches == [(name, 1), (name, classes - 1)]
+            second = optimizer.plan_hint_sets(tiny_query, HINT_SETS)
+            assert optimizer.plan(tiny_query) is default
+            assert searches == [(name, 1), (name, classes - 1)]
+            assert all(a is b for a, b in zip(first, second))
+            searches.clear()
+
+    @pytest.mark.slow
+    def test_the_key_is_the_query_in_its_own_order(self):
+        # Reversed aliases, predicates and filters keep the fingerprint, but
+        # row estimates multiply in query order and the last ulp decides cost
+        # ties: 8 of JOB_18b's 49 trees differ.  Each order is its own entry.
+        workload = build_job_workload(scale=0.05, seed=0)
+        query = workload.query("JOB_18b")
+        reordered = Query(
+            query.name, query.table_refs[::-1], query.join_predicates[::-1], query.filters[::-1]
+        )
+        memoized = self._fresh(workload.database.optimizer)
+        planned = []
+        for each in (query, reordered):
+            trees = [tree.canonical() for tree in memoized.plan_hint_sets(each, HINT_SETS)]
+            fresh = self._fresh(memoized).plan_hint_sets(each, HINT_SETS)
+            assert trees == [tree.canonical() for tree in fresh]
+            planned.append(trees)
+        assert planned[0] != planned[1]
+        assert len(memoized._memo) == 2 * _hint_classes()
+
+    def test_the_memo_never_exceeds_its_bound(self, job_sampler, monkeypatch):
+        from repro.db import optimizer as planner_module
+
+        monkeypatch.setattr(planner_module, "PLAN_MEMO_CAP", 10)
+        optimizer, _ = job_sampler(0, 2)
+        memoized = self._fresh(optimizer)
+        for seed in range(4):
+            _, query = job_sampler(seed, 4)
+            for hint_set in HINT_SETS:
+                tree = memoized.plan(query, hint_set)
+                assert len(memoized._memo) <= 10
+                assert tree.canonical() == self._fresh(optimizer).plan(query, hint_set).canonical()

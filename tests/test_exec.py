@@ -10,9 +10,12 @@ occupancy/health bookkeeping is covered in ``tests/test_fabric.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
+import signal
+import threading
 import time
 from concurrent.futures import BrokenExecutor
 
@@ -39,6 +42,8 @@ from repro.exec import (
     make_backend,
     make_policy,
 )
+from repro.exec import process_pool
+from repro.exec.backend import query_payload
 from repro.exec.process_pool import _WORKER_STATE, _execute_in_worker
 from repro.harness import WorkloadSession
 from repro.plans.jointree import JoinTree
@@ -359,6 +364,163 @@ class TestProcessPoolWarmsOnce:
         for before, hits in reports.values():
             assert (before["outcome_hits"], before["outcome_misses"]) == (0, 0)
             assert hits == {query.name: False for query in queries}
+
+
+# ------------------------------------------------------------- the transport
+def _touch_and_sleep(path: str, seconds: float) -> None:
+    """Runs inside a pool worker: say it started, then hold the worker."""
+    open(path, "w").close()
+    time.sleep(seconds)
+
+
+def _running(pool, path, seconds: float):
+    """Submit :func:`_touch_and_sleep` and return its future once it runs."""
+    future = pool.submit(_touch_and_sleep, str(path), seconds)
+    deadline = time.monotonic() + 60
+    while not path.exists():
+        assert time.monotonic() < deadline, "the task never started"
+        time.sleep(0.01)
+    return future
+
+
+def _readers() -> list:
+    return [thread for thread in threading.enumerate() if thread.name == "process-pool-reader"]
+
+
+@pytest.mark.slow
+class TestPipeTransport:
+    """One pipe per worker: death, hangs, cancellation and clean shutdown."""
+
+    @pytest.fixture
+    def database(self, noisy_workload):
+        return noisy_workload.database.snapshot()
+
+    def test_a_worker_killed_mid_task_fails_its_task_and_the_queued_ones(self, database, tmp_path):
+        backend = ProcessPoolBackend(database, max_workers=1, warmup=False)
+        try:
+            pool = backend._ensure_pool()
+            pid = pool.submit(os.getpid).result(timeout=60)
+            running = _running(pool, tmp_path / "started", 600.0)
+            queued = [pool.submit(os.getpid) for _ in range(2)]
+            os.kill(pid, signal.SIGKILL)
+            for future in [running, *queued]:
+                with pytest.raises(BrokenExecutor):
+                    future.result(timeout=60)
+            assert not backend.healthy()
+            with pytest.raises(BrokenExecutor):
+                pool.submit(os.getpid)
+            backend.rebuild()
+            assert backend.healthy()
+            assert backend._ensure_pool().submit(os.getpid).result(timeout=60) != pid
+        finally:
+            backend.close()
+
+    def test_rebuild_and_close_stop_a_hung_worker_within_a_bound(
+        self, database, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(process_pool, "CLOSE_GRACE_S", 0.5)
+        children = set(multiprocessing.active_children())
+        backend = ProcessPoolBackend(database, max_workers=1, warmup=False)
+        try:
+            hung = _running(backend._ensure_pool(), tmp_path / "first", 600.0)
+            started = time.monotonic()
+            backend.rebuild()
+            assert time.monotonic() - started < 10.0
+            with pytest.raises(BrokenExecutor):
+                hung.result(timeout=0)
+            assert backend.healthy()
+            hung = _running(backend._ensure_pool(), tmp_path / "second", 600.0)
+            started = time.monotonic()
+            backend.close()
+            assert time.monotonic() - started < 10.0
+            with pytest.raises(BrokenExecutor):
+                hung.result(timeout=0)
+            assert set(multiprocessing.active_children()) <= children
+        finally:
+            backend.close()
+
+    def test_a_queued_future_cancelled_before_dispatch_never_runs(self, database, tmp_path):
+        backend = ProcessPoolBackend(database, max_workers=1, warmup=False)
+        try:
+            pool = backend._ensure_pool()
+            busy = _running(pool, tmp_path / "started", 1.0)
+            marker = tmp_path / "ran"
+            cancelled = pool.submit(_touch_and_sleep, str(marker), 0.0)
+            assert cancelled.cancel()
+            after = pool.submit(os.getpid)
+            busy.result(timeout=60)
+            after.result(timeout=60)
+            assert cancelled.cancelled()
+            assert not marker.exists()
+        finally:
+            backend.close()
+
+    def test_close_leaves_no_worker_and_no_reader_thread(self, database):
+        children = set(multiprocessing.active_children())
+        readers = _readers()
+        backend = ProcessPoolBackend(database, max_workers=2, warmup=False)
+        pool = backend._ensure_pool()
+        assert {future.result(timeout=60) for future in [pool.submit(os.getpid) for _ in range(6)]}
+        assert len(_readers()) == len(readers) + 1
+        backend.close()
+        assert set(multiprocessing.active_children()) <= children
+        assert _readers() == readers
+        # Idle workers were told to stop, not killed after the grace period.
+        assert [worker.process.exitcode for worker in pool._workers] == [0, 0]
+        with pytest.raises(OptimizationError):
+            backend.submit(ExecutionRequest(query=None, plan=None))  # type: ignore[arg-type]
+
+    def test_a_same_named_variant_runs_itself_not_the_registered_query(self, database, noisy_workload):
+        # Only the name used to decide what was sent: a variant of a
+        # registered query went by name and the worker ran the registered one.
+        registered = noisy_workload.queries[0]
+        variant = dataclasses.replace(registered, filters=())
+        plan = database.plan(variant)
+        want = database.execute(variant, plan, timeout=600.0)
+        assert want.latency != database.execute(registered, plan, timeout=600.0).latency
+        backend = ProcessPoolBackend(database, max_workers=1, queries=[registered], warmup=False)
+        try:
+            request = ExecutionRequest(query=variant, plan=plan, timeout=600.0)
+            assert backend.submit(request).result(timeout=60).latency == want.latency
+            batch = backend.submit_batch([request, dataclasses.replace(request, proposal_id=1)])
+            assert [future.result(timeout=60).latency for future in batch] == [want.latency] * 2
+        finally:
+            backend.close()
+        # The one rule both the pool and the remote node backend send by.
+        assert query_payload(variant, {registered.name: registered}) is variant
+        assert query_payload(registered, {registered.name: registered}) == registered.name
+        twin = dataclasses.replace(registered)  # same content, another object
+        assert query_payload(twin, {registered.name: registered}) == registered.name
+
+    def test_warmup_after_start_searches_no_plan(
+        self, tiny_workload, tiny_schema_model, monkeypatch
+    ):
+        from repro.core import BayesQO, BayesQOConfig
+        from repro.db.optimizer import PlanOptimizer
+
+        database = tiny_workload.database.snapshot()
+        optimizer = BayesQO(
+            database, tiny_schema_model, config=BayesQOConfig(max_executions=4, seed=0)
+        )
+        for query in tiny_workload.queries:
+            optimizer.start(query)
+        searches = []
+        for name in ("_dp", "_greedy"):
+            search = getattr(PlanOptimizer, name)
+            monkeypatch.setattr(
+                PlanOptimizer, name,
+                lambda self, tables, classes, search=search: searches.append(classes)
+                or search(self, tables, classes),
+            )
+        backend = ProcessPoolBackend(
+            database, max_workers=1, queries=tiny_workload.queries, start_method="fork"
+        )
+        try:
+            backend._ensure_pool()
+        finally:
+            backend.close()
+        assert database.execution_cache.num_outcomes == len(tiny_workload.queries)  # it warmed
+        assert searches == []
 
 
 # ------------------------------------------------------- trace determinism
