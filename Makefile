@@ -44,7 +44,6 @@ bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_batch_ask.py --smoke
 	PYTHONPATH=src python benchmarks/bench_plan_cache.py --smoke
 	PYTHONPATH=src python benchmarks/bench_faults.py --smoke
-	PYTHONPATH=src python benchmarks/bench_fabric.py --smoke
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke
 	PYTHONPATH=src python benchmarks/bench_obs.py --smoke
 	PYTHONPATH=src python benchmarks/bench_exec_kernels.py --smoke

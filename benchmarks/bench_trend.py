@@ -36,10 +36,6 @@ HEADLINE_METRICS: dict[str, list[tuple[str, str]]] = {
     "BENCH_batch.json": [("speedup", "higher")],
     "BENCH_plancache.json": [("speedup", "higher"), ("cached_s", "lower")],
     "BENCH_faults.json": [("overhead_ratio", "lower")],
-    "BENCH_fabric.json": [
-        ("fabric_speedup_ratio", "higher"),
-        ("chaos_overhead_ratio", "lower"),
-    ],
     "BENCH_serve.json": [("fast_path_hit_rate", "higher"), ("served_qps", "higher")],
     "BENCH_obs.json": [("disabled_serve_us", "lower"), ("traced_serve_us", "lower")],
     "BENCH_kernels.json": [("batch_speedup_ratio", "higher")],

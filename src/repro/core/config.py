@@ -12,7 +12,7 @@ TIMEOUT_STRATEGIES = ("uncertainty", "none", "percentile", "best_seen", "multipl
 #: Supported initialization strategies (Section 4.4).
 INITIALIZATION_STRATEGIES = ("bao", "default", "random", "llm", "provided")
 #: Execution backends resolvable by name (see :mod:`repro.exec`).
-EXECUTION_BACKENDS = ("inline", "thread", "process", "fabric")
+EXECUTION_BACKENDS = ("inline", "thread", "process")
 #: Cross-query scheduling policies resolvable by name (see :mod:`repro.exec`).
 SCHEDULING_POLICIES = ("round_robin", "budget_aware")
 
@@ -118,9 +118,8 @@ class ExecutionServiceConfig:
     """
 
     #: ``"inline"`` (scheduler thread), ``"thread"`` (overlap DBMS waiting),
-    #: ``"process"`` (worker processes with warm database replicas, for
-    #: CPU-bound executions), or ``"fabric"`` (shared-nothing node processes
-    #: behind the lease-based socket coordinator).
+    #: or ``"process"`` (worker processes with warm database replicas, for
+    #: CPU-bound executions).
     backend: str = "inline"
     #: Worker slots per backend instance: tasks (a lone request, or a
     #: same-query batch) executing concurrently.
@@ -167,10 +166,10 @@ class ExecutionServiceConfig:
     plan_cache_bytes: int | None = None
     #: Independent backend instances; ``> 1`` puts them behind the lease
     #: coordinator (:class:`~repro.exec.FabricBackend`, with an inline
-    #: fallback), exactly like fabric nodes.  With the fabric backend each
-    #: replica is ``fabric_nodes`` more nodes behind the same coordinator.
+    #: fallback).  Process replicas are separate worker pools: the
+    #: coordinator reassigns a lost pool's leases and rebuilds the pool.
     replicas: int = 1
-    #: Infrastructure failures tolerated per replica (or fabric node) before
+    #: Infrastructure failures tolerated per replica before
     #: the coordinator puts it on probation: it sits out a doubling period,
     #: then gets one half-open probe.  Probation is the only backoff.
     max_failures: int = 3
@@ -181,21 +180,15 @@ class ExecutionServiceConfig:
     #: Whether the process backend plans every query and executes its default
     #: plan before the first real execution: once in the coordinator when
     #: workers are forked from it (they inherit the warm caches), in each
-    #: worker under other start methods.  Fabric nodes warm per node.
+    #: worker under other start methods.
     warmup: bool = True
-    #: Node processes of the ``"fabric"`` backend (localhost shared-nothing
-    #: replicas behind the lease-based coordinator, see
-    #: :mod:`repro.exec.fabric`).  Node links keep
-    #: :func:`~repro.exec.start_local_fabric`'s heartbeat defaults: a ping
-    #: every 0.25 s, a node silent for 2 s is lost.
-    fabric_nodes: int = 2
 
     # Fault tolerance ---------------------------------------------------------
     #: Put a single backend behind the lease coordinator
     #: (:class:`~repro.exec.FabricBackend`: lease reassignment, hang
     #: watchdog, pool rebuild, degradation to inline execution).  Implied by
     #: setting ``request_deadline`` or ``fault_injection``; ``replicas > 1``
-    #: and the fabric backend are coordinated already.
+    #: is coordinated already.
     supervised: bool = False
     #: Wall-clock seconds one execution may hold its member before the
     #: coordinator declares it hung and reassigns it (a dispatched q-round
@@ -208,10 +201,9 @@ class ExecutionServiceConfig:
     #: A :class:`~repro.exec.FaultInjectionConfig` (kept duck-typed here to
     #: avoid a config -> exec import cycle); ``None`` disables injection.
     #: When set, the coordinator (implied, as by ``request_deadline``) draws
-    #: one fault per lease at dispatch — crashes, transient errors, hangs,
-    #: slow members and slow links on any backend; drops, partitions and
-    #: node kills on fabric node links — so injected faults exercise the
-    #: real recovery path.
+    #: one fault per lease at dispatch — crashes, transient errors, hangs and
+    #: slow members, on any backend — so injected faults exercise the real
+    #: recovery path.
     fault_injection: object | None = None
 
     # Checkpoint / resume -----------------------------------------------------
@@ -245,8 +237,6 @@ class ExecutionServiceConfig:
             raise OptimizationError("request_deadline must be positive")
         if self.max_retries < 0:
             raise OptimizationError("max_retries must be non-negative")
-        if self.fabric_nodes < 1:
-            raise OptimizationError("fabric_nodes must be at least 1")
         if self.checkpoint_every < 1:
             raise OptimizationError("checkpoint_every must be at least 1")
 

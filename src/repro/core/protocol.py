@@ -154,8 +154,9 @@ class ExecutionOutcome:
     cache: CacheStats | None = None
     #: How many execution attempts it took to produce this outcome (1 =
     #: first try).  Stamped by the lease coordinator
-    #: (:class:`~repro.exec.fabric.FabricBackend`); purely
-    #: observational — traces and budget charging ignore it.
+    #: (:class:`~repro.exec.fabric.FabricBackend`) when it reassigns a
+    #: lease to another member or to its fallback; purely observational —
+    #: traces and budget charging ignore it.
     attempts: int = 1
     #: Spans recorded by the executing actor's own tracer
     #: (:class:`~repro.obs.tracer.SpanRecord` tuple) — how a process-pool

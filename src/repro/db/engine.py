@@ -191,8 +191,8 @@ class Database:
         them on unpickle keeps the payload small and guarantees a worker
         process reconstructs exactly the replica ``__init__`` would have built.
         This is what lets a :class:`~repro.exec.ProcessPoolBackend` under a
-        non-``fork`` start method (and every fabric node) receive one
-        database and hold it warm across plan executions.
+        non-``fork`` start method receive one database and hold it warm
+        across plan executions.
         """
         return {
             "schema": self.schema,

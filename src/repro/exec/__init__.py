@@ -21,17 +21,16 @@ scheduler drives:
   sha256-based stable seeding of every latency/RNG digest
   (:mod:`repro.utils.seeding`).
 * :class:`FabricBackend` — the one lease coordinator over several
-  members: shared-nothing node *processes* speaking the socket protocol of
-  :mod:`repro.exec.remote` (heartbeat liveness, cross-node outcome-cache
-  replication), or in-process replicas of the backends above.  Either way
-  it gives least-loaded dispatch, deterministic lease reassignment on an
-  infrastructure failure, probation/half-open rejoin, a per-dispatch hang
-  watchdog, in-place rebuild of a broken process pool and graceful
-  degradation to inline execution.  It is the service's one retry path:
-  supervision (``supervised=True`` or a ``request_deadline``) puts it in
-  front of a single backend too.  It is also the one fault injector: a
+  in-process replicas of the backends above (``replicas > 1``; over process
+  members, several worker pools).  It gives least-loaded dispatch,
+  deterministic lease reassignment on an infrastructure failure,
+  probation/half-open rejoin, a per-dispatch hang watchdog, in-place rebuild
+  of a process pool whose worker died and graceful degradation to inline
+  execution.  It is the service's one retry path: supervision
+  (``supervised=True`` or a ``request_deadline``) puts it in front of a
+  single backend too.  It is also the one fault injector: a
   :class:`FaultInjectionConfig` is drawn per lease at its dispatch, so every
-  injected fault — member or link — meets the real recovery path.
+  injected fault meets the real recovery path.
 
 **Policies** (:class:`SchedulingPolicy`) — pick which ready query state gets
 the next free slot (a slot holds one worker task: a lone request, or a
@@ -51,7 +50,7 @@ the ``benchmarks/bench_exec_backends.py`` gate.
 
 Configuration: either hand a ``WorkloadSession`` backend/policy instances, or
 describe them with :class:`~repro.core.config.ExecutionServiceConfig` —
-``backend`` ("inline" / "thread" / "process" / "fabric"), ``max_workers``, ``policy``
+``backend`` ("inline" / "thread" / "process"), ``max_workers``, ``policy``
 ("round_robin" / "budget_aware"), ``replicas`` (> 1 puts the lease coordinator in front),
 ``supervised`` / ``request_deadline`` / ``max_retries`` (the coordinator's
 watchdog and lease attempts), ``fault_injection`` (the coordinator's chaos
@@ -81,7 +80,7 @@ from repro.exec.backend import (
     perform_request,
     submit_request_batch,
 )
-from repro.exec.fabric import FabricBackend, FabricCounters, start_local_fabric
+from repro.exec.fabric import FabricBackend, FabricCounters
 from repro.exec.faults import (
     FaultCounters,
     FaultInjectionConfig,
@@ -90,7 +89,6 @@ from repro.exec.faults import (
 )
 from repro.exec.policy import BudgetAwarePriority, RoundRobin, SchedulingPolicy
 from repro.exec.process_pool import ProcessPoolBackend, RemoteExecutionError
-from repro.exec.remote import NodeLostError, RemoteNodeBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
@@ -112,10 +110,8 @@ __all__ = [
     "InjectedTransientError",
     "InjectedWorkerCrash",
     "InlineBackend",
-    "NodeLostError",
     "ProcessPoolBackend",
     "RemoteExecutionError",
-    "RemoteNodeBackend",
     "RoundRobin",
     "SchedulingPolicy",
     "ThreadPoolBackend",
@@ -128,7 +124,6 @@ __all__ = [
     "make_policy",
     "perform_batch",
     "perform_request",
-    "start_local_fabric",
     "submit_request_batch",
 ]
 
@@ -150,8 +145,7 @@ def backend_health(backend: "ExecutionBackend | None") -> dict:
     while layer is not None and id(layer) not in seen:
         seen.add(id(layer))
         if isinstance(layer, FabricBackend):
-            # Per-node (or per-replica) liveness, lease reassignments, hangs,
-            # rebuilds, reconnect/backoff counters and shipped-log cache hits.
+            # Per-member liveness, lease reassignments, hangs and rebuilds.
             report["fabric"] = layer.health_snapshot()
             if layer.faults is not None:
                 report["faults"] = layer.fault_counters.snapshot()
@@ -196,10 +190,8 @@ def make_backend(
     """Build the backend an :class:`ExecutionServiceConfig` describes.
 
     A stack holds at most one :class:`FabricBackend`, the only layer that
-    retries: over ``fabric_nodes * replicas`` localhost node processes for
-    ``backend="fabric"`` (:func:`start_local_fabric`), over ``replicas``
-    independent instances of the other backends (process backends get their
-    own worker pools), or over a single one when supervised
+    retries: over ``replicas`` independent instances of the backend (process
+    backends get their own worker pools), or over a single one when supervised
     (``supervised=True``, a ``request_deadline`` or ``fault_injection``).
     Every such coordinator gets ``max_lease_attempts = max_retries + 1``,
     the ``request_deadline`` watchdog, the ``fault_injection`` schedule
@@ -217,25 +209,6 @@ def make_backend(
     faults = config.fault_injection
     if faults is not None and not isinstance(faults, FaultInjectionConfig):
         faults = FaultInjectionConfig(**dict(faults))  # type: ignore[arg-type]
-    coordinator_options = dict(
-        max_failures=config.max_failures,
-        max_lease_attempts=config.max_retries + 1,
-        request_deadline=config.request_deadline,
-        faults=faults,
-    )
-
-    if config.backend == "fabric":
-        # Localhost node processes behind the fabric coordinator; node
-        # tracers ship spans back on outcomes like the process pool.
-        return start_local_fabric(
-            database,
-            queries=queries,
-            num_nodes=config.fabric_nodes * config.replicas,
-            warmup=config.warmup,
-            trace=tracing,
-            start_method=config.start_method,
-            **coordinator_options,
-        )
 
     def one_backend() -> ExecutionBackend:
         if config.backend == "inline":
@@ -266,9 +239,11 @@ def make_backend(
     lone_inline = len(members) == 1 and config.backend == "inline"
     return FabricBackend(
         members,
-        database=database,
         fallback=None if lone_inline else InlineBackend(database),
-        **coordinator_options,
+        max_failures=config.max_failures,
+        max_lease_attempts=config.max_retries + 1,
+        request_deadline=config.request_deadline,
+        faults=faults,
     )
 
 

@@ -220,7 +220,7 @@ def submit_request_batch(backend, requests: list[ExecutionRequest]) -> "list[Fut
     """Submit ``requests`` through ``backend``, batched when it supports it.
 
     For callers that only want the futures (forwarding wrappers, tests):
-    backends exposing ``submit_batch`` (inline, thread, process, fabric)
+    backends exposing ``submit_batch`` (inline, thread, process, the coordinator)
     receive the whole batch as one submission — one task on one worker — so
     same-query plans share subtree work; a backend without one gets one
     ``submit`` per request.

@@ -1,61 +1,54 @@
 """The fabric coordinator: lease-based dispatch over execution members.
 
 :class:`FabricBackend` implements the
-:class:`~repro.exec.backend.ExecutionBackend` protocol over N members:
-remote node links (:class:`~repro.exec.remote.RemoteNodeBackend`), or the
+:class:`~repro.exec.backend.ExecutionBackend` protocol over N members: the
 in-process replicas ``ExecutionServiceConfig(replicas=N)`` builds (inline,
-thread or process backends).  Anything duck-typing
-``submit``/``healthy``/``capacity``/``close`` (and optionally
-``submit_batch``) works, which is what the unit tests exploit.  Robustness
-is the design center:
+thread or process backends), or the lone backend a supervised session puts
+behind it.  Anything duck-typing ``submit``/``healthy``/``capacity``/``close``
+(and optionally ``submit_batch`` and ``rebuild``) works, which is what the
+unit tests exploit.  Robustness is the design center:
 
 * **Leases.**  Every request is owned by a lease.  Dispatch hands the lease
-  to the least-loaded eligible node; an infrastructure failure (node died,
-  link lost, heartbeat deadline) returns the lease to the *front* of the
-  central queue and the next dispatch reassigns it — deterministically, to
-  the least-loaded survivor, preferring a different node than the one that
-  just failed.  The scheduler's future resolves exactly once no matter how
-  many nodes attempt the lease, so the budget is never double-charged; the
-  delivered outcome's ``attempts`` field records the reassignment count.
-* **Probation / half-open probes.**  A node charged ``max_failures``
+  to the least-loaded eligible member; an infrastructure failure (a worker
+  died, a transient error, the request deadline) returns the lease to the
+  *front* of the central queue and the next dispatch reassigns it —
+  deterministically, to the least-loaded survivor, preferring a different
+  member than the one that just failed.  The scheduler's future resolves
+  exactly once no matter how many members attempt the lease, so the budget
+  is never double-charged; the delivered outcome's ``attempts`` field
+  records the reassignment count.
+* **Probation / half-open probes.**  A member charged ``max_failures``
   infrastructure failures sits out ``probation_seconds`` (doubling per
   relapse), then gets a single half-open probe.  A success clears the
-  node's record.  This is the coordinator's one backoff: a reassigned
-  lease never sleeps.  Remote links also *reconnect* themselves with
-  exponential backoff underneath.
+  member's record.  This is the coordinator's one backoff: a reassigned
+  lease never sleeps.
 * **Hang watchdog.**  With a ``request_deadline``, a dispatched group that
   has not landed ``request_deadline * len(group)`` seconds after it reached
-  its node is abandoned: its futures are cancelled and its leases charged
+  its member is abandoned: its futures are cancelled and its leases charged
   and reassigned as a :class:`~repro.exec.backend.HangTimeout`.  A late
   reply from the abandoned attempt is discarded, never observed twice.
   The pump thread checks the deadlines; no request gets a thread.
-* **Pool rebuild.**  A member that fails with a
-  :class:`~concurrent.futures.BrokenExecutor`, then reports itself
-  unhealthy and offers ``rebuild()`` (a broken
-  :class:`~repro.exec.process_pool.ProcessPoolBackend`) is rebuilt in
-  place, at most :data:`MAX_REBUILDS` times per member.
-* **Work conservation.**  There are no per-node queues to steal from:
-  nodes hold at most ``capacity()`` leases and everything else waits in the
-  central queue, so a straggler can never hoard work an idle node could
-  run — work-stealing by construction.  The scheduling-policy layer sees the
-  fabric's full capacity and keeps that many proposals in flight.
-* **Degradation.**  With every node unhealthy for ``degrade_after`` seconds
-  (or a lease out of ``max_lease_attempts``), leases run on the ``fallback``
-  backend (inline on the coordinator) — the run finishes slower instead of
-  dying.
-* **Cache replication.**  Outcome replies carry node-side outcome-cache
-  event-log deltas; the fabric imports them into the coordinator's cache and
-  piggybacks them onto every *other* node's next request frame — guarded by
-  the data signature exchanged at handshake, so logs never replay against a
-  different data snapshot.  A plan executed on one node replays everywhere.
+* **Rebuild.**  A member that reports itself unhealthy and offers
+  ``rebuild()`` (a :class:`~repro.exec.process_pool.ProcessPoolBackend`
+  whose worker died) is rebuilt in place by the next dispatch that finds
+  it so — whether its worker died under a lease or while idle — at most
+  :data:`MAX_REBUILDS` times per member.
+* **Work conservation.**  There are no per-member queues to steal from:
+  members hold at most ``capacity()`` leases and everything else waits in
+  the central queue, so a straggler can never hoard work an idle member
+  could run — work-stealing by construction.  The scheduling-policy layer
+  sees the fabric's full capacity and keeps that many proposals in flight.
+* **Degradation.**  With every member unhealthy for ``degrade_after``
+  seconds (or a lease out of ``max_lease_attempts``), leases run on the
+  ``fallback`` backend (inline on the coordinator) — the run finishes slower
+  instead of dying.
 * **Seeded chaos.**  A :class:`~repro.exec.faults.FaultInjectionConfig`
   is drawn once per lease at dispatch, from one ``(seed, query, plan,
   attempt)`` digest schedule whose attempt is this coordinator's dispatch
   count of the ``(query, plan)``: crashes and transient errors fail the
-  lease before its member sees it, hangs, slow members and slow links delay
-  its result, and drops, partitions and kills act on a node link.  A chaos
-  run is a pure function of its config — and because execution outcomes
-  are deterministic in ``(query, plan, timeout)``, chaos traces are
+  lease before its member sees it, hangs and slow members delay its result.
+  A chaos run is a pure function of its config — and because execution
+  outcomes are deterministic in ``(query, plan, timeout)``, chaos traces are
   bit-for-bit identical to fault-free inline ones.
 """
 
@@ -65,27 +58,21 @@ import dataclasses
 import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.protocol import ExecutionOutcome
 from repro.exceptions import OptimizationError
-from repro.exec.backend import ExecutionRequest, HangTimeout, InlineBackend, is_infra_failure
+from repro.exec.backend import ExecutionRequest, HangTimeout, is_infra_failure
 from repro.exec.faults import (
     FaultCounters,
     FaultInjectionConfig,
     InjectedTransientError,
     InjectedWorkerCrash,
 )
-from repro.exec.node import start_node_process
-from repro.exec.remote import RemoteNodeBackend
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.engine import Database
-    from repro.db.query import Query
-
-#: How many times the coordinator rebuilds one broken member in place.
+#: How many times the coordinator rebuilds one unhealthy member in place.
 MAX_REBUILDS = 2
 
 
@@ -101,8 +88,6 @@ class FabricCounters:
     give_ups: int = 0
     hangs: int = 0
     rebuilds: int = 0
-    events_imported: int = 0
-    events_replicated: int = 0
 
     def snapshot(self) -> dict:
         return dataclasses.asdict(self)
@@ -119,12 +104,12 @@ class _Lease:
         #: Reassignments so far (0 on the first dispatch).
         self.attempt = 0
         #: The slot that last tried (and failed) this lease, avoided on
-        #: reassignment when any other node is eligible.
+        #: reassignment when any other member is eligible.
         self.last_slot: "_NodeSlot | None" = None
 
 
 class _Flight:
-    """One group dispatched to one node: what is still open, and until when."""
+    """One group dispatched to one member: what is still open, and until when."""
 
     __slots__ = ("slot", "leases", "open", "futures", "deadline", "abandoned")
 
@@ -140,7 +125,7 @@ class _Flight:
 
 
 class _NodeSlot:
-    """Fabric-side bookkeeping for one member (node link or replica)."""
+    """Fabric-side bookkeeping for one member."""
 
     def __init__(self, node, name: str) -> None:
         self.node = node
@@ -153,6 +138,8 @@ class _NodeSlot:
         self.probation_until: float | None = None
         self.probations = 0
         self.rebuilds = 0
+        #: Set while a dispatch rebuilds the member outside the lock.
+        self.rebuilding = False
 
     def on_probation(self, now: float) -> bool:
         return self.probation_until is not None and now < self.probation_until
@@ -173,7 +160,9 @@ class _NodeSlot:
         return self.occupancy / max(1, self.node.capacity())
 
     def status(self, now: float) -> dict:
-        report = {
+        return {
+            "name": self.name,
+            "live": self.node.healthy(),
             "occupancy": self.occupancy,
             "dispatched": self.dispatched,
             "completed": self.completed,
@@ -183,17 +172,10 @@ class _NodeSlot:
             "probations": self.probations,
             "rebuilds": self.rebuilds,
         }
-        node_status = getattr(self.node, "status", None)
-        if callable(node_status):
-            report.update(node_status())
-        else:
-            report["name"] = self.name
-            report["live"] = self.node.healthy()
-        return report
 
 
 class FabricBackend:
-    """Coordinate plan executions over shared-nothing execution nodes."""
+    """Coordinate plan executions over independent execution members."""
 
     name = "fabric"
 
@@ -201,7 +183,6 @@ class FabricBackend:
         self,
         nodes: list,
         *,
-        database: "Database | None" = None,
         fallback=None,
         max_failures: int = 3,
         probation_seconds: float = 1.0,
@@ -209,11 +190,10 @@ class FabricBackend:
         degrade_after: float = 2.0,
         request_deadline: float | None = None,
         faults: FaultInjectionConfig | None = None,
-        replicate_cache: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not nodes:
-            raise OptimizationError("fabric needs at least one node")
+            raise OptimizationError("fabric needs at least one member")
         if max_failures < 1:
             raise OptimizationError("max_failures must be at least 1")
         if probation_seconds <= 0:
@@ -224,15 +204,13 @@ class FabricBackend:
             raise OptimizationError("degrade_after must be non-negative")
         if request_deadline is not None and request_deadline <= 0:
             raise OptimizationError("request_deadline must be positive")
-        # Remote links are named ``node[i]`` already; same-named replicas
-        # (``inline``, ``process``) get their index so every slot's name is
-        # unique in reports and as the dispatch tie-break.
+        # Same-named replicas (``inline``, ``process``) get their index so
+        # every slot's name is unique in reports and as the dispatch tie-break.
         names = [getattr(node, "name", f"node[{index}]") for index, node in enumerate(nodes)]
         self._slots = [
             _NodeSlot(node, name if names.count(name) == 1 else f"{name}[{index}]")
             for index, (node, name) in enumerate(zip(nodes, names))
         ]
-        self.database = database
         self.fallback = fallback
         self._max_failures = max_failures
         self._probation_seconds = probation_seconds
@@ -247,13 +225,11 @@ class FabricBackend:
         self._fault_delays = {} if faults is None else {
             "hang": faults.hang_seconds,
             "slow": faults.slow_seconds,
-            "slow_link": faults.slow_link_seconds,
         }
-        self._replicate_cache = replicate_cache
         self._clock = clock
         self.counters = FabricCounters()
-        # RLock: node doubles (and dead links) settle futures synchronously
-        # inside submit(), re-entering the dispatch path.
+        # RLock: member doubles settle futures synchronously inside
+        # submit(), re-entering the dispatch path.
         self._lock = threading.RLock()
         self._pending: "deque[list[_Lease]]" = deque()
         #: Dispatched groups under the watchdog, in dispatch order.
@@ -261,21 +237,15 @@ class FabricBackend:
         self._fault_attempts: dict[tuple, int] = {}
         #: timer -> (finished future, delayed future) for withheld results.
         self._delayed: "dict[threading.Timer, tuple[Future, Future]]" = {}
-        self._kills_done = 0
         self._all_unhealthy_since: float | None = None
         self._pump: threading.Thread | None = None
         self._closed = False
-        self._owned_processes: list = []
-        for slot in self._slots:
-            if hasattr(slot.node, "add_listener"):
-                slot.node.add_listener(self._wake)
-            if hasattr(slot.node, "on_events"):
-                slot.node.on_events = self._on_node_events
 
     # ------------------------------------------------------------------ backend protocol
     def capacity(self) -> int:
-        # Static by design: nodes that are momentarily lost reconnect, and a
-        # stable capacity keeps the scheduler's in-flight target steady.
+        # Static by design: a member that is momentarily lost is rebuilt or
+        # rejoins, and a stable capacity keeps the scheduler's in-flight
+        # target steady.
         return sum(max(1, slot.node.capacity()) for slot in self._slots)
 
     def healthy(self) -> bool:
@@ -289,9 +259,9 @@ class FabricBackend:
     def submit_batch(
         self, requests: "list[ExecutionRequest]"
     ) -> "list[Future[ExecutionOutcome]]":
-        """Keep a same-query batch together on one node (one-pass subtrees).
+        """Keep a same-query batch together on one member (one-pass subtrees).
 
-        The group dispatches as a unit; if its node fails mid-flight the
+        The group dispatches as a unit; if its member fails mid-flight the
         group disbands and the leases reassign individually — correctness
         first, the batching win only when the fleet is calm.
         """
@@ -327,23 +297,11 @@ class FabricBackend:
             slot.node.close()
         if self.fallback is not None:
             self.fallback.close()
-        for process in self._owned_processes:
-            try:
-                process.join(timeout=2.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=2.0)
-            except Exception:  # noqa: BLE001 - already-dead processes
-                pass
 
     # ------------------------------------------------------------------ dispatch
-    def _wake(self) -> None:
-        if not self._closed:
-            self._dispatch()
-
     def _ensure_pump(self) -> None:
         # A tiny timer thread re-runs dispatch so queued leases make progress
-        # on probation expiry / degradation deadlines even with no link event,
+        # on probation expiry / degradation deadlines even with no completion,
         # and abandons dispatched groups past their request deadline.
         with self._lock:
             if self._pump is None or not self._pump.is_alive():
@@ -370,6 +328,13 @@ class FabricBackend:
 
     def _dispatch(self) -> None:
         while True:
+            with self._lock:
+                if self._closed or not self._pending:
+                    return
+                lost = [slot for slot in self._slots if self._claim_rebuild(slot)]
+            if lost:
+                self._rebuild(lost)
+                continue
             with self._lock:
                 if self._closed or not self._pending:
                     return
@@ -406,36 +371,16 @@ class FabricBackend:
         return now - self._all_unhealthy_since >= self._degrade_after
 
     def _dispatch_to(self, slot: "_NodeSlot", group: "list[_Lease]") -> None:
-        kinds = []
-        for lease in group:
-            kind = self._decide_fault(slot, lease)
-            if kind == "kill":
-                # The node dies before it ever sees the group; dispatch re-picks.
-                with self._lock:
-                    slot.occupancy -= 1
-                    slot.dispatched -= len(group)
-                    if group[0].attempt > 0:
-                        slot.reassigned_in -= len(group)
-                    self._pending.appendleft(group)
-                    self.fault_counters.count(kind)
-                slot.node.inject_kill()
-                self._charge(slot)
-                self._dispatch()
-                return
-            kinds.append(kind)
+        kinds = [self._decide_fault(lease) for lease in group]
         if self.faults is not None:
             with self._lock:
                 for kind in kinds:
                     self.fault_counters.count(kind)
-        if "partition" in kinds:
-            # The group is sent into the blackhole; only the heartbeat
-            # deadline can reclaim it.
-            slot.node.inject_partition(self.faults.partition_seconds)
         self.counters.dispatched += len(group)
         flight = _Flight(slot, group)
         if self._request_deadline is not None:
             # Counted from dispatch, never from queueing; a group holds its
-            # node for the sum of its executions.
+            # member for the sum of its executions.
             flight.deadline = self._clock() + self._request_deadline * len(group)
         # Injected crashes and transient errors fail their lease here, before
         # the member sees it; the other leases go out together.
@@ -454,7 +399,7 @@ class FabricBackend:
             with self._lock:
                 slot.occupancy -= 1
             if is_infra_failure(exc):
-                self._charge(slot, exc)
+                self._charge(slot)
                 self._requeue(slot, group, exc)
             else:
                 for lease in group:
@@ -473,10 +418,6 @@ class FabricBackend:
             inner.add_done_callback(
                 lambda done, lease=lease: self._on_lease_done(flight, lease, done)
             )
-        if "drop" in kinds:
-            # The link drops with the group in flight: every pending request
-            # on the node fails over, this group included.
-            slot.node.inject_drop()
 
     def _on_lease_done(self, flight: _Flight, lease: _Lease, inner: "Future") -> None:
         slot = flight.slot
@@ -499,7 +440,7 @@ class FabricBackend:
             self._dispatch()
             return
         if is_infra_failure(exc):
-            self._charge(slot, exc)
+            self._charge(slot)
             self._requeue(slot, [lease], exc)
         else:
             # The plan itself failed: propagate untouched, no health charge.
@@ -579,36 +520,59 @@ class FabricBackend:
                 f"outlived the {self._request_deadline}s request deadline on "
                 f"{flight.slot.name}"
             )
-            self._charge(flight.slot, exc)
+            self._charge(flight.slot)
             self._requeue(flight.slot, hung, exc)
 
-    def _charge(self, slot: "_NodeSlot", exc: BaseException | None = None) -> None:
-        """Charge an infrastructure failure to ``slot``; rebuild a broken pool."""
-        rebuild = getattr(slot.node, "rebuild", None)
+    def _charge(self, slot: "_NodeSlot") -> None:
+        """Charge an infrastructure failure to ``slot``."""
         with self._lock:
             slot.failures += 1
             now = self._clock()
             if slot.failures >= self._max_failures or slot.probing(now):
-                # Doubling probation per relapse: a flapping node backs off
+                # Doubling probation per relapse: a flapping member backs off
                 # the fleet exponentially.
                 slot.probation_until = now + self._probation_seconds * 2.0 ** slot.probations
                 slot.probations += 1
                 slot.failures = 0
-            # Under the lock: the failures of one broken pool race in on
-            # several threads and must cost one rebuild, not one each.
-            if (
-                rebuild is not None
-                and isinstance(exc, BrokenExecutor)
-                and not slot.node.healthy()
-                and slot.rebuilds < MAX_REBUILDS
-            ):
-                slot.rebuilds += 1
-                self.counters.rebuilds += 1
-                rebuild()
+
+    def _claim_rebuild(self, slot: "_NodeSlot") -> bool:
+        """Whether dispatch should rebuild ``slot``'s member now (under the lock).
+
+        Under the lock: several threads dispatch at once (a broken pool
+        fails its leases on its reader thread, the scheduler and the pump
+        dispatch on theirs), and one dead member must cost one rebuild, not
+        one each.  A member that died with no lease on it is found here too;
+        no lease could ever fail on it, because an unhealthy member is never
+        eligible.
+        """
+        if (
+            slot.rebuilding
+            or slot.rebuilds >= MAX_REBUILDS
+            or not hasattr(slot.node, "rebuild")
+            or slot.node.healthy()
+        ):
+            return False
+        slot.rebuilding = True
+        slot.rebuilds += 1
+        self.counters.rebuilds += 1
+        return True
+
+    def _rebuild(self, slots: "list[_NodeSlot]") -> None:
+        """Rebuild claimed members, outside the lock.
+
+        A process pool's rebuild waits for its reader thread, which may be
+        delivering a result whose callback needs the lock.
+        """
+        for slot in slots:
+            try:
+                slot.node.rebuild()
+            finally:
+                with self._lock:
+                    slot.rebuilding = False
 
     # ------------------------------------------------------------------ chaos
-    def _decide_fault(self, slot: "_NodeSlot", lease: _Lease) -> str | None:
-        """Draw ``lease``'s fault for this dispatch to ``slot`` (if any)."""
+    def _decide_fault(self, lease: _Lease) -> str | None:
+        """Draw ``lease``'s fault for this dispatch (if any)."""
         config = self.faults
         if config is None:
             return None
@@ -617,23 +581,13 @@ class FabricBackend:
         with self._lock:
             attempt = self._fault_attempts.get(key, 0)
             self._fault_attempts[key] = attempt + 1
-        kind = config.decide(request, attempt)
-        if kind in ("drop", "partition", "kill") and not hasattr(slot.node, f"inject_{kind}"):
-            # Link faults are only meaningful against a real link; against
-            # any other member the dispatch runs clean.
-            return None
-        if kind == "kill":
-            with self._lock:
-                if config.max_kills is not None and self._kills_done >= config.max_kills:
-                    return None
-                self._kills_done += 1
-        return kind
+        return config.decide(request, attempt)
 
     def _delay(self, inner: "Future", seconds: float) -> "Future":
         """Deliver ``inner``'s completion ``seconds`` after it finishes.
 
-        The delay starts when the execution *finishes*: a hung worker or a
-        slow link has done the work, it just reports back late.
+        The delay starts when the execution *finishes*: a hung or slow
+        worker has done the work, it just reports back late.
         """
         outer: "Future" = Future()
 
@@ -657,37 +611,9 @@ class FabricBackend:
         inner.add_done_callback(arm)
         return outer
 
-    # ------------------------------------------------------------------ cache replication
-    def _on_node_events(self, node, events: list) -> None:
-        if not self._replicate_cache or not events:
-            return
-        signature = getattr(node, "signature", None)
-        for slot in self._slots:
-            other = slot.node
-            if other is node:
-                continue
-            if signature is not None and getattr(other, "signature", None) not in (
-                None,
-                signature,
-            ):
-                continue
-            offer = getattr(other, "offer_events", None)
-            if offer is not None:
-                offer(events)
-                with self._lock:
-                    self.counters.events_replicated += len(events)
-        cache = getattr(self.database, "execution_cache", None) if self.database else None
-        if cache is not None and hasattr(cache, "import_outcomes"):
-            try:
-                imported = cache.import_outcomes(events)
-            except Exception:  # noqa: BLE001 - replication is best-effort
-                return
-            with self._lock:
-                self.counters.events_imported += imported
-
     # ------------------------------------------------------------------ introspection
     def members(self) -> list:
-        """The coordinated members (node links or replicas), in slot order."""
+        """The coordinated members, in slot order."""
         return [slot.node for slot in self._slots]
 
     def statuses(self) -> list[dict]:
@@ -696,17 +622,12 @@ class FabricBackend:
             return [slot.status(now) for slot in self._slots]
 
     def health_snapshot(self) -> dict:
-        """Per-node liveness + fabric counters, for ``backend_health``."""
+        """Per-member liveness + fabric counters, for ``backend_health``."""
         nodes = self.statuses()
         report = self.counters.snapshot()
         report["nodes"] = nodes
-        report["live_nodes"] = sum(1 for status in nodes if status.get("live"))
+        report["live_nodes"] = sum(1 for status in nodes if status["live"])
         report["pending_leases"] = len(self._pending)
-        report["reconnects"] = sum(status.get("connects", 1) - 1 for status in nodes)
-        report["node_losses"] = sum(status.get("losses", 0) for status in nodes)
-        report["shipped_log_hits"] = sum(
-            status.get("node", {}).get("shipped_log_hits", 0) for status in nodes
-        )
         return report
 
 
@@ -741,69 +662,3 @@ def _settle(future: "Future", result=None, exc=None) -> None:
     except Exception:  # noqa: BLE001 - InvalidStateError on cancelled leases
         pass
 
-
-def start_local_fabric(
-    database: "Database",
-    queries: "list[Query] | None" = None,
-    *,
-    num_nodes: int = 2,
-    warmup: bool = True,
-    trace: bool = False,
-    heartbeat_interval: float = 0.25,
-    heartbeat_timeout: float = 2.0,
-    start_method: str | None = None,
-    fallback: bool = True,
-    respawn: bool = True,
-    **fabric_kwargs,
-) -> FabricBackend:
-    """A localhost fabric: ``num_nodes`` node processes + a connected coordinator.
-
-    Each node process binds an ephemeral 127.0.0.1 port, receives the replica
-    over the handshake, and is supervised by its link's restarter (a killed
-    node is respawned and re-shipped the replica).  The returned backend owns
-    the processes: :meth:`FabricBackend.close` shuts them down.
-    """
-    if num_nodes < 1:
-        raise OptimizationError("num_nodes must be at least 1")
-    pairs = [start_node_process(start_method) for _ in range(num_nodes)]
-    processes = [process for process, _ in pairs]
-
-    def make_restarter(index: int):
-        def restart():
-            old = processes[index]
-            try:
-                if old.is_alive():
-                    old.terminate()
-                old.join(timeout=2.0)
-            except Exception:  # noqa: BLE001 - already gone
-                pass
-            process, address = start_node_process(start_method)
-            processes[index] = process
-            return address
-
-        return restart
-
-    nodes = [
-        RemoteNodeBackend(
-            address,
-            database,
-            queries,
-            node_id=index,
-            warmup=warmup,
-            trace=trace,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            restarter=make_restarter(index) if respawn else None,
-        )
-        for index, (_, address) in enumerate(pairs)
-    ]
-    for node in nodes:
-        node.connect()
-    backend = FabricBackend(
-        nodes,
-        database=database,
-        fallback=InlineBackend(database) if fallback else None,
-        **fabric_kwargs,
-    )
-    backend._owned_processes = processes
-    return backend

@@ -24,8 +24,9 @@ registry (:mod:`repro.core.registry`); the session
   request or a same-query q-batch that ``submit_batch`` runs on one worker,
   and its outcomes are observed in submission order once all have landed.
   At q=1, and at a fixed q > 1 on every backend with a batch path (inline,
-  thread, process, fabric), every query's trace is the one it gets when
-  driven alone, under every backend and policy.  What stays
+  thread, process, and the lease coordinator over them), every query's
+  trace is the one it gets when driven alone, under every backend and
+  policy.  What stays
   timing-dependent: ``batch_size="auto"`` (q follows wall-clock signals)
   and q > 1 submitted per request (``batch_execution=False``, or a
   backend without a batch path), where a state tops up as slots free and
@@ -480,8 +481,8 @@ class WorkloadSession:
         """:func:`~repro.core.protocol.drive` ``states`` on the session's backend.
 
         A round of several proposals is one task when ``batch_execution`` is
-        on and the backend has a batch path (inline, thread, process,
-        fabric); otherwise — batching disabled, or a caller's backend
+        on and the backend has a batch path (inline, thread, process, the
+        lease coordinator); otherwise — batching disabled, or a caller's backend
         without ``submit_batch`` — every request is a task of its own
         (``fan_out``), so no more requests are in flight than the backend
         has slots.

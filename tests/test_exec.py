@@ -234,8 +234,9 @@ class TestBackends:
             assert names == ["inline[0]", "inline[1]"]
         finally:
             routed.close()
-        with pytest.raises(OptimizationError):
-            ExecutionServiceConfig(backend="quantum")
+        for backend in ("quantum", "fabric"):
+            with pytest.raises(OptimizationError):
+                ExecutionServiceConfig(backend=backend)
         with pytest.raises(OptimizationError):
             ExecutionServiceConfig(policy="astrology")
 
@@ -486,7 +487,7 @@ class TestPipeTransport:
             assert [future.result(timeout=60).latency for future in batch] == [want.latency] * 2
         finally:
             backend.close()
-        # The one rule both the pool and the remote node backend send by.
+        # The one rule the pool sends by.
         assert query_payload(variant, {registered.name: registered}) is variant
         assert query_payload(registered, {registered.name: registered}) == registered.name
         twin = dataclasses.replace(registered)  # same content, another object

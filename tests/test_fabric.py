@@ -1,47 +1,40 @@
-"""Fabric suite: wire protocol, lease failover, probation, replication, e2e.
+"""Fabric suite: lease failover, probation, replicas, rebuild of lost members.
 
-Covers the socket wire format (length-prefixed pickle frames, error frames
-that preserve node-side tracebacks, pickle failures that must not tear the
-stream), the coordinator's lease machinery against scripted node doubles
-(reassignment off a lost node, bounded attempts, probation/half-open rejoin,
-degradation to the inline fallback, grouped batch dispatch), the same
-coordinator over in-process replicas (``ExecutionServiceConfig(replicas=N)``:
-least-loaded routing, health charging, unique slot names), cross-node
-cache-log replication, and end-to-end runs against real localhost node
-processes: trace equivalence with inline execution, drop/kill recovery and
-remote-traceback preservation across the socket boundary.
+Covers the coordinator's lease machinery against scripted member doubles
+(reassignment off a lost member, bounded attempts, probation/half-open
+rejoin, rebuild of a dead member at dispatch, degradation to the inline
+fallback, grouped batch dispatch), the
+same coordinator over in-process replicas
+(``ExecutionServiceConfig(replicas=N)``: least-loaded routing, health
+charging, unique slot names), and over real process-pool members whose
+workers die while they hold no lease.
 """
 
 from __future__ import annotations
 
-import pickle
-import socket
-import threading
+import os
+import signal
 import time
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
-from repro.core.protocol import BudgetSpec, ExecutionOutcome
+from repro.core.config import ExecutionServiceConfig
+from repro.core.protocol import ExecutionOutcome
 from repro.exceptions import OptimizationError
 from repro.exec import (
     ExecutionRequest,
     FabricBackend,
-    FaultInjectionConfig,
     InlineBackend,
-    NodeLostError,
     RemoteExecutionError,
-    RemoteNodeBackend,
     TransientBackendError,
     backend_health,
-    is_infra_failure,
-    start_local_fabric,
+    make_backend,
 )
-from repro.exec.node import _wire_safe, start_node_process
-from repro.exec.remote import recv_frame, send_frame
+from repro.exec.fabric import MAX_REBUILDS
 from repro.db.query import Query, TableRef
-from repro.harness import WorkloadSession
 from repro.plans.jointree import JoinTree
+from repro.workloads import build_job_workload
 
 
 def _query(name="fabric_q"):
@@ -50,10 +43,6 @@ def _query(name="fabric_q"):
 
 def _request(name="fabric_q", plan=None):
     return ExecutionRequest(query=_query(name), plan=plan or JoinTree.left_deep(["a", "b"]))
-
-
-def signatures(results):
-    return {name: result.trace_signature() for name, result in results.items()}
 
 
 class _FakeClock:
@@ -67,24 +56,21 @@ class _FakeClock:
         self.now += seconds
 
 
-# ------------------------------------------------------------------ node double
+# ------------------------------------------------------------------ member double
 class _ScriptedNode:
-    """Node double with the surface the fabric drives.
+    """Member double with the surface the fabric drives.
 
     ``script`` entries are consumed one per submitted request: an exception
     instance fails that request's future, ``None`` completes it cleanly.
     An exhausted script means clean outcomes.
     """
 
-    def __init__(self, name="node[0]", capacity=1, script=None, signature=None):
+    def __init__(self, name="node[0]", capacity=1, script=None):
         self.name = name
         self._capacity = capacity
         self._script = list(script or [])
-        self.signature = signature
         self.submitted = []
         self.batches = []
-        self.offered = []
-        self.on_events = None
         self._healthy = True
         self.closed = False
 
@@ -117,9 +103,6 @@ class _ScriptedNode:
             futures.append(future)
         return futures
 
-    def offer_events(self, events):
-        self.offered.extend(events)
-
     def close(self):
         self.closed = True
 
@@ -147,103 +130,6 @@ def _until(predicate, timeout=10.0):
         time.sleep(0.001)
 
 
-class _ImportingCache:
-    """Cache double counting :meth:`import_outcomes` calls."""
-
-    def __init__(self):
-        self.imported = []
-
-    def import_outcomes(self, events):
-        self.imported.extend(events)
-        return len(events)
-
-
-class _CachedDatabase:
-    def __init__(self):
-        self.execution_cache = _ImportingCache()
-
-
-class ExplodingDatabase:
-    """Picklable database double whose executions always fail on the node."""
-
-    def execute(self, query, plan, timeout=None):
-        raise ValueError("synthetic node-side failure")
-
-
-# ------------------------------------------------------------------ wire format
-class TestWireProtocol:
-    def _pair(self):
-        left, right = socket.socketpair()
-        left.settimeout(10.0)
-        right.settimeout(10.0)
-        return left, right
-
-    def test_frame_roundtrip(self):
-        left, right = self._pair()
-        try:
-            frame = ("execute", 7, "fabric_q", JoinTree.left_deep(["a", "b"]), None, 3, [])
-            send_frame(left, frame)
-            received = recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-        assert received[:3] == ("execute", 7, "fabric_q")
-        assert received[3].canonical() == frame[3].canonical()
-
-    def test_pickle_failure_never_tears_the_stream(self):
-        # Frames are pickled *before* any byte hits the socket: a payload
-        # that cannot pickle raises on the sender and the stream stays
-        # byte-aligned for the next frame.
-        left, right = self._pair()
-        try:
-            with pytest.raises((pickle.PicklingError, TypeError, AttributeError)):
-                send_frame(left, ("outcome", 1, lambda: None, [], {}))
-            send_frame(left, ("pong", 5))
-            assert recv_frame(right) == ("pong", 5)
-        finally:
-            left.close()
-            right.close()
-
-    def test_error_frame_preserves_remote_traceback(self):
-        # The satellite contract: a node-side plan error crosses the socket
-        # as RemoteExecutionError with the node's traceback string intact,
-        # and stays a *plan* error (never retried as infrastructure).
-        error = RemoteExecutionError(
-            "node execution of query 'fabric_q' failed: ValueError: boom",
-            remote_traceback="Traceback (most recent call last):\n  ...\nValueError: boom",
-        )
-        left, right = self._pair()
-        try:
-            send_frame(left, ("error", 42, error))
-            kind, task_id, received = recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-        assert (kind, task_id) == ("error", 42)
-        assert isinstance(received, RemoteExecutionError)
-        assert received.remote_traceback == error.remote_traceback
-        assert "ValueError: boom" in received.remote_traceback
-        assert not is_infra_failure(received)
-
-    def test_wire_safe_wraps_foreign_exceptions(self):
-        class Unpicklable(Exception):
-            def __reduce__(self):
-                raise TypeError("nope")
-
-        try:
-            raise Unpicklable("original")
-        except Unpicklable as exc:
-            safe = _wire_safe(exc)
-        assert isinstance(safe, RemoteExecutionError)
-        assert "Unpicklable" in str(safe)
-        pickle.loads(pickle.dumps(safe))  # guaranteed wire-safe
-
-    def test_node_lost_error_is_infrastructure(self):
-        assert is_infra_failure(NodeLostError("link down"))
-        copy = pickle.loads(pickle.dumps(NodeLostError("link down")))
-        assert is_infra_failure(copy)
-
-
 # ------------------------------------------------------------------ lease failover
 class TestLeaseFailover:
     def test_clean_submission_keeps_attempts_at_one(self):
@@ -257,7 +143,7 @@ class TestLeaseFailover:
         assert fabric.counters.lease_reassignments == 0
 
     def test_lost_node_reassigns_the_lease_and_stamps_attempts(self):
-        flaky = _ScriptedNode(name="node[0]", script=[NodeLostError("link down")])
+        flaky = _ScriptedNode(name="node[0]", script=[TransientBackendError("link down")])
         steady = _ScriptedNode(name="node[1]")
         fabric = FabricBackend([flaky, steady], max_failures=3)
         try:
@@ -284,17 +170,17 @@ class TestLeaseFailover:
         assert not other.submitted
 
     def test_exhausted_lease_gives_up_with_the_infra_error(self):
-        node = _ScriptedNode(script=[NodeLostError("down"), NodeLostError("down")])
+        node = _ScriptedNode(script=[TransientBackendError("down"), TransientBackendError("down")])
         fabric = FabricBackend([node], max_lease_attempts=2, max_failures=10)
         try:
             exc = fabric.submit(_request()).exception(timeout=10.0)
         finally:
             fabric.close()
-        assert isinstance(exc, NodeLostError)
+        assert isinstance(exc, TransientBackendError)
         assert fabric.counters.give_ups == 1
 
     def test_exhausted_lease_falls_back_inline_when_available(self):
-        node = _ScriptedNode(script=[NodeLostError("down")] * 3)
+        node = _ScriptedNode(script=[TransientBackendError("down")] * 3)
         fallback = _ScriptedNode(name="fallback")
         fabric = FabricBackend([node], max_lease_attempts=1, fallback=fallback)
         try:
@@ -322,7 +208,7 @@ class TestLeaseFailover:
 
     def test_failed_batch_disbands_and_each_lease_reassigns(self):
         flaky = _ScriptedNode(
-            name="node[0]", capacity=4, script=[NodeLostError("down")] * 2
+            name="node[0]", capacity=4, script=[TransientBackendError("down")] * 2
         )
         steady = _ScriptedNode(name="node[1]", capacity=4)
         fabric = FabricBackend([flaky, steady], max_failures=5)
@@ -346,7 +232,7 @@ class TestLeaseFailover:
             # Simulate a late duplicate settlement attempt.
             from repro.exec.fabric import _settle
 
-            _settle(future, exc=NodeLostError("late loss"))
+            _settle(future, exc=TransientBackendError("late loss"))
             assert future.result() is outcome
         finally:
             fabric.close()
@@ -356,7 +242,7 @@ class TestLeaseFailover:
 class TestProbationAndDegradation:
     def test_failing_node_enters_probation_and_recovers_half_open(self):
         clock = _FakeClock()
-        flaky = _ScriptedNode(name="node[0]", script=[NodeLostError("down")])
+        flaky = _ScriptedNode(name="node[0]", script=[TransientBackendError("down")])
         steady = _ScriptedNode(name="node[1]")
         fabric = FabricBackend(
             [flaky, steady], max_failures=1, probation_seconds=5.0, clock=clock
@@ -419,7 +305,7 @@ class TestProbationAndDegradation:
 # ------------------------------------------------------------------ replica coordination
 class TestReplicaCoordinator:
     """The coordinator over in-process replicas, as ``replicas > 1`` builds it:
-    members that are not node links, failing with pool-level errors."""
+    members failing with pool-level errors."""
 
     def test_failed_probe_doubles_the_next_probation(self):
         clock = _FakeClock()
@@ -520,86 +406,108 @@ class TestReplicaCoordinator:
             nodes.close()
 
 
-# ------------------------------------------------------------------ link faults (doubles)
-class TestLinkFaultDecisions:
-    def test_rates_validated_and_deterministic(self):
-        with pytest.raises(OptimizationError):
-            FaultInjectionConfig(seed=0, drop_rate=0.9, partition_rate=0.2)
-        config = FaultInjectionConfig(seed=3, drop_rate=0.3, kill_rate=0.2)
-        requests = [_request(f"q{i}") for i in range(32)]
-        first = [config.decide(request, 0) for request in requests]
-        second = [config.decide(request, 0) for request in requests]
-        assert first == second  # pure function of (seed, request, attempt)
-        assert any(kind is not None for kind in first)
-        assert any(kind is None for kind in first)
-        other = FaultInjectionConfig(seed=4, drop_rate=0.3, kill_rate=0.2)
-        assert first != [other.decide(request, 0) for request in requests]
+# ------------------------------------------------------------------ rebuild of dead members
+class _RebuildableNode(_ScriptedNode):
+    """Node double that can die while idle and be rebuilt in place.
 
-    def test_max_faults_per_request_guarantees_clean_retries(self):
-        config = FaultInjectionConfig(seed=0, drop_rate=1.0, max_faults_per_request=1)
-        request = _request()
-        assert config.decide(request, 0) == "drop"
-        assert all(config.decide(request, attempt) is None for attempt in range(1, 8))
+    With ``revives=False`` a rebuild leaves it dead, like a member whose
+    fresh workers die again at once.
+    """
 
-    def test_link_kinds_are_drawn_only_when_the_member_draw_is_clean(self):
-        members = FaultInjectionConfig(seed=3, crash_rate=0.5)
-        links = FaultInjectionConfig(seed=3, drop_rate=1.0)
-        both = FaultInjectionConfig(seed=3, crash_rate=0.5, drop_rate=1.0)
-        requests = [_request(f"q{i}") for i in range(32)]
-        expected = [members.decide(r, 0) or links.decide(r, 0) for r in requests]
-        assert [both.decide(r, 0) for r in requests] == expected
-        assert set(expected) == {"crash", "drop"}
+    def __init__(self, *args, revives=True, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.revives = revives
+        self.rebuilds = 0
 
-    def test_faults_without_link_hooks_run_clean_on_doubles(self):
-        # Link-level faults (kill/drop/partition) need a real link; against
-        # doubles without the inject_* hooks the dispatch must run clean
-        # rather than crash.
-        config = FaultInjectionConfig(seed=0, kill_rate=1.0, max_faults_per_request=2)
-        node = _ScriptedNode()
-        fabric = FabricBackend([node], faults=config)
+    def die(self):
+        self._healthy = False
+
+    def rebuild(self):
+        self.rebuilds += 1
+        self._healthy = self.revives
+
+
+class TestMemberRebuild:
+    """Dispatch rebuilds an unhealthy member that offers ``rebuild()``,
+    whether or not a lease ever failed on it."""
+
+    def test_a_member_that_died_idle_is_rebuilt_and_serves_the_next_lease(self):
+        node = _RebuildableNode()
+        fallback = _ScriptedNode(name="fallback")
+        fabric = FabricBackend([node], fallback=fallback, degrade_after=0.0)
         try:
-            outcome = fabric.submit(_request()).result(timeout=10.0)
+            fabric.submit(_request("q0")).result(timeout=10.0)
+            node.die()
+            outcome = fabric.submit(_request("q1")).result(timeout=10.0)
+            report = fabric.health_snapshot()
         finally:
             fabric.close()
-        assert isinstance(outcome, ExecutionOutcome)
-        assert fabric.fault_counters.kills == 0 and fabric.fault_counters.clean == 1
+        assert outcome.latency == 1.0 and outcome.attempts == 1
+        assert node.rebuilds == 1 and [r.query.name for r in node.submitted] == ["q0", "q1"]
+        assert not fallback.submitted and report["degraded_executions"] == 0
+        assert report["rebuilds"] == 1 and report["lease_reassignments"] == 0
+        assert report["live_nodes"] == 1 and report["nodes"][0]["rebuilds"] == 1
 
-
-# ------------------------------------------------------------------ cache replication
-class TestCacheReplication:
-    def _events(self):
-        return [(("fabric_q", "plan-x"), [(0.5, 10)], True, 10, 10, False)]
-
-    def test_events_fan_out_to_signature_matched_peers_and_coordinator(self):
-        source = _ScriptedNode(name="node[0]", signature=("sig", 1))
-        match = _ScriptedNode(name="node[1]", signature=("sig", 1))
-        fresh = _ScriptedNode(name="node[2]", signature=None)  # not yet handshaken
-        mismatch = _ScriptedNode(name="node[3]", signature=("sig", 2))
-        database = _CachedDatabase()
-        fabric = FabricBackend([source, match, fresh, mismatch], database=database)
+    def test_only_the_dead_member_is_rebuilt_and_both_serve_again(self):
+        dead = _HeldNode(name="a")
+        live = _HeldNode(name="b")
+        dead.rebuild = lambda: setattr(dead, "_healthy", True)
+        dead._healthy = False
+        fabric = FabricBackend([dead, live])
         try:
-            events = self._events()
-            fabric._on_node_events(source, events)
+            futures = [fabric.submit(_request(f"q{i}")) for i in range(2)]
+            # Rebuilt before the first dispatch: the two leases spread over
+            # both members instead of queueing behind the survivor.
+            assert len(dead.held) == len(live.held) == 1
+            dead.release()
+            live.release()
+            assert all(future.result(timeout=10.0).latency == 1.0 for future in futures)
+            statuses = fabric.statuses()
         finally:
             fabric.close()
-        assert match.offered == events
-        assert fresh.offered == events  # unknown signature: offer, node dedups
-        assert mismatch.offered == []  # different data: never cross-pollinate
-        assert source.offered == []  # never echoed back to the producer
-        assert database.execution_cache.imported == events
-        assert fabric.counters.events_imported == 1
-        assert fabric.counters.events_replicated == 2
+        assert [status["rebuilds"] for status in statuses] == [1, 0]
+        assert fabric.counters.rebuilds == 1
 
-    def test_replication_can_be_disabled(self):
-        source = _ScriptedNode(name="node[0]", signature=("sig", 1))
-        peer = _ScriptedNode(name="node[1]", signature=("sig", 1))
-        fabric = FabricBackend([source, peer], replicate_cache=False)
+    def test_rebuilds_stop_at_max_rebuilds_and_the_run_degrades(self):
+        node = _RebuildableNode(revives=False)
+        node.die()
+        fallback = _ScriptedNode(name="fallback")
+        fabric = FabricBackend([node], fallback=fallback, degrade_after=0.0)
         try:
-            fabric._on_node_events(source, self._events())
+            outcomes = [fabric.submit(_request(f"q{i}")).result(timeout=10.0) for i in range(3)]
         finally:
             fabric.close()
-        assert peer.offered == []
-        assert fabric.counters.events_replicated == 0
+        assert [outcome.latency for outcome in outcomes] == [1.0] * 3
+        assert node.rebuilds == fabric.counters.rebuilds == MAX_REBUILDS
+        assert not node.submitted and len(fallback.submitted) == 3
+        assert fabric.counters.degraded_executions == 3
+
+    def test_a_dead_member_without_rebuild_is_routed_around(self):
+        dead = _ScriptedNode(name="a")
+        dead._healthy = False
+        spare = _ScriptedNode(name="b")
+        fabric = FabricBackend([dead, spare])
+        try:
+            outcomes = [fabric.submit(_request(f"q{i}")).result(timeout=10.0) for i in range(3)]
+            report = fabric.health_snapshot()
+        finally:
+            fabric.close()
+        assert [outcome.attempts for outcome in outcomes] == [1] * 3
+        assert not dead.submitted and len(spare.submitted) == 3
+        assert report["rebuilds"] == 0 and report["live_nodes"] == 1
+
+    def test_no_rebuild_without_queued_work(self):
+        node = _RebuildableNode()
+        fabric = FabricBackend([node])
+        try:
+            fabric.submit(_request("q0")).result(timeout=10.0)
+            node.die()
+            time.sleep(0.1)  # several pump passes over an empty queue
+            assert node.rebuilds == 0 and not fabric.statuses()[0]["live"]
+            fabric.submit(_request("q1")).result(timeout=10.0)
+        finally:
+            fabric.close()
+        assert node.rebuilds == 1
 
 
 # ------------------------------------------------------------------ health surface
@@ -613,8 +521,25 @@ class TestHealthSurface:
             fabric.close()
         assert report["submissions"] == 1 and report["completed"] == 1
         assert len(report["nodes"]) == 2
-        for key in ("lease_reassignments", "give_ups", "pending_leases", "shipped_log_hits"):
+        for key in ("lease_reassignments", "give_ups", "pending_leases", "rebuilds"):
             assert key in report
+
+    def test_health_snapshot_keys_are_the_counters_and_the_member_table(self):
+        fabric = FabricBackend([_ScriptedNode()])
+        try:
+            report = fabric.health_snapshot()
+        finally:
+            fabric.close()
+        assert set(report) == {
+            "submissions", "dispatched", "completed", "lease_reassignments",
+            "degraded_executions", "give_ups", "hangs", "rebuilds",
+            "nodes", "live_nodes", "pending_leases",
+        }
+        assert set(report["nodes"][0]) == {
+            "name", "live", "occupancy", "dispatched", "completed",
+            "lease_reassignments_received", "failures", "on_probation", "probations",
+            "rebuilds",
+        }
 
     def test_backend_health_walker_reports_the_fabric_layer(self):
         fabric = FabricBackend([_ScriptedNode()])
@@ -626,107 +551,42 @@ class TestHealthSurface:
         assert report["fabric"]["live_nodes"] == 1
 
 
-# ------------------------------------------------------------------ real node processes
-def _fabric_kwargs(**extra):
-    kwargs = dict(heartbeat_interval=0.05, heartbeat_timeout=0.8)
-    kwargs.update(extra)
-    return kwargs
-
-
+# ------------------------------------------------------------------ process members
 @pytest.mark.slow
-class TestLocalFabricEndToEnd:
-    def test_fabric_traces_match_inline_and_health_surfaces(self, tiny_workload):
-        budget = BudgetSpec(max_executions=3)
-        with WorkloadSession(tiny_workload, budget=budget, seed=0) as session:
-            reference = session.run("random")
-        backend = start_local_fabric(
-            tiny_workload.database, tiny_workload.queries, num_nodes=2, **_fabric_kwargs()
-        )
-        with WorkloadSession(
-            tiny_workload, budget=budget, seed=0, backend=backend
-        ) as session:
-            fabric_results = session.run("random")
-            health = session.health_report()
-        assert signatures(fabric_results) == signatures(reference)
-        fabric_health = health["fabric"]
-        assert fabric_health["live_nodes"] == 2
-        assert fabric_health["completed"] == fabric_health["submissions"] > 0
-        assert fabric_health["give_ups"] == 0
-        names = {status["name"] for status in fabric_health["nodes"]}
-        assert names == {"node[0]", "node[1]"}
+class TestProcessMembers:
+    """The coordinator over real process-pool members (``replicas=2``)."""
 
-    def test_remote_traceback_survives_the_socket(self):
-        process, address = start_node_process()
-        node = RemoteNodeBackend(
-            address, ExplodingDatabase(), warmup=False, **_fabric_kwargs()
+    def test_members_whose_workers_died_idle_are_rebuilt_at_dispatch(self):
+        workload = build_job_workload(scale=0.05, seed=0, num_queries=4)
+        database = workload.database
+        requests = [
+            ExecutionRequest(query=query, plan=database.plan(query)) for query in workload.queries
+        ]
+        backend = make_backend(
+            ExecutionServiceConfig(backend="process", max_workers=1, replicas=2),
+            database, workload.queries,
         )
         try:
-            node.connect()
-            exc = node.submit(_request("remote_q")).exception(timeout=30.0)
-        finally:
-            node.close()
-            process.join(timeout=10.0)
-        assert isinstance(exc, RemoteExecutionError)
-        assert "remote_q" in str(exc)
-        assert "ValueError: synthetic node-side failure" in exc.remote_traceback
-        assert "in execute" in exc.remote_traceback  # the node-side frame
-        assert not is_infra_failure(exc)
-
-    def test_dropped_connection_reconnects_and_serves_again(self, tiny_workload):
-        process, address = start_node_process()
-        node = RemoteNodeBackend(
-            address,
-            tiny_workload.database,
-            tiny_workload.queries,
-            warmup=False,
-            reconnect_base=0.02,
-            **_fabric_kwargs(),
-        )
-        try:
-            node.connect()
-            request = ExecutionRequest(
-                query=tiny_workload.queries[0],
-                plan=JoinTree.left_deep(
-                    [ref.alias for ref in tiny_workload.queries[0].table_refs]
-                ),
-            )
-            before = node.submit(request).result(timeout=30.0)
-            node.inject_drop()
-            deadline = time.monotonic() + 20.0
-            while not node.healthy() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert node.healthy(), "node did not reconnect after a dropped link"
-            after = node.submit(request).result(timeout=30.0)
-            assert node.counters.losses >= 1 and node.counters.connects >= 2
-        finally:
-            node.close()
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-        # Shared-nothing determinism: the same plan costs the same after a
-        # reconnect (the replica survived on the node).
-        assert after.latency == before.latency
-
-    def test_killed_node_respawns_and_the_run_completes(self, tiny_workload):
-        backend = start_local_fabric(
-            tiny_workload.database,
-            tiny_workload.queries,
-            num_nodes=2,
-            warmup=False,
-            **_fabric_kwargs(),
-        )
-        try:
-            request = ExecutionRequest(
-                query=tiny_workload.queries[0],
-                plan=JoinTree.left_deep(
-                    [ref.alias for ref in tiny_workload.queries[0].table_refs]
-                ),
-            )
-            backend.submit(request).result(timeout=60.0)
-            # Chaos: hard-kill node 0 (os._exit in the process, no cleanup).
-            backend._slots[0].node.inject_kill()
-            outcomes = [backend.submit(request).result(timeout=60.0) for _ in range(4)]
-            assert all(isinstance(outcome, ExecutionOutcome) for outcome in outcomes)
-            assert backend.counters.give_ups == 0
+            for future in [backend.submit(request) for request in requests]:
+                future.result(timeout=60.0)
+            members = backend.members()
+            # Kill both workers while neither member holds a lease: no lease
+            # can fail on them, so only dispatch can notice and rebuild them.
+            for member in members:
+                pid = member._ensure_pool().submit(os.getpid).result(timeout=60.0)
+                os.kill(pid, signal.SIGKILL)
+            _until(lambda: not any(member.healthy() for member in members), timeout=30.0)
+            outcomes = [
+                future.result(timeout=60.0)
+                for future in [backend.submit(request) for request in requests * 2]
+            ]
+            report = backend.health_snapshot()
         finally:
             backend.close()
+        inline = InlineBackend(database)
+        expected = [inline.submit(request).result() for request in requests * 2]
+        assert [(o.latency, o.timed_out) for o in outcomes] == [
+            (o.latency, o.timed_out) for o in expected
+        ]
+        assert report["rebuilds"] == 2 and report["degraded_executions"] == 0
+        assert report["live_nodes"] == 2 and report["give_ups"] == 0

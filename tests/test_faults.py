@@ -15,6 +15,7 @@ bit-for-bit identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import threading
 import time
@@ -32,21 +33,21 @@ from repro.exec import (
     BudgetAwarePriority,
     ExecutionRequest,
     FabricBackend,
+    FaultCounters,
     FaultInjectionConfig,
     HangTimeout,
     InjectedTransientError,
     InjectedWorkerCrash,
     InlineBackend,
-    NodeLostError,
     ProcessPoolBackend,
     RemoteExecutionError,
-    RemoteNodeBackend,
     ThreadPoolBackend,
     TransientBackendError,
     is_infra_failure,
     make_backend,
 )
 from repro.exec.fabric import MAX_REBUILDS
+from repro.exec.faults import FAULT_KINDS
 from repro.harness import CheckpointManager, SessionCheckpoint, WorkloadSession
 from repro.plans.jointree import JoinTree
 
@@ -203,15 +204,55 @@ class TestFaultInjectionConfig:
         assert config.decide(request, 1) == "crash"
         assert config.decide(request, 2) is None  # bounded: attempt 3 is clean
 
+    def test_the_bound_and_durations_are_validated(self):
+        with pytest.raises(OptimizationError, match="max_faults_per_request"):
+            FaultInjectionConfig(max_faults_per_request=-1)
+        with pytest.raises(OptimizationError, match="slow_seconds"):
+            FaultInjectionConfig(slow_seconds=-0.1)
+        assert FaultInjectionConfig(slow_seconds=0.0).slow_seconds == 0.0
+
+    def test_the_config_holds_the_four_member_kinds_only(self):
+        assert FAULT_KINDS == ("crash", "hang", "transient", "slow")
+        assert [field.name for field in dataclasses.fields(FaultInjectionConfig)] == [
+            "seed", "crash_rate", "hang_rate", "transient_rate", "slow_rate",
+            "hang_seconds", "slow_seconds", "max_faults_per_request",
+        ]
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_each_kind_alone_at_rate_one_is_always_drawn(self, kind):
+        config = FaultInjectionConfig(seed=5, **{f"{kind}_rate": 1.0})
+        requests = [_request(f"q{i}") for i in range(16)]
+        assert {config.decide(r, attempt) for r in requests for attempt in range(4)} == {kind}
+
+    def test_no_rates_or_a_zero_bound_never_fault(self):
+        requests = [_request(f"q{i}") for i in range(16)]
+        quiet = FaultInjectionConfig(seed=5)
+        bounded = FaultInjectionConfig(seed=5, crash_rate=1.0, max_faults_per_request=0)
+        for config in (quiet, bounded):
+            assert {config.decide(r, attempt) for r in requests for attempt in range(4)} == {None}
+
+    def test_draw_frequencies_follow_the_rates(self):
+        rates = {"crash": 0.1, "hang": 0.05, "transient": 0.2, "slow": 0.15}
+        config = FaultInjectionConfig(seed=11, **{f"{k}_rate": v for k, v in rates.items()})
+        draws = [config.decide(_request(f"q{i}"), 0) for i in range(2000)]
+        for kind, rate in rates.items():
+            assert abs(draws.count(kind) / len(draws) - rate) < 0.03, kind
+        assert abs(draws.count(None) / len(draws) - 0.5) < 0.03
+
+    def test_counters_map_every_kind_and_total_excludes_clean(self):
+        counters = FaultCounters()
+        for kind in (*FAULT_KINDS, "crash", None, None):
+            counters.count(kind)
+        assert counters.snapshot() == {
+            "crashes": 2, "hangs": 1, "transients": 1, "slowdowns": 1, "clean": 2,
+            "total_faults": 5,
+        }
+
     # The first 64 draws of one seed (16 requests x attempts 0-3), one letter
     # per decision ("." = no fault).  Seeded chaos runs replay only while
     # these never change, whatever code draws them.
     PINNED_FAULTS = "ts.schtc.hshs.tt.sttcst.t.s.t.s.t.s.httctcc.tcthcs.t....stc....t"
-    PINNED_NETWORK = "l.d.dddl.d.dpll...p.dl.k.k.k.lllkk..dp..lppkl..pk.l.lld.dkd.k..d"
-    LETTERS = {
-        None: ".", "crash": "c", "hang": "h", "transient": "t", "slow": "s",
-        "drop": "d", "partition": "p", "slow_link": "l", "kill": "k",
-    }
+    LETTERS = {None: ".", "crash": "c", "hang": "h", "transient": "t", "slow": "s"}
 
     def _draws(self, config):
         requests = [_request(f"q{i}") for i in range(16)]
@@ -225,12 +266,7 @@ class TestFaultInjectionConfig:
         faults = FaultInjectionConfig(
             seed=7, crash_rate=0.15, hang_rate=0.1, transient_rate=0.2, slow_rate=0.15
         )
-        network = FaultInjectionConfig(
-            seed=7, drop_rate=0.15, partition_rate=0.1, slow_link_rate=0.2, kill_rate=0.15,
-            max_faults_per_request=None,
-        )
         assert self._draws(faults) == self.PINNED_FAULTS
-        assert self._draws(network) == self.PINNED_NETWORK
 
 
 class TestCoordinatorFaultInjection:
@@ -273,6 +309,33 @@ class TestCoordinatorFaultInjection:
         finally:
             fabric.close()
         assert fabric.fault_counters.slowdowns == 1
+
+    def test_slow_members_inside_the_deadline_never_trip_the_watchdog(self):
+        inner = _ScriptedBackend(capacity=4)
+        config = FaultInjectionConfig(seed=0, slow_rate=1.0, slow_seconds=0.02)
+        fabric = FabricBackend([inner], faults=config, request_deadline=5.0)
+        try:
+            futures = fabric.submit_batch([_request(f"q{i}") for i in range(4)])
+            outcomes = [future.result(timeout=10.0) for future in futures]
+        finally:
+            fabric.close()
+        assert [outcome.attempts for outcome in outcomes] == [1] * 4
+        assert fabric.fault_counters.slowdowns == 4
+        assert fabric.counters.hangs == fabric.counters.lease_reassignments == 0
+
+    def test_a_hang_without_a_deadline_arrives_after_hang_seconds(self):
+        inner = _ScriptedBackend()
+        config = FaultInjectionConfig(seed=0, hang_rate=1.0, hang_seconds=0.05)
+        fabric = FabricBackend([inner], faults=config)
+        try:
+            start = time.monotonic()
+            outcome = fabric.submit(_request()).result(timeout=5.0)
+            elapsed = time.monotonic() - start
+        finally:
+            fabric.close()
+        assert outcome.latency == 1.0 and outcome.attempts == 1
+        assert elapsed >= 0.04
+        assert fabric.fault_counters.hangs == 1 and fabric.counters.hangs == 0
 
     def test_close_flushes_withheld_results(self):
         inner = _ScriptedBackend()
@@ -363,7 +426,7 @@ class TestCoordinatorSupervision:
         assert fabric.counters.lease_reassignments == 0 and status["failures"] == 0
 
     def test_a_failed_lease_leaves_its_group_and_reassigns_alone(self):
-        inner = _ScriptedBackend(script=[NodeLostError("link down")])
+        inner = _ScriptedBackend(script=[TransientBackendError("link down")])
         fabric = FabricBackend([inner])
         try:
             futures = fabric.submit_batch([_request("q_a"), _request("q_b")])
@@ -474,6 +537,38 @@ class TestCoordinatorSupervision:
         assert outcome.latency == 1.0 and outcome.attempts == 2
         assert inner.rebuilds == 1
         assert fabric.counters.rebuilds == 1 and status["rebuilds"] == 1
+
+    def test_racing_dispatches_rebuild_a_member_that_died_idle_once(self):
+        import sys
+
+        class _SlowRebuild(_RebuildableBackend):
+            def rebuild(self):
+                time.sleep(0.05)  # other dispatches race in meanwhile
+                super().rebuild()
+
+        inner = _SlowRebuild(capacity=8)
+        inner._broken = True  # died with no lease on it
+        fabric = FabricBackend([inner])
+        futures = []
+
+        def submit(thread):
+            futures.extend(fabric.submit(_request(f"q{thread}_{i}")) for i in range(10))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(future.result(timeout=30.0).latency == 1.0 for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+            fabric.close()
+        assert len(futures) == 80
+        assert inner.rebuilds == fabric.counters.rebuilds == 1
 
     def test_degradation_to_the_fallback_is_sticky(self):
         inner = _RebuildableBackend(script=[BrokenExecutor("gone")] * 10)
@@ -706,16 +801,16 @@ class TestHealthReport:
             assert backend._max_lease_attempts == config.max_retries + 1
         finally:
             backend.close()
-        # Fabric nodes draw from the same schedule, on the same coordinator.
+        # Process replicas draw from the same schedule, on the same coordinator.
         fabric = make_backend(
             ExecutionServiceConfig(
-                backend="fabric", fabric_nodes=1, fault_injection=config.fault_injection
+                backend="process", replicas=2, fault_injection=config.fault_injection
             ),
             tiny_workload.database, tiny_workload.queries,
         )
         try:
             assert isinstance(fabric, FabricBackend)
-            assert [type(member) for member in fabric.members()] == [RemoteNodeBackend]
+            assert [type(member) for member in fabric.members()] == [ProcessPoolBackend] * 2
             assert fabric.faults is config.fault_injection
         finally:
             fabric.close()
@@ -730,7 +825,7 @@ class TestHealthReport:
                 ExecutionServiceConfig(backend="inline", replicas=2, supervised=True), database
             ),
             make_backend(
-                ExecutionServiceConfig(backend="fabric", fabric_nodes=1, replicas=2),
+                ExecutionServiceConfig(backend="process", replicas=2),
                 database, tiny_workload.queries,
             ),
         ]
@@ -739,10 +834,10 @@ class TestHealthReport:
             for stack in stacks:
                 assert isinstance(stack, FabricBackend)
                 assert isinstance(stack.fallback, InlineBackend)
-            thread, replicas, fabric = (stack.members() for stack in stacks)
+            thread, replicas, processes = (stack.members() for stack in stacks)
             assert [type(member) for member in thread] == [ThreadPoolBackend]
             assert [type(member) for member in replicas] == [InlineBackend] * 2
-            assert [type(member) for member in fabric] == [RemoteNodeBackend] * 2
+            assert [type(member) for member in processes] == [ProcessPoolBackend] * 2
         finally:
             for stack in stacks:
                 stack.close()
