@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
-from scipy import stats
+
+from repro.bo.censored import norm_cdf, norm_pdf
 
 #: ``admissible(points) -> bool mask``: which candidates the caller can use.
 #: It is asked about candidates best-ranked first and the first one it
@@ -100,7 +101,7 @@ def expected_improvement(surrogate, candidates: np.ndarray, best_value: float,
     std = np.maximum(std, 1e-12)
     improvement = best_value - xi - mean
     z = improvement / std
-    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    return improvement * norm_cdf(z) + std * norm_pdf(z)
 
 
 def lower_confidence_bound(surrogate, candidates: np.ndarray, kappa: float = 2.0) -> np.ndarray:

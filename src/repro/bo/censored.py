@@ -7,17 +7,60 @@ the Tobit likelihood pieces shared by the surrogates:
 * the censored log-likelihood ``log phi(z)^(1-I) (1 - Phi(z))^I``,
 * the truncated-normal mean used by the EM-style imputation of Hutter et al.,
 * Gauss-Hermite quadrature of ``E_q [log(1 - Phi(z))]`` and its derivatives,
-  used by the censored SVGP ELBO of Section 4.3.1.
+  used by the censored SVGP ELBO of Section 4.3.1,
+* the standard normal's ``cdf``, ``pdf``, ``logpdf`` and ``logsf`` the
+  surrogates and the acquisition functions score with.
+
+Those four are the expressions scipy's ``norm`` distribution evaluates for
+finite arguments and a positive scale, on ``scipy.special.ndtr`` and
+``log_ndtr``, so every float is the distribution's; its statistics package
+(~0.3 s and ~25 MiB to import) is not loaded.  ``scipy.special`` is
+imported at the first call that needs it (``_special``), not with this
+module.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
-_LOG_SQRT_2PI = np.log(np.sqrt(2.0 * np.pi))
+from repro.utils.blas import adopt_late_loads
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_LOG_SQRT_2PI = np.log(_SQRT_2PI)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported at the first call (see ``repro.bo.gp._scipy``)."""
+    from scipy import special
+
+    adopt_late_loads()
+    return special
+
+
+def norm_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal cdf: scipy's ``norm.cdf(x)``."""
+    return _special().ndtr(x)
+
+
+def norm_pdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal density: scipy's ``norm.pdf(x)``."""
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+
+
+def norm_logpdf(x: np.ndarray, loc: np.ndarray | float = 0.0,
+                scale: np.ndarray | float = 1.0) -> np.ndarray:
+    """The normal log-density: scipy's ``norm.logpdf(x, loc, scale)`` for a positive ``scale``."""
+    z = (x - loc) / scale
+    return -z**2 / 2.0 - _LOG_SQRT_2PI - np.log(scale)
+
+
+def norm_logsf(x: np.ndarray) -> np.ndarray:
+    """``log(1 - Phi(x))``, accurate in the upper tail: scipy's ``norm.logsf(x)``."""
+    return _special().log_ndtr(-x)
 
 
 @dataclass(frozen=True)
@@ -42,9 +85,9 @@ def tobit_log_likelihood(
     uncensored = ~censored
     total = 0.0
     if uncensored.any():
-        total += float(np.sum(stats.norm.logpdf(values[uncensored], mean[uncensored], std[uncensored])))
+        total += float(np.sum(norm_logpdf(values[uncensored], mean[uncensored], std[uncensored])))
     if censored.any():
-        total += float(np.sum(stats.norm.logsf(z[censored])))
+        total += float(np.sum(norm_logsf(z[censored])))
     return total
 
 
@@ -55,7 +98,7 @@ def truncated_normal_mean(mu: np.ndarray, sigma: np.ndarray, lower: np.ndarray) 
     # Hazard (inverse Mills ratio) pdf/sf, computed stably in log space:
     # log pdf = -alpha^2/2 - log sqrt(2 pi), log sf = log_ndtr(-alpha).
     with np.errstate(invalid="ignore", over="ignore"):
-        hazard = np.exp(-(alpha**2) / 2.0 - _LOG_SQRT_2PI - special.log_ndtr(-alpha))
+        hazard = np.exp(-(alpha**2) / 2.0 - _LOG_SQRT_2PI - norm_logsf(alpha))
     # Far in the upper tail the ratio overflows; use the asymptotic hazard ~ alpha.
     asymptotic = np.maximum(alpha, 0.0) + 1.0 / np.maximum(np.abs(alpha), 1.0)
     hazard = np.where(np.isfinite(hazard), hazard, asymptotic)
@@ -64,7 +107,7 @@ def truncated_normal_mean(mu: np.ndarray, sigma: np.ndarray, lower: np.ndarray) 
 
 def gauss_hermite_points(order: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes/weights rescaled for Gaussian expectations."""
-    nodes, weights = special.roots_hermite(order)
+    nodes, weights = _special().roots_hermite(order)
     return nodes * np.sqrt(2.0), weights / np.sqrt(np.pi)
 
 
@@ -79,8 +122,7 @@ def expected_log_survival(
     std = np.sqrt(np.maximum(var, 1e-12))
     f = mu[:, None] + std[:, None] * nodes[None, :]
     z = (threshold[:, None] - f) / max(noise_std, 1e-9)
-    log_sf = stats.norm.logsf(z)
-    return log_sf @ weights
+    return norm_logsf(z) @ weights
 
 
 def expected_log_density(

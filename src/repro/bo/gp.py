@@ -37,34 +37,64 @@ That routine is a private scipy extension, so scipy is pinned to a minor
 release.  The censored EM loop computes the censored points' kernel rows and
 variance solve once (``ExactGP.predictor``); its iterations change only the
 responses.
+
+scipy is imported at a GP's first fit or solve, not with this module
+(``_scipy``): a process that never fits one — a plan server, a pool worker
+— does not pay its ~0.3 s and ~45 MiB.  The constructor touches nothing of
+scipy's, so an unpickled GP loads it at its first call like a new one.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
-from scipy.optimize import _lbfgsb
 
 from repro.bo.censored import truncated_normal_mean
 from repro.bo.kernels import Kernel, Matern52Kernel, pairwise_sqdist
 from repro.exceptions import ModelError
+from repro.utils.blas import adopt_late_loads
 
 #: Jitter added to the noise variance to keep the covariance factorizable.
 _JITTER = 1e-8
-#: LAPACK routines, fetched once (and here, not on the GP: surrogates ride
-#: inside pickled checkpoints).
-_POTRF, _POTRI, _POTRS, _TRTRS = linalg.get_lapack_funcs(
-    ("potrf", "potri", "potrs", "trtrs"), dtype=np.float64
-)
+
+
+class _Scipy(NamedTuple):
+    """The scipy routines the GP calls."""
+
+    potrf: Callable
+    potri: Callable
+    potrs: Callable
+    trtrs: Callable
+    setulb: Callable
+
+
+@functools.cache
+def _scipy() -> _Scipy:
+    """scipy's LAPACK routines and L-BFGS-B step, imported and fetched at the first call.
+
+    Held here, not on the GP: surrogates ride inside pickled checkpoints.  An
+    OpenBLAS the import loads inside a one-thread guard is pinned with the rest.
+    """
+    from scipy import linalg
+    from scipy.optimize import _lbfgsb
+
+    adopt_late_loads()
+    lapack = linalg.get_lapack_funcs(("potrf", "potri", "potrs", "trtrs"), dtype=np.float64)
+    return _Scipy(*lapack, setulb=_lbfgsb.setulb)
 
 
 def _lapack(routine, *arrays: np.ndarray, **options) -> np.ndarray:
-    """``routine`` as scipy's wrapper calls it: finite arrays in, a non-zero ``info`` raised."""
+    """``routine`` as scipy's wrapper calls it: finite arrays in, a non-zero ``info`` raised.
+
+    A failed pivot raises ``np.linalg.LinAlgError``, which is the class
+    ``scipy.linalg.LinAlgError`` names.
+    """
     result, info = routine(*map(np.asarray_chkfinite, arrays), **options)
     if info != 0:  # a failed pivot at ``info``, or an illegal argument ``-info``
-        raise (linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK returned info={info}")
+        raise (np.linalg.LinAlgError if info > 0 else ValueError)(f"LAPACK returned info={info}")
     return result
 
 
@@ -99,10 +129,10 @@ def _minimize_lbfgsb(
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
     factr = 2.2204460492503131e-09 / np.finfo(float).eps
-    evaluated, iterations = None, 0
+    evaluated, iterations, setulb = None, 0, _scipy().setulb
     while True:
-        _lbfgsb.setulb(m, x, _LOG_LOWER, _LOG_UPPER, bounded, f, g, factr, 1e-5,
-                       wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        setulb(m, x, _LOG_LOWER, _LOG_UPPER, bounded, f, g, factr, 1e-5,
+               wa, iwa, task, lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # FG: the objective at ``x``
             if evaluated != (point := x.tolist()):
                 evaluated = point
@@ -117,9 +147,10 @@ def _minimize_lbfgsb(
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``chol @ x = b``; a C-ordered factor (a rank-1 extended one) is solved transposed."""
+    trtrs = _scipy().trtrs
     if chol.flags.f_contiguous:
-        return _lapack(_TRTRS, chol, b, lower=True)
-    return _lapack(_TRTRS, chol.T, b, lower=False, trans=1)
+        return _lapack(trtrs, chol, b, lower=True)
+    return _lapack(trtrs, chol.T, b, lower=False, trans=1)
 
 
 class ExactGP:
@@ -163,8 +194,9 @@ class ExactGP:
     def _factorize(self) -> None:
         assert self._sqdist is not None and self._y is not None
         cov = self.kernel.from_sqdist(self._sqdist) + (self.noise + _JITTER) * np.eye(len(self._y))
-        self._chol = _lapack(_POTRF, cov, lower=True, clean=True)
-        self._alpha = _lapack(_POTRS, self._chol, self._y, lower=True)
+        lapack = _scipy()
+        self._chol = _lapack(lapack.potrf, cov, lower=True, clean=True)
+        self._alpha = _lapack(lapack.potrs, self._chol, self._y, lower=True)
 
     def _negative_log_marginal(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """NLL of ``log(lengthscale, outputscale, noise)`` and its analytic gradient."""
@@ -177,10 +209,11 @@ class ExactGP:
         # One factorization serves the value and the gradient.  ``cov`` is
         # symmetric, so its transpose is the Fortran-ordered array LAPACK
         # factorizes in place; ``potrf`` zeroes the other triangle.
-        chol, info = _POTRF(cov.T, lower=True, overwrite_a=True)
+        lapack = _scipy()
+        chol, info = lapack.potrf(cov.T, lower=True, overwrite_a=True)
         if info != 0:
             return 1e10, np.zeros(3)
-        alpha, _ = _POTRS(chol, self._y, lower=True)
+        alpha, _ = lapack.potrs(chol, self._y, lower=True)
         value = float(
             0.5 * self._y @ alpha
             + np.log(chol.diagonal()).sum()
@@ -191,7 +224,7 @@ class ExactGP:
         # the flops of solving against the identity) and leaves the zeroes
         # above it, so for a symmetric dK the trace is twice the elementwise
         # sum over the stored triangle minus the doubly counted diagonal.
-        inverse, _ = _POTRI(chol, lower=True, overwrite_c=True)
+        inverse, _ = lapack.potri(chol, lower=True, overwrite_c=True)
         inverse_diag = inverse.diagonal()
 
         def half_trace(derivative: np.ndarray) -> float:
@@ -236,7 +269,7 @@ class ExactGP:
             raise ModelError("y must match the number of fitted observations")
         self._y_raw = y.copy()
         self._standardize()
-        self._alpha = _lapack(_POTRS, self._chol, self._y, lower=True)
+        self._alpha = _lapack(_scipy().potrs, self._chol, self._y, lower=True)
         return self
 
     def add_observation(self, x: np.ndarray, value: float) -> "ExactGP":
@@ -274,7 +307,7 @@ class ExactGP:
         chol[n, :n] = l12
         chol[n, n] = np.sqrt(pivot)
         self._chol = chol
-        self._alpha = _lapack(_POTRS, self._chol, self._y, lower=True)
+        self._alpha = _lapack(_scipy().potrs, self._chol, self._y, lower=True)
         return self
 
     # ------------------------------------------------------------------ inference
@@ -309,8 +342,8 @@ class ExactGP:
         cov = self.kernel(x, x) - v.T @ v
         cov += jitter * np.eye(len(x))
         try:
-            chol = _lapack(_POTRF, cov, lower=True, clean=True)
-        except linalg.LinAlgError:
+            chol = _lapack(_scipy().potrf, cov, lower=True, clean=True)
+        except np.linalg.LinAlgError:
             chol = np.diag(np.sqrt(np.maximum(np.diag(cov), 1e-12)))
         draws = rng.standard_normal((count, len(x)))
         samples = mean[None, :] + draws @ chol.T

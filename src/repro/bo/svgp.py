@@ -12,14 +12,24 @@ inducing values, optimized with Adam on analytic gradients.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
 
-from repro.bo.censored import gauss_hermite_points
+from repro.bo.censored import gauss_hermite_points, norm_logpdf, norm_logsf
 from repro.bo.kernels import Kernel, Matern52Kernel
 from repro.exceptions import ModelError
+from repro.utils.blas import adopt_late_loads
+
+
+@functools.cache
+def _linalg():
+    """``scipy.linalg``, imported at the first fit (see ``repro.bo.gp._scipy``)."""
+    from scipy import linalg
+
+    adopt_late_loads()
+    return linalg
 
 
 @dataclass
@@ -93,7 +103,7 @@ class CensoredSVGP:
         order = rng.permutation(len(self._x))[:count]
         self._inducing = self._x[order].copy()
         kmm = self.kernel(self._inducing, self._inducing) + self.config.jitter * np.eye(count)
-        self._kmm_inv = linalg.inv(kmm)
+        self._kmm_inv = _linalg().inv(kmm)
         self._kmm = kmm
 
     def _initialize_variational(self) -> None:
@@ -148,8 +158,8 @@ class CensoredSVGP:
             std = np.sqrt(var[censored])
             f = mu[censored, None] + std[:, None] * nodes[None, :]
             z = (values[censored, None] - f) / noise
-            log_sf = stats.norm.logsf(z)
-            hazard = np.exp(stats.norm.logpdf(z) - np.maximum(log_sf, -700.0))
+            log_sf = norm_logsf(z)
+            hazard = np.exp(norm_logpdf(z) - np.maximum(log_sf, -700.0))
             hazard = np.minimum(hazard, np.abs(z) + 40.0)
             g = log_sf @ weights
             g_prime = (hazard / noise) @ weights

@@ -3,17 +3,19 @@
 The catalog is the metadata layer of the database substrate.  It knows nothing
 about the stored rows; it only describes the relational structure that the
 query generator, the cardinality estimator and the plan-string vocabulary all
-consume.  The most important derived structure is the *reference graph*
-(tables as nodes, PK-FK references as edges) and its *alias-k* expansion used
-to sample random queries (paper Section 4.2).
+consume.  The most important derived structure is the *alias-k reference
+graph* (``k`` alias nodes per table, PK-FK references as edges) used to sample
+random queries (paper Section 4.2).  It is plain adjacency dicts,
+``{alias: {neighbour: ForeignKey}}``.  Their orders are part of what a seed
+means: a sampled query's first alias is drawn by position in the node order,
+and its predicates come in edge order (``tests/oracles/reference_graph.py``
+pins both).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from repro.exceptions import CatalogError
 
@@ -54,6 +56,11 @@ class ForeignKey:
     def as_edge(self) -> tuple[str, str]:
         """Return the (referencing, referenced) table pair."""
         return (self.table, self.ref_table)
+
+
+#: ``{alias: {neighbour: the ForeignKey of their edge}}``: an undirected graph
+#: whose edge is stored under both of its ends.
+AliasGraph = dict[str, dict[str, ForeignKey]]
 
 
 @dataclass(frozen=True)
@@ -187,34 +194,27 @@ class Schema:
                 pairs.append((fk.ref_column, fk.column))
         return pairs
 
-    def reference_graph(self) -> nx.Graph:
-        """Undirected graph with one node per table and one edge per PK-FK reference."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.table_names)
-        for fk in self.foreign_keys:
-            graph.add_edge(fk.table, fk.ref_table)
-        return graph
-
-    def alias_k_graph(self, k: int) -> nx.Graph:
+    def alias_k_graph(self, k: int) -> AliasGraph:
         """The alias-``k`` reference graph used to sample random queries.
 
         Each table contributes ``k`` alias nodes (``table#1`` ... ``table#k``)
         and every PK-FK reference contributes edges between all alias pairs of
-        the two tables (paper Section 4.2).
+        the two tables (paper Section 4.2).  Nodes come in table order, then
+        ordinal; a node's neighbours in the order their first edge was added;
+        a later FK on an alias pair replaces the earlier one in place.
         """
         if k < 1:
             raise CatalogError(f"alias multiplicity must be >= 1, got {k}")
-        graph = nx.Graph()
-        for table in self.table_names:
-            for i in range(1, k + 1):
-                graph.add_node(alias_name(table, i), table=table, ordinal=i)
+        graph: AliasGraph = {
+            alias_name(table, i): {} for table in self.table_names for i in range(1, k + 1)
+        }
         for fk in self.foreign_keys:
             for i in range(1, k + 1):
                 for j in range(1, k + 1):
                     left = alias_name(fk.table, i)
                     right = alias_name(fk.ref_table, j)
                     if left != right:
-                        graph.add_edge(left, right, fk=fk)
+                        graph[left][right] = graph[right][left] = fk
         return graph
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import networkx as nx
-
 from repro.db.catalog import Schema, alias_table
 from repro.exceptions import QueryError
 
@@ -149,21 +147,25 @@ class Query:
         """Join predicates connecting the two alias sets (used by the executor)."""
         return [p for p in self.join_predicates if p.connects(left_side, right_side)]
 
-    # ------------------------------------------------------------------ graph views
-    def join_graph(self) -> nx.Graph:
-        """Undirected graph over aliases with one edge per join predicate."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.aliases)
-        for predicate in self.join_predicates:
-            graph.add_edge(predicate.left_alias, predicate.right_alias, predicate=predicate)
-        return graph
-
+    # ------------------------------------------------------------------ connectivity
     def is_connected(self) -> bool:
-        """True if the join graph is connected (no mandatory cross join)."""
-        graph = self.join_graph()
-        if graph.number_of_nodes() == 0:
+        """True if the join predicates connect every alias (no mandatory cross join).
+
+        A graph search over the aliases, with one edge per predicate.
+        """
+        neighbours: dict[str, set[str]] = {alias: set() for alias in self.aliases}
+        for predicate in self.join_predicates:
+            neighbours.setdefault(predicate.left_alias, set()).add(predicate.right_alias)
+            neighbours.setdefault(predicate.right_alias, set()).add(predicate.left_alias)
+        if not neighbours:
             return True
-        return nx.is_connected(graph)
+        start = next(iter(neighbours))
+        reached, frontier = {start}, [start]
+        while frontier:
+            for alias in neighbours[frontier.pop()] - reached:
+                reached.add(alias)
+                frontier.append(alias)
+        return len(reached) == len(neighbours)
 
     def validate_against(self, schema: Schema) -> None:
         """Check that every referenced table/column exists in ``schema``."""

@@ -20,6 +20,12 @@ logs once and changes nothing.
 A library's thread count is process-wide, so the guard's state is too: it
 nests and is shared by threads — the first entry sets the counts, the last
 exit restores them.
+
+scipy, and with it scipy's OpenBLAS, is imported on a GP's first use, which
+may fall inside a guard.  The loaders that import it call
+:func:`adopt_late_loads`, which pins a library loaded since the outermost
+guard entered; that guard's exit restores it with the others.  A load
+outside any guard changes nothing.
 """
 
 from __future__ import annotations
@@ -92,6 +98,25 @@ def openblas_controls() -> list[tuple]:
     return found
 
 
+def _pin(controls: list[tuple]) -> None:
+    """Set every library of ``controls`` not on one thread to one, noting its count."""
+    for set_threads, get_threads in controls:
+        # Only a change is written: after a fork, setting the count restarts
+        # the library's thread pool (~5 ms a library).  A library pinned
+        # already reads 1 and is left alone.
+        count = get_threads()
+        if count != 1:
+            _restore.append((set_threads, count))
+            set_threads(1)
+
+
+def adopt_late_loads() -> None:
+    """Pin an OpenBLAS loaded while a guard is active; the outermost guard's exit restores it."""
+    with _lock:
+        if _depth:
+            _pin(openblas_controls())
+
+
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
     """Run the block with every loaded OpenBLAS on one thread (see the module docstring)."""
@@ -107,13 +132,7 @@ def one_blas_thread() -> Iterator[None]:
                 get_logger("utils.blas").info(
                     "no OpenBLAS library found; BLAS thread counts left as they are"
                 )
-            for set_threads, get_threads in controls:
-                # Only a change is written: after a fork, setting the count
-                # restarts the library's thread pool (~5 ms a library).
-                count = get_threads()
-                if count != 1:
-                    _restore.append((set_threads, count))
-                    set_threads(1)
+            _pin(controls)
         _depth += 1
     try:
         yield

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
-from repro.db.catalog import Schema, alias_table
+from repro.db.catalog import AliasGraph, Schema, alias_table
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.db.relation import Relation
 from repro.exceptions import QueryError
@@ -37,7 +36,7 @@ class FilterSpec:
 
 
 def sample_connected_aliases(
-    graph: nx.Graph, size: int, rng: np.random.Generator
+    graph: AliasGraph, size: int, rng: np.random.Generator
 ) -> list[str]:
     """Sample a random connected set of ``size`` nodes from ``graph``.
 
@@ -47,19 +46,19 @@ def sample_connected_aliases(
     """
     if size < 1:
         raise QueryError("subgraph size must be at least 1")
-    nodes = list(graph.nodes)
+    nodes = list(graph)
     if not nodes:
         raise QueryError("cannot sample from an empty graph")
     for _ in range(50):
         start = nodes[rng.integers(0, len(nodes))]
         selected = [start]
-        frontier = set(graph.neighbors(start))
+        frontier = set(graph[start])
         while len(selected) < size and frontier:
             candidates = sorted(frontier)
             pick = candidates[rng.integers(0, len(candidates))]
             selected.append(pick)
             frontier.discard(pick)
-            frontier.update(set(graph.neighbors(pick)) - set(selected))
+            frontier.update(set(graph[pick]) - set(selected))
         if len(selected) == size:
             return selected
     raise QueryError(f"could not sample a connected subgraph of size {size}")
@@ -67,7 +66,7 @@ def sample_connected_aliases(
 
 def query_from_aliases(
     schema: Schema,
-    alias_graph: nx.Graph,
+    alias_graph: AliasGraph,
     aliases: list[str],
     name: str,
     rng: np.random.Generator,
@@ -85,15 +84,20 @@ def query_from_aliases(
     alias_set = set(aliases)
     table_refs = [TableRef(alias, alias_table(alias)) for alias in aliases]
     join_predicates: list[JoinPredicate] = []
-    for left, right, data in alias_graph.edges(data=True):
-        if left not in alias_set or right not in alias_set:
+    # Each edge once, from its end that comes first in node order: that end
+    # is the predicate's left side, and the walk fixes the predicates' order.
+    visited: set[str] = set()
+    for left, neighbours in alias_graph.items():
+        if left not in alias_set:
             continue
-        fk = data["fk"]
-        left_table = alias_table(left)
-        if fk.table == left_table:
-            join_predicates.append(JoinPredicate(left, fk.column, right, fk.ref_column))
-        else:
-            join_predicates.append(JoinPredicate(left, fk.ref_column, right, fk.column))
+        for right, fk in neighbours.items():
+            if right not in alias_set or right in visited:
+                continue
+            if fk.table == alias_table(left):
+                join_predicates.append(JoinPredicate(left, fk.column, right, fk.ref_column))
+            else:
+                join_predicates.append(JoinPredicate(left, fk.ref_column, right, fk.column))
+        visited.add(left)
     filters: list[FilterPredicate] = []
     if relations is not None and filter_specs is not None:
         for alias in aliases:
@@ -171,7 +175,7 @@ class RandomQuerySampler:
         """Sample ``count`` random queries (named ``sampled_<i>``)."""
         rng = np.random.default_rng(seed)
         queries: list[Query] = []
-        upper = min(self.max_tables, self._graph.number_of_nodes())
+        upper = min(self.max_tables, len(self._graph))
         for i in range(count):
             size = int(rng.integers(self.min_tables, upper + 1))
             aliases = sample_connected_aliases(self._graph, size, rng)

@@ -32,6 +32,33 @@ report["after"] = counts()
 print(json.dumps(report))
 """
 
+#: scipy, and its OpenBLAS, loaded by a GP's first fit: inside two nested
+#: guards (argv "guarded") or outside any guard.
+_LATE_LOAD_PROBE = """
+import json, sys
+import numpy as np
+from repro.bo.gp import CensoredGP
+from repro.utils.blas import one_blas_thread, openblas_controls
+
+def fit():
+    x = np.random.default_rng(0).random((12, 3))
+    CensoredGP().fit(x, x.sum(axis=1), np.arange(12) % 4 == 0)
+
+counts = lambda: [get_threads() for _, get_threads in openblas_controls()]
+report = {"before": counts()}
+if sys.argv[1] == "guarded":
+    with one_blas_thread():
+        with one_blas_thread():
+            report["scipy_at_entry"] = sorted(m for m in sys.modules if m.startswith("scipy"))
+            fit()
+            report["inside"] = counts()
+        report["after_inner"] = counts()
+else:
+    fit()
+report["after"] = counts()
+print(json.dumps(report))
+"""
+
 _TRACE_PROBE = """
 import json
 from conftest import _tiny_schema, _tiny_specs
@@ -62,14 +89,14 @@ print(json.dumps([[plan, latency.hex(), censored, timeout, source]
 """
 
 
-def _run(probe: str, pinned: bool) -> str:
+def _run(probe: str, pinned: bool, *args: str) -> str:
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     if pinned:
         env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join([TESTS, *sys.path])
     return subprocess.run(
-        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-c", probe, *args], env=env, check=True, capture_output=True,
+        text=True, timeout=300,
     ).stdout
 
 
@@ -81,6 +108,24 @@ def test_the_guard_pins_every_loaded_openblas_and_restores_it():
     assert report["before"] == [2] * libraries
     assert report["inside"] == report["nested"] == report["after_inner"] == [1] * libraries
     assert report["after"] == [2] * libraries
+
+
+def test_an_openblas_loaded_inside_the_guard_is_pinned_and_restored():
+    guarded = json.loads(_run(_LATE_LOAD_PROBE, False, "guarded"))
+    unguarded = json.loads(_run(_LATE_LOAD_PROBE, False, "unguarded"))
+    # The guard was entered before scipy was imported: only what the GP's
+    # first fit loads can have put scipy's OpenBLAS in the process.
+    assert guarded["scipy_at_entry"] == []
+    if len(unguarded["after"]) <= len(unguarded["before"]):
+        pytest.skip("the GP's first fit loaded no OpenBLAS of its own")
+    defaults = unguarded["after"]
+    if 1 in defaults:
+        pytest.skip("an OpenBLAS starts on one thread: nothing to pin")
+    # A load outside any guard changes nothing.
+    assert unguarded["before"] == defaults[: len(unguarded["before"])]
+    assert guarded["before"] == unguarded["before"]
+    assert guarded["inside"] == guarded["after_inner"] == [1] * len(defaults)
+    assert guarded["after"] == defaults
 
 
 @pytest.mark.slow

@@ -19,12 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_gp
-from scipy import linalg
+from scipy import linalg, stats
 
 import repro.bo.gp as gp_module
+from repro.bo.acquisition import expected_improvement
 from repro.bo.censored import (
     censored_elbo_terms,
     expected_log_survival,
+    norm_cdf,
+    norm_logpdf,
+    norm_logsf,
+    norm_pdf,
     tobit_log_likelihood,
     truncated_normal_mean,
 )
@@ -282,12 +287,12 @@ def _poisoned(array, bad: float) -> np.ndarray:
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
     """The factorization as ``ExactGP`` spells it."""
-    return gp_module._lapack(gp_module._POTRF, cov, lower=True, clean=True)
+    return gp_module._lapack(gp_module._scipy().potrf, cov, lower=True, clean=True)
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solve against a factor as ``ExactGP`` spells it."""
-    return gp_module._lapack(gp_module._POTRS, chol, b, lower=True)
+    return gp_module._lapack(gp_module._scipy().potrs, chol, b, lower=True)
 
 
 class TestLapackDirect:
@@ -692,6 +697,61 @@ class TestImputationOracle:
         far = truncated_normal_mean(0 * unit, unit, 1e200 * unit)[0]
         assert far == reference_gp.truncated_normal_mean(0 * unit, unit, 1e200 * unit)[0]
         assert far >= 1e200
+
+
+class TestNormalForms:
+    """The ``ndtr``/``log_ndtr`` forms equal ``scipy.stats.norm``, float for float."""
+
+    GRID = np.concatenate([
+        np.linspace(-40.0, 40.0, 8001),
+        [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e6, -1e6, np.inf, -np.inf, np.nan],
+    ])
+
+    def test_standard_forms(self):
+        with np.errstate(all="ignore"):
+            for ours, theirs in ((norm_cdf, stats.norm.cdf), (norm_pdf, stats.norm.pdf),
+                                 (norm_logpdf, stats.norm.logpdf), (norm_logsf, stats.norm.logsf)):
+                # 1-D, and 2-D as the quadrature's ``(points, nodes)`` grid.
+                for grid in (self.GRID, self.GRID[:8000].reshape(-1, 20)):
+                    expected = theirs(grid)
+                    got = ours(grid)
+                    assert np.array_equal(got, expected, equal_nan=True), ours.__name__
+                    # Bit for bit at finite arguments, the only ones the
+                    # surrogates pass; at -inf ``logsf`` is -0.0, not 0.0.
+                    finite = np.isfinite(grid)
+                    assert np.array_equal(np.signbit(got[finite]), np.signbit(expected[finite]))
+
+    def test_logpdf_with_the_loc_and_scale_tobit_passes(self):
+        rng = np.random.default_rng(38)
+        values = np.concatenate([self.GRID[:-3], rng.standard_normal(500) * 1e3])
+        mean = rng.standard_normal(len(values)) * 10.0
+        # ``tobit_log_likelihood`` clips its scale at 1e-9.
+        std = np.maximum(np.exp(rng.uniform(-25.0, 8.0, len(values))), 1e-9)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(norm_logpdf(values, mean, std),
+                                  stats.norm.logpdf(values, mean, std), equal_nan=True)
+        censored = rng.random(len(values)) < 0.3
+        finite = np.isfinite(values)
+        values, mean, std, censored = values[finite], mean[finite], std[finite], censored[finite]
+        with np.errstate(all="ignore"):
+            z = (values - mean) / std
+            expected = float(np.sum(stats.norm.logpdf(values[~censored], mean[~censored], std[~censored])))
+            expected += float(np.sum(stats.norm.logsf(z[censored])))
+            assert tobit_log_likelihood(values, censored, mean, std) == expected
+
+    def test_expected_improvement(self):
+        class Posterior:
+            def predict(self, points):
+                return points[:, 0], np.abs(points[:, 1])
+
+        rng = np.random.default_rng(7)
+        points = rng.standard_normal((400, 2)) * [3.0, 1.0]
+        points[:5, 1] = [0.0, 1e-300, 1e-13, 40.0, 1e3]
+        mean, std = points[:, 0], np.maximum(np.abs(points[:, 1]), 1e-12)
+        improvement = 0.5 - mean
+        z = improvement / std
+        expected = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+        assert np.array_equal(expected_improvement(Posterior(), points, 0.5), expected)
 
 
 # ------------------------------------------------------------------ refit oracles

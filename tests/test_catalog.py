@@ -1,7 +1,9 @@
 """Tests for the schema catalog."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from oracles import reference_graph
 
 from repro.db.catalog import (
     Column,
@@ -14,6 +16,8 @@ from repro.db.catalog import (
     alias_table,
 )
 from repro.exceptions import CatalogError
+from repro.workloads import build_dsb_schema, build_imdb_schema, build_stack_schema
+from repro.workloads.generator import query_from_aliases
 
 
 def make_schema() -> Schema:
@@ -120,24 +124,61 @@ class TestIndexes:
 
 class TestReferenceGraphs:
     def test_reference_graph_shape(self):
-        graph = make_schema().reference_graph()
+        graph = reference_graph.reference_graph(make_schema())
         assert set(graph.nodes) == {"a", "b", "c"}
         assert graph.has_edge("a", "b") and graph.has_edge("b", "c")
         assert not graph.has_edge("a", "c")
 
     def test_alias_k_graph_nodes(self):
         graph = make_schema().alias_k_graph(2)
-        assert graph.number_of_nodes() == 6
-        assert graph.has_node("a#1") and graph.has_node("a#2")
+        assert len(graph) == 6
+        assert "a#1" in graph and "a#2" in graph
 
     def test_alias_k_graph_edges_carry_fk(self):
         graph = make_schema().alias_k_graph(1)
-        fk = graph.edges["a#1", "b#1"]["fk"]
+        fk = graph["a#1"]["b#1"]
         assert fk.table == "b" and fk.ref_table == "a"
+        assert graph["b#1"]["a#1"] is fk
 
     def test_alias_k_graph_connected(self):
         graph = make_schema().alias_k_graph(2)
-        assert nx.is_connected(graph)
+        assert nx.is_connected(nx.Graph({alias: list(neighbours) for alias, neighbours in graph.items()}))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("build", [build_imdb_schema, build_stack_schema, build_dsb_schema])
+    def test_alias_k_graph_orders_are_the_networkx_graphs(self, build, k):
+        schema = build()
+        graph, reference = schema.alias_k_graph(k), reference_graph.alias_k_graph(schema, k)
+        assert list(graph) == list(reference.nodes)
+        for alias, neighbours in graph.items():
+            assert list(neighbours) == list(reference.neighbors(alias))
+            assert all(fk is reference.edges[alias, other]["fk"] for other, fk in neighbours.items())
+        # Edge order: the predicates of a query over every alias, and of one
+        # over a random half of them.
+        rng = np.random.default_rng(k)
+        for aliases in (list(graph), list(rng.permutation(list(graph))[: len(graph) // 2])):
+            query = query_from_aliases(schema, graph, aliases, "all", rng)
+            assert query.join_predicates == tuple(reference_graph.join_predicates(reference, aliases))
+
+    def test_a_later_fk_on_an_alias_pair_replaces_the_earlier_in_place(self):
+        tables = [
+            Table("a", [Column("id"), Column("x")]),
+            Table("b", [Column("id"), Column("a_id"), Column("a_other")]),
+            Table("c", [Column("id"), Column("b_id")]),
+        ]
+        fks = [
+            ForeignKey("b", "a_id", "a", "id"),
+            ForeignKey("c", "b_id", "b", "id"),
+            ForeignKey("b", "a_other", "a", "id"),
+        ]
+        schema = Schema("twice", tables, fks)
+        for k in (1, 2):
+            graph, reference = schema.alias_k_graph(k), reference_graph.alias_k_graph(schema, k)
+            assert graph["a#1"]["b#1"] is graph["b#1"]["a#1"] is fks[2]
+            assert list(graph["b#1"]) == list(reference.neighbors("b#1"))
+            assert list(graph["b#1"])[0].startswith("a#")  # kept the first edge's position
+            query = query_from_aliases(schema, graph, list(graph), "twice", np.random.default_rng(0))
+            assert query.join_predicates == tuple(reference_graph.join_predicates(reference, list(graph)))
 
     def test_alias_k_invalid(self):
         with pytest.raises(CatalogError):

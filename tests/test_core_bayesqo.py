@@ -1,7 +1,10 @@
 """Integration tests for the BayesQO optimizer on the tiny database."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -259,11 +262,12 @@ class TestDecodeMemo:
         assert optimizer.finish(resumed).trace_signature() == reference
 
     def test_state_pickled_by_the_parent_build_resumes(
-        self, tiny_database, tiny_schema_model, tiny_three_table_query
+        self, tiny_database, tiny_schema_model, tiny_three_table_query, tmp_path
     ):
         # Pickled by the build before the memo: ``optimizer.start(tiny_q2,
         # BudgetSpec(max_executions=10))`` under CONFIG, six rounds of ``_step``.
-        with open(Path(__file__).parent / "data" / "bayesqo_state_pre_memo.pkl", "rb") as handle:
+        pickled = Path(__file__).parent / "data" / "bayesqo_state_pre_memo.pkl"
+        with open(pickled, "rb") as handle:
             state = pickle.load(handle)
         assert state.query == tiny_three_table_query
         assert state.result.num_executions == 6 and state.budget.max_executions == 10
@@ -272,3 +276,46 @@ class TestDecodeMemo:
         plans = [record.plan.canonical() for record in optimizer.finish(state).trace]
         assert len(plans) == len(set(plans))
         assert len(plans) == 10 or state.exhausted
+        # In a fresh interpreter scipy is imported at the surrogate's first
+        # call, not by unpickling it, and the resumed run asks the same plans.
+        model = tmp_path / "model.pkl"
+        model.write_bytes(pickle.dumps(tiny_schema_model))
+        out = subprocess.run(
+            [sys.executable, "-c", _FRESH_RESUME, str(pickled), str(model)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(pickled.parents[1]), *sys.path])),
+            check=True, capture_output=True, text=True, timeout=300,
+        ).stdout
+        report = json.loads(out)
+        assert report["unpickled_with"] == []
+        assert report["query"] == "tiny_q2" and report["plans"] == plans
+        assert "scipy.linalg" in report["finished_with"]
+
+
+#: Resume ``argv[1]``'s BayesQO state with ``argv[2]``'s schema model in a
+#: fresh interpreter; report the heavy modules loaded after unpickling and at
+#: the end, and the plans run.
+_FRESH_RESUME = """
+import json, pickle, sys
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx"))
+
+with open(sys.argv[1], "rb") as handle:
+    state = pickle.load(handle)
+with open(sys.argv[2], "rb") as handle:
+    model = pickle.load(handle)
+report = {"unpickled_with": heavy(), "query": state.query.name}
+from conftest import _tiny_schema, _tiny_specs
+from test_core_bayesqo import TestDecodeMemo, _step
+from repro.core import BayesQO
+from repro.db.datagen import DataGenerator
+from repro.db.engine import Database
+
+schema = _tiny_schema()
+database = Database(schema, DataGenerator(schema, _tiny_specs(), seed=7).generate(), seed=7)
+optimizer = BayesQO(database, model, config=TestDecodeMemo.CONFIG)
+_step(optimizer, state, database)
+report["plans"] = [record.plan.canonical() for record in optimizer.finish(state).trace]
+report["finished_with"] = heavy()
+print(json.dumps(report))
+"""

@@ -3,7 +3,11 @@
 import dataclasses
 import pickle
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_graph
 
 from repro.db.plan_cache import query_fingerprint
 from repro.db.query import (
@@ -125,9 +129,10 @@ class TestJoinPredicates:
 
 class TestGraphsAndRendering:
     def test_join_graph(self):
-        graph = two_table_query().join_graph()
+        graph = reference_graph.join_graph(two_table_query())
         assert graph.has_edge("a#1", "b#1")
         assert graph.number_of_nodes() == 2
+        assert two_table_query().is_connected() == nx.is_connected(graph)
 
     def test_connectivity(self):
         assert two_table_query().is_connected()
@@ -135,6 +140,18 @@ class TestGraphsAndRendering:
             "q", [TableRef("a#1", "a"), TableRef("b#1", "b")], []
         )
         assert not disconnected.is_connected()
+        assert Query("empty", [], []).is_connected()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=14))
+    def test_connectivity_is_networkx_connectivity(self, tables, edges):
+        refs = [TableRef(f"t{i}#1", f"t{i}") for i in range(tables)]
+        predicates = [
+            JoinPredicate(f"t{left}#1", "id", f"t{right}#1", "id")
+            for left, right in edges if left < tables and right < tables
+        ]
+        query = Query("random", refs, predicates)
+        assert query.is_connected() == nx.is_connected(reference_graph.join_graph(query))
 
     def test_sql_rendering(self):
         sql = two_table_query().sql()

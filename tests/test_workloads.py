@@ -1,9 +1,15 @@
 """Tests for the workload builders, the random query sampler and drift simulation."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from oracles import reference_graph
 
 from repro.db.catalog import alias_table
+from repro.db.plan_cache import query_fingerprint
 from repro.exceptions import QueryError
 from repro.workloads import (
     RandomQuerySampler,
@@ -20,7 +26,8 @@ from repro.workloads import (
     sample_connected_aliases,
 )
 from repro.workloads.dsb import build_dsb_workload
-from repro.workloads.imdb import build_ceb_workload
+from repro.workloads.imdb import build_ceb_workload, build_job_workload
+from repro.workloads.stack import build_stack_workload
 
 
 class TestSchemas:
@@ -47,7 +54,37 @@ class TestSchemas:
 def nx_connected(schema) -> bool:
     import networkx as nx
 
-    return nx.is_connected(schema.reference_graph())
+    return nx.is_connected(reference_graph.reference_graph(schema))
+
+
+#: Digests of the queries the builders generated while the alias-k graph was
+#: a networkx ``Graph`` (``comment`` inside).
+DIGESTS = json.loads((Path(__file__).parent / "data" / "workload_digests.json").read_text())
+
+
+def _digest(queries) -> list:
+    rows = [
+        [query.name, repr(tuple(query_fingerprint(query))),
+         [[p.left_alias, p.left_column, p.right_alias, p.right_column] for p in query.join_predicates]]
+        for query in queries
+    ]
+    return [len(queries), hashlib.sha256(json.dumps(rows).encode()).hexdigest()]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_generated_queries_are_those_of_the_networkx_graph(seed):
+    """Names, fingerprints and predicate order of every builder's queries."""
+    job = build_job_workload(scale=0.05, seed=seed)
+    sampler = RandomQuerySampler(job.database.schema, max_aliases=2, relations=job.database.relations)
+    generated = {
+        "JOB": job.queries,
+        "CEB": build_ceb_workload(scale=0.05, seed=seed, database=job.database).queries,
+        "Stack": build_stack_workload(scale=0.05, seed=seed).queries,
+        "DSB": build_dsb_workload(scale=0.05, seed=seed).queries,
+        "sampled": sampler.sample(40, seed=seed),
+    }
+    for name, queries in generated.items():
+        assert _digest(queries) == DIGESTS["digests"][f"{name}/{seed}"], name
 
 
 class TestQuerySampling:
