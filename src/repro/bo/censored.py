@@ -14,9 +14,11 @@ the Tobit likelihood pieces shared by the surrogates:
 Those four are the expressions scipy's ``norm`` distribution evaluates for
 finite arguments and a positive scale, on ``scipy.special.ndtr`` and
 ``log_ndtr``, so every float is the distribution's; its statistics package
-(~0.3 s and ~25 MiB to import) is not loaded.  ``scipy.special`` is
-imported at the first call that needs it (``_special``), not with this
-module.
+(~0.3 s and ~25 MiB to import) is not loaded.  Nor is ``scipy.special``:
+``ndtr`` and ``log_ndtr`` are fetched at the first call from its compiled
+``_special_ufuncs`` module, loaded alone (``_ufuncs``; they are the objects
+``scipy.special`` exports).  Only the SVGP's Gauss-Hermite nodes
+(``roots_hermite``) import the package (``_special``).
 """
 
 from __future__ import annotations
@@ -26,15 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.blas import adopt_late_loads
+from repro.utils.blas import adopt_late_loads, scipy_extension
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _LOG_SQRT_2PI = np.log(_SQRT_2PI)
 
 
 @functools.cache
+def _ufuncs():
+    """scipy's compiled ``ndtr``/``log_ndtr``, loaded at the first call (see ``repro.bo.gp._scipy``)."""
+    return scipy_extension("special", "_special_ufuncs", "ndtr", "log_ndtr")
+
+
+@functools.cache
 def _special():
-    """``scipy.special``, imported at the first call (see ``repro.bo.gp._scipy``)."""
+    """``scipy.special``, imported at the SVGP's first quadrature."""
     from scipy import special
 
     adopt_late_loads()
@@ -43,7 +51,7 @@ def _special():
 
 def norm_cdf(x: np.ndarray) -> np.ndarray:
     """The standard normal cdf: scipy's ``norm.cdf(x)``."""
-    return _special().ndtr(x)
+    return _ufuncs().ndtr(x)
 
 
 def norm_pdf(x: np.ndarray) -> np.ndarray:
@@ -60,7 +68,7 @@ def norm_logpdf(x: np.ndarray, loc: np.ndarray | float = 0.0,
 
 def norm_logsf(x: np.ndarray) -> np.ndarray:
     """``log(1 - Phi(x))``, accurate in the upper tail: scipy's ``norm.logsf(x)``."""
-    return _special().log_ndtr(-x)
+    return _ufuncs().log_ndtr(-x)
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,15 @@ release.  The censored EM loop computes the censored points' kernel rows and
 variance solve once (``ExactGP.predictor``); its iterations change only the
 responses.
 
-scipy is imported at a GP's first fit or solve, not with this module
-(``_scipy``): a process that never fits one — a plan server, a pool worker
-— does not pay its ~0.3 s and ~45 MiB.  The constructor touches nothing of
+scipy is loaded at a GP's first fit or solve, not with this module
+(``_scipy``), and only the two compiled modules the GP calls:
+``scipy.linalg._flapack`` and ``scipy.optimize._lbfgsb``, each loaded
+without its package (``utils.blas.scipy_extension``).  The routines are the
+objects ``linalg.get_lapack_funcs(..., dtype=float64)`` returns, so every
+float is the same; the packages themselves (with the ``sparse``,
+``spatial`` and ``fft`` that ``scipy.optimize`` pulls in) are never
+imported.  The load costs a first fit ~0.015 s and ~6 MiB, where the
+packages cost ~0.3 s and ~42 MiB.  The constructor touches nothing of
 scipy's, so an unpickled GP loads it at its first call like a new one.
 """
 
@@ -55,7 +61,7 @@ import numpy as np
 from repro.bo.censored import truncated_normal_mean
 from repro.bo.kernels import Kernel, Matern52Kernel, pairwise_sqdist
 from repro.exceptions import ModelError
-from repro.utils.blas import adopt_late_loads
+from repro.utils.blas import scipy_extension
 
 #: Jitter added to the noise variance to keep the covariance factorizable.
 _JITTER = 1e-8
@@ -73,17 +79,14 @@ class _Scipy(NamedTuple):
 
 @functools.cache
 def _scipy() -> _Scipy:
-    """scipy's LAPACK routines and L-BFGS-B step, imported and fetched at the first call.
+    """scipy's LAPACK routines and L-BFGS-B step, loaded and fetched at the first call.
 
     Held here, not on the GP: surrogates ride inside pickled checkpoints.  An
-    OpenBLAS the import loads inside a one-thread guard is pinned with the rest.
+    OpenBLAS the load links inside a one-thread guard is pinned with the rest.
     """
-    from scipy import linalg
-    from scipy.optimize import _lbfgsb
-
-    adopt_late_loads()
-    lapack = linalg.get_lapack_funcs(("potrf", "potri", "potrs", "trtrs"), dtype=np.float64)
-    return _Scipy(*lapack, setulb=_lbfgsb.setulb)
+    flapack = scipy_extension("linalg", "_flapack", "dpotrf", "dpotri", "dpotrs", "dtrtrs")
+    lbfgsb = scipy_extension("optimize", "_lbfgsb", "setulb")
+    return _Scipy(flapack.dpotrf, flapack.dpotri, flapack.dpotrs, flapack.dtrtrs, lbfgsb.setulb)
 
 
 def _lapack(routine, *arrays: np.ndarray, **options) -> np.ndarray:

@@ -21,17 +21,20 @@ A library's thread count is process-wide, so the guard's state is too: it
 nests and is shared by threads — the first entry sets the counts, the last
 exit restores them.
 
-scipy, and with it scipy's OpenBLAS, is imported on a GP's first use, which
-may fall inside a guard.  The loaders that import it call
-:func:`adopt_late_loads`, which pins a library loaded since the outermost
-guard entered; that guard's exit restores it with the others.  A load
-outside any guard changes nothing.
+scipy's OpenBLAS is loaded on a GP's first use, which may fall inside a
+guard: the GP loads only the compiled modules it calls, through
+:func:`scipy_extension`, and the first of them (``scipy.linalg._flapack``)
+links that library.  Every scipy load calls :func:`adopt_late_loads`, which
+pins a library loaded since the outermost guard entered; that guard's exit
+restores it with the others.  A load outside any guard changes nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.machinery
+import importlib.util
 import os
 import sys
 import threading
@@ -54,6 +57,9 @@ _restore: list[tuple] = []
 #: Resolved ``(set, get)`` functions per library path (``None``: exports neither).
 _controls: dict[str, tuple | None] = {}
 _warned = False
+
+#: The scipy release whose private compiled modules :func:`scipy_extension` loads.
+_SCIPY_PIN = "scipy>=1.17,<1.18"
 
 
 def _candidate_paths() -> list[str]:
@@ -143,3 +149,42 @@ def one_blas_thread() -> Iterator[None]:
                 while _restore:
                     set_threads, count = _restore.pop()
                     set_threads(count)
+
+
+def scipy_extension(package: str, name: str, *attributes: str):
+    """The compiled module ``scipy.<package>.<name>``, loaded without ``scipy.<package>``.
+
+    A module already imported (say ``scipy.linalg`` ran first and loaded
+    ``scipy.linalg._flapack``) is returned as it is.  Otherwise the shared
+    object is found in scipy's install directory and loaded alone, so the
+    package's ``__init__`` never runs: ``scipy.linalg``, ``scipy.optimize``
+    and ``scipy.special`` pull in tens of MiB of modules the GP never calls.
+    The module is entered in ``sys.modules`` under its full name, so a later
+    ``import scipy.<package>`` finds and reuses it.  Only the top-level
+    ``scipy`` package is imported (a few ms; it locates scipy's libraries).
+
+    ``attributes`` are the names the caller needs.  A module that is not
+    found, or lacks one of them, raises ``ImportError`` naming the module and
+    the scipy pin (``_SCIPY_PIN``): these are private modules of that scipy release.
+    """
+    full = f"scipy.{package}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        import scipy
+
+        root = os.path.join(os.path.dirname(scipy.__file__), package)
+        spec = importlib.machinery.PathFinder.find_spec(full, [root])
+        if spec is None:
+            raise ImportError(f"{full} is not in {root}; the GP needs {_SCIPY_PIN}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            sys.modules.pop(full, None)
+            raise
+    missing = [attribute for attribute in attributes if not hasattr(module, attribute)]
+    if missing:
+        raise ImportError(f"{full} has no {', '.join(missing)}; the GP needs {_SCIPY_PIN}", name=full)
+    adopt_late_loads()
+    return module

@@ -18,8 +18,22 @@ from repro.db.engine import Database
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.plans.encoding import PlanCodec
 from repro.plans.vocabulary import build_vocabulary
+from repro.utils.blas import one_blas_thread
 from repro.workloads import build_job_workload
 from repro.workloads.base import Workload
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _one_blas_thread():
+    """Every test runs with OpenBLAS on one thread, as ``drive`` runs the BO loop.
+
+    Most GP tests call the GP directly, outside ``drive``; unpinned, OpenBLAS's
+    thread pool makes their small solves several times slower.  The guard,
+    not ``OPENBLAS_NUM_THREADS``: a subprocess test that unsets the variable
+    still runs unpinned.
+    """
+    with one_blas_thread():
+        yield
 
 
 # ---------------------------------------------------------------------------- tiny schema

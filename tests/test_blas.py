@@ -89,6 +89,39 @@ print(json.dumps([[plan, latency.hex(), censored, timeout, source]
 """
 
 
+#: The GP's scipy routines with the packages imported before them (argv
+#: "packages-first") or after (argv "loader-first"): each module is loaded once.
+_LOADER_PROBE = """
+import json, sys
+
+def packages():
+    import scipy.linalg, scipy.optimize, scipy.special
+    return scipy.linalg, scipy.optimize, scipy.special
+
+if sys.argv[1] == "packages-first":
+    linalg, optimize, special = packages()
+from repro.bo import censored, gp
+from repro.utils.blas import scipy_extension
+
+routines, normal = gp._scipy(), censored._ufuncs()
+again = [scipy_extension("linalg", "_flapack"), scipy_extension("optimize", "_lbfgsb"),
+         scipy_extension("special", "_special_ufuncs")]
+if sys.argv[1] == "loader-first":
+    linalg, optimize, special = packages()
+from scipy.linalg import _flapack
+from scipy.optimize import _lbfgsb
+print(json.dumps({
+    "loaded_once": again == [_flapack, _lbfgsb, normal],
+    "lapack": [ours is theirs for ours, theirs in zip(
+        routines[:4], linalg.get_lapack_funcs(("potrf", "potri", "potrs", "trtrs"), dtype="float64"))],
+    "flapack": [ours is getattr(_flapack, name) for ours, name in zip(
+        routines[:4], ("dpotrf", "dpotri", "dpotrs", "dtrtrs"))],
+    "setulb": routines.setulb is _lbfgsb.setulb,
+    "special": [normal.ndtr is special.ndtr, normal.log_ndtr is special.log_ndtr],
+}))
+"""
+
+
 def _run(probe: str, pinned: bool, *args: str) -> str:
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     if pinned:
@@ -146,6 +179,9 @@ def test_no_library_logs_once_and_changes_nothing(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.setattr(blas, "_candidate_paths", lambda: [])
     monkeypatch.setattr(blas, "_warned", False)
+    # Outside the session's guard: this guard is the outermost one.
+    monkeypatch.setattr(blas, "_depth", 0)
+    monkeypatch.setattr(blas, "_restore", [])
     messages = []
     monkeypatch.setattr(
         blas, "get_logger", lambda name: type("Log", (), {"info": lambda self, *a: messages.append(a)})()
@@ -154,3 +190,18 @@ def test_no_library_logs_once_and_changes_nothing(monkeypatch):
         with blas.one_blas_thread():
             assert blas._restore == []
     assert len(messages) == 1
+
+
+def test_a_scipy_module_that_is_not_there_fails_naming_the_pin():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module .*scipy>=1\.17,<1\.18"):
+        blas.scipy_extension("linalg", "_no_such_module")
+    assert "scipy.linalg._no_such_module" not in sys.modules
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack has no dno_such_routine;.*scipy>=1\.17,<1\.18"):
+        blas.scipy_extension("linalg", "_flapack", "dpotrf", "dno_such_routine")
+
+
+@pytest.mark.parametrize("order", ["packages-first", "loader-first"])
+def test_the_gp_and_the_scipy_packages_share_one_load_of_each_module(order):
+    report = json.loads(_run(_LOADER_PROBE, True, order))
+    assert report == {"loaded_once": True, "lapack": [True] * 4, "flapack": [True] * 4,
+                      "setulb": True, "special": [True, True]}

@@ -276,8 +276,9 @@ class TestDecodeMemo:
         plans = [record.plan.canonical() for record in optimizer.finish(state).trace]
         assert len(plans) == len(set(plans))
         assert len(plans) == 10 or state.exhausted
-        # In a fresh interpreter scipy is imported at the surrogate's first
-        # call, not by unpickling it, and the resumed run asks the same plans.
+        # In a fresh interpreter scipy's LAPACK is loaded at the surrogate's
+        # first call, not by unpickling it, and the resumed run asks the same
+        # plans.
         model = tmp_path / "model.pkl"
         model.write_bytes(pickle.dumps(tiny_schema_model))
         out = subprocess.run(
@@ -288,7 +289,7 @@ class TestDecodeMemo:
         report = json.loads(out)
         assert report["unpickled_with"] == []
         assert report["query"] == "tiny_q2" and report["plans"] == plans
-        assert "scipy.linalg" in report["finished_with"]
+        assert "scipy.linalg._flapack" in report["finished_with"]
 
 
 #: Resume ``argv[1]``'s BayesQO state with ``argv[2]``'s schema model in a
