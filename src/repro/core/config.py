@@ -166,8 +166,9 @@ class ExecutionServiceConfig:
     plan_cache_bytes: int | None = None
     #: Independent backend instances; ``> 1`` puts them behind the lease
     #: coordinator (:class:`~repro.exec.FabricBackend`, with an inline
-    #: fallback).  Process replicas are separate worker pools: the
-    #: coordinator reassigns a lost pool's leases and rebuilds the pool.
+    #: fallback).  Process replicas are separate worker pools: a pool
+    #: replaces a dead worker itself, and the coordinator reassigns the one
+    #: lease that worker held.
     replicas: int = 1
     #: Infrastructure failures tolerated per replica before
     #: the coordinator puts it on probation: it sits out a doubling period,
@@ -186,7 +187,7 @@ class ExecutionServiceConfig:
     # Fault tolerance ---------------------------------------------------------
     #: Put a single backend behind the lease coordinator
     #: (:class:`~repro.exec.FabricBackend`: lease reassignment, hang
-    #: watchdog, pool rebuild, degradation to inline execution).  Implied by
+    #: watchdog, degradation to inline execution).  Implied by
     #: setting ``request_deadline`` or ``fault_injection``; ``replicas > 1``
     #: is coordinated already.
     supervised: bool = False

@@ -19,14 +19,15 @@ scheduler drives:
   database, warmed once; or shipped by pickle and warmed per worker); scales
   *CPU-bound* simulated executions past the GIL.  Determinism rests on the
   sha256-based stable seeding of every latency/RNG digest
-  (:mod:`repro.utils.seeding`).
+  (:mod:`repro.utils.seeding`).  A worker that dies costs only the task it
+  ran: the pool starts a replacement in its place (at most twice per worker).
 * :class:`FabricBackend` — the one lease coordinator over several
   in-process replicas of the backends above (``replicas > 1``; over process
   members, several worker pools).  It gives least-loaded dispatch,
   deterministic lease reassignment on an infrastructure failure,
-  probation/half-open rejoin, a per-dispatch hang watchdog, in-place rebuild
-  of a process pool whose worker died and graceful degradation to inline
-  execution.  It is the service's one retry path: supervision
+  probation/half-open rejoin, a per-dispatch hang watchdog and, once no
+  member is healthy, degradation to inline execution.  It restarts no
+  member.  It is the service's one retry path: supervision
   (``supervised=True`` or a ``request_deadline``) puts it in front of a
   single backend too.  It is also the one fault injector: a
   :class:`FaultInjectionConfig` is drawn per lease at its dispatch, so every
@@ -145,7 +146,8 @@ def backend_health(backend: "ExecutionBackend | None") -> dict:
     while layer is not None and id(layer) not in seen:
         seen.add(id(layer))
         if isinstance(layer, FabricBackend):
-            # Per-member liveness, lease reassignments, hangs and rebuilds.
+            # Per-member liveness and worker replacements, lease
+            # reassignments and hangs.
             report["fabric"] = layer.health_snapshot()
             if layer.faults is not None:
                 report["faults"] = layer.fault_counters.snapshot()

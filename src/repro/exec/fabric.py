@@ -5,8 +5,8 @@
 in-process replicas ``ExecutionServiceConfig(replicas=N)`` builds (inline,
 thread or process backends), or the lone backend a supervised session puts
 behind it.  Anything duck-typing ``submit``/``healthy``/``capacity``/``close``
-(and optionally ``submit_batch`` and ``rebuild``) works, which is what the
-unit tests exploit.  Robustness is the design center:
+(and optionally ``submit_batch``) works, which is what the unit tests
+exploit.  Robustness is the design center:
 
 * **Leases.**  Every request is owned by a lease.  Dispatch hands the lease
   to the least-loaded eligible member; an infrastructure failure (a worker
@@ -28,20 +28,19 @@ unit tests exploit.  Robustness is the design center:
   and reassigned as a :class:`~repro.exec.backend.HangTimeout`.  A late
   reply from the abandoned attempt is discarded, never observed twice.
   The pump thread checks the deadlines; no request gets a thread.
-* **Rebuild.**  A member that reports itself unhealthy and offers
-  ``rebuild()`` (a :class:`~repro.exec.process_pool.ProcessPoolBackend`
-  whose worker died) is rebuilt in place by the next dispatch that finds
-  it so — whether its worker died under a lease or while idle — at most
-  :data:`MAX_REBUILDS` times per member.
+* **Members heal themselves, or not at all.**  The coordinator never
+  restarts a member: a :class:`~repro.exec.process_pool.ProcessPoolBackend`
+  replaces a dead worker in place and stays healthy (the member table shows
+  its ``replacements``), so only the lease that worker held is reassigned.
+  A member gets a lease only while it reports itself healthy.
 * **Work conservation.**  There are no per-member queues to steal from:
   members hold at most ``capacity()`` leases and everything else waits in
   the central queue, so a straggler can never hoard work an idle member
   could run — work-stealing by construction.  The scheduling-policy layer
   sees the fabric's full capacity and keeps that many proposals in flight.
-* **Degradation.**  With every member unhealthy for ``degrade_after``
-  seconds (or a lease out of ``max_lease_attempts``), leases run on the
-  ``fallback`` backend (inline on the coordinator) — the run finishes slower
-  instead of dying.
+* **Degradation.**  With no member healthy (or a lease out of
+  ``max_lease_attempts``), leases run on the ``fallback`` backend (inline on
+  the coordinator) at once — the run finishes slower instead of dying.
 * **Seeded chaos.**  A :class:`~repro.exec.faults.FaultInjectionConfig`
   is drawn once per lease at dispatch, from one ``(seed, query, plan,
   attempt)`` digest schedule whose attempt is this coordinator's dispatch
@@ -72,9 +71,6 @@ from repro.exec.faults import (
     InjectedWorkerCrash,
 )
 
-#: How many times the coordinator rebuilds one unhealthy member in place.
-MAX_REBUILDS = 2
-
 
 @dataclass
 class FabricCounters:
@@ -87,7 +83,6 @@ class FabricCounters:
     degraded_executions: int = 0
     give_ups: int = 0
     hangs: int = 0
-    rebuilds: int = 0
 
     def snapshot(self) -> dict:
         return dataclasses.asdict(self)
@@ -137,9 +132,6 @@ class _NodeSlot:
         self.failures = 0
         self.probation_until: float | None = None
         self.probations = 0
-        self.rebuilds = 0
-        #: Set while a dispatch rebuilds the member outside the lock.
-        self.rebuilding = False
 
     def on_probation(self, now: float) -> bool:
         return self.probation_until is not None and now < self.probation_until
@@ -170,7 +162,7 @@ class _NodeSlot:
             "failures": self.failures,
             "on_probation": self.on_probation(now),
             "probations": self.probations,
-            "rebuilds": self.rebuilds,
+            "replacements": getattr(self.node, "replacements", 0),
         }
 
 
@@ -187,7 +179,6 @@ class FabricBackend:
         max_failures: int = 3,
         probation_seconds: float = 1.0,
         max_lease_attempts: int | None = None,
-        degrade_after: float = 2.0,
         request_deadline: float | None = None,
         faults: FaultInjectionConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -200,8 +191,6 @@ class FabricBackend:
             raise OptimizationError("probation_seconds must be positive")
         if max_lease_attempts is not None and max_lease_attempts < 1:
             raise OptimizationError("max_lease_attempts must be at least 1")
-        if degrade_after < 0:
-            raise OptimizationError("degrade_after must be non-negative")
         if request_deadline is not None and request_deadline <= 0:
             raise OptimizationError("request_deadline must be positive")
         # Same-named replicas (``inline``, ``process``) get their index so
@@ -217,7 +206,6 @@ class FabricBackend:
         self._max_lease_attempts = (
             max_lease_attempts if max_lease_attempts is not None else 3 * len(nodes)
         )
-        self._degrade_after = degrade_after
         self._request_deadline = request_deadline
         self.faults = faults
         self.fault_counters = FaultCounters()
@@ -237,15 +225,13 @@ class FabricBackend:
         self._fault_attempts: dict[tuple, int] = {}
         #: timer -> (finished future, delayed future) for withheld results.
         self._delayed: "dict[threading.Timer, tuple[Future, Future]]" = {}
-        self._all_unhealthy_since: float | None = None
         self._pump: threading.Thread | None = None
         self._closed = False
 
     # ------------------------------------------------------------------ backend protocol
     def capacity(self) -> int:
-        # Static by design: a member that is momentarily lost is rebuilt or
-        # rejoins, and a stable capacity keeps the scheduler's in-flight
-        # target steady.
+        # Static by design: a member on probation rejoins, and a stable
+        # capacity keeps the scheduler's in-flight target steady.
         return sum(max(1, slot.node.capacity()) for slot in self._slots)
 
     def healthy(self) -> bool:
@@ -265,10 +251,12 @@ class FabricBackend:
         group disbands and the leases reassign individually — correctness
         first, the batching win only when the fleet is calm.
         """
-        if self._closed:
-            raise OptimizationError("backend is closed")
         leases = [_Lease(request) for request in requests]
         with self._lock:
+            # Checked under the lock close() takes: a lease queued after it
+            # would never settle.
+            if self._closed:
+                raise OptimizationError("backend is closed")
             self.counters.submissions += len(leases)
             self._pending.append(leases)
         self._ensure_pump()
@@ -301,8 +289,8 @@ class FabricBackend:
     # ------------------------------------------------------------------ dispatch
     def _ensure_pump(self) -> None:
         # A tiny timer thread re-runs dispatch so queued leases make progress
-        # on probation expiry / degradation deadlines even with no completion,
-        # and abandons dispatched groups past their request deadline.
+        # on probation expiry even with no completion, and abandons
+        # dispatched groups past their request deadline.
         with self._lock:
             if self._pump is None or not self._pump.is_alive():
                 self._pump = threading.Thread(
@@ -331,13 +319,6 @@ class FabricBackend:
             with self._lock:
                 if self._closed or not self._pending:
                     return
-                lost = [slot for slot in self._slots if self._claim_rebuild(slot)]
-            if lost:
-                self._rebuild(lost)
-                continue
-            with self._lock:
-                if self._closed or not self._pending:
-                    return
                 now = self._clock()
                 group = self._pending[0]
                 live_group = [lease for lease in group if not lease.outer.cancelled()]
@@ -345,11 +326,10 @@ class FabricBackend:
                     self._pending.popleft()
                     continue
                 slot = self._choose(now, live_group[0].last_slot)
-                if slot is None and not self._maybe_degrade(now):
+                if slot is None and not self._degraded():
                     return
                 self._pending.popleft()
                 if slot is not None:
-                    self._all_unhealthy_since = None
                     slot.occupancy += 1
                     slot.dispatched += len(live_group)
                     if live_group[0].attempt > 0:
@@ -359,16 +339,11 @@ class FabricBackend:
             else:
                 self._dispatch_to(slot, live_group)
 
-    def _maybe_degrade(self, now: float) -> bool:
-        """Whether queued leases should run on the fallback *now*."""
-        if self.fallback is None:
-            return False
-        if any(slot.node.healthy() for slot in self._slots):
-            self._all_unhealthy_since = None
-            return False
-        if self._all_unhealthy_since is None:
-            self._all_unhealthy_since = now
-        return now - self._all_unhealthy_since >= self._degrade_after
+    def _degraded(self) -> bool:
+        """Whether queued leases run on the fallback: no member will ever take them."""
+        return self.fallback is not None and not any(
+            slot.node.healthy() for slot in self._slots
+        )
 
     def _dispatch_to(self, slot: "_NodeSlot", group: "list[_Lease]") -> None:
         kinds = [self._decide_fault(lease) for lease in group]
@@ -464,11 +439,16 @@ class FabricBackend:
                     _settle(lease.outer, exc=exc)
                 continue
             survivors.append(lease)
-        if survivors:
-            with self._lock:
+        with self._lock:
+            closed = self._closed
+            if not closed:
                 # Disbanded: each lease reassigns individually.
                 for lease in reversed(survivors):
                     self._pending.appendleft([lease])
+        if closed:
+            # Nothing dispatches after close(): the failure is final.
+            for lease in survivors:
+                _settle(lease.outer, exc=exc)
         self._dispatch()
 
     def _run_on_fallback(self, group: "list[_Lease]") -> None:
@@ -534,41 +514,6 @@ class FabricBackend:
                 slot.probation_until = now + self._probation_seconds * 2.0 ** slot.probations
                 slot.probations += 1
                 slot.failures = 0
-
-    def _claim_rebuild(self, slot: "_NodeSlot") -> bool:
-        """Whether dispatch should rebuild ``slot``'s member now (under the lock).
-
-        Under the lock: several threads dispatch at once (a broken pool
-        fails its leases on its reader thread, the scheduler and the pump
-        dispatch on theirs), and one dead member must cost one rebuild, not
-        one each.  A member that died with no lease on it is found here too;
-        no lease could ever fail on it, because an unhealthy member is never
-        eligible.
-        """
-        if (
-            slot.rebuilding
-            or slot.rebuilds >= MAX_REBUILDS
-            or not hasattr(slot.node, "rebuild")
-            or slot.node.healthy()
-        ):
-            return False
-        slot.rebuilding = True
-        slot.rebuilds += 1
-        self.counters.rebuilds += 1
-        return True
-
-    def _rebuild(self, slots: "list[_NodeSlot]") -> None:
-        """Rebuild claimed members, outside the lock.
-
-        A process pool's rebuild waits for its reader thread, which may be
-        delivering a result whose callback needs the lock.
-        """
-        for slot in slots:
-            try:
-                slot.node.rebuild()
-            finally:
-                with self._lock:
-                    slot.rebuilding = False
 
     # ------------------------------------------------------------------ chaos
     def _decide_fault(self, lease: _Lease) -> str | None:

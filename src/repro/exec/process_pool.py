@@ -23,13 +23,16 @@ The transport is one duplex pipe per worker (:class:`_PipePool`), not
 holds the rest), and one reader thread waits on every pipe and process
 sentinel and resolves the futures.  There is no call queue, result queue,
 feeder thread or manager thread between a submit and the worker.  A worker
-that dies fails its own task and every queued one with
-:class:`~concurrent.futures.process.BrokenProcessPool`, and the pool reports
-itself unhealthy until :meth:`ProcessPoolBackend.rebuild` replaces it.
+that dies fails only its own task, with
+:class:`~concurrent.futures.process.BrokenProcessPool`; the reader thread
+starts a replacement in its place (forked from the coordinator, or spawned
+with the same pickled replica) and hands it the oldest queued task, while the
+other workers and the queue carry on.  Each worker slot is replaced at most
+:data:`MAX_REBUILDS` times; one more death breaks the pool for good.
 
-Per task only the small ``(query name | query, plan, timeout)`` payload — or,
-for a same-query batch, one ``(plan, timeout, proposal id)`` triple per plan —
-crosses the process boundary, and the result travels back as plain
+Per task only the query (or its name) and one ``(plan, timeout, proposal
+id)`` triple per plan cross the process boundary — a lone request is a
+one-plan batch — and the result travels back as plain
 :class:`~repro.core.protocol.ExecutionOutcome` objects.  A query goes by name
 only when the worker holds that very query under it
 (:func:`~repro.exec.backend.query_payload`).
@@ -62,7 +65,6 @@ from repro.exec.backend import (
     ExecutionRequest,
     fan_out_batch,
     perform_batch,
-    perform_request,
     query_payload,
 )
 from repro.obs.tracer import Tracer
@@ -129,52 +131,21 @@ def _init_worker(
         database.warmup(list(queries))
 
 
-def _execute_in_worker(
-    query_or_name: "Query | str", plan, timeout: float | None, proposal_id: int | None = None
-) -> ExecutionOutcome:
-    """Execute one plan against this worker's replica.
-
-    Failures are re-raised as :class:`RemoteExecutionError` carrying the
-    worker-side traceback string, so the scheduler's report shows where in
-    the worker the plan actually died.
-    """
-    try:
-        database = _WORKER_STATE["database"]
-        if isinstance(query_or_name, str):
-            query = _WORKER_STATE["queries"][query_or_name]
-        else:
-            query = query_or_name
-        tracer = _WORKER_STATE.get("tracer")
-        outcome = perform_request(
-            database,
-            ExecutionRequest(query=query, plan=plan, timeout=timeout, proposal_id=proposal_id),
-            tracer=tracer,
-        )
-        if tracer is not None:
-            spans = tracer.drain()
-            if spans:
-                outcome = dataclasses.replace(outcome, spans=tuple(spans))
-        return outcome
-    except RemoteExecutionError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - wrapped with the remote stack
-        name = query_or_name if isinstance(query_or_name, str) else query_or_name.name
-        raise RemoteExecutionError(
-            f"worker execution of query {name!r} failed: {type(exc).__name__}: {exc}",
-            remote_traceback=traceback.format_exc(),
-        ) from exc
-
-
 def _execute_batch_in_worker(
     query_or_name: "Query | str", items: list[tuple]
 ) -> list[ExecutionOutcome]:
     """Execute a same-query plan batch against this worker's replica.
 
-    The whole batch runs as one task so shared join subtrees execute once
-    (see :meth:`repro.db.executor.Executor.run_batch`); outcomes return in
+    ``items`` holds one ``(plan, timeout, proposal id)`` triple per plan; a
+    lone request is a one-item batch (:func:`perform_batch` of one request
+    is :func:`perform_request`).  The whole batch runs as one task so shared
+    join subtrees execute once (see
+    :meth:`repro.db.executor.Executor.run_batch`); outcomes return in
     request order.  The worker's span buffer is drained once per batch and
     shipped on the *first* outcome — the scheduler adopts it wholesale, so
-    attribution is unaffected.
+    attribution is unaffected.  Failures are re-raised as
+    :class:`RemoteExecutionError` carrying the worker-side traceback string,
+    so the scheduler's report shows where in the worker the plan died.
     """
     try:
         database = _WORKER_STATE["database"]
@@ -198,11 +169,9 @@ def _execute_batch_in_worker(
     except Exception as exc:  # noqa: BLE001 - wrapped with the remote stack
         name = query_or_name if isinstance(query_or_name, str) else query_or_name.name
         raise RemoteExecutionError(
-            f"worker batch execution of query {name!r} failed: {type(exc).__name__}: {exc}",
+            f"worker execution of query {name!r} failed: {type(exc).__name__}: {exc}",
             remote_traceback=traceback.format_exc(),
         ) from exc
-
-
 
 
 def _serve(conn, inherited: tuple, database, queries, warmup: bool, trace: bool) -> None:
@@ -251,15 +220,22 @@ def _pick_context(start_method: str | None) -> multiprocessing.context.BaseConte
     return multiprocessing.get_context(start_method)
 
 
+#: How many times the pool replaces the process of one worker slot after it
+#: died; one more death breaks the pool for good.
+MAX_REBUILDS = 2
+
+
 class _Worker:
     """One worker process, the coordinator's end of its pipe, and its task in flight."""
 
-    __slots__ = ("process", "conn", "future")
+    __slots__ = ("process", "conn", "future", "rebuilds")
 
-    def __init__(self, process, conn) -> None:
+    def __init__(self, process, conn, rebuilds: int) -> None:
         self.process = process
         self.conn = conn
         self.future: Future | None = None
+        #: Processes this worker's slot lost before this one.
+        self.rebuilds = rebuilds
 
 
 class _PipePool:
@@ -267,27 +243,24 @@ class _PipePool:
 
     ``_lock`` guards the idle list, the FIFO of queued tasks, every worker's
     ``future`` slot and every write to a pipe; a task is written only to an
-    idle worker, so writes never interleave.  Only the reader thread reads.
-    Futures are resolved outside the lock: their callbacks may submit again.
+    idle worker, so writes never interleave.  Only the reader thread reads,
+    and only it replaces a dead worker (:meth:`_lost`).  Futures are
+    resolved outside the lock: their callbacks may submit again.
     """
 
     def __init__(self, context, workers: int, initargs: tuple) -> None:
         self.broken = False
+        #: Dead workers replaced so far.
+        self.replacements = 0
         self._stopping = False
         self._lock = threading.Lock()
         self._queue: deque[tuple[Future, memoryview]] = deque()
         self._workers: list[_Worker] = []
-        forks = context.get_start_method() == "fork"
+        self._context = context
+        self._initargs = initargs
         try:
             for _ in range(workers):
-                here, there = context.Pipe()
-                inherited = (*(worker.conn for worker in self._workers), here) if forks else ()
-                process = context.Process(
-                    target=_serve, args=(there, inherited, *initargs), daemon=True
-                )
-                process.start()
-                there.close()
-                self._workers.append(_Worker(process, here))
+                self._workers.append(self._start(0))
         except BaseException:
             for worker in self._workers:
                 worker.process.kill()
@@ -297,6 +270,27 @@ class _PipePool:
         self._idle = list(self._workers)
         self._reader = threading.Thread(target=self._read, name="process-pool-reader", daemon=True)
         self._reader.start()
+
+    def _start(self, rebuilds: int) -> _Worker:
+        """Start one worker process with a fresh pipe.
+
+        A forked worker closes its copies of the coordinator's ends of every
+        pipe of the pool, its own included.
+        """
+        here, there = self._context.Pipe()
+        try:
+            forks = self._context.get_start_method() == "fork"
+            inherited = (*(worker.conn for worker in self._workers), here) if forks else ()
+            process = self._context.Process(
+                target=_serve, args=(there, inherited, *self._initargs), daemon=True
+            )
+            process.start()
+        except BaseException:
+            here.close()
+            raise
+        finally:
+            there.close()
+        return _Worker(process, here, rebuilds)
 
     # ------------------------------------------------------------------ submission
     def submit(self, function: Callable, *args) -> Future:
@@ -309,7 +303,7 @@ class _PipePool:
             return future
         with self._lock:
             if self.broken:
-                raise BrokenProcessPool("a worker process died; the pool must be rebuilt")
+                raise BrokenProcessPool("a worker died past its replacements; the pool is broken")
             if self._stopping:
                 raise RuntimeError("cannot schedule new futures after shutdown")
             if self._idle:
@@ -371,7 +365,9 @@ class _PipePool:
                             break
                     handles.pop(worker.conn, None)
                     del handles[ready]
-                    self._lost(worker)
+                    successor = self._lost(worker)
+                    if successor is not None:
+                        handles[successor.conn] = handles[successor.process.sentinel] = successor
         except BaseException:  # noqa: BLE001 - a dead reader would strand every future
             self.terminate()
             for worker in self._workers:
@@ -399,22 +395,44 @@ class _PipePool:
                 future.set_exception(value)
         return True
 
-    def _lost(self, worker: _Worker) -> None:
-        """A worker exited: fail its task and, unless the pool is stopping, every queued one."""
+    def _lost(self, worker: _Worker) -> "_Worker | None":
+        """A worker exited: fail its task and replace it; return the replacement.
+
+        Unless the pool is stopping, a fresh process takes the dead one's
+        slot and the oldest queued task; the other workers and the queue are
+        untouched.  A slot out of :data:`MAX_REBUILDS`, or a replacement
+        that cannot start, breaks the pool for good and fails every queued
+        task too.
+        """
         worker.process.join()
+        error = BrokenProcessPool(
+            f"worker process {worker.process.pid} exited with code {worker.process.exitcode}"
+        )
+        successor = None
+        if not self._stopping and worker.rebuilds < MAX_REBUILDS:
+            try:
+                successor = self._start(worker.rebuilds + 1)
+            except Exception as exc:  # noqa: BLE001 - the reader must go on; the pool breaks below
+                error.__cause__ = exc
         with self._lock:
             failed = [worker.future] if worker.future is not None else []
             worker.future = None
             if worker in self._idle:
                 self._idle.remove(worker)
-            if not self._stopping:
+            if successor is not None:
+                self._workers[self._workers.index(worker)] = successor
+                self.replacements += 1
+                if self._stopping:
+                    successor.process.kill()  # a shutdown raced the replacement
+                else:
+                    self._dispatch(successor)
+            elif not self._stopping:
                 self.broken = True
                 failed += self._take_queue()
-        error = BrokenProcessPool(
-            f"worker process {worker.process.pid} exited with code {worker.process.exitcode}"
-        )
+        worker.conn.close()
         for future in failed:
             future.set_exception(error)
+        return successor
 
     # ------------------------------------------------------------------ shutdown
     def terminate(self) -> None:
@@ -506,8 +524,6 @@ class ProcessPoolBackend:
         self._warmup = warmup
         self._trace = trace
         self._pool: _PipePool | None = None
-        #: Set once the coordinator's database has been warmed for forking.
-        self._warmed = False
         self._closed = False
 
     def capacity(self) -> int:
@@ -519,12 +535,12 @@ class ProcessPoolBackend:
         if self._pool is None:
             context = _pick_context(self._start_method)
             forks = context.get_start_method() == "fork"
-            if self._warmup and forks and not self._warmed:
+            if self._warmup and forks:
                 # A forked worker is a copy-on-write image of this process:
-                # warm here once and every worker starts warm, instead of
-                # each planning and executing every default plan again (and
-                # paying a page fault for each page it writes doing so).
-                self._warmed = True
+                # warm here once and every worker (a replacement included)
+                # starts warm, instead of each planning and executing every
+                # default plan again (and paying a page fault for each page
+                # it writes doing so).
                 if hasattr(self.database, "warmup"):
                     self.database.warmup(list(self._queries))
             self._pool = _PipePool(
@@ -537,13 +553,7 @@ class ProcessPoolBackend:
         return self._pool
 
     def submit(self, request: ExecutionRequest) -> "Future[ExecutionOutcome]":
-        return self._ensure_pool().submit(
-            _execute_in_worker,
-            query_payload(request.query, self._registered),
-            request.plan,
-            request.timeout,
-            request.proposal_id,
-        )
+        return self.submit_batch([request])[0]
 
     def submit_batch(
         self, requests: list[ExecutionRequest]
@@ -559,8 +569,6 @@ class ProcessPoolBackend:
         benchmarks) submit per request or disable ``batch_execution``.
         """
         requests = list(requests)
-        if len(requests) == 1:
-            return [self.submit(requests[0])]
         items = [
             (request.plan, request.timeout, request.proposal_id) for request in requests
         ]
@@ -573,30 +581,18 @@ class ProcessPoolBackend:
 
     def healthy(self) -> bool:
         # A pool that hasn't been started yet is healthy by definition; a
-        # broken pool (worker died mid-task) is unusable until rebuild().
+        # dead worker is replaced in place, so only a worker slot that died
+        # past MAX_REBUILDS makes the pool unusable, for good.
         return not self._closed and (self._pool is None or not self._pool.broken)
 
-    def rebuild(self) -> None:
-        """Replace a broken (or hung) worker set with a fresh one.
-
-        The coordinator (:class:`~repro.exec.fabric.FabricBackend`) calls
-        this after a :class:`~concurrent.futures.BrokenExecutor` or a hang:
-        the old workers are killed (their tasks in flight and queued fail
-        with ``BrokenProcessPool``) and the next submission lazily forks
-        fresh ones from the same database — the already-warm coordinator, or
-        its pickle — so determinism is unaffected.
-        """
-        if self._closed:
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    @property
+    def replacements(self) -> int:
+        """Dead workers the pool has replaced (the coordinator's member table shows it)."""
+        return 0 if self._pool is None else self._pool.replacements
 
     def close(self) -> None:
         """Stop the workers: queued tasks are cancelled, tasks in flight get
         :data:`CLOSE_GRACE_S` to finish before their workers are killed."""
         self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(CLOSE_GRACE_S)
+        if self._pool is not None:
+            self._pool.shutdown(CLOSE_GRACE_S)

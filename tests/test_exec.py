@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import BrokenExecutor
@@ -44,7 +45,7 @@ from repro.exec import (
 )
 from repro.exec import process_pool
 from repro.exec.backend import query_payload
-from repro.exec.process_pool import _WORKER_STATE, _execute_in_worker
+from repro.exec.process_pool import MAX_REBUILDS, _WORKER_STATE, _execute_batch_in_worker
 from repro.harness import WorkloadSession
 from repro.plans.jointree import JoinTree
 from repro.utils.seeding import stable_digest
@@ -261,7 +262,8 @@ def _probe_worker(plans: dict, hold: float) -> tuple:
     keeps this worker busy so the pool hands the next probe to the other."""
     before = _WORKER_STATE["database"].execution_cache.counters.snapshot()
     hits = {
-        name: _execute_in_worker(name, plan, Database.WARMUP_TIMEOUT).cache.outcome_hit
+        name: _execute_batch_in_worker(name, [(plan, Database.WARMUP_TIMEOUT, None)])[0]
+        .cache.outcome_hit
         for name, plan in plans.items()
     }
     time.sleep(hold)
@@ -270,6 +272,13 @@ def _probe_worker(plans: dict, hold: float) -> tuple:
 
 def _exit_worker() -> None:
     os._exit(1)
+
+
+def _until_replaced(backend: ProcessPoolBackend, replacements: int) -> None:
+    deadline = time.monotonic() + 60
+    while backend.replacements < replacements:
+        assert time.monotonic() < deadline, "the dead worker was never replaced"
+        time.sleep(0.01)
 
 
 def _probe_both_workers(backend: ProcessPoolBackend, plans: dict) -> dict:
@@ -320,16 +329,16 @@ class TestProcessPoolWarmsOnce:
                 assert before == warm
                 assert hits == {query.name: True for query in queries}
 
-            # Break the pool; its replacement forks from the warm coordinator.
+            # A worker dies; its replacement forks from the warm coordinator.
             with pytest.raises(BrokenExecutor):
                 backend._ensure_pool().submit(_exit_worker).result(timeout=60)
-            assert not backend.healthy()
-            backend.rebuild()
-            reports = _probe_both_workers(backend, plans)
+            assert backend.healthy()
+            _until_replaced(backend, 1)
+            replaced = _probe_both_workers(backend, plans)
+            [replacement] = set(replaced) - set(reports)
+            # It arrives with the coordinator's cache, as the first two did.
             assert cache.counters.snapshot() == warm
-            for before, hits in reports.values():
-                assert before == warm
-                assert all(hits.values())
+            assert replaced[replacement] == (warm, {query.name: True for query in queries})
         finally:
             backend.close()
 
@@ -343,12 +352,20 @@ class TestProcessPoolWarmsOnce:
         )
         try:
             reports = _probe_both_workers(backend, plans)
+            # A worker dies; its spawned replacement warms its own replica.
+            with pytest.raises(BrokenExecutor):
+                backend._ensure_pool().submit(_exit_worker).result(timeout=60)
+            assert backend.healthy()
+            _until_replaced(backend, 1)
+            replaced = _probe_both_workers(backend, plans)
         finally:
             backend.close()
-        # Nothing ran here; each worker paid its own misses before serving.
+        [replacement] = set(replaced) - set(reports)
+        # Nothing ran here; each worker, the replacement too, paid its own
+        # misses before serving.
         assert database.execution_cache.num_outcomes == 0
         assert database.execution_cache.counters.snapshot()["outcome_misses"] == 0
-        for before, hits in reports.values():
+        for before, hits in [*reports.values(), replaced[replacement]]:
             assert (before["outcome_hits"], before["outcome_misses"]) == (0, len(queries))
             assert hits == {query.name: True for query in queries}
 
@@ -396,7 +413,7 @@ class TestPipeTransport:
     def database(self, noisy_workload):
         return noisy_workload.database.snapshot()
 
-    def test_a_worker_killed_mid_task_fails_its_task_and_the_queued_ones(self, database, tmp_path):
+    def test_a_worker_killed_mid_task_fails_only_its_task(self, database, tmp_path):
         backend = ProcessPoolBackend(database, max_workers=1, warmup=False)
         try:
             pool = backend._ensure_pool()
@@ -404,33 +421,87 @@ class TestPipeTransport:
             running = _running(pool, tmp_path / "started", 600.0)
             queued = [pool.submit(os.getpid) for _ in range(2)]
             os.kill(pid, signal.SIGKILL)
-            for future in [running, *queued]:
-                with pytest.raises(BrokenExecutor):
-                    future.result(timeout=60)
-            assert not backend.healthy()
             with pytest.raises(BrokenExecutor):
-                pool.submit(os.getpid)
-            backend.rebuild()
-            assert backend.healthy()
-            assert backend._ensure_pool().submit(os.getpid).result(timeout=60) != pid
+                running.result(timeout=60)
+            # The queued tasks run on the replacement, which keeps serving.
+            [replacement] = {future.result(timeout=60) for future in queued}
+            assert replacement != pid
+            assert backend.healthy() and backend.replacements == 1
+            assert pool.submit(os.getpid).result(timeout=60) == replacement
         finally:
             backend.close()
 
-    def test_rebuild_and_close_stop_a_hung_worker_within_a_bound(
+    def test_a_worker_dead_past_its_rebuilds_breaks_the_pool(self, database, tmp_path):
+        backend = ProcessPoolBackend(database, max_workers=1, warmup=False)
+        try:
+            pool = backend._ensure_pool()
+            for died in range(MAX_REBUILDS):
+                with pytest.raises(BrokenExecutor):
+                    pool.submit(_exit_worker).result(timeout=60)
+                _until_replaced(backend, died + 1)
+                assert backend.healthy()
+            running = _running(pool, tmp_path / "started", 600.0)
+            queued = [pool.submit(os.getpid) for _ in range(2)]
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            for future in [running, *queued]:
+                with pytest.raises(BrokenExecutor):
+                    future.result(timeout=60)
+            assert not backend.healthy() and backend.replacements == MAX_REBUILDS
+            with pytest.raises(BrokenExecutor):
+                pool.submit(os.getpid)
+        finally:
+            backend.close()
+
+    def test_deaths_among_concurrent_submitters_fail_only_their_own_tasks(self, database):
+        # More workers than cores and a short switch interval: replacements
+        # race submissions, replies and each other.
+        backend = ProcessPoolBackend(database, max_workers=3, warmup=False)
+        pool = backend._ensure_pool()
+        futures: dict = {}
+
+        def submit(thread):
+            for i in range(25):
+                dies = (thread, i) in {(0, 5), (2, 17)}
+                futures[thread, i] = pool.submit(_exit_worker if dies else os.getpid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            failed = []
+            for key, future in futures.items():
+                try:
+                    future.result(timeout=60)
+                except BrokenExecutor:
+                    failed.append(key)
+            _until_replaced(backend, 2)
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        assert len(futures) == 100 and sorted(failed) == [(0, 5), (2, 17)]
+        assert backend.replacements == 2 and not pool.broken
+
+    def test_a_killed_hung_worker_and_close_stop_within_a_bound(
         self, database, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(process_pool, "CLOSE_GRACE_S", 0.5)
         children = set(multiprocessing.active_children())
         backend = ProcessPoolBackend(database, max_workers=1, warmup=False)
         try:
-            hung = _running(backend._ensure_pool(), tmp_path / "first", 600.0)
+            pool = backend._ensure_pool()
+            hung = _running(pool, tmp_path / "first", 600.0)
             started = time.monotonic()
-            backend.rebuild()
-            assert time.monotonic() - started < 10.0
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
             with pytest.raises(BrokenExecutor):
-                hung.result(timeout=0)
+                hung.result(timeout=10.0)
+            assert time.monotonic() - started < 10.0
             assert backend.healthy()
-            hung = _running(backend._ensure_pool(), tmp_path / "second", 600.0)
+            hung = _running(pool, tmp_path / "second", 600.0)
             started = time.monotonic()
             backend.close()
             assert time.monotonic() - started < 10.0
@@ -439,6 +510,37 @@ class TestPipeTransport:
             assert set(multiprocessing.active_children()) <= children
         finally:
             backend.close()
+
+    def test_a_close_racing_a_replacement_leaves_no_worker_and_no_reader(
+        self, database, monkeypatch
+    ):
+        children = set(multiprocessing.active_children())
+        readers = _readers()
+        replacing = threading.Event()
+        start = process_pool._PipePool._start
+
+        def slow_start(pool, rebuilds):
+            if rebuilds:
+                # The reader is about to start a replacement: let close()
+                # begin shutting the pool down first.
+                replacing.set()
+                deadline = time.monotonic() + 60
+                while not pool._stopping:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            return start(pool, rebuilds)
+
+        monkeypatch.setattr(process_pool._PipePool, "_start", slow_start)
+        backend = ProcessPoolBackend(database, max_workers=2, warmup=False)
+        pool = backend._ensure_pool()
+        dying = pool.submit(_exit_worker)
+        assert replacing.wait(60)
+        backend.close()
+        with pytest.raises(BrokenExecutor):
+            dying.result(timeout=0)
+        assert set(multiprocessing.active_children()) <= children
+        assert _readers() == readers
+        assert backend.replacements == 1 and not pool._reader.is_alive()
 
     def test_a_queued_future_cancelled_before_dispatch_never_runs(self, database, tmp_path):
         backend = ProcessPoolBackend(database, max_workers=1, warmup=False)

@@ -1,13 +1,14 @@
-"""Fabric suite: lease failover, probation, replicas, rebuild of lost members.
+"""Fabric suite: lease failover, probation, replicas, members that lose workers.
 
 Covers the coordinator's lease machinery against scripted member doubles
 (reassignment off a lost member, bounded attempts, probation/half-open
-rejoin, rebuild of a dead member at dispatch, degradation to the inline
-fallback, grouped batch dispatch), the
-same coordinator over in-process replicas
+rejoin, members that replace their own dead workers, degradation to the
+inline fallback once no member is healthy, grouped batch dispatch, a
+submission racing ``close``), a hypothesis state machine over scripted
+members, the same coordinator over in-process replicas
 (``ExecutionServiceConfig(replicas=N)``: least-loaded routing, health
 charging, unique slot names), and over real process-pool members whose
-workers die while they hold no lease.
+workers die while they hold no lease, or beside one that runs a lease.
 """
 
 from __future__ import annotations
@@ -15,9 +16,19 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import Counter
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.config import ExecutionServiceConfig
 from repro.core.protocol import ExecutionOutcome
@@ -31,7 +42,7 @@ from repro.exec import (
     backend_health,
     make_backend,
 )
-from repro.exec.fabric import MAX_REBUILDS
+from repro.exec.process_pool import MAX_REBUILDS
 from repro.db.query import Query, TableRef
 from repro.plans.jointree import JoinTree
 from repro.workloads import build_job_workload
@@ -270,7 +281,7 @@ class TestProbationAndDegradation:
         node = _ScriptedNode()
         node._healthy = False
         fallback = _ScriptedNode(name="fallback")
-        fabric = FabricBackend([node], fallback=fallback, degrade_after=0.0)
+        fabric = FabricBackend([node], fallback=fallback)
         try:
             outcome = fabric.submit(_request()).result(timeout=10.0)
         finally:
@@ -406,83 +417,85 @@ class TestReplicaCoordinator:
             nodes.close()
 
 
-# ------------------------------------------------------------------ rebuild of dead members
-class _RebuildableNode(_ScriptedNode):
-    """Node double that can die while idle and be rebuilt in place.
+# ------------------------------------------------------------------ members that lose workers
+class _HealingNode(_ScriptedNode):
+    """Node double that loses a worker and replaces it itself, as a process
+    pool does: it stays healthy and counts ``replacements``.  A restart call
+    from the coordinator is recorded, and must never come."""
 
-    With ``revives=False`` a rebuild leaves it dead, like a member whose
-    fresh workers die again at once.
-    """
-
-    def __init__(self, *args, revives=True, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.revives = revives
-        self.rebuilds = 0
+        self.replacements = 0
+        self.restarts = 0
 
-    def die(self):
-        self._healthy = False
+    def lose_worker(self):
+        self.replacements += 1
 
     def rebuild(self):
-        self.rebuilds += 1
-        self._healthy = self.revives
+        self.restarts += 1
+
+
+class _HeldHealingNode(_HeldNode, _HealingNode):
+    """A :class:`_HealingNode` whose futures stay pending until ``release``."""
 
 
 class TestMemberRebuild:
-    """Dispatch rebuilds an unhealthy member that offers ``rebuild()``,
-    whether or not a lease ever failed on it."""
+    """A member rebuilds its own dead workers; the coordinator restarts no
+    member, and routes around one that is unhealthy for good."""
 
-    def test_a_member_that_died_idle_is_rebuilt_and_serves_the_next_lease(self):
-        node = _RebuildableNode()
+    def test_a_member_that_replaced_an_idle_worker_serves_the_next_lease(self):
+        node = _HealingNode()
         fallback = _ScriptedNode(name="fallback")
-        fabric = FabricBackend([node], fallback=fallback, degrade_after=0.0)
+        fabric = FabricBackend([node], fallback=fallback)
         try:
             fabric.submit(_request("q0")).result(timeout=10.0)
-            node.die()
+            node.lose_worker()
             outcome = fabric.submit(_request("q1")).result(timeout=10.0)
             report = fabric.health_snapshot()
         finally:
             fabric.close()
         assert outcome.latency == 1.0 and outcome.attempts == 1
-        assert node.rebuilds == 1 and [r.query.name for r in node.submitted] == ["q0", "q1"]
+        assert node.restarts == 0 and [r.query.name for r in node.submitted] == ["q0", "q1"]
         assert not fallback.submitted and report["degraded_executions"] == 0
-        assert report["rebuilds"] == 1 and report["lease_reassignments"] == 0
-        assert report["live_nodes"] == 1 and report["nodes"][0]["rebuilds"] == 1
+        assert report["lease_reassignments"] == 0
+        assert report["live_nodes"] == 1 and report["nodes"][0]["replacements"] == 1
 
-    def test_only_the_dead_member_is_rebuilt_and_both_serve_again(self):
-        dead = _HeldNode(name="a")
-        live = _HeldNode(name="b")
-        dead.rebuild = lambda: setattr(dead, "_healthy", True)
-        dead._healthy = False
-        fabric = FabricBackend([dead, live])
+    def test_only_the_member_that_lost_a_worker_reports_it_and_both_serve(self):
+        healed = _HeldHealingNode(name="a")
+        live = _HeldHealingNode(name="b")
+        healed.lose_worker()
+        fabric = FabricBackend([healed, live])
         try:
             futures = [fabric.submit(_request(f"q{i}")) for i in range(2)]
-            # Rebuilt before the first dispatch: the two leases spread over
-            # both members instead of queueing behind the survivor.
-            assert len(dead.held) == len(live.held) == 1
-            dead.release()
+            # The healed member is as eligible as the other: the two leases
+            # spread over both members instead of queueing behind one.
+            assert len(healed.held) == len(live.held) == 1
+            healed.release()
             live.release()
             assert all(future.result(timeout=10.0).latency == 1.0 for future in futures)
             statuses = fabric.statuses()
         finally:
             fabric.close()
-        assert [status["rebuilds"] for status in statuses] == [1, 0]
-        assert fabric.counters.rebuilds == 1
+        assert [status["replacements"] for status in statuses] == [1, 0]
+        assert healed.restarts == live.restarts == 0
 
-    def test_rebuilds_stop_at_max_rebuilds_and_the_run_degrades(self):
-        node = _RebuildableNode(revives=False)
-        node.die()
+    def test_a_member_dead_for_good_degrades_the_run_at_once(self):
+        node = _HealingNode()
+        node._healthy = False
         fallback = _ScriptedNode(name="fallback")
-        fabric = FabricBackend([node], fallback=fallback, degrade_after=0.0)
+        fabric = FabricBackend([node], fallback=fallback, clock=_FakeClock())
         try:
+            # The fake clock never moves: no wait stands between the last
+            # healthy member going and the fallback taking the leases.
             outcomes = [fabric.submit(_request(f"q{i}")).result(timeout=10.0) for i in range(3)]
         finally:
             fabric.close()
         assert [outcome.latency for outcome in outcomes] == [1.0] * 3
-        assert node.rebuilds == fabric.counters.rebuilds == MAX_REBUILDS
+        assert node.restarts == 0
         assert not node.submitted and len(fallback.submitted) == 3
         assert fabric.counters.degraded_executions == 3
 
-    def test_a_dead_member_without_rebuild_is_routed_around(self):
+    def test_a_dead_member_is_routed_around(self):
         dead = _ScriptedNode(name="a")
         dead._healthy = False
         spare = _ScriptedNode(name="b")
@@ -494,20 +507,234 @@ class TestMemberRebuild:
             fabric.close()
         assert [outcome.attempts for outcome in outcomes] == [1] * 3
         assert not dead.submitted and len(spare.submitted) == 3
-        assert report["rebuilds"] == 0 and report["live_nodes"] == 1
+        assert report["live_nodes"] == 1 and report["degraded_executions"] == 0
+        assert [status["replacements"] for status in report["nodes"]] == [0, 0]
 
-    def test_no_rebuild_without_queued_work(self):
-        node = _RebuildableNode()
+    def test_an_unhealthy_member_is_never_restarted_even_with_work_queued(self):
+        node = _HealingNode()
         fabric = FabricBackend([node])
         try:
             fabric.submit(_request("q0")).result(timeout=10.0)
-            node.die()
+            node._healthy = False
             time.sleep(0.1)  # several pump passes over an empty queue
-            assert node.rebuilds == 0 and not fabric.statuses()[0]["live"]
-            fabric.submit(_request("q1")).result(timeout=10.0)
+            future = fabric.submit(_request("q1"))
+            time.sleep(0.1)  # and over a queued lease with nowhere to go
+            assert not future.done() and fabric.health_snapshot()["pending_leases"] == 1
+            assert node.restarts == 0 and len(node.submitted) == 1
         finally:
             fabric.close()
-        assert node.rebuilds == 1
+        with pytest.raises(OptimizationError, match="closed"):
+            future.result(timeout=10.0)
+
+
+# ------------------------------------------------------------------ submit racing close
+class TestSubmitRacingClose:
+    def test_a_submit_that_loses_the_race_with_close_raises_and_strands_nothing(
+        self, monkeypatch
+    ):
+        from repro.exec import fabric as fabric_module
+
+        fabric = FabricBackend([_HeldNode()])
+
+        class _ClosingLease(fabric_module._Lease):
+            # close() runs after submit_batch made its leases but before it
+            # queues them.
+            def __init__(self, request):
+                super().__init__(request)
+                fabric.close()
+
+        monkeypatch.setattr(fabric_module, "_Lease", _ClosingLease)
+        with pytest.raises(OptimizationError, match="closed"):
+            fabric.submit(_request())
+        assert not fabric._pending and fabric.counters.submissions == 0
+
+    def test_a_lease_that_fails_after_close_settles_with_its_failure(self):
+        node = _HeldNode()
+        fabric = FabricBackend([node])
+        future = fabric.submit(_request())
+        fabric.close()
+        # A pool's close() kills what still runs: the lease cannot reassign.
+        node.held[0].set_exception(BrokenExecutor("worker killed at close"))
+        with pytest.raises(BrokenExecutor, match="killed at close"):
+            future.result(timeout=10.0)
+        assert not fabric._pending
+
+
+# ------------------------------------------------------------------ state machine
+class _PlanError(Exception):
+    """A genuine execution error: propagated, never retried."""
+
+
+class _MachineNode:
+    """Member double for :class:`FabricMachine`: futures wait for the machine
+    to settle them (``hold=False`` completes them at once, as the inline
+    fallback does), and a dispatch while unhealthy is counted."""
+
+    def __init__(self, name, capacity, dispatches, hold=True):
+        self.name = name
+        self._capacity = capacity
+        self._dispatches = dispatches
+        self._hold = hold
+        self.held = []
+        self.alive = True
+        self.unhealthy_dispatches = 0
+
+    def capacity(self):
+        return self._capacity
+
+    def healthy(self):
+        return self.alive
+
+    def close(self):
+        pass
+
+    def submit(self, request):
+        self.unhealthy_dispatches += not self.alive
+        self._dispatches[id(request)] += 1
+        future = Future()
+        if self._hold:
+            self.held.append(future)
+        else:
+            future.set_result(ExecutionOutcome(latency=1.0))
+        return future
+
+    def submit_batch(self, requests):
+        return [self.submit(request) for request in requests]
+
+    def open(self):
+        """Held futures nobody settled or cancelled yet."""
+        return [future for future in self.held if not future.done()]
+
+    def die(self):
+        """Dead for good: unhealthy, and every execution on it is lost."""
+        self.alive = False
+        for future in self.open():
+            future.set_exception(BrokenExecutor("member died"))
+
+
+class FabricMachine(RuleBasedStateMachine):
+    """The coordinator over members that fail transiently, die for good,
+    raise plan errors or hang past the request deadline.
+
+    The pump thread is switched off: every step ends with one pump pass (the
+    watchdog, then dispatch) on the test thread, so a run is a function of
+    its steps alone and hypothesis can shrink it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.clock = _FakeClock()
+        #: Dispatches of each request (by identity) to a member or the fallback.
+        self.dispatches = Counter()
+        self.leases = []
+        self.members = []
+        self.fallback = None
+        self.fabric = None
+
+    @initialize(members=st.integers(1, 3), capacity=st.integers(1, 2), fallback=st.booleans())
+    def build(self, members, capacity, fallback):
+        self.members = [
+            _MachineNode(f"m{index}", capacity, self.dispatches) for index in range(members)
+        ]
+        if fallback:
+            self.fallback = _MachineNode("fallback", 1, self.dispatches, hold=False)
+        self.fabric = FabricBackend(
+            self.members, fallback=self.fallback, max_failures=2, probation_seconds=1.0,
+            max_lease_attempts=3, request_deadline=1.0, clock=self.clock,
+        )
+        self.fabric._ensure_pump = lambda: None
+
+    def _pump(self):
+        self.fabric._expire_hung()
+        self.fabric._dispatch()
+
+    @rule(size=st.integers(1, 3))
+    def submit(self, size):
+        requests = [_request(f"q{len(self.leases)}") for _ in range(size)]
+        self.leases.extend(zip(requests, self.fabric.submit_batch(requests)))
+        self._pump()
+
+    @precondition(lambda self: any(member.open() for member in self.members))
+    @rule(data=st.data(), reply=st.sampled_from(["clean", "transient", "plan error"]))
+    def reply(self, data, reply):
+        future = data.draw(
+            st.sampled_from([future for member in self.members for future in member.open()])
+        )
+        if reply == "clean":
+            future.set_result(ExecutionOutcome(latency=1.0))
+        elif reply == "transient":
+            future.set_exception(TransientBackendError("blip"))
+        else:
+            future.set_exception(_PlanError("bad plan"))
+        self._pump()
+
+    @precondition(
+        lambda self: sum(member.alive for member in self.members)
+        > (0 if self.fallback is not None else 1)
+    )
+    @rule(data=st.data())
+    def die(self, data):
+        # Without a fallback one member always stays: leases would wait for ever.
+        data.draw(st.sampled_from([member for member in self.members if member.alive])).die()
+        self._pump()
+
+    @rule(seconds=st.sampled_from([0.5, 1.5, 4.0]))
+    def wait(self, seconds):
+        # Held executions past the deadline hang; probation lapses.
+        self.clock.advance(seconds)
+        self._pump()
+
+    @invariant()
+    def no_lease_goes_to_an_unhealthy_member(self):
+        assert all(member.unhealthy_dispatches == 0 for member in self.members)
+
+    @invariant()
+    def with_no_healthy_member_nothing_waits(self):
+        if self.fabric is not None and self.fallback is not None:
+            if not any(member.alive for member in self.members):
+                assert not self.fabric._pending
+
+    @invariant()
+    def attempts_are_reassignments_plus_one(self):
+        for request, future in self.leases:
+            if future.done() and future.exception() is None:
+                assert future.result().attempts == self.dispatches[id(request)]
+
+    def teardown(self):
+        if self.fabric is None:
+            return
+        try:
+            for _ in range(100):
+                if all(future.done() for _, future in self.leases):
+                    break
+                for member in self.members:
+                    for future in member.open():
+                        future.set_result(ExecutionOutcome(latency=1.0))
+                self.clock.advance(100.0)
+                self._pump()
+            futures = [future for _, future in self.leases]
+            assert all(future.done() for future in futures)
+            # Settled exactly once: a second delivery would count twice.
+            errors = [future.exception() for future in futures if future.exception()]
+            plan_errors = sum(isinstance(error, _PlanError) for error in errors)
+            counters = self.fabric.counters
+            assert counters.give_ups == len(errors) - plan_errors
+            assert counters.completed == len(futures) - len(errors)
+            assert counters.submissions == len(futures)
+            assert sum(self.dispatches.values()) == (
+                counters.lease_reassignments + counters.completed + plan_errors
+            )
+            assert not self.fabric._pending and not self.fabric._flights
+            assert all(status["occupancy"] == 0 for status in self.fabric.statuses())
+        finally:
+            self.fabric.close()
+
+
+TestFabricMachine = FabricMachine.TestCase
+TestFabricMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 # ------------------------------------------------------------------ health surface
@@ -521,8 +748,9 @@ class TestHealthSurface:
             fabric.close()
         assert report["submissions"] == 1 and report["completed"] == 1
         assert len(report["nodes"]) == 2
-        for key in ("lease_reassignments", "give_ups", "pending_leases", "rebuilds"):
+        for key in ("lease_reassignments", "give_ups", "pending_leases"):
             assert key in report
+        assert [status["replacements"] for status in report["nodes"]] == [0, 0]
 
     def test_health_snapshot_keys_are_the_counters_and_the_member_table(self):
         fabric = FabricBackend([_ScriptedNode()])
@@ -532,13 +760,13 @@ class TestHealthSurface:
             fabric.close()
         assert set(report) == {
             "submissions", "dispatched", "completed", "lease_reassignments",
-            "degraded_executions", "give_ups", "hangs", "rebuilds",
+            "degraded_executions", "give_ups", "hangs",
             "nodes", "live_nodes", "pending_leases",
         }
         assert set(report["nodes"][0]) == {
             "name", "live", "occupancy", "dispatched", "completed",
             "lease_reassignments_received", "failures", "on_probation", "probations",
-            "rebuilds",
+            "replacements",
         }
 
     def test_backend_health_walker_reports_the_fabric_layer(self):
@@ -552,11 +780,84 @@ class TestHealthSurface:
 
 
 # ------------------------------------------------------------------ process members
+class _PidDatabase:
+    """Database double for a process pool: an execution's latency is the pid
+    of the worker that ran it, and ``hold`` queries wait for ``release``."""
+
+    def __init__(self, release: str) -> None:
+        self.release = release
+
+    def execute(self, query, plan, timeout=None):
+        if query.name == "hold":
+            while not os.path.exists(self.release):
+                time.sleep(0.01)
+        return ExecutionOutcome(latency=float(os.getpid()), timeout=timeout)
+
+
+def _pids(pool) -> set:
+    return {worker.process.pid for worker in pool._workers}
+
+
 @pytest.mark.slow
 class TestProcessMembers:
-    """The coordinator over real process-pool members (``replicas=2``)."""
+    """The coordinator over real process-pool members."""
 
-    def test_members_whose_workers_died_idle_are_rebuilt_at_dispatch(self):
+    def test_a_dead_idle_worker_costs_its_busy_sibling_nothing(self, tmp_path):
+        release = tmp_path / "release"
+        backend = make_backend(
+            ExecutionServiceConfig(backend="process", max_workers=2, supervised=True),
+            _PidDatabase(str(release)),
+        )
+        try:
+            [member] = backend.members()
+            pool = member._ensure_pool()
+            held = backend.submit(_request("hold"))
+            _until(lambda: any(worker.future is not None for worker in pool._workers))
+            [busy] = [worker.process.pid for worker in pool._workers if worker.future]
+            [idle] = [worker.process.pid for worker in pool._workers if not worker.future]
+            os.kill(idle, signal.SIGKILL)
+            _until(lambda: len(_pids(pool) - {busy, idle}) == 1, timeout=30.0)
+            [replacement] = _pids(pool) - {busy, idle}
+            served = backend.submit(_request("next")).result(timeout=60.0)
+            assert not held.done()
+            release.touch()
+            long = held.result(timeout=60.0)
+            report = backend.health_snapshot()
+        finally:
+            release.touch()
+            backend.close()
+        assert served.latency == replacement and served.attempts == 1
+        assert long.latency == busy and long.attempts == 1
+        assert report["lease_reassignments"] == 0 and report["degraded_executions"] == 0
+        assert report["live_nodes"] == 1 and report["nodes"][0]["replacements"] == 1
+
+    def test_a_member_dead_past_its_rebuilds_degrades_the_run_at_once(self, tmp_path):
+        backend = make_backend(
+            ExecutionServiceConfig(backend="process", max_workers=1, supervised=True),
+            _PidDatabase(str(tmp_path / "unused")),
+        )
+        try:
+            [member] = backend.members()
+            pool = member._ensure_pool()
+            killed = set()
+            for _ in range(MAX_REBUILDS + 1):
+                served = backend.submit(_request("q")).result(timeout=60.0)
+                assert served.latency not in killed and member.healthy()
+                killed.add(served.latency)
+                os.kill(int(served.latency), signal.SIGKILL)
+                _until(
+                    lambda: member.replacements == len(killed) or pool.broken, timeout=30.0
+                )
+            assert pool.broken and not member.healthy()
+            degraded = backend.submit(_request("q")).result(timeout=60.0)
+            report = backend.health_snapshot()
+        finally:
+            backend.close()
+        assert degraded.latency == os.getpid() and degraded.attempts == 1
+        assert report["degraded_executions"] == 1 and report["lease_reassignments"] == 0
+        assert report["live_nodes"] == 0 and report["nodes"][0]["replacements"] == MAX_REBUILDS
+
+    def test_members_whose_workers_died_idle_replace_them_in_place(self):
         workload = build_job_workload(scale=0.05, seed=0, num_queries=4)
         database = workload.database
         requests = [
@@ -571,11 +872,12 @@ class TestProcessMembers:
                 future.result(timeout=60.0)
             members = backend.members()
             # Kill both workers while neither member holds a lease: no lease
-            # can fail on them, so only dispatch can notice and rebuild them.
+            # fails on them, and each pool replaces its own worker.
             for member in members:
                 pid = member._ensure_pool().submit(os.getpid).result(timeout=60.0)
                 os.kill(pid, signal.SIGKILL)
-            _until(lambda: not any(member.healthy() for member in members), timeout=30.0)
+            _until(lambda: all(member.replacements == 1 for member in members), timeout=30.0)
+            assert all(member.healthy() for member in members)
             outcomes = [
                 future.result(timeout=60.0)
                 for future in [backend.submit(request) for request in requests * 2]
@@ -588,5 +890,6 @@ class TestProcessMembers:
         assert [(o.latency, o.timed_out) for o in outcomes] == [
             (o.latency, o.timed_out) for o in expected
         ]
-        assert report["rebuilds"] == 2 and report["degraded_executions"] == 0
+        assert report["degraded_executions"] == 0 and report["lease_reassignments"] == 0
         assert report["live_nodes"] == 2 and report["give_ups"] == 0
+        assert [status["replacements"] for status in report["nodes"]] == [1, 1]

@@ -4,7 +4,8 @@ Covers the deterministic fault schedule (seeded decisions) and its
 injection by the lease coordinator (crash / transient short-circuit, hang /
 slow delayed delivery, the per-request fault bound), supervision on a
 one-member lease coordinator (attempt stamping, bounded reassignment, the
-hang watchdog, pool rebuild, degradation; probation and half-open re-probe
+hang watchdog, members that replace a dead worker, degradation; probation
+and half-open re-probe
 recovery are ``tests/test_fabric.py``'s), how ``make_backend`` composes
 supervision, fault injection and the coordinator, remote-traceback
 preservation
@@ -46,8 +47,8 @@ from repro.exec import (
     is_infra_failure,
     make_backend,
 )
-from repro.exec.fabric import MAX_REBUILDS
 from repro.exec.faults import FAULT_KINDS
+from repro.exec.process_pool import MAX_REBUILDS
 from repro.harness import CheckpointManager, SessionCheckpoint, WorkloadSession
 from repro.plans.jointree import JoinTree
 
@@ -84,26 +85,27 @@ class _ScriptedBackend:
         pass
 
 
-class _RebuildableBackend(_ScriptedBackend):
-    """Scripted backend that goes unhealthy on failure until rebuilt."""
+class _HealingBackend(_ScriptedBackend):
+    """Scripted backend that, like a process pool, replaces the worker behind
+    each ``BrokenExecutor`` itself, up to ``MAX_REBUILDS`` times; one more
+    breaks it for good."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.rebuilds = 0
+        self.replacements = 0
         self._broken = False
 
     def submit(self, request):
         future = super().submit(request)
-        if future.exception() is not None and isinstance(future.exception(), BrokenExecutor):
-            self._broken = True
+        if isinstance(future.exception(), BrokenExecutor):
+            if self.replacements < MAX_REBUILDS:
+                self.replacements += 1
+            else:
+                self._broken = True
         return future
 
     def healthy(self):
         return not self._broken
-
-    def rebuild(self):
-        self.rebuilds += 1
-        self._broken = False
 
 
 class _NeverResolves:
@@ -440,7 +442,7 @@ class TestCoordinatorSupervision:
     def test_the_watchdog_reassigns_a_hang_and_drops_its_late_reply(self):
         clock = _FakeClock()
         member = _NeverResolves(hangs=1)
-        fabric = FabricBackend([member], request_deadline=0.5, degrade_after=0.0, clock=clock)
+        fabric = FabricBackend([member], request_deadline=0.5, clock=clock)
         try:
             future = fabric.submit(_request())
             clock.advance(0.6)
@@ -526,29 +528,27 @@ class TestCoordinatorSupervision:
         assert report["dispatched"] == 100 + report["lease_reassignments"]
         assert report["nodes"][0]["occupancy"] == 0
 
-    def test_a_broken_pool_is_rebuilt_once(self):
-        inner = _RebuildableBackend(script=[BrokenExecutor("pool broke"), None])
-        fabric = FabricBackend([inner])
+    def test_a_member_that_replaced_a_dead_worker_takes_the_lease_back(self):
+        inner = _HealingBackend(script=[BrokenExecutor("worker died"), None])
+        fallback = _ScriptedBackend(name="fallback")
+        fabric = FabricBackend([inner], fallback=fallback)
         try:
             outcome = fabric.submit(_request()).result(timeout=5.0)
             status = fabric.statuses()[0]
         finally:
             fabric.close()
         assert outcome.latency == 1.0 and outcome.attempts == 2
-        assert inner.rebuilds == 1
-        assert fabric.counters.rebuilds == 1 and status["rebuilds"] == 1
+        assert len(inner.submitted) == 2 and not fallback.submitted
+        assert status["live"] and status["replacements"] == 1
+        assert fabric.counters.degraded_executions == 0
 
-    def test_racing_dispatches_rebuild_a_member_that_died_idle_once(self):
+    def test_racing_dispatches_send_every_lease_to_the_fallback_once(self):
         import sys
 
-        class _SlowRebuild(_RebuildableBackend):
-            def rebuild(self):
-                time.sleep(0.05)  # other dispatches race in meanwhile
-                super().rebuild()
-
-        inner = _SlowRebuild(capacity=8)
-        inner._broken = True  # died with no lease on it
-        fabric = FabricBackend([inner])
+        inner = _HealingBackend(capacity=8)
+        inner._broken = True  # died with no lease on it, for good
+        fallback = _ScriptedBackend(name="fallback")
+        fabric = FabricBackend([inner], fallback=fallback)
         futures = []
 
         def submit(thread):
@@ -567,26 +567,28 @@ class TestCoordinatorSupervision:
         finally:
             sys.setswitchinterval(interval)
             fabric.close()
-        assert len(futures) == 80
-        assert inner.rebuilds == fabric.counters.rebuilds == 1
+        assert len(futures) == 80 and not inner.submitted
+        assert sorted(r.query.name for r in fallback.submitted) == sorted(
+            f"q{thread}_{i}" for thread in range(8) for i in range(10)
+        )
+        assert fabric.counters.degraded_executions == 80
 
     def test_degradation_to_the_fallback_is_sticky(self):
-        inner = _RebuildableBackend(script=[BrokenExecutor("gone")] * 10)
+        inner = _HealingBackend(script=[BrokenExecutor("gone")] * 10)
         fallback = _ScriptedBackend(name="fallback")
         fabric = FabricBackend(
             [inner], fallback=fallback, max_lease_attempts=6, max_failures=10,
-            degrade_after=0.0,
         )
         try:
             outcome = fabric.submit(_request()).result(timeout=5.0)
-            # Rebuilt MAX_REBUILDS times, then broken for good.
-            assert inner.rebuilds == MAX_REBUILDS == 2
+            # Replaced MAX_REBUILDS times, then broken for good.
+            assert inner.replacements == MAX_REBUILDS == 2
             assert len(inner.submitted) == MAX_REBUILDS + 1
             # The next request goes straight to the fallback.
             fabric.submit(_request("next_q")).result(timeout=5.0)
         finally:
             fabric.close()
-        assert outcome.latency == 1.0
+        assert outcome.latency == 1.0 and outcome.attempts == MAX_REBUILDS + 2
         assert len(inner.submitted) == MAX_REBUILDS + 1
         assert fabric.counters.degraded_executions == len(fallback.submitted) == 2
 
@@ -782,7 +784,7 @@ class TestHealthReport:
         nodes = report["fabric"]["nodes"]
         assert [node["name"] for node in nodes] == ["inline[0]", "inline[1]"]
         assert all(set(node) >= {"occupancy", "failures", "live", "on_probation",
-                                 "lease_reassignments_received", "rebuilds"}
+                                 "lease_reassignments_received", "replacements"}
                    for node in nodes)
 
     def test_make_backend_wires_supervision_and_faults(self, tiny_workload):
