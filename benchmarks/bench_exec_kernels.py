@@ -16,7 +16,13 @@ execution memoization off and on, and reports:
   on/off produces the bit-for-bit identical trace (latency, censoring,
   output rows), including timeout censoring and work-cap aborts (random
   sibling edits routinely produce catastrophic join orders that hit the
-  materialization cap under a finite timeout).
+  materialization cap under a finite timeout);
+* **peak_traced_mib** — the largest ``tracemalloc`` peak of any arm's
+  stream (per arm in ``arm_peak_traced_mib``): the most an arm's
+  executions held at once, join temporaries and retained positions,
+  numpy's arrays included.  Reported, not gated; the trend script
+  follows it.  The streams run traced: on these numpy-bound streams that
+  costs less than the run-to-run spread of ``arm_s``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_exec_kernels.py [--smoke] [--json PATH]
 """
@@ -27,6 +33,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -141,6 +148,7 @@ def run_benchmark(num_queries: int, batches_per_query: int, seed: int = 0) -> di
 
     per_query = []
     totals = {name: 0.0 for name, *_ in ARMS}
+    peaks = {name: 0 for name, *_ in ARMS}
     equivalent = True
     for index, query in enumerate(queries):
         start_plan = base.plan(query)
@@ -150,9 +158,14 @@ def run_benchmark(num_queries: int, batches_per_query: int, seed: int = 0) -> di
         for name, use_batch, exec_cache in ARMS:
             arm_db = make_arm(base, exec_cache=exec_cache)
             clear_kernel_caches(arm_db)
-            query_s[name], traces[name] = execute_stream(
-                arm_db, query, batches, use_batch=use_batch
-            )
+            tracemalloc.start()
+            try:
+                query_s[name], traces[name] = execute_stream(
+                    arm_db, query, batches, use_batch=use_batch
+                )
+                peaks[name] = max(peaks[name], tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
             totals[name] += query_s[name]
         sequential = traces["kernels"]
         query_equivalent = all(trace == sequential for trace in traces.values())
@@ -177,6 +190,8 @@ def run_benchmark(num_queries: int, batches_per_query: int, seed: int = 0) -> di
         "kernels_s": kernels_s,
         "batch_s": batch_s,
         "batch_speedup_ratio": kernels_s / batch_s if batch_s > 0 else float("inf"),
+        "arm_peak_traced_mib": {name: peak / 2**20 for name, peak in peaks.items()},
+        "peak_traced_mib": max(peaks.values()) / 2**20,
         "traces_equivalent": equivalent,
         "per_query": per_query,
     }
@@ -197,7 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{report['batches_per_query']} batches x q={report['q']}"
     )
     for name, *_ in ARMS:
-        print(f"  {name:<24} {report['arm_s'][name] * 1e3:9.1f} ms")
+        print(
+            f"  {name:<24} {report['arm_s'][name] * 1e3:9.1f} ms"
+            f"  peak {report['arm_peak_traced_mib'][name]:7.1f} MiB traced"
+        )
     print(
         f"  batch speedup (q={report['q']}, cache-cold)  "
         f"{report['batch_speedup_ratio']:.2f}x  (reported, not gated)"

@@ -38,7 +38,7 @@ HEADLINE_METRICS: dict[str, list[tuple[str, str]]] = {
     "BENCH_faults.json": [("overhead_ratio", "lower")],
     "BENCH_serve.json": [("fast_path_hit_rate", "higher"), ("served_qps", "higher")],
     "BENCH_obs.json": [("disabled_serve_us", "lower"), ("traced_serve_us", "lower")],
-    "BENCH_kernels.json": [("batch_speedup_ratio", "higher")],
+    "BENCH_kernels.json": [("batch_speedup_ratio", "higher"), ("peak_traced_mib", "lower")],
 }
 
 

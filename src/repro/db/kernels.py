@@ -28,7 +28,10 @@ join path, kept verbatim in ``tests/oracles/reference_kernels.py``:
   on the first predicate that pass the others, in order: filtered rows map
   back monotonically, a composite key sorts stably by digit, last one first;
 * a :class:`PairSet` expanded late yields the same index arrays and gathers
-  as one expanded at once — *when* a pair array is written is not observable.
+  as one expanded at once — *when* a pair array is written is not observable;
+  a gather through the sorted build side (``values[order][pos]`` or
+  ``values[order[pos]]``) reads the elements ``values[order[pos]]`` names,
+  so either route is ``values[right_idx]`` bit for bit.
 
 Because the executor's simulated charges depend only on match *counts*
 (which are order-independent and known before any expansion or sort) and the
@@ -36,10 +39,11 @@ pair ordering is preserved anyway, swapping one kernel for another — or
 reading a pair set late, or never — can never change a latency, a censoring
 decision or a charge-event stream.
 
-Written after construction, by their first read: a :class:`PairSet`'s right
-index and a :class:`JoinIndex`'s ``order`` / ``sorted_keys``.  Both are private
-to one join, except a scanned build side's index (``Relation._index_cache``),
-where two threads may both sort: the relation caches' benign race.
+Written after construction, by their first read: a :class:`PairSet`'s sorted
+positions (and right index) and a :class:`JoinIndex`'s ``order`` /
+``sorted_keys``.  Both are private to one join, except a scanned build side's
+index (``Relation._index_cache``), where two threads may both sort: the
+relation caches' benign race.
 """
 
 from __future__ import annotations
@@ -109,9 +113,11 @@ class PairSet:
     * otherwise ``left_rows`` (+ ``run_counts`` when rows match more than
       once) hold the factorized form.
 
-    Right: unexpanded (``match`` or ``cross`` is kept and :attr:`right_idx`
-    computed from it on first read) or materialized.  That read writes to the
-    pair set, so a pair set is private to the execution that built it.
+    Right: ``match`` (or ``cross``) is kept, and every pair's position in the
+    sorted build side (:attr:`sorted_pos`) is written on the first gather.
+    That write goes to the pair set, so a pair set is private to the
+    execution that built it.  A gather reads through the build side's sort
+    order, never through a materialized right index.
 
     ``gather_left``/``gather_right`` produce bit-for-bit the arrays
     ``values[left_idx]``/``values[right_idx]`` of the sort-merge expansion,
@@ -120,7 +126,6 @@ class PairSet:
 
     count: int
     left_idx: np.ndarray | None = None
-    _right_idx: np.ndarray | None = None
     left_rows: np.ndarray | None = None
     run_counts: np.ndarray | None = None
     left_all: bool = False
@@ -141,7 +146,17 @@ class PairSet:
     def gather_right(self, values: np.ndarray) -> np.ndarray:
         if self.cross is not None:
             return np.tile(values, self.cross[0])
-        return values[self.right_idx]
+        if self.match is None:  # an empty match
+            return values[_EMPTY]
+        index = self.match.index
+        if self.count > index.num_keys:
+            # More pairs than build rows: reorder the build side once, then
+            # read it at the (run-ordered, mostly ascending) sorted positions.
+            if index.rows is not None:
+                values = values[index.rows]
+            return values[index.order][self.sorted_pos]
+        # A small probe into a large build side stays O(pairs).
+        return values[self._build_rows()]
 
     def left_indices(self) -> np.ndarray:
         """Materialize the left index array (identical to the sort-merge's)."""
@@ -155,29 +170,38 @@ class PairSet:
             return self.left_rows
         return np.repeat(self.left_rows, self.run_counts)
 
-    @property
+    @cached_property
     def right_idx(self) -> np.ndarray:
-        """The right index array (identical to the sort-merge's), built on first read."""
-        if self._right_idx is None:
-            self._right_idx = self._expand_right()
-        return self._right_idx
+        """The right index array (identical to the sort-merge's), built on first read.
 
-    def _expand_right(self) -> np.ndarray:
+        The executor gathers without it; tests and oracles read it.
+        """
         if self.cross is not None:
             return np.tile(np.arange(self.cross[1]), self.cross[0])
+        if self.match is None:
+            return _EMPTY
+        return self._build_rows()
+
+    def _build_rows(self) -> np.ndarray:
+        """Each pair's build row, read off the sorted build side."""
+        index = self.match.index
+        rows = index.order[self.sorted_pos]
+        return rows if index.rows is None else index.rows[rows]
+
+    @cached_property
+    def sorted_pos(self) -> np.ndarray:
+        """Each pair's position in the sorted build side, written on first read."""
         match = self.match
-        order = match.index.order
-        if match.index.rows is not None:
-            order = match.index.rows[order]
         if self.left_all:
-            # Every probe row matched exactly once: no gather of lo needed.
-            return order[match.lo]
+            # Every probe row matched exactly once: its run start is the pair.
+            return match.lo
         lo = match.lo[self.left_rows]
         if self.run_counts is None:
-            return order[lo]
+            return lo
         # Run concatenation: the sorted-side positions are the runs
         # [lo_i, lo_i + counts_i) back to back, i.e. one cumulative sum over
-        # unit steps with a per-run jump scattered at each run start.
+        # unit steps with a per-run jump scattered at each run start, summed
+        # in place: the steps become the positions.
         run_counts = self.run_counts
         run_starts = np.cumsum(run_counts) - run_counts
         steps = np.ones(self.count, dtype=np.int64)
@@ -186,7 +210,7 @@ class PairSet:
             # Jump from the last position of run i-1 (lo[i-1] + counts[i-1] - 1)
             # to the first of run i (lo[i]).
             steps[run_starts[1:]] = lo[1:] - (lo[:-1] + run_counts[:-1]) + 1
-        return order[np.cumsum(steps)]
+        return np.cumsum(steps, out=steps)
 
 
 def expand_pairs(match: MatchCounts) -> PairSet:
@@ -198,11 +222,11 @@ def expand_pairs(match: MatchCounts) -> PairSet:
     **identity** (every probe row matched exactly once), **unique-match** (no
     probe row matches more than one build row — every FK -> PK join: the
     nonzero-count rows plus one gather, no repeats, no cumsum) and **run
-    concatenation** (see :meth:`PairSet._expand_right`).  Only the O(left
+    concatenation** (see :attr:`PairSet.sorted_pos`).  Only the O(left
     rows) shape test runs here.
     """
     if match.total == 0:
-        return PairSet(0, _EMPTY, _EMPTY)
+        return PairSet(0, left_idx=_EMPTY)
     counts = match.counts
     unique = int(counts.max()) <= 1
     if unique and match.total == match.num_left:
@@ -218,18 +242,25 @@ class JoinIndex:
 
     For integer keys over a dense domain (:data:`DENSE_DOMAIN_FLOOR`) it is a
     direct-address table — ``counts_table``/``starts_table`` indexed by
-    ``key - key_min + 1``, one ``bincount`` and its cumulative sum — so probes
-    are O(1) lookups: the vectorized analogue of a hash join whose hash is the
-    identity.  Slot 0 and the last slot are zero-count sentinels: a probe clips
-    out-of-domain keys onto them.  Other keys (floats, a sparse domain, a float
-    probe) binary-search ``sorted_keys``.  ``order``, which the offsets index,
-    is sorted by its first read: a join that only counts (a root join, a
+    ``key - offset``, one ``bincount`` and its cumulative sum — so probes are
+    O(1) lookups: the vectorized analogue of a hash join whose hash is the
+    identity.  Int64 keys with ``1 <= key_min <= domain`` are their own slots
+    (``offset`` 0: no shifted copy of either side's keys); other keys are
+    shifted onto slot 1 (``offset = key_min - 1``).  Slot 0, every slot below
+    ``key_min`` and the last slot count zero: a probe clips out-of-domain keys
+    onto the sentinels.  Other keys (floats, a sparse domain, a float probe)
+    binary-search ``sorted_keys``.  ``order``, which the offsets index, is
+    sorted by its first read: a join that only counts (a root join, a
     censored parent) never sorts.  ``rows`` maps filtered keys back to build
     rows (monotonically); a sparse composite key sorts by its ``digits``.
     """
 
     keys: np.ndarray
     key_min: int = 0
+    #: ``key_max - key_min + 1`` of a counted index (0: not counted).
+    domain: int = 0
+    #: What a key minus this is its table slot (0: the key is its own slot).
+    offset: int = 0
     starts_table: np.ndarray | None = None
     counts_table: np.ndarray | None = None
     rows: np.ndarray | None = None
@@ -244,7 +275,7 @@ class JoinIndex:
         digits = self.digits or [self.keys]
         if self.counts_table is not None:
             # Same permutation from keys narrowed to hold domain - 1: <= 16 bits radix-sort.
-            narrow = np.min_scalar_type(len(self.counts_table) - 3)
+            narrow = np.min_scalar_type(self.domain - 1)
             digits = [(self.keys - self.key_min).astype(narrow)]
         # Stable passes, least significant digit first: the keys' stable order.
         order = np.argsort(digits[-1], kind="stable")
@@ -265,12 +296,17 @@ def build_join_index(keys: np.ndarray, rows=None, digits=None) -> JoinIndex:
     """Factorize ``keys`` for probing (pair order: see the module docstring)."""
     index = JoinIndex(keys, rows=rows, digits=digits)
     if len(keys) and _direct_addressable(keys):
-        key_min = int(keys.min())
-        domain = int(keys.max()) - key_min + 1
+        key_min, key_max = int(keys.min()), int(keys.max())
+        domain = key_max - key_min + 1
         if domain <= max(DENSE_DOMAIN_FLOOR, 4 * len(keys)) and key_min > -(1 << 63):
-            index.key_min = key_min
-            offsets = keys.astype(np.int64, copy=False) - (key_min - 1)
-            index.counts_table = np.bincount(offsets, minlength=domain + 2)
+            index.key_min, index.domain = key_min, domain
+            if keys.dtype == np.int64 and 1 <= key_min <= domain:
+                # Keyed by the key itself: a table at most twice the domain.
+                index.counts_table = np.bincount(keys, minlength=key_max + 2)
+            else:
+                index.offset = key_min - 1
+                offsets = keys.astype(np.int64, copy=False) - index.offset
+                index.counts_table = np.bincount(offsets, minlength=domain + 2)
             index.starts_table = np.cumsum(index.counts_table) - index.counts_table
     return index
 
@@ -287,7 +323,9 @@ def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:
         return MatchCounts(index, lo=_EMPTY, counts=np.zeros(len(left_keys), dtype=np.int64),
                            total=0, num_left=len(left_keys))
     if index.counts_table is not None and _direct_addressable(left_keys):
-        slots = left_keys.astype(np.int64, copy=False) - (index.key_min - 1)
+        slots = left_keys.astype(np.int64, copy=False)
+        if index.offset:
+            slots = slots - index.offset
         counts = index.counts_table.take(slots, mode="clip")
         lo = index.starts_table.take(slots, mode="clip")
     else:

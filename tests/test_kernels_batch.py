@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -54,7 +55,14 @@ from repro.plans.sampling import random_join_tree
 from repro.workloads.generator import FilterSpec, RandomQuerySampler
 
 from oracles.reference_executor import NODE, cumulative_charges, expected_result
-from oracles.reference_kernels import filtered_pairs, fused_equality_filter, sort_merge_pairs
+from repro.workloads import build_job_workload
+
+from oracles.reference_kernels import (
+    filtered_pairs,
+    fused_equality_filter,
+    match_counts,
+    sort_merge_pairs,
+)
 
 
 # ------------------------------------------------------------------ helpers
@@ -294,7 +302,8 @@ class TestKernelPrimitives:
                 pairs = build()
                 assert pairs.count == len(ref_l)
                 if pairs.count:
-                    assert pairs._right_idx is None  # nothing expanded yet
+                    # Nothing expanded yet: no sorted positions, no right index.
+                    assert "sorted_pos" not in vars(pairs) and "right_idx" not in vars(pairs)
                 if index_first:
                     np.testing.assert_array_equal(pairs.right_idx, ref_r)
                 np.testing.assert_array_equal(pairs.gather_left(left_values), left_values[ref_l])
@@ -410,6 +419,214 @@ class TestKernelPrimitives:
         assert a == b != c
         assert kernels.predicate_key("c", "in", [2, 1]) == kernels.predicate_key("c", "in", (1, 2))
         hash(kernels.predicate_key("c", "in", {"x": 1}))  # unhashable value -> repr key
+
+
+# ------------------------------------------------------------------ gathers and counting tables
+def traced_peak(work) -> tuple[object, int]:
+    """``work()``'s result and the peak bytes it allocated, as ``tracemalloc`` sees them."""
+    tracemalloc.start()
+    try:
+        result = work()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: Build-side key spaces: counted and keyed by the key itself (key_min >= 1),
+#: counted over shifted keys (key_min <= 0), and sparse (binary search).
+_KEY_SPACES = {"keyed by the key": (5, 1), "shifted": (-300, 1), "sparse": (0, 100_003)}
+
+
+def _shaped_case(shape: str, many: bool, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(probe keys, build keys) over 0-based key codes giving a pair set of ``shape``.
+
+    ``many``: more pairs than build rows (the build side is reordered once),
+    otherwise fewer (the gather goes through the pairs' build rows).
+    """
+    m = 240
+    if shape == "runs":
+        build = rng.integers(0, m // 4, size=m)
+        return rng.integers(0, m // 4, size=m if many else m // 20), build
+    build = rng.permutation(m)
+    size = 3 * m if many else m // 4
+    if shape == "identity":
+        return build[rng.integers(0, m, size=size)], build
+    return rng.integers(0, 2 * m, size=2 * size), build  # unique: half the probe misses
+
+
+class TestSortedPositionGathers:
+    @pytest.mark.parametrize("space", sorted(_KEY_SPACES))
+    @pytest.mark.parametrize("filtered", [False, True], ids=["all rows", "filtered rows"])
+    @pytest.mark.parametrize("many", [True, False], ids=["many pairs", "few pairs"])
+    @pytest.mark.parametrize("shape", ["identity", "unique", "runs"])
+    def test_gather_right_equals_the_reference_in_any_read_order(
+        self, rng, shape, many, filtered, space
+    ):
+        """Identity, unique-match and run-shaped pair sets, over every key space,
+        with and without a filtered ``rows`` index, gather ``values[ref_right]``
+        by either route, whether ``right_idx`` is read before, after or never."""
+        base, stride = _KEY_SPACES[space]
+        left_codes, build_codes = _shaped_case(shape, many, rng)
+        left, build = left_codes * stride + base, build_codes * stride + base
+        # A filtered index holds the keys of some build rows: ``rows`` maps
+        # them back to the full side, whose values the gather reads.
+        rows, num_rows = None, len(build)
+        if filtered:
+            num_rows = 2 * len(build)
+            rows = np.sort(rng.choice(num_rows, size=len(build), replace=False))
+        ref_l, ref_r = sort_merge_pairs(left, build)
+        ref_right = ref_r if rows is None else rows[ref_r]
+        values = rng.integers(0, 10**6, size=num_rows)
+        for read in ("before", "after", "never"):
+            index = kernels.build_join_index(build, rows)
+            assert (index.counts_table is not None) == (space != "sparse")
+            assert (space == "keyed by the key") == (
+                index.counts_table is not None and index.offset == 0)
+            pairs = kernels.expand_pairs(kernels.probe_join_index(index, left))
+            assert pairs.count == len(ref_l) and (pairs.count > index.num_keys) == many
+            assert {"identity": pairs.left_all, "unique": pairs.run_counts is None,
+                    "runs": pairs.run_counts is not None}[shape]
+            if read == "before":
+                np.testing.assert_array_equal(pairs.right_idx, ref_right)
+            gathered = pairs.gather_right(values)
+            assert gathered.dtype == values.dtype
+            np.testing.assert_array_equal(gathered, values[ref_right])
+            np.testing.assert_array_equal(pairs.gather_right(values), values[ref_right])
+            np.testing.assert_array_equal(pairs.gather_left(np.arange(len(left))), ref_l)
+            if read == "after":
+                np.testing.assert_array_equal(pairs.right_idx, ref_right)
+            if read == "never":
+                assert "right_idx" not in vars(pairs)
+
+    def test_an_identity_match_keeps_its_probe_offsets_as_positions(self):
+        index = kernels.build_join_index(np.array([4, 2, 3, 1]))
+        match = kernels.probe_join_index(index, np.array([3, 3, 1, 4]))
+        pairs = kernels.expand_pairs(match)
+        assert pairs.left_all and pairs.sorted_pos is match.lo  # no copy
+        assert pairs.gather_right(np.array([40, 20, 30, 10])).tolist() == [30, 30, 10, 40]
+
+
+class TestCountingTable:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    @pytest.mark.parametrize(
+        "where", ["key_min <= 0", "1 <= key_min <= domain", "key_min > domain"]
+    )
+    def test_counts_lo_and_order_equal_the_sort_merge(self, rng, dtype, where):
+        """Every key space a table counts over, build keys in int64, int32 and
+        uint16, probed with keys below 0, in [0, key_min), inside the domain
+        and above key_max, in int64 and in the build keys' own dtype."""
+        key_min = {"key_min <= 0": 0 if dtype == np.uint16 else -40,
+                   "1 <= key_min <= domain": 7, "key_min > domain": 3000}[where]
+        domain = 200
+        key_max = key_min + domain - 1
+        build = key_min + rng.integers(0, domain, size=500)
+        build[:2] = key_min, key_max
+        build = build.astype(dtype)
+        probe = np.concatenate([
+            [-(2**40), -5, -1, 0],  # below 0
+            np.arange(0, key_min)[:30],  # in [0, key_min)
+            rng.integers(key_min, key_max + 1, size=300),
+            [key_max + 1, key_max + 1000, 2**40],  # above key_max
+            build[:20],
+        ]).astype(np.int64)
+        info = np.iinfo(dtype)
+        narrow_probe = probe[(probe >= info.min) & (probe <= info.max)].astype(dtype)
+        index = kernels.build_join_index(build)
+        assert index.counts_table is not None and (index.key_min, index.domain) == (key_min, domain)
+        keyed = dtype == np.int64 and where == "1 <= key_min <= domain"
+        assert index.offset == (0 if keyed else key_min - 1)
+        assert len(index.counts_table) == (key_max + 2 if keyed else domain + 2)
+        for left in (probe, narrow_probe):
+            match = kernels.probe_join_index(index, left)
+            ref = match_counts(left, build)
+            np.testing.assert_array_equal(match.counts, ref.counts)
+            hit = match.counts > 0
+            np.testing.assert_array_equal(match.lo[hit], ref.lo[hit])
+            assert match.total == ref.total
+            np.testing.assert_array_equal(kernels.expand_pairs(match).right_idx,
+                                          sort_merge_pairs(left, build)[1])
+        np.testing.assert_array_equal(index.order, ref.order)
+
+    @pytest.mark.parametrize("domain, narrow", [
+        (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    ])
+    def test_order_narrows_its_digits_to_the_recorded_domain(
+        self, monkeypatch, rng, domain, narrow
+    ):
+        """A table keyed by the key is ``key_max + 2`` long, so the sort's digit
+        width comes from the domain the index recorded: one past the last
+        domain a width holds, a width read off the table is a step too wide."""
+        sorted_dtypes = []
+
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, keys, *args, **kwargs):
+                sorted_dtypes.append(keys.dtype)
+                return np.argsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "np", SpyNumpy())
+        key_min = 7
+        build = rng.integers(0, domain, size=max(400, domain // 4 + 1)) + key_min
+        build[:2] = key_min, key_min + domain - 1
+        index = kernels.build_join_index(build)
+        assert (index.offset, index.domain) == (0, domain)
+        assert len(index.counts_table) == key_min + domain + 1
+        np.testing.assert_array_equal(index.order, np.argsort(build, kind="stable"))
+        assert sorted_dtypes == [np.dtype(narrow)]
+
+
+class TestJoinAllocations:
+    """Peak traced bytes of the join kernels: a join allocates what it keeps."""
+
+    def test_a_run_shaped_gather_right_holds_two_pair_arrays(self, rng):
+        """Sorted positions summed in place (~8n bytes over n pairs) plus the
+        gathered array: ~2 x 8n, no index array through the sort order."""
+        build = np.repeat(np.arange(1, 101), 50)
+        rng.shuffle(build)
+        left = rng.integers(1, 101, size=10_000)
+        pairs = production_pairs(left, build)
+        n = pairs.count
+        assert pairs.run_counts is not None and n == 50 * len(left)
+        values = np.arange(len(build))
+        gathered, peak = traced_peak(lambda: pairs.gather_right(values))
+        assert peak <= 2.2 * 8 * n, peak / (8 * n)
+        np.testing.assert_array_equal(gathered, values[sort_merge_pairs(left, build)[1]])
+        _, peak = traced_peak(lambda: production_pairs(left, build).sorted_pos)
+        assert peak <= 1.2 * 8 * n, peak / (8 * n)  # the steps become the positions
+
+    def test_a_counted_index_and_its_probe_copy_no_key_array(self, rng):
+        """Int64 build keys with key_min >= 1 and int64 probe keys are the
+        table's slots: no array as long as either side's keys is allocated."""
+        keys = rng.integers(1, 2001, size=1_000_000)
+        left = rng.integers(-10, 2100, size=100_000)
+
+        def build_and_probe():
+            index = kernels.build_join_index(keys)
+            return index, kernels.probe_join_index(index, left)
+
+        (index, match), peak = traced_peak(build_and_probe)
+        # The two tables (2 x 2002 slots) and the probe's counts and lo (2 x 8
+        # bytes a probe row): no 8 MB copy of the build keys, no probe-key copy.
+        assert peak <= 2 * 8 * 2002 + 2 * 8 * len(left) + 4096, peak
+        assert index.offset == 0 and match.total > 0
+
+    def test_the_job_setup_probe_peaks_under_52_mib(self):
+        """The default plan of every <= 7-table query of JOB at scale 0.16
+        (seed 0, 40 queries) with a 600 s timeout, as the end-to-end
+        benchmark's set-up runs it.  JOB_7b's censored 2.65 M-row hash join
+        sets the peak (48.1 MiB on numpy 2.4): what its join keeps, no
+        expansion temporaries and no shifted copies of its keys."""
+        workload = build_job_workload(scale=0.16, seed=0, num_queries=40)
+
+        def probe():
+            for query in workload.queries:
+                if query.num_tables <= 7:
+                    workload.database.execute(query, timeout=600.0)
+
+        _, peak = traced_peak(probe)
+        assert peak <= 52 * 2**20, peak / 2**20
 
 
 # ------------------------------------------------------------------ executor joins
@@ -583,6 +800,42 @@ class TestKernelExecutorEquivalence:
         gathered = [intermediate.positions[alias] for alias in intermediate.positions]
         assert all(type(value) is np.ndarray for value in intermediate.positions.values())
         assert intermediate_nbytes(intermediate) == before == sum(a.nbytes for a in gathered)
+
+    def test_the_memo_stores_exactly_the_bytes_each_join_announced(
+        self, job_workload_small, monkeypatch
+    ):
+        """On a JOB pass, every array the subplan memo materializes has the
+        ``_Gather.nbytes`` its join announced (``count * _POSITION_ITEMSIZE``),
+        so ``intermediate_nbytes`` reads the same before and after
+        ``put_subplan``: the gathers write positions in the announced dtype."""
+        from repro.db.executor import _POSITION_ITEMSIZE, _Gather
+        from repro.db.plan_cache import ExecutionCache, intermediate_nbytes
+
+        put_subplan = ExecutionCache.put_subplan
+        stored: list[int] = []
+
+        def checked_put_subplan(cache, key, intermediate, events):
+            raw = dict(intermediate.positions.items())  # no gather forced
+            announced = {a: v.nbytes for a, v in raw.items() if isinstance(v, _Gather)}
+            before = intermediate_nbytes(intermediate)
+            put_subplan(cache, key, intermediate, events)
+            entry = cache._subplans.get(key)
+            if entry is None or entry.intermediate is not intermediate:
+                return  # oversized: only the charge log was kept
+            for alias, nbytes in announced.items():
+                array = intermediate.positions[alias]
+                assert type(array) is np.ndarray and array.itemsize == _POSITION_ITEMSIZE
+                assert array.nbytes == nbytes, (alias, array.nbytes, nbytes)
+            assert intermediate_nbytes(intermediate) == before
+            stored.append(len(announced))
+
+        monkeypatch.setattr(ExecutionCache, "put_subplan", checked_put_subplan)
+        source = job_workload_small.database
+        database = Database(source.schema, source.relations, seed=7, exec_cache=True)
+        for query in job_workload_small.queries:
+            if query.num_tables <= 7:
+                database.execute(query, timeout=600.0)
+        assert sum(stored) >= 10  # deferred join outputs the memo materialized
 
 
 # ------------------------------------------------------------------ relation-side caches
