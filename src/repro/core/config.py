@@ -121,8 +121,8 @@ class ExecutionServiceConfig:
     #: or ``"process"`` (worker processes with warm database replicas, for
     #: CPU-bound executions).
     backend: str = "inline"
-    #: Worker slots per backend instance: tasks (a lone request, or a
-    #: same-query batch) executing concurrently.
+    #: Worker slots of the thread or process backend: tasks (a lone
+    #: request, or a same-query batch) executing concurrently.
     max_workers: int = 1
     #: ``"round_robin"`` or ``"budget_aware"`` (spend remaining budget on the
     #: queries whose surrogate predicts the largest expected improvement).
@@ -164,15 +164,10 @@ class ExecutionServiceConfig:
     #: Byte budget for memoized subplan intermediates, per cache instance;
     #: ``None`` keeps the database's configured budget.
     plan_cache_bytes: int | None = None
-    #: Independent backend instances; ``> 1`` puts them behind the lease
-    #: coordinator (:class:`~repro.exec.FabricBackend`, with an inline
-    #: fallback).  Process replicas are separate worker pools: a pool
-    #: replaces a dead worker itself, and the coordinator reassigns the one
-    #: lease that worker held.
-    replicas: int = 1
-    #: Infrastructure failures tolerated per replica before
-    #: the coordinator puts it on probation: it sits out a doubling period,
-    #: then gets one half-open probe.  Probation is the only backoff.
+    #: Infrastructure failures in a row the coordinator tolerates before it
+    #: puts its member on probation: the member sits out a doubling period
+    #: while leases wait, then gets one half-open probe.  Probation is the
+    #: only backoff.
     max_failures: int = 3
     #: Multiprocessing start method for the process backend (``None`` prefers
     #: ``fork`` where available — worker replicas inherit the database without
@@ -185,11 +180,10 @@ class ExecutionServiceConfig:
     warmup: bool = True
 
     # Fault tolerance ---------------------------------------------------------
-    #: Put a single backend behind the lease coordinator
+    #: Put the backend behind the lease coordinator
     #: (:class:`~repro.exec.FabricBackend`: lease reassignment, hang
     #: watchdog, degradation to inline execution).  Implied by
-    #: setting ``request_deadline`` or ``fault_injection``; ``replicas > 1``
-    #: is coordinated already.
+    #: setting ``request_deadline`` or ``fault_injection``.
     supervised: bool = False
     #: Wall-clock seconds one execution may hold its member before the
     #: coordinator declares it hung and reassigns it (a dispatched q-round
@@ -230,8 +224,6 @@ class ExecutionServiceConfig:
         validate_batch_size(self.batch_size)
         if self.plan_cache_bytes is not None and self.plan_cache_bytes < 0:
             raise OptimizationError("plan_cache_bytes must be non-negative")
-        if self.replicas < 1:
-            raise OptimizationError("replicas must be at least 1")
         if self.max_failures < 1:
             raise OptimizationError("max_failures must be at least 1")
         if self.request_deadline is not None and self.request_deadline <= 0:

@@ -155,7 +155,7 @@ class ExecutionOutcome:
     #: How many execution attempts it took to produce this outcome (1 =
     #: first try).  Stamped by the lease coordinator
     #: (:class:`~repro.exec.fabric.FabricBackend`) when it reassigns a
-    #: lease to another member or to its fallback; purely observational —
+    #: lease to its member again or to its fallback; purely observational —
     #: traces and budget charging ignore it.
     attempts: int = 1
     #: Spans recorded by the executing actor's own tracer

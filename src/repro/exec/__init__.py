@@ -21,17 +21,15 @@ scheduler drives:
   sha256-based stable seeding of every latency/RNG digest
   (:mod:`repro.utils.seeding`).  A worker that dies costs only the task it
   ran: the pool starts a replacement in its place (at most twice per worker).
-* :class:`FabricBackend` — the one lease coordinator over several
-  in-process replicas of the backends above (``replicas > 1``; over process
-  members, several worker pools).  It gives least-loaded dispatch,
-  deterministic lease reassignment on an infrastructure failure,
-  probation/half-open rejoin, a per-dispatch hang watchdog and, once no
-  member is healthy, degradation to inline execution.  It restarts no
-  member.  It is the service's one retry path: supervision
-  (``supervised=True`` or a ``request_deadline``) puts it in front of a
-  single backend too.  It is also the one fault injector: a
-  :class:`FaultInjectionConfig` is drawn per lease at its dispatch, so every
-  injected fault meets the real recovery path.
+* :class:`FabricBackend` — the lease coordinator in front of one of the
+  backends above (``supervised=True``, a ``request_deadline`` or
+  ``fault_injection``).  It gives deterministic lease reassignment on an
+  infrastructure failure, probation/half-open rejoin, a per-dispatch hang
+  watchdog and, once its member is unhealthy, degradation to inline
+  execution.  It restarts no member.  It is the service's one retry path
+  and its one fault injector: a :class:`FaultInjectionConfig` is drawn per
+  lease at its dispatch, so every injected fault meets the real recovery
+  path.
 
 **Policies** (:class:`SchedulingPolicy`) — pick which ready query state gets
 the next free slot (a slot holds one worker task: a lone request, or a
@@ -52,11 +50,10 @@ the ``benchmarks/bench_exec_backends.py`` gate.
 Configuration: either hand a ``WorkloadSession`` backend/policy instances, or
 describe them with :class:`~repro.core.config.ExecutionServiceConfig` —
 ``backend`` ("inline" / "thread" / "process"), ``max_workers``, ``policy``
-("round_robin" / "budget_aware"), ``replicas`` (> 1 puts the lease coordinator in front),
-``supervised`` / ``request_deadline`` / ``max_retries`` (the coordinator's
-watchdog and lease attempts), ``fault_injection`` (the coordinator's chaos
-schedule), ``start_method`` and ``warmup`` — and let :func:`make_backend` /
-:func:`make_policy` build them.
+("round_robin" / "budget_aware"), ``supervised`` / ``request_deadline`` /
+``max_retries`` (the coordinator's watchdog and lease attempts),
+``fault_injection`` (the coordinator's chaos schedule), ``start_method`` and
+``warmup`` — and let :func:`make_backend` / :func:`make_policy` build them.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ from repro.exec.backend import (
 )
 from repro.exec.fabric import FabricBackend, FabricCounters
 from repro.exec.faults import (
-    FaultCounters,
     FaultInjectionConfig,
     InjectedTransientError,
     InjectedWorkerCrash,
@@ -105,7 +101,6 @@ __all__ = [
     "ExecutionServiceConfig",
     "FabricBackend",
     "FabricCounters",
-    "FaultCounters",
     "FaultInjectionConfig",
     "HangTimeout",
     "InjectedTransientError",
@@ -136,7 +131,7 @@ def backend_health(backend: "ExecutionBackend | None") -> dict:
     composed backend (the scheduler's
     :class:`~repro.harness.runner.WorkloadSession`, the serving layer's
     :class:`~repro.serve.server.PlanServer`) reports degradation — leases
-    reassigned, hangs, replicas on probation, injected faults — the same
+    reassigned, hangs, a member on probation, injected faults — the same
     way.  The ``"fabric"`` section is the coordinator's; ``"faults"``, the
     faults its schedule injected, appears whenever it has one.
     """
@@ -146,11 +141,11 @@ def backend_health(backend: "ExecutionBackend | None") -> dict:
     while layer is not None and id(layer) not in seen:
         seen.add(id(layer))
         if isinstance(layer, FabricBackend):
-            # Per-member liveness and worker replacements, lease
+            # The member's liveness and worker replacements, lease
             # reassignments and hangs.
             report["fabric"] = layer.health_snapshot()
             if layer.faults is not None:
-                report["faults"] = layer.fault_counters.snapshot()
+                report["faults"] = layer.counters.faults_snapshot()
         layer = getattr(layer, "inner", None)
     return report
 
@@ -191,18 +186,16 @@ def make_backend(
 ) -> ExecutionBackend:
     """Build the backend an :class:`ExecutionServiceConfig` describes.
 
-    A stack holds at most one :class:`FabricBackend`, the only layer that
-    retries: over ``replicas`` independent instances of the backend (process
-    backends get their own worker pools), or over a single one when supervised
-    (``supervised=True``, a ``request_deadline`` or ``fault_injection``).
-    Every such coordinator gets ``max_lease_attempts = max_retries + 1``,
-    the ``request_deadline`` watchdog, the ``fault_injection`` schedule
+    A supervised config (``supervised=True``, a ``request_deadline`` or
+    ``fault_injection``) puts the backend behind one :class:`FabricBackend`,
+    the only layer that retries, with ``max_lease_attempts = max_retries +
+    1``, the ``request_deadline`` watchdog, the ``fault_injection`` schedule
     (drawn per lease at dispatch, so injected faults exercise the real
-    recovery path) and one inline fallback (none when its lone member is
-    inline); a single backend with none of the three is returned bare.
+    recovery path) and an inline fallback (none when the member is inline
+    itself); otherwise the backend is returned bare.
 
     The cache knobs are applied through :func:`apply_cache_overrides` first,
-    so they reach every member, and every worker's private cache, with the
+    so they reach the backend, and every worker's private cache, with the
     database; the caller's database is never reconfigured.
     """
     database = apply_cache_overrides(config, database)
@@ -212,36 +205,31 @@ def make_backend(
     if faults is not None and not isinstance(faults, FaultInjectionConfig):
         faults = FaultInjectionConfig(**dict(faults))  # type: ignore[arg-type]
 
-    def one_backend() -> ExecutionBackend:
-        if config.backend == "inline":
-            return InlineBackend(database, tracer=local_tracer)
-        if config.backend == "thread":
-            return ThreadPoolBackend(database, max_workers=config.max_workers, tracer=local_tracer)
-        if config.backend == "process":
-            # Workers record into private tracers and ship drained spans back
-            # on outcomes; the parent-side tracer object itself never crosses.
-            return ProcessPoolBackend(
-                database,
-                max_workers=config.max_workers,
-                queries=queries,
-                start_method=config.start_method,
-                warmup=config.warmup,
-                trace=tracing,
-            )
+    backend: ExecutionBackend
+    if config.backend == "inline":
+        backend = InlineBackend(database, tracer=local_tracer)
+    elif config.backend == "thread":
+        backend = ThreadPoolBackend(database, max_workers=config.max_workers, tracer=local_tracer)
+    elif config.backend == "process":
+        # Workers record into private tracers and ship drained spans back
+        # on outcomes; the parent-side tracer object itself never crosses.
+        backend = ProcessPoolBackend(
+            database,
+            max_workers=config.max_workers,
+            queries=queries,
+            start_method=config.start_method,
+            warmup=config.warmup,
+            trace=tracing,
+        )
+    else:
         raise OptimizationError(f"unknown execution backend {config.backend!r}")
-
-    members = [one_backend() for _ in range(config.replicas)]
-    coordinated = (
-        config.supervised or config.request_deadline is not None or faults is not None
-    )
-    if len(members) == 1 and not coordinated:
-        return members[0]
-    # The fallback gives the run somewhere to go when every member is lost:
-    # pointless when the lone member already is inline.
-    lone_inline = len(members) == 1 and config.backend == "inline"
+    if not (config.supervised or config.request_deadline is not None or faults is not None):
+        return backend
+    # The fallback gives the run somewhere to go when the member is lost:
+    # pointless when the member already is inline.
     return FabricBackend(
-        members,
-        fallback=None if lone_inline else InlineBackend(database),
+        backend,
+        fallback=None if config.backend == "inline" else InlineBackend(database),
         max_failures=config.max_failures,
         max_lease_attempts=config.max_retries + 1,
         request_deadline=config.request_deadline,

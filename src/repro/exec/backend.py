@@ -7,8 +7,8 @@ A backend turns an :class:`ExecutionRequest` (query + plan + timeout) into a
 where the execution happens — on the scheduler thread
 (:class:`InlineBackend`), on a thread pool that overlaps DBMS waiting
 (:class:`ThreadPoolBackend`), in worker processes holding warm database
-replicas (:class:`~repro.exec.process_pool.ProcessPoolBackend`), or leased
-out over several independent members by the coordinator
+replicas (:class:`~repro.exec.process_pool.ProcessPoolBackend`), or any of
+these supervised by the lease coordinator
 (:class:`~repro.exec.fabric.FabricBackend`).
 """
 
@@ -33,7 +33,7 @@ class TransientBackendError(OptimizationError):
 
     Says nothing about the plan that was executing: the same request submitted
     again may well succeed.  The :class:`~repro.exec.fabric.FabricBackend`
-    coordinator charges these against the failing member's health budget and
+    coordinator charges these against its member's health budget and
     reassigns the lease — exactly like a
     :class:`~concurrent.futures.BrokenExecutor`.
     """
@@ -376,14 +376,17 @@ class ThreadPoolBackend:
     def capacity(self) -> int:
         return self._max_workers
 
-    def submit(self, request: ExecutionRequest) -> "Future[ExecutionOutcome]":
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._closed:
             raise OptimizationError("backend is closed")
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self._max_workers, thread_name_prefix="repro-exec"
             )
-        return self._pool.submit(perform_request, self.database, request, self.tracer)
+        return self._pool
+
+    def submit(self, request: ExecutionRequest) -> "Future[ExecutionOutcome]":
+        return self.submit_batch([request])[0]
 
     def submit_batch(
         self, requests: list[ExecutionRequest]
@@ -392,19 +395,12 @@ class ThreadPoolBackend:
 
         Simulated executions are CPU-bound, so sibling requests would have
         serialized on the GIL anyway — collapsing them into one task trades
-        no parallelism and buys the batch dedup.
+        no parallelism and buys the batch dedup.  A one-request batch is
+        :func:`perform_request` (see :func:`perform_batch`).
         """
         requests = list(requests)
-        if len(requests) == 1:
-            return [self.submit(requests[0])]
-        if self._closed:
-            raise OptimizationError("backend is closed")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers, thread_name_prefix="repro-exec"
-            )
         futures: list[Future[ExecutionOutcome]] = [Future() for _ in requests]
-        task = self._pool.submit(perform_batch, self.database, requests, self.tracer)
+        task = self._ensure_pool().submit(perform_batch, self.database, requests, self.tracer)
         fan_out_batch(task, futures)
         return futures
 

@@ -8,7 +8,7 @@ purpose.  A :class:`FaultInjectionConfig` is handed to the lease coordinator
 lease at dispatch, from four kinds of what a worker does to one execution:
 
 * **crash** — the lease fails with a :class:`BrokenExecutor` subclass before
-  its member sees it, modelling a worker process dying mid-task,
+  the member sees it, modelling a worker process dying mid-task,
 * **transient** — the lease fails with a
   :class:`~repro.exec.backend.TransientBackendError`, modelling a network
   blip or an evicted worker,
@@ -17,7 +17,7 @@ lease at dispatch, from four kinds of what a worker does to one execution:
   coordinator's request deadline must fire first for the request to make
   progress,
 * **slow** — like a hang but short (``slow_seconds``), modelling a straggler
-  replica; a well-tuned deadline must *not* fire on these.
+  worker; a well-tuned deadline must *not* fire on these.
 
 Every decision comes from a :func:`~repro.utils.seeding.stable_digest`-seeded
 schedule keyed by ``(seed, query, plan, attempt)``, so a chaos scenario is a
@@ -25,13 +25,14 @@ pure function of its config and the submitted requests — the same run injects
 the same faults in every process, on every machine, regardless of thread
 timing.  The attempt is the coordinator's count of dispatches of that
 ``(query, plan)``, which is how a retried execution can deterministically
-succeed where the first attempt crashed.
+succeed where the first attempt crashed.  The coordinator counts what it
+drew in its :class:`~repro.exec.fabric.FabricCounters`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from repro.exceptions import OptimizationError
 from repro.exec.backend import ExecutionRequest, TransientBackendError
@@ -60,8 +61,7 @@ class FaultInjectionConfig:
     ``max_retries`` exceeds it, every request is guaranteed to eventually
     complete, which is what lets a chaos benchmark assert full completion
     while still exercising every failure path.  The attempt count is the
-    coordinator's, over all its members, so the bound holds however many
-    members a request visits.
+    coordinator's count of dispatches of that request.
     """
 
     seed: int = 0
@@ -71,7 +71,7 @@ class FaultInjectionConfig:
     slow_rate: float = 0.0
     #: How long a hung execution withholds its (already computed) result.
     hang_seconds: float = 30.0
-    #: How long a slow replica delays its result.
+    #: How long a slow execution delays its result.
     slow_seconds: float = 0.05
     #: Attempts of one request eligible for faults; ``None`` = every attempt.
     max_faults_per_request: int | None = None
@@ -112,36 +112,3 @@ class FaultInjectionConfig:
                 return kind
         return None
 
-
-#: The counter each fault kind bumps (``None`` is a clean dispatch).
-_COUNTER_OF = {
-    "crash": "crashes",
-    "hang": "hangs",
-    "transient": "transients",
-    "slow": "slowdowns",
-    None: "clean",
-}
-
-
-@dataclass
-class FaultCounters:
-    """What a coordinator's fault schedule actually injected, per kind."""
-
-    crashes: int = 0
-    hangs: int = 0
-    transients: int = 0
-    slowdowns: int = 0
-    clean: int = 0
-
-    def count(self, kind: str | None) -> None:
-        name = _COUNTER_OF[kind]
-        setattr(self, name, getattr(self, name) + 1)
-
-    @property
-    def total_faults(self) -> int:
-        return sum(getattr(self, field.name) for field in fields(self)) - self.clean
-
-    def snapshot(self) -> dict:
-        report = asdict(self)
-        report["total_faults"] = self.total_faults
-        return report

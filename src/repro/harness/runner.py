@@ -14,7 +14,7 @@ registry (:mod:`repro.core.registry`); the session
 * routes every plan execution through one **execution backend**
   (:mod:`repro.exec`): inline on the scheduler thread, a thread pool that
   overlaps DBMS waiting, worker processes holding warm database replicas for
-  CPU-bound executions, or the lease coordinator over several replicas,
+  CPU-bound executions, or any of these behind the lease coordinator,
 * schedules the per-query steppers either **sequentially** (one query drained
   at a time — bit-for-bit the behaviour of the old private loops) or
   **interleaved** (every query's state at once, the backend holding up to
@@ -93,8 +93,8 @@ class ComparisonRun:
     #: Execution-memoization totals of the session that produced the run
     #: (see :class:`ExecutionCacheReport`).
     cache_summary: dict = field(default_factory=dict)
-    #: Backend-health snapshot of the session (coordinator counters and
-    #: per-member statuses, fault-injection totals) — degraded runs are
+    #: Backend-health snapshot of the session (coordinator counters, its
+    #: member's state, fault-injection totals) — degraded runs are
     #: visible in the report instead of silent.
     backend_health: dict = field(default_factory=dict)
     #: The session's observability report (:func:`repro.obs.report.render_report`):
@@ -336,7 +336,7 @@ class WorkloadSession:
                 config = ExecutionServiceConfig(backend=backend, max_workers=self.max_workers)
             else:
                 # The explicit backend name wins; every other exec_config knob
-                # (workers, replicas, start method, warmup) still applies.
+                # (workers, supervision, start method, warmup) still applies.
                 config = dataclasses.replace(config, backend=backend)
         elif config is None:
             # Legacy selection: max_workers alone decides, exactly as PR 2 did.
@@ -567,7 +567,7 @@ class WorkloadSession:
         """Backend-health snapshot: coordinator and fault injection.
 
         See :func:`~repro.exec.backend_health`: a degraded run — leases
-        reassigned, hangs, replicas on probation, execution running on the
+        reassigned, hangs, a member on probation, execution running on the
         inline fallback — is visible in reports next to
         :attr:`cache_report` instead of silent.
         """

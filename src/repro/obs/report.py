@@ -5,7 +5,8 @@ buffer and a registry snapshot it prints where time went (top span names by
 self-time — child time subtracted, so a parent wrapping expensive children
 doesn't dominate its own table), the per-layer latency distribution (span
 categories), and the subsystem tables the registry's providers contribute
-(fault/retry counters, coordinator statuses, cache hit rates, serve counters).
+(fault/retry counters, the coordinator's member state, cache hit rates,
+serve counters).
 
 Wired into ``python -m repro.serve`` and
 :class:`~repro.harness.runner.ComparisonRun` so both entry points can answer

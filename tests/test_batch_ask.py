@@ -52,7 +52,7 @@ from repro.core.timeout import (
     UncertaintyTimeout,
 )
 from repro.exceptions import OptimizationError
-from repro.exec import FaultInjectionConfig, make_backend, perform_batch
+from repro.exec import FaultInjectionConfig, backend_submit, make_backend, perform_batch
 from repro.harness import WorkloadSession
 from repro.workloads.base import Workload
 
@@ -452,24 +452,26 @@ class TestFixedQMatchesDriveState:
         assert runs[0] == reference
         assert runs[1] == reference
 
-    @pytest.mark.parametrize("backend", ["inline", "process", "thread"])
-    def test_two_replicas_at_q4_equal_the_reference_loop(
-        self, backend, tiny_database, tiny_schema_model, three_queries, reference
+    def test_a_supervised_inline_member_driven_at_q4_equals_the_reference_loop(
+        self, tiny_database, tiny_schema_model, three_queries, reference
     ):
-        # Replicas sit behind the lease coordinator, which keeps a q-batch
-        # together as one task on one replica.
-        config = ExecutionServiceConfig(backend=backend, max_workers=1, replicas=2, batch_size=4)
-        for _ in range(2):
-            workload = Workload(
-                name="tiny", database=tiny_database.snapshot(),
-                queries=three_queries, max_aliases=2,
-            )
-            with make_session(
-                workload, tiny_schema_model,
-                budget=self.BUDGET, bayes_config=self.CONFIG, exec_config=config,
-            ) as session:
-                assert session.interleave
-                assert signatures(session.run("bayesqo")) == reference
+        # The coordinator keeps a q-batch together as one task on its member.
+        # One inline member has capacity 1, so a session would run it
+        # sequentially at q = 1: drive the coordinator at q = 4 directly.
+        database = tiny_database.snapshot()
+        optimizer = BayesQO(database, tiny_schema_model, config=self.CONFIG)
+        backend = make_backend(ExecutionServiceConfig(backend="inline", supervised=True), database)
+        traces = {}
+        try:
+            for query in three_queries:
+                state = optimizer.start(query, budget=self.BUDGET)
+                drive(optimizer, [state], backend_submit(backend), q=4)
+                traces[query.name] = optimizer.finish(state).trace_signature()
+            report = backend.health_snapshot()
+        finally:
+            backend.close()
+        assert traces == reference
+        assert report["lease_reassignments"] == 0 and report["degraded_executions"] == 0
 
     @pytest.mark.parametrize(
         "faults",

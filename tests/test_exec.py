@@ -4,7 +4,7 @@ Covers the cross-process contract (everything that crosses a backend boundary
 round-trips through pickle), the stable sha256 seeding that makes worker
 processes observe identical latencies, backend/policy trace determinism
 (sequential == process-pool for Random and BayesQO), and how an
-``ExecutionServiceConfig`` composes backends.  The replica coordinator's
+``ExecutionServiceConfig`` composes backends.  The lease coordinator's
 occupancy/health bookkeeping is covered in ``tests/test_fabric.py``.
 """
 
@@ -224,17 +224,19 @@ class TestBackends:
             ExecutionServiceConfig(backend="thread", max_workers=3), database
         )
         assert isinstance(thread, ThreadPoolBackend) and thread.capacity() == 3
-        routed = make_backend(
-            ExecutionServiceConfig(backend="inline", replicas=2), database
+        supervised = make_backend(
+            ExecutionServiceConfig(backend="thread", max_workers=2, supervised=True), database
         )
         try:
-            # Replicas sit behind the lease coordinator with its inline fallback.
-            assert isinstance(routed, FabricBackend) and routed.capacity() == 2
-            assert isinstance(routed.fallback, InlineBackend)
-            names = [status["name"] for status in routed.statuses()]
-            assert names == ["inline[0]", "inline[1]"]
+            # Supervision puts the lease coordinator, with its inline
+            # fallback, in front of the one backend.
+            assert isinstance(supervised, FabricBackend) and supervised.capacity() == 2
+            assert isinstance(supervised.member, ThreadPoolBackend)
+            assert isinstance(supervised.fallback, InlineBackend)
         finally:
-            routed.close()
+            supervised.close()
+        with pytest.raises(TypeError, match="replicas"):
+            ExecutionServiceConfig(replicas=2)
         for backend in ("quantum", "fabric"):
             with pytest.raises(OptimizationError):
                 ExecutionServiceConfig(backend=backend)

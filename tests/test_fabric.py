@@ -1,14 +1,13 @@
-"""Fabric suite: lease failover, probation, replicas, members that lose workers.
+"""Fabric suite: lease failover, probation, a member that loses workers.
 
-Covers the coordinator's lease machinery against scripted member doubles
-(reassignment off a lost member, bounded attempts, probation/half-open
-rejoin, members that replace their own dead workers, degradation to the
-inline fallback once no member is healthy, grouped batch dispatch, a
-submission racing ``close``), a hypothesis state machine over scripted
-members, the same coordinator over in-process replicas
-(``ExecutionServiceConfig(replicas=N)``: least-loaded routing, health
-charging, unique slot names), and over real process-pool members whose
-workers die while they hold no lease, or beside one that runs a lease.
+Covers the coordinator's lease machinery against a scripted member double
+(reassignment after a lost attempt, bounded attempts, probation while
+leases wait and the half-open probe, a member that replaces its own dead
+workers, degradation to the inline fallback once the member is unhealthy,
+grouped batch dispatch, a submission racing ``close``), a hypothesis state
+machine over a scripted member, and the coordinator over a real process
+pool whose workers die while they hold no lease, or beside one that runs a
+lease.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def _until(predicate, timeout=10.0):
 class TestLeaseFailover:
     def test_clean_submission_keeps_attempts_at_one(self):
         node = _ScriptedNode()
-        fabric = FabricBackend([node])
+        fabric = FabricBackend(node)
         try:
             outcome = fabric.submit(_request()).result(timeout=10.0)
         finally:
@@ -154,23 +153,19 @@ class TestLeaseFailover:
         assert fabric.counters.lease_reassignments == 0
 
     def test_lost_node_reassigns_the_lease_and_stamps_attempts(self):
-        flaky = _ScriptedNode(name="node[0]", script=[TransientBackendError("link down")])
-        steady = _ScriptedNode(name="node[1]")
-        fabric = FabricBackend([flaky, steady], max_failures=3)
+        flaky = _ScriptedNode(script=[TransientBackendError("link down")])
+        fabric = FabricBackend(flaky, max_failures=3)
         try:
             outcome = fabric.submit(_request()).result(timeout=10.0)
         finally:
             fabric.close()
         assert outcome.attempts == 2  # reassignment is visible, not silent
         assert fabric.counters.lease_reassignments == 1
-        # The retry landed on the *other* node (last_slot avoidance).
-        assert len(flaky.submitted) == 1
-        assert len(steady.submitted) == 1
+        assert len(flaky.submitted) == 2
 
     def test_plan_error_propagates_untouched_without_reassignment(self):
         node = _ScriptedNode(script=[RemoteExecutionError("plan died", remote_traceback="tb")])
-        other = _ScriptedNode(name="node[1]")
-        fabric = FabricBackend([node, other])
+        fabric = FabricBackend(node)
         try:
             exc = fabric.submit(_request()).exception(timeout=10.0)
         finally:
@@ -178,11 +173,11 @@ class TestLeaseFailover:
         assert isinstance(exc, RemoteExecutionError)
         assert exc.remote_traceback == "tb"
         assert fabric.counters.lease_reassignments == 0
-        assert not other.submitted
+        assert len(node.submitted) == 1
 
     def test_exhausted_lease_gives_up_with_the_infra_error(self):
         node = _ScriptedNode(script=[TransientBackendError("down"), TransientBackendError("down")])
-        fabric = FabricBackend([node], max_lease_attempts=2, max_failures=10)
+        fabric = FabricBackend(node, max_lease_attempts=2, max_failures=10)
         try:
             exc = fabric.submit(_request()).exception(timeout=10.0)
         finally:
@@ -193,7 +188,7 @@ class TestLeaseFailover:
     def test_exhausted_lease_falls_back_inline_when_available(self):
         node = _ScriptedNode(script=[TransientBackendError("down")] * 3)
         fallback = _ScriptedNode(name="fallback")
-        fabric = FabricBackend([node], max_lease_attempts=1, fallback=fallback)
+        fabric = FabricBackend(node, max_lease_attempts=1, fallback=fallback)
         try:
             outcome = fabric.submit(_request()).result(timeout=10.0)
         finally:
@@ -203,40 +198,53 @@ class TestLeaseFailover:
         assert len(fallback.submitted) == 1
 
     def test_batch_dispatches_as_one_group_to_one_node(self):
-        a = _ScriptedNode(name="node[0]", capacity=4)
-        b = _ScriptedNode(name="node[1]", capacity=4)
-        fabric = FabricBackend([a, b])
+        node = _ScriptedNode(capacity=4)
+        fabric = FabricBackend(node)
         try:
             futures = fabric.submit_batch([_request(), _request(), _request()])
             for future in futures:
                 future.result(timeout=10.0)
         finally:
             fabric.close()
-        # Exactly one node received the whole group, batched.
-        batched = a.batches or b.batches
-        assert len(batched) == 1 and len(batched[0]) == 3
-        assert not (a.batches and b.batches)
+        # The member received the whole group, batched.
+        assert [len(batch) for batch in node.batches] == [3]
 
     def test_failed_batch_disbands_and_each_lease_reassigns(self):
-        flaky = _ScriptedNode(
-            name="node[0]", capacity=4, script=[TransientBackendError("down")] * 2
-        )
-        steady = _ScriptedNode(name="node[1]", capacity=4)
-        fabric = FabricBackend([flaky, steady], max_failures=5)
+        flaky = _ScriptedNode(capacity=4, script=[TransientBackendError("down")] * 2)
+        fabric = FabricBackend(flaky, max_failures=5)
         try:
             futures = fabric.submit_batch([_request(), _request()])
             outcomes = [future.result(timeout=10.0) for future in futures]
         finally:
             fabric.close()
         assert all(outcome.attempts == 2 for outcome in outcomes)
-        assert len(steady.submitted) == 2
+        # One batch of two, then one lone submission per reassigned lease.
+        assert [len(batch) for batch in flaky.batches] == [2]
+        assert len(flaky.submitted) == 4
         assert fabric.counters.give_ups == 0
+
+    def test_a_full_member_queues_leases_until_a_slot_frees(self):
+        node = _HeldNode(capacity=2)
+        fabric = FabricBackend(node)
+        try:
+            futures = [fabric.submit(_request(f"q{i}")) for i in range(3)]
+            assert len(node.held) == 2
+            assert fabric.health_snapshot()["pending_leases"] == 1
+            node.release()
+            # The freed slot takes the queued lease.  (The pump thread may
+            # be the one that hands it over, hence the wait.)
+            _until(lambda: len(node.held) == 1)
+            assert node.submitted[-1].query.name == "q2"
+            node.release()
+            assert all(future.result(timeout=10.0).latency == 1.0 for future in futures)
+        finally:
+            fabric.close()
 
     def test_double_settlement_is_impossible(self):
         # A lease whose node dies after the reply raced in must not resolve
         # the outer future twice; _settle tolerates the race structurally.
         node = _ScriptedNode()
-        fabric = FabricBackend([node])
+        fabric = FabricBackend(node)
         try:
             future = fabric.submit(_request())
             outcome = future.result(timeout=10.0)
@@ -251,37 +259,114 @@ class TestLeaseFailover:
 
 # ------------------------------------------------------------------ probation + degradation
 class TestProbationAndDegradation:
+    """The member's probation: after ``max_failures`` infrastructure failures
+    in a row it sits out a doubling period while leases wait (they never go to
+    the fallback while it is healthy), then takes one half-open probe."""
+
     def test_failing_node_enters_probation_and_recovers_half_open(self):
         clock = _FakeClock()
-        flaky = _ScriptedNode(name="node[0]", script=[TransientBackendError("down")])
-        steady = _ScriptedNode(name="node[1]")
+        node = _HeldNode(capacity=2)
+        fallback = _ScriptedNode(name="fallback")
         fabric = FabricBackend(
-            [flaky, steady], max_failures=1, probation_seconds=5.0, clock=clock
+            node, fallback=fallback, max_failures=1, probation_seconds=5.0, clock=clock
         )
         try:
-            fabric.submit(_request()).result(timeout=10.0)
-            flaky_slot = fabric._slots[0]
-            assert flaky_slot.on_probation(clock())
-            assert not flaky_slot.eligible(clock())
-            # Until probation lapses, new work routes around the node.
-            fabric.submit(_request()).result(timeout=10.0)
-            assert len(flaky.submitted) == 1
-            # Probation lapses -> half-open: the node may take one probe.
+            first = fabric.submit(_request("q0"))
+            node.held.pop(0).set_exception(TransientBackendError("down"))
+            member = fabric.health_snapshot()["member"]
+            assert member["on_probation"] and member["probations"] == 1
+            second = fabric.submit(_request("q1"))
+            time.sleep(0.1)  # several pump passes: a healthy member on probation
+            assert len(node.submitted) == 1 and not fallback.submitted
+            assert fabric.health_snapshot()["pending_leases"] == 2
+            # Probation lapses -> half-open: one probe, though two slots are free.
             clock.advance(5.1)
-            assert flaky_slot.probing(clock())
-            assert flaky_slot.eligible(clock())
-            fabric.submit(_request("probe_q")).result(timeout=10.0)
-            # A successful probe fully clears probation state.
-            assert flaky_slot.probation_until is None
-            assert flaky_slot.probations == 0
+            _until(lambda: len(node.held) == 1)
+            time.sleep(0.1)
+            assert len(node.held) == 1
+            assert node.submitted[-1].query.name == "q0"
+            # A successful probe clears the record and reopens every slot.
+            node.release()
+            _until(lambda: len(node.held) == 1)
+            node.release()
+            outcomes = [first.result(timeout=10.0), second.result(timeout=10.0)]
+            member = fabric.health_snapshot()["member"]
         finally:
             fabric.close()
+        assert [outcome.attempts for outcome in outcomes] == [2, 1]
+        assert not member["on_probation"] and member["probations"] == member["failures"] == 0
+        assert not fallback.submitted and fabric.counters.degraded_executions == 0
+
+    def test_failed_probe_doubles_the_next_probation(self):
+        clock = _FakeClock()
+        flaky = _ScriptedNode(script=[BrokenExecutor("pool died")] * 2)
+        fabric = FabricBackend(
+            flaky, max_failures=1, probation_seconds=10.0, max_lease_attempts=5, clock=clock
+        )
+        try:
+            future = fabric.submit(_request("q0"))  # failure -> 10 s probation
+            assert len(flaky.submitted) == 1 and not future.done()
+            clock.advance(11.0)
+            _until(lambda: len(flaky.submitted) == 2)  # the probe fails -> 20 s
+            assert fabric.health_snapshot()["member"]["probations"] == 2
+            clock.advance(11.0)  # 11 < 20: still on probation
+            time.sleep(0.1)
+            assert len(flaky.submitted) == 2 and not future.done()
+            clock.advance(10.0)  # 21 > 20: the next probe goes through
+            outcome = future.result(timeout=10.0)
+        finally:
+            fabric.close()
+        assert outcome.attempts == 3 and len(flaky.submitted) == 3
+
+    def test_a_transient_error_counts_against_health(self):
+        clock = _FakeClock()
+        flaky = _ScriptedNode(script=[TransientBackendError("blip")])
+        fabric = FabricBackend(flaky, max_failures=1, clock=clock)
+        try:
+            future = fabric.submit(_request())
+            member = fabric.health_snapshot()["member"]
+            clock.advance(1.1)
+            outcome = future.result(timeout=10.0)
+        finally:
+            fabric.close()
+        assert member["on_probation"] and member["probations"] == 1
+        assert outcome.attempts == 2
+
+    def test_a_failure_below_max_failures_is_counted_but_not_benched(self):
+        node = _HeldNode()
+        fabric = FabricBackend(node, max_failures=3, clock=_FakeClock())
+        try:
+            future = fabric.submit(_request())
+            node.held.pop(0).set_exception(BrokenExecutor("hiccup"))
+            # Reassigned to the member at once: one failure benches nothing.
+            assert len(node.held) == 1
+            member = fabric.health_snapshot()["member"]
+            node.release()
+            outcome = future.result(timeout=10.0)
+            cleared = fabric.health_snapshot()["member"]
+        finally:
+            fabric.close()
+        assert member["failures"] == 1 and not member["on_probation"]
+        assert outcome.latency == 1.0 and outcome.attempts == 2
+        assert cleared["failures"] == 0
+
+    def test_a_plan_error_neither_reassigns_nor_charges_the_member(self):
+        failing = _ScriptedNode(script=[RuntimeError("bad plan")])
+        fabric = FabricBackend(failing, max_failures=1)
+        try:
+            with pytest.raises(RuntimeError, match="bad plan"):
+                fabric.submit(_request()).result(timeout=10.0)
+            member = fabric.health_snapshot()["member"]
+        finally:
+            fabric.close()
+        assert member["failures"] == 0 and not member["on_probation"]
+        assert member["occupancy"] == 0 and len(failing.submitted) == 1
 
     def test_all_nodes_lost_degrades_to_fallback(self):
         node = _ScriptedNode()
         node._healthy = False
         fallback = _ScriptedNode(name="fallback")
-        fabric = FabricBackend([node], fallback=fallback)
+        fabric = FabricBackend(node, fallback=fallback)
         try:
             outcome = fabric.submit(_request()).result(timeout=10.0)
         finally:
@@ -293,7 +378,7 @@ class TestProbationAndDegradation:
     def test_no_nodes_and_no_fallback_leaves_work_queued_not_lost(self):
         node = _ScriptedNode()
         node._healthy = False
-        fabric = FabricBackend([node])
+        fabric = FabricBackend(node)
         try:
             future = fabric.submit(_request())
             assert not future.done()
@@ -306,115 +391,9 @@ class TestProbationAndDegradation:
 
     def test_constructor_validation(self):
         with pytest.raises(OptimizationError):
-            FabricBackend([])
+            FabricBackend(_ScriptedNode(), max_failures=0)
         with pytest.raises(OptimizationError):
-            FabricBackend([_ScriptedNode()], max_failures=0)
-        with pytest.raises(OptimizationError):
-            FabricBackend([_ScriptedNode()], max_lease_attempts=0)
-
-
-# ------------------------------------------------------------------ replica coordination
-class TestReplicaCoordinator:
-    """The coordinator over in-process replicas, as ``replicas > 1`` builds it:
-    members failing with pool-level errors."""
-
-    def test_failed_probe_doubles_the_next_probation(self):
-        clock = _FakeClock()
-        flaky = _ScriptedNode(name="flaky", script=[BrokenExecutor("pool died")] * 5)
-        spare = _ScriptedNode(name="spare")
-        fabric = FabricBackend(
-            [flaky, spare], max_failures=1, probation_seconds=10.0, clock=clock
-        )
-        try:
-            fabric.submit(_request("q0")).result(timeout=10.0)  # failure -> 10 s probation
-            clock.advance(11.0)
-            fabric.submit(_request("q1")).result(timeout=10.0)  # probe fails -> 20 s
-            assert len(flaky.submitted) == 2
-            clock.advance(11.0)  # 11 < 20: still on probation
-            fabric.submit(_request("q2")).result(timeout=10.0)
-            assert len(flaky.submitted) == 2
-            clock.advance(10.0)  # 21 > 20: the next probe goes through
-            fabric.submit(_request("q3")).result(timeout=10.0)
-            assert len(flaky.submitted) == 3
-        finally:
-            fabric.close()
-        assert len(spare.submitted) == 4  # every lease finished on the spare
-
-    def test_a_transient_error_counts_against_health(self):
-        flaky = _ScriptedNode(name="flaky", script=[TransientBackendError("blip")])
-        spare = _ScriptedNode(name="spare")
-        fabric = FabricBackend([flaky, spare], max_failures=1, clock=_FakeClock())
-        try:
-            assert fabric.submit(_request()).result(timeout=10.0).latency == 1.0
-            status = fabric.statuses()[0]
-        finally:
-            fabric.close()
-        assert status["on_probation"] and status["probations"] == 1
-        assert len(spare.submitted) == 1
-
-    def test_a_failure_below_max_failures_is_counted_but_not_benched(self):
-        clock = _FakeClock()
-        flaky = _ScriptedNode(name="flaky", script=[BrokenExecutor("hiccup")])
-        fabric = FabricBackend([flaky, _ScriptedNode(name="spare")], max_failures=3, clock=clock)
-        try:
-            outcome = fabric.submit(_request()).result(timeout=10.0)
-            status = fabric.statuses()[0]
-            assert fabric._slots[0].eligible(clock())
-        finally:
-            fabric.close()
-        assert outcome.latency == 1.0 and outcome.attempts == 2
-        assert status["failures"] == 1 and not status["on_probation"]
-
-    def test_a_plan_error_neither_reassigns_nor_charges_the_replica(self):
-        failing = _ScriptedNode(name="failing", script=[RuntimeError("bad plan")])
-        spare = _ScriptedNode(name="spare")
-        fabric = FabricBackend([failing, spare], max_failures=1)
-        try:
-            with pytest.raises(RuntimeError, match="bad plan"):
-                fabric.submit(_request()).result(timeout=10.0)
-            status = fabric.statuses()[0]
-        finally:
-            fabric.close()
-        assert status["failures"] == 0 and not status["on_probation"]
-        assert status["occupancy"] == 0 and not spare.submitted
-
-    def test_least_loaded_routing_breaks_ties_by_name(self):
-        right = _HeldNode(name="right", capacity=2)
-        left = _HeldNode(name="left", capacity=2)
-        fabric = FabricBackend([right, left])
-        try:
-            futures, occupancy = [], []
-            for i in range(4):
-                futures.append(fabric.submit(_request(f"q{i}")))
-                occupancy.append(tuple(status["occupancy"] for status in fabric.statuses()))
-            # (right, left): a tie goes to the smaller name whatever the
-            # member order, then the load alternates the members.
-            assert occupancy == [(0, 1), (1, 1), (1, 2), (2, 2)]
-            # Both members are full: the fifth lease waits in the queue...
-            futures.append(fabric.submit(_request("q4")))
-            assert fabric.health_snapshot()["pending_leases"] == 1
-            # ...until a member frees a slot.  (The fabric's pump thread may
-            # be the one that hands a lease to its member, hence the waits.)
-            _until(lambda: len(right.held) == 2)
-            right.release()
-            _until(lambda: len(right.held) == 1)
-            assert right.submitted[-1].query.name == "q4"
-            _until(lambda: len(left.held) == 2)
-            right.release()
-            left.release()
-            assert all(future.result(timeout=10.0).latency == 1.0 for future in futures)
-        finally:
-            fabric.close()
-
-    def test_same_named_members_get_unique_slot_names(self):
-        replicas = FabricBackend([_ScriptedNode(name="inline"), _ScriptedNode(name="inline")])
-        nodes = FabricBackend([_ScriptedNode(name="node[0]"), _ScriptedNode(name="node[1]")])
-        try:
-            assert [status["name"] for status in replicas.statuses()] == ["inline[0]", "inline[1]"]
-            assert [status["name"] for status in nodes.statuses()] == ["node[0]", "node[1]"]
-        finally:
-            replicas.close()
-            nodes.close()
+            FabricBackend(_ScriptedNode(), max_lease_attempts=0)
 
 
 # ------------------------------------------------------------------ members that lose workers
@@ -435,18 +414,14 @@ class _HealingNode(_ScriptedNode):
         self.restarts += 1
 
 
-class _HeldHealingNode(_HeldNode, _HealingNode):
-    """A :class:`_HealingNode` whose futures stay pending until ``release``."""
-
-
 class TestMemberRebuild:
-    """A member rebuilds its own dead workers; the coordinator restarts no
-    member, and routes around one that is unhealthy for good."""
+    """The member rebuilds its own dead workers; the coordinator restarts no
+    member, and degrades once it is unhealthy for good."""
 
     def test_a_member_that_replaced_an_idle_worker_serves_the_next_lease(self):
         node = _HealingNode()
         fallback = _ScriptedNode(name="fallback")
-        fabric = FabricBackend([node], fallback=fallback)
+        fabric = FabricBackend(node, fallback=fallback)
         try:
             fabric.submit(_request("q0")).result(timeout=10.0)
             node.lose_worker()
@@ -458,35 +433,16 @@ class TestMemberRebuild:
         assert node.restarts == 0 and [r.query.name for r in node.submitted] == ["q0", "q1"]
         assert not fallback.submitted and report["degraded_executions"] == 0
         assert report["lease_reassignments"] == 0
-        assert report["live_nodes"] == 1 and report["nodes"][0]["replacements"] == 1
-
-    def test_only_the_member_that_lost_a_worker_reports_it_and_both_serve(self):
-        healed = _HeldHealingNode(name="a")
-        live = _HeldHealingNode(name="b")
-        healed.lose_worker()
-        fabric = FabricBackend([healed, live])
-        try:
-            futures = [fabric.submit(_request(f"q{i}")) for i in range(2)]
-            # The healed member is as eligible as the other: the two leases
-            # spread over both members instead of queueing behind one.
-            assert len(healed.held) == len(live.held) == 1
-            healed.release()
-            live.release()
-            assert all(future.result(timeout=10.0).latency == 1.0 for future in futures)
-            statuses = fabric.statuses()
-        finally:
-            fabric.close()
-        assert [status["replacements"] for status in statuses] == [1, 0]
-        assert healed.restarts == live.restarts == 0
+        assert report["member"]["live"] and report["member"]["replacements"] == 1
 
     def test_a_member_dead_for_good_degrades_the_run_at_once(self):
         node = _HealingNode()
         node._healthy = False
         fallback = _ScriptedNode(name="fallback")
-        fabric = FabricBackend([node], fallback=fallback, clock=_FakeClock())
+        fabric = FabricBackend(node, fallback=fallback, clock=_FakeClock())
         try:
-            # The fake clock never moves: no wait stands between the last
-            # healthy member going and the fallback taking the leases.
+            # The fake clock never moves: no wait stands between the member
+            # going and the fallback taking the leases.
             outcomes = [fabric.submit(_request(f"q{i}")).result(timeout=10.0) for i in range(3)]
         finally:
             fabric.close()
@@ -495,24 +451,9 @@ class TestMemberRebuild:
         assert not node.submitted and len(fallback.submitted) == 3
         assert fabric.counters.degraded_executions == 3
 
-    def test_a_dead_member_is_routed_around(self):
-        dead = _ScriptedNode(name="a")
-        dead._healthy = False
-        spare = _ScriptedNode(name="b")
-        fabric = FabricBackend([dead, spare])
-        try:
-            outcomes = [fabric.submit(_request(f"q{i}")).result(timeout=10.0) for i in range(3)]
-            report = fabric.health_snapshot()
-        finally:
-            fabric.close()
-        assert [outcome.attempts for outcome in outcomes] == [1] * 3
-        assert not dead.submitted and len(spare.submitted) == 3
-        assert report["live_nodes"] == 1 and report["degraded_executions"] == 0
-        assert [status["replacements"] for status in report["nodes"]] == [0, 0]
-
     def test_an_unhealthy_member_is_never_restarted_even_with_work_queued(self):
         node = _HealingNode()
-        fabric = FabricBackend([node])
+        fabric = FabricBackend(node)
         try:
             fabric.submit(_request("q0")).result(timeout=10.0)
             node._healthy = False
@@ -534,7 +475,7 @@ class TestSubmitRacingClose:
     ):
         from repro.exec import fabric as fabric_module
 
-        fabric = FabricBackend([_HeldNode()])
+        fabric = FabricBackend(_HeldNode())
 
         class _ClosingLease(fabric_module._Lease):
             # close() runs after submit_batch made its leases but before it
@@ -550,7 +491,7 @@ class TestSubmitRacingClose:
 
     def test_a_lease_that_fails_after_close_settles_with_its_failure(self):
         node = _HeldNode()
-        fabric = FabricBackend([node])
+        fabric = FabricBackend(node)
         future = fabric.submit(_request())
         fabric.close()
         # A pool's close() kills what still runs: the lease cannot reassign.
@@ -613,8 +554,8 @@ class _MachineNode:
 
 
 class FabricMachine(RuleBasedStateMachine):
-    """The coordinator over members that fail transiently, die for good,
-    raise plan errors or hang past the request deadline.
+    """The coordinator over a member that fails transiently, dies for good,
+    raises plan errors or hangs past the request deadline.
 
     The pump thread is switched off: every step ends with one pump pass (the
     watchdog, then dispatch) on the test thread, so a run is a function of
@@ -624,22 +565,20 @@ class FabricMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.clock = _FakeClock()
-        #: Dispatches of each request (by identity) to a member or the fallback.
+        #: Dispatches of each request (by identity) to the member or the fallback.
         self.dispatches = Counter()
         self.leases = []
-        self.members = []
+        self.member = None
         self.fallback = None
         self.fabric = None
 
-    @initialize(members=st.integers(1, 3), capacity=st.integers(1, 2), fallback=st.booleans())
-    def build(self, members, capacity, fallback):
-        self.members = [
-            _MachineNode(f"m{index}", capacity, self.dispatches) for index in range(members)
-        ]
+    @initialize(capacity=st.integers(1, 3), fallback=st.booleans())
+    def build(self, capacity, fallback):
+        self.member = _MachineNode("member", capacity, self.dispatches)
         if fallback:
             self.fallback = _MachineNode("fallback", 1, self.dispatches, hold=False)
         self.fabric = FabricBackend(
-            self.members, fallback=self.fallback, max_failures=2, probation_seconds=1.0,
+            self.member, fallback=self.fallback, max_failures=2, probation_seconds=1.0,
             max_lease_attempts=3, request_deadline=1.0, clock=self.clock,
         )
         self.fabric._ensure_pump = lambda: None
@@ -654,12 +593,10 @@ class FabricMachine(RuleBasedStateMachine):
         self.leases.extend(zip(requests, self.fabric.submit_batch(requests)))
         self._pump()
 
-    @precondition(lambda self: any(member.open() for member in self.members))
+    @precondition(lambda self: self.member.open())
     @rule(data=st.data(), reply=st.sampled_from(["clean", "transient", "plan error"]))
     def reply(self, data, reply):
-        future = data.draw(
-            st.sampled_from([future for member in self.members for future in member.open()])
-        )
+        future = data.draw(st.sampled_from(self.member.open()))
         if reply == "clean":
             future.set_result(ExecutionOutcome(latency=1.0))
         elif reply == "transient":
@@ -668,14 +605,11 @@ class FabricMachine(RuleBasedStateMachine):
             future.set_exception(_PlanError("bad plan"))
         self._pump()
 
-    @precondition(
-        lambda self: sum(member.alive for member in self.members)
-        > (0 if self.fallback is not None else 1)
-    )
-    @rule(data=st.data())
-    def die(self, data):
-        # Without a fallback one member always stays: leases would wait for ever.
-        data.draw(st.sampled_from([member for member in self.members if member.alive])).die()
+    @precondition(lambda self: self.fallback is not None and self.member.alive)
+    @rule()
+    def die(self):
+        # Without a fallback the member stays: leases would wait for ever.
+        self.member.die()
         self._pump()
 
     @rule(seconds=st.sampled_from([0.5, 1.5, 4.0]))
@@ -686,13 +620,12 @@ class FabricMachine(RuleBasedStateMachine):
 
     @invariant()
     def no_lease_goes_to_an_unhealthy_member(self):
-        assert all(member.unhealthy_dispatches == 0 for member in self.members)
+        assert self.member is None or self.member.unhealthy_dispatches == 0
 
     @invariant()
     def with_no_healthy_member_nothing_waits(self):
-        if self.fabric is not None and self.fallback is not None:
-            if not any(member.alive for member in self.members):
-                assert not self.fabric._pending
+        if self.fallback is not None and not self.member.alive:
+            assert not self.fabric._pending
 
     @invariant()
     def attempts_are_reassignments_plus_one(self):
@@ -707,9 +640,8 @@ class FabricMachine(RuleBasedStateMachine):
             for _ in range(100):
                 if all(future.done() for _, future in self.leases):
                     break
-                for member in self.members:
-                    for future in member.open():
-                        future.set_result(ExecutionOutcome(latency=1.0))
+                for future in self.member.open():
+                    future.set_result(ExecutionOutcome(latency=1.0))
                 self.clock.advance(100.0)
                 self._pump()
             futures = [future for _, future in self.leases]
@@ -725,7 +657,7 @@ class FabricMachine(RuleBasedStateMachine):
                 counters.lease_reassignments + counters.completed + plan_errors
             )
             assert not self.fabric._pending and not self.fabric._flights
-            assert all(status["occupancy"] == 0 for status in self.fabric.statuses())
+            assert self.fabric.health_snapshot()["member"]["occupancy"] == 0
         finally:
             self.fabric.close()
 
@@ -740,43 +672,39 @@ TestFabricMachine.settings = settings(
 # ------------------------------------------------------------------ health surface
 class TestHealthSurface:
     def test_health_snapshot_shape(self):
-        fabric = FabricBackend([_ScriptedNode(), _ScriptedNode(name="node[1]")])
+        fabric = FabricBackend(_ScriptedNode())
         try:
             fabric.submit(_request()).result(timeout=10.0)
             report = fabric.health_snapshot()
         finally:
             fabric.close()
         assert report["submissions"] == 1 and report["completed"] == 1
-        assert len(report["nodes"]) == 2
         for key in ("lease_reassignments", "give_ups", "pending_leases"):
             assert key in report
-        assert [status["replacements"] for status in report["nodes"]] == [0, 0]
+        assert report["member"]["live"] and report["member"]["replacements"] == 0
 
-    def test_health_snapshot_keys_are_the_counters_and_the_member_table(self):
-        fabric = FabricBackend([_ScriptedNode()])
+    def test_health_snapshot_keys_are_the_counters_and_the_member(self):
+        fabric = FabricBackend(_ScriptedNode())
         try:
             report = fabric.health_snapshot()
         finally:
             fabric.close()
         assert set(report) == {
             "submissions", "dispatched", "completed", "lease_reassignments",
-            "degraded_executions", "give_ups", "hangs",
-            "nodes", "live_nodes", "pending_leases",
+            "degraded_executions", "give_ups", "hangs", "member", "pending_leases",
         }
-        assert set(report["nodes"][0]) == {
-            "name", "live", "occupancy", "dispatched", "completed",
-            "lease_reassignments_received", "failures", "on_probation", "probations",
-            "replacements",
+        assert set(report["member"]) == {
+            "live", "occupancy", "failures", "on_probation", "probations", "replacements",
         }
 
     def test_backend_health_walker_reports_the_fabric_layer(self):
-        fabric = FabricBackend([_ScriptedNode()])
+        fabric = FabricBackend(_ScriptedNode())
         try:
             report = backend_health(fabric)
         finally:
             fabric.close()
         assert "fabric" in report
-        assert report["fabric"]["live_nodes"] == 1
+        assert report["fabric"]["member"]["live"]
 
 
 # ------------------------------------------------------------------ process members
@@ -800,7 +728,7 @@ def _pids(pool) -> set:
 
 @pytest.mark.slow
 class TestProcessMembers:
-    """The coordinator over real process-pool members."""
+    """The coordinator over a real process pool."""
 
     def test_a_dead_idle_worker_costs_its_busy_sibling_nothing(self, tmp_path):
         release = tmp_path / "release"
@@ -809,7 +737,7 @@ class TestProcessMembers:
             _PidDatabase(str(release)),
         )
         try:
-            [member] = backend.members()
+            member = backend.member
             pool = member._ensure_pool()
             held = backend.submit(_request("hold"))
             _until(lambda: any(worker.future is not None for worker in pool._workers))
@@ -829,7 +757,7 @@ class TestProcessMembers:
         assert served.latency == replacement and served.attempts == 1
         assert long.latency == busy and long.attempts == 1
         assert report["lease_reassignments"] == 0 and report["degraded_executions"] == 0
-        assert report["live_nodes"] == 1 and report["nodes"][0]["replacements"] == 1
+        assert report["member"]["live"] and report["member"]["replacements"] == 1
 
     def test_a_member_dead_past_its_rebuilds_degrades_the_run_at_once(self, tmp_path):
         backend = make_backend(
@@ -837,7 +765,7 @@ class TestProcessMembers:
             _PidDatabase(str(tmp_path / "unused")),
         )
         try:
-            [member] = backend.members()
+            member = backend.member
             pool = member._ensure_pool()
             killed = set()
             for _ in range(MAX_REBUILDS + 1):
@@ -855,29 +783,32 @@ class TestProcessMembers:
             backend.close()
         assert degraded.latency == os.getpid() and degraded.attempts == 1
         assert report["degraded_executions"] == 1 and report["lease_reassignments"] == 0
-        assert report["live_nodes"] == 0 and report["nodes"][0]["replacements"] == MAX_REBUILDS
+        assert not report["member"]["live"]
+        assert report["member"]["replacements"] == MAX_REBUILDS
 
-    def test_members_whose_workers_died_idle_replace_them_in_place(self):
+    def test_a_member_whose_workers_died_idle_replaces_them_in_place(self):
         workload = build_job_workload(scale=0.05, seed=0, num_queries=4)
         database = workload.database
         requests = [
             ExecutionRequest(query=query, plan=database.plan(query)) for query in workload.queries
         ]
         backend = make_backend(
-            ExecutionServiceConfig(backend="process", max_workers=1, replicas=2),
+            ExecutionServiceConfig(backend="process", max_workers=2, supervised=True),
             database, workload.queries,
         )
         try:
             for future in [backend.submit(request) for request in requests]:
                 future.result(timeout=60.0)
-            members = backend.members()
-            # Kill both workers while neither member holds a lease: no lease
-            # fails on them, and each pool replaces its own worker.
-            for member in members:
-                pid = member._ensure_pool().submit(os.getpid).result(timeout=60.0)
+            member = backend.member
+            pool = member._ensure_pool()
+            # Kill both workers while neither holds a lease: no lease fails on
+            # them, and the pool replaces each in its own slot.
+            _until(lambda: all(worker.future is None for worker in pool._workers))
+            dead = _pids(pool)
+            for pid in dead:
                 os.kill(pid, signal.SIGKILL)
-            _until(lambda: all(member.replacements == 1 for member in members), timeout=30.0)
-            assert all(member.healthy() for member in members)
+            _until(lambda: member.replacements == 2, timeout=30.0)
+            assert member.healthy() and not _pids(pool) & dead
             outcomes = [
                 future.result(timeout=60.0)
                 for future in [backend.submit(request) for request in requests * 2]
@@ -891,5 +822,5 @@ class TestProcessMembers:
             (o.latency, o.timed_out) for o in expected
         ]
         assert report["degraded_executions"] == 0 and report["lease_reassignments"] == 0
-        assert report["live_nodes"] == 2 and report["give_ups"] == 0
-        assert [status["replacements"] for status in report["nodes"]] == [1, 1]
+        assert report["give_ups"] == 0
+        assert report["member"]["live"] and report["member"]["replacements"] == 2

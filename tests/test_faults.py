@@ -34,7 +34,7 @@ from repro.exec import (
     BudgetAwarePriority,
     ExecutionRequest,
     FabricBackend,
-    FaultCounters,
+    FabricCounters,
     FaultInjectionConfig,
     HangTimeout,
     InjectedTransientError,
@@ -242,10 +242,9 @@ class TestFaultInjectionConfig:
         assert abs(draws.count(None) / len(draws) - 0.5) < 0.03
 
     def test_counters_map_every_kind_and_total_excludes_clean(self):
-        counters = FaultCounters()
-        for kind in (*FAULT_KINDS, "crash", None, None):
-            counters.count(kind)
-        assert counters.snapshot() == {
+        counters = FabricCounters()
+        counters.injected.update([*FAULT_KINDS, "crash", None, None])
+        assert counters.faults_snapshot() == {
             "crashes": 2, "hangs": 1, "transients": 1, "slowdowns": 1, "clean": 2,
             "total_faults": 5,
         }
@@ -277,7 +276,7 @@ class TestCoordinatorFaultInjection:
     def test_crash_and_transient_short_circuit_inner(self):
         inner = _ScriptedBackend()
         config = FaultInjectionConfig(seed=0, crash_rate=0.5, transient_rate=0.5)
-        fabric = FabricBackend([inner], faults=config, max_lease_attempts=1, max_failures=100)
+        fabric = FabricBackend(inner, faults=config, max_lease_attempts=1, max_failures=100)
         crashes = transients = 0
         try:
             for i in range(12):
@@ -286,21 +285,22 @@ class TestCoordinatorFaultInjection:
                 assert is_infra_failure(exc)
                 crashes += isinstance(exc, InjectedWorkerCrash)
                 transients += isinstance(exc, InjectedTransientError)
-            status = fabric.statuses()[0]
+            member = fabric.health_snapshot()["member"]
         finally:
             fabric.close()
         # Every dispatch faulted (rates sum to 1) without touching the member,
         # and each was dispatched and charged like a real member failure.
         assert inner.submitted == []
-        assert fabric.fault_counters.crashes == crashes > 0
-        assert fabric.fault_counters.transients == transients > 0
-        assert fabric.fault_counters.total_faults == 12
-        assert fabric.counters.dispatched == 12 and status["failures"] == 12
+        faults = fabric.counters.faults_snapshot()
+        assert faults["crashes"] == crashes > 0
+        assert faults["transients"] == transients > 0
+        assert faults["total_faults"] == 12
+        assert fabric.counters.dispatched == 12 and member["failures"] == 12
 
     def test_slow_delivery_runs_for_real_but_arrives_late(self):
         inner = _ScriptedBackend()
         config = FaultInjectionConfig(seed=0, slow_rate=1.0, slow_seconds=0.05)
-        fabric = FabricBackend([inner], faults=config)
+        fabric = FabricBackend(inner, faults=config)
         try:
             start = time.monotonic()
             future = fabric.submit(_request())
@@ -310,25 +310,25 @@ class TestCoordinatorFaultInjection:
             assert time.monotonic() - start >= 0.04
         finally:
             fabric.close()
-        assert fabric.fault_counters.slowdowns == 1
+        assert fabric.counters.injected["slow"] == 1
 
     def test_slow_members_inside_the_deadline_never_trip_the_watchdog(self):
         inner = _ScriptedBackend(capacity=4)
         config = FaultInjectionConfig(seed=0, slow_rate=1.0, slow_seconds=0.02)
-        fabric = FabricBackend([inner], faults=config, request_deadline=5.0)
+        fabric = FabricBackend(inner, faults=config, request_deadline=5.0)
         try:
             futures = fabric.submit_batch([_request(f"q{i}") for i in range(4)])
             outcomes = [future.result(timeout=10.0) for future in futures]
         finally:
             fabric.close()
         assert [outcome.attempts for outcome in outcomes] == [1] * 4
-        assert fabric.fault_counters.slowdowns == 4
+        assert fabric.counters.injected["slow"] == 4
         assert fabric.counters.hangs == fabric.counters.lease_reassignments == 0
 
     def test_a_hang_without_a_deadline_arrives_after_hang_seconds(self):
         inner = _ScriptedBackend()
         config = FaultInjectionConfig(seed=0, hang_rate=1.0, hang_seconds=0.05)
-        fabric = FabricBackend([inner], faults=config)
+        fabric = FabricBackend(inner, faults=config)
         try:
             start = time.monotonic()
             outcome = fabric.submit(_request()).result(timeout=5.0)
@@ -337,24 +337,24 @@ class TestCoordinatorFaultInjection:
             fabric.close()
         assert outcome.latency == 1.0 and outcome.attempts == 1
         assert elapsed >= 0.04
-        assert fabric.fault_counters.hangs == 1 and fabric.counters.hangs == 0
+        assert fabric.counters.injected["hang"] == 1 and fabric.counters.hangs == 0
 
     def test_close_flushes_withheld_results(self):
         inner = _ScriptedBackend()
         config = FaultInjectionConfig(seed=0, hang_rate=1.0, hang_seconds=60.0)
-        fabric = FabricBackend([inner], faults=config)
+        fabric = FabricBackend(inner, faults=config)
         future = fabric.submit(_request())
         assert not future.done()
         fabric.close()  # cancels the 60s timer, delivers the done result
         assert future.result(timeout=1.0).latency == 1.0
 
-    def test_the_fault_bound_holds_across_replicas(self, tiny_workload):
-        # The attempt is the coordinator's, not a member's: a lease
-        # reassigned to the other replica does not draw its faults again.
+    def test_the_fault_bound_holds_across_reassignments(self, tiny_workload):
+        # The attempt is the coordinator's dispatch count of the request: a
+        # reassigned lease draws its next attempt's fault, not its first again.
         database = tiny_workload.database.snapshot()
         query = tiny_workload.queries[0]
         config = ExecutionServiceConfig(
-            backend="inline", replicas=2,
+            backend="inline",
             fault_injection=FaultInjectionConfig(
                 seed=0, crash_rate=1.0, max_faults_per_request=2
             ),
@@ -366,7 +366,7 @@ class TestCoordinatorFaultInjection:
         finally:
             backend.close()
         assert outcome.attempts == 3
-        assert backend.fault_counters.crashes == 2
+        assert backend.counters.faults_snapshot()["crashes"] == 2
         assert backend.counters.degraded_executions == 0
 
 
@@ -376,7 +376,7 @@ class TestCoordinatorSupervision:
     ``supervised=True`` builds around a single backend."""
 
     def test_clean_path_stamps_one_attempt(self):
-        fabric = FabricBackend([_ScriptedBackend()])
+        fabric = FabricBackend(_ScriptedBackend())
         try:
             outcome = fabric.submit(_request()).result(timeout=5.0)
         finally:
@@ -389,7 +389,7 @@ class TestCoordinatorSupervision:
         inner = _ScriptedBackend(
             script=[TransientBackendError("blip"), BrokenExecutor("worker died"), None]
         )
-        fabric = FabricBackend([inner], max_lease_attempts=4)
+        fabric = FabricBackend(inner, max_lease_attempts=4)
         try:
             outcome = fabric.submit(_request()).result(timeout=5.0)
             report = fabric.health_snapshot()
@@ -404,7 +404,7 @@ class TestCoordinatorSupervision:
         inner = _ScriptedBackend(
             script=[TransientBackendError(f"blip {i}") for i in range(10)]
         )
-        fabric = FabricBackend([inner], max_lease_attempts=3, max_failures=10)
+        fabric = FabricBackend(inner, max_lease_attempts=3, max_failures=10)
         try:
             future = fabric.submit(_request())
             with pytest.raises(TransientBackendError, match="blip 2"):
@@ -416,20 +416,20 @@ class TestCoordinatorSupervision:
 
     def test_a_plan_error_is_never_retried(self):
         inner = _ScriptedBackend(script=[RuntimeError("bad plan")])
-        fabric = FabricBackend([inner], max_lease_attempts=6)
+        fabric = FabricBackend(inner, max_lease_attempts=6)
         try:
             future = fabric.submit(_request())
             with pytest.raises(RuntimeError, match="bad plan"):
                 future.result(timeout=5.0)
-            status = fabric.statuses()[0]
+            member = fabric.health_snapshot()["member"]
         finally:
             fabric.close()
         assert len(inner.submitted) == 1
-        assert fabric.counters.lease_reassignments == 0 and status["failures"] == 0
+        assert fabric.counters.lease_reassignments == 0 and member["failures"] == 0
 
     def test_a_failed_lease_leaves_its_group_and_reassigns_alone(self):
         inner = _ScriptedBackend(script=[TransientBackendError("link down")])
-        fabric = FabricBackend([inner])
+        fabric = FabricBackend(inner)
         try:
             futures = fabric.submit_batch([_request("q_a"), _request("q_b")])
             outcomes = [future.result(timeout=5.0) for future in futures]
@@ -442,7 +442,7 @@ class TestCoordinatorSupervision:
     def test_the_watchdog_reassigns_a_hang_and_drops_its_late_reply(self):
         clock = _FakeClock()
         member = _NeverResolves(hangs=1)
-        fabric = FabricBackend([member], request_deadline=0.5, clock=clock)
+        fabric = FabricBackend(member, request_deadline=0.5, clock=clock)
         try:
             future = fabric.submit(_request())
             clock.advance(0.6)
@@ -455,12 +455,12 @@ class TestCoordinatorSupervision:
         assert outcome.latency == 1.0 and outcome.attempts == 2
         assert future.result().latency == 1.0
         assert report["hangs"] == 1 and report["completed"] == 1
-        assert report["nodes"][0]["occupancy"] == 0
+        assert report["member"]["occupancy"] == 0
 
     def test_a_true_hang_gives_up_with_hang_timeout(self):
         clock = _FakeClock()
         member = _NeverResolves()
-        fabric = FabricBackend([member], request_deadline=0.5, max_lease_attempts=2, clock=clock)
+        fabric = FabricBackend(member, request_deadline=0.5, max_lease_attempts=2, clock=clock)
         try:
             future = fabric.submit(_request())
             clock.advance(0.6)
@@ -475,7 +475,7 @@ class TestCoordinatorSupervision:
     def test_a_group_deadline_starts_at_dispatch_and_scales_with_its_size(self):
         clock = _FakeClock()
         member = _NeverResolves()
-        fabric = FabricBackend([member], request_deadline=0.5, clock=clock)
+        fabric = FabricBackend(member, request_deadline=0.5, clock=clock)
         try:
             fabric.submit_batch([_request("q_a"), _request("q_b")])  # due at +1.0
             fabric.submit(_request("q_c"))  # queued behind the group: no deadline yet
@@ -508,7 +508,7 @@ class TestCoordinatorSupervision:
                 return pool.submit(lambda: time.sleep(delay) or ExecutionOutcome(latency=1.0))
 
         fabric = FabricBackend(
-            [_Sleepy(capacity=4)], request_deadline=0.02, max_lease_attempts=1000,
+            _Sleepy(capacity=4), request_deadline=0.02, max_lease_attempts=1000,
             max_failures=10**6,
         )
         interval = sys.getswitchinterval()
@@ -526,20 +526,20 @@ class TestCoordinatorSupervision:
         assert report["completed"] == report["submissions"] == 100
         assert report["hangs"] == report["lease_reassignments"]
         assert report["dispatched"] == 100 + report["lease_reassignments"]
-        assert report["nodes"][0]["occupancy"] == 0
+        assert report["member"]["occupancy"] == 0
 
     def test_a_member_that_replaced_a_dead_worker_takes_the_lease_back(self):
         inner = _HealingBackend(script=[BrokenExecutor("worker died"), None])
         fallback = _ScriptedBackend(name="fallback")
-        fabric = FabricBackend([inner], fallback=fallback)
+        fabric = FabricBackend(inner, fallback=fallback)
         try:
             outcome = fabric.submit(_request()).result(timeout=5.0)
-            status = fabric.statuses()[0]
+            member = fabric.health_snapshot()["member"]
         finally:
             fabric.close()
         assert outcome.latency == 1.0 and outcome.attempts == 2
         assert len(inner.submitted) == 2 and not fallback.submitted
-        assert status["live"] and status["replacements"] == 1
+        assert member["live"] and member["replacements"] == 1
         assert fabric.counters.degraded_executions == 0
 
     def test_racing_dispatches_send_every_lease_to_the_fallback_once(self):
@@ -548,7 +548,7 @@ class TestCoordinatorSupervision:
         inner = _HealingBackend(capacity=8)
         inner._broken = True  # died with no lease on it, for good
         fallback = _ScriptedBackend(name="fallback")
-        fabric = FabricBackend([inner], fallback=fallback)
+        fabric = FabricBackend(inner, fallback=fallback)
         futures = []
 
         def submit(thread):
@@ -577,7 +577,7 @@ class TestCoordinatorSupervision:
         inner = _HealingBackend(script=[BrokenExecutor("gone")] * 10)
         fallback = _ScriptedBackend(name="fallback")
         fabric = FabricBackend(
-            [inner], fallback=fallback, max_lease_attempts=6, max_failures=10,
+            inner, fallback=fallback, max_lease_attempts=6, max_failures=10,
         )
         try:
             outcome = fabric.submit(_request()).result(timeout=5.0)
@@ -767,7 +767,7 @@ class TestCheckpointResume:
 class TestHealthReport:
     def test_layers_surface_in_report(self, tiny_workload):
         config = ExecutionServiceConfig(
-            backend="inline", replicas=2, supervised=True,
+            backend="inline", supervised=True,
             fault_injection=FaultInjectionConfig(seed=0, transient_rate=0.3),
             max_retries=4,
         )
@@ -781,11 +781,9 @@ class TestHealthReport:
         assert report["fabric"]["submissions"] > 0
         assert report["fabric"]["give_ups"] == 0
         assert report["faults"]["clean"] > 0 and report["faults"]["transients"] > 0
-        nodes = report["fabric"]["nodes"]
-        assert [node["name"] for node in nodes] == ["inline[0]", "inline[1]"]
-        assert all(set(node) >= {"occupancy", "failures", "live", "on_probation",
-                                 "lease_reassignments_received", "replacements"}
-                   for node in nodes)
+        assert set(report["fabric"]["member"]) == {
+            "live", "occupancy", "failures", "on_probation", "probations", "replacements",
+        }
 
     def test_make_backend_wires_supervision_and_faults(self, tiny_workload):
         config = ExecutionServiceConfig(
@@ -795,24 +793,24 @@ class TestHealthReport:
         backend = make_backend(config, tiny_workload.database, tiny_workload.queries)
         try:
             assert isinstance(backend, FabricBackend)
-            [member] = backend.members()
-            assert isinstance(member, InlineBackend)
+            assert isinstance(backend.member, InlineBackend)
             assert backend.faults is config.fault_injection
             assert backend.fallback is None  # inline primary needs no fallback
             assert backend._request_deadline == 5.0
             assert backend._max_lease_attempts == config.max_retries + 1
         finally:
             backend.close()
-        # Process replicas draw from the same schedule, on the same coordinator.
+        # A process pool draws from the same schedule, on the coordinator.
         fabric = make_backend(
             ExecutionServiceConfig(
-                backend="process", replicas=2, fault_injection=config.fault_injection
+                backend="process", max_workers=2, fault_injection=config.fault_injection
             ),
             tiny_workload.database, tiny_workload.queries,
         )
         try:
-            assert isinstance(fabric, FabricBackend)
-            assert [type(member) for member in fabric.members()] == [ProcessPoolBackend] * 2
+            assert isinstance(fabric, FabricBackend) and fabric.capacity() == 2
+            assert isinstance(fabric.member, ProcessPoolBackend)
+            assert isinstance(fabric.fallback, InlineBackend)
             assert fabric.faults is config.fault_injection
         finally:
             fabric.close()
@@ -824,10 +822,7 @@ class TestHealthReport:
                 ExecutionServiceConfig(backend="thread", max_workers=2, supervised=True), database
             ),
             make_backend(
-                ExecutionServiceConfig(backend="inline", replicas=2, supervised=True), database
-            ),
-            make_backend(
-                ExecutionServiceConfig(backend="process", replicas=2),
+                ExecutionServiceConfig(backend="process", max_workers=2, request_deadline=30.0),
                 database, tiny_workload.queries,
             ),
         ]
@@ -836,10 +831,9 @@ class TestHealthReport:
             for stack in stacks:
                 assert isinstance(stack, FabricBackend)
                 assert isinstance(stack.fallback, InlineBackend)
-            thread, replicas, processes = (stack.members() for stack in stacks)
-            assert [type(member) for member in thread] == [ThreadPoolBackend]
-            assert [type(member) for member in replicas] == [InlineBackend] * 2
-            assert [type(member) for member in processes] == [ProcessPoolBackend] * 2
+            assert [type(stack.member) for stack in stacks] == [
+                ThreadPoolBackend, ProcessPoolBackend,
+            ]
         finally:
             for stack in stacks:
                 stack.close()
