@@ -215,6 +215,64 @@ class TestBackends:
         with pytest.raises(OptimizationError):
             backend.submit(ExecutionRequest(query=query, plan=plan))
 
+    def test_a_thread_backend_makes_one_pool_on_its_first_submit(self, noisy_workload):
+        database = noisy_workload.database
+        query = noisy_workload.queries[0]
+        request = ExecutionRequest(query=query, plan=database.plan(query))
+        idle = ThreadPoolBackend(database, max_workers=2)
+        idle.close()
+        assert idle._pool is None  # closing a backend that never ran makes no pool
+        backend = ThreadPoolBackend(database, max_workers=2)
+        try:
+            assert backend._pool is None
+            # A lone submit is a one-request batch on the same pool.
+            lone = backend.submit(request).result(timeout=30.0)
+            pool = backend._pool
+            batch = [future.result(timeout=30.0) for future in backend.submit_batch([request] * 2)]
+            assert pool is not None and backend._pool is pool
+        finally:
+            backend.close()
+        assert backend._pool is None
+        expected = database.execute(query, request.plan).latency
+        assert [lone.latency] + [outcome.latency for outcome in batch] == [expected] * 3
+
+    def test_a_cancelled_future_is_left_alone_while_its_pool_task_runs(self, noisy_workload):
+        # A lone request and a batch are each one pool task behind futures of
+        # their own: cancelling a queued request's future does not withdraw
+        # the task, which runs; its siblings still get their outcomes and the
+        # cancelled futures stay cancelled.
+        database = noisy_workload.database
+        query = noisy_workload.queries[0]
+        request = ExecutionRequest(query=query, plan=database.plan(query))
+        gate = threading.Event()
+        executed = []
+
+        class _Gated:
+            def execute(self, *args, **kwargs):
+                executed.append(args[0].name)
+                gate.wait(10.0)
+                return database.execute(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(database, name)
+
+        backend = ThreadPoolBackend(_Gated(), max_workers=1)
+        try:
+            first = backend.submit(request)
+            lone = backend.submit(request)
+            kept, dropped = backend.submit_batch([request, request])
+            assert lone.cancel() and dropped.cancel()
+            gate.set()
+            expected = first.result(timeout=30.0).latency
+            assert kept.result(timeout=30.0).latency == expected
+            deadline = time.monotonic() + 10.0
+            while len(executed) < 4:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            backend.close()
+        assert lone.cancelled() and dropped.cancelled()
+
     def test_make_backend_from_config(self, noisy_workload):
         database = noisy_workload.database
         assert isinstance(

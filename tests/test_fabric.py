@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from collections import Counter
 from concurrent.futures import BrokenExecutor, Future
@@ -37,10 +38,12 @@ from repro.exec import (
     FabricBackend,
     InlineBackend,
     RemoteExecutionError,
+    ThreadPoolBackend,
     TransientBackendError,
     backend_health,
     make_backend,
 )
+from repro.exec import backend as backend_module
 from repro.exec.process_pool import MAX_REBUILDS
 from repro.db.query import Query, TableRef
 from repro.plans.jointree import JoinTree
@@ -255,6 +258,34 @@ class TestLeaseFailover:
             assert future.result() is outcome
         finally:
             fabric.close()
+
+
+    def test_concurrent_submitters_lose_no_count(self):
+        # Submitters, completion callbacks and the pump all dispatch at once;
+        # every count is written under the coordinator's lock.
+        node = _ScriptedNode(capacity=3, script=[TransientBackendError("blip"), None, None, None] * 10)
+        fabric = FabricBackend(node, max_failures=100, max_lease_attempts=20)
+        futures = [[] for _ in range(8)]
+
+        def submit_all(index):
+            for _ in range(100):
+                futures[index].append(fabric.submit(_request(f"q{index}")))
+
+        submitters = [threading.Thread(target=submit_all, args=(index,)) for index in range(8)]
+        try:
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=30.0)
+            outcomes = [future.result(timeout=30.0) for batch in futures for future in batch]
+            report = fabric.health_snapshot()
+        finally:
+            fabric.close()
+        assert len(outcomes) == report["submissions"] == report["completed"] == 800
+        assert report["lease_reassignments"] == 10 and report["give_ups"] == 0
+        assert report["dispatched"] == report["completed"] + report["lease_reassignments"]
+        assert sum(outcome.attempts - 1 for outcome in outcomes) == 10
+        assert report["member"]["occupancy"] == 0 and report["pending_leases"] == 0
 
 
 # ------------------------------------------------------------------ probation + degradation
@@ -705,6 +736,54 @@ class TestHealthSurface:
             fabric.close()
         assert "fabric" in report
         assert report["fabric"]["member"]["live"]
+
+
+# ------------------------------------------------------------------ a thread member
+class TestThreadMember:
+    def test_a_group_runs_as_one_pool_task(self, tiny_workload, monkeypatch):
+        calls = []
+        perform_batch = backend_module.perform_batch
+
+        def recording(database, requests, tracer=None):
+            calls.append(len(requests))
+            return perform_batch(database, requests, tracer)
+
+        monkeypatch.setattr(backend_module, "perform_batch", recording)
+        database = tiny_workload.database.snapshot()
+        query = tiny_workload.queries[0]
+        request = ExecutionRequest(query=query, plan=database.plan(query))
+        fabric = FabricBackend(
+            ThreadPoolBackend(database, max_workers=2), fallback=InlineBackend(database)
+        )
+        try:
+            outcomes = [
+                future.result(timeout=30.0) for future in fabric.submit_batch([request] * 3)
+            ]
+            report = fabric.health_snapshot()
+        finally:
+            fabric.close()
+        assert calls == [3]
+        assert [outcome.attempts for outcome in outcomes] == [1, 1, 1]
+        assert len({outcome.latency for outcome in outcomes}) == 1
+        assert report["dispatched"] == report["completed"] == 3
+        assert report["degraded_executions"] == 0
+
+    def test_a_closed_member_degrades_to_the_inline_fallback(self, tiny_workload):
+        database = tiny_workload.database.snapshot()
+        query = tiny_workload.queries[0]
+        request = ExecutionRequest(query=query, plan=database.plan(query))
+        member = ThreadPoolBackend(database, max_workers=2)
+        fabric = FabricBackend(member, fallback=InlineBackend(database))
+        try:
+            served = fabric.submit(request).result(timeout=30.0)
+            member.close()
+            degraded = fabric.submit(request).result(timeout=30.0)
+            report = fabric.health_snapshot()
+        finally:
+            fabric.close()
+        assert degraded.latency == served.latency and degraded.attempts == 1
+        assert report["degraded_executions"] == 1 and report["dispatched"] == 1
+        assert not report["member"]["live"] and report["give_ups"] == 0
 
 
 # ------------------------------------------------------------------ process members
