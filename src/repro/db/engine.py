@@ -74,11 +74,25 @@ class Database:
         missing = [name for name in schema.table_names if name not in relations]
         if missing:
             raise CatalogError(f"missing relations for tables: {missing}")
+        self._assemble(
+            schema, relations, cost_params, noise_sigma, seed, exec_cache, analyze_all(relations)
+        )
+
+    def _assemble(
+        self,
+        schema: Schema,
+        relations: dict[str, Relation],
+        cost_params: CostParams,
+        noise_sigma: float,
+        seed: int,
+        exec_cache: ExecutionCacheConfig | bool,
+        stats: dict[str, TableStats],
+    ) -> None:
         self.schema = schema
         self.relations = relations
         self.cost_params = cost_params
         self.exec_cache_config = self._normalize_cache_config(exec_cache)
-        self.stats: dict[str, TableStats] = analyze_all(relations)
+        self.stats = stats
         self.optimizer = PlanOptimizer(schema, self.stats, cost_params)
         self.executor = Executor(
             schema,
@@ -119,14 +133,26 @@ class Database:
         config = self._normalize_cache_config(config)
         if config == self.exec_cache_config:
             return self
-        return Database(
+        return self._sibling(self.relations, config)
+
+    def _sibling(self, relations: dict[str, Relation], exec_cache) -> "Database":
+        """A database over these relations that reuses their statistics.
+
+        ANALYZE is a function of the relations alone, so a database sharing
+        them shares its tables' statistics (in a dict of its own) and gets a
+        planner and an executor of its own.
+        """
+        sibling = object.__new__(type(self))
+        sibling._assemble(
             self.schema,
-            self.relations,
+            relations,
             self.cost_params,
-            noise_sigma=self.executor.noise_sigma,
-            seed=self.executor.seed,
-            exec_cache=config,
+            self.executor.noise_sigma,
+            self.executor.seed,
+            exec_cache,
+            dict(self.stats),
         )
+        return sibling
 
     def set_execution_cache(self, config: ExecutionCacheConfig | bool) -> None:
         """Reconfigure the memoization layer of *this* database in place.
@@ -252,16 +278,10 @@ class Database:
 
         The executor never mutates relations, so sharing is safe; the snapshot
         exists to model the paper's "execute against a read snapshot" rule and
-        to give drift simulations an object to derive from.
+        to give drift simulations an object to derive from.  It plans with
+        this database's statistics; ANALYZE does not run again.
         """
-        return Database(
-            self.schema,
-            dict(self.relations),
-            self.cost_params,
-            noise_sigma=self.executor.noise_sigma,
-            seed=self.executor.seed,
-            exec_cache=self.exec_cache_config,
-        )
+        return self._sibling(dict(self.relations), self.exec_cache_config)
 
     def with_relations(self, relations: dict[str, Relation]) -> "Database":
         """A new database over different data (used by the drift simulation)."""

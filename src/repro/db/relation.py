@@ -64,6 +64,7 @@ class Relation:
         self._mask_cache: dict[tuple, np.ndarray] = {}
         self._select_cache: dict[tuple, np.ndarray] = {}
         self._index_cache: dict[tuple, kernels.JoinIndex] = {}
+        self._sorted_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -84,6 +85,18 @@ class Relation:
             return self._columns[name]
         except KeyError as exc:
             raise CatalogError(f"relation {self.name!r} has no column {name!r}") from exc
+
+    def sorted_column(self, name: str) -> np.ndarray:
+        """``column(name)`` sorted ascending, sorted once per relation (do not mutate).
+
+        ANALYZE reads its statistics off this copy and the query generator
+        its range literals, so a column is sorted once however both use it.
+        """
+        ordered = self._sorted_cache.get(name)
+        if ordered is None:
+            ordered = np.sort(self.column(name))
+            self._sorted_cache[name] = ordered
+        return ordered
 
     def take(self, rows: np.ndarray, column: str) -> np.ndarray:
         """Return the values of ``column`` at the given row positions."""
@@ -188,6 +201,7 @@ class Relation:
         state["_mask_cache"] = {}
         state["_select_cache"] = {}
         state["_index_cache"] = {}
+        state["_sorted_cache"] = {}
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,6 +5,16 @@ choices) is driven entirely by these statistics.  Like PostgreSQL's
 ``pg_statistic``, they are a lossy summary — histograms are per-column and
 the estimator assumes independence — which is precisely why the default
 optimizer leaves room for offline optimization on correlated, skewed data.
+
+ANALYZE sorts each column once (:meth:`Relation.sorted_column
+<repro.db.relation.Relation.sorted_column>`, cached on the relation) and
+reads everything off that copy: the distinct values and their counts are
+its runs, min and max its two ends, and the histogram bounds
+:func:`sorted_quantile` at ``(n - 1)·q``.  Each equals what ``np.unique``,
+``np.quantile`` and ``min``/``max`` give, bit for bit, NaN included
+(``tests/oracles/reference_statistics.py``).  The query generator draws its
+range-filter literals from the same sorted copy, so building a workload
+sorts each column once.
 """
 
 from __future__ import annotations
@@ -116,9 +126,11 @@ def analyze_relation(
 ) -> TableStats:
     """Compute :class:`TableStats` for a relation (the ``ANALYZE`` equivalent)."""
     columns: dict[str, ColumnStats] = {}
+    quantiles = np.linspace(0.0, 1.0, buckets + 1)
     for name in relation.column_names:
-        values = relation.column(name).astype(np.float64)
-        columns[name] = _analyze_column(name, values, buckets, mcvs)
+        # Casting a sorted column to float64 keeps it sorted.
+        ordered = relation.sorted_column(name).astype(np.float64, copy=False)
+        columns[name] = _analyze_column(name, ordered, quantiles, mcvs)
     return TableStats(relation.name, relation.num_rows, columns)
 
 
@@ -129,8 +141,72 @@ def analyze_all(
     return {name: analyze_relation(rel, buckets, mcvs) for name, rel in relations.items()}
 
 
-def _analyze_column(name: str, values: np.ndarray, buckets: int, mcvs: int) -> ColumnStats:
-    num_rows = len(values)
+def sorted_quantile(ordered: np.ndarray, q):
+    """``np.quantile(values, q)`` read off ``ordered``, the values sorted ascending.
+
+    numpy's default ``method="linear"`` step for step: the virtual index
+    ``(n - 1)·q``, its floor and the next position (both the last one from
+    ``n - 1`` up; an integral ``q`` takes its points uninterpolated), and
+    numpy's ``_lerp`` between them.  A NaN sorts last and makes every
+    quantile NaN.  So value, dtype and Python/numpy type are
+    ``np.quantile``'s, for a scalar or vector ``q`` in [0, 1] over a
+    non-empty array.
+    """
+    weak = type(q) in (int, float)  # numpy promotes a Python scalar q weakly
+    q = np.asanyarray(q)
+    virtual = np.asanyarray((len(ordered) - 1) * q)
+    if virtual.dtype.kind in "iu":
+        result = np.take(ordered, virtual)
+    else:
+        below = np.floor(virtual, out=...)
+        above = np.add(below, 1, out=...)
+        at_end = virtual >= len(ordered) - 1
+        below[at_end] = above[at_end] = -1
+        below = below.astype(np.intp)
+        above = above.astype(np.intp)
+        gamma = np.asanyarray(virtual - below, dtype=virtual.dtype)
+        gamma = float(gamma) if weak else gamma.reshape(virtual.shape)
+        result = _lerp(ordered[below], ordered[above], gamma)
+    if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        if result.ndim == 0:
+            result = ordered[-1]
+        else:
+            np.copyto(result, ordered[-1])
+    return result
+
+
+def _lerp(a, b, t):
+    """numpy's quantile interpolation: ``a + (b - a)·t``, from ``b`` back where ``t >= 0.5``."""
+    diff = b - a
+    out = np.add(a, diff * t, out=...)
+    np.subtract(
+        b, diff * (1 - t), out=out, where=t >= 0.5, casting="unsafe", dtype=type(out.dtype)
+    )
+    return out[()] if out.ndim == 0 else out
+
+
+def _distinct(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_counts=True)`` read off ``ordered``, sorted ``values``.
+
+    A distinct value starts where a value differs from the one before it.
+    NaNs sort last and differ from each other; numpy counts them as one.
+    """
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    if np.isnan(ordered[-1]):
+        first_nan = np.searchsorted(ordered, ordered[-1], side="left")
+        starts[first_nan] = True
+        starts[first_nan + 1 :] = False
+    positions = np.flatnonzero(starts)
+    return ordered[positions], np.diff(np.concatenate((positions, [len(ordered)])))
+
+
+def _analyze_column(
+    name: str, ordered: np.ndarray, quantiles: np.ndarray, mcvs: int
+) -> ColumnStats:
+    """Statistics of one column from its float64 values sorted ascending."""
+    num_rows = len(ordered)
     if num_rows == 0:
         return ColumnStats(
             name=name,
@@ -140,17 +216,18 @@ def _analyze_column(name: str, values: np.ndarray, buckets: int, mcvs: int) -> C
             max_value=0.0,
             histogram=np.array([0.0, 0.0]),
         )
-    unique, counts = np.unique(values, return_counts=True)
+    unique, counts = _distinct(ordered)
     order = np.argsort(counts)[::-1]
     top = order[: min(mcvs, len(order))]
-    quantiles = np.linspace(0.0, 1.0, buckets + 1)
-    histogram = np.quantile(values, quantiles)
+    histogram = sorted_quantile(ordered, quantiles)
+    # np.min and np.max of a column holding a NaN are NaN.
+    lowest = ordered[-1] if np.isnan(ordered[-1]) else ordered[0]
     return ColumnStats(
         name=name,
         num_rows=num_rows,
         num_distinct=int(len(unique)),
-        min_value=float(values.min()),
-        max_value=float(values.max()),
+        min_value=float(lowest),
+        max_value=float(ordered[-1]),
         histogram=histogram,
         mcv_values=unique[top].astype(np.int64),
         mcv_fractions=(counts[top] / num_rows).astype(np.float64),

@@ -422,7 +422,6 @@ class WorkloadSession:
             q = self.batch_size
         interleave = (
             self.interleave
-            and self._backend.capacity() > 1
             # A single-query workload still benefits from interleaving when
             # the technique can keep q > 1 of its own plans in flight.
             and (len(self.queries) > 1 or q > 1)

@@ -19,6 +19,7 @@ import numpy as np
 from repro.db.catalog import AliasGraph, Schema, alias_table
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.db.relation import Relation
+from repro.db.statistics import sorted_quantile
 from repro.exceptions import QueryError
 
 
@@ -133,8 +134,8 @@ def _sample_filter(
     if not candidates:
         return None
     column, kind = candidates[rng.integers(0, len(candidates))]
-    values = relation.column(column)
     if kind == "eq":
+        values = relation.column(column)
         literal = int(values[rng.integers(0, len(values))])
         if rng.random() < 0.3:
             extras = values[rng.integers(0, len(values), size=2)]
@@ -142,7 +143,7 @@ def _sample_filter(
             return FilterPredicate(alias, column, "in", tuple(in_list))
         return FilterPredicate(alias, column, "=", literal)
     quantile = float(rng.uniform(0.3, 0.9))
-    threshold = int(np.quantile(values, quantile))
+    threshold = int(sorted_quantile(relation.sorted_column(column), quantile))
     op = ">=" if rng.random() < 0.5 else "<="
     return FilterPredicate(alias, column, op, threshold)
 

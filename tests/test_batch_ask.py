@@ -455,9 +455,8 @@ class TestFixedQMatchesDriveState:
     def test_a_supervised_inline_member_driven_at_q4_equals_the_reference_loop(
         self, tiny_database, tiny_schema_model, three_queries, reference
     ):
-        # The coordinator keeps a q-batch together as one task on its member.
-        # One inline member has capacity 1, so a session would run it
-        # sequentially at q = 1: drive the coordinator at q = 4 directly.
+        # The coordinator keeps a q-batch together as one task on its member,
+        # driven here at q = 4 directly, without a session.
         database = tiny_database.snapshot()
         optimizer = BayesQO(database, tiny_schema_model, config=self.CONFIG)
         backend = make_backend(ExecutionServiceConfig(backend="inline", supervised=True), database)
@@ -472,6 +471,22 @@ class TestFixedQMatchesDriveState:
             backend.close()
         assert traces == reference
         assert report["lease_reassignments"] == 0 and report["degraded_executions"] == 0
+
+    def test_a_supervised_inline_session_told_to_interleave_runs_at_q4(
+        self, tiny_database, tiny_schema_model, three_queries, reference
+    ):
+        # Capacity 1 makes interleaving off by default; asked for, it holds,
+        # and batch_size is the q of every query's rounds.
+        config = ExecutionServiceConfig(backend="inline", supervised=True, batch_size=4)
+        workload = Workload(
+            name="tiny", database=tiny_database.snapshot(), queries=three_queries, max_aliases=2
+        )
+        with make_session(
+            workload, tiny_schema_model,
+            budget=self.BUDGET, bayes_config=self.CONFIG, exec_config=config, interleave=True,
+        ) as session:
+            assert session.backend.capacity() == 1
+            assert signatures(session.run("bayesqo")) == reference
 
     @pytest.mark.parametrize(
         "faults",

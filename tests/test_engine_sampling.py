@@ -1,13 +1,17 @@
 """Tests for the Database facade and the random plan sampler."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import engine
 from repro.db.engine import Database
 from repro.exceptions import CatalogError, PlanError
 from repro.db.query import Query, TableRef
+from repro.plans.hints import bao_hint_sets
 from repro.plans.sampling import random_join_tree, random_join_trees
 
 
@@ -40,6 +44,32 @@ class TestDatabaseFacade:
         assert snapshot.execute(tiny_query).latency == pytest.approx(
             tiny_database.execute(tiny_query).latency
         )
+
+    def test_snapshots_share_the_statistics_and_plan_alike(self, job_workload_small, monkeypatch):
+        database = job_workload_small.database
+        calls = []
+        analyze_all = engine.analyze_all
+        monkeypatch.setattr(
+            engine, "analyze_all", lambda relations: calls.append(1) or analyze_all(relations)
+        )
+        derived = [database.snapshot(), database.with_execution_cache(False)]
+        assert calls == []
+        for other in derived:
+            assert other.stats is not database.stats
+            assert all(other.stats[name] is stats for name, stats in database.stats.items())
+        # A replica unpickled in a spawned worker analyzes its own copy.
+        replica = pickle.loads(pickle.dumps(database))
+        assert calls == [1]
+        hint_sets = bao_hint_sets()
+        for query in job_workload_small.queries:
+            plans = database.plan_hint_sets(query, hint_sets)
+            want = [(plan.canonical(), database.estimated_cost(query, plan)) for plan in plans]
+            for other in [*derived, replica]:
+                got = [
+                    (plan.canonical(), other.estimated_cost(query, plan))
+                    for plan in other.plan_hint_sets(query, hint_sets)
+                ]
+                assert got == want
 
     def test_with_relations_requires_all_tables(self, tiny_database):
         with pytest.raises(CatalogError):

@@ -1,13 +1,25 @@
 """Tests for table statistics and the cardinality estimator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_statistics
 
 from repro.db.cardinality import CardinalityEstimator
 from repro.db.catalog import Column, Table
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.db.relation import Relation
-from repro.db.statistics import analyze_all, analyze_relation
+from repro.db.statistics import (
+    DEFAULT_BUCKETS,
+    DEFAULT_MCVS,
+    ColumnStats,
+    analyze_all,
+    analyze_relation,
+    sorted_quantile,
+)
 from repro.exceptions import CatalogError, QueryError
 
 
@@ -66,6 +78,106 @@ class TestColumnStats:
         stats = analyze_relation(uniform_relation("t", 10, 2))
         with pytest.raises(CatalogError):
             stats.column("missing")
+
+
+def assert_same_value(got, want) -> None:
+    """Same Python/numpy type, same dtype, equal values (NaN equals NaN).
+
+    Equal floats are the same bits except for the sign of a zero, which
+    ``np.min``, ``np.max`` and ``np.partition`` take from either end of a tie
+    of ``-0.0`` and ``0.0``.
+    """
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+
+
+def assert_same_stats(got: ColumnStats, want: ColumnStats) -> None:
+    for field in dataclasses.fields(ColumnStats):
+        assert_same_value(getattr(got, field.name), getattr(want, field.name))
+
+
+DTYPES = [np.int64, np.int32, np.uint8, np.float64, np.float32]
+
+
+@st.composite
+def raw_columns(draw) -> np.ndarray:
+    """A column of one of the stored dtypes: ties, negatives, NaNs in float ones."""
+    dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+    if dtype.kind == "f":
+        element = st.floats(width=8 * dtype.itemsize, allow_nan=False)
+    else:
+        info = np.iinfo(dtype)
+        element = st.integers(int(info.min), int(info.max))
+    pool = draw(st.lists(element, min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool) | element, max_size=120))
+    column = np.array(values, dtype=dtype)
+    if dtype.kind == "f" and len(column) and draw(st.booleans()):
+        nans = draw(st.lists(st.integers(0, len(column) - 1), min_size=1, max_size=4))
+        column[nans] = np.nan
+    return column
+
+
+def analyze_both(column: np.ndarray, buckets: int = DEFAULT_BUCKETS, mcvs: int = DEFAULT_MCVS):
+    """(one sort per column, the np.unique/np.quantile reference) for one stored column."""
+    table = Table("t", [Column("v")], primary_key="v")
+    with np.errstate(all="ignore"):  # NaN and inf cast to int64 MCVs on both sides
+        got = analyze_relation(Relation(table, {"v": column}), buckets, mcvs).column("v")
+        want = reference_statistics.analyze_relation(
+            Relation(table, {"v": column}), buckets, mcvs
+        ).column("v")
+    return got, want
+
+
+class TestOneSortOracle:
+    """ANALYZE off one sorted copy equals np.unique + np.quantile + min/max, field by field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_columns(), st.integers(1, 60), st.integers(0, 12))
+    def test_every_field_equals_the_reference(self, column, buckets, mcvs):
+        assert_same_stats(*analyze_both(column, buckets, mcvs))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [3, 3, 3, 3], [-5, 2, -5, 0, 2, 2, -9], list(range(60, 0, -1)) * 3],
+        ids=["empty", "one-row", "all-equal", "negatives-with-ties", "many-ties"],
+    )
+    def test_edge_columns(self, dtype, values):
+        if np.dtype(dtype).kind == "u":
+            values = [abs(v) for v in values]
+        assert_same_stats(*analyze_both(np.array(values, dtype=dtype)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan], [1.0, np.nan, -2.0, np.nan, 1.0], [np.nan] * 4, [-0.0, 0.0, 0.0, -0.0]],
+        ids=["one-nan", "nans-among-ties", "all-nan", "signed-zeros"],
+    )
+    def test_float_edge_columns(self, values):
+        assert_same_stats(*analyze_both(np.array(values)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw_columns().filter(len),
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([0, 1]),
+            st.floats(0.0, 1.0).map(np.float64),
+            st.lists(st.floats(0.0, 1.0), max_size=8),
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).map(np.array),
+        ),
+    )
+    def test_the_quantile_helper_equals_np_quantile(self, column, q):
+        with np.errstate(all="ignore"):
+            assert_same_value(sorted_quantile(np.sort(column), q), np.quantile(column, q))
+
+    def test_the_sorted_column_is_cached_and_never_pickled(self):
+        relation = uniform_relation("t", 100, 10)
+        analyze_relation(relation)
+        assert relation.sorted_column("v") is relation.sorted_column("v")
+        assert np.array_equal(relation.sorted_column("v"), np.sort(relation.column("v")))
+        assert relation.__getstate__()["_sorted_cache"] == {}
 
 
 class TestCardinalityEstimator:

@@ -1,19 +1,23 @@
 """Tests for the workload builders, the random query sampler and drift simulation."""
 
+import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import reference_graph
+from oracles import reference_graph, reference_statistics
 
 from repro.db.catalog import alias_table
 from repro.db.plan_cache import query_fingerprint
+from repro.db.statistics import ColumnStats
 from repro.exceptions import QueryError
 from repro.workloads import (
     RandomQuerySampler,
     STACK_DATE_2017,
+    STACK_DATE_MAX,
     Workload,
     build_dsb_schema,
     build_imdb_schema,
@@ -27,6 +31,7 @@ from repro.workloads import (
 )
 from repro.workloads.dsb import build_dsb_workload
 from repro.workloads.imdb import build_ceb_workload, build_job_workload
+from repro.workloads import generator
 from repro.workloads.stack import build_stack_workload
 
 
@@ -226,3 +231,89 @@ class TestDrift:
         query = workload.queries[0]
         result = past.execute(query, timeout=300.0)
         assert result.latency > 0
+
+
+# ------------------------------------------- ANALYZE and range literals vs the reference
+#: ``REPRO_ORACLE_FULL=1`` (``make oracle-full``) runs every build below;
+#: tier-1 runs the first of each family.
+ORACLE_FULL = os.environ.get("REPRO_ORACLE_FULL") == "1"
+
+#: The builds the tests, the e2e benchmark (full and smoke) and the figure,
+#: table, serve and microbenchmarks make.  A Stack build is also rolled back
+#: to 2017, and at the drift figures' scale run through the Fig. 7 timeline.
+STATS_ORACLE_BUILDS = [
+    ("job", dict(scale=0.05, num_queries=6)),
+    ("job", dict(scale=0.05, num_queries=40)),
+    ("job", dict(scale=0.15, num_queries=24)),
+    ("job", dict(scale=0.15, num_queries=40)),
+    ("job", dict(scale=0.15)),
+    ("job", dict(scale=0.16, num_queries=40)),
+    ("stack", dict(scale=0.05, num_templates=4, num_queries=16)),
+    ("stack", dict(scale=0.05, num_templates=8, num_queries=10)),
+    ("stack", dict(scale=0.05, num_templates=8, num_queries=12)),
+    ("stack", dict(scale=0.05, num_templates=8, num_queries=16)),
+    ("stack", dict(scale=0.05, num_templates=8, num_queries=24)),
+    ("stack", dict(scale=0.05, num_templates=8, num_queries=64)),
+    ("stack", dict(scale=0.08, num_templates=8, num_queries=24)),
+    ("stack", dict(scale=0.08, num_templates=8, num_queries=40)),
+    ("dsb", dict(scale=0.05, num_templates=4, queries_per_template=2)),
+    ("dsb", dict(scale=0.08, num_templates=10, queries_per_template=3)),
+    ("ceb", dict(scale=0.05, num_templates=3, queries_per_template=3)),
+    ("ceb", dict(scale=0.12, num_templates=4, queries_per_template=5)),
+    ("ceb", dict(scale=0.15, num_templates=6, queries_per_template=8)),
+]
+_TIER1_BUILDS = [
+    next(build for build in STATS_ORACLE_BUILDS if build[0] == family)
+    for family in ("job", "stack", "dsb", "ceb")
+]
+_BUILDERS = {
+    "job": build_job_workload,
+    "stack": build_stack_workload,
+    "dsb": build_dsb_workload,
+    "ceb": build_ceb_workload,
+}
+
+
+def _stats_bits(database) -> dict:
+    """Every ``ColumnStats`` field of every column: type, dtype and bytes."""
+    bits = {}
+    for table, table_stats in database.stats.items():
+        assert table_stats.num_rows == database.relations[table].num_rows
+        for column, stats in table_stats.columns.items():
+            for field in dataclasses.fields(ColumnStats):
+                value = getattr(stats, field.name)
+                array = np.asarray(value)
+                bits[table, column, field.name] = (type(value), array.dtype, array.tobytes())
+    return bits
+
+
+def _build_and_read(family: str, kwargs: dict) -> tuple[list[str], list[dict]]:
+    """The queries (with their filter literals) and the statistics of a build."""
+    workload = _BUILDERS[family](seed=0, **kwargs)
+    databases = [workload.database]
+    if family == "stack":
+        databases.append(rollback_to_date(workload.database, STACK_DATE_2017))
+        if kwargs["scale"] == 0.08 and ORACLE_FULL:
+            timeline = drift_timeline(workload.database, STACK_DATE_2017, STACK_DATE_MAX, 3)
+            databases.extend(snapshot for _, snapshot in timeline)
+    return [repr(query) for query in workload.queries], [_stats_bits(db) for db in databases]
+
+
+@pytest.mark.parametrize(
+    "family, kwargs",
+    STATS_ORACLE_BUILDS if ORACLE_FULL else _TIER1_BUILDS,
+    ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value.values())),
+)
+def test_builds_match_the_reference_statistics_and_literals(family, kwargs, monkeypatch):
+    """One sort per column gives every query, literal and statistic of np.unique/np.quantile."""
+    built = _build_and_read(family, kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.db.statistics.analyze_relation", reference_statistics.analyze_relation)
+        patch.setattr(generator, "_sample_filter", reference_statistics._sample_filter)
+        reference = _build_and_read(family, kwargs)
+    queries, stats = built
+    assert queries == reference[0]
+    assert any("op='<='" in query or "op='>='" in query for query in queries)
+    assert len(stats) == len(reference[1])
+    for got, want in zip(stats, reference[1]):
+        assert got == want
