@@ -21,7 +21,7 @@ from repro.harness import format_table
 TIMEOUT_ARMS = {
     "Our Method (uncertainty)": {"timeout_strategy": "uncertainty"},
     "No Timeouts": {"timeout_strategy": "none"},
-    "10th Percentile Timeouts": {"timeout_strategy": "percentile", "timeout_percentile": 10.0},
+    "10th Percentile Timeouts": {"timeout_strategy": "percentile"},
     "0th Percentile Timeouts": {"timeout_strategy": "best_seen"},
     "No learning from timeouts": {"timeout_strategy": "uncertainty", "learn_from_timeouts": False},
 }

@@ -15,7 +15,7 @@ Run with::
 from __future__ import annotations
 
 from repro.baselines import BaoOptimizer
-from repro.core import BayesQOConfig, ExecutionServiceConfig, PlanCache, VAETrainingConfig
+from repro.core import BayesQOConfig, ExecutionServiceConfig, VAETrainingConfig
 from repro.core.protocol import BudgetSpec, drive, inline_submit
 from repro.harness import WorkloadSession
 from repro.utils import get_logger
@@ -86,12 +86,7 @@ def main() -> None:
     print("  (batch_execution groups each round's q proposals into one "
           "executor pass; at q=1 there is nothing to group and submission "
           "falls back to per-request)")
-
-    # 5. Cache the plan for the online component.
-    cache = PlanCache()
-    cache.store(query, result)
-    print(f"\nPlan cached for signature {query.signature()[:2]}... "
-          f"({len(cache)} entry in the plan cache)")
+    print("\nTo serve stored plans online, see `python -m repro.serve --help`.")
 
 
 if __name__ == "__main__":

@@ -52,20 +52,14 @@ from repro.bo.censored import norm_cdf, norm_pdf
 Admissible = Callable[[np.ndarray], np.ndarray]
 
 
-def thompson_scores(surrogate, candidates: np.ndarray, rng: np.random.Generator,
-                    num_samples: int = 1) -> np.ndarray:
-    """One Thompson draw per candidate (the average of ``num_samples`` draws)."""
-    return surrogate.posterior_samples(candidates, num_samples, rng).mean(axis=0)
+def thompson_scores(surrogate, candidates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Thompson draw per candidate."""
+    return surrogate.posterior_samples(candidates, 1, rng)[0]
 
 
-def thompson_sample(surrogate, candidates: np.ndarray, rng: np.random.Generator,
-                    num_samples: int = 1) -> int:
-    """Thompson sampling: draw posterior functions and pick the candidate minimizer.
-
-    With ``num_samples > 1`` the candidate minimizing the average sampled value
-    is chosen (a slightly less noisy variant).
-    """
-    return int(np.argmin(thompson_scores(surrogate, candidates, rng, num_samples)))
+def thompson_sample(surrogate, candidates: np.ndarray, rng: np.random.Generator) -> int:
+    """Thompson sampling: draw a posterior function and pick the candidate minimizer."""
+    return int(np.argmin(thompson_scores(surrogate, candidates, rng)))
 
 
 def best_admissible(scores: np.ndarray, masked: np.ndarray, candidates: np.ndarray,
@@ -130,18 +124,15 @@ class BatchThompsonSampling:
     """q independent Thompson draws, each contributing its best-ranked
     candidate that is admissible and not already in the batch."""
 
-    num_samples: int = 1
-
     def select_batch(
         self, surrogate, candidates: np.ndarray, rng: np.random.Generator, q: int,
         admissible: Admissible | None = None,
     ) -> list[int]:
         q = min(q, len(candidates))
-        samples = surrogate.posterior_samples(candidates, q * self.num_samples, rng)
+        samples = surrogate.posterior_samples(candidates, q, rng)
         masked = np.zeros(len(candidates), dtype=bool)
         picked: list[int] = []
-        for group in range(q):
-            scores = samples[group * self.num_samples : (group + 1) * self.num_samples].mean(axis=0)
+        for scores in samples:
             pick = best_admissible(scores, masked, candidates, admissible)
             if pick is None:
                 break
@@ -172,14 +163,12 @@ class FantasizedThompson:
     path degrade to independent marginal draws.
     """
 
-    num_samples: int = 1
-
     def select_batch(
         self, surrogate, candidates: np.ndarray, rng: np.random.Generator, q: int,
         admissible: Admissible | None = None,
     ) -> list[int]:
         masked = np.zeros(len(candidates), dtype=bool)
-        scores = thompson_scores(surrogate, candidates, rng, self.num_samples)
+        scores = thompson_scores(surrogate, candidates, rng)
         picked: list[int] = []
         while (pick := best_admissible(scores, masked, candidates, admissible)) is not None:
             picked.append(pick)
@@ -191,6 +180,5 @@ class FantasizedThompson:
                 means, stds = surrogate.fantasize(anchor, float(mean[0]), candidates)
             else:  # no fantasize path: plain marginal re-draw
                 means, stds = surrogate.predict(candidates)
-            draws = rng.standard_normal((self.num_samples, len(candidates)))
-            scores = (means[None, :] + stds[None, :] * draws).mean(axis=0)
+            scores = means + stds * rng.standard_normal(len(candidates))
         return picked

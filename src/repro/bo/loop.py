@@ -61,7 +61,6 @@ class BOEngineConfig:
     surrogate: str = "censored_gp"
     use_trust_region: bool = True
     num_candidates: int = 256
-    thompson_samples: int = 1
     #: Full (hyper-parameter) refit cadence.  Between full refits, new
     #: observations are pushed into the warm surrogate with O(n^2) incremental
     #: updates; ``refit_every=1`` disables the warm path entirely.
@@ -120,9 +119,9 @@ class BOEngine:
         self._local_candidates: CandidateGenerator = TrustRegionCandidates(self.trust_region)
         self._global_candidates: CandidateGenerator = GlobalCandidates(self.dim)
         self._acquisition: Acquisition = (
-            FantasizedThompson(num_samples=self.config.thompson_samples)
+            FantasizedThompson()
             if self.config.batch_strategy == "fantasize"
-            else BatchThompsonSampling(num_samples=self.config.thompson_samples)
+            else BatchThompsonSampling()
         )
         self._x: list[np.ndarray] = []
         self._y: list[float] = []

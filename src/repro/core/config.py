@@ -36,7 +36,6 @@ class BayesQOConfig:
     surrogate: str = "censored_gp"
     use_trust_region: bool = True
     num_candidates: int = 256
-    thompson_samples: int = 1
     #: Full hyper-parameter refit cadence of the surrogate; between refits new
     #: observations are absorbed with O(n^2) warm updates (1 = always refit).
     refit_every: int = 5
@@ -47,12 +46,6 @@ class BayesQOConfig:
 
     # Timeouts -----------------------------------------------------------------
     timeout_strategy: str = "uncertainty"
-    #: Confidence multiplier kappa of the uncertainty rule.
-    timeout_kappa: float = 1.0
-    #: Upper cap on any timeout, as a multiple of the best latency seen so far.
-    timeout_max_multiplier: float = 16.0
-    #: Percentile used by the "percentile" strategy (0 reproduces "best seen").
-    timeout_percentile: float = 10.0
     #: Multiplier used by the "multiplier" strategy (Balsa uses 1.5).
     timeout_multiplier: float = 1.5
     #: Whether censored observations are fed back to the surrogate (ablation).
@@ -88,22 +81,13 @@ class BayesQOConfig:
             raise OptimizationError(
                 f"unknown initialization {self.initialization!r}; pick one of {INITIALIZATION_STRATEGIES}"
             )
-        if self.timeout_kappa < 0:
-            raise OptimizationError("timeout_kappa must be non-negative")
-        if not 0.0 <= self.timeout_percentile <= 100.0:
-            raise OptimizationError("timeout_percentile must be in [0, 100]")
-        if self.timeout_max_multiplier < 1.0:
-            raise OptimizationError("timeout_max_multiplier must be at least 1")
 
 
-def validate_batch_size(batch_size: int | str) -> None:
-    """Shared validation of the q knob: a positive int or ``"auto"``."""
-    if isinstance(batch_size, str):
-        if batch_size != "auto":
-            raise OptimizationError(
-                f"batch_size must be a positive int or 'auto', got {batch_size!r}"
-            )
-    elif batch_size < 1:
+def validate_batch_size(batch_size: int) -> None:
+    """Shared validation of the q knob: a positive int."""
+    if not isinstance(batch_size, int):
+        raise OptimizationError(f"batch_size must be a positive int, got {batch_size!r}")
+    if batch_size < 1:
         raise OptimizationError("batch_size must be at least 1")
 
 
@@ -133,15 +117,10 @@ class ExecutionServiceConfig:
     #: back to q=1 transparently.  With ``batch_execution`` the q plans are
     #: one worker task (q widens the task, other queries fill the pool, and
     #: a fixed q reproduces ``drive`` on each query alone at that q
-    #: bit-for-bit); submitted
-    #: per request they fan out over q workers and traces depend on
-    #: completion timing.  ``1`` reproduces single-proposal behaviour
-    #: bit-for-bit.  ``"auto"`` hands the knob to a
-    #: :class:`~repro.harness.batching.BatchSizeController`, which widens q
-    #: toward the backend capacity while workers idle and narrows it when
-    #: per-observation improvement stalls (traces then depend on completion
-    #: timing).
-    batch_size: int | str = 1
+    #: bit-for-bit); submitted per request they fan out over q workers and
+    #: traces depend on completion timing.  ``1`` reproduces
+    #: single-proposal behaviour bit-for-bit.
+    batch_size: int = 1
     #: One-pass batch execution of a query's in-flight q proposals: when a
     #: state issues more than one proposal in a scheduling round, they are
     #: submitted as a single backend batch — one task on one worker, one

@@ -41,7 +41,7 @@ from repro.core.protocol import (
 )
 from repro.core.registry import TechniqueContext, register_technique
 from repro.core.result import OptimizationResult
-from repro.core.timeout import TimeoutPolicy, build_timeout_policy
+from repro.core.timeout import MAX_TIMEOUT_MULTIPLIER, TimeoutPolicy, build_timeout_policy
 from repro.db.engine import Database
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
@@ -260,7 +260,6 @@ class BayesQO:
                 surrogate=config.surrogate,
                 use_trust_region=config.use_trust_region,
                 num_candidates=config.num_candidates,
-                thompson_samples=config.thompson_samples,
                 refit_every=config.refit_every,
                 batch_strategy=config.batch_strategy,
             ),
@@ -268,11 +267,7 @@ class BayesQO:
         )
         engine.tracer = self.tracer
         policy = build_timeout_policy(
-            config.timeout_strategy,
-            kappa=config.timeout_kappa,
-            max_multiplier=config.timeout_max_multiplier,
-            percentile=config.timeout_percentile,
-            multiplier=config.timeout_multiplier,
+            config.timeout_strategy, multiplier=config.timeout_multiplier
         )
         if initial_plans is None:
             plans = build_initial_plans(
@@ -301,13 +296,11 @@ class BayesQO:
 
         Shared by the single and batched ask so the init timeout rule (600s
         before the first uncensored latency, ``init_best *
-        timeout_max_multiplier`` after) cannot drift between them.
+        MAX_TIMEOUT_MULTIPLIER`` after) cannot drift between them.
         """
         plan, source = state.init_queue.popleft()
         timeout = (
-            600.0
-            if state.init_best is None
-            else state.init_best * self.config.timeout_max_multiplier
+            600.0 if state.init_best is None else state.init_best * MAX_TIMEOUT_MULTIPLIER
         )
         # The phase marker (not the caller-chosen source label) is what
         # observe() keys on: initial_plans may carry any source string.

@@ -500,7 +500,7 @@ def drive(
     optimizer,
     states: list,
     submit,
-    q=1,
+    q: int = 1,
     *,
     capacity: int = 1,
     fan_out: bool = False,
@@ -508,7 +508,6 @@ def drive(
     tracer=NULL_TRACER,
     on_outcome=None,
     after_observe=None,
-    after_fill=None,
 ) -> None:
     """Run the suggest/execute/observe loop of ``states`` until each is spent.
 
@@ -534,11 +533,6 @@ def drive(
     more than ``capacity`` executions are ever submitted at once.  An ask
     that comes back empty marks its state ``exhausted``.
 
-    ``q`` is an int or a callable returning the current q (read once per
-    scheduling pass); ``after_fill(idle, starved)`` runs after each pass has
-    filled what it could, with the count of free slots and whether work is
-    in flight while no state is ready — the signals of
-    :class:`~repro.harness.batching.BatchSizeController`.
     ``on_outcome(state, outcome)`` runs as each outcome is collected and
     ``after_observe(state)`` after it is observed (a quiescent point when
     one state runs at ``q = 1``).  With ``tracer`` enabled every ask records
@@ -551,8 +545,7 @@ def drive(
     thread (:func:`~repro.utils.blas.one_blas_thread`; an explicit
     ``OPENBLAS_NUM_THREADS`` wins): the surrogate's matrices are small.
     """
-    current_q = q if callable(q) else lambda: q
-    if current_q() < 1:
+    if q < 1:
         raise OptimizationError("q must be at least 1")
     capacity = max(1, capacity)
     ready = list(states)
@@ -563,10 +556,9 @@ def drive(
     waiting: set[Future] = set()
     try:
         while ready or tasks:
-            q_now = current_q()
             while ready and len(tasks) < capacity:
                 state = ready.pop(0 if select is None else select(ready))
-                count = issue_allowance(state, q_now)
+                count = issue_allowance(state, q)
                 if fan_out:
                     count = min(count, capacity - len(tasks))
                 if not count:
@@ -589,11 +581,9 @@ def drive(
                     futures = submit(state, group)
                     tasks.append((state, group, futures, submitted))
                     waiting.update(futures)
-                if fan_out and len(proposals) == count and issue_allowance(state, q_now):
+                if fan_out and len(proposals) == count and issue_allowance(state, q):
                     # Cut short by the free slots, not by the technique.
                     ready.append(state)
-            if after_fill is not None:
-                after_fill(capacity - len(tasks), bool(tasks) and not ready)
             if not tasks:
                 continue
             _, waiting = wait(waiting, return_when=FIRST_COMPLETED)

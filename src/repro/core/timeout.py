@@ -31,6 +31,10 @@ from repro.exceptions import OptimizationError
 #: intervals (<0.3% of the log-tau range) however large ``bisection_steps`` is.
 _MAX_GRID_INTERVALS = 1024
 
+#: Upper cap on a timeout, as a multiple of the best latency seen so far: the
+#: uncertainty rule's search ceiling and the init phase's timeout.
+MAX_TIMEOUT_MULTIPLIER = 16.0
+
 
 @runtime_checkable
 class SupportsFantasize(Protocol):
@@ -177,7 +181,7 @@ class UncertaintyTimeout(TimeoutPolicy):
     """
 
     kappa: float = 1.0
-    max_multiplier: float = 16.0
+    max_multiplier: float = MAX_TIMEOUT_MULTIPLIER
     fallback: float = 60.0
     bisection_steps: int = 8
 
@@ -238,20 +242,14 @@ class UncertaintyTimeout(TimeoutPolicy):
         return best_log <= mean - self.kappa * std
 
 
-def build_timeout_policy(
-    strategy: str,
-    kappa: float = 1.0,
-    max_multiplier: float = 16.0,
-    percentile: float = 10.0,
-    multiplier: float = 1.5,
-) -> TimeoutPolicy:
+def build_timeout_policy(strategy: str, multiplier: float = 1.5) -> TimeoutPolicy:
     """Factory mapping a configuration string to a policy instance."""
     if strategy == "uncertainty":
-        return UncertaintyTimeout(kappa=kappa, max_multiplier=max_multiplier)
+        return UncertaintyTimeout()
     if strategy == "none":
         return NoTimeout()
     if strategy == "percentile":
-        return PercentileTimeout(percentile=percentile)
+        return PercentileTimeout()
     if strategy == "best_seen":
         return BestSeenTimeout()
     if strategy == "multiplier":

@@ -23,10 +23,16 @@ from repro.db.optimizer import PlanOptimizer
 from repro.db.plan_cache import ExecutionCache, ExecutionCacheConfig
 from repro.db.query import Query
 from repro.db.relation import Relation
-from repro.db.statistics import TableStats, analyze_all
+from repro.db.statistics import TableStats, analyze_all, analyze_relation
 from repro.exceptions import CatalogError
 from repro.plans.hints import DEFAULT_HINT_SET, HintSet
 from repro.plans.jointree import JoinTree
+
+
+def _require_tables(schema: Schema, relations: dict[str, Relation]) -> None:
+    missing = [name for name in schema.table_names if name not in relations]
+    if missing:
+        raise CatalogError(f"missing relations for tables: {missing}")
 
 
 @dataclass
@@ -71,9 +77,7 @@ class Database:
         seed: int = 0,
         exec_cache: ExecutionCacheConfig | bool = True,
     ) -> None:
-        missing = [name for name in schema.table_names if name not in relations]
-        if missing:
-            raise CatalogError(f"missing relations for tables: {missing}")
+        _require_tables(schema, relations)
         self._assemble(
             schema, relations, cost_params, noise_sigma, seed, exec_cache, analyze_all(relations)
         )
@@ -136,12 +140,21 @@ class Database:
         return self._sibling(self.relations, config)
 
     def _sibling(self, relations: dict[str, Relation], exec_cache) -> "Database":
-        """A database over these relations that reuses their statistics.
+        """A database over ``relations`` that reuses this one's statistics.
 
-        ANALYZE is a function of the relations alone, so a database sharing
-        them shares its tables' statistics (in a dict of its own) and gets a
-        planner and an executor of its own.
+        ANALYZE is a function of a relation alone, so a table whose relation
+        is this database's own object keeps its :class:`TableStats` (in a
+        dict of its own); only a table with other data is analyzed.  The
+        sibling gets a planner and an executor of its own.
         """
+        stats = {
+            name: (
+                self.stats[name]
+                if self.relations.get(name) is relation
+                else analyze_relation(relation)
+            )
+            for name, relation in relations.items()
+        }
         sibling = object.__new__(type(self))
         sibling._assemble(
             self.schema,
@@ -150,7 +163,7 @@ class Database:
             self.executor.noise_sigma,
             self.executor.seed,
             exec_cache,
-            dict(self.stats),
+            stats,
         )
         return sibling
 
@@ -284,15 +297,13 @@ class Database:
         return self._sibling(dict(self.relations), self.exec_cache_config)
 
     def with_relations(self, relations: dict[str, Relation]) -> "Database":
-        """A new database over different data (used by the drift simulation)."""
-        return Database(
-            self.schema,
-            relations,
-            self.cost_params,
-            noise_sigma=self.executor.noise_sigma,
-            seed=self.executor.seed,
-            exec_cache=self.exec_cache_config,
-        )
+        """A new database over different data (used by the drift simulation).
+
+        Tables whose relation is this database's own object keep their
+        statistics; the others are analyzed.
+        """
+        _require_tables(self.schema, relations)
+        return self._sibling(relations, self.exec_cache_config)
 
     # ------------------------------------------------------------------ metadata
     def info(self, name: str | None = None) -> DatabaseInfo:

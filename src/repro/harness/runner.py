@@ -26,11 +26,9 @@ registry (:mod:`repro.core.registry`); the session
   At q=1, and at a fixed q > 1 on every backend with a batch path (inline,
   thread, process, and the lease coordinator over them), every query's
   trace is the one it gets when driven alone, under every backend and
-  policy.  What stays
-  timing-dependent: ``batch_size="auto"`` (q follows wall-clock signals)
-  and q > 1 submitted per request (``batch_execution=False``, or a
-  backend without a batch path), where a state tops up as slots free and
-  outcomes are observed as they complete,
+  policy.  What stays timing-dependent: q > 1 submitted per request
+  (``batch_execution=False``, or a backend without a batch path), where a
+  state tops up as slots free and outcomes are observed as they complete,
 * memoizes per-technique results, so a comparison that needs Bao both as the
   improvement baseline and as a contender executes it once.
 
@@ -61,7 +59,6 @@ from repro.core.result import OptimizationResult
 from repro.db.plan_cache import CacheStats
 from repro.db.query import Query
 from repro.exceptions import OptimizationError
-from repro.harness.batching import BatchSizeController
 from repro.harness.checkpoint import CheckpointManager, SessionCheckpoint
 from repro.exec import (
     ExecutionBackend,
@@ -223,10 +220,7 @@ class WorkloadSession:
         q plans in flight for one query; others fall back to q=1
         transparently.  With ``batch_execution`` the q plans are one worker
         task (q widens the task, other queries fill the other workers);
-        submitted per request they fan out over q workers.  ``"auto"``
-        delegates the knob to a
-        :class:`~repro.harness.batching.BatchSizeController` (widen while
-        workers idle, narrow when improvement stalls).  Defaults to
+        submitted per request they fan out over q workers.  Defaults to
         ``exec_config.batch_size`` (1).
     batch_execution:
         Submit a query's in-flight q proposals as *one* backend batch so the
@@ -267,7 +261,7 @@ class WorkloadSession:
         policy: "SchedulingPolicy | str | None" = None,
         exec_config: ExecutionServiceConfig | None = None,
         max_workers: int = 1,
-        batch_size: int | str | None = None,
+        batch_size: int | None = None,
         batch_execution: bool | None = None,
         interleave: bool | None = None,
         checkpoint_path: str | None = None,
@@ -410,16 +404,8 @@ class WorkloadSession:
         budget = self.budget.without_execution_cap() if spec.ignores_execution_cap else self.budget
         # The per-query in-flight cap: only techniques advertising the
         # batched ask get q > 1; everyone else falls back to one proposal
-        # outstanding per state, transparently.  "auto" hands the knob to a
-        # fresh controller per run (q starts at 1 and adapts).
-        controller: BatchSizeController | None = None
-        if not spec.supports_batch:
-            q = 1
-        elif self.batch_size == "auto":
-            controller = BatchSizeController(max_q=max(1, self._backend.capacity()))
-            q = controller.max_q
-        else:
-            q = self.batch_size
+        # outstanding per state, transparently.
+        q = self.batch_size if spec.supports_batch else 1
         interleave = (
             self.interleave
             # A single-query workload still benefits from interleaving when
@@ -437,7 +423,7 @@ class WorkloadSession:
             # quiescent points are well-defined there, and sequential traces
             # are the reference every other mode must match anyway.
             scored = optimizer if spec.predicts_improvement else None
-            results = self._run_interleaved(optimizer, budget, q, scored, controller)
+            results = self._run_interleaved(optimizer, budget, q, scored)
         else:
             results = self._run_sequential(optimizer, budget, technique=technique)
         self._results[technique] = results
@@ -624,12 +610,7 @@ class WorkloadSession:
         return results
 
     def _run_interleaved(
-        self,
-        optimizer,
-        budget: BudgetSpec,
-        q: int,
-        scored=None,
-        controller: BatchSizeController | None = None,
+        self, optimizer, budget: BudgetSpec, q: int, scored=None
     ) -> dict[str, OptimizationResult]:
         """Step every query's state at once: :func:`drive` over all of them.
 
@@ -642,33 +623,11 @@ class WorkloadSession:
         batch path a query asks for its full allowance each round and asks
         again only once the round has landed, so each query's trace is the
         one it gets when driven alone at ``q``, whatever the timing.
-
-        With a :class:`~repro.harness.batching.BatchSizeController`
-        (``batch_size="auto"``) the per-round q follows ``controller.q``,
-        widened when passes leave slots idle with no state ready and
-        narrowed when a window of observations stops improving any query's
-        best latency.
         """
         self.policy.reset()
         states = [optimizer.start(query, budget=budget) for query in self.queries]
-        options = {"select": lambda ready: self.policy.select(ready, scored)}
-        if controller is not None:
-            best_seen: dict[str, float] = {}
-
-            def note_improvement(state, outcome: ExecutionOutcome) -> None:
-                self._note_outcome(state, outcome)
-                name = state.query.name
-                improved = not outcome.timed_out and outcome.latency < best_seen.get(
-                    name, float("inf")
-                )
-                if improved:
-                    best_seen[name] = outcome.latency
-                controller.record_outcome(improved)
-
-            options.update(on_outcome=note_improvement, after_fill=controller.record_round)
-        # drive reads a callable q once per scheduling pass.
         self._drive(
-            optimizer, states, q if controller is None else (lambda: controller.q), **options
+            optimizer, states, q, select=lambda ready: self.policy.select(ready, scored)
         )
         return {state.query.name: optimizer.finish(state) for state in states}
 

@@ -399,6 +399,15 @@ class TestLapackDirect:
 STREAMS = Path(__file__).parent / "data" / "replay_streams.npz"
 
 
+def _recorded_config(data) -> BOEngineConfig:
+    """The engine configuration the streams were recorded under."""
+    config = json.loads(str(data["engine_config"]))
+    # Recorded with one Thompson draw per candidate, since then the only
+    # acquisition (the field is gone).
+    assert config.pop("thompson_samples") == 1
+    return BOEngineConfig(**config)
+
+
 def _recorded_stream(name: str) -> BOEngine:
     """A stream BayesQO fed its surrogate before PR 16, frozen at that commit.
 
@@ -411,7 +420,7 @@ def _recorded_stream(name: str) -> BOEngine:
     with np.load(STREAMS) as data:
         engine = BOEngine(
             data[f"{name}_lower"], data[f"{name}_upper"],
-            config=BOEngineConfig(**json.loads(str(data["engine_config"]))), seed=0,
+            config=_recorded_config(data), seed=0,
         )
         for x, y, censored in zip(data[f"{name}_x"], data[f"{name}_y"], data[f"{name}_censored"]):
             engine.add_observation(x, y, censored)
@@ -650,7 +659,7 @@ class TestFantasizeOracle:
         with np.load(STREAMS) as data:
             lower, upper = data[f"{name}_lower"], data[f"{name}_upper"]
             stream = list(zip(data[f"{name}_x"], data[f"{name}_y"], data[f"{name}_censored"]))
-            config = BOEngineConfig(**json.loads(str(data["engine_config"])))
+            config = _recorded_config(data)
         engine = BOEngine(lower, upper, config=config, seed=0)
         policy = UncertaintyTimeout()
         count = 64 if ORACLE_FULL else 16

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import BayesQO, BayesQOConfig, VAETrainingConfig, reoptimize
-from repro.core.cache import PlanCache
 from repro.core.optimizer import train_schema_model
 from repro.core.protocol import (
     BudgetSpec, ExecutionOutcome, drive, drive_query, inline_submit,
@@ -84,11 +83,6 @@ class TestBayesQORun:
 
 
 class TestCacheAndReoptimization:
-    def test_result_feeds_plan_cache(self, run, tiny_query):
-        cache = PlanCache()
-        entry = cache.store(tiny_query, run)
-        assert entry.offline_latency == pytest.approx(run.best_latency)
-
     def test_reoptimize_with_past_plan(self, bayes, run, tiny_query):
         outcome = reoptimize(bayes, tiny_query, run.best_plan, max_executions=15)
         assert outcome.past_plan_latency > 0

@@ -1,8 +1,7 @@
-"""Tests for initialization strategies, the plan cache and the online planner."""
+"""Tests for the initialization strategies."""
 
 import pytest
 
-from repro.core.cache import OnlinePlanner, PlanCache, amortized_benefit
 from repro.core.initialization import (
     bao_initialization,
     build_initial_plans,
@@ -10,7 +9,6 @@ from repro.core.initialization import (
     llm_initialization,
     random_initialization,
 )
-from repro.core.result import OptimizationResult
 from repro.exceptions import OptimizationError
 from repro.plans.sampling import random_join_trees
 
@@ -67,56 +65,3 @@ class TestInitialization:
         with pytest.raises(OptimizationError):
             build_initial_plans("nope", tiny_database, tiny_query)
 
-
-class TestPlanCache:
-    def make_result(self, tiny_database, tiny_query):
-        result = OptimizationResult(tiny_query.name, "BayesQO")
-        plan = tiny_database.plan(tiny_query)
-        latency = tiny_database.execute(tiny_query, plan).latency
-        result.record(plan, latency, censored=False, timeout=None)
-        return result
-
-    def test_store_and_lookup(self, tiny_database, tiny_query):
-        cache = PlanCache()
-        assert cache.lookup(tiny_query) is None
-        cache.store(tiny_query, self.make_result(tiny_database, tiny_query))
-        entry = cache.lookup(tiny_query)
-        assert entry is not None and entry.offline_latency > 0
-        assert tiny_query in cache and len(cache) == 1
-
-    def test_store_plan_direct(self, tiny_database, tiny_query):
-        cache = PlanCache()
-        plan = tiny_database.plan(tiny_query)
-        cache.store_plan(tiny_query, plan, latency=1.0)
-        assert cache.lookup(tiny_query).plan.canonical() == plan.canonical()
-
-    def test_online_planner_prefers_cache(self, tiny_database, tiny_query):
-        planner = OnlinePlanner(tiny_database)
-        plan, source = planner.plan_for(tiny_query)
-        assert source == "default"
-        planner.cache.store(tiny_query, self.make_result(tiny_database, tiny_query))
-        plan, source = planner.plan_for(tiny_query)
-        assert source == "cache"
-
-    def test_online_planner_execution_updates_hits(self, tiny_database, tiny_query):
-        planner = OnlinePlanner(tiny_database)
-        planner.cache.store(tiny_query, self.make_result(tiny_database, tiny_query))
-        planner.execute(tiny_query)
-        entry = planner.cache.lookup(tiny_query)
-        assert entry.hits == 1
-        assert entry.last_observed_latency is not None
-        assert not planner.should_reoptimize(tiny_query)
-
-    def test_regression_flags_reoptimization(self, tiny_database, tiny_query):
-        planner = OnlinePlanner(tiny_database, regression_factor=0.0001)
-        planner.cache.store(tiny_query, self.make_result(tiny_database, tiny_query))
-        planner.execute(tiny_query)
-        assert planner.should_reoptimize(tiny_query)
-        planner.clear_reoptimization_flag(tiny_query)
-        assert not planner.should_reoptimize(tiny_query)
-
-    def test_amortized_benefit(self):
-        assert amortized_benefit(10.0, 2.0, 100.0, 20) == pytest.approx(60.0)
-        assert amortized_benefit(10.0, 2.0, 100.0, 5) < 0
-        with pytest.raises(OptimizationError):
-            amortized_benefit(10.0, 2.0, 100.0, -1)

@@ -19,8 +19,6 @@ class TestConfig:
         ("surrogate", "nope"),
         ("timeout_strategy", "nope"),
         ("initialization", "nope"),
-        ("timeout_kappa", -1.0),
-        ("timeout_max_multiplier", 0.5),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(OptimizationError):

@@ -1,5 +1,6 @@
 """Tests for the Database facade and the random plan sampler."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.exceptions import CatalogError, PlanError
 from repro.db.query import Query, TableRef
 from repro.plans.hints import bao_hint_sets
 from repro.plans.sampling import random_join_tree, random_join_trees
+from repro.workloads.drift import rollback_to_date
 
 
 class TestDatabaseFacade:
@@ -71,9 +73,34 @@ class TestDatabaseFacade:
                 ]
                 assert got == want
 
+    def test_rolled_back_statistics_equal_a_fresh_analyze(self, tiny_database):
+        past = rollback_to_date(tiny_database, 500, date_column="order_date")
+        fresh = Database(past.schema, past.relations)
+        kept = {
+            name for name, relation in past.relations.items()
+            if relation is tiny_database.relations[name]
+        }
+        assert kept and len(kept) < len(past.relations)
+        assert list(past.stats) == list(fresh.stats)
+        for name, stats in past.stats.items():
+            # A kept table's statistics are the parent's own object.
+            assert (stats is tiny_database.stats[name]) == (name in kept)
+            want = fresh.stats[name]
+            assert (stats.table_name, stats.num_rows) == (want.table_name, want.num_rows)
+            assert list(stats.columns) == list(want.columns)
+            for column, got in stats.columns.items():
+                for field in dataclasses.fields(got):
+                    a, b = getattr(got, field.name), getattr(want.columns[column], field.name)
+                    if isinstance(a, np.ndarray):
+                        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+                    else:
+                        assert type(a) is type(b) and (a == b or (a != a and b != b))
+
     def test_with_relations_requires_all_tables(self, tiny_database):
         with pytest.raises(CatalogError):
             Database(tiny_database.schema, {"orders": tiny_database.relations["orders"]})
+        with pytest.raises(CatalogError):
+            tiny_database.with_relations({"orders": tiny_database.relations["orders"]})
 
     def test_missing_relation_rejected(self, tiny_schema):
         with pytest.raises(CatalogError):

@@ -30,7 +30,6 @@ from repro.db.plan_cache import (
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.exceptions import OptimizationError
 from repro.harness import WorkloadSession
-from repro.harness.batching import BatchSizeController
 from repro.plans.jointree import JoinOp
 from repro.plans.sampling import random_join_trees
 
@@ -540,13 +539,18 @@ class TestMemoHoldsPlainArrays:
 # --------------------------------------------------------------------- config plumbing
 class TestConfigPlumbing:
     def test_exec_config_validates_knobs(self):
-        assert ExecutionServiceConfig(batch_size="auto").batch_size == "auto"
-        with pytest.raises(OptimizationError):
-            ExecutionServiceConfig(batch_size="wide")
+        for batch_size in ("auto", "wide", 2.0):
+            with pytest.raises(OptimizationError):
+                ExecutionServiceConfig(batch_size=batch_size)
         with pytest.raises(OptimizationError):
             ExecutionServiceConfig(batch_size=0)
         with pytest.raises(OptimizationError):
             ExecutionServiceConfig(plan_cache_bytes=-1)
+
+    def test_session_rejects_a_string_batch_size(self, tiny_workload):
+        for batch_size in ("auto", "wide"):
+            with pytest.raises(OptimizationError):
+                WorkloadSession(tiny_workload, batch_size=batch_size)
 
     def test_plan_cache_false_disables_database_cache(self, tiny_workload):
         with WorkloadSession(
@@ -653,61 +657,3 @@ class TestProcessPoolIsolation:
         # Worker caches are private: their stats still reach the scheduler
         # through the outcomes.
         assert pooled_report.cached_executions == pooled_report.executions > 0
-
-
-# --------------------------------------------------------------------- batch controller
-class TestBatchSizeController:
-    def test_widen_on_persistent_starvation(self):
-        controller = BatchSizeController(max_q=4, widen_patience=2)
-        controller.record_round(idle_slots=3, starved=True)
-        assert controller.q == 1
-        controller.record_round(idle_slots=3, starved=True)
-        assert controller.q == 2
-        # A non-starved round resets the patience counter.
-        controller.record_round(idle_slots=0, starved=False)
-        controller.record_round(idle_slots=2, starved=True)
-        assert controller.q == 2
-
-    def test_narrow_on_stall_and_clamp(self):
-        controller = BatchSizeController(max_q=3, widen_patience=1, stall_window=4)
-        for _ in range(5):
-            controller.record_round(idle_slots=1, starved=True)
-        assert controller.q == 3  # clamped at max_q
-        for _ in range(4):
-            controller.record_outcome(improved=False)
-        assert controller.q == 2
-        # An improvement inside the window prevents further narrowing.
-        controller.record_outcome(improved=True)
-        for _ in range(3):
-            controller.record_outcome(improved=False)
-        assert controller.q == 2
-
-    def test_never_below_min_q(self):
-        controller = BatchSizeController(max_q=2, stall_window=2)
-        for _ in range(10):
-            controller.record_outcome(improved=False)
-        assert controller.q == 1
-
-    def test_validation(self):
-        with pytest.raises(OptimizationError):
-            BatchSizeController(max_q=0)
-        with pytest.raises(OptimizationError):
-            BatchSizeController(max_q=2, min_q=3)
-
-    def test_session_rejects_bad_auto_string(self, tiny_workload):
-        with pytest.raises(OptimizationError):
-            WorkloadSession(tiny_workload, batch_size="wide")
-
-    def test_auto_batch_session_runs(self, tiny_workload):
-        with WorkloadSession(
-            tiny_workload,
-            queries=[tiny_workload.queries[0]],
-            budget=BudgetSpec(max_executions=8),
-            seed=0,
-            exec_config=ExecutionServiceConfig(
-                backend="thread", max_workers=4, batch_size="auto"
-            ),
-        ) as session:
-            results = session.run("random")
-        result = results[tiny_workload.queries[0].name]
-        assert result.num_executions == 8
