@@ -1,5 +1,6 @@
 """Integration tests for the BayesQO optimizer on the tiny database."""
 
+import inspect
 import json
 import os
 import pickle
@@ -16,6 +17,7 @@ from repro.core.optimizer import train_schema_model
 from repro.core.protocol import (
     BudgetSpec, ExecutionOutcome, drive, drive_query, inline_submit,
 )
+from repro.core.timeout import MAX_TIMEOUT_MULTIPLIER
 from repro.exceptions import OptimizationError
 
 #: What the parent of PR 16 did on these fixtures (``comment`` inside).
@@ -80,6 +82,21 @@ class TestBayesQORun:
     def test_empty_initialization_rejected(self, bayes, tiny_query):
         with pytest.raises(OptimizationError):
             drive_query(bayes, bayes.database, tiny_query, initial_plans=[])
+
+
+class TestInitPhaseTimeout:
+    def test_init_plans_are_capped_at_the_shared_multiple_of_the_best(self, bayes, tiny_query):
+        state = bayes.start(tiny_query)
+        proposal = bayes.suggest(state)
+        assert proposal.metadata["phase"] == "init" and proposal.timeout == 600.0
+        execution = bayes.database.execute(tiny_query, proposal.plan, timeout=proposal.timeout)
+        bayes.observe(state, ExecutionOutcome.from_execution(execution, proposal.timeout))
+        assert bayes.suggest(state).timeout == execution.latency * MAX_TIMEOUT_MULTIPLIER
+
+    def test_drive_takes_an_int_q_and_no_fill_hook(self, bayes):
+        assert "after_fill" not in inspect.signature(drive).parameters
+        with pytest.raises(OptimizationError):
+            drive(bayes, [], inline_submit(bayes.database), q=0)
 
 
 class TestCacheAndReoptimization:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bo.loop import BOEngineConfig
 from repro.core.config import BayesQOConfig, VAETrainingConfig
 from repro.core.result import OptimizationResult
 from repro.exceptions import OptimizationError
@@ -23,6 +24,15 @@ class TestConfig:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(OptimizationError):
             BayesQOConfig(**{field: value})
+
+    @pytest.mark.parametrize("config_cls,field", [
+        (BayesQOConfig, "thompson_samples"), (BayesQOConfig, "timeout_kappa"),
+        (BayesQOConfig, "timeout_max_multiplier"), (BayesQOConfig, "timeout_percentile"),
+        (BOEngineConfig, "thompson_samples"),
+    ])
+    def test_fields_nothing_varies_are_gone(self, config_cls, field):
+        with pytest.raises(TypeError):
+            config_cls(**{field: 1.0})
 
     def test_vae_training_config_defaults(self):
         config = VAETrainingConfig()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bo.loop import BOEngine
 from repro.core.timeout import (
+    MAX_TIMEOUT_MULTIPLIER,
     BestSeenTimeout,
     MultiplierTimeout,
     NoTimeout,
@@ -83,6 +84,12 @@ class TestSimplePolicies:
         assert isinstance(build_timeout_policy("multiplier"), MultiplierTimeout)
         with pytest.raises(OptimizationError):
             build_timeout_policy("nope")
+
+    def test_factory_builds_each_policy_with_its_defaults(self):
+        assert build_timeout_policy("uncertainty") == UncertaintyTimeout()
+        assert UncertaintyTimeout().max_multiplier == MAX_TIMEOUT_MULTIPLIER == 16.0
+        assert build_timeout_policy("percentile") == PercentileTimeout()
+        assert build_timeout_policy("multiplier", multiplier=2.0) == MultiplierTimeout(2.0)
 
 
 class TestUncertaintyPolicy:

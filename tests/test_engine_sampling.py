@@ -96,6 +96,19 @@ class TestDatabaseFacade:
                     else:
                         assert type(a) is type(b) and (a == b or (a != a and b != b))
 
+    def test_with_relations_analyzes_only_replaced_tables(self, tiny_database, monkeypatch):
+        calls, analyze_relation = [], engine.analyze_relation
+        monkeypatch.setattr(
+            engine, "analyze_relation", lambda r: calls.append(r.name) or analyze_relation(r)
+        )
+        moved = pickle.loads(pickle.dumps(tiny_database.relations["orders"]))
+        for replaced in ({}, {"orders": moved}):
+            calls.clear()
+            other = tiny_database.with_relations({**tiny_database.relations, **replaced})
+            assert calls == list(replaced) and other.stats is not tiny_database.stats
+            for name, stats in tiny_database.stats.items():
+                assert (other.stats[name] is stats) == (name not in replaced)
+
     def test_with_relations_requires_all_tables(self, tiny_database):
         with pytest.raises(CatalogError):
             Database(tiny_database.schema, {"orders": tiny_database.relations["orders"]})

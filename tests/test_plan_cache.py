@@ -10,6 +10,7 @@ and determinism under the process-pool backend.
 from __future__ import annotations
 
 import copy
+import importlib
 import os
 import pickle
 
@@ -551,6 +552,12 @@ class TestConfigPlumbing:
         for batch_size in ("auto", "wide"):
             with pytest.raises(OptimizationError):
                 WorkloadSession(tiny_workload, batch_size=batch_size)
+
+    @pytest.mark.parametrize("module", ["repro.harness.batching", "repro.core.cache"])
+    def test_the_auto_controller_and_the_old_online_planner_are_gone(self, module):
+        # A fixed q and serve/PlanServer are the one way to do each.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_plan_cache_false_disables_database_cache(self, tiny_workload):
         with WorkloadSession(
