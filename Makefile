@@ -24,7 +24,12 @@ quick:
 # Executor vs. the nested-loop reference on every <= 5-table JOB query and one
 # query of each of the 16 Stack templates x its distinct Bao hint-set plans
 # (Stack's repeated alias pairs make multi-predicate joins: composite keys and
-# shared columns), plus 300 random small databases (~55 s).
+# shared columns), plus 300 random small databases and 200 under a lowered work
+# cap (~60 s).
+# A build side counted from a deferred join's sources vs. build_join_index over
+# the gathered keys: every join over a deferred build side of every distinct
+# Bao plan of the e2e JOB queries (<= 7 tables, scale 0.16) and of one query
+# per Stack template, and 1000 property examples (~5 s).
 # Plan decoder vs. the component-forest reference decoder on every JOB/Stack/DSB
 # query x 64 VAE-decoded and 64 random token sequences (~20 s).
 # Closed-form fantasized conditioning vs. the augmented-factor solve: 2000
@@ -38,6 +43,7 @@ quick:
 oracle-full:
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_db_optimizer.py -k test_benchmark_workloads
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_executor_oracle.py
+	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_kernels_batch.py -k TestCountedJoinIndex
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_encoding.py -k "TestDecoderOracle and test_benchmark_workloads"
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_bo_gp.py -k "TestFantasizeOracle or TestDirectLbfgsbOracle"
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_workloads.py -k test_builds_match_the_reference_statistics_and_literals

@@ -8,6 +8,7 @@ from scratch.  :func:`reoptimize` packages that recipe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -93,7 +94,8 @@ def reoptimize(
         initial_plans=initial,
     )
     past_execution = optimizer.database.execute(query, past_plan, timeout=600.0)
-    improved = result.best_latency < past_execution.latency
+    # Every plan censored: no improvement, not an error.
+    improved = result.best_latency_or(math.inf) < past_execution.latency
     return ReoptimizationOutcome(
         result=result, past_plan_latency=past_execution.latency, improved=improved
     )

@@ -36,15 +36,24 @@ Joins materialize on read.  A join knows its output *count* from the match
 counts; the pair set keeps its right index unexpanded and the join records,
 per retained alias, which side of the pair set and which child positions it
 gathers from (:class:`_Positions`).  The arrays are written by the first
-``positions[alias]`` read — a parent's key or predicate columns
+``positions[alias]`` read — a parent's probe or predicate columns
 (``_values_for``), ``_scan_join_index``, the parent's own gather, or the
 subplan memo storing the intermediate — so a root join (nothing retained), a
 side no later predicate references and a join whose parent is censored on its
-pre-charge allocate nothing.  Charges cannot move: every charge, work-cap
-check, node count and event is issued from ``match.total`` / ``n_left *
-n_right`` before any pair is expanded, exactly where it was when outputs were
-written eagerly.  A deferred intermediate is private to one execution; the
-memo materializes what it stores (see :meth:`ExecutionCache.put_subplan`).
+pre-charge allocate nothing.  A parent joining on one predicate whose build
+side is a blow-up join (more pairs than the gathered side's source has rows)
+does not read its positions either: it counts its join index from the source
+rows, each weighted by how often it occurs in the pairs
+(``_counted_join_index``), and gathers the build keys from the source's only
+once the count shows the join stays under the work cap — so a capped join
+over a 2.6 M-row build side reads ~10^5 rows, and no root join writes its
+build side's positions.  The memo writes what it stores, except a join
+output whose arrays would weigh more than what keeping it deferred pins (see
+:meth:`ExecutionCache.put_subplan`): that one is written by its first reader
+in a later execution, if any.
+Charges cannot move: every charge, work-cap check, node count and event is
+issued from ``match.total`` / ``n_left * n_right`` before any pair is
+expanded, exactly where it was when outputs were written eagerly.
 
 A batch of sibling plans for one query can be executed in one pass via
 :meth:`Executor.run_batch` (see :class:`BatchExecutor`): shared join subtrees
@@ -59,7 +68,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,15 +130,24 @@ class ExecutionResult:
 class _Gather:
     """One retained alias of a join output that nobody has read yet.
 
-    ``pairs_gather`` is the pair set's ``gather_left``/``gather_right``,
-    ``source`` the child's positions (possibly deferred themselves) and
-    ``nbytes`` the size the array will have, so the memo can account for —
-    and refuse — an intermediate without writing it.
+    ``pairs`` is the join's pair set and ``left`` the side the alias comes
+    from, ``source`` that child's positions (possibly deferred themselves)
+    over its ``source_rows`` rows, and ``nbytes`` the size the array will
+    have, so the memo can account for — and refuse — an intermediate without
+    writing it.
     """
 
-    pairs_gather: Callable[[np.ndarray], np.ndarray]
+    pairs: "kernels.PairSet"
+    left: bool
     source: "dict[str, np.ndarray]"
+    source_rows: int
     nbytes: int
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (one per source row) at each pair of this side."""
+        if self.left:
+            return self.pairs.gather_left(values)
+        return self.pairs.gather_right(values)
 
 
 class _Positions(dict):
@@ -138,14 +156,27 @@ class _Positions(dict):
     Only ``positions[alias]`` forces a gather (and replaces the
     :class:`_Gather` by its array); iteration and ``values()`` see the raw
     entries, which lets :func:`~repro.db.plan_cache.intermediate_nbytes` size
-    an intermediate without materializing it.
+    an intermediate without materializing it.  Two threads reading one alias
+    of a memo entry may both gather it and both store equal arrays: the
+    relation caches' benign race.
     """
 
     def __getitem__(self, alias: str) -> np.ndarray:
         value = super().__getitem__(alias)
         if isinstance(value, _Gather):
-            value = self[alias] = value.pairs_gather(value.source[alias])
+            value = self[alias] = value.gather(value.source[alias])
         return value
+
+
+def _pair_set_nbytes(pairs: "kernels.PairSet") -> int:
+    """Bytes a pair set holds for its gathers: its factorized left side, its
+    match and the build side's join index (keys not gathered yet excluded)."""
+    arrays = [pairs.left_rows, pairs.run_counts]
+    if pairs.match is not None:
+        index = pairs.match.index
+        arrays += [pairs.match.lo, pairs.match.counts, index.counts_table, index.starts_table,
+                   index.rows, vars(index).get("keys"), vars(index).get("source_keys")]
+    return sum(array.nbytes for array in arrays if array is not None)
 
 
 @dataclass
@@ -157,8 +188,9 @@ class _Intermediate:
     rest of the plan (no pending join predicate references them) are pruned to
     keep memory proportional to the join columns still needed; ``covered``
     remembers every alias the intermediate logically contains.  A join's
-    output holds :class:`_Positions`: deferred while one execution owns the
-    intermediate, plain arrays once the subplan memo stores it.
+    output holds :class:`_Positions`, each deferred until read; the subplan
+    memo writes what it stores unless the deferral is the lighter form
+    (:meth:`deferral_nbytes`).
 
     ``scan`` tags base-table scans with ``(table, selection key)`` so joins
     against them reuse the relation's cached join index instead of building
@@ -177,6 +209,24 @@ class _Intermediate:
     @property
     def num_rows(self) -> int:
         return self.count
+
+    def deferral_nbytes(self) -> int | None:
+        """What keeping this join output deferred pins, if it is a blow-up join.
+
+        For each deferred alias, what its gather will read: the pair set, its
+        build side's join index and the source positions (a deferred source
+        at the size it will have), each counted once.  ``None`` when no
+        deferred alias has more rows than its source: its arrays weigh about
+        what its sources do, and keeping it deferred gains nothing.
+        """
+        gathers = [value for value in dict.values(self.positions) if isinstance(value, _Gather)]
+        if not any(gather.pairs.count > gather.source_rows for gather in gathers):
+            return None
+        pairs = {id(gather.pairs): gather.pairs for gather in gathers}
+        sources = {id(gather.source): gather.source for gather in gathers}
+        return sum(map(_pair_set_nbytes, pairs.values())) + sum(
+            value.nbytes for source in sources.values() for value in dict.values(source)
+        )
 
 
 class _Timeout(Exception):
@@ -504,10 +554,10 @@ class Executor:
         # first writes the array (see the module docstring).
         nbytes = pairs.count * _POSITION_ITEMSIZE
         positions = _Positions()
-        for side, pairs_gather in ((left, pairs.gather_left), (right, pairs.gather_right)):
+        for side, is_left in ((left, True), (right, False)):
             for alias in side.positions:
                 if alias in needed:
-                    positions[alias] = _Gather(pairs_gather, side.positions, nbytes)
+                    positions[alias] = _Gather(pairs, is_left, side.positions, side.count, nbytes)
         return _Intermediate(positions, covered=covered, count=pairs.count)
 
     def _needed_aliases(self, query: Query, covered: set[str]) -> set[str]:
@@ -558,6 +608,11 @@ class Executor:
         left_alias, left_column, right_alias, right_column = oriented[0]
         left_keys = self._values_for(query, left, left_alias, left_column)
         index = self._scan_join_index(query, right, right_alias, right_column)
+        counted = False
+        if index is None and len(oriented) == 1:
+            # Several predicates: match_all reads the keys anyway, so gather them.
+            index = self._counted_join_index(query, right, right_alias, right_column)
+            counted = index is not None
         if index is None:
             # An intermediate build side: the same index, private to this join.
             right_keys = self._values_for(query, right, right_alias, right_column)
@@ -567,6 +622,13 @@ class Executor:
         # so catastrophic joins hit the timeout without allocating huge arrays.
         self._check_materialization(match.total, state)
         state.charge("join", self.cost_params.output_row * match.total)
+        if counted:
+            # The count decided the cap.  A join that completes gathers its
+            # build keys now, as it would have without a count: counting
+            # past them as well cut plan execution on opt_exec_bound to about
+            # the BO overhead Fig. 9's shape check compares it with
+            # (``make bench-shape``).
+            index.keys
         if len(oriented) > 1 and match.total:
             # Each (alias, column) gathered once; index.keys is the first right one.
             pairs = [(predicate[:2], predicate[2:]) for predicate in oriented]
@@ -586,6 +648,24 @@ class Executor:
             return None
         table, select_key = side.scan
         return self.relations[table].join_index(select_key, side.positions[alias], column)
+
+    def _counted_join_index(
+        self, query: Query, side: _Intermediate, alias: str, column: str
+    ) -> "kernels.JoinIndex | None":
+        """The join index of a build side not gathered yet, counted from its sources.
+
+        Only for a blow-up join's output (more pairs than the source has rows:
+        gathering writes more than counting reads).  Each source row's key is
+        counted as often as the row occurs in the pair set, so the index is
+        ``build_join_index`` over the gathered keys, bit for bit; the keys
+        are gathered from the source's once the join is known to complete.
+        ``None``: gather as usual.
+        """
+        deferred = dict.get(side.positions, alias)
+        if not isinstance(deferred, _Gather) or deferred.pairs.count <= deferred.source_rows:
+            return None
+        source_keys = self.relations[query.table_of(alias)].take(deferred.source[alias], column)
+        return kernels.count_join_index(deferred.pairs, deferred.left, source_keys)
 
     def _cross_join(
         self, n_left: int, n_right: int, state: "_ExecutionState"

@@ -31,7 +31,13 @@ join path, kept verbatim in ``tests/oracles/reference_kernels.py``:
   as one expanded at once — *when* a pair array is written is not observable;
   a gather through the sorted build side (``values[order][pos]`` or
   ``values[order[pos]]``) reads the elements ``values[order[pos]]`` names,
-  so either route is ``values[right_idx]`` bit for bit.
+  so either route is ``values[right_idx]`` bit for bit;
+* a counted index (:func:`count_join_index`) is :func:`build_join_index`'s
+  over the gathered keys, field by field: the gathered array holds each
+  source key as often as its row occurs in the pair set
+  (:meth:`PairSet.multiplicities`), so a weighted ``bincount`` over the
+  source rows gives its tables, and its keys, ``order`` and ``sorted_keys``
+  are the gathered ones once read.
 
 Because the executor's simulated charges depend only on match *counts*
 (which are order-independent and known before any expansion or sort) and the
@@ -40,16 +46,18 @@ reading a pair set late, or never — can never change a latency, a censoring
 decision or a charge-event stream.
 
 Written after construction, by their first read: a :class:`PairSet`'s sorted
-positions (and right index) and a :class:`JoinIndex`'s ``order`` /
-``sorted_keys``.  Both are private to one join, except a scanned build side's
-index (``Relation._index_cache``), where two threads may both sort: the
-relation caches' benign race.
+positions (and right index), a :class:`JoinIndex`'s ``order`` /
+``sorted_keys`` and a :class:`DeferredJoinIndex`'s keys.  Two threads may
+both write one — a scanned build side's index (``Relation._index_cache``), or
+the pair set of a join output the subplan memo keeps deferred — and both
+write equal arrays: the relation caches' benign race.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +67,8 @@ __all__ = [
     "PairSet",
     "expand_pairs",
     "build_join_index",
+    "count_join_index",
+    "DeferredJoinIndex",
     "probe_join_index",
     "match_all",
     "predicate_key",
@@ -114,10 +124,10 @@ class PairSet:
       once) hold the factorized form.
 
     Right: ``match`` (or ``cross``) is kept, and every pair's position in the
-    sorted build side (:attr:`sorted_pos`) is written on the first gather.
-    That write goes to the pair set, so a pair set is private to the
-    execution that built it.  A gather reads through the build side's sort
-    order, never through a materialized right index.
+    sorted build side (:attr:`sorted_pos`) is written on the first gather,
+    to the pair set (shared, when the subplan memo keeps the join output
+    deferred: see the module docstring).  A gather reads through the build
+    side's sort order, never through a materialized right index.
 
     ``gather_left``/``gather_right`` produce bit-for-bit the arrays
     ``values[left_idx]``/``values[right_idx]`` of the sort-merge expansion,
@@ -187,6 +197,38 @@ class PairSet:
         index = self.match.index
         rows = index.order[self.sorted_pos]
         return rows if index.rows is None else index.rows[rows]
+
+    def multiplicities(self, left: bool):
+        """How often each source row of one side occurs in the pair set.
+
+        ``(rows, weights)``: the rows of the side's input that occur (``None``:
+        every row) and how often each does (an array, or one ``int`` for all),
+        so ``gather_left``/``gather_right`` of any ``values`` holds
+        ``values[rows]`` repeated ``weights`` times, in some order.  Left: the
+        probe row's match count.  Right: the number of probe rows that share
+        the build row's key, read off the match's run starts (every row of
+        one key shares a run).  ``None`` for an empty pair set, and where it
+        is not known without sorting: a build side without a counting table.
+        """
+        if self.count == 0:
+            return None
+        if self.cross is not None:
+            return None, self.cross[1] if left else self.cross[0]
+        if left:
+            if self.left_all:
+                return None, 1
+            return self.left_rows, 1 if self.run_counts is None else self.run_counts
+        index = self.match.index
+        if index.counts_table is None:
+            return None
+        lo = self.match.lo if self.left_all else self.match.lo[self.left_rows]
+        hits = np.bincount(lo, minlength=index.num_keys)  # probe rows per run start
+        slots = index.keys.astype(np.int64, copy=False)
+        if index.offset:
+            slots = slots - index.offset
+        weights = hits[index.starts_table[slots]]
+        rows = np.flatnonzero(weights)
+        return rows if index.rows is None else index.rows[rows], weights[rows]
 
     @cached_property
     def sorted_pos(self) -> np.ndarray:
@@ -292,23 +334,88 @@ def _direct_addressable(keys: np.ndarray) -> bool:  # integers, offsets fit int6
     return keys.dtype.kind == "i" or (keys.dtype.kind == "u" and keys.dtype.itemsize < 8)
 
 
+class DeferredJoinIndex(JoinIndex):
+    """A counted :class:`JoinIndex` whose keys are not written yet.
+
+    Made by :func:`count_join_index`: the tables are filled, ``num_keys`` is
+    known, and ``keys`` (with ``order`` and ``sorted_keys`` after it) is
+    ``gather(source_keys)``, written on first read.
+    """
+
+    def __init__(self, gather: Callable[[np.ndarray], np.ndarray], source_keys: np.ndarray,
+                 num_keys: int) -> None:
+        # Not the dataclass __init__: an instance ``keys`` would hide the property.
+        self.key_min, self.domain, self.offset = 0, 0, 0
+        self.starts_table = self.counts_table = self.rows = self.digits = None
+        self.gather, self.source_keys, self._num_keys = gather, source_keys, num_keys
+
+    @property
+    def num_keys(self) -> int:
+        return self._num_keys
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return self.gather(self.source_keys)
+
+
+def _count_keys(index: JoinIndex, keys: np.ndarray, num_keys: int, weights=1) -> bool:
+    """Fill ``index``'s counting table from ``keys``, each counted ``weights`` times.
+
+    ``num_keys`` is the weights' sum, the length of the key array the table
+    stands for.  ``False`` (nothing filled): no dense integer domain.
+    """
+    if not (len(keys) and _direct_addressable(keys)):
+        return False
+    key_min, key_max = int(keys.min()), int(keys.max())
+    domain = key_max - key_min + 1
+    if domain > max(DENSE_DOMAIN_FLOOR, 4 * num_keys) or key_min <= -(1 << 63):
+        return False
+    index.key_min, index.domain = key_min, domain
+    if keys.dtype == np.int64 and 1 <= key_min <= domain:
+        # Keyed by the key itself: a table at most twice the domain.
+        slots, length = keys, key_max + 2
+    else:
+        index.offset = key_min - 1
+        slots, length = keys.astype(np.int64, copy=False) - index.offset, domain + 2
+    if isinstance(weights, np.ndarray):
+        # Float sums of integers are exact below 2**53, far above any count here.
+        counts = np.bincount(slots, weights, minlength=length).astype(np.int64)
+    else:
+        counts = np.bincount(slots, minlength=length)
+        if weights != 1:
+            counts *= weights
+    index.counts_table = counts
+    index.starts_table = np.cumsum(counts) - counts
+    return True
+
+
 def build_join_index(keys: np.ndarray, rows=None, digits=None) -> JoinIndex:
     """Factorize ``keys`` for probing (pair order: see the module docstring)."""
     index = JoinIndex(keys, rows=rows, digits=digits)
-    if len(keys) and _direct_addressable(keys):
-        key_min, key_max = int(keys.min()), int(keys.max())
-        domain = key_max - key_min + 1
-        if domain <= max(DENSE_DOMAIN_FLOOR, 4 * len(keys)) and key_min > -(1 << 63):
-            index.key_min, index.domain = key_min, domain
-            if keys.dtype == np.int64 and 1 <= key_min <= domain:
-                # Keyed by the key itself: a table at most twice the domain.
-                index.counts_table = np.bincount(keys, minlength=key_max + 2)
-            else:
-                index.offset = key_min - 1
-                offsets = keys.astype(np.int64, copy=False) - index.offset
-                index.counts_table = np.bincount(offsets, minlength=domain + 2)
-            index.starts_table = np.cumsum(index.counts_table) - index.counts_table
+    _count_keys(index, keys, len(keys))
     return index
+
+
+def count_join_index(
+    pairs: PairSet, left: bool, source_keys: np.ndarray
+) -> DeferredJoinIndex | None:
+    """``build_join_index`` over one side of ``pairs`` gathered from ``source_keys``, ungathered.
+
+    The source keys that occur in the gathered array, each weighted by how
+    often it does (:meth:`PairSet.multiplicities`), in one ``bincount``: the
+    ``key_min``, ``domain``, ``offset`` and tables of the gathered keys, bit
+    for bit; the keys are gathered when something reads them.  ``None``
+    where that is not known without sorting, or where ``build_join_index``
+    would not count (float keys, a sparse domain): the caller gathers.
+    """
+    multiplicities = pairs.multiplicities(left)
+    if multiplicities is None:
+        return None
+    rows, weights = multiplicities
+    index = DeferredJoinIndex(pairs.gather_left if left else pairs.gather_right, source_keys,
+                              pairs.count)
+    keys = source_keys if rows is None else source_keys[rows]
+    return index if _count_keys(index, keys, pairs.count, weights) else None
 
 
 def probe_join_index(index: JoinIndex, left_keys: np.ndarray) -> MatchCounts:

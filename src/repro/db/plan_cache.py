@@ -18,12 +18,13 @@ case cheap while keeping results bit-for-bit identical to scratch execution:
   upgraded when a later run observes further.
 
 * **Subplan memo** — a bounded LRU over join-subtree fingerprints caching
-  each subtree's materialized intermediate *and* the event-log segment that
-  produced it.  A new plan only pays for the join nodes it does not share
-  with previously executed plans of the same query; shared subtrees replay
-  their recorded charges (never recompute them) and reuse the intermediate
-  arrays directly.  Entries are charged by the byte size of their retained
-  position arrays and evicted least-recently-used under ``max_bytes``.
+  each subtree's intermediate (written, or a blow-up join's pairs kept
+  deferred) *and* the event-log segment that produced it.  A new plan only
+  pays for the join nodes it does not share with previously executed plans
+  of the same query; shared subtrees replay their recorded charges (never
+  recompute them) and reuse the intermediate arrays directly.  Entries are
+  charged by the byte size of their retained position arrays and evicted
+  least-recently-used under ``max_bytes``.
 
 Both caches key queries by *content* (tables, join predicates, filters), not
 by name, so two Query objects describing the same query share entries and
@@ -84,7 +85,9 @@ class ExecutionCacheConfig:
     *exact* revisits are already free through the outcome cache, which
     stores only the charge log).  Oversize is decided from the row count
     before the position arrays are written, so an intermediate that is
-    stored events-only is never materialized for the memo's sake.
+    stored events-only is never materialized for the memo's sake; one that
+    fits is charged its arrays' bytes and written, unless those would weigh
+    more than what keeping it deferred pins (a blow-up join).
     """
 
     enabled: bool = True
@@ -443,12 +446,22 @@ class ExecutionCache:
             nbytes = _events_nbytes(events)
         else:
             stored = intermediate
-            # Deferred gathers end here: later executions (and threads)
-            # reach a memo entry, so it holds arrays nobody writes to again.
-            for alias in stored.positions:
-                stored.positions[alias]
-            # The event log is charged too, so even zero-byte intermediates
-            # (empty or fully pruned position sets) are never free.
+            # Kept deferred only when its arrays would weigh more than what
+            # the deferral pins (pair set, intermediate index, sources): a
+            # blow-up join.  Its first reader writes them then — maybe a
+            # later execution, or two threads at once, both writing equal
+            # arrays (the relation caches' benign race) — and a parent
+            # counting its build side never does.  Otherwise the gathers end
+            # here.
+            pinned = stored.deferral_nbytes()
+            if pinned is None or array_bytes <= pinned:
+                for alias in stored.positions:
+                    stored.positions[alias]
+            # Charged its arrays either way: the larger of the two when it is
+            # kept deferred (a reader may still write them), all it holds
+            # once written.  The event log is charged too, so even zero-byte
+            # intermediates (empty or fully pruned position sets) are never
+            # free.
             nbytes = array_bytes + _events_nbytes(events)
         if nbytes > self.config.max_bytes:
             return

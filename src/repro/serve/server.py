@@ -415,13 +415,16 @@ class PlanServer:
         if slo_violated:
             self.counters.slo_violations += 1
         self.admission.note_latency(entry.fingerprint, slo_violated)
-        if timed_out:
-            return
+        # A timed-out report's latency is its timeout, a lower bound on what
+        # the plan takes now: it enters the drift window like any other, so a
+        # stored plan that times out on drifted data is flagged.
         entry.observe(latency)
         if entry.recorded_latency == float("inf"):
             # First observation of a freshly promoted default plan: it *is*
-            # the drift baseline until optimization replaces it.
-            entry.recorded_latency = latency
+            # the drift baseline until optimization replaces it (a lower
+            # bound is not a baseline).
+            if not timed_out:
+                entry.recorded_latency = latency
             return
         median = entry.observed_median()
         if (

@@ -9,7 +9,7 @@ production code only the operator formulas of ``repro.db.cost`` (the charges
 are *defined* by them) and the plain data classes it reads its input from
 (``Query``, ``JoinTree``, ``Schema``, ``Relation.column``).
 
-Two conventions of the executor are restated here, not imported:
+Three conventions of the executor are restated here, not imported:
 
 * nodes run in post-order (left subtree, right subtree, join), a scan charges
   once, a join charges its input-dependent cost (the operator formula at zero
@@ -20,8 +20,14 @@ Two conventions of the executor are restated here, not imported:
   others for free, so its output charge is per first-predicate match
   (``matched_rows``), not per surviving row (``output_rows``).
 
-The work cap (``MAX_MATERIALIZED_ROWS``) is out of scope: ``max_pairs`` bounds
-the pairs this evaluator is willing to examine per join, far below the cap.
+* the work cap: the first join in post-order whose first-predicate matches
+  (all pairs, for a cross product) exceed ``max_rows`` charges its
+  input-dependent cost, then ``output_row`` per match, and aborts — censored
+  at the timeout, or an error without one — before it counts as executed.
+
+``max_pairs`` bounds the pairs this evaluator is willing to examine per join;
+``max_rows`` stands for ``MAX_MATERIALIZED_ROWS``, which a test lowers to
+reach it on small inputs.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.db.query import Query
 from repro.plans.jointree import JoinTree
 
 NODE = "node"
+CAP = "cap"
 
 
 class OracleLimit(Exception):
@@ -48,6 +55,8 @@ class NodeCardinality:
     right_rows: int
     matched_rows: int
     output_rows: int
+    #: The work cap stops the plan here (``output_rows`` is then not counted).
+    capped: bool = False
 
 
 def _holds(value, op: str, operand) -> bool:
@@ -74,10 +83,19 @@ def _table_rows(relation) -> list[dict]:
     return [dict(zip(names, values)) for values in zip(*columns)]
 
 
+class _Capped(Exception):
+    """The work cap stopped the plan (its card is the last one)."""
+
+
 def evaluate(
-    query: Query, plan: JoinTree, relations, max_pairs: int = 2_000_000
+    query: Query, plan: JoinTree, relations, max_pairs: int = 2_000_000,
+    max_rows: int | None = None,
 ) -> list[NodeCardinality]:
-    """Per-node cardinalities of ``plan`` in execution (post-)order."""
+    """Per-node cardinalities of ``plan`` in execution (post-)order.
+
+    With ``max_rows``, the list ends at the first join whose first-predicate
+    matches exceed it (``capped``).
+    """
     cards: list[NodeCardinality] = []
 
     def run(node: JoinTree) -> tuple[set[str], list[dict]]:
@@ -113,10 +131,16 @@ def evaluate(
                     matched += 1
                 if all(agree):
                     output.append({**left_row, **right_row})
+        if max_rows is not None and matched > max_rows:
+            cards.append(NodeCardinality(node, len(left_rows), len(right_rows), matched, 0, True))
+            raise _Capped
         cards.append(NodeCardinality(node, len(left_rows), len(right_rows), matched, len(output)))
         return left_aliases | right_aliases, output
 
-    run(plan)
+    try:
+        run(plan)
+    except _Capped:
+        pass
     return cards
 
 
@@ -165,7 +189,7 @@ def charge_events(
             ),
         ))
         events.append(("join", params.output_row * card.matched_rows))
-        events.append((NODE, 0.0))
+        events.append((CAP, float(card.matched_rows)) if card.capped else (NODE, 0.0))
     return events
 
 
@@ -182,8 +206,12 @@ class Expected:
 
 def expected_result(
     events: list[tuple[str, float]], output_rows: int, timeout: float | None
-) -> Expected:
-    """Accumulate ``events`` in order; the first charge past ``timeout`` censors."""
+) -> Expected | None:
+    """Accumulate ``events`` in order; the first charge past ``timeout`` censors.
+
+    The work cap censors too; without a timeout the execution raises instead
+    (``None``).
+    """
     elapsed = 0.0
     nodes = 0
     breakdown: dict[str, float] = {}
@@ -191,6 +219,8 @@ def expected_result(
         if category == NODE:
             nodes += 1
             continue
+        if category == CAP:
+            return None if timeout is None else Expected(timeout, True, None, nodes, breakdown)
         elapsed += cost
         breakdown[category] = breakdown.get(category, 0.0) + cost
         if timeout is not None and elapsed > timeout:
@@ -203,7 +233,7 @@ def cumulative_charges(events: list[tuple[str, float]]) -> list[float]:
     elapsed = 0.0
     points = []
     for category, cost in events:
-        if category != NODE:
+        if category not in (NODE, CAP):
             elapsed += cost
             points.append(elapsed)
     return points

@@ -111,6 +111,26 @@ class TestCacheAndReoptimization:
         outcome = reoptimize(bayes, tiny_query, run.best_plan, max_executions=8, include_bao=False)
         assert outcome.result.num_executions <= 8
 
+    def test_reoptimize_with_every_plan_censored_reports_no_improvement(
+        self, tiny_database, tiny_schema_model, run, tiny_query, monkeypatch
+    ):
+        """Every join over the work cap: each plan, the past one included, is
+        censored at its timeout, and the outcome says "not improved"."""
+        from repro.db import executor as executor_module
+        from repro.db.engine import Database
+
+        monkeypatch.setattr(executor_module, "MAX_MATERIALIZED_ROWS", 0)
+        # A cache of its own: capped outcomes must not reach the shared fixture's.
+        database = Database(tiny_database.schema, tiny_database.relations)
+        optimizer = BayesQO(
+            database, tiny_schema_model, config=BayesQOConfig(max_executions=4, seed=0)
+        )
+        outcome = reoptimize(optimizer, tiny_query, run.best_plan, max_executions=4)
+        assert outcome.result.num_executions > 0
+        assert all(record.censored for record in outcome.result.trace)
+        assert outcome.past_plan_latency == 600.0
+        assert outcome.improved is False
+
 
 @pytest.mark.slow
 class TestConfigVariants:

@@ -692,10 +692,10 @@ class TestThreadsShareOneCachedDatabase:
     def test_concurrent_overlapping_plans_match_sequential(self, tiny_database, tiny_query):
         """Four threads over one cached database, plans that share subtrees.
 
-        A join output is deferred only while one execution owns it; the memo
-        hands out plain arrays.  If a deferred intermediate ever reached two
-        threads, one would read a half-written position set and a latency,
-        a censoring flag or a node count would differ from the sequential run.
+        The memo hands out plain arrays, or a blow-up join's pairs still
+        deferred.  If two threads reading one entry ever saw a half-written
+        position set, a latency, a censoring flag or a node count would
+        differ from the sequential run.
         """
         import sys
 
@@ -741,8 +741,63 @@ class TestThreadsShareOneCachedDatabase:
                 for key in cache.subplan_keys():
                     stored = cache._subplans[key].intermediate
                     assert stored is None or all(
-                        type(value) is np.ndarray for value in stored.positions.values()
+                        len(stored.positions[alias]) == stored.count
+                        for alias in list(stored.positions)
                     )
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_thread_pool_over_deferred_memo_entries_gives_the_sequential_trace(
+        self, job_workload_small
+    ):
+        """Random JOB plans and their root-swapped siblings (both subtrees
+        shared) on a :class:`ThreadPoolBackend` over one cached database: the
+        memo holds blow-up joins deferred, the threads gather them as they
+        read them, and every outcome is the sequential one."""
+        import sys
+
+        from repro.db.executor import _Gather
+        from repro.plans.sampling import random_join_trees
+
+        source = job_workload_small.database
+        query = next(q for q in job_workload_small.queries if q.name == "JOB_2a")
+        plans = random_join_trees(query, 8, seed=3)
+        plans += [JoinTree.join(plan.right, plan.left, plan.op) for plan in plans]
+        sequential = Database(source.schema, source.relations, seed=7, exec_cache=False)
+        expected = [
+            ExecutionOutcome.from_execution(
+                sequential.execute(query, plan, timeout=600.0), 600.0, proposal_id=i
+            )
+            for i, plan in enumerate(plans)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deferred = 0
+            for _ in range(5):
+                database = Database(source.schema, source.relations, seed=7, exec_cache=True)
+                backend = ThreadPoolBackend(database, max_workers=4)
+                try:
+                    futures = [
+                        backend.submit(ExecutionRequest(
+                            query=query, plan=plan, timeout=600.0, proposal_id=i
+                        ))
+                        for i, plan in enumerate(plans)
+                    ]
+                    outcomes = [future.result(timeout=60) for future in futures]
+                finally:
+                    backend.close()
+                for got, want in zip(outcomes, expected):
+                    assert (got.latency, got.timed_out, got.proposal_id) == (
+                        want.latency, want.timed_out, want.proposal_id
+                    )
+                cache = database.execution_cache
+                entries = [cache._subplans[key].intermediate for key in cache.subplan_keys()]
+                deferred += sum(
+                    any(isinstance(value, _Gather) for value in dict.values(entry.positions))
+                    for entry in entries if entry is not None
+                )
+            assert deferred > 0  # the run reached deferred entries
         finally:
             sys.setswitchinterval(interval)
 

@@ -8,31 +8,36 @@ code with the kernels: here every ``ExecutionResult`` field that depends on a
 cardinality — output rows, nodes executed, the charge total and breakdown, and
 the censoring decision on either side of every cumulative charge — must equal
 the oracle's, with the execution cache on and off and through ``run_batch``,
-and the charge log the cache records must be the oracle's event for event.
+also under a work cap lowered to stop plans on small inputs, and the charge
+log the cache records must be the oracle's event for event.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.db import executor as executor_module
 from repro.db import kernels
 from repro.db.catalog import Column, Index, Schema, Table, alias_name
 from repro.db.engine import Database
-from repro.db.plan_cache import NODE_EVENT, plan_fingerprint
+from repro.db.plan_cache import CAP_EVENT, NODE_EVENT, plan_fingerprint
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.db.relation import Relation
+from repro.exceptions import ExecutionError
 from repro.plans.hints import bao_hint_sets
 from repro.plans.jointree import JOIN_OPS, JoinTree
 from repro.plans.sampling import random_join_tree
 from repro.workloads import build_job_workload, build_stack_workload
 
 from oracles.reference_executor import (
+    CAP,
     NODE,
     OracleLimit,
     charge_events,
@@ -81,27 +86,40 @@ def make_arms(database: Database) -> dict[str, Database]:
 
 def check_against_oracle(
     arms: dict[str, Database], query: Query, plan: JoinTree, max_pairs: int,
-    timeouts: tuple = (),
-) -> None:
+    timeouts: tuple = (), max_rows: int | None = None,
+) -> bool:
     """Every arm of the executor reports what the oracle's cardinalities imply.
 
-    ``timeouts`` are checked besides the ones around every cumulative charge.
+    ``timeouts`` are checked besides the ones around every cumulative charge;
+    ``max_rows`` is the work cap the executor runs under (its
+    ``MAX_MATERIALIZED_ROWS``).  Returns whether the cap stopped the plan.
     """
     database = arms["cache off"]
-    cards = evaluate(query, plan, database.relations, max_pairs=max_pairs)
+    cards = evaluate(query, plan, database.relations, max_pairs=max_pairs, max_rows=max_rows)
     events = charge_events(query, cards, database.schema, database.relations, database.cost_params)
     timeouts = timeouts_around(cumulative_charges(events)) + list(timeouts)
     expected = [expected_result(events, cards[-1].output_rows, timeout) for timeout in timeouts]
     for arm, db in arms.items():
         for timeout, want in zip(timeouts, expected):
-            assert_matches(db.execute(query, plan, timeout=timeout), want, (arm, timeout))
-    batch = database.execute_batch(query, [plan] * len(timeouts), timeouts)
-    for timeout, got, want in zip(timeouts, batch, expected):
+            if want is None:  # the work cap, and no timeout to censor at
+                with pytest.raises(ExecutionError):
+                    db.execute(query, plan, timeout=timeout)
+            else:
+                assert_matches(db.execute(query, plan, timeout=timeout), want, (arm, timeout))
+    runnable = [(timeout, want) for timeout, want in zip(timeouts, expected) if want is not None]
+    batch = database.execute_batch(query, [plan] * len(runnable), [t for t, _ in runnable])
+    for (timeout, want), got in zip(runnable, batch):
         assert_matches(got, want, ("batch", timeout))
-    # The first timeout is None: the cache holds the plan's complete charge log.
-    recorded = arms["cache on"].execution_cache.lookup_outcome(plan_fingerprint(query, plan), None)
-    assert [(NODE if category == NODE_EVENT else category, cost)
-            for category, cost in recorded.events] == events
+    # The cache holds the plan's whole charge log: completed (under the first
+    # timeout, None) or work-capped (under the last, past every charge).
+    capped = cards[-1].capped
+    recorded = arms["cache on"].execution_cache.lookup_outcome(
+        plan_fingerprint(query, plan), timeouts[-1] if capped else None
+    )
+    names = {NODE_EVENT: NODE, CAP_EVENT: CAP}
+    assert recorded.work_capped == capped
+    assert [(names.get(category, category), cost) for category, cost in recorded.events] == events
+    return capped
 
 
 # ------------------------------------------------------------------ random small databases
@@ -215,6 +233,91 @@ def test_random_small_databases_match_nested_loop_oracle(case):
         check_against_oracle(make_arms(database), query, plan, max_pairs=60_000)
     except OracleLimit:
         assume(False)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@settings(
+    max_examples=200 if ORACLE_FULL else 40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_cases(), st.integers(0, 400))
+def test_work_capped_small_databases_match_nested_loop_oracle(case, max_rows):
+    """The same cases under a work cap low enough to stop many of them."""
+    database, query, plan = case
+    with mock.patch.object(executor_module, "MAX_MATERIALIZED_ROWS", max_rows):
+        try:
+            check_against_oracle(
+                make_arms(database), query, plan, max_pairs=60_000, max_rows=max_rows
+            )
+        except OracleLimit:
+            assume(False)
+
+
+# ------------------------------------------------------------------ capped right-deep plans
+def _right_deep_case(gather: str):
+    """``t0 ⋈ (t1 ⋈ (t2 ⋈ t3))`` over keys of three values: every join blows up.
+
+    The root's key alias reaches its build side through ``gather`` of the
+    middle join: ``"left"`` (``t1``), ``"right"`` (``t3``, itself a right
+    gather of ``t2 ⋈ t3``) or ``"cross"`` (``t3``, with no predicate between
+    ``t1`` and ``t2 ⋈ t3``).
+    """
+    rng = np.random.default_rng(45)
+    names = ("t0", "t1", "t2", "t3")
+    tables = [Table(name, [Column(column) for column in ("id", "a", "b")]) for name in names]
+    relations = {
+        table.name: Relation(table, {
+            "id": np.arange(30),
+            "a": rng.integers(1, 4, size=30),
+            "b": rng.integers(-3, 0, size=30),
+        })
+        for table in tables
+    }
+    refs = [TableRef(alias_name(name, 1), name) for name in names]
+    t0, t1, t2, t3 = (ref.alias for ref in refs)
+    predicates = [JoinPredicate(t2, "a", t3, "a")]
+    if gather != "cross":
+        predicates.append(JoinPredicate(t1, "b", t3, "b"))
+    predicates.append(JoinPredicate(t0, "a", t1 if gather == "left" else t3, "a"))
+    query = Query(f"right_deep_{gather}", refs, predicates, [])
+    plan = JoinTree.join(JoinTree.leaf(t0), JoinTree.join(
+        JoinTree.leaf(t1), JoinTree.join(JoinTree.leaf(t2), JoinTree.leaf(t3), JOIN_OPS[0]),
+        JOIN_OPS[0],
+    ), JOIN_OPS[0])
+    return Database(Schema("right_deep", tables), relations), query, plan
+
+
+@pytest.mark.parametrize("gather", ["left", "right", "cross"])
+def test_a_capped_join_counts_its_blow_up_build_side(monkeypatch, gather):
+    """The root's matches exceed the cap, its inputs' do not: every arm
+    censors where the oracle does, and the root's build side — a deferred
+    blow-up join, kept deferred by the memo too — is counted, never gathered."""
+    database, query, plan = _right_deep_case(gather)
+    cards = evaluate(query, plan, database.relations)
+    root, middle = cards[-1], cards[-2]
+    assert middle.output_rows > middle.left_rows + middle.right_rows  # a blow-up
+    max_rows = root.matched_rows - 1
+    assert max(card.matched_rows for card in cards[:-1]) <= max_rows
+    monkeypatch.setattr(executor_module, "MAX_MATERIALIZED_ROWS", max_rows)
+    counted = []
+    counted_join_index = executor_module.Executor._counted_join_index
+
+    def recording(self, *args):
+        index = counted_join_index(self, *args)
+        counted.append(index)
+        return index
+
+    monkeypatch.setattr(executor_module.Executor, "_counted_join_index", recording)
+    arms = make_arms(database)
+    for db in arms.values():
+        counted.clear()
+        assert db.execute(query, plan, timeout=600.0).timed_out
+        [root] = [
+            index for index in counted
+            if index is not None and index.num_keys == middle.output_rows
+        ]
+        assert "keys" not in vars(root)  # nothing gathered them
+    assert check_against_oracle(arms, query, plan, max_pairs=300_000, max_rows=max_rows)
 
 
 # ------------------------------------------------------------------ random star-schema queries

@@ -11,7 +11,9 @@ Two equivalence claims guard the executor hot path (see
   the reference accumulation of its recorded charge log says, and a work-cap
   abort is the same fresh, replayed and batched (whole executions —
   latencies, censoring, node counts, charge logs — are held to the
-  nested-loop oracle in ``test_executor_oracle.py``);
+  nested-loop oracle in ``test_executor_oracle.py``); a build side counted
+  from a deferred join's sources is ``build_join_index`` over the gathered
+  keys, field by field;
 * **batch == sequential** — ``Executor.run_batch`` reconstructs every plan's
   result by replaying per-plan charge streams over once-executed shared
   subtrees, so a batch is indistinguishable from calling ``execute`` per
@@ -25,6 +27,7 @@ process-pool worker batch path.
 from __future__ import annotations
 
 import math
+import os
 import pickle
 import tracemalloc
 from functools import partial
@@ -63,6 +66,9 @@ from oracles.reference_kernels import (
     match_counts,
     sort_merge_pairs,
 )
+
+
+ORACLE_FULL = os.environ.get("REPRO_ORACLE_FULL") == "1"
 
 
 # ------------------------------------------------------------------ helpers
@@ -577,6 +583,156 @@ class TestCountingTable:
         assert sorted_dtypes == [np.dtype(narrow)]
 
 
+#: Key spaces of :func:`counted_index_cases`: ``(low, width)`` of the values.
+_COUNTED_SPACES = {
+    np.int64: {"keyed by the key": (1, 12), "negative": (-20, 12), "sparse": (0, 100_000)},
+    np.int32: {"positive": (1, 12), "negative": (-20, 12), "sparse": (-50_000, 100_000)},
+    np.uint8: {"positive": (1, 12), "zero-based": (0, 256)},
+}
+
+
+@st.composite
+def counted_index_cases(draw):
+    """A pair set, the side a gather reads and a key column over that side's rows.
+
+    Shapes: probe and build keys over a few values (``left``/``right``
+    gathers of a run-shaped or unique match), an ``identity`` match (every
+    probe row matches once), a predicate-free ``cross`` product, and a
+    ``filtered`` build side (``match_all`` on two predicates sharing the
+    probe column: the index keeps the rows where the two build columns agree).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["left", "right", "identity", "cross", "filtered"]))
+    n_left, n_right = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    values = draw(st.integers(1, 8))
+    probe, build = rng.integers(0, values, size=n_left), rng.integers(0, values, size=n_right)
+    left = draw(st.booleans())
+    if shape == "identity":
+        build = rng.permutation(n_right)
+        probe = build[rng.integers(0, n_right, size=n_left)] if n_right else probe[:0]
+        pairs = production_pairs(probe, build)
+    elif shape == "cross":
+        pairs = kernels.PairSet(n_left * n_right, cross=(n_left, n_right))
+    elif shape == "filtered":
+        other = np.where(rng.random(n_right) < 0.7, build, values)
+        match = kernels.match_all({"p": probe}, {"b": build, "c": other}, [("p", "b"), ("p", "c")])
+        pairs, left = kernels.expand_pairs(match), False
+    else:
+        pairs, left = production_pairs(probe, build), shape == "left"
+    dtype = draw(st.sampled_from(sorted(_COUNTED_SPACES, key=str)))
+    low, width = _COUNTED_SPACES[dtype][draw(st.sampled_from(sorted(_COUNTED_SPACES[dtype])))]
+    keys = rng.integers(low, low + width, size=n_left if left else n_right).astype(dtype)
+    return pairs, left, keys
+
+
+class TestCountedJoinIndex:
+    """A build side counted from a gather's sources is ``build_join_index``
+    over the gathered keys, field by field, before and after the keys are read."""
+
+    @settings(max_examples=1000 if ORACLE_FULL else 200, deadline=None)
+    @given(counted_index_cases())
+    def test_counted_index_equals_the_gathered_one(self, case):
+        pairs, left, keys = case
+        gathered = (pairs.gather_left if left else pairs.gather_right)(keys)
+        if pairs.count == 0:
+            assert pairs.multiplicities(left) is None
+            return
+        assert_counted_index_equals(
+            kernels.count_join_index(pairs, left, keys), kernels.build_join_index(gathered)
+        )
+
+    def test_every_deferred_build_side_of_the_bench_plans(self):
+        """The e2e JOB build (scale 0.16, <= 7 tables) and one query per Stack
+        template: every join over a deferred build side, counted and gathered.
+        Tier-1 runs each query's default plan (``JOB_7b`` and ``JOB_12a``
+        reach the work cap); ``REPRO_ORACLE_FULL=1`` every distinct Bao plan."""
+        from repro.plans.hints import bao_hint_sets
+        from repro.workloads import build_stack_workload
+
+        job = build_job_workload(scale=0.16, seed=0, num_queries=40)
+        stack = build_stack_workload(scale=0.05, seed=0, num_queries=16)
+        hint_sets = bao_hint_sets()
+        counted_total = 0
+        for workload in (job, stack):
+            source = workload.database
+            executor = Database(source.schema, source.relations, exec_cache=False).executor
+            checked = check_build_sides_counted(executor)
+            for query in workload.queries:
+                if query.num_tables > 7:
+                    continue
+                plans = [source.plan(query)]
+                if ORACLE_FULL:
+                    plans = list({
+                        plan.canonical(): plan for plan in source.plan_hint_sets(query, hint_sets)
+                    }.values())
+                for plan in plans:
+                    executor.execute(query, plan, timeout=600.0)
+            counted_total += sum(checked)
+        assert counted_total > 10
+
+    def test_sparse_domains_and_unsorted_build_sides_fall_back(self, rng):
+        probe, build = rng.integers(0, 5, size=30), rng.integers(0, 5, size=30)
+        pairs = production_pairs(probe, build)
+        sparse = np.array([0, 100_000] * 15, dtype=np.int64)
+        assert kernels.build_join_index(pairs.gather_right(sparse)).counts_table is None
+        assert kernels.count_join_index(pairs, False, sparse) is None
+        floats = rng.random(30)
+        assert kernels.count_join_index(pairs, True, floats) is None
+        # A build side binary-searched (sparse join keys): no run starts to count by.
+        wide = production_pairs(probe * 100_000, build * 100_000)
+        assert wide.match.index.counts_table is None and wide.multiplicities(False) is None
+        assert wide.multiplicities(True) is not None  # the probe side's counts still are
+
+
+def check_build_sides_counted(executor) -> list[bool]:
+    """Make every join ``executor`` runs count its build side from a deferred
+    gather's sources, where it is one, and compare with the gathered index.
+
+    Whether or not the join takes that route itself (a blow-up).  Returns the
+    list the wrapper appends each checked join's "counted" verdict to.
+    """
+    from repro.db.executor import _Gather
+
+    original = executor._match
+    checked: list[bool] = []
+
+    def checked_match(query, left, right, predicates, state):
+        alias, column = executor._orient(predicates[0], left)[2:]
+        deferred = dict.get(right.positions, alias)
+        if isinstance(deferred, _Gather) and deferred.pairs.multiplicities(deferred.left):
+            source_keys = executor.relations[query.table_of(alias)].take(
+                deferred.source[alias], column
+            )
+            counted = kernels.count_join_index(deferred.pairs, deferred.left, source_keys)
+            reference = kernels.build_join_index(deferred.gather(source_keys))
+            assert_counted_index_equals(counted, reference)
+            checked.append(counted is not None)
+        return original(query, left, right, predicates, state)
+
+    executor._match = checked_match
+    return checked
+
+
+def assert_counted_index_equals(counted, reference) -> None:
+    """``counted`` (or ``None``, where ``reference`` is not counted) is ``reference``."""
+    if reference.counts_table is None:
+        assert counted is None
+        return
+    assert isinstance(counted, kernels.DeferredJoinIndex) and "keys" not in vars(counted)
+    assert (counted.key_min, counted.domain, counted.offset, counted.num_keys) == (
+        reference.key_min, reference.domain, reference.offset, reference.num_keys
+    )
+    for name in ("counts_table", "starts_table"):
+        array, want = getattr(counted, name), getattr(reference, name)
+        assert array.dtype == want.dtype, name
+        np.testing.assert_array_equal(array, want, err_msg=name)
+    assert counted.rows is None and counted.digits is None
+    for name in ("keys", "order", "sorted_keys"):  # gathered, then sorted, on first read
+        array, want = getattr(counted, name), getattr(reference, name)
+        assert array.dtype == want.dtype, name
+        np.testing.assert_array_equal(array, want, err_msg=name)
+
+
 class TestJoinAllocations:
     """Peak traced bytes of the join kernels: a join allocates what it keeps."""
 
@@ -612,12 +768,13 @@ class TestJoinAllocations:
         assert peak <= 2 * 8 * 2002 + 2 * 8 * len(left) + 4096, peak
         assert index.offset == 0 and match.total > 0
 
-    def test_the_job_setup_probe_peaks_under_52_mib(self):
+    def test_the_job_setup_probe_peaks_under_16_mib(self):
         """The default plan of every <= 7-table query of JOB at scale 0.16
         (seed 0, 40 queries) with a 600 s timeout, as the end-to-end
-        benchmark's set-up runs it.  JOB_7b's censored 2.65 M-row hash join
-        sets the peak (48.1 MiB on numpy 2.4): what its join keeps, no
-        expansion temporaries and no shifted copies of its keys."""
+        benchmark's set-up runs it.  JOB_7b's and JOB_12a's work-capped root
+        joins count their 2.65 M- and 1.14 M-row build sides from the
+        sources instead of writing them (the peak was 48.1 MiB when they were
+        written, 14.2 MiB on numpy 2.4 since)."""
         workload = build_job_workload(scale=0.16, seed=0, num_queries=40)
 
         def probe():
@@ -626,7 +783,7 @@ class TestJoinAllocations:
                     workload.database.execute(query, timeout=600.0)
 
         _, peak = traced_peak(probe)
-        assert peak <= 52 * 2**20, peak / 2**20
+        assert peak <= 16 * 2**20, peak / 2**20
 
 
 # ------------------------------------------------------------------ executor joins

@@ -437,6 +437,9 @@ class TestSubplanLRU:
             def __init__(self):
                 self.positions = {"a": np.zeros(10, dtype=np.int64)}  # 80 bytes
 
+            def deferral_nbytes(self):  # nothing deferred
+                return None
+
         keys = [("q", f"p{i}") for i in range(3)]
         for key in keys:
             cache.put_subplan(key, FakeIntermediate(), [])
@@ -457,9 +460,10 @@ class TestSubplanLRU:
 
 
 # --------------------------------------------------------------------- deferred intermediates
-class TestMemoHoldsPlainArrays:
-    """A join output is deferred only while one execution owns it: whatever
-    the memo stores is plain arrays, and what it refuses is never written."""
+class TestMemoKeepsBlowUpsDeferred:
+    """The memo writes what it stores unless the arrays would outweigh what
+    keeping them deferred pins (a blow-up join), and what it refuses is
+    never written."""
 
     @staticmethod
     def _deferred_join(tiny_database, tiny_query):
@@ -473,17 +477,33 @@ class TestMemoHoldsPlainArrays:
         intermediate = database.executor._execute_node(tiny_query, subtree, state, None)
         return intermediate, state.events
 
-    def test_every_memoized_intermediate_is_materialized(self, tiny_database, tiny_query):
+    def test_a_memoized_intermediate_is_deferred_only_when_lighter(
+        self, tiny_database, tiny_query
+    ):
+        """Every stored join is written, or deferred with arrays heavier than
+        its pins; either way each alias reads as ``count`` positions, and the
+        entry is charged its arrays."""
+        from repro.db.plan_cache import intermediate_nbytes
+
         database = _clone(tiny_database, exec_cache=True)
         for plan in random_join_trees(tiny_query, 12, seed=5):
             database.execute(tiny_query, plan, timeout=300.0)
         cache = database.execution_cache
-        stored = [cache._subplans[key].intermediate for key in cache.subplan_keys()]
-        joins = [inter for inter in stored if inter is not None and len(inter.covered) > 1]
-        assert joins and any(inter.positions for inter in joins)
-        for intermediate in joins:
-            for positions in intermediate.positions.values():
-                assert type(positions) is np.ndarray and len(positions) == intermediate.count
+        entries = [cache._subplans[key] for key in cache.subplan_keys()]
+        joins = [
+            entry for entry in entries
+            if entry.intermediate is not None and len(entry.intermediate.covered) > 1
+        ]
+        assert joins and any(entry.intermediate.positions for entry in joins)
+        for entry in joins:
+            intermediate = entry.intermediate
+            array_bytes = intermediate_nbytes(intermediate)
+            raw = list(dict.values(intermediate.positions))
+            if not all(type(value) is np.ndarray for value in raw):
+                assert array_bytes > intermediate.deferral_nbytes()
+            assert entry.nbytes == array_bytes + 64 + 48 * len(entry.events)
+            for alias in list(intermediate.positions):
+                assert len(intermediate.positions[alias]) == intermediate.count
 
     def test_put_materializes_what_it_stores(self, tiny_database, tiny_query):
         from repro.db.plan_cache import intermediate_nbytes
@@ -509,6 +529,65 @@ class TestMemoHoldsPlainArrays:
         entry = cache.get_subplan(("q", "big"))
         assert entry.intermediate is None and entry.events == events
         assert all(isinstance(value, _Gather) for value in intermediate.positions.values())
+
+    @staticmethod
+    def _self_join():
+        """``product ⋈ (orders#1 ⋈ orders#2)`` on ``customer_id``: a blow-up
+        build side the root counts, so only the memo holds its pairs."""
+        from repro.plans.jointree import JOIN_OPS, JoinTree
+
+        query = Query(
+            "self_join",
+            [TableRef("orders#1", "orders"), TableRef("orders#2", "orders"),
+             TableRef("product#1", "product")],
+            [JoinPredicate("orders#1", "customer_id", "orders#2", "customer_id"),
+             JoinPredicate("orders#2", "product_id", "product#1", "id")],
+            [],
+        )
+        subtree = JoinTree.join(JoinTree.leaf("orders#1"), JoinTree.leaf("orders#2"), JOIN_OPS[0])
+        return query, subtree, JoinTree.join(JoinTree.leaf("product#1"), subtree, JOIN_OPS[0])
+
+    def test_two_threads_reading_one_deferred_entry_get_equal_arrays(self, tiny_database):
+        """The relation caches' benign race: both threads may gather the same
+        alias of a shared deferred entry, and both get (and store) equal arrays."""
+        import sys
+        import threading
+
+        from repro.db.executor import _ExecutionState, _Gather
+        from repro.db.plan_cache import intermediate_nbytes
+
+        query, subtree, plan = self._self_join()
+        reference = _clone(tiny_database, exec_cache=False).executor._execute_node(
+            query, subtree, _ExecutionState(timeout=None), None
+        )
+        want = reference.positions["orders#2"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                database = _clone(tiny_database, exec_cache=True)
+                database.execute(query, plan, timeout=600.0)
+                cache = database.execution_cache
+                [key] = [key for key in cache.subplan_keys() if "⋈" in key[1]]
+                intermediate = cache.get_subplan(key).intermediate
+                assert isinstance(dict.get(intermediate.positions, "orders#2"), _Gather)
+                assert intermediate_nbytes(intermediate) > intermediate.deferral_nbytes()
+                barrier, got = threading.Barrier(2), []
+
+                def read():
+                    barrier.wait()
+                    got.append(intermediate.positions["orders#2"])
+
+                threads = [threading.Thread(target=read) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert len(got) == 2
+                for array in (*got, intermediate.positions["orders#2"]):
+                    np.testing.assert_array_equal(array, want)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.slow
     def test_smoke_stream_counters_repeat(self):

@@ -44,6 +44,7 @@ from repro.serve import (
 )
 from repro.utils.logging import get_logger
 from repro.workloads.drift import rollback_to_date
+from repro.workloads.stack import STACK_DATE_2017, build_stack_workload
 
 V1_STORE = os.path.join(os.path.dirname(__file__), "data", "plan_store_v1.pkl")
 V2_STORE = os.path.join(os.path.dirname(__file__), "data", "plan_store_v2.pkl")
@@ -409,13 +410,59 @@ class TestPlanServer:
         stats = server.admission.stats[decision.fingerprint]
         assert stats.regression > 1.5
 
-    def test_timed_out_report_counts_slo_not_drift(self, tiny_database, tiny_query):
+    def test_timed_out_report_counts_slo_and_enters_the_drift_window(
+        self, tiny_database, tiny_query
+    ):
         server = PlanServer(tiny_database.snapshot(), config=_serve_config(slo_latency=0.5))
         decision = server.serve(tiny_query)
         server.report(decision, 10.0, timed_out=True)
         assert server.counters.slo_violations == 1
-        # Censored latencies never enter the drift window.
-        assert len(server.store.get(tiny_query).observed) == 0
+        # A censored latency enters the window at its timeout, a lower bound,
+        # but is no drift baseline.
+        entry = server.store.get(tiny_query)
+        assert list(entry.observed) == [10.0]
+        assert entry.recorded_latency == float("inf")
+
+    def test_a_stored_plan_that_now_times_out_is_flagged(self, tmp_path):
+        """STACK_Q1-001: its plan runs 0.0049 s on the 2017 snapshot and
+        times out at 600 s on the full data.  Two timed-out reports flag the
+        drift, and a server resumed from the journal that holds them agrees."""
+        workload = build_stack_workload(scale=0.08, seed=0, num_templates=6, num_queries=12)
+        future = workload.database
+        past = rollback_to_date(future, STACK_DATE_2017)
+        query = workload.queries[0]
+        assert query.name == "STACK_Q1-001"
+        server = PlanServer(past, config=_serve_config(drift_factor=1.5))
+        path = os.path.join(tmp_path, "store.pkl")
+
+        def serve_and_report() -> bool:
+            decision = server.serve(query)
+            execution = server.database.execute(query, decision.plan, timeout=600.0)
+            server.report(decision, execution.latency, timed_out=execution.timed_out)
+            return execution.timed_out
+
+        assert not serve_and_report()
+        entry = server.store.get(query)
+        assert round(entry.recorded_latency, 4) == 0.0049
+        server.update_database(future)
+        server.checkpoint(path)
+        assert serve_and_report() and serve_and_report()
+        # Each timed-out report puts the window's median far past 1.5x the record.
+        assert server.counters.drift_flags == 2
+        assert list(entry.observed)[-2:] == [600.0, 600.0]
+        server.checkpoint(path)  # the two reports ride in the journal's tail
+
+        resumed = PlanServer.resume(path, future)
+        resumed_entry = resumed.store.get(query)
+        assert resumed.counters.drift_flags == server.counters.drift_flags
+        assert list(resumed_entry.observed) == list(entry.observed)
+        assert resumed_entry.recorded_latency == entry.recorded_latency
+        assert (
+            resumed.admission.stats[entry.fingerprint].regression
+            == server.admission.stats[entry.fingerprint].regression
+        )
+        server.close()
+        resumed.close()
 
     def test_maintenance_optimizes_popular_entry(self, tiny_database, tiny_query):
         server = PlanServer(
