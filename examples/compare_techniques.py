@@ -11,10 +11,9 @@ budget, and computes the Bao baseline exactly once.  Plan executions are
 routed through a pluggable execution backend (:mod:`repro.exec`): inline on
 the scheduler thread, a thread pool that overlaps DBMS waiting, or a process
 pool whose workers hold warm database replicas (scales CPU-bound simulated
-executions past the GIL).  A scheduling policy decides which query gets each
-free execution slot — ``round_robin``, or ``budget_aware`` to spend remaining
-budget where BayesQO's surrogate predicts the largest improvement.  Every
-backend/policy pair produces identical per-query traces; techniques whose
+executions past the GIL).  Ready queries claim free execution slots in FIFO
+order; every query has its own budget, so that order reaches no trace and
+every backend produces identical per-query traces.  Techniques whose
 registry entry is marked ``order_sensitive`` (Balsa shares its RNG and value
 network across queries) are automatically kept sequential so their results
 stay deterministic too.
@@ -26,7 +25,6 @@ cannot share budgets, schema models or the execution backend.
 Run with::
 
     python examples/compare_techniques.py [--backend inline|thread|process]
-                                          [--policy round_robin|budget_aware]
                                           [--workers N]
 """
 
@@ -58,9 +56,6 @@ def main() -> None:
     parser.add_argument("--backend", default="thread",
                         choices=["inline", "thread", "process"],
                         help="execution backend for plan executions")
-    parser.add_argument("--policy", default="round_robin",
-                        choices=["round_robin", "budget_aware"],
-                        help="cross-query scheduling policy")
     parser.add_argument("--workers", type=int, default=4,
                         help="concurrent plan executions")
     args = parser.parse_args()
@@ -74,8 +69,8 @@ def main() -> None:
     queries = workload.queries[:NUM_QUERIES]
     logger.info(
         "comparing techniques on %d %s queries (%d plan executions each, "
-        "backend=%s, policy=%s, workers=%d)",
-        len(queries), workload.name, EXECUTIONS, args.backend, args.policy, args.workers,
+        "backend=%s, workers=%d)",
+        len(queries), workload.name, EXECUTIONS, args.backend, args.workers,
     )
 
     with WorkloadSession(
@@ -85,9 +80,7 @@ def main() -> None:
         bayes_config=BayesQOConfig(max_executions=EXECUTIONS, seed=0),
         vae_config=VAETrainingConfig(training_steps=1500, corpus_queries=120),
         seed=0,
-        exec_config=ExecutionServiceConfig(
-            backend=args.backend, max_workers=args.workers, policy=args.policy
-        ),
+        exec_config=ExecutionServiceConfig(backend=args.backend, max_workers=args.workers),
     ) as session:
         bao_latencies = session.bao_latencies()
         results = {technique: session.run(technique) for technique in TECHNIQUES}

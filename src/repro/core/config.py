@@ -13,8 +13,6 @@ TIMEOUT_STRATEGIES = ("uncertainty", "none", "percentile", "best_seen", "multipl
 INITIALIZATION_STRATEGIES = ("bao", "default", "random", "llm", "provided")
 #: Execution backends resolvable by name (see :mod:`repro.exec`).
 EXECUTION_BACKENDS = ("inline", "thread", "process")
-#: Cross-query scheduling policies resolvable by name (see :mod:`repro.exec`).
-SCHEDULING_POLICIES = ("round_robin", "budget_aware")
 
 
 @dataclass
@@ -95,10 +93,10 @@ def validate_batch_size(batch_size: int) -> None:
 class ExecutionServiceConfig:
     """How a :class:`~repro.harness.runner.WorkloadSession` executes plans.
 
-    Selects one of the :mod:`repro.exec` backends and a cross-query
-    scheduling policy.  The defaults reproduce the pre-subsystem behaviour
-    exactly: inline execution on the scheduler thread, queries visited
-    round-robin.
+    Selects one of the :mod:`repro.exec` backends.  Ready queries claim its
+    free slots in FIFO order; budgets are per query, so at a fixed q that
+    order reaches no trace.  The defaults reproduce the pre-subsystem
+    behaviour exactly: inline execution on the scheduler thread.
     """
 
     #: ``"inline"`` (scheduler thread), ``"thread"`` (overlap DBMS waiting),
@@ -108,9 +106,6 @@ class ExecutionServiceConfig:
     #: Worker slots of the thread or process backend: tasks (a lone
     #: request, or a same-query batch) executing concurrently.
     max_workers: int = 1
-    #: ``"round_robin"`` or ``"budget_aware"`` (spend remaining budget on the
-    #: queries whose surrogate predicts the largest expected improvement).
-    policy: str = "round_robin"
     #: Proposals held in flight *per query* (the batched-ask q knob).  With
     #: ``q > 1`` techniques advertising ``supports_batch`` in the registry
     #: keep up to q plans in flight for one query; other techniques fall
@@ -193,10 +188,6 @@ class ExecutionServiceConfig:
         if self.backend not in EXECUTION_BACKENDS:
             raise OptimizationError(
                 f"unknown execution backend {self.backend!r}; pick one of {EXECUTION_BACKENDS}"
-            )
-        if self.policy not in SCHEDULING_POLICIES:
-            raise OptimizationError(
-                f"unknown scheduling policy {self.policy!r}; pick one of {SCHEDULING_POLICIES}"
             )
         if self.max_workers < 1:
             raise OptimizationError("max_workers must be at least 1")

@@ -455,38 +455,6 @@ class BayesQO:
         state.clear_decode_memo()
         return state.result
 
-    def predicted_improvement(self, state: BayesQOState) -> float:
-        """Surrogate-predicted headroom of ``state``, for budget-aware scheduling.
-
-        The score is an expected-improvement proxy in log-latency space: how
-        far a one-sigma lower confidence bound of the posterior, evaluated at
-        the observed points, dips below the incumbent best.  Queries whose
-        posterior has collapsed around the incumbent (nothing left to gain)
-        score near zero; queries that are still uncertain — or still in their
-        initialization phase, returned as ``inf`` — score high.
-
-        Deliberately RNG-free and ``suggest``-free: scoring a state must not
-        advance its acquisition stream, so the plan sequence of every query is
-        identical under every scheduling policy.
-        """
-        engine = state.engine
-        if engine is None or state.init_queue or engine.num_observations == 0:
-            return float("inf")
-        best = engine.best_value()
-        if best is None:
-            return float("inf")
-        # fit() is idempotent here: suggest() performs the identical call on
-        # the identical observation set, so scoring never changes the refit
-        # cadence a pure round-robin schedule would have produced.  It is
-        # still surrogate work, so it lands in the Figure-9 breakdown bucket
-        # suggest() would otherwise have charged.
-        start = time.perf_counter()
-        engine.fit()
-        self.overhead.surrogate_update += time.perf_counter() - start
-        x, _, _ = engine.observations()
-        mean, std = engine.predict(x)
-        return float(max(0.0, best - float(np.min(mean - std))))
-
     # ------------------------------------------------------------------ bookkeeping
     def _best_latency(self, result: OptimizationResult) -> float | None:
         try:
@@ -514,7 +482,6 @@ class BayesQO:
 @register_technique(
     "bayesqo",
     needs_schema_model=True,
-    predicts_improvement=True,
     supports_batch=True,
     description="BayesQO: latent-space BO with censored observations (the paper's system)",
 )

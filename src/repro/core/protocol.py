@@ -504,7 +504,6 @@ def drive(
     *,
     capacity: int = 1,
     fan_out: bool = False,
-    select=None,
     tracer=NULL_TRACER,
     on_outcome=None,
     after_observe=None,
@@ -518,20 +517,19 @@ def drive(
     ``submit(state, proposals)``, which returns one future per proposal, in
     order (:func:`inline_submit`, or a backend submission).  What a round
     occupies is a *task*: at most ``capacity`` tasks (worker slots) are in
-    flight, and ``select(ready)`` returns the index of the ready state that
-    claims a free one (the longest-waiting when ``None``).  A task's
+    flight, and the longest-waiting ready state claims a free one.  A task's
     outcomes are observed in submission order once all of them have landed,
     and only then does its state re-enter the ready list.
 
     By default a round is one task, so no state has proposals outstanding
     when it is asked and each state's trace is what driving it alone at
-    ``q`` produces, whatever ``capacity``, ``select`` or the completion
-    timing.  With ``fan_out`` every proposal is a task of its own (submitted
-    alone): the ask is capped by the free slots, a state whose ask that cap
-    cut short stays ready to top up, and its outcomes are observed as they
-    land — at ``q > 1`` the trace then depends on completion timing, but no
-    more than ``capacity`` executions are ever submitted at once.  An ask
-    that comes back empty marks its state ``exhausted``.
+    ``q`` produces, whatever ``capacity``, the order of ``states`` or the
+    completion timing.  With ``fan_out`` every proposal is a task of its own
+    (submitted alone): the ask is capped by the free slots, a state whose ask
+    that cap cut short stays ready to top up, and its outcomes are observed
+    as they land — at ``q > 1`` the trace then depends on completion timing,
+    but no more than ``capacity`` executions are ever submitted at once.  An
+    ask that comes back empty marks its state ``exhausted``.
 
     ``on_outcome(state, outcome)`` runs as each outcome is collected and
     ``after_observe(state)`` after it is observed (a quiescent point when
@@ -557,7 +555,7 @@ def drive(
     try:
         while ready or tasks:
             while ready and len(tasks) < capacity:
-                state = ready.pop(0 if select is None else select(ready))
+                state = ready.pop(0)
                 count = issue_allowance(state, q)
                 if fan_out:
                     count = min(count, capacity - len(tasks))

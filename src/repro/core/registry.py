@@ -13,11 +13,6 @@ registers itself with :func:`register_technique`, declaring its capabilities:
 * ``order_sensitive`` — the technique shares mutable state (RNG, model)
   across per-query states (Balsa), so the harness must schedule its queries
   sequentially to keep results deterministic,
-* ``predicts_improvement`` — the technique can score a per-query state's
-  expected headroom from its surrogate posterior (exposes
-  ``predicted_improvement(state)``; BayesQO); the budget-aware scheduling
-  policy (:class:`repro.exec.BudgetAwarePriority`) uses the score to decide
-  which query to spend the next plan execution on,
 * ``supports_batch`` — the technique implements the
   :class:`~repro.core.protocol.BatchOptimizer` extension
   (``suggest_batch(state, q)``) and can keep several proposals in flight per
@@ -63,7 +58,6 @@ class TechniqueSpec:
     needs_schema_model: bool = False
     ignores_execution_cap: bool = False
     order_sensitive: bool = False
-    predicts_improvement: bool = False
     supports_batch: bool = False
     description: str = ""
 
@@ -102,7 +96,6 @@ def register_technique(
     needs_schema_model: bool = False,
     ignores_execution_cap: bool = False,
     order_sensitive: bool = False,
-    predicts_improvement: bool = False,
     supports_batch: bool = False,
     description: str = "",
 ) -> Callable[[Callable[[TechniqueContext], object]], Callable[[TechniqueContext], object]]:
@@ -118,7 +111,6 @@ def register_technique(
             needs_schema_model=needs_schema_model,
             ignores_execution_cap=ignores_execution_cap,
             order_sensitive=order_sensitive,
-            predicts_improvement=predicts_improvement,
             supports_batch=supports_batch,
             description=description,
         )

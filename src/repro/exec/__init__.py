@@ -1,11 +1,10 @@
-"""The execution service: pluggable backends + cross-query scheduling policies.
+"""The execution service: pluggable backends behind one FIFO scheduler.
 
 The paper's offline tuner is throughput-bound on plan *executions*: every
 technique's budget is time spent executing proposed plans, so how fast and
 how concurrently those executions run determines wall-clock end to end.  This
-subsystem separates **where executions run** from **which query runs next**,
-behind two small contracts the :class:`~repro.harness.runner.WorkloadSession`
-scheduler drives:
+subsystem decides **where executions run**, behind one small contract the
+:class:`~repro.harness.runner.WorkloadSession` scheduler drives:
 
 **Backends** (:class:`ExecutionBackend`) — turn an :class:`ExecutionRequest`
 (query + plan + timeout) into a future :class:`ExecutionOutcome`:
@@ -31,29 +30,22 @@ scheduler drives:
   lease at its dispatch, so every injected fault meets the real recovery
   path.
 
-**Policies** (:class:`SchedulingPolicy`) — pick which ready query state gets
-the next free slot (a slot holds one worker task: a lone request, or a
-same-query batch submitted through ``submit_batch``):
+**Scheduling** — :func:`repro.core.protocol.drive` hands free slots (a slot
+holds one worker task: a lone request, or a same-query batch submitted
+through ``submit_batch``) to ready query states in FIFO order.  Budgets are
+per state, so the claim order reaches no trace: final traces are identical
+under every backend at q=1, and at any fixed q on backends with a batch path
+— verified by the determinism tests (``tests/test_exec.py``,
+``tests/test_batch_ask.py``) and the ``benchmarks/bench_exec_backends.py``
+gate.
 
-* :class:`RoundRobin` — FIFO; reproduces the PR 2 schedule exactly.
-* :class:`BudgetAwarePriority` — spends remaining budget on the queries whose
-  surrogate posterior predicts the largest expected improvement (techniques
-  advertising ``predicts_improvement`` in the registry), falling back to
-  worst-incumbent-first for model-free techniques.
-
-Policies reorder work *across* queries only; each query's own plan sequence
-is unchanged, so final traces are identical under every backend/policy pair
-at q=1, and at any fixed q on backends with a batch path — verified by the
-determinism tests (``tests/test_exec.py``, ``tests/test_batch_ask.py``) and
-the ``benchmarks/bench_exec_backends.py`` gate.
-
-Configuration: either hand a ``WorkloadSession`` backend/policy instances, or
-describe them with :class:`~repro.core.config.ExecutionServiceConfig` —
-``backend`` ("inline" / "thread" / "process"), ``max_workers``, ``policy``
-("round_robin" / "budget_aware"), ``supervised`` / ``request_deadline`` /
-``max_retries`` (the coordinator's watchdog and lease attempts),
-``fault_injection`` (the coordinator's chaos schedule), ``start_method`` and
-``warmup`` — and let :func:`make_backend` / :func:`make_policy` build them.
+Configuration: either hand a ``WorkloadSession`` a backend instance, or
+describe it with :class:`~repro.core.config.ExecutionServiceConfig` —
+``backend`` ("inline" / "thread" / "process"), ``max_workers``,
+``supervised`` / ``request_deadline`` / ``max_retries`` (the coordinator's
+watchdog and lease attempts), ``fault_injection`` (the coordinator's chaos
+schedule), ``start_method`` and ``warmup`` — and let :func:`make_backend`
+build it.
 """
 
 from __future__ import annotations
@@ -84,14 +76,12 @@ from repro.exec.faults import (
     InjectedTransientError,
     InjectedWorkerCrash,
 )
-from repro.exec.policy import BudgetAwarePriority, RoundRobin, SchedulingPolicy
 from repro.exec.process_pool import ProcessPoolBackend, RemoteExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.engine import Database
 
 __all__ = [
-    "BudgetAwarePriority",
     "CacheStats",
     "ExecutionBackend",
     "ExecutionCache",
@@ -108,8 +98,6 @@ __all__ = [
     "InlineBackend",
     "ProcessPoolBackend",
     "RemoteExecutionError",
-    "RoundRobin",
-    "SchedulingPolicy",
     "ThreadPoolBackend",
     "TransientBackendError",
     "apply_cache_overrides",
@@ -117,7 +105,6 @@ __all__ = [
     "backend_submit",
     "is_infra_failure",
     "make_backend",
-    "make_policy",
     "perform_batch",
     "perform_request",
     "submit_request_batch",
@@ -236,11 +223,3 @@ def make_backend(
         faults=faults,
     )
 
-
-def make_policy(name: str) -> SchedulingPolicy:
-    """Build the scheduling policy ``name`` refers to."""
-    if name == "round_robin":
-        return RoundRobin()
-    if name == "budget_aware":
-        return BudgetAwarePriority()
-    raise OptimizationError(f"unknown scheduling policy {name!r}")

@@ -32,8 +32,8 @@ Robustness is the design center:
   shows its ``replacements``), so only the lease that worker held is
   reassigned.  The member gets a lease only while it reports itself healthy.
 * **Work conservation.**  The member holds at most ``capacity()`` groups;
-  everything else waits in the central queue.  The scheduling-policy layer
-  sees that capacity and keeps that many proposals in flight.
+  everything else waits in the central queue.  :func:`~repro.core.protocol.drive`
+  sees that capacity and keeps that many tasks in flight.
 * **Degradation.**  With the member unhealthy (or a lease out of
   ``max_lease_attempts``), leases run on the ``fallback`` backend (inline on
   the coordinator) at once — the run finishes slower instead of dying.

@@ -4,9 +4,9 @@ The loop owner is :class:`~repro.harness.runner.WorkloadSession`, which drives
 every registered ask/tell technique over a workload under one shared
 :class:`~repro.core.protocol.BudgetSpec` — sequentially, or interleaved with
 plan executions routed through any :mod:`repro.exec` backend (thread pool,
-process pool with warm database replicas, lease coordinator) under a
-cross-query scheduling policy.  ``run_comparison`` is a thin wrapper that runs
-the Figure 3 comparison through one session.
+process pool with warm database replicas, lease coordinator), ready queries
+claiming free slots in FIFO order.  ``run_comparison`` is a thin wrapper that
+runs the Figure 3 comparison through one session.
 """
 
 from repro.harness.metrics import (

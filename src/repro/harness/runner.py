@@ -18,15 +18,15 @@ registry (:mod:`repro.core.registry`); the session
 * schedules the per-query steppers either **sequentially** (one query drained
   at a time — bit-for-bit the behaviour of the old private loops) or
   **interleaved** (every query's state at once, the backend holding up to
-  ``capacity`` worker *tasks* in flight and a
-  :class:`~repro.exec.SchedulingPolicy` picking which ready query asks
-  next).  Both are :func:`~repro.core.protocol.drive`.  A task is a lone
-  request or a same-query q-batch that ``submit_batch`` runs on one worker,
-  and its outcomes are observed in submission order once all have landed.
+  ``capacity`` worker *tasks* in flight and ready queries claiming free
+  slots in FIFO order).  Both are :func:`~repro.core.protocol.drive`.  A
+  task is a lone request or a same-query q-batch that ``submit_batch`` runs
+  on one worker, and its outcomes are observed in submission order once all
+  have landed.
   At q=1, and at a fixed q > 1 on every backend with a batch path (inline,
   thread, process, and the lease coordinator over them), every query's
   trace is the one it gets when driven alone, under every backend and
-  policy.  What stays timing-dependent: q > 1 submitted per request
+  query order.  What stays timing-dependent: q > 1 submitted per request
   (``batch_execution=False``, or a backend without a batch path), where a
   state tops up as slots free and outcomes are observed as they complete,
 * memoizes per-technique results, so a comparison that needs Bao both as the
@@ -62,12 +62,10 @@ from repro.exceptions import OptimizationError
 from repro.harness.checkpoint import CheckpointManager, SessionCheckpoint
 from repro.exec import (
     ExecutionBackend,
-    SchedulingPolicy,
     apply_cache_overrides,
     backend_health,
     backend_submit,
     make_backend,
-    make_policy,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_report
@@ -202,14 +200,12 @@ class WorkloadSession:
         Where plan executions run: an :class:`~repro.exec.ExecutionBackend`
         instance, a backend name (``"inline"``, ``"thread"``, ``"process"``),
         or ``None`` to derive one from ``exec_config``/``max_workers``.
-    policy:
-        Which ready query gets the next free worker slot: a
-        :class:`~repro.exec.SchedulingPolicy` instance, a policy name
-        (``"round_robin"``, ``"budget_aware"``), or ``None`` for round-robin.
     exec_config:
-        Declarative backend/policy selection
-        (:class:`~repro.core.config.ExecutionServiceConfig`); explicit
-        ``backend``/``policy`` arguments take precedence over it.
+        Declarative backend selection
+        (:class:`~repro.core.config.ExecutionServiceConfig`); an explicit
+        ``backend`` argument takes precedence over it.  Ready queries claim
+        free worker slots in FIFO order; budgets are per query, so at a
+        fixed q that order reaches no trace.
     max_workers:
         Worker slots — tasks executing concurrently.  With no explicit backend,
         ``max_workers > 1`` selects the thread backend (the PR 2 behaviour);
@@ -258,7 +254,6 @@ class WorkloadSession:
         vae_config: VAETrainingConfig | None = None,
         seed: int = 0,
         backend: "ExecutionBackend | str | None" = None,
-        policy: "SchedulingPolicy | str | None" = None,
         exec_config: ExecutionServiceConfig | None = None,
         max_workers: int = 1,
         batch_size: int | None = None,
@@ -300,7 +295,6 @@ class WorkloadSession:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._backend = self._resolve_backend(backend)
-        self.policy = self._resolve_policy(policy)
         if interleave is not None:
             self.interleave = interleave
         else:
@@ -342,15 +336,6 @@ class WorkloadSession:
         # workload's database; the session works against the effective one.
         self.database = apply_cache_overrides(config, self.database)
         return make_backend(config, self.database, self.queries, tracer=self.tracer)
-
-    def _resolve_policy(self, policy) -> SchedulingPolicy:
-        if policy is not None and not isinstance(policy, str):
-            return policy
-        if isinstance(policy, str):
-            return make_policy(policy)
-        if self.exec_config is not None:
-            return make_policy(self.exec_config.policy)
-        return make_policy("round_robin")
 
     @property
     def backend(self) -> ExecutionBackend:
@@ -422,8 +407,7 @@ class WorkloadSession:
             # Checkpointing pins the run to the sequential scheduler: its
             # quiescent points are well-defined there, and sequential traces
             # are the reference every other mode must match anyway.
-            scored = optimizer if spec.predicts_improvement else None
-            results = self._run_interleaved(optimizer, budget, q, scored)
+            results = self._run_interleaved(optimizer, budget, q)
         else:
             results = self._run_sequential(optimizer, budget, technique=technique)
         self._results[technique] = results
@@ -610,25 +594,21 @@ class WorkloadSession:
         return results
 
     def _run_interleaved(
-        self, optimizer, budget: BudgetSpec, q: int, scored=None
+        self, optimizer, budget: BudgetSpec, q: int
     ) -> dict[str, OptimizationResult]:
         """Step every query's state at once: :func:`drive` over all of them.
 
         ``suggest``/``observe`` always run on this (scheduler) thread, so
         technique internals need no locking; only plan execution — pure over
         immutable relations — runs concurrently, wherever the backend puts
-        it.  Up to ``capacity()`` tasks are in flight, and the policy picks
-        which ready query claims a free slot (``scored`` is the optimizer
-        when its registry entry advertises ``predicts_improvement``).  On a
-        batch path a query asks for its full allowance each round and asks
-        again only once the round has landed, so each query's trace is the
-        one it gets when driven alone at ``q``, whatever the timing.
+        it.  Up to ``capacity()`` tasks are in flight, and ready queries
+        claim free slots in FIFO order.  On a batch path a query asks for its
+        full allowance each round and asks again only once the round has
+        landed, so each query's trace is the one it gets when driven alone at
+        ``q``, whatever the timing.
         """
-        self.policy.reset()
         states = [optimizer.start(query, budget=budget) for query in self.queries]
-        self._drive(
-            optimizer, states, q, select=lambda ready: self.policy.select(ready, scored)
-        )
+        self._drive(optimizer, states, q)
         return {state.query.name: optimizer.finish(state) for state in states}
 
 

@@ -187,11 +187,8 @@ class TestBatchedRuns:
             expected.append(state.result.trace_signature())
         together = RandomSearch(database, seed=2)
         states = [together.start(query, budget=budget) for query in tiny_workload.queries]
-        # Newest-first picks: the order states claim slots in reaches no trace.
-        drive(
-            together, states, inline_submit(database), q=3, capacity=capacity,
-            select=lambda ready: len(ready) - 1,
-        )
+        # Newest-first claims: the order states claim slots in reaches no trace.
+        drive(together, states[::-1], inline_submit(database), q=3, capacity=capacity)
         assert [state.result.trace_signature() for state in states] == expected
         assert all(state.outstanding_count == 0 for state in states)
 
@@ -412,8 +409,8 @@ def three_queries(tiny_query, tiny_three_table_query, tiny_two_table_query):
 class TestFixedQMatchesDriveState:
     """A q-round is observed in submission order once it has landed in full
     (one worker task on a backend with a batch path): every query's trace is
-    ``drive`` on that query alone at that q, whatever the backend, timing,
-    policy or query order."""
+    ``drive`` on that query alone at that q, whatever the backend, timing
+    or query order."""
 
     BUDGET = BudgetSpec(max_executions=8)
     CONFIG = BayesQOConfig(max_executions=8, num_candidates=32, seed=0)
@@ -430,10 +427,9 @@ class TestFixedQMatchesDriveState:
         return traces
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-    @pytest.mark.parametrize("policy", ["round_robin", "budget_aware"])
     @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_interleaved_q4_equals_the_reference_loop_and_itself(
-        self, backend, policy, order, tiny_database, tiny_schema_model, three_queries, reference
+        self, backend, order, tiny_database, tiny_schema_model, three_queries, reference
     ):
         runs = []
         for _ in range(2):
@@ -445,7 +441,7 @@ class TestFixedQMatchesDriveState:
             with make_session(
                 workload, tiny_schema_model,
                 budget=self.BUDGET, bayes_config=self.CONFIG,
-                backend=backend, max_workers=2, policy=policy, batch_size=4,
+                backend=backend, max_workers=2, batch_size=4,
             ) as session:
                 assert session.interleave
                 runs.append(signatures(session.run("bayesqo")))

@@ -1,8 +1,8 @@
-"""Execution-service suite: serialization, backends, policies.
+"""Execution-service suite: serialization and backends.
 
 Covers the cross-process contract (everything that crosses a backend boundary
 round-trips through pickle), the stable sha256 seeding that makes worker
-processes observe identical latencies, backend/policy trace determinism
+processes observe identical latencies, backend trace determinism
 (sequential == process-pool for Random and BayesQO), and how an
 ``ExecutionServiceConfig`` composes backends.  The lease coordinator's
 occupancy/health bookkeeping is covered in ``tests/test_fabric.py``.
@@ -11,6 +11,7 @@ occupancy/health bookkeeping is covered in ``tests/test_fabric.py``.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import multiprocessing
 import os
 import pickle
@@ -23,9 +24,11 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 import pytest
 
+from repro.baselines.random_search import RandomSearch
 from repro.core.config import ExecutionServiceConfig
-from repro.core.protocol import BudgetSpec, ExecutionOutcome, OptimizerState, PlanProposal
-from repro.core.result import OptimizationResult
+from repro.core.optimizer import BayesQO
+from repro.core.protocol import BudgetSpec, ExecutionOutcome, PlanProposal, drive, inline_submit
+from repro.core.registry import register_technique
 from repro.db.catalog import Column, ForeignKey, Schema, Table
 from repro.db.datagen import ColumnSpec, DataGenerator, TableSpec
 from repro.db.engine import Database
@@ -33,15 +36,12 @@ from repro.db.executor import ExecutionResult, Executor
 from repro.db.query import FilterPredicate, JoinPredicate, Query, TableRef
 from repro.exceptions import OptimizationError
 from repro.exec import (
-    BudgetAwarePriority,
     ExecutionRequest,
     FabricBackend,
     InlineBackend,
     ProcessPoolBackend,
-    RoundRobin,
     ThreadPoolBackend,
     make_backend,
-    make_policy,
 )
 from repro.exec import process_pool
 from repro.exec.backend import query_payload
@@ -298,8 +298,6 @@ class TestBackends:
         for backend in ("quantum", "fabric"):
             with pytest.raises(OptimizationError):
                 ExecutionServiceConfig(backend=backend)
-        with pytest.raises(OptimizationError):
-            ExecutionServiceConfig(policy="astrology")
 
     def test_process_backend_executes_with_noise(self, noisy_workload):
         # The worker process has a different hash salt; identical latencies
@@ -829,91 +827,29 @@ class TestProcessPoolDeterminism:
             pooled = session.run("bayesqo")
         assert signatures(sequential) == signatures(pooled)
 
-    def test_budget_aware_policy_preserves_traces(self, tiny_workload, tiny_schema_model):
-        from repro.core import BayesQOConfig
 
-        budget = BudgetSpec(max_executions=6)
-        config = BayesQOConfig(max_executions=6, num_candidates=32, seed=0)
-        round_robin = WorkloadSession(
-            tiny_workload, budget=budget, seed=0,
-            schema_model=tiny_schema_model, bayes_config=config,
-        ).run("bayesqo")
-        with WorkloadSession(
-            tiny_workload, budget=budget, seed=0,
-            schema_model=tiny_schema_model, bayes_config=config,
-            max_workers=2, policy="budget_aware", interleave=True,
-        ) as session:
-            prioritized = session.run("bayesqo")
-        assert signatures(round_robin) == signatures(prioritized)
-
-
-# ------------------------------------------------------------------- policies
-def _state(name, latencies, budget=None):
-    result = OptimizationResult(query_name=name, technique="X")
-    for latency in latencies:
-        result.record(JoinTree.left_deep(["a", "b"]), latency, censored=False, timeout=None)
-    return OptimizerState(
-        query=Query(name=name, table_refs=[TableRef("a#1", "a")], join_predicates=[]),
-        result=result,
-        budget=budget or BudgetSpec(max_executions=10),
-    )
-
-
-class TestSchedulingPolicies:
-    def test_round_robin_is_fifo(self):
-        states = [_state("a", [1.0]), _state("b", [2.0])]
-        assert RoundRobin().select(states) == 0
-        with pytest.raises(OptimizationError):
-            RoundRobin().select([])
-
-    def test_budget_aware_uses_predictor(self):
-        class Predictor:
-            def predicted_improvement(self, state):
-                return {"a": 0.1, "b": 5.0, "c": 1.0}[state.query.name]
-
-        states = [_state("a", [1.0]), _state("b", [1.0]), _state("c", [1.0])]
-        assert BudgetAwarePriority().select(states, Predictor()) == 1
-
-    def test_budget_aware_weights_by_remaining_budget(self):
-        class Predictor:
-            def predicted_improvement(self, state):
-                return 1.0
-
-        # Same headroom, but "spent" has burned 8 of 10 executions: the
-        # fresh state gets the slot.
-        spent = _state("spent", [1.0] * 8)
-        fresh = _state("fresh", [1.0])
-        assert BudgetAwarePriority().select([spent, fresh], Predictor()) == 1
-
-    def test_budget_aware_fallback_prefers_worst_incumbent(self):
-        states = [_state("fast", [0.5]), _state("slow", [50.0])]
-        assert BudgetAwarePriority().select(states, None) == 1
-        # A state with no successful plan yet outranks everything.
-        states.append(_state("unknown", []))
-        assert BudgetAwarePriority().select(states, None) == 2
-
-    def test_make_policy(self):
-        assert isinstance(make_policy("round_robin"), RoundRobin)
-        assert isinstance(make_policy("budget_aware"), BudgetAwarePriority)
-        with pytest.raises(OptimizationError):
-            make_policy("astrology")
-
-    def test_bayesqo_predicted_improvement_shape(self, tiny_workload, tiny_schema_model):
-        from repro.core import BayesQO, BayesQOConfig
-        from repro.core.protocol import ExecutionOutcome as Outcome
-
-        optimizer = BayesQO(
-            tiny_workload.database, tiny_schema_model,
-            config=BayesQOConfig(max_executions=6, num_candidates=32, seed=0),
-        )
-        state = optimizer.start(tiny_workload.queries[0], budget=BudgetSpec(max_executions=6))
-        # Still initializing: infinite priority.
-        assert optimizer.predicted_improvement(state) == float("inf")
-        while state.init_queue:
-            proposal = optimizer.suggest(state)
-            execution = tiny_workload.database.execute(
-                proposal.query, proposal.plan, timeout=proposal.timeout
-            )
-            optimizer.observe(state, Outcome.from_execution(execution, proposal.timeout))
-        score = optimizer.predicted_improvement(state)
-        assert np.isfinite(score) and score >= 0.0
+# ------------------------------------------------------------ one claim order
+@pytest.mark.parametrize(
+    "removed, error",
+    [
+        (lambda workload: ExecutionServiceConfig(policy="budget_aware"), TypeError),
+        (lambda workload: WorkloadSession(workload, policy="budget_aware"), TypeError),
+        (
+            lambda workload: drive(
+                RandomSearch(workload.database), [], inline_submit(workload.database),
+                select=lambda ready: 0,
+            ),
+            TypeError,
+        ),
+        (lambda workload: register_technique("scored", predicts_improvement=True), TypeError),
+        (lambda workload: importlib.import_module("repro.exec.policy"), ImportError),
+        (lambda workload: BayesQO.predicted_improvement, AttributeError),
+    ],
+    ids=["config_policy", "session_policy", "drive_select", "registry_flag", "policy_module",
+         "bayesqo_score"],
+)
+def test_the_scheduling_policy_layer_is_gone(removed, error, tiny_workload):
+    # Ready states claim free slots FIFO; budgets are per state, so no other
+    # order could reach a trace.
+    with pytest.raises(error):
+        removed(tiny_workload)

@@ -26,12 +26,10 @@ import pytest
 
 from repro.core.config import BayesQOConfig, ExecutionServiceConfig
 from repro.core.protocol import BudgetSpec, ExecutionOutcome
-from repro.core.result import OptimizationResult
 from repro.db.plan_cache import ExecutionCache
 from repro.db.query import Query, TableRef
 from repro.exceptions import OptimizationError
 from repro.exec import (
-    BudgetAwarePriority,
     ExecutionRequest,
     FabricBackend,
     FabricCounters,
@@ -847,33 +845,6 @@ class TestHealthReport:
             exec_config=ExecutionServiceConfig(backend="inline", supervised=True),
         )
         assert run.backend_health["fabric"]["submissions"] > 0
-
-
-# ------------------------------------------------------------------ policy robustness
-class _ExplodingPredictor:
-    def predicted_improvement(self, state):
-        raise FloatingPointError("singular posterior")
-
-
-def _policy_state(name, latencies):
-    result = OptimizationResult(query_name=name, technique="X")
-    for latency in latencies:
-        result.record(JoinTree.left_deep(["a", "b"]), latency, censored=False, timeout=None)
-    from repro.core.protocol import OptimizerState
-
-    return OptimizerState(
-        query=Query(name=name, table_refs=[TableRef("a#1", "a")], join_predicates=[]),
-        result=result,
-        budget=BudgetSpec(max_executions=10),
-    )
-
-
-class TestPolicyRobustness:
-    def test_budget_aware_survives_predictor_exceptions(self):
-        states = [_policy_state("fast", [0.5]), _policy_state("slow", [50.0])]
-        # The predictor explodes; scheduling falls back to worst-incumbent
-        # priority instead of killing the session.
-        assert BudgetAwarePriority().select(states, _ExplodingPredictor()) == 1
 
 
 # ------------------------------------------------------------------ checkpoint discard logging

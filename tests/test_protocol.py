@@ -77,8 +77,6 @@ class TestRegistry:
         assert get_technique("bayesqo").needs_schema_model
         assert get_technique("bao").ignores_execution_cap
         assert get_technique("balsa").order_sensitive
-        assert get_technique("bayesqo").predicts_improvement
-        assert not get_technique("random").predicts_improvement
         assert not get_technique("random").workload_level
 
 
