@@ -192,6 +192,27 @@ class TestBatchedRuns:
         assert [state.result.trace_signature() for state in states] == expected
         assert all(state.outstanding_count == 0 for state in states)
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_ready_states_claim_free_slots_fifo(self, capacity, order, tiny_workload):
+        # Landed states re-enter the ready list at its back, so equal budgets
+        # are claimed round-robin in the order ``states`` was given.
+        database = tiny_workload.database.snapshot()
+        optimizer = RandomSearch(database, seed=2)
+        states = [
+            optimizer.start(query, budget=BudgetSpec(max_executions=4))
+            for query in tiny_workload.queries
+        ][::order]
+        claims = []
+        run = inline_submit(database)
+
+        def submit(state, proposals):
+            claims.append(state.query.name)
+            return run(state, proposals)
+
+        drive(optimizer, states, submit, capacity=capacity)
+        assert claims == [state.query.name for state in states] * 4
+
 
 # ------------------------------------------------------ out-of-order observe
 class TestOutOfOrderResolution:

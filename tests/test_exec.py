@@ -28,7 +28,7 @@ from repro.baselines.random_search import RandomSearch
 from repro.core.config import ExecutionServiceConfig
 from repro.core.optimizer import BayesQO
 from repro.core.protocol import BudgetSpec, ExecutionOutcome, PlanProposal, drive, inline_submit
-from repro.core.registry import register_technique
+from repro.core.registry import TechniqueSpec, register_technique
 from repro.db.catalog import Column, ForeignKey, Schema, Table
 from repro.db.datagen import ColumnSpec, DataGenerator, TableSpec
 from repro.db.engine import Database
@@ -844,9 +844,18 @@ class TestProcessPoolDeterminism:
         (lambda workload: register_technique("scored", predicts_improvement=True), TypeError),
         (lambda workload: importlib.import_module("repro.exec.policy"), ImportError),
         (lambda workload: BayesQO.predicted_improvement, AttributeError),
+        (lambda workload: importlib.import_module("repro.exec").make_policy, AttributeError),
+        (
+            lambda workload: importlib.import_module("repro.core.config").SCHEDULING_POLICIES,
+            AttributeError,
+        ),
+        (
+            lambda workload: TechniqueSpec("scored", RandomSearch, predicts_improvement=True),
+            TypeError,
+        ),
     ],
     ids=["config_policy", "session_policy", "drive_select", "registry_flag", "policy_module",
-         "bayesqo_score"],
+         "bayesqo_score", "exec_make_policy", "config_policy_names", "technique_spec_flag"],
 )
 def test_the_scheduling_policy_layer_is_gone(removed, error, tiny_workload):
     # Ready states claim free slots FIFO; budgets are per state, so no other
