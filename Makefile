@@ -36,10 +36,13 @@ quick:
 # property examples, and the timeout rule's grid level for 64 probe candidates
 # after every observation of both replayed GP streams (~60 s).  The direct
 # L-BFGS-B driver vs. optimize.minimize: 1000 property examples (~10 s).
-# ANALYZE off one sorted copy per column vs. np.unique/np.quantile, and the
-# generator's range literals vs. np.quantile over the raw column: every JOB,
-# Stack (with its 2017 rollback and Fig. 7 timeline), DSB and CEB build the
-# e2e and figure benchmarks make, queries and statistics bit for bit (~5 s).
+# ANALYZE off one sorted copy per column and quantile positions shared by a
+# relation's columns vs. np.unique/np.quantile per column, the generator's
+# range literals vs. np.quantile over the raw column, and each query
+# template's join predicates vs. a per-query walk of the networkx graph:
+# every JOB, Stack (with its 2017 rollback and Fig. 7 timeline), DSB and CEB
+# build the e2e and figure benchmarks make, queries and statistics bit for
+# bit (~5 s).
 oracle-full:
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_db_optimizer.py -k test_benchmark_workloads
 	REPRO_ORACLE_FULL=1 $(PYTEST) -q tests/test_executor_oracle.py

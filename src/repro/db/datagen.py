@@ -15,8 +15,9 @@ scaled-down synthetic relations with the same two properties:
   selectivities.
 
 Foreign-key skew is *fanout-capped*: the hottest key's probability mass is
-clamped to ``fk_fanout_cap`` times the uniform share (water-filling the
-excess over the remaining keys).  Uncapped Zipf mass is scale-invariant — the
+clamped to ``fk_fanout_cap`` times the uniform share (the excess spread over
+the keys not above the cap, round after round; see
+:func:`capped_zipf_weights`).  Uncapped Zipf mass is scale-invariant — the
 top key always absorbs ~1/H(P, s) of all references — so at small scales a
 handful of keys fan out into intermediates that exceed the executor's
 simulated timeout for *every* plan, leaving offline optimization nothing to
@@ -24,6 +25,12 @@ improve (the "JOB_1a at scale 0.15" pathology).  The cap bounds worst-case
 join fanout at C× the average while keeping an order of magnitude of skew,
 so default plans stay executable at small scales and bad join orders still
 blow past timeouts.
+
+One :meth:`DataGenerator.generate` call builds each Zipf distribution's cdf
+and each population's key permutation once and shares them across its
+columns (:class:`ZipfTables`, owned by that call and dropped with it); a
+draw searches the cdf, as ``Generator.choice`` does, without re-checking
+the weights.
 """
 
 from __future__ import annotations
@@ -93,10 +100,13 @@ DEFAULT_FK_FANOUT_CAP = 16.0
 def capped_zipf_weights(population: int, skew: float, fanout_cap: float) -> np.ndarray:
     """Zipf weights with the top shares clamped to ``fanout_cap / population``.
 
-    The clamped excess is redistributed proportionally over the uncapped keys
-    (water-filling), iterating until no key exceeds the cap; the result is a
-    valid distribution whose hottest key receives at most ``fanout_cap`` times
-    the uniform share.
+    Each round clamps every key above the cap and spreads the clamped excess
+    over every key not above it, in proportion to its weight — keys already
+    at the cap included, so they are pushed over it again and the next round
+    clamps them back.  Rounds repeat until no key exceeds the cap (at most
+    32; the builders' populations take up to 25).  The result is a valid
+    distribution whose hottest key receives at most ``fanout_cap`` times the
+    uniform share.
     """
     if population <= 0:
         raise CatalogError("population must be positive")
@@ -113,13 +123,52 @@ def capped_zipf_weights(population: int, skew: float, fanout_cap: float) -> np.n
         excess = float((weights[over] - cap).sum())
         weights[over] = cap
         under = ~over
-        under_total = float(weights[under].sum())
+        under_weights = weights[under]
+        under_total = float(under_weights.sum())
         if under_total <= 0.0:
             # Everything is at the cap: the capped distribution is uniform.
             weights[:] = 1.0 / population
             break
-        weights[under] += excess * weights[under] / under_total
+        weights[under] = under_weights + excess * under_weights / under_total
     return weights / weights.sum()
+
+
+class ZipfTables:
+    """The Zipf cdfs and key permutations of one :meth:`DataGenerator.generate` call.
+
+    Each ``(population, skew, fanout_cap)`` distribution is built and summed
+    into its cdf once, and each population's permutation drawn once, however
+    many columns draw from them.  The generate call owns the memo and drops
+    it on return: nothing outlives a build.
+    """
+
+    def __init__(self) -> None:
+        self._cdfs: dict[tuple, np.ndarray] = {}
+        self._permutations: dict[int, np.ndarray] = {}
+
+    def cdf(self, population: int, skew: float, fanout_cap: float | None) -> np.ndarray:
+        """The cumulative Zipf weights, normalized so the last one is 1."""
+        key = (population, skew, fanout_cap)
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            if fanout_cap is not None:
+                weights = capped_zipf_weights(population, skew, fanout_cap)
+            else:
+                ranks = np.arange(1, population + 1, dtype=np.float64)
+                weights = ranks ** (-skew)
+                weights /= weights.sum()
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            self._cdfs[key] = cdf
+        return cdf
+
+    def permutation(self, population: int) -> np.ndarray:
+        """The fixed permutation that spreads popular ids across the key space."""
+        permutation = self._permutations.get(population)
+        if permutation is None:
+            permutation = np.random.default_rng(population).permutation(population)
+            self._permutations[population] = permutation
+        return permutation
 
 
 def zipf_choices(
@@ -128,6 +177,7 @@ def zipf_choices(
     size: int,
     skew: float,
     fanout_cap: float | None = None,
+    zipf: ZipfTables | None = None,
 ) -> np.ndarray:
     """Sample ``size`` integers from ``[0, population)`` with Zipf-like skew.
 
@@ -138,20 +188,20 @@ def zipf_choices(
     ``fanout_cap`` clamps the hottest key's share to that multiple of the
     uniform share (see :func:`capped_zipf_weights`); ``None`` leaves the raw
     Zipf distribution untouched.
+
+    The draw is ``Generator.choice(population, size, p=weights)`` after its
+    argument checks: the cdf searched at ``size`` uniform draws, the same
+    indices and the same generator state afterwards.  ``zipf`` holds the
+    cdfs and permutations a build shares (a fresh one when ``None``).
     """
     if population <= 0:
         raise CatalogError("population must be positive")
     if skew <= 0:
         return rng.integers(0, population, size=size)
-    if fanout_cap is not None:
-        weights = capped_zipf_weights(population, skew, fanout_cap)
-    else:
-        ranks = np.arange(1, population + 1, dtype=np.float64)
-        weights = ranks ** (-skew)
-        weights /= weights.sum()
-    draws = rng.choice(population, size=size, p=weights)
-    permutation = np.random.default_rng(population).permutation(population)
-    return permutation[draws]
+    if zipf is None:
+        zipf = ZipfTables()
+    draws = zipf.cdf(population, skew, fanout_cap).searchsorted(rng.random(size), side="right")
+    return zipf.permutation(population)[draws]
 
 
 class DataGenerator:
@@ -180,8 +230,11 @@ class DataGenerator:
         """
         order = self._generation_order()
         relations: dict[str, Relation] = {}
+        zipf = ZipfTables()
         for table_name in order:
-            relations[table_name] = self._generate_table(self.schema.table(table_name), relations)
+            relations[table_name] = self._generate_table(
+                self.schema.table(table_name), relations, zipf
+            )
         return relations
 
     # ------------------------------------------------------------------ internals
@@ -203,7 +256,9 @@ class DataGenerator:
                 remaining.remove(name)
         return order
 
-    def _generate_table(self, table: Table, relations: dict[str, Relation]) -> Relation:
+    def _generate_table(
+        self, table: Table, relations: dict[str, Relation], zipf: ZipfTables
+    ) -> Relation:
         spec = self.specs[table.name]
         rng = np.random.default_rng((self.seed, stable_digest(table.name, bits=16)))
         num_rows = spec.num_rows
@@ -224,14 +279,14 @@ class DataGenerator:
             else:
                 population = max(ref_relation.num_rows, 1)
             columns[column_name] = zipf_choices(
-                rng, population, num_rows, spec.fk_skew, fanout_cap=fanout_cap
+                rng, population, num_rows, spec.fk_skew, fanout_cap=fanout_cap, zipf=zipf
             ).astype(np.int64)
         # Remaining attribute columns.
         for column in table.columns:
             if column.name in columns:
                 continue
             columns[column.name] = self._generate_attribute(
-                rng, column.name, spec, columns, num_rows
+                rng, column.name, spec, columns, num_rows, zipf
             )
         return Relation(table, columns)
 
@@ -242,6 +297,7 @@ class DataGenerator:
         spec: TableSpec,
         existing: dict[str, np.ndarray],
         num_rows: int,
+        zipf: ZipfTables,
     ) -> np.ndarray:
         column_spec = spec.column_specs.get(name, ColumnSpec())
         if column_spec.kind == "uniform":
@@ -261,6 +317,6 @@ class DataGenerator:
             return np.where(noise_mask, noise, base).astype(np.int64)
         if column_spec.kind == "categorical":
             return zipf_choices(
-                rng, column_spec.cardinality, num_rows, column_spec.skew
+                rng, column_spec.cardinality, num_rows, column_spec.skew, zipf=zipf
             ).astype(np.int64)
         raise CatalogError(f"unknown column kind {column_spec.kind!r} for column {name!r}")

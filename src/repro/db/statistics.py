@@ -14,7 +14,10 @@ its runs, min and max its two ends, and the histogram bounds
 ``np.quantile`` and ``min``/``max`` give, bit for bit, NaN included
 (``tests/oracles/reference_statistics.py``).  The query generator draws its
 range-filter literals from the same sorted copy, so building a workload
-sorts each column once.
+sorts each column once.  The histogram's quantile positions depend only on
+the row count, which every column of a relation shares: ``analyze_relation``
+computes them once per call (:func:`quantile_positions`) and reads each
+column's bounds off them (:func:`read_quantiles`).
 """
 
 from __future__ import annotations
@@ -124,13 +127,19 @@ class TableStats:
 def analyze_relation(
     relation: Relation, buckets: int = DEFAULT_BUCKETS, mcvs: int = DEFAULT_MCVS
 ) -> TableStats:
-    """Compute :class:`TableStats` for a relation (the ``ANALYZE`` equivalent)."""
+    """Compute :class:`TableStats` for a relation (the ``ANALYZE`` equivalent).
+
+    Every column has the relation's ``num_rows`` values, so the histogram's
+    quantile positions are computed once per relation and each column reads
+    its bounds off them.
+    """
     columns: dict[str, ColumnStats] = {}
     quantiles = np.linspace(0.0, 1.0, buckets + 1)
+    positions = quantile_positions(relation.num_rows, quantiles) if relation.num_rows else None
     for name in relation.column_names:
         # Casting a sorted column to float64 keeps it sorted.
         ordered = relation.sorted_column(name).astype(np.float64, copy=False)
-        columns[name] = _analyze_column(name, ordered, quantiles, mcvs)
+        columns[name] = _analyze_column(name, ordered, positions, mcvs)
     return TableStats(relation.name, relation.num_rows, columns)
 
 
@@ -141,38 +150,71 @@ def analyze_all(
     return {name: analyze_relation(rel, buckets, mcvs) for name, rel in relations.items()}
 
 
-def sorted_quantile(ordered: np.ndarray, q):
-    """``np.quantile(values, q)`` read off ``ordered``, the values sorted ascending.
+@dataclass(frozen=True)
+class QuantilePositions:
+    """Where ``np.quantile``'s linear method reads quantiles ``q`` of ``n`` sorted values.
 
-    numpy's default ``method="linear"`` step for step: the virtual index
-    ``(n - 1)·q``, its floor and the next position (both the last one from
-    ``n - 1`` up; an integral ``q`` takes its points uninterpolated), and
-    numpy's ``_lerp`` between them.  A NaN sorts last and makes every
-    quantile NaN.  So value, dtype and Python/numpy type are
-    ``np.quantile``'s, for a scalar or vector ``q`` in [0, 1] over a
-    non-empty array.
+    ``below`` and ``above`` are the positions to interpolate between with
+    weight ``gamma``; an integral virtual index has ``gamma`` ``None`` and
+    ``below`` the positions to take.  A function of ``n`` and ``q`` alone, so
+    columns of one length share it.
     """
-    weak = type(q) in (int, float)  # numpy promotes a Python scalar q weakly
+
+    below: np.ndarray
+    above: np.ndarray | None = None
+    gamma: object = None
+
+
+def quantile_positions(n: int, q) -> QuantilePositions:
+    """numpy's ``method="linear"`` positions step for step, for ``n >= 1`` values.
+
+    The virtual index ``(n - 1)·q``, its floor and the next position (both
+    the last one from ``n - 1`` up; an integral ``q`` takes its points
+    uninterpolated) and the weight between them.  A Python scalar ``q`` gives
+    a Python float weight, as numpy promotes it weakly.
+    """
+    weak = type(q) in (int, float)
     q = np.asanyarray(q)
-    virtual = np.asanyarray((len(ordered) - 1) * q)
+    virtual = np.asanyarray((n - 1) * q)
     if virtual.dtype.kind in "iu":
-        result = np.take(ordered, virtual)
+        return QuantilePositions(virtual)
+    below = np.floor(virtual, out=...)
+    above = np.add(below, 1, out=...)
+    at_end = virtual >= n - 1
+    below[at_end] = above[at_end] = -1
+    below = below.astype(np.intp)
+    above = above.astype(np.intp)
+    gamma = np.asanyarray(virtual - below, dtype=virtual.dtype)
+    gamma = float(gamma) if weak else gamma.reshape(virtual.shape)
+    return QuantilePositions(below, above, gamma)
+
+
+def read_quantiles(ordered: np.ndarray, positions: QuantilePositions):
+    """The quantiles at ``positions`` of ``ordered``, values sorted ascending.
+
+    numpy's ``_lerp`` between the two positions; a NaN sorts last and makes
+    every quantile NaN.
+    """
+    if positions.gamma is None:
+        result = np.take(ordered, positions.below)
     else:
-        below = np.floor(virtual, out=...)
-        above = np.add(below, 1, out=...)
-        at_end = virtual >= len(ordered) - 1
-        below[at_end] = above[at_end] = -1
-        below = below.astype(np.intp)
-        above = above.astype(np.intp)
-        gamma = np.asanyarray(virtual - below, dtype=virtual.dtype)
-        gamma = float(gamma) if weak else gamma.reshape(virtual.shape)
-        result = _lerp(ordered[below], ordered[above], gamma)
+        result = _lerp(ordered[positions.below], ordered[positions.above], positions.gamma)
     if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
         if result.ndim == 0:
             result = ordered[-1]
         else:
             np.copyto(result, ordered[-1])
     return result
+
+
+def sorted_quantile(ordered: np.ndarray, q):
+    """``np.quantile(values, q)`` read off ``ordered``, the values sorted ascending.
+
+    :func:`quantile_positions` then :func:`read_quantiles`: value, dtype and
+    Python/numpy type are ``np.quantile``'s, for a scalar or vector ``q`` in
+    [0, 1] over a non-empty array.
+    """
+    return read_quantiles(ordered, quantile_positions(len(ordered), q))
 
 
 def _lerp(a, b, t):
@@ -203,9 +245,13 @@ def _distinct(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _analyze_column(
-    name: str, ordered: np.ndarray, quantiles: np.ndarray, mcvs: int
+    name: str, ordered: np.ndarray, positions: QuantilePositions | None, mcvs: int
 ) -> ColumnStats:
-    """Statistics of one column from its float64 values sorted ascending."""
+    """Statistics of one column from its float64 values sorted ascending.
+
+    ``positions`` are the histogram's quantile positions for its length
+    (``None`` for an empty column).
+    """
     num_rows = len(ordered)
     if num_rows == 0:
         return ColumnStats(
@@ -219,7 +265,7 @@ def _analyze_column(
     unique, counts = _distinct(ordered)
     order = np.argsort(counts)[::-1]
     top = order[: min(mcvs, len(order))]
-    histogram = sorted_quantile(ordered, quantiles)
+    histogram = read_quantiles(ordered, positions)
     # np.min and np.max of a column holding a NaN are NaN.
     lowest = ordered[-1] if np.isnan(ordered[-1]) else ordered[0]
     return ColumnStats(

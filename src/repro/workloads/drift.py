@@ -6,6 +6,10 @@ became dangling (Section 5.5).  :func:`rollback_to_date` implements exactly
 that operation on any database whose tables carry a date column, and
 :func:`drift_timeline` produces the sequence of intermediate snapshots used
 by the runtimes-vs-date experiment (Figure 7).
+
+A rollback narrows one row selection per table over the original relations
+through all its rounds and copies each table that lost rows once, at the
+end; the selections live in the call and go with it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.db.engine import Database
-from repro.db.relation import Relation
 
 #: Default name of the timestamp column consulted by the rollback.
 DATE_COLUMN = "creation_date"
@@ -26,37 +29,58 @@ def rollback_to_date(
 
     Rows with ``date_column > cutoff`` are deleted from every table that has
     such a column; rows in other tables whose foreign keys now dangle are then
-    deleted transitively until a fixpoint is reached.
+    deleted transitively until a fixpoint is reached.  The rounds narrow row
+    selections over the original relations; each relation that lost rows is
+    materialized once, at the end, and one that lost none stays the
+    original's object (so the new database reuses its statistics).
     """
-    relations: dict[str, Relation] = {}
+    rows: dict[str, np.ndarray] = {}
     for name, relation in database.relations.items():
         if relation.table.has_column(date_column):
-            keep = np.flatnonzero(relation.column(date_column) <= cutoff)
-            relations[name] = relation.with_rows(keep)
-        else:
-            relations[name] = relation
-    relations = _enforce_referential_integrity(database, relations)
+            keep = relation.column(date_column) <= cutoff
+            if not keep.all():
+                rows[name] = np.flatnonzero(keep)
+    _enforce_referential_integrity(database, rows)
+    relations = {
+        name: relation.with_rows(rows[name]) if name in rows else relation
+        for name, relation in database.relations.items()
+    }
     return database.with_relations(relations)
 
 
-def _enforce_referential_integrity(
-    database: Database, relations: dict[str, Relation]
-) -> dict[str, Relation]:
-    """Delete rows whose FKs reference deleted rows, transitively."""
+def _enforce_referential_integrity(database: Database, rows: dict[str, np.ndarray]) -> None:
+    """Narrow ``rows`` (table -> kept row positions; all rows when absent) until
+    no kept row's FK references a deleted row.
+
+    Rounds over every FK until one deletes nothing; an FK whose two tables
+    kept the same rows since its last check is consistent and is skipped.
+    """
+
+    def values(table: str, column: str) -> np.ndarray:
+        array = database.relations[table].column(column)
+        return array[rows[table]] if table in rows else array
+
+    narrowed = dict.fromkeys(database.relations, 0)  # table -> times it lost rows
+    checked: dict[int, tuple[int, int]] = {}
     changed = True
     while changed:
         changed = False
-        for fk in database.schema.foreign_keys:
-            referencing = relations[fk.table]
-            referenced = relations[fk.ref_table]
-            if referencing.num_rows == 0:
+        for i, fk in enumerate(database.schema.foreign_keys):
+            state = (narrowed[fk.table], narrowed[fk.ref_table])
+            if checked.get(i) == state:
                 continue
-            valid_keys = referenced.column(fk.ref_column)
-            mask = np.isin(referencing.column(fk.column), valid_keys)
+            referencing = values(fk.table, fk.column)
+            if len(referencing) == 0:
+                continue
+            mask = np.isin(referencing, values(fk.ref_table, fk.ref_column))
             if not mask.all():
-                relations[fk.table] = referencing.with_rows(np.flatnonzero(mask))
+                kept = np.flatnonzero(mask)
+                rows[fk.table] = rows[fk.table][kept] if fk.table in rows else kept
+                narrowed[fk.table] += 1
                 changed = True
-    return relations
+                if fk.table == fk.ref_table:
+                    continue  # the rows it references shrank too: check it again
+            checked[i] = (narrowed[fk.table], narrowed[fk.ref_table])
 
 
 def deletion_fraction(original: Database, rolled_back: Database) -> float:

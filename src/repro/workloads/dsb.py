@@ -17,7 +17,12 @@ from repro.db.datagen import ColumnSpec, DataGenerator, TableSpec
 from repro.db.engine import Database
 from repro.db.query import Query
 from repro.workloads.base import Workload
-from repro.workloads.generator import FilterSpec, query_from_aliases, sample_connected_aliases
+from repro.workloads.generator import (
+    FilterSampler,
+    FilterSpec,
+    QueryTemplate,
+    sample_connected_aliases,
+)
 
 _BASE_ROWS = {
     "date_dim": 1_800,
@@ -164,25 +169,17 @@ def build_dsb_workload(
     max_aliases = 2
     graph = schema.alias_k_graph(max_aliases)
     rng = np.random.default_rng((seed, 59))
+    filters = FilterSampler(database.relations, DSB_FILTER_SPECS)
     queries: list[Query] = []
     for template_index in range(num_templates):
         kind = "agg" if template_index % 2 == 0 else "spj"
         size = int(rng.integers(4, 9))
         aliases = sample_connected_aliases(graph, size, rng)
-        template = f"DSB_{kind}_{template_index + 1:02d}"
+        name = f"DSB_{kind}_{template_index + 1:02d}"
+        template = QueryTemplate.from_aliases(schema, graph, aliases, name)
         for instance in range(queries_per_template):
             queries.append(
-                query_from_aliases(
-                    schema,
-                    graph,
-                    aliases,
-                    name=f"{template}_{instance + 1}",
-                    rng=rng,
-                    relations=database.relations,
-                    filter_specs=DSB_FILTER_SPECS,
-                    filter_probability=0.65,
-                    template=template,
-                )
+                template.instance(f"{name}_{instance + 1}", rng, filters, filter_probability=0.65)
             )
     return Workload(
         name="DSB",

@@ -8,6 +8,15 @@ Two consumers rely on this module:
 * the **workload builders** use the same machinery to materialize JOB-, CEB-,
   Stack- and DSB-like query sets with controlled join counts, templates and
   filter literals drawn from the actual data.
+
+A :class:`QueryTemplate` holds what every query over one alias set shares:
+the table refs, the join predicates in graph-walk order and one check
+against the schema.  The Stack, CEB and DSB builders make one per template;
+JOB and :class:`RandomQuerySampler` one per query, since each of their
+queries joins an alias set of its own.  An instance draws only its filters,
+through a :class:`FilterSampler` that lists each table's candidates once.
+The builder call (or ``sample`` call) owns its templates and its sampler;
+nothing is kept at module level, so every build does the same work.
 """
 
 from __future__ import annotations
@@ -65,6 +74,134 @@ def sample_connected_aliases(
     raise QueryError(f"could not sample a connected subgraph of size {size}")
 
 
+@dataclass(frozen=True)
+class QueryTemplate:
+    """The join structure every query of one template shares.
+
+    ``table_refs`` are the aliases in the order given with their base
+    tables, ``join_predicates`` one per edge of the alias-k graph between
+    them in the graph walk's order, and ``name`` the template id its queries
+    carry.  Built and validated against the schema once; an instance draws
+    only its filters.
+    """
+
+    table_refs: tuple[TableRef, ...]
+    join_predicates: tuple[JoinPredicate, ...]
+    name: str | None = None
+
+    @classmethod
+    def from_aliases(
+        cls,
+        schema: Schema,
+        alias_graph: AliasGraph,
+        aliases: list[str],
+        name: str | None = None,
+    ) -> "QueryTemplate":
+        """The template joining ``aliases`` with a predicate for every present edge."""
+        alias_set = set(aliases)
+        table_refs = tuple(TableRef(alias, alias_table(alias)) for alias in aliases)
+        join_predicates: list[JoinPredicate] = []
+        # Each edge once, from its end that comes first in node order: that end
+        # is the predicate's left side, and the walk fixes the predicates' order.
+        visited: set[str] = set()
+        for left, neighbours in alias_graph.items():
+            if left not in alias_set:
+                continue
+            for right, fk in neighbours.items():
+                if right not in alias_set or right in visited:
+                    continue
+                if fk.table == alias_table(left):
+                    join_predicates.append(JoinPredicate(left, fk.column, right, fk.ref_column))
+                else:
+                    join_predicates.append(JoinPredicate(left, fk.ref_column, right, fk.column))
+            visited.add(left)
+        structure = Query(
+            name=name or "template", table_refs=table_refs, join_predicates=join_predicates
+        )
+        structure.validate_against(schema)
+        return cls(table_refs, structure.join_predicates, name)
+
+    def instance(
+        self,
+        name: str,
+        rng: np.random.Generator,
+        filters: "FilterSampler | None" = None,
+        filter_probability: float = 0.5,
+    ) -> Query:
+        """A query of this template named ``name``.
+
+        Each alias gets a filter with probability ``filter_probability``,
+        drawn by ``filters`` (none when ``None``).
+        """
+        drawn: list[FilterPredicate] = []
+        if filters is not None:
+            for ref in self.table_refs:
+                if rng.random() > filter_probability:
+                    continue
+                predicate = filters.draw(ref.alias, ref.table, rng)
+                if predicate is not None:
+                    drawn.append(predicate)
+        return Query(
+            name=name,
+            table_refs=self.table_refs,
+            join_predicates=self.join_predicates,
+            filters=drawn,
+            template=self.name,
+        )
+
+
+class FilterSampler:
+    """Draws filter predicates whose literals come from one build's relations.
+
+    A table's candidates — its ``filter_specs`` columns, equality ones first —
+    are listed at its first draw and kept for the sampler's life, which is
+    one build: the builder that makes the sampler drops it with the build.
+    """
+
+    def __init__(self, relations: dict[str, Relation], filter_specs: dict[str, FilterSpec]) -> None:
+        self.relations = relations
+        self.filter_specs = filter_specs
+        self._candidates: dict[str, list[tuple[str, str]]] = {}
+
+    def candidates(self, table: str) -> list[tuple[str, str]]:
+        """``(column, "eq" | "range")`` pairs of ``table`` (none for an empty relation)."""
+        candidates = self._candidates.get(table)
+        if candidates is None:
+            spec = self.filter_specs.get(table)
+            relation = self.relations.get(table)
+            candidates = []
+            if spec is not None and relation is not None and relation.num_rows > 0:
+                candidates = [(column, "eq") for column in spec.eq_columns]
+                candidates.extend((column, "range") for column in spec.range_columns)
+            self._candidates[table] = candidates
+        return candidates
+
+    def draw(self, alias: str, table: str, rng: np.random.Generator) -> FilterPredicate | None:
+        """One filter on ``alias`` (a ``table`` row), or ``None`` if it has no candidate.
+
+        An equality (or 3-value ``in``) literal is a stored value; a range
+        literal a quantile in [0.3, 0.9] of the column, so no predicate is
+        trivially empty.
+        """
+        candidates = self.candidates(table)
+        if not candidates:
+            return None
+        column, kind = candidates[rng.integers(0, len(candidates))]
+        relation = self.relations[table]
+        if kind == "eq":
+            values = relation.column(column)
+            literal = int(values[rng.integers(0, len(values))])
+            if rng.random() < 0.3:
+                extras = values[rng.integers(0, len(values), size=2)]
+                in_list = sorted({literal, *(int(v) for v in extras)})
+                return FilterPredicate(alias, column, "in", tuple(in_list))
+            return FilterPredicate(alias, column, "=", literal)
+        quantile = float(rng.uniform(0.3, 0.9))
+        threshold = int(sorted_quantile(relation.sorted_column(column), quantile))
+        op = ">=" if rng.random() < 0.5 else "<="
+        return FilterPredicate(alias, column, op, threshold)
+
+
 def query_from_aliases(
     schema: Schema,
     alias_graph: AliasGraph,
@@ -80,72 +217,15 @@ def query_from_aliases(
 
     Filters are added per alias with probability ``filter_probability`` using
     literals sampled from ``relations`` (so the predicates are never trivially
-    empty) restricted to the columns named in ``filter_specs``.
+    empty) restricted to the columns named in ``filter_specs``.  One
+    :class:`QueryTemplate` and one instance of it: a builder making many
+    queries keeps the template and a :class:`FilterSampler` itself.
     """
-    alias_set = set(aliases)
-    table_refs = [TableRef(alias, alias_table(alias)) for alias in aliases]
-    join_predicates: list[JoinPredicate] = []
-    # Each edge once, from its end that comes first in node order: that end
-    # is the predicate's left side, and the walk fixes the predicates' order.
-    visited: set[str] = set()
-    for left, neighbours in alias_graph.items():
-        if left not in alias_set:
-            continue
-        for right, fk in neighbours.items():
-            if right not in alias_set or right in visited:
-                continue
-            if fk.table == alias_table(left):
-                join_predicates.append(JoinPredicate(left, fk.column, right, fk.ref_column))
-            else:
-                join_predicates.append(JoinPredicate(left, fk.ref_column, right, fk.column))
-        visited.add(left)
-    filters: list[FilterPredicate] = []
+    filters = None
     if relations is not None and filter_specs is not None:
-        for alias in aliases:
-            if rng.random() > filter_probability:
-                continue
-            predicate = _sample_filter(alias, alias_table(alias), relations, filter_specs, rng)
-            if predicate is not None:
-                filters.append(predicate)
-    query = Query(
-        name=name,
-        table_refs=table_refs,
-        join_predicates=join_predicates,
-        filters=filters,
-        template=template,
-    )
-    query.validate_against(schema)
-    return query
-
-
-def _sample_filter(
-    alias: str,
-    table: str,
-    relations: dict[str, Relation],
-    filter_specs: dict[str, FilterSpec],
-    rng: np.random.Generator,
-) -> FilterPredicate | None:
-    spec = filter_specs.get(table)
-    relation = relations.get(table)
-    if spec is None or relation is None or relation.num_rows == 0:
-        return None
-    candidates: list[tuple[str, str]] = [(column, "eq") for column in spec.eq_columns]
-    candidates.extend((column, "range") for column in spec.range_columns)
-    if not candidates:
-        return None
-    column, kind = candidates[rng.integers(0, len(candidates))]
-    if kind == "eq":
-        values = relation.column(column)
-        literal = int(values[rng.integers(0, len(values))])
-        if rng.random() < 0.3:
-            extras = values[rng.integers(0, len(values), size=2)]
-            in_list = sorted({literal, *(int(v) for v in extras)})
-            return FilterPredicate(alias, column, "in", tuple(in_list))
-        return FilterPredicate(alias, column, "=", literal)
-    quantile = float(rng.uniform(0.3, 0.9))
-    threshold = int(sorted_quantile(relation.sorted_column(column), quantile))
-    op = ">=" if rng.random() < 0.5 else "<="
-    return FilterPredicate(alias, column, op, threshold)
+        filters = FilterSampler(relations, filter_specs)
+    structure = QueryTemplate.from_aliases(schema, alias_graph, aliases, template)
+    return structure.instance(name, rng, filters, filter_probability)
 
 
 @dataclass
@@ -175,20 +255,14 @@ class RandomQuerySampler:
     def sample(self, count: int, seed: int = 0) -> list[Query]:
         """Sample ``count`` random queries (named ``sampled_<i>``)."""
         rng = np.random.default_rng(seed)
+        filters = None
+        if self.relations is not None and self.filter_specs is not None:
+            filters = FilterSampler(self.relations, self.filter_specs)
         queries: list[Query] = []
         upper = min(self.max_tables, len(self._graph))
         for i in range(count):
             size = int(rng.integers(self.min_tables, upper + 1))
             aliases = sample_connected_aliases(self._graph, size, rng)
-            queries.append(
-                query_from_aliases(
-                    self.schema,
-                    self._graph,
-                    aliases,
-                    name=f"sampled_{i}",
-                    rng=rng,
-                    relations=self.relations,
-                    filter_specs=self.filter_specs,
-                )
-            )
+            structure = QueryTemplate.from_aliases(self.schema, self._graph, aliases)
+            queries.append(structure.instance(f"sampled_{i}", rng, filters))
         return queries

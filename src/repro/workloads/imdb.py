@@ -20,7 +20,12 @@ from repro.db.datagen import ColumnSpec, DataGenerator, TableSpec
 from repro.db.engine import Database
 from repro.db.query import Query
 from repro.workloads.base import Workload
-from repro.workloads.generator import FilterSpec, query_from_aliases, sample_connected_aliases
+from repro.workloads.generator import (
+    FilterSampler,
+    FilterSpec,
+    QueryTemplate,
+    sample_connected_aliases,
+)
 
 #: Baseline row counts (multiplied by the ``scale`` parameter).
 _BASE_ROWS = {
@@ -171,24 +176,17 @@ def build_job_workload(
     max_aliases = 2
     graph = schema.alias_k_graph(max_aliases)
     rng = np.random.default_rng((seed, 17))
+    filters = FilterSampler(database.relations, IMDB_FILTER_SPECS)
     queries: list[Query] = []
     sizes = _job_size_distribution(rng, num_queries)
     for i, size in enumerate(sizes):
         family = i // 3 + 1
         variant = "abc"[i % 3]
         aliases = sample_connected_aliases(graph, size, rng)
+        # Every JOB query joins aliases of its own: one template per query.
+        template = QueryTemplate.from_aliases(schema, graph, aliases, f"JOB_T{family}")
         queries.append(
-            query_from_aliases(
-                schema,
-                graph,
-                aliases,
-                name=f"JOB_{family}{variant}",
-                rng=rng,
-                relations=database.relations,
-                filter_specs=IMDB_FILTER_SPECS,
-                filter_probability=0.65,
-                template=f"JOB_T{family}",
-            )
+            template.instance(f"JOB_{family}{variant}", rng, filters, filter_probability=0.65)
         )
     return Workload(
         name="JOB",
@@ -217,24 +215,16 @@ def build_ceb_workload(
     max_aliases = 2
     graph = schema.alias_k_graph(max_aliases)
     rng = np.random.default_rng((seed, 31))
+    filters = FilterSampler(database.relations, IMDB_FILTER_SPECS)
     queries: list[Query] = []
     for template_index in range(num_templates):
         size = int(rng.integers(8, 14))
         aliases = sample_connected_aliases(graph, size, rng)
-        template = f"CEB_T{template_index + 1}"
+        name = f"CEB_T{template_index + 1}"
+        template = QueryTemplate.from_aliases(schema, graph, aliases, name)
         for instance in range(queries_per_template):
             queries.append(
-                query_from_aliases(
-                    schema,
-                    graph,
-                    aliases,
-                    name=f"{template}_{instance + 1:02d}",
-                    rng=rng,
-                    relations=database.relations,
-                    filter_specs=IMDB_FILTER_SPECS,
-                    filter_probability=0.7,
-                    template=template,
-                )
+                template.instance(f"{name}_{instance + 1:02d}", rng, filters, filter_probability=0.7)
             )
     return Workload(
         name="CEB",

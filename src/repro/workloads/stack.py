@@ -18,7 +18,12 @@ from repro.db.datagen import ColumnSpec, DataGenerator, TableSpec
 from repro.db.engine import Database
 from repro.db.query import Query
 from repro.workloads.base import Workload
-from repro.workloads.generator import FilterSpec, query_from_aliases, sample_connected_aliases
+from repro.workloads.generator import (
+    FilterSampler,
+    FilterSpec,
+    QueryTemplate,
+    sample_connected_aliases,
+)
 
 #: Ordinal day bounds of the synthetic history (0 = 2008-01-01, 4300 ≈ late 2019).
 STACK_DATE_MIN = 0
@@ -164,27 +169,19 @@ def build_stack_workload(
     max_aliases = 2
     graph = schema.alias_k_graph(max_aliases)
     rng = np.random.default_rng((seed, 47))
-    templates: list[tuple[str, list[str]]] = []
+    templates: list[QueryTemplate] = []
     for template_index in range(num_templates):
         size = int(rng.integers(5, 10))
         aliases = sample_connected_aliases(graph, size, rng)
-        templates.append((f"STACK_Q{template_index + 1}", aliases))
+        templates.append(
+            QueryTemplate.from_aliases(schema, graph, aliases, f"STACK_Q{template_index + 1}")
+        )
+    filters = FilterSampler(database.relations, STACK_FILTER_SPECS)
     queries: list[Query] = []
     for instance in range(num_queries):
-        template_name, aliases = templates[instance % num_templates]
-        queries.append(
-            query_from_aliases(
-                schema,
-                graph,
-                aliases,
-                name=f"{template_name}-{instance // num_templates + 1:03d}",
-                rng=rng,
-                relations=database.relations,
-                filter_specs=STACK_FILTER_SPECS,
-                filter_probability=0.6,
-                template=template_name,
-            )
-        )
+        template = templates[instance % num_templates]
+        name = f"{template.name}-{instance // num_templates + 1:03d}"
+        queries.append(template.instance(name, rng, filters, filter_probability=0.6))
     return Workload(
         name="Stack",
         database=database,

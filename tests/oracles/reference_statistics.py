@@ -4,8 +4,9 @@
 stood before ANALYZE read everything off one sorted copy of each column:
 ``np.unique`` for the distinct values and their counts, a 51-point
 ``np.quantile`` for the histogram bounds, and ``min``/``max`` scans.
-``_sample_filter`` is the query generator's filter draw as it stood then,
-with its range literal an ``np.quantile`` over the raw column.  The
+``_sample_filter`` is the query generator's filter draw as it stood then
+(listing the table's candidates at every draw), with its range literal an
+``np.quantile`` over the raw column.  The
 production code must give the same statistics and the same filters, bit for
 bit.
 """

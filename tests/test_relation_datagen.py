@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.catalog import Column, ForeignKey, Schema, Table
-from repro.db.datagen import ColumnSpec, DataGenerator, TableSpec, zipf_choices
+from repro.db.datagen import (
+    DEFAULT_FK_FANOUT_CAP,
+    ColumnSpec,
+    DataGenerator,
+    TableSpec,
+    ZipfTables,
+    capped_zipf_weights,
+    zipf_choices,
+)
 from repro.db.relation import Relation
 from repro.exceptions import CatalogError, ExecutionError
 
@@ -84,6 +94,42 @@ class TestZipfChoices:
     def test_invalid_population(self, rng):
         with pytest.raises(CatalogError):
             zipf_choices(rng, 0, 10, 1.0)
+
+    #: The Zipf exponents the workload builders give FK and categorical columns.
+    BUILDER_SKEWS = [0.8, 0.9, 1.0, 1.1, 1.15, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5, 1.6, 1.7, 1.8]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 2000),
+        st.integers(0, 7000),
+        st.sampled_from(BUILDER_SKEWS),
+        st.sampled_from([None, DEFAULT_FK_FANOUT_CAP, 2.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_the_cdf_draw_is_generator_choice(self, population, size, skew, cap, seed):
+        """Same indices as ``Generator.choice(p=weights)``, same generator state after."""
+        if cap is None:
+            weights = np.arange(1, population + 1, dtype=np.float64) ** (-skew)
+            weights /= weights.sum()
+        else:
+            weights = capped_zipf_weights(population, skew, cap)
+        ours, numpy_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = zipf_choices(ours, population, size, skew, fanout_cap=cap)
+        permutation = np.random.default_rng(population).permutation(population)
+        want = permutation[numpy_choice.choice(population, size=size, p=weights)]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ours.bit_generator.state == numpy_choice.bit_generator.state
+
+    def test_shared_tables_draw_what_fresh_ones_draw(self):
+        zipf = ZipfTables()
+        for population, skew, cap in [(300, 1.2, 16.0), (300, 1.2, None), (300, 1.4, 16.0)] * 2:
+            shared, fresh = np.random.default_rng(1), np.random.default_rng(1)
+            assert np.array_equal(
+                zipf_choices(shared, population, 500, skew, cap, zipf=zipf),
+                zipf_choices(fresh, population, 500, skew, cap),
+            )
+        assert zipf.cdf(300, 1.2, 16.0) is zipf.cdf(300, 1.2, 16.0)
+        assert zipf.permutation(300) is zipf.permutation(300)
 
 
 class TestDataGenerator:

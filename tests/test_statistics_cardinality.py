@@ -18,6 +18,8 @@ from repro.db.statistics import (
     ColumnStats,
     analyze_all,
     analyze_relation,
+    quantile_positions,
+    read_quantiles,
     sorted_quantile,
 )
 from repro.exceptions import CatalogError, QueryError
@@ -171,6 +173,29 @@ class TestOneSortOracle:
     def test_the_quantile_helper_equals_np_quantile(self, column, q):
         with np.errstate(all="ignore"):
             assert_same_value(sorted_quantile(np.sort(column), q), np.quantile(column, q))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 60), st.integers(0, 2**32 - 1), st.data())
+    def test_shared_positions_read_every_column_of_a_length(self, rows, buckets, seed, data):
+        """One set of positions per length, then one read per column, equals
+        ``np.quantile`` and :func:`sorted_quantile` for int-cast, float and NaN columns."""
+        quantiles = np.linspace(0.0, 1.0, buckets + 1)
+        positions = quantile_positions(rows, quantiles)
+        rng = np.random.default_rng(seed)
+        floats = rng.normal(size=rows) * 10.0 ** data.draw(st.integers(-3, 6))
+        with_nan = floats.copy()
+        with_nan[rng.integers(0, rows, size=data.draw(st.integers(1, 3)))] = np.nan
+        columns = [
+            rng.integers(-1000, 1000, size=rows).astype(np.float64),
+            rng.integers(0, data.draw(st.integers(1, 5)), size=rows).astype(np.float64),
+            floats,
+            with_nan,
+        ]
+        for column in columns:
+            ordered = np.sort(column)
+            got = read_quantiles(ordered, positions)
+            assert_same_value(got, np.quantile(column, quantiles))
+            assert_same_value(got, sorted_quantile(ordered, quantiles))
 
     def test_the_sorted_column_is_cached_and_never_pickled(self):
         relation = uniform_relation("t", 100, 10)

@@ -222,6 +222,57 @@ class TestDrift:
         sizes = [sum(r.num_rows for r in snapshot.relations.values()) for _, snapshot in timeline]
         assert sizes == sorted(sizes)
 
+    @pytest.mark.parametrize("cutoff", [0, 3, 6, 9])
+    def test_rollback_equals_materializing_every_round(self, cutoff):
+        """Composed selections give the rows of the rollback that copied a
+        relation at every deletion, with a self-referencing FK and a chain."""
+        from repro.db.catalog import Column, ForeignKey, Schema, Table
+        from repro.db.engine import Database
+        from repro.db.relation import Relation
+
+        schema = Schema("chain", [
+            Table("user", [Column("id"), Column("creation_date", "date")]),
+            Table("post", [Column("id"), Column("user_id"), Column("parent_id"),
+                           Column("creation_date", "date")]),
+            Table("vote", [Column("id"), Column("post_id")]),
+        ], [
+            ForeignKey("post", "user_id", "user", "id"),
+            ForeignKey("post", "parent_id", "post", "id"),
+            ForeignKey("vote", "post_id", "post", "id"),
+        ])
+        rng = np.random.default_rng(cutoff)
+        posts = 60
+        columns = {
+            "user": {"id": np.arange(12), "creation_date": rng.integers(0, 10, 12)},
+            # A post's parent is an earlier post: deleting one deletes a chain.
+            "post": {"id": np.arange(posts), "user_id": rng.integers(0, 12, posts),
+                     "parent_id": np.maximum(np.arange(posts) - rng.integers(1, 4, posts), 0),
+                     "creation_date": rng.integers(0, 10, posts)},
+            "vote": {"id": np.arange(200), "post_id": rng.integers(0, posts, 200)},
+        }
+        database = Database(
+            schema, {name: Relation(schema.table(name), cols) for name, cols in columns.items()}
+        )
+        got = rollback_to_date(database, cutoff)
+        relations = {
+            name: relation.with_rows(np.flatnonzero(relation.column("creation_date") <= cutoff))
+            if relation.table.has_column("creation_date") else relation
+            for name, relation in database.relations.items()
+        }
+        changed = True
+        while changed:
+            changed = False
+            for fk in schema.foreign_keys:
+                referencing, referenced = relations[fk.table], relations[fk.ref_table]
+                mask = np.isin(referencing.column(fk.column), referenced.column(fk.ref_column))
+                if not mask.all():
+                    relations[fk.table] = referencing.with_rows(np.flatnonzero(mask))
+                    changed = True
+        for name, relation in relations.items():
+            for column in relation.column_names:
+                assert np.array_equal(got.relations[name].column(column), relation.column(column))
+        assert got.relations["vote"].num_rows < database.relations["vote"].num_rows or cutoff == 9
+
     def test_queries_still_run_after_rollback(self, stack_db):
         from repro.workloads.stack import build_stack_workload
 
@@ -290,6 +341,10 @@ def _stats_bits(database) -> dict:
 def _build_and_read(family: str, kwargs: dict) -> tuple[list[str], list[dict]]:
     """The queries (with their filter literals) and the statistics of a build."""
     workload = _BUILDERS[family](seed=0, **kwargs)
+    graph = reference_graph.alias_k_graph(workload.database.schema, workload.max_aliases)
+    for query in workload.queries:
+        # Each template's walk, shared by its instances, is the per-query one.
+        assert query.join_predicates == tuple(reference_graph.join_predicates(graph, query.aliases))
     databases = [workload.database]
     if family == "stack":
         databases.append(rollback_to_date(workload.database, STACK_DATE_2017))
@@ -299,17 +354,26 @@ def _build_and_read(family: str, kwargs: dict) -> tuple[list[str], list[dict]]:
     return [repr(query) for query in workload.queries], [_stats_bits(db) for db in databases]
 
 
+def _reference_draw(sampler, alias, table, rng):
+    return reference_statistics._sample_filter(
+        alias, table, sampler.relations, sampler.filter_specs, rng
+    )
+
+
 @pytest.mark.parametrize(
     "family, kwargs",
     STATS_ORACLE_BUILDS if ORACLE_FULL else _TIER1_BUILDS,
     ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value.values())),
 )
 def test_builds_match_the_reference_statistics_and_literals(family, kwargs, monkeypatch):
-    """One sort per column gives every query, literal and statistic of np.unique/np.quantile."""
+    """Templates, one sort per column and shared quantile positions give every
+    query, literal and statistic of a per-query walk and np.unique/np.quantile."""
     built = _build_and_read(family, kwargs)
     with monkeypatch.context() as patch:
         patch.setattr("repro.db.statistics.analyze_relation", reference_statistics.analyze_relation)
-        patch.setattr(generator, "_sample_filter", reference_statistics._sample_filter)
+        # The rollback's sibling database analyzes through the engine's name.
+        patch.setattr("repro.db.engine.analyze_relation", reference_statistics.analyze_relation)
+        patch.setattr(generator.FilterSampler, "draw", _reference_draw)
         reference = _build_and_read(family, kwargs)
     queries, stats = built
     assert queries == reference[0]
@@ -317,3 +381,143 @@ def test_builds_match_the_reference_statistics_and_literals(family, kwargs, monk
     assert len(stats) == len(reference[1])
     for got, want in zip(stats, reference[1]):
         assert got == want
+
+
+# ------------------------------------------------------------ builds bit for bit
+#: sha256 digests of each build's column bytes, statistics and queries, as the
+#: builders produced them before a build computed its templates, Zipf tables,
+#: quantile positions and rollback selections once.
+BUILD_DIGESTS = json.loads((Path(__file__).parent / "data" / "build_digests.json").read_text())
+
+
+def _sha(rows) -> str:
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def _column_rows(database):
+    for table in sorted(database.relations):
+        relation = database.relations[table]
+        for column in relation.column_names:
+            array = relation.column(column)
+            yield table, column, array.dtype.str, array.tobytes()
+
+
+def _stats_rows(database):
+    for table in sorted(database.stats):
+        table_stats = database.stats[table]
+        yield table, table_stats.num_rows
+        for column, stats in table_stats.columns.items():
+            for field in dataclasses.fields(ColumnStats):
+                value = getattr(stats, field.name)
+                array = np.asarray(value)
+                yield column, field.name, type(value).__name__, array.dtype.str, array.tobytes()
+
+
+def _stack_with_history(seed, scale, num_templates, num_queries, steps):
+    workload = build_stack_workload(
+        scale=scale, seed=seed, num_templates=num_templates, num_queries=num_queries
+    )
+    databases = [workload.database, rollback_to_date(workload.database, STACK_DATE_2017)]
+    if steps:
+        timeline = drift_timeline(workload.database, STACK_DATE_2017, STACK_DATE_MAX, steps)
+        databases.extend(snapshot for _, snapshot in timeline)
+    return workload.queries, databases
+
+
+def _sampled_corpus():
+    from repro.workloads.imdb import IMDB_FILTER_SPECS
+
+    database = build_job_workload(scale=0.16, seed=0, num_queries=1).database
+    sampler = RandomQuerySampler(
+        database.schema, max_aliases=2, relations=database.relations,
+        filter_specs=IMDB_FILTER_SPECS,
+    )
+    return sampler.sample(60, seed=0), []
+
+
+def _one_workload(build, **kwargs):
+    workload = build(**kwargs)
+    return workload.queries, [workload.database]
+
+
+#: The builds the e2e benchmark, the drift figures and the VAE corpus make:
+#: name -> a call returning (queries, databases).
+DIGEST_BUILDS = {
+    "job-0.16-40": lambda: _one_workload(build_job_workload, scale=0.16, seed=0, num_queries=40),
+    "stack-0.05-8-64-timeline4": lambda: _stack_with_history(0, 0.05, 8, 64, steps=4),
+    "stack-0.2-16-200-seed3": lambda: _stack_with_history(3, 0.2, 16, 200, steps=0),
+    "stack-0.08-8-24-timeline9": lambda: _stack_with_history(0, 0.08, 8, 24, steps=9),
+    "ceb-0.12-4-5": lambda: _one_workload(
+        build_ceb_workload, scale=0.12, seed=0, num_templates=4, queries_per_template=5
+    ),
+    "dsb-0.08-10-3": lambda: _one_workload(
+        build_dsb_workload, scale=0.08, seed=0, num_templates=10, queries_per_template=3
+    ),
+    "sampled-0.16-60": _sampled_corpus,
+}
+
+
+def build_digest(name: str) -> dict:
+    queries, databases = DIGEST_BUILDS[name]()
+    digest = {"queries": _sha(repr(query) for query in queries)}
+    if databases:
+        digest["columns"] = _sha(row for database in databases for row in _column_rows(database))
+        digest["stats"] = _sha(row for database in databases for row in _stats_rows(database))
+    return digest
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_BUILDS))
+def test_builds_are_bit_for_bit_those_recorded(name):
+    """Every column's bytes, every ColumnStats field and every query of each build."""
+    assert build_digest(name) == BUILD_DIGESTS["digests"][name]
+
+
+def _container_sizes(module) -> dict:
+    """The size of every module-level dict, list, set and functools cache."""
+    sizes = {}
+    for name, value in vars(module).items():
+        if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+            sizes[name] = len(value)
+        elif hasattr(value, "cache_info"):
+            sizes[name] = value.cache_info().currsize
+    return sizes
+
+
+def test_no_memo_outlives_a_build(monkeypatch):
+    """A second Stack build in one process does all of the first one's work:
+    the Zipf tables, templates and quantile positions are computed as often,
+    and no module-level container of the three modules grows."""
+    from repro.db import datagen, statistics
+
+    counts = {"zipf": 0, "template": 0, "positions": 0}
+
+    def counting(key, function):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(datagen, "capped_zipf_weights", counting("zipf", datagen.capped_zipf_weights))
+    monkeypatch.setattr(
+        statistics, "quantile_positions", counting("positions", statistics.quantile_positions)
+    )
+    from_aliases = generator.QueryTemplate.from_aliases
+    monkeypatch.setattr(
+        generator.QueryTemplate,
+        "from_aliases",
+        classmethod(lambda cls, *args, **kwargs: counting("template", from_aliases)(*args, **kwargs)),
+    )
+    modules = (datagen, generator, statistics)
+    before = [_container_sizes(module) for module in modules]
+    work = []
+    for _ in range(2):
+        build_stack_workload(scale=0.05, seed=0, num_templates=8, num_queries=64)
+        work.append(dict(counts))
+        counts.update(dict.fromkeys(counts, 0))
+    assert work[0] == work[1]
+    assert work[0]["template"] == 8 and work[0]["zipf"] > 0 and work[0]["positions"] > 0
+    assert [_container_sizes(module) for module in modules] == before
